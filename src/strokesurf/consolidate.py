@@ -10,6 +10,13 @@ Incompatible pairs may never share a cluster, which is what makes the
 retained set manifold-safe. A final deterministic sweep clears any
 residual non-manifold configuration the pairwise criteria cannot
 express (three wide-angle sheets on one edge, pinched vertex fans).
+
+Pairs sharing an edge are few and are tested one at a time (criteria 1
+and 3). Pairs sharing only a vertex are many on noisy input, so
+criterion 2 enumerates every pair of each vertex fan with numpy and
+tests them in batches of about PAIR_CHUNK pairs, which bounds memory.
+A ConsolidationStats passed to consolidate_mesh collects what a pass
+found and did, for the run report.
 """
 
 from __future__ import annotations
@@ -19,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import geometry, scoring
+from . import geometry, mesh_ops, scoring
 from .matcher import pair_sigmas
 from .mesher import OUTPUT, REMOVED, UNDECIDED
 
@@ -29,35 +36,50 @@ OUT_NODE = -1
 # greedy contraction solver
 EXACT_NODE_LIMIT = 12
 
+# vertex-fan triangle pairs per criterion-2 batch
+PAIR_CHUNK = 4096
+
 
 class InvariantError(RuntimeError):
     """An internal guarantee was violated; indicates a pipeline bug."""
 
 
-def _gid_flat_map(cs):
-    """gid -> flat index for the current chain set."""
-    return {int(g): i for i, g in enumerate(cs.gid)}
+@dataclass
+class ConsolidationStats:
+    """Counts from consolidation passes; passes given the same instance
+    add to it. `pairs_by_criterion[k - 1]` counts the incompatible pairs
+    criterion k flagged."""
+
+    pairs_by_criterion: list = field(default_factory=lambda: [0, 0, 0])
+    undecided: int = 0
+    components: int = 0
+    largest_component: int = 0
+    exact_solves: int = 0
+    greedy_solves: int = 0
+    repair_removed: int = 0
+
+
+def _gid_flat_index(cs, n_vertices):
+    """Array gid -> flat index in the current chain set, -1 for gids on
+    no chain. A gid listed twice maps to its last flat index."""
+    last = {int(g): i for i, g in enumerate(cs.gid)}
+    index = np.full(n_vertices, -1, dtype=np.int64)
+    index[list(last)] = list(last.values())
+    return index
 
 
 def _apex_side_current(cs, gid2flat, edge, apex_pos, width_hint):
     """Side of an apex against the edge chain's binormals, evaluated in
     the current phase's frames. 0 when the offset is too small to call."""
-    fa = gid2flat.get(edge[0])
-    fb = gid2flat.get(edge[1])
-    if fa is None or fb is None:
+    fa = gid2flat[edge[0]]
+    fb = gid2flat[edge[1]]
+    if fa < 0 or fb < 0:
         return 0
     off = 0.5 * (np.dot(apex_pos - cs.pos[fa], cs.bin[fa])
                  + np.dot(apex_pos - cs.pos[fb], cs.bin[fb]))
     if abs(off) < 1e-9 * max(1.0, width_hint):
         return 0
     return 1 if off > 0 else -1
-
-
-def _third_vertex(tri, edge):
-    for v in tri:
-        if v not in edge:
-            return v
-    return None
 
 
 def _crit1_same_edge_same_side(mesh, cs, gid2flat, t1, t2):
@@ -70,8 +92,8 @@ def _crit1_same_edge_same_side(mesh, cs, gid2flat, t1, t2):
     e2 = tuple(sorted(p2.edge))
     if e1 != e2:
         return False
-    a1 = _third_vertex(mesh.tri_verts[t1], e1)
-    a2 = _third_vertex(mesh.tri_verts[t2], e2)
+    a1 = mesh_ops.third_vertex(mesh.tri_verts[t1], e1)
+    a2 = mesh_ops.third_vertex(mesh.tri_verts[t2], e2)
     if a1 is None or a2 is None:
         return False
     w = float(mesh.widths[e1[0]])
@@ -80,61 +102,12 @@ def _crit1_same_edge_same_side(mesh, cs, gid2flat, t1, t2):
     return s1 != 0 and s1 == s2
 
 
-def _crit2_overlapping_fans(mesh, cs, gid2flat, t1, t2, shared_gid):
-    """Triangles from different stroke edges share one vertex, lie on the
-    same side of its stroke, and one's projected edge crosses the other."""
-    p1 = mesh.tri_prov[t1]
-    p2 = mesh.tri_prov[t2]
-    if p1 is None or p2 is None:
-        return False
-    if tuple(sorted(p1.edge)) == tuple(sorted(p2.edge)):
-        return False
-    fq = gid2flat.get(shared_gid)
-    if fq is None or not cs.ok[fq]:
-        return False
-    b = cs.bin[fq]
-    bx, by, bz = float(b[0]), float(b[1]), float(b[2])
-    qpos = cs.pos[fq]
-    qx, qy, qz = float(qpos[0]), float(qpos[1]), float(qpos[2])
-    eps = 1e-9 * max(1.0, float(cs.w[fq]))
-    pos = mesh.positions
-
-    def side_of(tid):
-        va, vb, vc = mesh.tri_verts[tid]
-        cx = (pos[va, 0] + pos[vb, 0] + pos[vc, 0]) / 3.0
-        cy = (pos[va, 1] + pos[vb, 1] + pos[vc, 1]) / 3.0
-        cz = (pos[va, 2] + pos[vb, 2] + pos[vc, 2]) / 3.0
-        off = (cx - qx) * bx + (cy - qy) * by + (cz - qz) * bz
-        if abs(off) < eps:
-            return 0
-        return 1 if off > 0 else -1
-
-    s1 = side_of(t1)
-    s2 = side_of(t2)
-    if s1 == 0 or s2 == 0 or s1 != s2:
-        return False
-
-    def crosses(ta, tb):
-        va = mesh.tri_verts[ta]
-        pb = [mesh.positions[v] for v in mesh.tri_verts[tb]]
-        for v in va:
-            if v == shared_gid:
-                continue
-            if geometry.segment_crosses_triangle_interior(
-                    mesh.positions[shared_gid], mesh.positions[v],
-                    pb[0], pb[1], pb[2]):
-                return True
-        return False
-
-    return crosses(t1, t2) or crosses(t2, t1)
-
-
 def _crit3_sharp_shared_edge(mesh, config, t1, t2, edge):
     """Any two triangles meeting at an edge folded sharper than the
     dihedral threshold conflict."""
     a, b = edge
-    c = _third_vertex(mesh.tri_verts[t1], edge)
-    d = _third_vertex(mesh.tri_verts[t2], edge)
+    c = mesh_ops.third_vertex(mesh.tri_verts[t1], edge)
+    d = mesh_ops.third_vertex(mesh.tri_verts[t2], edge)
     if c is None or d is None:
         return False
     di = geometry.dihedral_deg(mesh.positions[a], mesh.positions[b],
@@ -142,68 +115,162 @@ def _crit3_sharp_shared_edge(mesh, config, t1, t2, edge):
     return di < config.dihedral_min_deg
 
 
-def incompatible(mesh, cs, config, t1, t2, gid2flat=None):
-    """Full pairwise incompatibility test. Returns (flag, entity) where
-    entity is ("edge", (a, b)) or ("vertex", g) naming the shared item."""
-    if gid2flat is None:
-        gid2flat = _gid_flat_map(cs)
-    v1 = set(mesh.tri_verts[t1])
-    v2 = set(mesh.tri_verts[t2])
-    shared = sorted(v1 & v2)
+def _edge_criterion(mesh, cs, config, gid2flat, t1, t2, edge):
+    """The criterion (1 or 3) that makes two triangles sharing `edge`
+    incompatible, else 0."""
+    if _crit1_same_edge_same_side(mesh, cs, gid2flat, t1, t2):
+        return 1
+    if _crit3_sharp_shared_edge(mesh, config, t1, t2, edge):
+        return 3
+    return 0
+
+
+def _triangle_table(mesh):
+    """Corner gids of every triangle in stored order, (n, 3), and its
+    sorted provenance edge, (n, 2), with -1 where it has none."""
+    verts = np.array(mesh.tri_verts, dtype=np.int64).reshape(-1, 3)
+    edges = np.array([(-1, -1) if p is None else p.edge
+                      for p in mesh.tri_prov], dtype=np.int64)
+    return verts, np.sort(edges.reshape(-1, 2), axis=1)
+
+
+def _crit2_overlapping_fans(mesh, cs, gid2flat, verts, edges, t1, t2, q):
+    """Criterion 2 over arrays of triangle pairs (t1[i], t2[i]) sharing
+    exactly the vertex q[i]: the triangles hang on different stroke
+    edges, their centroids lie on the same side of q's stroke, and a
+    spoke of one from q, projected onto the other, crosses its interior.
+    Returns a bool array."""
+    hit = np.zeros(len(t1), dtype=bool)
+    keep = ((edges[t1, 0] >= 0) & (edges[t2, 0] >= 0)
+            & ~(edges[t1] == edges[t2]).all(axis=1))
+    fq = gid2flat[q]
+    keep &= fq >= 0
+    keep[keep] = cs.ok[fq[keep]]
+    rows = np.flatnonzero(keep)
+    t1, t2, q, fq = t1[rows], t2[rows], q[rows], fq[rows]
+
+    pos = mesh.positions
+    qpos = cs.pos[fq]
+    b = cs.bin[fq]
+    eps = 1e-9 * np.maximum(1.0, cs.w[fq])
+
+    def side_of(t):
+        corners = pos[verts[t]]
+        c = (corners[:, 0] + corners[:, 1] + corners[:, 2]) / 3.0
+        off = ((c[:, 0] - qpos[:, 0]) * b[:, 0]
+               + (c[:, 1] - qpos[:, 1]) * b[:, 1]
+               + (c[:, 2] - qpos[:, 2]) * b[:, 2])
+        return np.where(np.abs(off) < eps, 0, np.where(off > 0, 1, -1))
+
+    s1 = side_of(t1)
+    same = (s1 != 0) & (s1 == side_of(t2))
+    rows = rows[same]
+    t1, t2, q = t1[same], t2[same], q[same]
+
+    # the two spokes of each triangle against the other one
+    ends, tris = [], []
+    for ta, tb in ((t1, t2), (t2, t1)):
+        va = verts[ta]
+        spokes = va[va != q[:, None]].reshape(-1, 2)
+        for k in range(2):
+            ends.append(spokes[:, k])
+            tris.append(verts[tb])
+    tris = pos[np.concatenate(tris)]
+    crossed = geometry.segments_cross_triangles_interior(
+        pos[np.tile(q, 4)], pos[np.concatenate(ends)],
+        tris[:, 0], tris[:, 1], tris[:, 2])
+    hit[rows] = crossed.reshape(4, -1).any(axis=0)
+    return hit
+
+
+def _fan_pairs(verts, active, frozen):
+    """Batches (t1, t2, q) of every pair of active triangles t1 < t2 that
+    share exactly the vertex q and are not both frozen, in (q, t1, t2)
+    order. A batch holds whole fans, about PAIR_CHUNK pairs of them."""
+    tids = np.flatnonzero(active)
+    gid = verts[tids].ravel()
+    tid = np.repeat(tids, 3)
+    order = np.lexsort((tid, gid))
+    gid, tid = gid[order], tid[order]
+    bounds = np.r_[np.flatnonzero(np.r_[True, gid[1:] != gid[:-1]]),
+                   len(gid)]
+    sizes = np.diff(bounds)
+    npairs = sizes * (sizes - 1) // 2
+    # a fan goes to batch (pairs in the fans before it) // PAIR_CHUNK
+    batch = (np.cumsum(npairs) - npairs) // PAIR_CHUNK
+    cuts = np.r_[np.flatnonzero(np.r_[True, batch[1:] != batch[:-1]]),
+                 len(sizes)]
+    for f0, f1 in zip(cuts[:-1], cuts[1:]):
+        lo, hi = bounds[f0], bounds[f1]
+        fan_sizes = sizes[f0:f1]
+        # each incidence pairs with the ones after it in its fan
+        rank = np.arange(hi - lo) - np.repeat(bounds[f0:f1] - lo, fan_sizes)
+        later = np.repeat(fan_sizes, fan_sizes) - 1 - rank
+        first = np.repeat(np.arange(hi - lo), later)
+        second = (first + 1 + np.arange(len(first))
+                  - np.repeat(np.cumsum(later) - later, later))
+        t1, t2 = tid[lo:hi][first], tid[lo:hi][second]
+        q = gid[lo:hi][first]
+        keep = ~(frozen[t1] & frozen[t2])
+        keep &= (verts[t1][:, :, None] == verts[t2][:, None, :]).sum(
+            axis=(1, 2)) == 1
+        yield t1[keep], t2[keep], q[keep]
+
+
+def incompatible(mesh, cs, config, t1, t2):
+    """Pairwise incompatibility test, the one-pair form of
+    find_incompatible_pairs. Returns (flag, entity) where entity is
+    ("edge", (a, b)) or ("vertex", g) naming the shared item."""
+    gid2flat = _gid_flat_index(cs, mesh.vertex_count())
+    shared = sorted(set(mesh.tri_verts[t1]) & set(mesh.tri_verts[t2]))
     if len(shared) == 2:
         edge = (shared[0], shared[1])
-        if _crit1_same_edge_same_side(mesh, cs, gid2flat, t1, t2):
+        if _edge_criterion(mesh, cs, config, gid2flat, t1, t2, edge):
             return True, ("edge", edge)
-        if _crit3_sharp_shared_edge(mesh, config, t1, t2, edge):
-            return True, ("edge", edge)
-        return False, None
-    if len(shared) == 1:
-        q = shared[0]
-        if _crit2_overlapping_fans(mesh, cs, gid2flat, t1, t2, q):
-            return True, ("vertex", q)
-        return False, None
+    elif len(shared) == 1:
+        verts, edges = _triangle_table(mesh)
+        if _crit2_overlapping_fans(mesh, cs, gid2flat, verts, edges,
+                                   np.array([t1]), np.array([t2]),
+                                   np.array(shared))[0]:
+            return True, ("vertex", shared[0])
     return False, None
 
 
-def find_incompatible_pairs(mesh, cs, config, frozen=frozenset()):
-    """All incompatible pairs among active triangles, skipping pairs
-    fully inside the frozen (prior-phase) set."""
-    gid2flat = _gid_flat_map(cs)
-    active = mesh.active_ids()
+def find_incompatible_pairs(mesh, cs, config, frozen=frozenset(),
+                            stats=None):
+    """All incompatible pairs (t1, t2, entity), t1 < t2, among active
+    triangles, skipping pairs fully inside the frozen (prior-phase) set.
+
+    Shared-edge pairs come first, by sorted edge and then tids, with
+    entity ("edge", (a, b)); then shared-vertex pairs by (gid, t1, t2),
+    with entity ("vertex", gid). The order is part of the result:
+    build_conflict_graph sums arc weights in it. With a
+    ConsolidationStats as `stats`, pairs are counted per criterion."""
+    if stats is None:
+        stats = ConsolidationStats()
+    gid2flat = _gid_flat_index(cs, mesh.vertex_count())
     pairs = []
-    seen = set()
-
-    def consider(t1, t2):
-        if t1 > t2:
-            t1, t2 = t2, t1
-        if (t1, t2) in seen:
-            return
-        seen.add((t1, t2))
-        if t1 in frozen and t2 in frozen:
-            return
-        flag, entity = incompatible(mesh, cs, config, t1, t2, gid2flat)
-        if flag:
-            pairs.append((t1, t2, entity))
-
     for edge, tids in sorted(mesh.edge_map().items()):
-        for i in range(len(tids)):
-            fi = tids[i] in frozen
-            for j in range(i + 1, len(tids)):
-                if fi and tids[j] in frozen:
+        for i, t1 in enumerate(tids):
+            for t2 in tids[i + 1:]:
+                if t1 in frozen and t2 in frozen:
                     continue
-                consider(tids[i], tids[j])
+                crit = _edge_criterion(mesh, cs, config, gid2flat, t1, t2,
+                                       edge)
+                if crit:
+                    pairs.append((t1, t2, ("edge", edge)))
+                    stats.pairs_by_criterion[crit - 1] += 1
 
-    for gid, tids in sorted(mesh.vertex_tris(active).items()):
-        if len(tids) < 2 or all(t in frozen for t in tids):
-            continue
-        for i in range(len(tids)):
-            fi = tids[i] in frozen
-            vi = set(mesh.tri_verts[tids[i]])
-            for j in range(i + 1, len(tids)):
-                if fi and tids[j] in frozen:
-                    continue
-                if len(vi & set(mesh.tri_verts[tids[j]])) == 1:
-                    consider(tids[i], tids[j])
+    verts, edges = _triangle_table(mesh)
+    active = np.array(mesh.tri_state, dtype=np.int64) != REMOVED
+    frozen_mask = np.zeros(len(verts), dtype=bool)
+    frozen_mask[list(frozen)] = True
+    for t1, t2, q in _fan_pairs(verts, active, frozen_mask):
+        hit = _crit2_overlapping_fans(mesh, cs, gid2flat, verts, edges,
+                                      t1, t2, q)
+        pairs.extend((a, b, ("vertex", g)) for a, b, g in zip(
+            t1[hit].tolist(), t2[hit].tolist(), q[hit].tolist()))
+        stats.pairs_by_criterion[1] += int(hit.sum())
     return pairs
 
 
@@ -457,17 +524,15 @@ def _solve_greedy(graph):
     nodes = [OUT_NODE] + list(graph.nodes)
     cluster = {n: n for n in nodes}
     members = {n: {n} for n in nodes}
-    weight = {}
+    weight = dict(graph.arcs)
     adj = {n: set() for n in nodes}
-    forbidden = {n: set() for n in nodes}
-    for (u, v), w in graph.arcs.items():
-        key = (u, v)
-        weight[key] = w
+    for (u, v) in weight:
         adj[u].add(v)
         adj[v].add(u)
-        if key in graph.hard:
-            forbidden[u].add(v)
-            forbidden[v].add(u)
+    forbidden = {n: set() for n in nodes}
+    for (u, v) in graph.hard:
+        forbidden[u].add(v)
+        forbidden[v].add(u)
 
     heap = [(-w, k) for k, w in weight.items() if w > 0]
     heapq.heapify(heap)
@@ -480,14 +545,16 @@ def _solve_greedy(graph):
         if b in forbidden[a]:
             continue
         # merge b into a (a < b by arc key construction)
-        members[a] |= members.pop(b)
-        for n in members[a]:
+        joined = members.pop(b)
+        members[a] |= joined
+        for n in joined:
             cluster[n] = a
-        forbidden[a] |= forbidden.pop(b)
-        for c in list(forbidden):
-            if b in forbidden[c]:
-                forbidden[c].discard(b)
-                forbidden[c].add(a)
+        # hard sets are symmetric, so only b's own partners name b
+        hard_b = forbidden.pop(b)
+        forbidden[a] |= hard_b
+        for c in hard_b:
+            forbidden[c].discard(b)
+            forbidden[c].add(a)
         for c in list(adj[b]):
             adj[c].discard(b)
             if c == a:
@@ -535,27 +602,27 @@ def _solve_greedy(graph):
                 if delta > best_delta:
                     best_tgt, best_delta = tgt, delta
             if best_tgt is not None:
-                cluster[n] = best_tgt
-                # renormalize: cluster ids must remain min member ids
-                remap = {}
-                for node in nodes:
-                    remap.setdefault(cluster[node], []).append(node)
-                for cid, mem in remap.items():
-                    target = min(mem)
-                    for node in mem:
-                        cluster[node] = target
+                _move_node(cluster, members, n, best_tgt)
                 moved = True
         if not moved:
             break
-
-    remap = {}
-    for node in nodes:
-        remap.setdefault(cluster[node], []).append(node)
-    for cid, mem in remap.items():
-        target = min(mem)
-        for node in mem:
-            cluster[node] = target
     return cluster
+
+
+def _move_node(cluster, members, n, tgt):
+    """Move node n into cluster tgt, a new cluster if no node carries
+    that id, re-labelling the two clusters involved so that every
+    cluster id stays the minimum member id."""
+    rest = members.pop(cluster[n])
+    rest.discard(n)
+    group = members.pop(tgt, set())
+    group.add(n)
+    for mem in (rest, group):
+        if mem:
+            cid = min(mem)
+            members[cid] = mem
+            for node in mem:
+                cluster[node] = cid
 
 
 def apply_consolidation(mesh, cluster, component):
@@ -582,8 +649,6 @@ def _repair_nonmanifold(mesh, frozen):
     """Deterministically remove the newest triangles at any residual
     non-manifold edge or pinched vertex. The pairwise criteria cover the
     overwhelming majority of conflicts; this net guarantees the audit."""
-    from . import mesh_ops
-
     removed = []
     for _ in range(64):
         changed = False
@@ -622,14 +687,24 @@ def _repair_nonmanifold(mesh, frozen):
     return removed
 
 
-def consolidate_mesh(mesh, cs, config, frozen=frozenset()):
-    """Full consolidation pass. Returns (removed_count, undecided_count)."""
-    from . import mesh_ops
-
-    pairs = find_incompatible_pairs(mesh, cs, config, frozen)
+def consolidate_mesh(mesh, cs, config, frozen=frozenset(), stats=None):
+    """Full consolidation pass. Returns (removed_count, undecided_count);
+    with a ConsolidationStats as `stats`, adds this pass's counts to it."""
+    if stats is None:
+        stats = ConsolidationStats()
+    pairs = find_incompatible_pairs(mesh, cs, config, frozen, stats)
     undecided = classify_undecided(mesh, pairs, frozen)
+    components = undecided_components(mesh, undecided)
+    stats.undecided += len(undecided)
+    stats.components += len(components)
     removed = 0
-    for component in undecided_components(mesh, undecided):
+    for component in components:
+        stats.largest_component = max(stats.largest_component,
+                                      len(component))
+        if len(component) <= EXACT_NODE_LIMIT:
+            stats.exact_solves += 1
+        else:
+            stats.greedy_solves += 1
         graph = build_conflict_graph(mesh, cs, config, component, pairs,
                                      undecided)
         cluster = solve_clustering(graph)
@@ -642,7 +717,9 @@ def consolidate_mesh(mesh, cs, config, frozen=frozenset()):
             raise InvariantError(
                 f"incompatible pair ({t1}, {t2}) survived consolidation")
 
-    removed += len(_repair_nonmanifold(mesh, frozen))
+    repaired = len(_repair_nonmanifold(mesh, frozen))
+    stats.repair_removed += repaired
+    removed += repaired
     nm_edges, nm_vertices = mesh_ops.audit_manifold(mesh)
     if nm_edges or nm_vertices:
         raise InvariantError(

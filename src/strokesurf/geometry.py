@@ -48,13 +48,6 @@ def angle_between_deg(u, v):
     return math.degrees(math.acos(c))
 
 
-def cross3(u, v):
-    """Cross product of two 3-vectors without numpy's shape dispatch."""
-    return np.array((u[1] * v[2] - u[2] * v[1],
-                     u[2] * v[0] - u[0] * v[2],
-                     u[0] * v[1] - u[1] * v[0]))
-
-
 def triangle_normal(a, b, c):
     """Unnormalized normal of triangle (a, b, c); norm is twice the area."""
     ux, uy, uz = b[0] - a[0], b[1] - a[1], b[2] - a[2]
@@ -125,62 +118,10 @@ def bbox_diagonal(points):
     return float(np.linalg.norm(points.max(axis=0) - points.min(axis=0)))
 
 
-def point_triangle_distances(points, a, b, c):
-    """Exact distances from an (n, 3) point array to one triangle.
-
-    Vectorized region classification over the triangle's barycentric
-    parameterization (Eberly's method).
-    """
-    points = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    a = np.asarray(a, dtype=np.float64)
-    e0 = np.asarray(b, dtype=np.float64) - a
-    e1 = np.asarray(c, dtype=np.float64) - a
-    dv = a - points
-    aa = float(np.dot(e0, e0))
-    bb = float(np.dot(e0, e1))
-    cc = float(np.dot(e1, e1))
-    dd = dv @ e0
-    ee = dv @ e1
-    det = max(aa * cc - bb * bb, 1e-300)
-
-    s = bb * ee - cc * dd
-    t = bb * dd - aa * ee
-
-    # interior projection
-    inside = (s + t <= det) & (s >= 0) & (t >= 0)
-    s_in = s / det
-    t_in = t / det
-
-    # clamp to the three edges and pick the best
-    def _edge_params():
-        # edge e0 (t = 0)
-        s0 = np.clip(-dd / max(aa, 1e-300), 0.0, 1.0)
-        t0 = np.zeros_like(s0)
-        # edge e1 (s = 0)
-        t1 = np.clip(-ee / max(cc, 1e-300), 0.0, 1.0)
-        s1 = np.zeros_like(t1)
-        # hypotenuse (s + t = 1)
-        denom = max(aa - 2 * bb + cc, 1e-300)
-        s2 = np.clip((cc + ee - bb - dd) / denom, 0.0, 1.0)
-        t2 = 1.0 - s2
-        return (s0, t0), (s1, t1), (s2, t2)
-
-    best = None
-    for sp, tp in _edge_params():
-        diff = dv + sp[:, None] * e0 + tp[:, None] * e1
-        d2 = np.einsum("ij,ij->i", diff, diff)
-        best = d2 if best is None else np.minimum(best, d2)
-
-    diff_in = dv + s_in[:, None] * e0 + t_in[:, None] * e1
-    d2_in = np.einsum("ij,ij->i", diff_in, diff_in)
-    best = np.where(inside, np.minimum(best, d2_in), best)
-    return np.sqrt(np.maximum(best, 0.0))
-
-
 def point_to_triangles_distance(p, a, b, c):
     """Exact distances from one point to (m, 3)-arrays of triangle
-    corners. Same region classification as point_triangle_distances,
-    with the per-triangle coefficients vectorized instead."""
+    corners, by vectorized region classification over each triangle's
+    barycentric parameterization (Eberly's method)."""
     p = np.asarray(p, dtype=np.float64).reshape(3)
     a = np.atleast_2d(np.asarray(a, dtype=np.float64))
     e0 = np.atleast_2d(np.asarray(b, dtype=np.float64)) - a
@@ -218,86 +159,92 @@ def point_to_triangles_distance(p, a, b, c):
     return np.sqrt(np.maximum(best, 0.0))
 
 
+def segments_cross_triangles_interior(p0, p1, a, b, c, eps_rel=1e-9):
+    """Row-wise over (n, 3) arrays, a bool array: does segment (p0[i],
+    p1[i]), projected onto the plane of triangle (a[i], b[i], c[i]),
+    pass through the triangle's open interior? Endpoints on the
+    boundary do not count, nor does a projected segment running exactly
+    along an edge, nor a degenerate triangle. Each row runs the same
+    IEEE operations in the same order as a scalar evaluation (no fused
+    or reordered sums), so its answer does not depend on the batch."""
+    p0, p1, a, b, c = (np.asarray(v, dtype=np.float64).reshape(-1, 3)
+                       for v in (p0, p1, a, b, c))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        ax, ay, az = a[:, 0], a[:, 1], a[:, 2]
+        ux, uy, uz = b[:, 0] - ax, b[:, 1] - ay, b[:, 2] - az
+        wx, wy, wz = c[:, 0] - ax, c[:, 1] - ay, c[:, 2] - az
+        nx = uy * wz - uz * wy
+        ny = uz * wx - ux * wz
+        nz = ux * wy - uy * wx
+        nn = np.sqrt(nx * nx + ny * ny + nz * nz)
+        lab = np.sqrt(ux * ux + uy * uy + uz * uz)
+        lac = np.sqrt(wx * wx + wy * wy + wz * wz)
+        bcx, bcy, bcz = wx - ux, wy - uy, wz - uz
+        lbc = np.sqrt(bcx * bcx + bcy * bcy + bcz * bcz)
+        scale = np.maximum(np.maximum(lab, lac), lbc)
+        # near-zero area relative to the longest edge. A scalar `x ** 2`
+        # (libm pow) can sit one ulp off x * x, but a triangle that close
+        # to the threshold is far too thin to pass the interior test
+        # below, so the answer is the same either way
+        thr = eps_rel * scale
+        ok = (scale != 0.0) & ~(nn < thr * thr) & ~(lab < EPS_DEGENERATE)
+
+        nx, ny, nz = nx / nn, ny / nn, nz / nn
+        # 2D frame in the triangle plane: u along ab, v = n x u
+        fx, fy, fz = ux / lab, uy / lab, uz / lab
+        vx = ny * fz - nz * fy
+        vy = nz * fx - nx * fz
+        vz = nx * fy - ny * fx
+
+        def to2d(p):
+            dx, dy, dz = p[:, 0] - ax, p[:, 1] - ay, p[:, 2] - az
+            return (dx * fx + dy * fy + dz * fz,
+                    dx * vx + dy * vy + dz * vz)
+
+        q0, q1 = to2d(p0), to2d(p1)
+        t2 = (to2d(a), to2d(b), to2d(c))
+        # inward edge normals, oriented by the opposite vertex
+        inward = []
+        for i in range(3):
+            e0, e1, third = t2[i], t2[(i + 1) % 3], t2[(i + 2) % 3]
+            nrx, nry = e0[1] - e1[1], e1[0] - e0[0]
+            flip = (nrx * (third[0] - e0[0]) + nry * (third[1] - e0[1])
+                    < 0)
+            inward.append((np.where(flip, -nrx, nrx),
+                           np.where(flip, -nry, nry)))
+
+        # clip the segment against the three half planes
+        lo = np.zeros(len(ok))
+        hi = np.ones(len(ok))
+        dx, dy = q1[0] - q0[0], q1[1] - q0[1]
+        for e0, (nrx, nry) in zip(t2, inward):
+            f0 = nrx * (q0[0] - e0[0]) + nry * (q0[1] - e0[1])
+            fd = nrx * dx + nry * dy
+            parallel = np.abs(fd) < 1e-300
+            ok &= ~(parallel & (f0 < 0))
+            tcross = -f0 / fd
+            enter = ~parallel & (fd > 0)
+            leave = ~parallel & ~(fd > 0)
+            lo = np.where(enter & (tcross > lo), tcross, lo)
+            hi = np.where(leave & (tcross < hi), tcross, hi)
+        # lo only rises and hi only falls, so crossing once is final
+        ok &= ~(lo > hi) & ~(hi - lo < eps_rel)
+
+        # strict interior test at the clipped midpoint
+        mid = 0.5 * (lo + hi)
+        mx = q0[0] + mid * dx
+        my = q0[1] + mid * dy
+        eps = eps_rel * scale
+        for e0, (nrx, nry) in zip(t2, inward):
+            nlen = np.sqrt(nrx * nrx + nry * nry)
+            ok &= ~(nlen < 1e-300)
+            ok &= ~((nrx * (mx - e0[0]) + nry * (my - e0[1])) / nlen <= eps)
+    return ok
+
+
 def segment_crosses_triangle_interior(p0, p1, ta, tb, tc, eps_rel=1e-9):
     """True if segment (p0, p1), projected onto the triangle's plane,
-    passes through the triangle's open interior.
-
-    Endpoints lying on the triangle boundary do not count, nor does a
-    projected segment running exactly along a triangle edge. Scalar
-    math throughout; this sits inside the consolidation inner loop.
-    """
-    ax, ay, az = float(ta[0]), float(ta[1]), float(ta[2])
-    ux, uy, uz = float(tb[0]) - ax, float(tb[1]) - ay, float(tb[2]) - az
-    wx, wy, wz = float(tc[0]) - ax, float(tc[1]) - ay, float(tc[2]) - az
-    nx = uy * wz - uz * wy
-    ny = uz * wx - ux * wz
-    nz = ux * wy - uy * wx
-    nn = math.sqrt(nx * nx + ny * ny + nz * nz)
-    lab = math.sqrt(ux * ux + uy * uy + uz * uz)
-    lac = math.sqrt(wx * wx + wy * wy + wz * wz)
-    bcx, bcy, bcz = wx - ux, wy - uy, wz - uz
-    lbc = math.sqrt(bcx * bcx + bcy * bcy + bcz * bcz)
-    scale = max(lab, lac, lbc)
-    if scale == 0.0 or nn < (eps_rel * scale) ** 2 or lab < EPS_DEGENERATE:
-        return False
-    nx, ny, nz = nx / nn, ny / nn, nz / nn
-    # 2D frame in the triangle plane: u along ab, v = n x u
-    fx, fy, fz = ux / lab, uy / lab, uz / lab
-    vx = ny * fz - nz * fy
-    vy = nz * fx - nx * fz
-    vz = nx * fy - ny * fx
-
-    def to2d(px, py, pz):
-        dx, dy, dz = px - ax, py - ay, pz - az
-        return (dx * fx + dy * fy + dz * fz, dx * vx + dy * vy + dz * vz)
-
-    q0 = to2d(float(p0[0]), float(p0[1]), float(p0[2]))
-    q1 = to2d(float(p1[0]), float(p1[1]), float(p1[2]))
-    t2 = (to2d(ax, ay, az), to2d(float(tb[0]), float(tb[1]), float(tb[2])),
-          to2d(float(tc[0]), float(tc[1]), float(tc[2])))
-
-    # clip the segment against the three half planes of the triangle
-    lo, hi = 0.0, 1.0
-    dx, dy = q1[0] - q0[0], q1[1] - q0[1]
-    for i in range(3):
-        e0 = t2[i]
-        e1 = t2[(i + 1) % 3]
-        # inward normal for CCW ordering; orient using the third vertex
-        nrx, nry = e0[1] - e1[1], e1[0] - e0[0]
-        third = t2[(i + 2) % 3]
-        if nrx * (third[0] - e0[0]) + nry * (third[1] - e0[1]) < 0:
-            nrx, nry = -nrx, -nry
-        f0 = nrx * (q0[0] - e0[0]) + nry * (q0[1] - e0[1])
-        fd = nrx * dx + nry * dy
-        if abs(fd) < 1e-300:
-            if f0 < 0:
-                return False
-            continue
-        tcross = -f0 / fd
-        if fd > 0:
-            if tcross > lo:
-                lo = tcross
-        else:
-            if tcross < hi:
-                hi = tcross
-        if lo > hi:
-            return False
-    if hi - lo < eps_rel:
-        return False
-    mx = q0[0] + 0.5 * (lo + hi) * dx
-    my = q0[1] + 0.5 * (lo + hi) * dy
-    # strict interior test at the clipped midpoint
-    eps = eps_rel * scale
-    for i in range(3):
-        e0 = t2[i]
-        e1 = t2[(i + 1) % 3]
-        nrx, nry = e0[1] - e1[1], e1[0] - e0[0]
-        third = t2[(i + 2) % 3]
-        if nrx * (third[0] - e0[0]) + nry * (third[1] - e0[1]) < 0:
-            nrx, nry = -nrx, -nry
-        nlen = math.sqrt(nrx * nrx + nry * nry)
-        if nlen < 1e-300:
-            return False
-        if (nrx * (mx - e0[0]) + nry * (my - e0[1])) / nlen <= eps:
-            return False
-    return True
+    passes through the triangle's open interior: the one-row form of
+    segments_cross_triangles_interior."""
+    return bool(segments_cross_triangles_interior(
+        p0, p1, ta, tb, tc, eps_rel=eps_rel)[0])

@@ -15,14 +15,12 @@ order.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
 import numpy as np
 
 from . import scoring
-from .geometry import EPS_DEGENERATE
 from .scoring import Side
 
 
@@ -153,10 +151,6 @@ class MatchTable:
         if arr is None or arr[index] < 0:
             return None
         return self.chainset.ref(arr[index])
-
-    def sides_for(self, chain):
-        return sorted((s for (c, s) in self.matches if c == chain),
-                      reverse=True)
 
 
 class _UniformGrid:
@@ -476,23 +470,3 @@ def dominant_neighbors(table, freqs, config):
             out.dominant[(ci, int(side))] = (best_t, best_f)
     return out
 
-
-def dump_matches(table, path):
-    """Write matches as JSON lines for debugging."""
-    cs = table.chainset
-    with open(path, "w", encoding="utf-8") as fh:
-        for (ci, side) in sorted(table.matches.keys(),
-                                 key=lambda k: (k[0], -k[1])):
-            match = table.matches[(ci, side)]
-            mlog = table.match_logs[(ci, side)]
-            tag = "L" if side == int(Side.LEFT) else "R"
-            for i in range(len(match)):
-                if match[i] < 0:
-                    continue
-                ref = cs.ref(match[i])
-                fh.write(json.dumps({
-                    "from": [ci, i],
-                    "side": tag,
-                    "to": [ref.chain, ref.index],
-                    "log_score": float(mlog[i]),
-                }) + "\n")

@@ -400,15 +400,16 @@ def _quad_fill(mesh, loop):
         angles = [geometry.min_interior_angle_deg(p[t[0]], p[t[1]], p[t[2]])
                   for t in tris]
         dihed = geometry.dihedral_deg(p[diag[0]], p[diag[1]],
-                                      p[_third(tris[0], diag)],
-                                      p[_third(tris[1], diag)])
+                                      p[third_vertex(tris[0], diag)],
+                                      p[third_vertex(tris[1], diag)])
         low_pair = tuple(-x for x in sorted(diag))
         splits.append((min(angles), -abs(180.0 - dihed), low_pair, tris))
     splits.sort(reverse=True)
     return splits[0][3]
 
 
-def _third(tri, edge):
+def third_vertex(tri, edge):
+    """The corner of a triangle that is not on the given edge."""
     for v in tri:
         if v not in edge:
             return v

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -43,14 +42,6 @@ class Provenance:
     side: int                   # +1 / -1, apex side of the edge's chain
     edge_ref: tuple             # (VertexRef, VertexRef)
     apex_ref: VertexRef
-
-
-@dataclass(frozen=True)
-class Triangle:
-    verts: tuple
-    state: int
-    phase: str
-    prov: Optional[Provenance]
 
 
 class SurfaceMesh:
@@ -137,10 +128,6 @@ class SurfaceMesh:
             ekey = (u, v) if u < v else (v, u)
             self._em.setdefault(ekey, []).append(tid)
         return tid
-
-    def triangle(self, tid):
-        return Triangle(self.tri_verts[tid], self.tri_state[tid],
-                        self.tri_phase[tid], self.tri_prov[tid])
 
     def remove(self, tid):
         if self.tri_state[tid] == REMOVED:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -48,8 +48,9 @@ class PipelineOptions:
 
 
 class _Tracker:
-    """Collects per-stage triangle deltas and timings; optionally dumps
-    the mesh after each stage (and on stage failure)."""
+    """Collects per-stage triangle deltas, timings and consolidation
+    counts; optionally dumps the mesh after each stage (and on stage
+    failure)."""
 
     def __init__(self, mesh, dump_dir):
         self.mesh = mesh
@@ -57,8 +58,8 @@ class _Tracker:
         self.stats = []
         self._seq = 0
 
-    def stage(self, name):
-        return _StageScope(self, name)
+    def stage(self, name, consolidation=None):
+        return _StageScope(self, name, consolidation)
 
     def dump_mesh(self, name, suffix="mesh"):
         if self.dump_dir is None or self.mesh.active_count() == 0:
@@ -79,9 +80,10 @@ class _Tracker:
 
 
 class _StageScope:
-    def __init__(self, tracker, name):
+    def __init__(self, tracker, name, consolidation):
         self.tracker = tracker
         self.name = name
+        self.consolidation = consolidation
 
     def __enter__(self):
         mesh = self.tracker.mesh
@@ -93,14 +95,17 @@ class _StageScope:
 
     def __exit__(self, exc_type, exc, tb):
         mesh = self.tracker.mesh
-        self.tracker.stats.append({
+        entry = {
             "name": self.name,
             "triangles_added": len(mesh.tri_verts) - self.tris_before,
             "triangles_removed": sum(1 for s in mesh.tri_state
                                      if s == mesher.REMOVED)
             - self.removed_before,
             "seconds": time.perf_counter() - self.t0,
-        })
+        }
+        if self.consolidation is not None:
+            entry["consolidation"] = asdict(self.consolidation)
+        self.tracker.stats.append(entry)
         self.tracker._seq += 1
         if exc_type is None:
             self.tracker.dump_mesh(self.name)
@@ -228,10 +233,11 @@ def run_pipeline(drawing, options=None):
         else:
             mesher.mesh_from_matches(table, config, mesh=mesh)
 
-    with tracker.stage("strip_consolidation"):
-        consolidate.consolidate_mesh(mesh, cs, config)
+    stats = consolidate.ConsolidationStats()
+    with tracker.stage("strip_consolidation", stats):
+        consolidate.consolidate_mesh(mesh, cs, config, stats=stats)
         mesh_ops.break_nonorientable(mesh)
-        consolidate.repair_nonmanifold(mesh)
+        stats.repair_removed += len(consolidate.repair_nonmanifold(mesh))
         mesh_ops.orient_all(mesh, align=False)
 
     if not options.skip_extension:
@@ -245,12 +251,14 @@ def run_pipeline(drawing, options=None):
                 mesher.mesh_from_matches(btable, config, mesh=mesh,
                                          phase="extension")
                 _match_stage(tracker, "boundary_extension", btable)
-        with tracker.stage("extension_consolidation"):
+        stats = consolidate.ConsolidationStats()
+        with tracker.stage("extension_consolidation", stats):
             if bcs is not None:
                 consolidate.consolidate_mesh(mesh, bcs, config,
-                                             frozen=frozen)
+                                             frozen=frozen, stats=stats)
             mesh_ops.break_nonorientable(mesh, frozen=frozen)
-            consolidate.repair_nonmanifold(mesh, frozen=frozen)
+            stats.repair_removed += len(
+                consolidate.repair_nonmanifold(mesh, frozen=frozen))
             mesh_ops.orient_all(mesh, align=False)
 
     with tracker.stage("small_holes"):
@@ -271,9 +279,11 @@ def run_pipeline(drawing, options=None):
             mesher.mesh_from_matches(gtable, config, mesh=mesh,
                                      phase="gap")
             _match_stage(tracker, "gap_spanning", gtable)
-    with tracker.stage("gap_consolidation"):
+    stats = consolidate.ConsolidationStats()
+    with tracker.stage("gap_consolidation", stats):
         if gcs is not None:
-            consolidate.consolidate_mesh(mesh, gcs, config, frozen=frozen)
+            consolidate.consolidate_mesh(mesh, gcs, config, frozen=frozen,
+                                         stats=stats)
 
     with tracker.stage("orientation"):
         new_tids = [t for t in range(tris_before_gap, len(mesh.tri_verts))

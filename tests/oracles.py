@@ -2,8 +2,10 @@
 
 These avoid the package's algorithmic code paths on purpose: the chain
 matcher reference enumerates full assignment products from score tables
-built with scalar arithmetic, and the clustering reference solves
-max-weight set partitioning exactly with a bitmask dynamic program.
+built with scalar arithmetic, the clustering reference solves
+max-weight set partitioning exactly with a bitmask dynamic program, and
+the incompatible-pair reference tests every candidate pair one at a
+time with scalar float arithmetic.
 """
 
 import itertools
@@ -158,3 +160,225 @@ def partition_optimum(nodes, arcs, hard):
             t = (t - 1) & s
         best[s] = b
     return best[size - 1]
+
+
+# ---------------------------------------------------------------------------
+# incompatible triangle pairs
+
+
+def segment_crosses_triangle_interior(p0, p1, ta, tb, tc, eps_rel=1e-9):
+    """Scalar reference for geometry.segments_cross_triangles_interior:
+    does segment (p0, p1), projected onto the triangle's plane, pass
+    through the triangle's open interior?"""
+    ax, ay, az = float(ta[0]), float(ta[1]), float(ta[2])
+    ux, uy, uz = float(tb[0]) - ax, float(tb[1]) - ay, float(tb[2]) - az
+    wx, wy, wz = float(tc[0]) - ax, float(tc[1]) - ay, float(tc[2]) - az
+    nx = uy * wz - uz * wy
+    ny = uz * wx - ux * wz
+    nz = ux * wy - uy * wx
+    nn = math.sqrt(nx * nx + ny * ny + nz * nz)
+    lab = math.sqrt(ux * ux + uy * uy + uz * uz)
+    lac = math.sqrt(wx * wx + wy * wy + wz * wz)
+    bcx, bcy, bcz = wx - ux, wy - uy, wz - uz
+    lbc = math.sqrt(bcx * bcx + bcy * bcy + bcz * bcz)
+    scale = max(lab, lac, lbc)
+    if scale == 0.0 or nn < (eps_rel * scale) ** 2 or lab < 1e-9:
+        return False
+    nx, ny, nz = nx / nn, ny / nn, nz / nn
+    fx, fy, fz = ux / lab, uy / lab, uz / lab
+    vx = ny * fz - nz * fy
+    vy = nz * fx - nx * fz
+    vz = nx * fy - ny * fx
+
+    def to2d(px, py, pz):
+        dx, dy, dz = px - ax, py - ay, pz - az
+        return (dx * fx + dy * fy + dz * fz, dx * vx + dy * vy + dz * vz)
+
+    q0 = to2d(float(p0[0]), float(p0[1]), float(p0[2]))
+    q1 = to2d(float(p1[0]), float(p1[1]), float(p1[2]))
+    t2 = (to2d(ax, ay, az), to2d(float(tb[0]), float(tb[1]), float(tb[2])),
+          to2d(float(tc[0]), float(tc[1]), float(tc[2])))
+
+    lo, hi = 0.0, 1.0
+    dx, dy = q1[0] - q0[0], q1[1] - q0[1]
+    for i in range(3):
+        e0 = t2[i]
+        e1 = t2[(i + 1) % 3]
+        nrx, nry = e0[1] - e1[1], e1[0] - e0[0]
+        third = t2[(i + 2) % 3]
+        if nrx * (third[0] - e0[0]) + nry * (third[1] - e0[1]) < 0:
+            nrx, nry = -nrx, -nry
+        f0 = nrx * (q0[0] - e0[0]) + nry * (q0[1] - e0[1])
+        fd = nrx * dx + nry * dy
+        if abs(fd) < 1e-300:
+            if f0 < 0:
+                return False
+            continue
+        tcross = -f0 / fd
+        if fd > 0:
+            if tcross > lo:
+                lo = tcross
+        else:
+            if tcross < hi:
+                hi = tcross
+        if lo > hi:
+            return False
+    if hi - lo < eps_rel:
+        return False
+    mx = q0[0] + 0.5 * (lo + hi) * dx
+    my = q0[1] + 0.5 * (lo + hi) * dy
+    eps = eps_rel * scale
+    for i in range(3):
+        e0 = t2[i]
+        e1 = t2[(i + 1) % 3]
+        nrx, nry = e0[1] - e1[1], e1[0] - e0[0]
+        third = t2[(i + 2) % 3]
+        if nrx * (third[0] - e0[0]) + nry * (third[1] - e0[1]) < 0:
+            nrx, nry = -nrx, -nry
+        nlen = math.sqrt(nrx * nrx + nry * nry)
+        if nlen < 1e-300:
+            return False
+        if (nrx * (mx - e0[0]) + nry * (my - e0[1])) / nlen <= eps:
+            return False
+    return True
+
+
+def _apex_side(cs, gid2flat, edge, apex_pos, width_hint):
+    fa = gid2flat.get(edge[0])
+    fb = gid2flat.get(edge[1])
+    if fa is None or fb is None:
+        return 0
+    off = 0.5 * (np.dot(apex_pos - cs.pos[fa], cs.bin[fa])
+                 + np.dot(apex_pos - cs.pos[fb], cs.bin[fb]))
+    if abs(off) < 1e-9 * max(1.0, width_hint):
+        return 0
+    return 1 if off > 0 else -1
+
+
+def _third_vertex(tri, edge):
+    for v in tri:
+        if v not in edge:
+            return v
+    return None
+
+
+def _crit1(mesh, cs, gid2flat, t1, t2):
+    p1 = mesh.tri_prov[t1]
+    p2 = mesh.tri_prov[t2]
+    if p1 is None or p2 is None:
+        return False
+    e1 = tuple(sorted(p1.edge))
+    e2 = tuple(sorted(p2.edge))
+    if e1 != e2:
+        return False
+    a1 = _third_vertex(mesh.tri_verts[t1], e1)
+    a2 = _third_vertex(mesh.tri_verts[t2], e2)
+    if a1 is None or a2 is None:
+        return False
+    w = float(mesh.widths[e1[0]])
+    s1 = _apex_side(cs, gid2flat, e1, mesh.positions[a1], w)
+    s2 = _apex_side(cs, gid2flat, e1, mesh.positions[a2], w)
+    return s1 != 0 and s1 == s2
+
+
+def _crit2(mesh, cs, gid2flat, t1, t2, shared_gid):
+    p1 = mesh.tri_prov[t1]
+    p2 = mesh.tri_prov[t2]
+    if p1 is None or p2 is None:
+        return False
+    if tuple(sorted(p1.edge)) == tuple(sorted(p2.edge)):
+        return False
+    fq = gid2flat.get(shared_gid)
+    if fq is None or not cs.ok[fq]:
+        return False
+    b = cs.bin[fq]
+    bx, by, bz = float(b[0]), float(b[1]), float(b[2])
+    qpos = cs.pos[fq]
+    qx, qy, qz = float(qpos[0]), float(qpos[1]), float(qpos[2])
+    eps = 1e-9 * max(1.0, float(cs.w[fq]))
+    pos = mesh.positions
+
+    def side_of(tid):
+        va, vb, vc = mesh.tri_verts[tid]
+        cx = (pos[va, 0] + pos[vb, 0] + pos[vc, 0]) / 3.0
+        cy = (pos[va, 1] + pos[vb, 1] + pos[vc, 1]) / 3.0
+        cz = (pos[va, 2] + pos[vb, 2] + pos[vc, 2]) / 3.0
+        off = (cx - qx) * bx + (cy - qy) * by + (cz - qz) * bz
+        if abs(off) < eps:
+            return 0
+        return 1 if off > 0 else -1
+
+    s1 = side_of(t1)
+    s2 = side_of(t2)
+    if s1 == 0 or s2 == 0 or s1 != s2:
+        return False
+
+    def crosses(ta, tb):
+        pb = [pos[v] for v in mesh.tri_verts[tb]]
+        return any(segment_crosses_triangle_interior(
+            pos[shared_gid], pos[v], pb[0], pb[1], pb[2])
+            for v in mesh.tri_verts[ta] if v != shared_gid)
+
+    return crosses(t1, t2) or crosses(t2, t1)
+
+
+def _crit3(mesh, config, t1, t2, edge):
+    from strokesurf import geometry
+
+    a, b = edge
+    c = _third_vertex(mesh.tri_verts[t1], edge)
+    d = _third_vertex(mesh.tri_verts[t2], edge)
+    if c is None or d is None:
+        return False
+    di = geometry.dihedral_deg(mesh.positions[a], mesh.positions[b],
+                               mesh.positions[c], mesh.positions[d])
+    return di < config.dihedral_min_deg
+
+
+def incompatible(mesh, cs, config, t1, t2, gid2flat):
+    """Scalar reference for consolidate.incompatible."""
+    shared = sorted(set(mesh.tri_verts[t1]) & set(mesh.tri_verts[t2]))
+    if len(shared) == 2:
+        edge = (shared[0], shared[1])
+        if (_crit1(mesh, cs, gid2flat, t1, t2)
+                or _crit3(mesh, config, t1, t2, edge)):
+            return True, ("edge", edge)
+    elif len(shared) == 1:
+        if _crit2(mesh, cs, gid2flat, t1, t2, shared[0]):
+            return True, ("vertex", shared[0])
+    return False, None
+
+
+def find_incompatible_pairs(mesh, cs, config, frozen=frozenset()):
+    """Scalar reference for consolidate.find_incompatible_pairs: every
+    pair around every edge, then every pair around every vertex, tested
+    one at a time."""
+    gid2flat = {int(g): i for i, g in enumerate(cs.gid)}
+    pairs = []
+    seen = set()
+
+    def consider(t1, t2):
+        if t1 > t2:
+            t1, t2 = t2, t1
+        if (t1, t2) in seen:
+            return
+        seen.add((t1, t2))
+        flag, entity = incompatible(mesh, cs, config, t1, t2, gid2flat)
+        if flag:
+            pairs.append((t1, t2, entity))
+
+    for edge, tids in sorted(mesh.edge_map().items()):
+        for i in range(len(tids)):
+            for j in range(i + 1, len(tids)):
+                if not (tids[i] in frozen and tids[j] in frozen):
+                    consider(tids[i], tids[j])
+
+    for gid, tids in sorted(mesh.vertex_tris(mesh.active_ids()).items()):
+        for i in range(len(tids)):
+            vi = set(mesh.tri_verts[tids[i]])
+            for j in range(i + 1, len(tids)):
+                if tids[i] in frozen and tids[j] in frozen:
+                    continue
+                if len(vi & set(mesh.tri_verts[tids[j]])) == 1:
+                    consider(tids[i], tids[j])
+    return pairs

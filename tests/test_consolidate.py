@@ -5,9 +5,12 @@ import pytest
 
 from strokesurf import consolidate, matcher, mesher, mesh_ops
 from strokesurf.consolidate import OUT_NODE
+from strokesurf.pipeline import run_pipeline
+from strokesurf.synth_eval import generate
 
 import oracles
 from test_mesher import chain_from
+from test_pipeline import FLIP_SPECS
 
 
 def strip_fixture(config, apexes, bn=(0, -1, 0)):
@@ -115,6 +118,36 @@ def test_classify_undecided_is_local(config):
     assert comps == [sorted([t1, t2, toucher])]
 
 
+@pytest.mark.parametrize("name", sorted(FLIP_SPECS))
+def test_pair_search_matches_scalar_reference(name, monkeypatch):
+    """At every consolidation pass of a noisy run, the batched search
+    returns the scalar reference's pair list, in the same order, under
+    the pass's own frozen set and under another one."""
+    search = consolidate.find_incompatible_pairs
+    kinds = set()
+    frozen_sizes = []
+
+    def checked(mesh, cs, config, frozen=frozenset(), stats=None):
+        pairs = search(mesh, cs, config, frozen, stats)
+        assert pairs == oracles.find_incompatible_pairs(mesh, cs, config,
+                                                        frozen)
+        # unfrozen passes are checked with every other triangle frozen,
+        # frozen ones without freezing
+        other = frozenset() if frozen else frozenset(mesh.active_ids()[::2])
+        assert (search(mesh, cs, config, other)
+                == oracles.find_incompatible_pairs(mesh, cs, config, other))
+        kinds.update(entity[0] for _, _, entity in pairs)
+        frozen_sizes.append(len(frozen))
+        return pairs
+
+    monkeypatch.setattr(consolidate, "find_incompatible_pairs", checked)
+    drawing, _ = generate(FLIP_SPECS[name])
+    run_pipeline(drawing)
+    assert len(frozen_sizes) == 3 and frozen_sizes[0] == 0
+    assert min(frozen_sizes[1:]) > 0
+    assert kinds == {"edge", "vertex"}
+
+
 # ---------------------------------------------------------------------------
 # clustering
 
@@ -195,6 +228,34 @@ def test_clustering_against_exact_optimum():
                                          g.arcs, g.hard)
         assert got <= best + 1e-9
         assert got >= 0.95 * best - 1e-9
+
+
+def test_greedy_clustering_against_exact_optimum(monkeypatch):
+    # every random graph has at most 12 nodes, so lower the limit to
+    # send all of them down the greedy path
+    monkeypatch.setattr(consolidate, "EXACT_NODE_LIMIT", 1)
+    greedy = consolidate._solve_greedy
+    solved = []
+    monkeypatch.setattr(consolidate, "_solve_greedy",
+                        lambda g: solved.append(g) or greedy(g))
+    worst = np.inf
+    for seed in (2024, 505):
+        rng = np.random.default_rng(seed)
+        for _ in range(300):
+            g = random_conflict_graph(rng)
+            assign = consolidate.solve_clustering(g)
+            for (u, v) in g.hard:
+                assert assign[u] != assign[v]
+            got = consolidate.clustering_objective(g, assign)
+            best = oracles.partition_optimum([OUT_NODE] + g.nodes,
+                                             g.arcs, g.hard)
+            assert got <= best + 1e-9
+            if best > 0:
+                worst = min(worst, got / best)
+    assert len(solved) == 600
+    # greedy contraction plus single-node moves is not near-optimal:
+    # the worst ratio on these graphs is 0.538
+    assert worst >= 0.5
 
 
 # ---------------------------------------------------------------------------

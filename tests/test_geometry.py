@@ -1,0 +1,92 @@
+"""The batched segment-versus-triangle crossing test against its scalar
+reference."""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from strokesurf import geometry
+
+import oracles
+
+
+def reference(p0, p1, a, b, c):
+    return np.array([oracles.segment_crosses_triangle_interior(*row)
+                     for row in zip(p0, p1, a, b, c)], dtype=bool)
+
+
+def degenerate_rows(rng, n):
+    """Rows (p0, p1, a, b, c) built to sit on the kernel's tie and
+    degeneracy branches."""
+    a, b, c = (rng.normal(size=(n, 3)) for _ in range(3))
+    p0, p1 = rng.normal(size=(n, 3)), rng.normal(size=(n, 3))
+    t = rng.uniform(-0.5, 1.5, size=(n, 1))
+    kind = np.arange(n) % 6
+    # collinear corners: c on the line through a and b
+    c = np.where(kind[:, None] == 0, a + t * (b - a), c)
+    # zero-length ab
+    b = np.where(kind[:, None] == 1, a, b)
+    # an endpoint on an edge, the other anywhere
+    p0 = np.where(kind[:, None] == 2, b + t.clip(0, 1) * (c - b), p0)
+    # parallel to an edge, in the triangle's plane
+    p1 = np.where(kind[:, None] == 3, p0 + t * (b - a), p1)
+    # a spoke from a corner, as criterion 2 draws them
+    p0 = np.where(kind[:, None] == 4, a, p0)
+    # running exactly along an edge
+    on_ab = kind[:, None] == 5
+    p0 = np.where(on_ab, a, p0)
+    p1 = np.where(on_ab, a + t * (b - a), p1)
+    return p0, p1, a, b, c
+
+
+def test_batched_crossing_equals_scalar_on_random_rows():
+    rng = np.random.default_rng(7)
+    rows = tuple(rng.normal(size=(4000, 3)) for _ in range(5))
+    got = geometry.segments_cross_triangles_interior(*rows)
+    want = reference(*rows)
+    assert got.dtype == bool
+    assert np.array_equal(got, want)
+    # both answers are common, so the comparison is not vacuous
+    assert 0.1 < want.mean() < 0.9
+
+
+def test_batched_crossing_equals_scalar_on_degenerate_rows():
+    rng = np.random.default_rng(11)
+    rows = degenerate_rows(rng, 3000)
+    got = geometry.segments_cross_triangles_interior(*rows)
+    want = reference(*rows)
+    assert np.array_equal(got, want)
+    kind = np.arange(3000) % 6
+    assert not want[kind == 0].any() and not want[kind == 1].any()
+    assert not want[kind == 5].any()
+    assert want[kind == 2].any() and want[kind == 4].any()
+
+
+def test_one_row_form_matches_batch():
+    rng = np.random.default_rng(3)
+    rows = degenerate_rows(rng, 300)
+    batch = geometry.segments_cross_triangles_interior(*rows)
+    single = [geometry.segment_crosses_triangle_interior(*row)
+              for row in zip(*rows)]
+    assert single == batch.tolist()
+
+
+def test_empty_batch():
+    empty = np.zeros((0, 3))
+    got = geometry.segments_cross_triangles_interior(*(empty,) * 5)
+    assert got.shape == (0,) and got.dtype == bool
+
+
+# points on a coarse lattice: exact collinearity, shared corners and
+# endpoints on edges come up often
+lattice = st.lists(st.integers(-2, 2).map(lambda k: 0.5 * k),
+                   min_size=3, max_size=3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(lattice, min_size=5, max_size=5),
+                min_size=1, max_size=20))
+def test_batched_crossing_equals_scalar_on_lattice_points(rows):
+    p0, p1, a, b, c = np.asarray(rows, dtype=np.float64).transpose(1, 0, 2)
+    got = geometry.segments_cross_triangles_interior(p0, p1, a, b, c)
+    assert got.tolist() == reference(p0, p1, a, b, c).tolist()

@@ -5,6 +5,7 @@ import os
 import numpy as np
 import pytest
 
+from strokesurf import consolidate
 from strokesurf.mesher import KIND_RIBBON
 from strokesurf.pipeline import PipelineOptions, run_pipeline
 from strokesurf.stroke_model import Drawing, Stroke, ValidationError
@@ -53,6 +54,41 @@ def test_stage_stats_carry_deltas_and_timings():
     for s in report["stage_stats"]:
         assert s["seconds"] >= 0
         assert s["triangles_removed"] >= 0
+
+
+CONSOLIDATION_STAGES = ["strip_consolidation", "extension_consolidation",
+                        "gap_consolidation"]
+CONSOLIDATION_KEYS = {
+    "pairs_by_criterion", "undecided", "components", "largest_component",
+    "exact_solves", "greedy_solves", "repair_removed",
+}
+
+
+def test_consolidation_stages_report_counts():
+    _, report = run_pipeline(flat_pair_drawing())
+    for s in report["stage_stats"]:
+        if s["name"] in CONSOLIDATION_STAGES:
+            assert s["consolidation"] == dict(
+                dict.fromkeys(CONSOLIDATION_KEYS, 0),
+                pairs_by_criterion=[0, 0, 0])
+        else:
+            assert "consolidation" not in s
+
+
+def test_noisy_spiral_reports_a_greedy_sized_component():
+    drawing, _ = generate(FLIP_SPECS["dome_spiral"])
+    _, report = run_pipeline(drawing)
+    by_name = {s["name"]: s for s in report["stage_stats"]}
+    for name in CONSOLIDATION_STAGES:
+        counts = by_name[name]["consolidation"]
+        assert set(counts) == CONSOLIDATION_KEYS
+        assert (counts["exact_solves"] + counts["greedy_solves"]
+                == counts["components"])
+    strip = by_name["strip_consolidation"]["consolidation"]
+    assert strip["largest_component"] > consolidate.EXACT_NODE_LIMIT
+    assert strip["greedy_solves"] >= 1
+    assert min(strip["pairs_by_criterion"]) > 0
+    assert strip["undecided"] >= strip["largest_component"]
 
 
 def test_skip_extension_drops_stages():

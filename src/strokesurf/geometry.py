@@ -118,15 +118,17 @@ def bbox_diagonal(points):
     return float(np.linalg.norm(points.max(axis=0) - points.min(axis=0)))
 
 
-def point_to_triangles_distance(p, a, b, c):
-    """Exact distances from one point to (m, 3)-arrays of triangle
-    corners, by vectorized region classification over each triangle's
-    barycentric parameterization (Eberly's method)."""
-    p = np.asarray(p, dtype=np.float64).reshape(3)
-    a = np.atleast_2d(np.asarray(a, dtype=np.float64))
-    e0 = np.atleast_2d(np.asarray(b, dtype=np.float64)) - a
-    e1 = np.atleast_2d(np.asarray(c, dtype=np.float64)) - a
-    dv = a - p[None, :]
+def point_triangle_pair_distances(p, a, b, c):
+    """Row-wise exact distances from point p[i] to triangle (a[i], b[i],
+    c[i]), all (n, 3) arrays, by region classification over each
+    triangle's barycentric parameterization (Eberly's method). Each row
+    runs the same operations in the same order whatever the batch, so
+    its answer does not depend on which rows share a call."""
+    p, a, b, c = (np.asarray(v, dtype=np.float64).reshape(-1, 3)
+                  for v in (p, a, b, c))
+    e0 = b - a
+    e1 = c - a
+    dv = a - p
     aa = np.einsum("ij,ij->i", e0, e0)
     bb = np.einsum("ij,ij->i", e0, e1)
     cc = np.einsum("ij,ij->i", e1, e1)
@@ -157,6 +159,15 @@ def point_to_triangles_distance(p, a, b, c):
     d2_in = np.einsum("ij,ij->i", diff_in, diff_in)
     best = np.where(inside, np.minimum(best, d2_in), best)
     return np.sqrt(np.maximum(best, 0.0))
+
+
+def point_to_triangles_distance(p, a, b, c):
+    """Exact distances from one point to (m, 3)-arrays of triangle
+    corners: the one-point form of point_triangle_pair_distances."""
+    a = np.atleast_2d(np.asarray(a, dtype=np.float64))
+    p = np.asarray(p, dtype=np.float64).reshape(3)
+    return point_triangle_pair_distances(np.broadcast_to(p, a.shape), a, b,
+                                         c)
 
 
 def segments_cross_triangles_interior(p0, p1, a, b, c, eps_rel=1e-9):

@@ -84,6 +84,11 @@ class _StageScope:
         self.tracker = tracker
         self.name = name
         self.consolidation = consolidation
+        self.counts = {}
+
+    def count(self, key, n):
+        """Add n to a count reported in this stage's entry."""
+        self.counts[key] = self.counts.get(key, 0) + n
 
     def __enter__(self):
         mesh = self.tracker.mesh
@@ -102,6 +107,7 @@ class _StageScope:
                                      if s == mesher.REMOVED)
             - self.removed_before,
             "seconds": time.perf_counter() - self.t0,
+            **self.counts,
         }
         if self.consolidation is not None:
             entry["consolidation"] = asdict(self.consolidation)
@@ -234,9 +240,10 @@ def run_pipeline(drawing, options=None):
             mesher.mesh_from_matches(table, config, mesh=mesh)
 
     stats = consolidate.ConsolidationStats()
-    with tracker.stage("strip_consolidation", stats):
+    with tracker.stage("strip_consolidation", stats) as stage:
         consolidate.consolidate_mesh(mesh, cs, config, stats=stats)
-        mesh_ops.break_nonorientable(mesh)
+        stage.count("nonorientable_removed",
+                    len(mesh_ops.break_nonorientable(mesh)))
         stats.repair_removed += len(consolidate.repair_nonmanifold(mesh))
         mesh_ops.orient_all(mesh, align=False)
 
@@ -252,17 +259,19 @@ def run_pipeline(drawing, options=None):
                                          phase="extension")
                 _match_stage(tracker, "boundary_extension", btable)
         stats = consolidate.ConsolidationStats()
-        with tracker.stage("extension_consolidation", stats):
+        with tracker.stage("extension_consolidation", stats) as stage:
             if bcs is not None:
                 consolidate.consolidate_mesh(mesh, bcs, config,
                                              frozen=frozen, stats=stats)
-            mesh_ops.break_nonorientable(mesh, frozen=frozen)
+            stage.count("nonorientable_removed", len(
+                mesh_ops.break_nonorientable(mesh, frozen=frozen)))
             stats.repair_removed += len(
                 consolidate.repair_nonmanifold(mesh, frozen=frozen))
             mesh_ops.orient_all(mesh, align=False)
 
-    with tracker.stage("small_holes"):
-        mesh_ops.close_small_holes(mesh, config)
+    with tracker.stage("small_holes") as stage:
+        stage.count("holes_closed_added",
+                    mesh_ops.close_small_holes(mesh, config))
         mesh_ops.orient_all(mesh, align=False)
 
     with tracker.stage("boundary_smoothing"):
@@ -285,16 +294,21 @@ def run_pipeline(drawing, options=None):
             consolidate.consolidate_mesh(mesh, gcs, config, frozen=frozen,
                                          stats=stats)
 
-    with tracker.stage("orientation"):
+    with tracker.stage("orientation") as stage:
         new_tids = [t for t in range(tris_before_gap, len(mesh.tri_verts))
                     if mesh.is_active(t)]
-        mesh_ops.resolve_moebius(mesh, new_tids)
-        mesh_ops.break_nonorientable(mesh, frozen=frozen)
+        stage.count("moebius_removed",
+                    len(mesh_ops.resolve_moebius(mesh, new_tids)))
+        stage.count("nonorientable_removed", len(
+            mesh_ops.break_nonorientable(mesh, frozen=frozen)))
         # removals may leave pinched fans behind
-        consolidate.repair_nonmanifold(mesh, frozen=frozen)
+        stage.count("repair_removed", len(
+            consolidate.repair_nonmanifold(mesh, frozen=frozen)))
         mesh_ops.orient_all(mesh, align=False)
-        mesh_ops.close_small_holes(mesh, config)
-        consolidate.repair_nonmanifold(mesh, frozen=frozen)
+        stage.count("holes_closed_added",
+                    mesh_ops.close_small_holes(mesh, config))
+        stage.count("repair_removed", len(
+            consolidate.repair_nonmanifold(mesh, frozen=frozen)))
         mesh_ops.orient_all(mesh, align=False)
 
     with tracker.stage("ribbons"):
@@ -302,9 +316,9 @@ def run_pipeline(drawing, options=None):
         mesh_ops.orient_all(mesh, align=False)
 
     if options.close_holes_max_sides > 0:
-        with tracker.stage("hole_filling"):
-            mesh_ops.fill_all_holes(mesh, config,
-                                    max_sides=options.close_holes_max_sides)
+        with tracker.stage("hole_filling") as stage:
+            stage.count("holes_filled_added", mesh_ops.fill_all_holes(
+                mesh, config, max_sides=options.close_holes_max_sides))
             mesh_ops.orient_all(mesh, align=False)
 
     if options.smooth_iterations > 0:

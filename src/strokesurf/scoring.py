@@ -20,6 +20,10 @@ from dataclasses import dataclass
 import numpy as np
 
 
+# relative gap below which the two width offsets of q tie
+TIE_REL = 1e-9
+
+
 class Side(enum.IntEnum):
     LEFT = 1
     RIGHT = -1
@@ -55,6 +59,15 @@ def _gauss_log(d, sigma):
     return -(d * d) / (2.0 * sigma * sigma)
 
 
+def _takes_left(dl, dr):
+    """Offset choice for the normal term: the nearer of q's two width
+    offsets to p's probe, at distances dl (left) and dr (right). Within
+    a relative TIE_REL of each other they tie and the left one is taken,
+    so that rounding after a rigid motion cannot flip the choice.
+    Works on floats and on arrays."""
+    return dl - dr <= TIE_REL * np.maximum(dl, dr)
+
+
 def vertex_score(p, q, side, config, sigma=None):
     """Score q as the side-match of p. Both are StrokeVertex views with
     non-degenerate frames. Returns a ScoreBreakdown."""
@@ -74,11 +87,9 @@ def vertex_score(p, q, side, config, sigma=None):
     p_c = pp + side.sign * p.width * fp.binormal
     q_l = qq + q.width * fq.binormal
     q_r = qq - q.width * fq.binormal
-    # nearer offset of q to p's probe; ties take the left offset
-    if np.linalg.norm(q_l - p_c) <= np.linalg.norm(q_r - p_c):
-        q_c = q_l
-    else:
-        q_c = q_r
+    dl = float(np.linalg.norm(q_l - p_c))
+    dr = float(np.linalg.norm(q_r - p_c))
+    q_c = q_l if _takes_left(dl, dr) else q_r
     m_probe = 0.5 * (p_c + q_c)
     m = 0.5 * (pp + qq)
     d_normal = float(np.linalg.norm(m - m_probe))
@@ -127,7 +138,7 @@ def vertex_scores_log_arrays(p_pos, p_tan, p_bin, p_w, side_sign,
     q_r = q_pos - q_w[:, None] * q_bin
     dl = np.linalg.norm(q_l - p_c[None, :], axis=1)
     dr = np.linalg.norm(q_r - p_c[None, :], axis=1)
-    q_c = np.where((dl <= dr)[:, None], q_l, q_r)
+    q_c = np.where(_takes_left(dl, dr)[:, None], q_l, q_r)
     m_probe = 0.5 * (p_c[None, :] + q_c)
     m = 0.5 * (p_pos[None, :] + q_pos)
     d_normal = np.linalg.norm(m - m_probe, axis=1)

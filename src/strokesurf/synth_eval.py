@@ -11,6 +11,7 @@ corpus is reproducible bit for bit.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import time
@@ -23,6 +24,12 @@ from . import geometry
 from .stroke_model import Config, Drawing, Stroke, trim_hooks
 
 _MASK = (1 << 64) - 1
+_GAMMA = 0x9E3779B97F4A7C15
+
+# points_to_mesh_distance: sample points per centroid-tree query, and
+# (point, triangle) rows per distance-kernel call
+POINT_BLOCK = 256
+PAIR_ROWS = 1 << 14
 
 
 class SplitMix64:
@@ -34,7 +41,7 @@ class SplitMix64:
         self._spare = None
 
     def next_u64(self):
-        self.state = (self.state + 0x9E3779B97F4A7C15) & _MASK
+        self.state = (self.state + _GAMMA) & _MASK
         z = self.state
         z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
@@ -44,7 +51,18 @@ class SplitMix64:
         return (self.next_u64() >> 11) * 2.0 ** -53
 
     def uniforms(self, n):
-        return np.array([self.uniform() for _ in range(n)])
+        """n uniform() draws as one array, computed with wrapping uint64
+        arithmetic: draw k mixes state + k * gamma. Values and the final
+        state equal those of n scalar draws; the normal() spare is left
+        alone, as uniform() leaves it."""
+        n = max(int(n), 0)
+        k = np.arange(1, n + 1, dtype=np.uint64)
+        z = np.uint64(self.state) + k * np.uint64(_GAMMA)
+        z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+        z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+        z ^= z >> np.uint64(31)
+        self.state = (self.state + n * _GAMMA) & _MASK
+        return (z >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
 
     def normal(self):
         if self._spare is not None:
@@ -121,7 +139,17 @@ class GroundTruthSurface:
 
     # -- distance --
 
-    def distance(self, points):
+    def distance(self, points, return_pairs=False):
+        """Distance from each point to the surface. With return_pairs,
+        also returns the number of (point, triangle) pairs tested, which
+        is 0 for analytic surfaces."""
+        if self.kind == "mesh":
+            return points_to_mesh_distance(points, self.positions,
+                                           self.faces, return_pairs)
+        d = self._analytic_distance(points)
+        return (d, 0) if return_pairs else d
+
+    def _analytic_distance(self, points):
         p = np.atleast_2d(np.asarray(points, dtype=np.float64))
         if self.kind == "sphere":
             return np.abs(np.linalg.norm(p, axis=1) - 1.0)
@@ -150,8 +178,6 @@ class GroundTruthSurface:
             outside = np.linalg.norm(np.maximum(q, 0.0), axis=1)
             inside = np.minimum(np.max(q, axis=1), 0.0)
             return np.abs(outside + inside)
-        if self.kind == "mesh":
-            return points_to_mesh_distance(p, self.positions, self.faces)
         raise ValueError(f"unknown surface kind {self.kind!r}")
 
     # -- sampling --
@@ -562,15 +588,22 @@ def generate(spec):
 # evaluation
 
 
-def points_to_mesh_distance(points, positions, faces):
+def points_to_mesh_distance(points, positions, faces, return_pairs=False):
     """Exact point-to-surface distance per sample: the nearest mesh
     vertex bounds the answer, a centroid KD-tree prunes triangles, and
-    the survivors get the exact point-triangle test."""
+    the survivors get the exact point-triangle test.
+
+    Points go to the tree in blocks of POINT_BLOCK, and their (point,
+    candidate triangle) pairs go through
+    geometry.point_triangle_pair_distances at most PAIR_ROWS rows at a
+    time, so memory stays bounded however many candidates a point has.
+    Each distance is bit-identical to testing the point's candidates in
+    one call, as the per-point reference in the tests does. With
+    return_pairs, also returns the number of pairs tested."""
     positions = np.asarray(positions, dtype=np.float64)
-    faces = [tuple(f) for f in faces]
-    if not faces:
+    tris = np.asarray(faces, dtype=np.int64).reshape(-1, 3)
+    if len(tris) == 0:
         raise ValueError("mesh has no triangles")
-    tris = np.array(faces, dtype=np.int64)
     a = positions[tris[:, 0]]
     b = positions[tris[:, 1]]
     c = positions[tris[:, 2]]
@@ -583,19 +616,32 @@ def points_to_mesh_distance(points, positions, faces):
     used = np.unique(tris)
     vert_tree = cKDTree(positions[used])
     cent_tree = cKDTree(centroids)
-    points = np.atleast_2d(np.asarray(points, dtype=np.float64))
+    points = np.asarray(points, dtype=np.float64).reshape(-1, 3)
     upper, _ = vert_tree.query(points)
-    out = np.empty(len(points))
-    balls = cent_tree.query_ball_point(points, upper + r_max + 1e-12)
-    for i, cand in enumerate(balls):
-        if not cand:
-            out[i] = upper[i]
-            continue
-        cand = np.asarray(cand, dtype=np.int64)
-        d = geometry.point_to_triangles_distance(
-            points[i], a[cand], b[cand], c[cand])
-        out[i] = min(float(d.min()), float(upper[i]))
-    return out
+    out = upper.copy()
+    radius = upper + r_max + 1e-12
+    pairs = 0
+    for start in range(0, len(points), POINT_BLOCK):
+        stop = min(start + POINT_BLOCK, len(points))
+        balls = cent_tree.query_ball_point(points[start:stop],
+                                           radius[start:stop])
+        counts = np.fromiter(map(len, balls), dtype=np.int64,
+                             count=len(balls))
+        tri = np.fromiter(itertools.chain.from_iterable(balls),
+                          dtype=np.int64, count=int(counts.sum()))
+        owner = np.repeat(np.arange(start, stop), counts)
+        pairs += len(tri)
+        for lo in range(0, len(tri), PAIR_ROWS):
+            o = owner[lo:lo + PAIR_ROWS]
+            t = tri[lo:lo + PAIR_ROWS]
+            d = geometry.point_triangle_pair_distances(
+                points[o], a[t], b[t], c[t])
+            # owner is sorted, so each point's rows are one run
+            heads = np.flatnonzero(np.r_[True, o[1:] != o[:-1]])
+            rows = o[heads]
+            out[rows] = np.minimum(out[rows],
+                                   np.minimum.reduceat(d, heads))
+    return (out, pairs) if return_pairs else out
 
 
 def sample_mesh_surface(positions, faces, n, rng):
@@ -633,6 +679,7 @@ class EvalReport:
     mesh_to_truth: float
     truth_to_mesh: float
     samples_per_side: int
+    distance_pairs: int        # (point, triangle) pairs tested, both sides
     interpolated_edge_fraction: float    # NaN when no drawing given
     runtime_seconds: float
 
@@ -691,10 +738,12 @@ def evaluate(mesh, truth, drawing=None, samples=10000, seed=7,
 
     faces = [mesh.tri_verts[t] for t in active]
     mesh_samples = sample_mesh_surface(mesh.positions, faces, samples, rng)
-    d_mesh = float(truth.distance(mesh_samples).max())
+    d_mesh, pairs_mesh = truth.distance(mesh_samples, return_pairs=True)
+    d_mesh = float(d_mesh.max())
     truth_samples = truth.sample(samples, rng)
-    d_truth = float(points_to_mesh_distance(
-        truth_samples, mesh.positions, faces).max())
+    d_truth, pairs_truth = points_to_mesh_distance(
+        truth_samples, mesh.positions, faces, return_pairs=True)
+    d_truth = float(d_truth.max())
 
     fraction = float("nan")
     if drawing is not None:
@@ -710,6 +759,7 @@ def evaluate(mesh, truth, drawing=None, samples=10000, seed=7,
         mesh_to_truth=d_mesh,
         truth_to_mesh=d_truth,
         samples_per_side=samples,
+        distance_pairs=pairs_mesh + pairs_truth,
         interpolated_edge_fraction=fraction,
         runtime_seconds=time.perf_counter() - t0,
     )

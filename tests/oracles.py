@@ -5,13 +5,15 @@ matcher reference enumerates full assignment products from score tables
 built with scalar arithmetic, the clustering reference solves
 max-weight set partitioning exactly with a bitmask dynamic program, and
 the incompatible-pair reference tests every candidate pair one at a
-time with scalar float arithmetic.
+time with scalar float arithmetic, and the point-to-mesh reference
+tests one sample point at a time against its candidate triangles.
 """
 
 import itertools
 import math
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 
 # ---------------------------------------------------------------------------
@@ -27,7 +29,10 @@ def _vertex_log(cs, fp, fq, side, config):
     p_c = p + side * cs.w[fp] * cs.bin[fp]
     q_l = q + cs.w[fq] * cs.bin[fq]
     q_r = q - cs.w[fq] * cs.bin[fq]
-    if np.linalg.norm(q_l - p_c) <= np.linalg.norm(q_r - p_c):
+    dl = float(np.linalg.norm(q_l - p_c))
+    dr = float(np.linalg.norm(q_r - p_c))
+    # offsets within a relative 1e-9 of each other tie; ties take left
+    if dl - dr <= 1e-9 * max(dl, dr):
         q_c = q_l
     else:
         q_c = q_r
@@ -382,3 +387,89 @@ def find_incompatible_pairs(mesh, cs, config, frozen=frozenset()):
                 if len(vi & set(mesh.tri_verts[tids[j]])) == 1:
                     consider(tids[i], tids[j])
     return pairs
+
+
+# ---------------------------------------------------------------------------
+# point-to-mesh distance
+
+
+def point_to_triangles_distance(p, a, b, c):
+    """One-point reference for geometry.point_triangle_pair_distances: exact
+    distances from p to (m, 3)-arrays of triangle corners by Eberly's
+    region classification, with p broadcast over the triangles."""
+    p = np.asarray(p, dtype=np.float64).reshape(3)
+    a = np.atleast_2d(np.asarray(a, dtype=np.float64))
+    e0 = np.atleast_2d(np.asarray(b, dtype=np.float64)) - a
+    e1 = np.atleast_2d(np.asarray(c, dtype=np.float64)) - a
+    dv = a - p[None, :]
+    aa = np.einsum("ij,ij->i", e0, e0)
+    bb = np.einsum("ij,ij->i", e0, e1)
+    cc = np.einsum("ij,ij->i", e1, e1)
+    dd = np.einsum("ij,ij->i", dv, e0)
+    ee = np.einsum("ij,ij->i", dv, e1)
+    det = np.maximum(aa * cc - bb * bb, 1e-300)
+
+    s = bb * ee - cc * dd
+    t = bb * dd - aa * ee
+    inside = (s + t <= det) & (s >= 0) & (t >= 0)
+    s_in = s / det
+    t_in = t / det
+
+    s0 = np.clip(-dd / np.maximum(aa, 1e-300), 0.0, 1.0)
+    t0 = np.zeros_like(s0)
+    t1 = np.clip(-ee / np.maximum(cc, 1e-300), 0.0, 1.0)
+    s1 = np.zeros_like(t1)
+    denom = np.maximum(aa - 2 * bb + cc, 1e-300)
+    s2 = np.clip((cc + ee - bb - dd) / denom, 0.0, 1.0)
+    t2 = 1.0 - s2
+
+    best = None
+    for sp, tp in ((s0, t0), (s1, t1), (s2, t2)):
+        diff = dv + sp[:, None] * e0 + tp[:, None] * e1
+        d2 = np.einsum("ij,ij->i", diff, diff)
+        best = d2 if best is None else np.minimum(best, d2)
+    diff_in = dv + s_in[:, None] * e0 + t_in[:, None] * e1
+    d2_in = np.einsum("ij,ij->i", diff_in, diff_in)
+    best = np.where(inside, np.minimum(best, d2_in), best)
+    return np.sqrt(np.maximum(best, 0.0))
+
+
+def mesh_candidates(points, positions, faces):
+    """Per point, the nearest-vertex bound and the candidate triangles
+    of synth_eval.points_to_mesh_distance's pruning, all points at once:
+    (a, b, c, upper, balls)."""
+    positions = np.asarray(positions, dtype=np.float64)
+    tris = np.array([tuple(f) for f in faces], dtype=np.int64)
+    a = positions[tris[:, 0]]
+    b = positions[tris[:, 1]]
+    c = positions[tris[:, 2]]
+    centroids = (a + b + c) / 3.0
+    spread = np.maximum(np.maximum(
+        np.linalg.norm(a - centroids, axis=1),
+        np.linalg.norm(b - centroids, axis=1)),
+        np.linalg.norm(c - centroids, axis=1))
+    r_max = float(spread.max())
+    vert_tree = cKDTree(positions[np.unique(tris)])
+    points = np.atleast_2d(np.asarray(points, dtype=np.float64))
+    upper, _ = vert_tree.query(points)
+    balls = cKDTree(centroids).query_ball_point(points,
+                                               upper + r_max + 1e-12)
+    return a, b, c, upper, balls
+
+
+def points_to_mesh_distance(points, positions, faces):
+    """Per-point reference for synth_eval.points_to_mesh_distance: each
+    sample point is tested alone against its candidate triangles, and a
+    point without candidates keeps its nearest-vertex bound."""
+    points = np.atleast_2d(np.asarray(points, dtype=np.float64))
+    a, b, c, upper, balls = mesh_candidates(points, positions, faces)
+    out = np.empty(len(points))
+    for i, cand in enumerate(balls):
+        if not cand:
+            out[i] = upper[i]
+            continue
+        cand = np.asarray(cand, dtype=np.int64)
+        d = point_to_triangles_distance(points[i], a[cand], b[cand],
+                                        c[cand])
+        out[i] = min(float(d.min()), float(upper[i]))
+    return out

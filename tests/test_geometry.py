@@ -1,5 +1,5 @@
-"""The batched segment-versus-triangle crossing test against its scalar
-reference."""
+"""The batched segment-versus-triangle crossing test and the row-wise
+point-triangle distance against their references."""
 
 import numpy as np
 from hypothesis import given, settings
@@ -90,3 +90,44 @@ def test_batched_crossing_equals_scalar_on_lattice_points(rows):
     p0, p1, a, b, c = np.asarray(rows, dtype=np.float64).transpose(1, 0, 2)
     got = geometry.segments_cross_triangles_interior(p0, p1, a, b, c)
     assert got.tolist() == reference(p0, p1, a, b, c).tolist()
+
+
+# ---------------------------------------------------------------------------
+# point-triangle distance
+
+
+def distance_reference(p, a, b, c):
+    """Each row alone through the one-point reference kernel."""
+    return np.array([oracles.point_to_triangles_distance(*row)[0]
+                     for row in zip(p, a, b, c)])
+
+
+def test_row_distances_equal_one_point_reference():
+    rng = np.random.default_rng(21)
+    p, a, b, c = (rng.normal(size=(3000, 3)) for _ in range(4))
+    kind = np.arange(3000) % 5
+    # p on a corner, on an edge, and triangles with collinear or
+    # coincident corners
+    t = rng.uniform(0, 1, size=(3000, 1))
+    p = np.where(kind[:, None] == 0, b, p)
+    p = np.where(kind[:, None] == 1, a + t * (c - a), p)
+    c = np.where(kind[:, None] == 2, a + t * (b - a), c)
+    b = np.where(kind[:, None] == 3, a, b)
+    got = geometry.point_triangle_pair_distances(p, a, b, c)
+    assert np.array_equal(got, distance_reference(p, a, b, c))
+    assert np.all(got[kind == 0] == 0.0)
+
+
+def test_one_point_form_matches_reference_and_rows():
+    rng = np.random.default_rng(4)
+    p = rng.normal(size=3)
+    a, b, c = (rng.normal(size=(50, 3)) for _ in range(3))
+    one = geometry.point_to_triangles_distance(p, a, b, c)
+    assert np.array_equal(one, oracles.point_to_triangles_distance(p, a, b,
+                                                                   c))
+    rows = geometry.point_triangle_pair_distances(np.tile(p, (50, 1)), a, b,
+                                                  c)
+    assert np.array_equal(one, rows)
+    empty = np.zeros((0, 3))
+    assert geometry.point_triangle_pair_distances(*(empty,) * 4).shape \
+        == (0,)

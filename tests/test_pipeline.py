@@ -91,6 +91,49 @@ def test_noisy_spiral_reports_a_greedy_sized_component():
     assert strip["undecided"] >= strip["largest_component"]
 
 
+# what each repairing stage reports beside its triangle deltas
+REPAIR_COUNTS = {
+    "strip_consolidation": {"nonorientable_removed"},
+    "extension_consolidation": {"nonorientable_removed"},
+    "small_holes": {"holes_closed_added"},
+    "orientation": {"moebius_removed", "nonorientable_removed",
+                    "repair_removed", "holes_closed_added"},
+    "hole_filling": {"holes_filled_added"},
+}
+ENTRY_KEYS = {"name", "triangles_added", "triangles_removed", "seconds",
+              "consolidation"}
+
+
+@pytest.mark.parametrize("name, options", [
+    ("dome_spiral", PipelineOptions()),
+    ("cube_parallel", PipelineOptions(preserve_creases=True,
+                                      close_holes_max_sides=8,
+                                      smooth_iterations=3)),
+])
+def test_repair_counts_match_stage_deltas(name, options):
+    drawing, _ = generate(FLIP_SPECS[name])
+    _, report = run_pipeline(drawing, options)
+    by_name = {s["name"]: s for s in report["stage_stats"]}
+    for s in report["stage_stats"]:
+        assert set(s) - ENTRY_KEYS == REPAIR_COUNTS.get(s["name"], set())
+    for stage in ("strip_consolidation", "extension_consolidation"):
+        s = by_name[stage]
+        assert (s["nonorientable_removed"]
+                + s["consolidation"]["repair_removed"]
+                <= s["triangles_removed"])
+    assert by_name["small_holes"]["holes_closed_added"] == \
+        by_name["small_holes"]["triangles_added"]
+    orient = by_name["orientation"]
+    assert orient["moebius_removed"] > 0
+    assert (orient["moebius_removed"] + orient["nonorientable_removed"]
+            + orient["repair_removed"] == orient["triangles_removed"])
+    assert orient["holes_closed_added"] == orient["triangles_added"]
+    if "hole_filling" in by_name:
+        fill = by_name["hole_filling"]
+        assert fill["holes_filled_added"] == fill["triangles_added"]
+        assert fill["triangles_removed"] == 0
+
+
 def test_skip_extension_drops_stages():
     _, report = run_pipeline(flat_pair_drawing(),
                              PipelineOptions(skip_extension=True))

@@ -150,6 +150,45 @@ def test_score_rigid_motion_invariance(qpos, angle, shift):
     assert moved.score == pytest.approx(base.score, rel=1e-9, abs=1e-300)
 
 
+def test_offset_tie_survives_rigid_motion(config):
+    # the stored failing example of test_score_rigid_motion_invariance:
+    # q one width beside p, so both of q's offsets are exactly one width
+    # from p's probe, and rounding after the motion used to pick the
+    # other one (score 0.8007 against 0.4111)
+    angle, shift = 1.0, [0, 0, 1]
+    p_pts = [[0, 0, 0], [0, 1, 0]]
+    q_pts = [[0.5, 0, 0], [0.5, 1, 0]]
+    base = scoring.vertex_score(vertex(p_pts, 0), vertex(q_pts, 0),
+                                scoring.Side.LEFT, config)
+    rn = rigid([[0, 0, 1]], [1, 2, 3], angle, [0, 0, 0])[0]
+    pr = vertex(rigid(p_pts, [1, 2, 3], angle, shift), 0, normal=rn)
+    qr = vertex(rigid(q_pts, [1, 2, 3], angle, shift), 0, normal=rn)
+    moved = scoring.vertex_score(pr, qr, scoring.Side.LEFT, config)
+    assert moved.d_normal == pytest.approx(base.d_normal, abs=1e-12)
+    assert moved.score == pytest.approx(base.score, rel=1e-9)
+
+
+@pytest.mark.parametrize("gap, d_normal", [(0.0, 0.5), (1e-12, 0.5),
+                                            (-1e-12, 0.5), (1e-6, 0.0)])
+def test_near_ties_take_the_left_offset_in_both_kernels(config, gap,
+                                                        d_normal):
+    # q on p's left probe, shifted by `gap` along it: q's offsets sit
+    # 0.5 + gap (left) and 0.5 - gap (right) from the probe, a tie
+    # unless the relative gap exceeds 1e-9. Left gives d_normal 0.5,
+    # right gives 0
+    p = vertex([[0, 0, 0], [0, 1, 0]], 0)
+    q = vertex([[0.5 + gap, 0, 0], [0.5 + gap, 1, 0]], 0)
+    br = scoring.vertex_score(p, q, scoring.Side.LEFT, config)
+    assert br.d_normal == pytest.approx(d_normal, abs=1e-9)
+    fp, fq = p.frame, q.frame
+    got = scoring.vertex_scores_log_arrays(
+        np.asarray(p.position), fp.tangent, fp.binormal, p.width,
+        scoring.Side.LEFT.sign, np.asarray(q.position)[None],
+        fq.tangent[None], fq.binormal[None], np.array([q.width]),
+        np.array([br.sigma]))
+    assert got[0] == pytest.approx(br.log_score, rel=1e-12)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.floats(0.1, 10.0))
 def test_score_scale_covariance(k):

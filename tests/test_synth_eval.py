@@ -14,6 +14,7 @@ from strokesurf.synth_eval import (GroundTruthSurface, SplitMix64,
                                    points_to_mesh_distance,
                                    sample_mesh_surface)
 
+import oracles
 from conftest import make_stroke
 
 
@@ -43,6 +44,22 @@ def test_splitmix64_normal_moments():
     z = SplitMix64(7).normals(4000)
     assert abs(float(z.mean())) < 0.05
     assert abs(float(z.std()) - 1.0) < 0.05
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2 ** 64 - 1, 123456789])
+@pytest.mark.parametrize("n", [0, 1, 2, 1000])
+def test_uniforms_equal_scalar_draws(seed, n):
+    fast, slow = SplitMix64(seed), SplitMix64(seed)
+    # a pending normal() spare must survive the draws untouched
+    assert fast.normal() == slow.normal()
+    got = fast.uniforms(n)
+    want = np.array([slow.uniform() for _ in range(n)])
+    assert got.dtype == want.dtype == np.float64
+    assert np.array_equal(got, want)
+    assert fast.state == slow.state
+    assert [fast.normal() for _ in range(3)] == \
+        [slow.normal() for _ in range(3)]
+    assert fast.next_u64() == slow.next_u64()
 
 
 # ---------------------------------------------------------------------------
@@ -211,6 +228,92 @@ def test_points_to_mesh_distance_matches_brute_force():
         assert got[i] == pytest.approx(exact, abs=1e-12)
 
 
+def assert_matches_reference(points, pos, faces):
+    got, pairs = points_to_mesh_distance(points, pos, faces,
+                                         return_pairs=True)
+    want = oracles.points_to_mesh_distance(points, pos, faces)
+    assert got.shape == want.shape == (len(points),)
+    assert np.array_equal(got, want)
+    *_, balls = oracles.mesh_candidates(points, pos, faces)
+    assert pairs == sum(len(b) for b in balls)
+    return balls
+
+
+def random_mesh(rng, nv, nf):
+    pos = rng.uniform(-1, 1, (nv, 3))
+    faces = [tuple(rng.choice(nv, 3, replace=False)) for _ in range(nf)]
+    return pos, faces
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_batched_distance_equals_per_point_reference(seed):
+    rng = np.random.default_rng(100 + seed)
+    pos, faces = random_mesh(rng, 40, 70)
+    points = np.vstack([rng.uniform(-1.2, 1.2, (300, 3)),
+                        rng.uniform(-20, 20, (40, 3))])
+    assert_matches_reference(points, pos, faces)
+
+
+def test_batched_distance_keeps_the_bound_without_candidates():
+    # far out on the ray from the centroid through the farthest corner,
+    # rounding can leave the centroid just outside the query ball
+    pos = np.array([[0.0, 0, 0], [1.0, 0, 0], [0.0, 1.0, 0]])
+    faces = [(0, 1, 2)]
+    ray = pos[1] - pos.mean(axis=0)
+    ray /= np.linalg.norm(ray)
+    points = pos[1] + np.logspace(0, 12, 200)[:, None] * ray
+    balls = assert_matches_reference(points, pos, faces)
+    assert any(not b for b in balls) and any(balls)
+
+
+def test_batched_distance_on_degenerate_triangles():
+    rng = np.random.default_rng(31)
+    pos, faces = random_mesh(rng, 30, 40)
+    pos = np.vstack([pos, [[0.0, 0, 0], [1.0, 0, 0], [2.0, 0, 0],
+                           [0.5, 1e-12, 0], [0.3, 0.2, 0.1]]])
+    n = len(pos)
+    faces += [(n - 5, n - 4, n - 3),    # collinear corners: zero area
+              (n - 5, n - 5, n - 4),    # a repeated corner
+              (n - 1, n - 1, n - 1),    # a single point
+              (n - 5, n - 3, n - 2)]    # a sliver
+    points = np.vstack([rng.uniform(-1, 2.5, (200, 3)),
+                        pos[n - 5:] + rng.normal(0, 1e-3, (5, 3))])
+    assert_matches_reference(points, pos, faces)
+
+
+def test_batched_distance_on_vertices_and_edges():
+    rng = np.random.default_rng(12)
+    pos, faces = random_mesh(rng, 25, 40)
+    tris = np.array(faces)
+    t = rng.uniform(0, 1, (len(tris), 1))
+    on_edges = pos[tris[:, 0]] + t * (pos[tris[:, 1]] - pos[tris[:, 0]])
+    mids = 0.5 * (pos[tris[:, 1]] + pos[tris[:, 2]])
+    points = np.vstack([pos, on_edges, mids])
+    assert_matches_reference(points, pos, faces)
+    got = points_to_mesh_distance(pos[np.unique(tris)], pos, faces)
+    assert np.all(got == 0.0)
+
+
+@pytest.mark.parametrize("n", [0, 1, synth_eval.POINT_BLOCK - 1,
+                               synth_eval.POINT_BLOCK,
+                               synth_eval.POINT_BLOCK + 1])
+def test_batched_distance_at_block_edges(n):
+    rng = np.random.default_rng(n)
+    pos, faces = random_mesh(rng, 30, 50)
+    points = rng.uniform(-1.5, 1.5, (n, 3))
+    assert_matches_reference(points, pos, faces)
+
+
+def test_batched_distance_splits_a_point_across_row_chunks(monkeypatch):
+    rng = np.random.default_rng(5)
+    pos, faces = random_mesh(rng, 30, 60)
+    points = rng.uniform(-1.5, 1.5, (50, 3))
+    # chunks of 7 rows cut through most points' candidate runs
+    monkeypatch.setattr(synth_eval, "PAIR_ROWS", 7)
+    monkeypatch.setattr(synth_eval, "POINT_BLOCK", 9)
+    assert_matches_reference(points, pos, faces)
+
+
 def test_sample_mesh_surface_is_area_weighted():
     pos = np.array([[0.0, 0, 0], [10.0, 0, 0], [0.0, 10.0, 0],
                     [-1.0, 0, 0], [-1.1, 0, 0], [-1.0, 0.1, 0]])
@@ -252,6 +355,7 @@ def test_evaluate_against_self_is_zero():
     assert report.euler_characteristics == [2]
     assert report.boundary_loops == [0]
     assert report.samples_per_side == 400
+    assert report.distance_pairs > 0
     d = report.to_dict()
     assert d["interpolated_edge_fraction"] is None
     assert d["runtime_seconds"] >= 0
@@ -266,6 +370,26 @@ def test_evaluate_sphere_reference_mesh():
                                    report.truth_to_mesh)
     assert report.hausdorff < 0.02
     assert report.components == 1
+
+
+def test_evaluate_reports_distance_pairs_repeatably():
+    truth = GroundTruthSurface(kind="sphere")
+    pos, faces = truth.to_mesh(resolution=12)
+    mesh = mesh_from_arrays(pos, faces)
+    runs = [evaluate(mesh, GroundTruthSurface.from_mesh(pos, faces),
+                     samples=300, seed=3) for _ in range(2)]
+    assert runs[0].distance_pairs > 0
+    assert runs[0].distance_pairs == runs[1].distance_pairs
+    assert runs[0].to_dict()["distance_pairs"] == runs[0].distance_pairs
+    # an analytic truth tests pairs on the truth-to-mesh side only
+    analytic = evaluate(mesh, truth, samples=300, seed=3)
+    rng = SplitMix64(3)
+    active = [mesh.tri_verts[t] for t in mesh.active_ids()]
+    sample_mesh_surface(mesh.positions, active, 300, rng)
+    _, pairs = points_to_mesh_distance(truth.sample(300, rng),
+                                       mesh.positions, active,
+                                       return_pairs=True)
+    assert analytic.distance_pairs == pairs > 0
 
 
 def test_evaluate_requires_triangles():

@@ -28,7 +28,8 @@ import numpy as np
 
 from . import geometry, mesh_ops, scoring
 from .matcher import pair_sigmas
-from .mesher import OUTPUT, REMOVED, UNDECIDED
+from .mesher import (OUTPUT, REMOVED, UNDECIDED, join_equal_keys,
+                     split_by_label)
 
 OUT_NODE = -1
 
@@ -298,28 +299,10 @@ def classify_undecided(mesh, pairs, frozen=frozenset()):
 
 
 def undecided_components(mesh, undecided):
-    """Group undecided triangles connected through any shared vertex."""
-    by_vertex = {}
-    for t in undecided:
-        for v in mesh.tri_verts[t]:
-            by_vertex.setdefault(v, []).append(t)
-    parent = {t: t for t in undecided}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for tids in by_vertex.values():
-        for t in tids[1:]:
-            r1, r2 = find(tids[0]), find(t)
-            if r1 != r2:
-                parent[max(r1, r2)] = min(r1, r2)
-    groups = {}
-    for t in undecided:
-        groups.setdefault(find(t), []).append(t)
-    return [sorted(groups[r]) for r in sorted(groups)]
+    """Group undecided triangles connected through any shared vertex;
+    groups are ordered by their lowest tid, tids ascending."""
+    tids, verts = mesh.triangle_array(undecided)
+    return split_by_label(tids, join_equal_keys(verts))
 
 
 @dataclass
@@ -648,27 +631,32 @@ def repair_nonmanifold(mesh, frozen=frozenset()):
 def _repair_nonmanifold(mesh, frozen):
     """Deterministically remove the newest triangles at any residual
     non-manifold edge or pinched vertex. The pairwise criteria cover the
-    overwhelming majority of conflicts; this net guarantees the audit."""
+    overwhelming majority of conflicts; this net guarantees the audit.
+
+    Overfull edges are cleared once, in sorted order: removals only
+    lower edge counts, so no edge can become overfull later. Pinched
+    vertices are then split until the audit finds none."""
     removed = []
+    em = mesh.edge_map()
+    for edge in mesh_ops.nonmanifold_edges(mesh):
+        tids = list(em[edge])
+        while len(tids) > 2:
+            pick = max(t for t in tids if t not in frozen) \
+                if any(t not in frozen for t in tids) else max(tids)
+            mesh.remove(pick)
+            removed.append(pick)
+            tids.remove(pick)
     for _ in range(64):
         changed = False
-        em = mesh.edge_map()
-        for edge in sorted(em):
-            tids = [t for t in em[edge] if mesh.is_active(t)]
-            while len(tids) > 2:
-                pick = max(t for t in tids if t not in frozen) \
-                    if any(t not in frozen for t in tids) else max(tids)
-                mesh.remove(pick)
-                removed.append(pick)
-                tids.remove(pick)
-                changed = True
-        nm_edges, nm_vertices = mesh_ops.audit_manifold(mesh)
-        if nm_edges:
-            continue
+        _, nm_vertices = mesh_ops.audit_manifold(mesh)
+        vmap = mesh.vertex_tris() if nm_vertices else {}
         for v in nm_vertices:
-            groups = mesh_ops.vertex_fan_groups(mesh, v)
+            # removals at earlier vertices leave removed tids in vmap;
+            # vertex_fan_groups skips them
+            groups = mesh_ops.vertex_fan_groups(mesh, v, vmap[v])
             if len(groups) <= 1:
                 continue
+
             def group_key(g):
                 has_frozen = any(t in frozen for t in g)
                 return (not has_frozen, -len(g), min(g))

@@ -13,55 +13,61 @@ import numpy as np
 
 from . import geometry
 from .matcher import Chain, ChainSet
+from .mesher import edge_keys, join_equal_keys, split_by_label
 
 
 # ---------------------------------------------------------------------------
 # audits
 
 
+def nonmanifold_edges(mesh):
+    """Sorted edges (a, b), a < b, with more than two incident active
+    triangles."""
+    _, verts = mesh.triangle_array()
+    return _overfull_edges(verts, mesh.vertex_count())
+
+
+def _overfull_edges(verts, n):
+    keys, counts = np.unique(edge_keys(verts, n), return_counts=True)
+    bad = keys[counts > 2]
+    return list(zip((bad // n).tolist(), (bad % n).tolist()))
+
+
 def audit_manifold(mesh):
-    """Return (bad_edges, bad_vertices): edges with more than two
-    incident triangles and vertices whose incident triangles split into
-    multiple edge-connected fans."""
-    em = mesh.edge_map()
-    bad_edges = sorted(e for e, tids in em.items() if len(tids) > 2)
-    bad_vertices = []
-    vmap = mesh.vertex_tris(mesh.active_ids())
-    for v in sorted(vmap):
-        if len(vertex_fan_groups(mesh, v, vmap[v])) > 1:
-            bad_vertices.append(v)
-    return bad_edges, bad_vertices
+    """Return (bad_edges, bad_vertices), both sorted: edges with more
+    than two incident triangles and vertices whose incident triangles
+    split into multiple edge-connected fans.
+
+    Fans come from one labelling of every triangle corner: the corners
+    of two triangles at v are joined when the triangles also share an
+    opposite vertex u, that is the edge (v, u). A vertex is bad when its
+    corners carry more than one label."""
+    _, verts = mesh.triangle_array()
+    n = mesh.vertex_count()
+    at = verts.ravel()
+    # the corner at v keys the edges to the next and the previous corner
+    # of its triangle, directed away from v
+    labels = join_equal_keys(np.stack(
+        [at * n + np.roll(verts, -1, axis=1).ravel(),
+         at * n + np.roll(verts, 1, axis=1).ravel()], axis=1))
+    # each label lies at one vertex: count labels per vertex
+    _, first = np.unique(labels, return_index=True)
+    fans = np.bincount(at[first], minlength=n)
+    return _overfull_edges(verts, n), np.flatnonzero(fans > 1).tolist()
 
 
 def vertex_fan_groups(mesh, v, tids=None):
-    """Incident triangles of v grouped by shared-edge adjacency at v."""
+    """Incident active triangles of v grouped by shared-edge adjacency at
+    v; groups are ordered by their lowest tid, tids ascending."""
     if tids is None:
         tids = mesh.vertex_tris().get(v, [])
-    tids = [t for t in tids if mesh.is_active(t)]
-    if not tids:
-        return []
-    opposite = {}
-    for t in tids:
-        for u in mesh.tri_verts[t]:
-            if u != v:
-                opposite.setdefault(u, []).append(t)
-    parent = {t: t for t in tids}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for group in opposite.values():
-        for t in group[1:]:
-            r1, r2 = find(group[0]), find(t)
-            if r1 != r2:
-                parent[max(r1, r2)] = min(r1, r2)
-    groups = {}
-    for t in tids:
-        groups.setdefault(find(t), []).append(t)
-    return [sorted(groups[r]) for r in sorted(groups)]
+    tids = np.array(sorted(t for t in tids if mesh.is_active(t)),
+                    dtype=np.int64)
+    verts = np.array([mesh.tri_verts[t] for t in tids],
+                     dtype=np.int64).reshape(-1, 3)
+    # two triangles at v share an edge when they share an opposite vertex
+    labels = join_equal_keys(verts[verts != v].reshape(-1, 2))
+    return split_by_label(tids, labels)
 
 
 # ---------------------------------------------------------------------------
@@ -117,23 +123,63 @@ def _align_with_source_normals(mesh, tids):
 
 def orient_all(mesh, align=True):
     """Orient every component; returns the list of non-orientable
-    components (as sorted tid lists).
+    components (as sorted tid lists), ordered by their lowest tid.
 
-    Each component takes the winding of its lowest triangle id. With
-    align (the default) an orientable component is then flipped to face
-    its source vertex normals. The pipeline orients without alignment
-    until its last step: the winding steers boundary walks, the
-    traversal order here and strip judgements in resolve_moebius, and
-    none of these may read the signs of the artist's normals."""
-    _, comps = mesh.components()
+    Each component takes the winding of its lowest triangle id. The
+    windings come from one labelling of the double cover of the active
+    triangles: node (t, s) is triangle t kept (s = 0) or flipped
+    (s = 1), and where t1 and t2 share an edge, (t1, s) is joined to
+    (t2, s ^ same), with same = 1 when both run the edge in one
+    direction. A component is orientable iff no edge of it carries more
+    than two triangles and no (t, 0), (t, 1) share a label; it is then
+    wound by flipping the triangles whose (t, 1) carries the label of
+    (lowest tid, 0), which is the one consistent winding that keeps the
+    lowest triangle as it is. A non-orientable component is walked by
+    orient_component from its untouched state, and break_nonorientable
+    reads the partial flips that walk leaves.
+
+    With align (the default) an orientable component is then flipped to
+    face its source vertex normals. The pipeline orients without
+    alignment until its last step: the winding steers boundary walks,
+    the traversal order of orient_component and strip judgements in
+    resolve_moebius, and none of these may read the signs of the
+    artist's normals."""
+    tids, verts = mesh.triangle_array()
+    keys = edge_keys(verts, mesh.vertex_count())
+    runs_up = verts < np.roll(verts, -1, axis=1)
+    _, first, edge, count = np.unique(keys, return_index=True,
+                                      return_inverse=True,
+                                      return_counts=True)
+    head = np.zeros(keys.size, dtype=bool)
+    head[first] = True
+    overfull = (count[edge] > 2).reshape(keys.shape).any(axis=1)
+
+    # node (t, s), row 2 t + s, keys each edge of t by the direction t
+    # runs it after s, reversed for every triangle but the edge's first:
+    # equal keys then join windings that run a two-triangle edge in
+    # opposite directions
+    kept_keys = 2 * keys + (runs_up ^ ~head.reshape(keys.shape))
+    labels = join_equal_keys(
+        np.stack([kept_keys, kept_keys ^ 1], axis=1).reshape(-1, 3))
+    kept, flipped = labels[0::2], labels[1::2]
+
+    # every triangle of an edge-connected component reaches the sheet of
+    # (lowest tid, 0), which has the lowest label of the component
+    _, seed, comp = np.unique(np.minimum(kept, flipped), return_index=True,
+                              return_inverse=True)
+    broken = np.zeros(len(seed), dtype=bool)
+    broken[comp[kept == flipped]] = True
+    broken[comp[overfull]] = True
+    for t in tids[(flipped == kept[seed][comp]) & ~broken[comp]].tolist():
+        mesh.flip(t)
+
     bad = []
-    for tids in comps:
-        em = mesh.edge_map(tids)
-        if orient_component(mesh, tids, em):
-            if align:
-                _align_with_source_normals(mesh, tids)
-        else:
-            bad.append(tids)
+    for c, ctids in enumerate(split_by_label(tids, comp)):
+        if broken[c]:
+            orient_component(mesh, ctids, mesh.edge_map(ctids))
+            bad.append(ctids)
+        elif align:
+            _align_with_source_normals(mesh, ctids)
     return bad
 
 
@@ -193,28 +239,10 @@ def resolve_moebius(mesh, new_tids):
     if not new_set:
         return []
     em_all = mesh.edge_map()
-    # group new triangles into strips
-    parent = {t: t for t in new_set}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for tids in em_all.values():
-        inside = [t for t in tids if t in new_set]
-        for t in inside[1:]:
-            r1, r2 = find(inside[0]), find(t)
-            if r1 != r2:
-                parent[max(r1, r2)] = min(r1, r2)
-    strips = {}
-    for t in new_set:
-        strips.setdefault(find(t), []).append(t)
+    _, strips = mesh.components(new_set)
 
     removed = []
-    for root in sorted(strips):
-        strip = sorted(strips[root])
+    for strip in strips:
         orient_component(mesh, strip, mesh.edge_map(strip))
         aligned, inverted = [], []
         for t in strip:

@@ -94,8 +94,7 @@ class _StageScope:
         mesh = self.tracker.mesh
         self.t0 = time.perf_counter()
         self.tris_before = len(mesh.tri_verts)
-        self.removed_before = sum(1 for s in mesh.tri_state
-                                  if s == mesher.REMOVED)
+        self.removed_before = mesh.removed_count
         return self
 
     def __exit__(self, exc_type, exc, tb):
@@ -103,9 +102,7 @@ class _StageScope:
         entry = {
             "name": self.name,
             "triangles_added": len(mesh.tri_verts) - self.tris_before,
-            "triangles_removed": sum(1 for s in mesh.tri_state
-                                     if s == mesher.REMOVED)
-            - self.removed_before,
+            "triangles_removed": mesh.removed_count - self.removed_before,
             "seconds": time.perf_counter() - self.t0,
             **self.counts,
         }

@@ -5,12 +5,16 @@ matcher reference enumerates full assignment products from score tables
 built with scalar arithmetic, the clustering reference solves
 max-weight set partitioning exactly with a bitmask dynamic program, and
 the incompatible-pair reference tests every candidate pair one at a
-time with scalar float arithmetic, and the point-to-mesh reference
-tests one sample point at a time against its candidate triangles.
+time with scalar float arithmetic, the point-to-mesh reference
+tests one sample point at a time against its candidate triangles, and
+the mesh-topology references (manifold audit, components, orientation,
+the repair net, undecided components, Moebius strips) walk vertex fans
+and components one at a time with hand-written union-finds.
 """
 
 import itertools
 import math
+from collections import deque
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -473,3 +477,228 @@ def points_to_mesh_distance(points, positions, faces):
                                         c[cand])
         out[i] = min(float(d.min()), float(upper[i]))
     return out
+
+
+# ---------------------------------------------------------------------------
+# mesh topology
+
+
+class _UnionFind:
+    """Union-find over hashable ids whose roots are component minima."""
+
+    def __init__(self, items):
+        self.parent = {x: x for x in items}
+
+    def find(self, x):
+        parent = self.parent
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def union(self, x, y):
+        rx, ry = self.find(x), self.find(y)
+        if rx != ry:
+            self.parent[max(rx, ry)] = min(rx, ry)
+
+    def groups(self):
+        """Members grouped by root, groups ordered by their lowest
+        member, members ascending."""
+        out = {}
+        for x in self.parent:
+            out.setdefault(self.find(x), []).append(x)
+        return [sorted(out[r]) for r in sorted(out)]
+
+
+def components(mesh):
+    """Reference for SurfaceMesh.components: union-find over the live
+    edge map."""
+    active = mesh.active_ids()
+    uf = _UnionFind(active)
+    for tids in mesh.edge_map().values():
+        for t in tids[1:]:
+            uf.union(tids[0], t)
+    comps = uf.groups()
+    comp_of = {t: i for i, tids in enumerate(comps) for t in tids}
+    return comp_of, comps
+
+
+def vertex_fan_groups(mesh, v, tids=None):
+    """Reference for mesh_ops.vertex_fan_groups: incident triangles of v
+    joined when they share an opposite vertex."""
+    if tids is None:
+        tids = mesh.vertex_tris().get(v, [])
+    tids = [t for t in tids if mesh.is_active(t)]
+    if not tids:
+        return []
+    opposite = {}
+    for t in tids:
+        for u in mesh.tri_verts[t]:
+            if u != v:
+                opposite.setdefault(u, []).append(t)
+    uf = _UnionFind(tids)
+    for group in opposite.values():
+        for t in group[1:]:
+            uf.union(group[0], t)
+    return uf.groups()
+
+
+def audit_manifold(mesh):
+    """Reference for mesh_ops.audit_manifold: every edge list, then the
+    fans of every vertex one at a time."""
+    em = mesh.edge_map()
+    bad_edges = sorted(e for e, tids in em.items() if len(tids) > 2)
+    vmap = mesh.vertex_tris(mesh.active_ids())
+    bad_vertices = [v for v in sorted(vmap)
+                    if len(vertex_fan_groups(mesh, v, vmap[v])) > 1]
+    return bad_edges, bad_vertices
+
+
+def _directed_edge_in(verts, edge):
+    a, b, c = verts
+    return edge in ((a, b), (b, c), (c, a))
+
+
+def orient_component(mesh, tids, em=None):
+    """Reference for mesh_ops.orient_component: breadth-first from the
+    lowest tid, flipping each newly reached triangle that runs a shared
+    edge in the same direction. True when the component is orientable."""
+    if em is None:
+        em = mesh.edge_map(tids)
+    seed = min(tids)
+    visited = {seed}
+    queue = deque([seed])
+    comp = set(tids)
+    ok = True
+    while queue:
+        t = queue.popleft()
+        a, b, c = mesh.tri_verts[t]
+        for u, v in ((a, b), (b, c), (c, a)):
+            key = (u, v) if u < v else (v, u)
+            for other in em.get(key, ()):
+                if other == t or other not in comp:
+                    continue
+                same = _directed_edge_in(mesh.tri_verts[other], (u, v))
+                if other in visited:
+                    if same:
+                        ok = False
+                else:
+                    if same:
+                        mesh.flip(other)
+                    visited.add(other)
+                    queue.append(other)
+    return ok
+
+
+def orient_all(mesh, align=True):
+    """Reference for mesh_ops.orient_all: one breadth-first walk per
+    component."""
+    from strokesurf import mesh_ops
+
+    _, comps = components(mesh)
+    bad = []
+    for tids in comps:
+        if orient_component(mesh, tids, mesh.edge_map(tids)):
+            if align:
+                mesh_ops._align_with_source_normals(mesh, tids)
+        else:
+            bad.append(tids)
+    return bad
+
+
+def repair_nonmanifold(mesh, frozen=frozenset()):
+    """Reference for consolidate.repair_nonmanifold: every edge list in
+    sorted order each pass, and each pinched vertex's fans from a fresh
+    vertex map."""
+    removed = []
+    for _ in range(64):
+        changed = False
+        em = mesh.edge_map()
+        for edge in sorted(em):
+            tids = [t for t in em[edge] if mesh.is_active(t)]
+            while len(tids) > 2:
+                pick = max(t for t in tids if t not in frozen) \
+                    if any(t not in frozen for t in tids) else max(tids)
+                mesh.remove(pick)
+                removed.append(pick)
+                tids.remove(pick)
+                changed = True
+        nm_edges, nm_vertices = audit_manifold(mesh)
+        if nm_edges:
+            continue
+        for v in nm_vertices:
+            groups = vertex_fan_groups(mesh, v)
+            if len(groups) <= 1:
+                continue
+
+            def group_key(g):
+                has_frozen = any(t in frozen for t in g)
+                return (not has_frozen, -len(g), min(g))
+            keep = sorted(groups, key=group_key)[0]
+            for g in groups:
+                if g is keep:
+                    continue
+                for t in sorted(g):
+                    mesh.remove(t)
+                    removed.append(t)
+                    changed = True
+        if not changed:
+            break
+    return removed
+
+
+def undecided_components(mesh, undecided):
+    """Reference for consolidate.undecided_components: undecided
+    triangles joined through any shared vertex."""
+    by_vertex = {}
+    for t in undecided:
+        for v in mesh.tri_verts[t]:
+            by_vertex.setdefault(v, []).append(t)
+    uf = _UnionFind(undecided)
+    for tids in by_vertex.values():
+        for t in tids[1:]:
+            uf.union(tids[0], t)
+    return uf.groups()
+
+
+def moebius_strips(mesh, new_tids):
+    """Reference for the strip grouping of mesh_ops.resolve_moebius: the
+    active new triangles joined through shared edges."""
+    new_set = {t for t in new_tids if mesh.is_active(t)}
+    uf = _UnionFind(new_set)
+    for tids in mesh.edge_map().values():
+        inside = [t for t in tids if t in new_set]
+        for t in inside[1:]:
+            uf.union(inside[0], t)
+    return uf.groups()
+
+
+def resolve_moebius(mesh, new_tids):
+    """Reference for mesh_ops.resolve_moebius over moebius_strips."""
+    new_set = {t for t in new_tids if mesh.is_active(t)}
+    if not new_set:
+        return []
+    em_all = mesh.edge_map()
+    removed = []
+    for strip in moebius_strips(mesh, new_tids):
+        orient_component(mesh, strip, mesh.edge_map(strip))
+        aligned, inverted = [], []
+        for t in strip:
+            a, b, c = mesh.tri_verts[t]
+            for u, v in ((a, b), (b, c), (c, a)):
+                key = (u, v) if u < v else (v, u)
+                for other in em_all.get(key, ()):
+                    if other in new_set or not mesh.is_active(other):
+                        continue
+                    if _directed_edge_in(mesh.tri_verts[other], (u, v)):
+                        inverted.append(t)
+                    else:
+                        aligned.append(t)
+        if not aligned and not inverted:
+            continue
+        minority = inverted if len(inverted) <= len(aligned) else aligned
+        for t in sorted(set(minority)):
+            if mesh.is_active(t):
+                mesh.remove(t)
+                removed.append(t)
+    return removed

@@ -48,9 +48,9 @@ class PipelineOptions:
 
 
 class _Tracker:
-    """Collects per-stage triangle deltas, timings and consolidation
-    counts; optionally dumps the mesh after each stage (and on stage
-    failure)."""
+    """Collects per-stage triangle, duplicate and rejected-quad deltas,
+    timings and consolidation counts; optionally dumps the mesh after
+    each stage (and on stage failure)."""
 
     def __init__(self, mesh, dump_dir):
         self.mesh = mesh
@@ -95,6 +95,8 @@ class _StageScope:
         self.t0 = time.perf_counter()
         self.tris_before = len(mesh.tri_verts)
         self.removed_before = mesh.removed_count
+        self.duplicates_before = mesh.duplicates_skipped
+        self.rejected_before = mesh.quads_rejected
         return self
 
     def __exit__(self, exc_type, exc, tb):
@@ -103,6 +105,9 @@ class _StageScope:
             "name": self.name,
             "triangles_added": len(mesh.tri_verts) - self.tris_before,
             "triangles_removed": mesh.removed_count - self.removed_before,
+            "duplicates_skipped": mesh.duplicates_skipped
+            - self.duplicates_before,
+            "quads_rejected": mesh.quads_rejected - self.rejected_before,
             "seconds": time.perf_counter() - self.t0,
             **self.counts,
         }
@@ -171,6 +176,16 @@ def _interpolated_fraction_exact(mesh, cs):
     return present / total if total else 0.0
 
 
+def _count_matching(stage, cands=None, table=None):
+    """Add a match stage's candidate targets (summed over every vertex's
+    list) and matched vertices to its entry; without a candidate set the
+    stage matched nothing."""
+    stage.count("candidates", 0 if cands is None else sum(
+        len(c) for lists in cands.lists.values() for c in lists))
+    stage.count("matched", 0 if table is None else sum(
+        int((m >= 0).sum()) for m in table.matches.values()))
+
+
 def _match_stage(tracker, name, table):
     tracker.dump_json(name, "matches", _match_payload(table))
 
@@ -216,18 +231,20 @@ def run_pipeline(drawing, options=None):
 
     cs = matcher.stroke_chains(work)
 
-    with tracker.stage("baseline_match"):
+    with tracker.stage("baseline_match") as stage:
         cands = matcher.baseline_candidates(cs, config,
                                             color_cue=options.use_color)
         baseline = matcher.match_all(cands, config)
+        _count_matching(stage, cands, baseline)
         freqs = matcher.matching_frequencies(baseline)
         neighbors = matcher.dominant_neighbors(baseline, freqs, config)
     _match_stage(tracker, "baseline_match", baseline)
 
-    with tracker.stage("restricted_match"):
+    with tracker.stage("restricted_match") as stage:
         cands = matcher.restricted_candidates(cs, config, neighbors,
                                               color_cue=options.use_color)
         table = matcher.match_all(cands, config)
+        _count_matching(stage, cands, table)
     _match_stage(tracker, "restricted_match", table)
 
     with tracker.stage("strip_meshing"):
@@ -246,12 +263,15 @@ def run_pipeline(drawing, options=None):
 
     if not options.skip_extension:
         frozen = set(mesh.active_ids())
-        with tracker.stage("boundary_extension"):
+        with tracker.stage("boundary_extension") as stage:
             bcs = mesh_ops.boundary_chain_set(mesh, config)
-            if bcs is not None:
+            if bcs is None:
+                _count_matching(stage)
+            else:
                 bcands = matcher.boundary_candidates(
                     bcs, config, "extension", color_cue=options.use_color)
                 btable = matcher.match_all(bcands, config)
+                _count_matching(stage, bcands, btable)
                 mesher.mesh_from_matches(btable, config, mesh=mesh,
                                          phase="extension")
                 _match_stage(tracker, "boundary_extension", btable)
@@ -276,12 +296,15 @@ def run_pipeline(drawing, options=None):
 
     frozen = set(mesh.active_ids())
     tris_before_gap = len(mesh.tri_verts)
-    with tracker.stage("gap_spanning"):
+    with tracker.stage("gap_spanning") as stage:
         gcs = mesh_ops.boundary_chain_set(mesh, config, with_dmax=True)
-        if gcs is not None:
+        if gcs is None:
+            _count_matching(stage)
+        else:
             gcands = matcher.boundary_candidates(
                 gcs, config, "gap", color_cue=options.use_color)
             gtable = matcher.match_all(gcands, config)
+            _count_matching(stage, gcands, gtable)
             mesher.mesh_from_matches(gtable, config, mesh=mesh,
                                      phase="gap")
             _match_stage(tracker, "gap_spanning", gtable)

@@ -91,8 +91,12 @@ def test_noisy_spiral_reports_a_greedy_sized_component():
     assert strip["undecided"] >= strip["largest_component"]
 
 
-# what each repairing stage reports beside its triangle deltas
+# what each matching or repairing stage reports beside its deltas
 REPAIR_COUNTS = {
+    "baseline_match": {"candidates", "matched"},
+    "restricted_match": {"candidates", "matched"},
+    "boundary_extension": {"candidates", "matched"},
+    "gap_spanning": {"candidates", "matched"},
     "strip_consolidation": {"nonorientable_removed"},
     "extension_consolidation": {"nonorientable_removed"},
     "small_holes": {"holes_closed_added"},
@@ -100,7 +104,8 @@ REPAIR_COUNTS = {
                     "repair_removed", "holes_closed_added"},
     "hole_filling": {"holes_filled_added"},
 }
-ENTRY_KEYS = {"name", "triangles_added", "triangles_removed", "seconds",
+ENTRY_KEYS = {"name", "triangles_added", "triangles_removed",
+              "duplicates_skipped", "quads_rejected", "seconds",
               "consolidation"}
 
 
@@ -132,6 +137,38 @@ def test_repair_counts_match_stage_deltas(name, options):
         fill = by_name["hole_filling"]
         assert fill["holes_filled_added"] == fill["triangles_added"]
         assert fill["triangles_removed"] == 0
+
+
+@pytest.mark.parametrize("name, options", [
+    ("flat_pair", PipelineOptions()),
+    ("cube_parallel", PipelineOptions(preserve_creases=True)),
+])
+def test_stage_counts_add_up_to_report_totals(name, options):
+    drawing = (flat_pair_drawing() if name == "flat_pair"
+               else generate(FLIP_SPECS[name])[0])
+    _, report = run_pipeline(drawing, options)
+    stages = report["stage_stats"]
+    for key in ("duplicates_skipped", "quads_rejected"):
+        assert sum(s[key] for s in stages) == report[key]
+    assert report["duplicates_skipped"] > 0
+    by_name = {s["name"]: s for s in stages}
+    # only meshing emits triangles that can duplicate or fold
+    for s in stages:
+        if s["name"] not in ("strip_meshing", "boundary_extension",
+                             "gap_spanning", "small_holes", "orientation",
+                             "ribbons", "hole_filling"):
+            assert s["duplicates_skipped"] == s["quads_rejected"] == 0
+    for stage in ("baseline_match", "restricted_match"):
+        assert by_name[stage]["candidates"] >= by_name[stage]["matched"] > 0
+    if name == "flat_pair":
+        # every vertex lists the partner vertex across and its diagonal
+        # neighbours (two at a stroke end): 2 * (8 * 3 + 2 * 2); every
+        # vertex is matched, and each strip triangle comes from both sides
+        assert by_name["baseline_match"]["candidates"] == 56
+        assert by_name["baseline_match"]["matched"] == 20
+        assert by_name["strip_meshing"]["duplicates_skipped"] == 18
+    else:
+        assert report["quads_rejected"] > 0
 
 
 def test_skip_extension_drops_stages():

@@ -615,6 +615,8 @@ def laplacian_smooth(mesh, config, iterations=1, lam=0.5):
         boundary = set()
         neighbors = {}
         for (u, v), tids in em.items():
+            if not tids:
+                continue        # every triangle on this edge was removed
             if len(tids) == 1:
                 boundary.add(u)
                 boundary.add(v)

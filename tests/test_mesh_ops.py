@@ -281,6 +281,23 @@ def test_laplacian_smooth_moves_interior_only(config):
     assert np.allclose(mesh.positions[:, 2], 0.0)
 
 
+def test_laplacian_smooth_ignores_removed_triangles(config):
+    # a removed triangle leaves its edges in the live edge map with
+    # empty lists; they must not join the rings of the vertices it used
+    rng = np.random.default_rng(3)
+    jitter = np.zeros((25, 3))
+    jitter[:, :2] = rng.uniform(-0.2, 0.2, (25, 2))
+    clean = grid_mesh(5, 5, jitter=jitter)
+    mesh = grid_mesh(5, 5, jitter=jitter)
+    far = mesh.add_vertices([[2.0, 2.0, 5.0]], [[0.0, 0.0, 1.0]], [1.0],
+                            [[0.0, 0.0, 0.0]], [[-1, 25]], 0)[0]
+    mesh.remove(mesh.add_triangle(12, 13, far, phase="gap"))
+    assert mesh_ops.laplacian_smooth(mesh, config, iterations=2) == \
+        mesh_ops.laplacian_smooth(clean, config, iterations=2)
+    assert np.array_equal(mesh.positions[:25], clean.positions)
+    assert np.array_equal(mesh.positions[far], [2.0, 2.0, 5.0])
+
+
 def test_move_guard_blocks_flips_and_collapses():
     pos = np.array([[0.0, 0, 0], [1.0, 0, 0], [0.5, 0.4, 0]])
     mesh = mesh_from_arrays(pos, [(0, 1, 2)])

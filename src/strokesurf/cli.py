@@ -8,6 +8,7 @@ generate synthetic corpora and score reconstructions. Exit codes:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import traceback
@@ -29,6 +30,7 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+@functools.cache
 def _surface_parser():
     p = _Parser(prog="strokesurf", description=__doc__)
     p.add_argument("--input", required=True, help="drawing JSON")
@@ -70,7 +72,7 @@ def _cmd_surface(argv):
     nverts, ntris = mesh_ops.export_obj(mesh, ns.output)
     if ns.report:
         with open(ns.report, "w", encoding="utf-8") as fh:
-            json.dump(report, fh, indent=1)
+            fh.write(json.dumps(report, indent=1))
     print(f"{ns.output}: {ntris} triangles, {nverts} vertices, "
           f"{report['components']} components, "
           f"{report['nonmanifold_edges']} bad edges")

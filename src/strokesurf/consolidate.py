@@ -321,29 +321,33 @@ class ConflictGraph:
             self.hard.add(key)
 
 
-def _emission_score(mesh, cs, config, tid):
-    """M(t): vertex scores of the two edge endpoints against the apex,
-    on the triangle's recorded side, in linear domain."""
-    prov = mesh.tri_prov[tid]
-    if prov is None:
-        return 0.0
-    (ci, ia), (cj, ib) = prov.edge_ref
-    aref = prov.apex_ref
-    fa = cs.flat(ci, ia)
-    fb = cs.flat(cj, ib)
-    fq = cs.flat(aref.chain, aref.index)
-    if not cs.ok[fq]:
-        return 0.0
-    total = 0.0
-    for fp in (fa, fb):
-        if not cs.ok[fp]:
+def _emission_scores(mesh, cs, config, tids):
+    """M(t) per triangle of tids: vertex scores of the two edge endpoints
+    against the apex, on the triangle's recorded side, in linear domain.
+    Every (endpoint, apex) row is scored in one kernel call."""
+    rows = []
+    for n, tid in enumerate(tids):
+        prov = mesh.tri_prov[tid]
+        if prov is None:
             continue
-        sig = pair_sigmas(cs, fp, np.array([fq]), config)
-        log = scoring.vertex_scores_log_arrays(
-            cs.pos[fp], cs.tan[fp], cs.bin[fp], cs.w[fp], prov.side,
-            cs.pos[[fq]], cs.tan[[fq]], cs.bin[[fq]], cs.w[[fq]], sig)
-        total += float(np.exp(log[0]))
-    return total
+        (ci, ia), (cj, ib) = prov.edge_ref
+        aref = prov.apex_ref
+        fq = cs.flat(aref.chain, aref.index)
+        if not cs.ok[fq]:
+            continue
+        for fp in (cs.flat(ci, ia), cs.flat(cj, ib)):
+            if cs.ok[fp]:
+                rows.append((n, fp, fq, prov.side))
+    out = [0.0] * len(tids)
+    if rows:
+        node, p, q, side = np.array(rows, dtype=np.int64).T
+        logs = scoring.vertex_scores_log_arrays(
+            cs.pos[p], cs.tan[p], cs.bin[p], cs.w[p], side,
+            cs.pos[q], cs.tan[q], cs.bin[q], cs.w[q],
+            pair_sigmas(cs, p, q, config))
+        for n, score in zip(node.tolist(), np.exp(logs).tolist()):
+            out[n] += score
+    return out
 
 
 def build_conflict_graph(mesh, cs, config, component, pairs, undecided):
@@ -385,7 +389,8 @@ def build_conflict_graph(mesh, cs, config, component, pairs, undecided):
                             and (t1, t2) not in incompat_keys):
                         graph.add_arc(t1, t2, config.compatible_weight)
 
-    for t in graph.nodes:
+    m_scores = _emission_scores(mesh, cs, config, graph.nodes)
+    for t, m_t in zip(graph.nodes, m_scores):
         c_count = 0
         verts = mesh.tri_verts[t]
         for a, b in ((0, 1), (1, 2), (2, 0)):
@@ -394,8 +399,7 @@ def build_conflict_graph(mesh, cs, config, component, pairs, undecided):
             for other in em.get(key, ()):
                 if other != t and mesh.tri_state[other] == OUTPUT:
                     c_count += 1
-        graph.add_arc(OUT_NODE, t, _emission_score(mesh, cs, config, t)
-                      + c_count)
+        graph.add_arc(OUT_NODE, t, m_t + c_count)
     return graph
 
 

@@ -2,11 +2,15 @@
 
 Matching runs per chain and per side. A chain is a polyline with frames:
 either a stroke spine or, in the later surfacing phases, a boundary loop
-of the partial mesh. Candidates for each vertex are gathered by
-geometric conditions (distance, probe cone, non-adjacency), then one
-match per vertex is chosen by maximizing the product of vertex and
-persistence scores along the chain with a Viterbi sweep. Vertices with
-no candidates split the chain into independently solved segments.
+of the partial mesh. Candidates come from one pair search per phase: a
+cKDTree gathers every pair of vertices within the largest acceptance
+radius, the geometric conditions (distance, probe cone, non-adjacency,
+end cone, target chain) filter the pair arrays, and a sort splits what
+is left into each vertex's list. One match per vertex is then chosen by
+maximizing the product of vertex and persistence scores along the chain
+with a Viterbi sweep, after all of a chain side's vertex and transition
+scores have been computed in batches. Vertices with no candidates split
+the chain into independently solved segments.
 
 All candidate ids are flat indices into the ChainSet arrays; ties are
 broken toward the lowest (chain, vertex) pair, which equals flat-id
@@ -19,6 +23,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from . import scoring
 from .scoring import Side
@@ -124,11 +129,16 @@ def stroke_chains(drawing, gid_base=None):
 
 @dataclass
 class CandidateSet:
-    """Per (chain, side) candidate lists of flat vertex ids."""
+    """Per (chain, side) candidate lists of flat vertex ids.
+
+    pairs_tested counts the directed (source, target) pairs the pair
+    search tested, once per side built.
+    """
 
     chainset: ChainSet
     cone_deg: float
     radius_mode: str                      # "width" or "dmax"
+    pairs_tested: int = 0
     lists: dict = field(default_factory=dict)
 
     def get(self, chain, side):
@@ -153,33 +163,6 @@ class MatchTable:
         return self.chainset.ref(arr[index])
 
 
-class _UniformGrid:
-    """Spatial hash over points with a fixed cell size. Pure lookup
-    accelerator; all geometric filtering happens on the gathered ids."""
-
-    def __init__(self, points, cell):
-        self.cell = max(float(cell), 1e-12)
-        keys = np.floor(points / self.cell).astype(np.int64)
-        self.table = {}
-        for i, k in enumerate(map(tuple, keys)):
-            self.table.setdefault(k, []).append(i)
-        for k in self.table:
-            self.table[k] = np.asarray(self.table[k], dtype=np.int64)
-
-    def nearby(self, point):
-        cx, cy, cz = np.floor(point / self.cell).astype(np.int64)
-        out = []
-        for dx in (-1, 0, 1):
-            for dy in (-1, 0, 1):
-                for dz in (-1, 0, 1):
-                    ids = self.table.get((cx + dx, cy + dy, cz + dz))
-                    if ids is not None:
-                        out.append(ids)
-        if not out:
-            return np.empty(0, dtype=np.int64)
-        return np.concatenate(out)
-
-
 def _query_radii(cs, config, radius_mode):
     """Upper bound on the acceptance radius per source vertex."""
     if radius_mode == "dmax":
@@ -199,87 +182,81 @@ def pair_sigmas(cs, p_flat, q_flats, config):
 
 
 def _build_candidates(cs, config, cone_deg, sides, radius_mode,
-                      color_cue=False, target_chains=None):
-    """Shared candidate generation.
+                      color_cue=False, allowed=None):
+    """Shared candidate generation: one pair search per phase.
 
-    target_chains: optional dict (chain, side_sign) -> set of allowed
-    target chain ids; None allows every chain.
+    One cKDTree.query_pairs call gathers every pair of non-degenerate
+    vertices within the largest acceptance radius. The symmetric tests
+    (minimum length, width-mode radius, color, polyline adjacency) run
+    on the undirected pairs; the pairs are then taken in both
+    directions, and the directed tests (dmax-mode radius, target chain,
+    probe cone per side, end cone) run on those arrays. Sorting by
+    (source, target) splits them into each vertex's ascending list.
+
+    allowed: optional function (source chains, target chains, side) ->
+    bool mask of the pairs whose target chain may be matched; None
+    allows every chain.
     """
     cos_cone = float(np.cos(np.radians(cone_deg)))
     radii = _query_radii(cs, config, radius_mode)
     ok_ids = np.nonzero(cs.ok)[0]
-    grid = _UniformGrid(cs.pos[ok_ids], float(radii.max()))
-
-    out = CandidateSet(cs, cone_deg, radius_mode)
     eps_len = 1e-12 * max(1.0, float(np.abs(cs.pos).max()))
+    # the slack keeps pairs whose tree distance rounds above the radius
+    pairs = ok_ids[cKDTree(cs.pos[ok_ids]).query_pairs(
+        float(radii.max()) * (1 + 1e-9), output_type="ndarray")]
+    out = CandidateSet(cs, cone_deg, radius_mode,
+                       pairs_tested=2 * len(pairs) * len(sides))
 
-    for ci, chain in enumerate(cs.chains):
-        n = len(chain)
-        base = int(cs.offsets[ci])
-        for side in sides:
-            allowed = None
-            if target_chains is not None:
-                allowed = target_chains.get((ci, int(side)))
-            per_vertex = []
-            for i in range(n):
-                fp = base + i
-                if not cs.ok[fp]:
-                    per_vertex.append(np.empty(0, dtype=np.int64))
-                    continue
-                cand = ok_ids[grid.nearby(cs.pos[fp])]
-                cand = cand[cand != fp]
-                if allowed is not None:
-                    keep = np.isin(cs.chain_id[cand],
-                                   np.fromiter(allowed, dtype=np.int64))
-                    cand = cand[keep]
-                if color_cue and len(cand):
-                    cand = cand[np.all(cs.col[cand] == cs.col[fp], axis=1)]
-                if not len(cand):
-                    per_vertex.append(cand)
-                    continue
+    a, b = pairs[:, 0], pairs[:, 1]
+    d = cs.pos[b] - cs.pos[a]
+    dist = np.linalg.norm(d, axis=1)
+    keep = dist > eps_len
+    if radius_mode != "dmax":
+        keep &= dist <= config.width_factor * 0.5 * (cs.w[a] + cs.w[b])
+    if color_cue:
+        keep &= np.all(cs.col[a] == cs.col[b], axis=1)
 
-                d = cs.pos[cand] - cs.pos[fp]
-                dist = np.linalg.norm(d, axis=1)
-                if radius_mode == "dmax":
-                    within = dist <= cs.dmax[fp]
-                else:
-                    within = dist <= config.width_factor * 0.5 * (
-                        cs.w[fp] + cs.w[cand])
-                keep = within & (dist > eps_len)
+    # exclude the immediate polyline neighbors
+    lengths = np.diff(cs.offsets)
+    cyclic = np.array([c.cyclic for c in cs.chains], dtype=bool)
+    ca = cs.chain_id[a]
+    di = np.abs(cs.index[a] - cs.index[b])
+    wrap = cyclic[ca] & (lengths[ca] > 2) & (di == lengths[ca] - 1)
+    keep &= ~((ca == cs.chain_id[b]) & ((di == 1) | wrap))
 
-                # probe cone at p
-                along = d @ (int(side) * cs.bin[fp])
-                keep &= along >= cos_cone * dist
+    a, b, d, dist = a[keep], b[keep], d[keep], dist[keep]
+    src = np.concatenate([a, b])
+    tgt = np.concatenate([b, a])
+    d = np.concatenate([d, -d])
+    dist = np.concatenate([dist, dist])
+    if radius_mode == "dmax":
+        keep = dist <= cs.dmax[src]
+    else:
+        keep = np.ones(len(src), dtype=bool)
 
-                # exclude the immediate polyline neighbors
-                same = cs.chain_id[cand] == ci
-                di = np.abs(cs.index[cand] - i)
-                adj = same & (di == 1)
-                if chain.cyclic and n > 2:
-                    adj |= same & (di == n - 1)
-                keep &= ~adj
+    # near chain ends the cone must also hold seen from q (d points from
+    # p to q; the absolute dot product does not see the direction)
+    at_end = (~cyclic[cs.chain_id]) & (
+        (cs.index == 0) | (cs.index == lengths[cs.chain_id] - 1))
+    need = np.nonzero(keep & (at_end[src] | at_end[tgt]))[0]
+    at_q = np.abs(np.einsum("ij,ij->i", d[need], cs.bin[tgt[need]]))
+    keep[need[at_q < cos_cone * dist[need]]] = False
 
-                # near chain ends the cone must also hold seen from q
-                cand_k = cand[keep]
-                if len(cand_k):
-                    p_end = (not chain.cyclic) and (i == 0 or i == n - 1)
-                    tchain = cs.chain_id[cand_k]
-                    tidx = cs.index[cand_k]
-                    q_cyc = np.array(
-                        [cs.chains[t].cyclic for t in tchain], dtype=bool)
-                    q_n = np.array(
-                        [len(cs.chains[t]) for t in tchain], dtype=np.int64)
-                    q_end = (~q_cyc) & ((tidx == 0) | (tidx == q_n - 1))
-                    need = q_end | p_end
-                    if need.any():
-                        dq = cs.pos[fp] - cs.pos[cand_k]
-                        ndq = np.linalg.norm(dq, axis=1)
-                        at_q = np.abs(
-                            np.einsum("ij,ij->i", dq, cs.bin[cand_k]))
-                        fails = need & (at_q < cos_cone * ndq)
-                        cand_k = cand_k[~fails]
-                per_vertex.append(np.sort(cand_k))
-            out.lists[(ci, int(side))] = per_vertex
+    # probe cone at p, on each side
+    along = np.einsum("ij,ij->i", d, cs.bin[src])
+    for side in sides:
+        side = int(side)
+        sel = keep & (side * along >= cos_cone * dist)
+        if allowed is not None:
+            sel &= allowed(cs.chain_id[src], cs.chain_id[tgt], side)
+        s, t = src[sel], tgt[sel]
+        order = np.lexsort((t, s))
+        s, t = s[order], t[order]
+        bounds = np.searchsorted(s, np.arange(len(cs) + 1)).tolist()
+        per_vertex = [t[i:j] for i, j in zip(bounds[:-1], bounds[1:])]
+        for ci in range(len(cs.chains)):
+            out.lists[(ci, side)] = per_vertex[
+                int(cs.offsets[ci]):int(cs.offsets[ci + 1])]
     return out
 
 
@@ -294,17 +271,18 @@ def baseline_candidates(cs, config, color_cue=False):
 def restricted_candidates(cs, config, neighbors, color_cue=False):
     """Second-pass candidates, limited per side to the stroke itself and
     its dominant neighbor on that side."""
-    targets = {}
-    for ci in range(len(cs.chains)):
-        for side in (Side.LEFT, Side.RIGHT):
-            allowed = {ci}
-            t = neighbors.neighbor_of(ci, side)
-            if t is not None:
-                allowed.add(t)
-            targets[(ci, int(side))] = allowed
+    # dominant neighbor per chain: column 1 on the LEFT, 0 on the RIGHT
+    dominant = np.full((len(cs.chains), 2), -1, dtype=np.int64)
+    for (ci, side), (t, _) in neighbors.dominant.items():
+        dominant[ci, int(side > 0)] = t
+
+    def allowed(src_chain, tgt_chain, side):
+        return ((tgt_chain == src_chain)
+                | (tgt_chain == dominant[src_chain, int(side > 0)]))
+
     return _build_candidates(cs, config, config.cone_angle_deg,
                              (Side.LEFT, Side.RIGHT), "width",
-                             color_cue=color_cue, target_chains=targets)
+                             color_cue=color_cue, allowed=allowed)
 
 
 def boundary_candidates(cs, config, phase, color_cue=False):
@@ -316,14 +294,15 @@ def boundary_candidates(cs, config, phase, color_cue=False):
     the per-component acceptance radius carried in chain.dmax.
     """
     if phase == "extension":
-        targets = {}
-        for ci, chain in enumerate(cs.chains):
-            allowed = {j for j, c in enumerate(cs.chains)
-                       if c.component == chain.component}
-            targets[(ci, int(Side.LEFT))] = allowed
+        component = np.array([c.component for c in cs.chains],
+                             dtype=np.int64)
+
+        def allowed(src_chain, tgt_chain, side):
+            return component[src_chain] == component[tgt_chain]
+
         return _build_candidates(cs, config, config.cone_angle_deg,
                                  (Side.LEFT,), "width",
-                                 color_cue=color_cue, target_chains=targets)
+                                 color_cue=color_cue, allowed=allowed)
     if phase == "gap":
         return _build_candidates(cs, config, config.boundary_cone_angle_deg,
                                  (Side.LEFT,), "dmax", color_cue=color_cue)
@@ -355,41 +334,75 @@ def viterbi_path(emissions, transitions):
     return choices, float(dp[end])
 
 
+# persistence rows scored per kernel call, which bounds the temporaries
+TRANSITION_CHUNK = 1 << 16
+
+
+def _transition_blocks(cs, src, tgt, sig, starts, counts):
+    """Log persistence matrices, keyed by k, of every step k -> k + 1
+    whose two vertices both have candidates. (src, tgt, sig) are the
+    chain's emission rows, vertex k's rows starting at starts[k]. The
+    matrices' rows are scored in kernel calls of about TRANSITION_CHUNK
+    rows, whole steps at a time."""
+    steps = np.nonzero((counts[:-1] > 0) & (counts[1:] > 0))[0]
+    sizes = counts[steps] * counts[steps + 1]
+    chunk = (np.cumsum(sizes) - sizes) // TRANSITION_CHUNK
+    cuts = np.nonzero(np.diff(chunk, prepend=-1))[0].tolist()
+    blocks = {}
+    for lo, hi in zip(cuts, cuts[1:] + [len(steps)]):
+        st = steps[lo:hi]
+        k_i, k_j = counts[st], counts[st + 1]
+        # candidate a of vertex k against candidate b of vertex k + 1,
+        # row-major per step
+        block = np.repeat(np.arange(len(st)), k_i * k_j)
+        block_start = np.concatenate([[0], np.cumsum(k_i * k_j)])
+        r = np.arange(block_start[-1]) - block_start[block]
+        ri = starts[st][block] + r // k_j[block]
+        rj = starts[st + 1][block] + r % k_j[block]
+        trans = scoring.persistence_log_rows(
+            cs.pos[src[ri]], cs.pos[src[rj]], cs.pos[tgt[ri]],
+            cs.pos[tgt[rj]], sig[ri])
+        for o, k in enumerate(st.tolist()):
+            blocks[k] = trans[block_start[o]:block_start[o + 1]].reshape(
+                int(k_i[o]), int(k_j[o]))
+    return blocks
+
+
 def viterbi_chain(cs, chain_id, side, cand_lists, config):
     """Solve one chain/side: per-vertex matches (-1 where unmatched),
-    their log vertex scores, and the summed log score over segments."""
-    chain = cs.chains[chain_id]
-    n = len(chain)
+    their log vertex scores, and the summed log score over segments.
+
+    Every (vertex, candidate) row of the chain is scored in one call of
+    the vertex-score kernel, and every transition block (the candidates
+    of vertex k against those of vertex k + 1, for consecutive vertices
+    that both have some) in calls of the row-wise persistence kernel;
+    the segments' Viterbi sweeps then read slices of the two.
+    """
+    n = len(cs.chains[chain_id])
     base = int(cs.offsets[chain_id])
     match = np.full(n, -1, dtype=np.int64)
     mlog = np.full(n, np.nan)
-    total = 0.0
+    counts = np.array([len(c) for c in cand_lists], dtype=np.int64)
+    src = np.repeat(np.arange(base, base + n), counts)
+    tgt = np.concatenate(cand_lists)
+    sig = pair_sigmas(cs, src, tgt, config)
+    emis = scoring.vertex_scores_log_arrays(
+        cs.pos[src], cs.tan[src], cs.bin[src], cs.w[src], int(side),
+        cs.pos[tgt], cs.tan[tgt], cs.bin[tgt], cs.w[tgt], sig)
+    starts = np.concatenate([[0], np.cumsum(counts)])
+    step_trans = _transition_blocks(cs, src, tgt, sig, starts, counts)
 
+    total = 0.0
     i = 0
     while i < n:
-        if len(cand_lists[i]) == 0:
+        if counts[i] == 0:
             i += 1
             continue
         j = i
-        while j + 1 < n and len(cand_lists[j + 1]) > 0:
+        while j + 1 < n and counts[j + 1] > 0:
             j += 1
-        emissions = []
-        for k in range(i, j + 1):
-            fp = base + k
-            qf = cand_lists[k]
-            sig = pair_sigmas(cs, fp, qf, config)
-            emissions.append(scoring.vertex_scores_log_arrays(
-                cs.pos[fp], cs.tan[fp], cs.bin[fp], cs.w[fp], int(side),
-                cs.pos[qf], cs.tan[qf], cs.bin[qf], cs.w[qf], sig))
-        transitions = []
-        for k in range(i, j):
-            fp = base + k
-            qf_i = cand_lists[k]
-            qf_j = cand_lists[k + 1]
-            sig_rows = pair_sigmas(cs, fp, qf_i, config)
-            transitions.append(scoring.persistence_log_matrix(
-                cs.pos[fp], cs.pos[fp + 1],
-                cs.pos[qf_i], cs.pos[qf_j], sig_rows))
+        emissions = [emis[starts[k]:starts[k + 1]] for k in range(i, j + 1)]
+        transitions = [step_trans[k] for k in range(i, j)]
         choices, seg_total = viterbi_path(emissions, transitions)
         for off, c in enumerate(choices):
             match[i + off] = cand_lists[i + off][c]

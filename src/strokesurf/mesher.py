@@ -399,26 +399,20 @@ class _Emitter:
         fa = base + ia
         fb = base + ib
 
-        def fan_scores(p_flat):
-            scores = []
-            for j in idxs:
-                fq = tbase + j
-                if not cs.ok[fq]:
-                    scores.append(0.0)
-                    continue
-                rel = cs.pos[p_flat] - cs.pos[fq]
-                s = np.dot(rel, cs.bin[fq])
-                sgn = 1 if s >= 0 else -1
-                sig = pair_sigmas(cs, fq, np.array([p_flat]), self.config)
-                log = scoring.vertex_scores_log_arrays(
-                    cs.pos[fq], cs.tan[fq], cs.bin[fq], cs.w[fq], sgn,
-                    cs.pos[[p_flat]], cs.tan[[p_flat]], cs.bin[[p_flat]],
-                    cs.w[[p_flat]], sig)
-                scores.append(float(np.exp(log[0])))
-            return np.asarray(scores)
-
-        s_a = fan_scores(fa)
-        s_b = fan_scores(fb)
+        # each fan vertex q scores fa and fb on the side of q facing
+        # them; q with a degenerate frame scores 0
+        fan = tbase + np.asarray(idxs, dtype=np.int64)
+        ok = cs.ok[fan]
+        q = np.concatenate([fan[ok], fan[ok]])
+        p = np.repeat([fa, fb], int(ok.sum()))
+        facing = np.einsum("ij,ij->i", cs.pos[p] - cs.pos[q], cs.bin[q])
+        logs = scoring.vertex_scores_log_arrays(
+            cs.pos[q], cs.tan[q], cs.bin[q], cs.w[q],
+            np.where(facing >= 0, 1, -1),
+            cs.pos[p], cs.tan[p], cs.bin[p], cs.w[p],
+            pair_sigmas(cs, q, p, self.config))
+        s_a, s_b = np.zeros((2, len(fan)))
+        s_a[ok], s_b[ok] = np.exp(logs).reshape(2, -1)
         pre = np.cumsum(s_a)
         suf = np.cumsum(s_b[::-1])[::-1]
         totals = pre + suf

@@ -178,10 +178,12 @@ def _interpolated_fraction_exact(mesh, cs):
 
 def _count_matching(stage, cands=None, table=None):
     """Add a match stage's candidate targets (summed over every vertex's
-    list) and matched vertices to its entry; without a candidate set the
-    stage matched nothing."""
+    list), the pairs its search tested and its matched vertices to its
+    entry; without a candidate set the stage matched nothing."""
     stage.count("candidates", 0 if cands is None else sum(
         len(c) for lists in cands.lists.values() for c in lists))
+    stage.count("candidate_pairs",
+                0 if cands is None else cands.pairs_tested)
     stage.count("matched", 0 if table is None else sum(
         int((m >= 0).sum()) for m in table.matches.values()))
 

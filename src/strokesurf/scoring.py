@@ -109,57 +109,50 @@ def persistence_score(p_i, p_j, q_i, q_j, sigma):
 
 
 def persistence_log(p_i, p_j, q_i, q_j, sigma):
-    p_i = np.asarray(p_i, dtype=np.float64)
-    p_j = np.asarray(p_j, dtype=np.float64)
-    q_i = np.asarray(q_i, dtype=np.float64)
-    q_j = np.asarray(q_j, dtype=np.float64)
-    term1 = np.linalg.norm((p_j - p_i) - (q_j - q_i))
-    term2 = np.linalg.norm((p_j - q_i) - (q_j - p_i))
-    term3 = np.linalg.norm((p_j - q_j) - (p_i - q_i))
-    d_p = float(term1 + term2 + term3)
-    return _gauss_log(d_p, float(sigma))
+    """Log persistence score of one pair of consecutive matches."""
+    p_i, p_j, q_i, q_j = (np.asarray(v, dtype=np.float64)
+                          for v in (p_i, p_j, q_i, q_j))
+    return float(persistence_log_rows(p_i, p_j, q_i, q_j, sigma))
 
 
 # ---- vectorized kernels over raw arrays (used by the matcher) ----
 
 def vertex_scores_log_arrays(p_pos, p_tan, p_bin, p_w, side_sign,
                              q_pos, q_tan, q_bin, q_w, sigma):
-    """Log vertex scores of one source vertex against k candidates.
+    """Log vertex scores of source vertices against candidate rows.
 
-    q_* are (k, ...) arrays; sigma is (k,). Returns (k,) log scores.
+    q_* are (k, ...) arrays and sigma is (k,). Each p_* argument and
+    side_sign is either one source vertex's value, shared by every row,
+    or a per-row (k, ...) array. Returns (k,) log scores.
     """
-    d = p_pos[None, :] - q_pos
-    d_align = np.linalg.norm(d, axis=1)
-    d_tangent = 0.5 * (np.abs(d @ p_tan) +
-                       np.abs(np.einsum("ij,ij->i", d, q_tan)))
+    d = p_pos - q_pos
+    d_align = np.linalg.norm(d, axis=-1)
+    d_tangent = 0.5 * (np.abs(np.einsum("...j,...j->...", d, p_tan)) +
+                       np.abs(np.einsum("...j,...j->...", d, q_tan)))
 
-    p_c = p_pos + side_sign * p_w * p_bin
-    q_l = q_pos + q_w[:, None] * q_bin
-    q_r = q_pos - q_w[:, None] * q_bin
-    dl = np.linalg.norm(q_l - p_c[None, :], axis=1)
-    dr = np.linalg.norm(q_r - p_c[None, :], axis=1)
-    q_c = np.where(_takes_left(dl, dr)[:, None], q_l, q_r)
-    m_probe = 0.5 * (p_c[None, :] + q_c)
-    m = 0.5 * (p_pos[None, :] + q_pos)
-    d_normal = np.linalg.norm(m - m_probe, axis=1)
+    p_c = p_pos + np.multiply(side_sign, p_w)[..., None] * p_bin
+    q_l = q_pos + q_w[..., None] * q_bin
+    q_r = q_pos - q_w[..., None] * q_bin
+    dl = np.linalg.norm(q_l - p_c, axis=-1)
+    dr = np.linalg.norm(q_r - p_c, axis=-1)
+    q_c = np.where(_takes_left(dl, dr)[..., None], q_l, q_r)
+    m_probe = 0.5 * (p_c + q_c)
+    m = 0.5 * (p_pos + q_pos)
+    d_normal = np.linalg.norm(m - m_probe, axis=-1)
 
     total = d_align + d_tangent + d_normal
     return -(total * total) / (2.0 * sigma * sigma)
 
 
-def persistence_log_matrix(p_i, p_j, q_i_pos, q_j_pos, sigma_rows):
-    """Log persistence scores for all pairs of candidate choices.
+def persistence_log_rows(p_i, p_j, q_i, q_j, sigma):
+    """Log persistence scores of matching p_i -> q_i and p_j -> q_j, row
+    by row: positions are (..., 3) arrays, sigma (of the (p_i, q_i)
+    pair) is (...). Returns (...) log scores.
 
-    q_i_pos is (k1, 3) for vertex i, q_j_pos is (k2, 3) for vertex j,
-    sigma_rows is (k1,) (sigma of the (p_i, q_i) pair). Returns (k1, k2).
+    The paper's third term, |(p_j - q_j) - (p_i - q_i)|, is the first
+    one regrouped; it is added as term1 itself.
     """
-    dp = p_j - p_i
-    dq = q_j_pos[None, :, :] - q_i_pos[:, None, :]
-    term1 = np.linalg.norm(dp[None, None, :] - dq, axis=2)
-    psum = p_i + p_j
-    qsum = q_i_pos[:, None, :] + q_j_pos[None, :, :]
-    term2 = np.linalg.norm(psum[None, None, :] - qsum, axis=2)
-    pd = p_j - p_i
-    term3 = np.linalg.norm(pd[None, None, :] - dq, axis=2)
-    d_p = term1 + term2 + term3
-    return -(d_p * d_p) / (2.0 * sigma_rows[:, None] ** 2)
+    term1 = np.linalg.norm((p_j - p_i) - (q_j - q_i), axis=-1)
+    term2 = np.linalg.norm((p_i + p_j) - (q_i + q_j), axis=-1)
+    d_p = term1 + term2 + term1
+    return -(d_p * d_p) / (2.0 * sigma ** 2)

@@ -2,14 +2,17 @@
 
 These avoid the package's algorithmic code paths on purpose: the chain
 matcher reference enumerates full assignment products from score tables
-built with scalar arithmetic, the clustering reference solves
-max-weight set partitioning exactly with a bitmask dynamic program, and
-the incompatible-pair reference tests every candidate pair one at a
-time with scalar float arithmetic, the point-to-mesh reference
-tests one sample point at a time against its candidate triangles, and
-the mesh-topology references (manifold audit, components, orientation,
-the repair net, undecided components, Moebius strips) walk vertex fans
-and components one at a time with hand-written union-finds.
+built with scalar arithmetic, the candidate and Viterbi-scoring
+references gather and score one source vertex at a time (a spatial
+hash lookup per vertex instead of one pair search per phase), the
+clustering reference solves max-weight set partitioning exactly with a
+bitmask dynamic program, and the incompatible-pair reference tests
+every candidate pair one at a time with scalar float arithmetic, the
+point-to-mesh reference tests one sample point at a time against its
+candidate triangles, and the mesh-topology references (manifold audit,
+components, orientation, the repair net, undecided components, Moebius
+strips) walk vertex fans and components one at a time with hand-written
+union-finds.
 """
 
 import itertools
@@ -115,6 +118,272 @@ def assignment_score(cs, chain_id, side, cand_lists, match, config):
                                       int(match[k + 1]), config)
         i = j + 1
     return total
+
+
+# ---------------------------------------------------------------------------
+# candidate generation and Viterbi scoring, one vertex at a time
+
+
+class _UniformGrid:
+    """Spatial hash over points with a fixed cell size: lookups gather
+    the 27 cells around a point."""
+
+    def __init__(self, points, cell):
+        self.cell = max(float(cell), 1e-12)
+        keys = np.floor(points / self.cell).astype(np.int64)
+        self.table = {}
+        for i, k in enumerate(map(tuple, keys)):
+            self.table.setdefault(k, []).append(i)
+        for k in self.table:
+            self.table[k] = np.asarray(self.table[k], dtype=np.int64)
+
+    def nearby(self, point):
+        cx, cy, cz = np.floor(point / self.cell).astype(np.int64)
+        out = []
+        for dx in (-1, 0, 1):
+            for dy in (-1, 0, 1):
+                for dz in (-1, 0, 1):
+                    ids = self.table.get((cx + dx, cy + dy, cz + dz))
+                    if ids is not None:
+                        out.append(ids)
+        if not out:
+            return np.empty(0, dtype=np.int64)
+        return np.concatenate(out)
+
+
+def build_candidates(cs, config, cone_deg, sides, radius_mode,
+                     color_cue=False, target_chains=None):
+    """Per-vertex reference for matcher._build_candidates: a grid lookup
+    per source vertex and side, then the radius, cone, adjacency and
+    end-cone tests on that vertex's gathered ids. target_chains maps
+    (chain, side) to the set of allowed target chains (None: all).
+    Returns the per (chain, side) lists of sorted flat ids."""
+    cos_cone = float(np.cos(np.radians(cone_deg)))
+    if radius_mode == "dmax":
+        radii = cs.dmax
+    else:
+        w_max = float(cs.w[cs.ok].max()) if cs.ok.any() else \
+            float(cs.w.max())
+        radii = config.width_factor * 0.5 * (cs.w + w_max)
+    ok_ids = np.nonzero(cs.ok)[0]
+    grid = _UniformGrid(cs.pos[ok_ids], float(radii.max()))
+    eps_len = 1e-12 * max(1.0, float(np.abs(cs.pos).max()))
+    lists = {}
+    for ci, chain in enumerate(cs.chains):
+        n = len(chain)
+        base = int(cs.offsets[ci])
+        for side in sides:
+            allowed = None
+            if target_chains is not None:
+                allowed = target_chains.get((ci, int(side)))
+            per_vertex = []
+            for i in range(n):
+                fp = base + i
+                if not cs.ok[fp]:
+                    per_vertex.append(np.empty(0, dtype=np.int64))
+                    continue
+                cand = ok_ids[grid.nearby(cs.pos[fp])]
+                cand = cand[cand != fp]
+                if allowed is not None:
+                    cand = cand[np.isin(cs.chain_id[cand],
+                                        np.fromiter(allowed, dtype=np.int64))]
+                if color_cue and len(cand):
+                    cand = cand[np.all(cs.col[cand] == cs.col[fp], axis=1)]
+                if not len(cand):
+                    per_vertex.append(cand)
+                    continue
+                d = cs.pos[cand] - cs.pos[fp]
+                dist = np.linalg.norm(d, axis=1)
+                if radius_mode == "dmax":
+                    within = dist <= cs.dmax[fp]
+                else:
+                    within = dist <= config.width_factor * 0.5 * (
+                        cs.w[fp] + cs.w[cand])
+                keep = within & (dist > eps_len)
+                keep &= d @ (int(side) * cs.bin[fp]) >= cos_cone * dist
+                same = cs.chain_id[cand] == ci
+                di = np.abs(cs.index[cand] - i)
+                adj = same & (di == 1)
+                if chain.cyclic and n > 2:
+                    adj |= same & (di == n - 1)
+                keep &= ~adj
+                cand_k = cand[keep]
+                if len(cand_k):
+                    p_end = (not chain.cyclic) and (i == 0 or i == n - 1)
+                    tchain = cs.chain_id[cand_k]
+                    tidx = cs.index[cand_k]
+                    q_cyc = np.array([cs.chains[t].cyclic for t in tchain],
+                                     dtype=bool)
+                    q_n = np.array([len(cs.chains[t]) for t in tchain],
+                                   dtype=np.int64)
+                    need = ((~q_cyc) & ((tidx == 0) | (tidx == q_n - 1))
+                            | p_end)
+                    if need.any():
+                        dq = cs.pos[fp] - cs.pos[cand_k]
+                        ndq = np.linalg.norm(dq, axis=1)
+                        at_q = np.abs(np.einsum("ij,ij->i", dq,
+                                                cs.bin[cand_k]))
+                        cand_k = cand_k[~(need & (at_q < cos_cone * ndq))]
+                per_vertex.append(np.sort(cand_k))
+            lists[(ci, int(side))] = per_vertex
+    return lists
+
+
+def phase_candidates(cs, config, phase, neighbors=None, color_cue=False):
+    """Reference candidate lists of one matching phase: "baseline",
+    "restricted" (the chain itself and its dominant neighbor per side),
+    "extension" (chains of the same mesh component, LEFT only) or "gap"
+    (dmax radius and the boundary cone, LEFT only)."""
+    both = (1, -1)
+    if phase == "baseline":
+        return build_candidates(cs, config, config.cone_angle_deg, both,
+                                "width", color_cue)
+    if phase == "restricted":
+        targets = {}
+        for ci in range(len(cs.chains)):
+            for side in both:
+                t = neighbors.neighbor_of(ci, side)
+                targets[(ci, side)] = {ci} if t is None else {ci, t}
+        return build_candidates(cs, config, config.cone_angle_deg, both,
+                                "width", color_cue, targets)
+    if phase == "extension":
+        targets = {(ci, 1): {j for j, c in enumerate(cs.chains)
+                             if c.component == chain.component}
+                   for ci, chain in enumerate(cs.chains)}
+        return build_candidates(cs, config, config.cone_angle_deg, (1,),
+                                "width", color_cue, targets)
+    assert phase == "gap"
+    return build_candidates(cs, config, config.boundary_cone_angle_deg,
+                            (1,), "dmax", color_cue)
+
+
+def _vertex_scores_log(p_pos, p_tan, p_bin, p_w, side_sign,
+                       q_pos, q_tan, q_bin, q_w, sigma):
+    """Log vertex scores of one source vertex against k candidates."""
+    d = p_pos[None, :] - q_pos
+    d_align = np.linalg.norm(d, axis=1)
+    d_tangent = 0.5 * (np.abs(d @ p_tan) +
+                       np.abs(np.einsum("ij,ij->i", d, q_tan)))
+    p_c = p_pos + side_sign * p_w * p_bin
+    q_l = q_pos + q_w[:, None] * q_bin
+    q_r = q_pos - q_w[:, None] * q_bin
+    dl = np.linalg.norm(q_l - p_c[None, :], axis=1)
+    dr = np.linalg.norm(q_r - p_c[None, :], axis=1)
+    left = dl - dr <= 1e-9 * np.maximum(dl, dr)
+    q_c = np.where(left[:, None], q_l, q_r)
+    m_probe = 0.5 * (p_c[None, :] + q_c)
+    m = 0.5 * (p_pos[None, :] + q_pos)
+    d_normal = np.linalg.norm(m - m_probe, axis=1)
+    total = d_align + d_tangent + d_normal
+    return -(total * total) / (2.0 * sigma * sigma)
+
+
+def _persistence_log_matrix(p_i, p_j, q_i_pos, q_j_pos, sigma_rows):
+    """Log persistence scores of every (q_i, q_j) candidate choice, all
+    three terms computed."""
+    dp = p_j - p_i
+    dq = q_j_pos[None, :, :] - q_i_pos[:, None, :]
+    term1 = np.linalg.norm(dp[None, None, :] - dq, axis=2)
+    qsum = q_i_pos[:, None, :] + q_j_pos[None, :, :]
+    term2 = np.linalg.norm((p_i + p_j)[None, None, :] - qsum, axis=2)
+    pd = p_j - p_i
+    term3 = np.linalg.norm(pd[None, None, :] - dq, axis=2)
+    d_p = term1 + term2 + term3
+    return -(d_p * d_p) / (2.0 * sigma_rows[:, None] ** 2)
+
+
+def _pair_sigmas(cs, p, q, config):
+    if cs.dmax is not None:
+        return 0.5 * (cs.dmax[p] + cs.dmax[q])
+    return config.width_factor * 0.5 * (cs.w[p] + cs.w[q])
+
+
+def viterbi_chain(cs, chain_id, side, cand_lists, config):
+    """Reference for matcher.viterbi_chain that scores one vertex's
+    candidates, and one pair of consecutive vertices' transitions, per
+    kernel call; the package's viterbi_path solves each segment."""
+    from strokesurf.matcher import viterbi_path
+
+    n = len(cs.chains[chain_id])
+    base = int(cs.offsets[chain_id])
+    match = np.full(n, -1, dtype=np.int64)
+    mlog = np.full(n, np.nan)
+    total = 0.0
+    i = 0
+    while i < n:
+        if len(cand_lists[i]) == 0:
+            i += 1
+            continue
+        j = i
+        while j + 1 < n and len(cand_lists[j + 1]) > 0:
+            j += 1
+        emissions = []
+        for k in range(i, j + 1):
+            fp = base + k
+            qf = cand_lists[k]
+            emissions.append(_vertex_scores_log(
+                cs.pos[fp], cs.tan[fp], cs.bin[fp], cs.w[fp], int(side),
+                cs.pos[qf], cs.tan[qf], cs.bin[qf], cs.w[qf],
+                _pair_sigmas(cs, fp, qf, config)))
+        transitions = []
+        for k in range(i, j):
+            fp = base + k
+            transitions.append(_persistence_log_matrix(
+                cs.pos[fp], cs.pos[fp + 1], cs.pos[cand_lists[k]],
+                cs.pos[cand_lists[k + 1]],
+                _pair_sigmas(cs, fp, cand_lists[k], config)))
+        choices, seg_total = viterbi_path(emissions, transitions)
+        for off, c in enumerate(choices):
+            match[i + off] = cand_lists[i + off][c]
+            mlog[i + off] = emissions[off][c]
+        total += seg_total
+        i = j + 1
+    return match, mlog, total
+
+
+def emission_score(mesh, cs, config, tid):
+    """M(t) of one triangle, scoring its two edge endpoints against its
+    apex one kernel call each (consolidate._emission_scores batches
+    them)."""
+    prov = mesh.tri_prov[tid]
+    if prov is None:
+        return 0.0
+    (ci, ia), (cj, ib) = prov.edge_ref
+    fq = cs.flat(prov.apex_ref.chain, prov.apex_ref.index)
+    if not cs.ok[fq]:
+        return 0.0
+    total = 0.0
+    for fp in (cs.flat(ci, ia), cs.flat(cj, ib)):
+        if cs.ok[fp]:
+            log = _vertex_scores_log(
+                cs.pos[fp], cs.tan[fp], cs.bin[fp], cs.w[fp], prov.side,
+                cs.pos[[fq]], cs.tan[[fq]], cs.bin[[fq]], cs.w[[fq]],
+                _pair_sigmas(cs, fp, np.array([fq]), config))
+            total += float(np.exp(log[0]))
+    return total
+
+
+def fan_split(cs, config, fa, fb, fan):
+    """Position in fan of the apex a polygon fan gives the source edge
+    (fa, fb): each fan vertex scores fa and fb one at a time, on the side
+    of the fan vertex that faces them, and the split maximizes the fa
+    scores before it plus the fb scores from it on."""
+    def scores(p):
+        out = []
+        for q in fan:
+            if not cs.ok[q]:
+                out.append(0.0)
+                continue
+            sgn = 1 if np.dot(cs.pos[p] - cs.pos[q], cs.bin[q]) >= 0 else -1
+            log = _vertex_scores_log(
+                cs.pos[q], cs.tan[q], cs.bin[q], cs.w[q], sgn,
+                cs.pos[[p]], cs.tan[[p]], cs.bin[[p]], cs.w[[p]],
+                _pair_sigmas(cs, q, np.array([p]), config))
+            out.append(float(np.exp(log[0])))
+        return np.asarray(out)
+
+    s_a, s_b = scores(fa), scores(fb)
+    return int(np.argmax(np.cumsum(s_a) + np.cumsum(s_b[::-1])[::-1]))
 
 
 # ---------------------------------------------------------------------------

@@ -267,14 +267,27 @@ def test_consolidate_mesh_resolves_conflict(config):
     cs, mesh, em = strip_fixture(config, [[0.5, 0.45, 0], [0.55, 1.4, 0]])
     t1 = em.tri_on_edge(0, 1, 2, 3, 1)
     t2 = em.tri_on_edge(0, 1, 2, 4, 1)
-    m1 = consolidate._emission_score(mesh, cs, config, t1)
-    m2 = consolidate._emission_score(mesh, cs, config, t2)
+    m1, m2 = consolidate._emission_scores(mesh, cs, config, [t1, t2])
     assert m1 > m2
     removed, undecided = consolidate.consolidate_mesh(mesh, cs, config)
     assert (removed, undecided) == (1, 2)
     assert mesh.is_active(t1) and not mesh.is_active(t2)
     bad_e, bad_v = mesh_ops.audit_manifold(mesh)
     assert not bad_e and not bad_v
+
+
+@pytest.mark.parametrize("spec", FLIP_SPECS.values(), ids=FLIP_SPECS.keys())
+def test_emission_scores_equal_the_per_triangle_reference(config, spec):
+    cs = matcher.stroke_chains(generate(spec)[0])
+    table = matcher.match_all(matcher.baseline_candidates(cs, config),
+                              config)
+    mesh = mesher.mesh_from_matches(table, config)
+    # degenerate frames drop their rows from M(t)
+    cs.ok &= np.random.default_rng(3).random(len(cs)) > 0.15
+    tids = mesh.active_ids()
+    got = consolidate._emission_scores(mesh, cs, config, tids)
+    want = [oracles.emission_score(mesh, cs, config, t) for t in tids]
+    assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 def test_consolidate_mesh_leaves_clean_strips_alone(config, flat_pair):

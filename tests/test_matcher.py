@@ -92,16 +92,104 @@ def test_degenerate_vertices_get_no_candidates(config):
             assert 3 not in l
 
 
-def test_grid_gathers_everything_within_cell_radius():
-    rng = np.random.default_rng(7)
-    pts = rng.uniform(-1, 1, size=(200, 3))
-    cell = 0.3
-    grid = matcher._UniformGrid(pts, cell)
-    for q in pts[:20]:
-        got = set(grid.nearby(q).tolist())
-        dist = np.linalg.norm(pts - q, axis=1)
-        need = set(np.nonzero(dist <= cell)[0].tolist())
-        assert need <= got
+def random_chainset(rng, with_dmax):
+    """1-7 chains of 1-12 vertices, some cyclic, clustered so that many
+    pairs fall inside the acceptance radius; random frames, some
+    degenerate, two colors, three mesh components."""
+    chains = []
+    for _ in range(int(rng.integers(1, 8))):
+        n = int(rng.integers(1, 13))
+        steps = rng.normal(size=(n, 3)) * rng.uniform(0.02, 0.08)
+        pos = rng.uniform(-0.2, 0.2, size=3) + np.cumsum(steps, axis=0)
+        tans, nrms, bins = random_frame_rows(rng, n)
+        chains.append(matcher.Chain(
+            gids=np.arange(n), positions=pos, tangents=tans, normals=nrms,
+            binormals=bins, widths=rng.uniform(0.03, 0.15, size=n),
+            colors=np.tile(rng.integers(0, 2, size=(1, 3)), (n, 1)),
+            ok=rng.random(n) > 0.1, cyclic=bool(rng.random() < 0.3),
+            component=int(rng.integers(0, 3)),
+            dmax=rng.uniform(0.05, 0.3, size=n) if with_dmax else None))
+    return matcher.ChainSet(chains)
+
+
+def assert_same_lists(cands, ref):
+    assert set(cands.lists) == set(ref)
+    for key, lists in ref.items():
+        got = cands.lists[key]
+        assert len(got) == len(lists)
+        for g, r in zip(got, lists):
+            assert g.dtype == np.int64 and np.array_equal(g, r), key
+
+
+def test_candidates_equal_the_per_vertex_builder(config):
+    rng = np.random.default_rng(2707)
+    for _ in range(80):
+        cs = random_chainset(rng, with_dmax=bool(rng.random() < 0.5))
+        color_cue = bool(rng.random() < 0.5)
+        nm = matcher.NeighborMap()
+        for ci in range(len(cs.chains)):
+            for side in (1, -1):
+                if rng.random() < 0.6:
+                    nm.dominant[(ci, side)] = (
+                        int(rng.integers(0, len(cs.chains))), 0.5)
+        phases = [("baseline", matcher.baseline_candidates(
+                      cs, config, color_cue=color_cue)),
+                  ("restricted", matcher.restricted_candidates(
+                      cs, config, nm, color_cue=color_cue)),
+                  ("extension", matcher.boundary_candidates(
+                      cs, config, "extension", color_cue=color_cue))]
+        if cs.dmax is not None:
+            phases.append(("gap", matcher.boundary_candidates(
+                cs, config, "gap", color_cue=color_cue)))
+        for phase, cands in phases:
+            ref = oracles.phase_candidates(cs, config, phase, nm, color_cue)
+            assert_same_lists(cands, ref)
+            listed = sum(len(l) for lists in ref.values() for l in lists)
+            assert listed <= cands.pairs_tested
+
+
+def single_vertex_chain(pos, width=0.1, dmax=None):
+    return matcher.Chain(
+        gids=np.arange(1), positions=np.array([pos], dtype=float),
+        tangents=np.array([[1.0, 0, 0]]), normals=np.array([[0, 0, 1.0]]),
+        binormals=np.array([[0, 1.0, 0]]), widths=np.array([width]),
+        colors=np.ones((1, 3)), ok=np.ones(1, dtype=bool),
+        dmax=None if dmax is None else np.array([dmax]))
+
+
+def test_candidates_at_the_radius_and_cone_boundaries(config):
+    # one-vertex chains, so the end cone applies at both ends; frames
+    # are axis-aligned, so every dot product is exact
+    r = config.width_factor * 0.5 * (0.1 + 0.1)
+    c = float(np.cos(np.radians(config.cone_angle_deg)))
+    x = 0.5 * r * np.sin(np.radians(config.cone_angle_deg))
+
+    def off_cone(y):
+        return y < c * np.linalg.norm([[x, y, 0.0]], axis=1)[0]
+
+    # the largest y with (x, y) still off the cone, and the next float
+    y = 0.5 * r * c
+    while not off_cone(y):
+        y = np.nextafter(y, 0.0)
+    while off_cone(np.nextafter(y, 1.0)):
+        y = np.nextafter(y, 1.0)
+    on_cone = np.nextafter(y, 1.0)
+    points = [(0, 0, 0), (0, r, 0), (0, np.nextafter(r, 1.0), 0),
+              (x, on_cone, 0), (x, y, 0)]
+    for dmax in (None, r):
+        cs = matcher.ChainSet([single_vertex_chain(p, dmax=dmax)
+                               for p in points])
+        if dmax is None:
+            phase = "baseline"
+            cands = matcher.baseline_candidates(cs, config)
+            assert list(cands.get(0, Side.LEFT)[0]) == [1, 3]
+        else:
+            phase = "gap"
+            cands = matcher.boundary_candidates(cs, config, "gap")
+            assert 1 in cands.get(0, Side.LEFT)[0]
+            assert 2 not in cands.get(0, Side.LEFT)[0]
+        assert_same_lists(cands, oracles.phase_candidates(cs, config,
+                                                          phase))
 
 
 def test_restricted_candidates_limit_targets(config):
@@ -225,6 +313,30 @@ def test_viterbi_chain_matches_enumeration(config):
             if match[i] >= 0:
                 assert match[i] in cl
                 assert np.isfinite(mlog[i])
+
+
+def test_viterbi_chain_scores_transitions_in_bounded_chunks(config,
+                                                            monkeypatch):
+    rng = np.random.default_rng(505)
+    instances = [random_viterbi_instance(rng, config) for _ in range(60)]
+    whole = [matcher.viterbi_chain(cs, 0, 1, cl, config)
+             for cs, cl in instances]
+    kernel = matcher.scoring.persistence_log_rows
+    rows = []
+
+    def counted(p_i, *args):
+        rows.append(len(p_i))
+        return kernel(p_i, *args)
+
+    monkeypatch.setattr(matcher.scoring, "persistence_log_rows", counted)
+    monkeypatch.setattr(matcher, "TRANSITION_CHUNK", 5)
+    for (cs, cl), (match, mlog, total) in zip(instances, whole):
+        m, lg, t = matcher.viterbi_chain(cs, 0, 1, cl, config)
+        assert np.array_equal(m, match)
+        assert np.array_equal(lg, mlog, equal_nan=True) and t == total
+    # a call takes whole steps, starting below the limit; steps here
+    # have at most 4 x 4 rows
+    assert len(rows) > len(instances) and max(rows) < 5 + 16
 
 
 def test_match_all_solves_every_side(config):

@@ -6,6 +6,7 @@ import pytest
 from strokesurf import matcher, mesher, mesh_ops, stroke_model as sm
 from strokesurf.scoring import Side
 
+import oracles
 from conftest import line_stroke
 
 
@@ -190,6 +191,25 @@ def test_polygon_fans_skipped_section(config):
     # target edges (1,2) and (2,3) both appear
     assert any({3, 4} <= s for s in sets)
     assert any({4, 5} <= s for s in sets)
+
+
+def test_polygon_fan_split_matches_reference(config):
+    # the fan probes of each target vertex must face the source edge,
+    # whichever way the target's binormals point
+    rng = np.random.default_rng(88)
+    for _ in range(300):
+        k = int(rng.integers(3, 6))
+        pts = np.stack([np.sort(rng.uniform(-0.2, 1.2, size=k)),
+                        0.4 + 0.15 * rng.normal(size=k), np.zeros(k)], 1)
+        src = chain_from([[0, 0, 0], [1, 0, 0]], 0, (0, 1, 0))
+        tgt = chain_from(pts, 2, (0, int(rng.choice([-1, 1])), 0),
+                         width=float(rng.uniform(0.1, 0.4)))
+        tgt.ok[1:-1] = rng.random(k - 2) > 0.2
+        cs = matcher.ChainSet([src, tgt])
+        table = table_for(cs, Side.LEFT, [(0, 2), (1, 1 + k)])
+        mesh = mesher.mesh_from_matches(table, config)
+        apex = 2 + oracles.fan_split(cs, config, 0, 1, np.arange(2, 2 + k))
+        assert frozenset({0, 1, apex}) in active_gid_sets(mesh)
 
 
 def test_polygon_vetoed_by_internal_match(config):

@@ -5,13 +5,15 @@ import os
 import numpy as np
 import pytest
 
-from strokesurf import consolidate
+from strokesurf import consolidate, matcher
 from strokesurf.mesher import KIND_RIBBON
 from strokesurf.pipeline import PipelineOptions, run_pipeline
 from strokesurf.stroke_model import Drawing, Stroke, ValidationError
 from strokesurf.synth_eval import SyntheticSpec, generate
 
+import oracles
 from conftest import line_stroke, make_stroke
+from test_matcher import assert_same_lists
 
 REPORT_KEYS = {
     "stage_stats", "interpolated_edge_fraction", "nonmanifold_edges",
@@ -93,10 +95,10 @@ def test_noisy_spiral_reports_a_greedy_sized_component():
 
 # what each matching or repairing stage reports beside its deltas
 REPAIR_COUNTS = {
-    "baseline_match": {"candidates", "matched"},
-    "restricted_match": {"candidates", "matched"},
-    "boundary_extension": {"candidates", "matched"},
-    "gap_spanning": {"candidates", "matched"},
+    "baseline_match": {"candidates", "candidate_pairs", "matched"},
+    "restricted_match": {"candidates", "candidate_pairs", "matched"},
+    "boundary_extension": {"candidates", "candidate_pairs", "matched"},
+    "gap_spanning": {"candidates", "candidate_pairs", "matched"},
     "strip_consolidation": {"nonorientable_removed"},
     "extension_consolidation": {"nonorientable_removed"},
     "small_holes": {"holes_closed_added"},
@@ -160,11 +162,19 @@ def test_stage_counts_add_up_to_report_totals(name, options):
             assert s["duplicates_skipped"] == s["quads_rejected"] == 0
     for stage in ("baseline_match", "restricted_match"):
         assert by_name[stage]["candidates"] >= by_name[stage]["matched"] > 0
+    for stage in ("baseline_match", "restricted_match",
+                  "boundary_extension", "gap_spanning"):
+        assert by_name[stage]["candidates"] <= \
+            by_name[stage]["candidate_pairs"]
     if name == "flat_pair":
         # every vertex lists the partner vertex across and its diagonal
         # neighbours (two at a stroke end): 2 * (8 * 3 + 2 * 2); every
         # vertex is matched, and each strip triangle comes from both sides
         assert by_name["baseline_match"]["candidates"] == 56
+        # 46 vertex pairs lie within the 0.18 search radius (18 along
+        # the strokes, 10 straight across, 18 diagonal), each tested in
+        # both directions on both sides
+        assert by_name["baseline_match"]["candidate_pairs"] == 184
         assert by_name["baseline_match"]["matched"] == 20
         assert by_name["strip_meshing"]["duplicates_skipped"] == 18
     else:
@@ -266,6 +276,48 @@ def test_normal_flip_invariance(spec, options):
     for pick in (lambda i: i % 3 == 0, lambda i: True):
         mesh, _ = run_pipeline(_flip_normals(drawing, pick), options)
         assert _triangle_signature(mesh) == base
+
+
+@pytest.mark.parametrize("spec", FLIP_SPECS.values(), ids=FLIP_SPECS.keys())
+def test_matching_equals_the_per_vertex_reference(spec, monkeypatch):
+    """Every matching phase of a run lists the candidates, and chooses
+    the matches, of the per-vertex references in oracles.py."""
+    phases = []
+
+    def checked(build, phase=None):
+        # the argument after config is the neighbor map or the phase
+        def wrapper(cs, config, *args, color_cue=False):
+            cands = build(cs, config, *args, color_cue=color_cue)
+            name = phase or args[0]
+            neighbors = args[0] if name == "restricted" else None
+            assert_same_lists(cands, oracles.phase_candidates(
+                cs, config, name, neighbors, color_cue))
+            phases.append(name)
+            return cands
+        return wrapper
+
+    def checked_match_all(cands, config):
+        table = match_all(cands, config)
+        for (ci, side), lists in cands.lists.items():
+            match, mlog, total = oracles.viterbi_chain(
+                cands.chainset, ci, side, lists, config)
+            assert np.array_equal(table.matches[(ci, side)], match)
+            np.testing.assert_allclose(table.match_logs[(ci, side)], mlog,
+                                       rtol=1e-12)
+            assert table.totals[(ci, side)] == pytest.approx(total,
+                                                             rel=1e-12)
+        return table
+
+    match_all = matcher.match_all
+    monkeypatch.setattr(matcher, "baseline_candidates", checked(
+        matcher.baseline_candidates, "baseline"))
+    monkeypatch.setattr(matcher, "restricted_candidates", checked(
+        matcher.restricted_candidates, "restricted"))
+    monkeypatch.setattr(matcher, "boundary_candidates", checked(
+        matcher.boundary_candidates))
+    monkeypatch.setattr(matcher, "match_all", checked_match_all)
+    run_pipeline(generate(spec)[0])
+    assert phases == ["baseline", "restricted", "extension", "gap"]
 
 
 def test_flipped_flat_pair_faces_its_normals():

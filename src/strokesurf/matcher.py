@@ -271,14 +271,17 @@ def baseline_candidates(cs, config, color_cue=False):
 def restricted_candidates(cs, config, neighbors, color_cue=False):
     """Second-pass candidates, limited per side to the stroke itself and
     its dominant neighbor on that side."""
-    # dominant neighbor per chain: column 1 on the LEFT, 0 on the RIGHT
-    dominant = np.full((len(cs.chains), 2), -1, dtype=np.int64)
-    for (ci, side), (t, _) in neighbors.dominant.items():
-        dominant[ci, int(side > 0)] = t
+    # dominant neighbor per chain and side, -1 where there is none
+    dominant = {}
+    for side in (Side.LEFT, Side.RIGHT):
+        dominant[int(side)] = np.array(
+            [-1 if t is None else t for t in
+             (neighbors.neighbor_of(ci, side)
+              for ci in range(len(cs.chains)))], dtype=np.int64)
 
     def allowed(src_chain, tgt_chain, side):
         return ((tgt_chain == src_chain)
-                | (tgt_chain == dominant[src_chain, int(side > 0)]))
+                | (tgt_chain == dominant[side][src_chain]))
 
     return _build_candidates(cs, config, config.cone_angle_deg,
                              (Side.LEFT, Side.RIGHT), "width",
@@ -334,38 +337,26 @@ def viterbi_path(emissions, transitions):
     return choices, float(dp[end])
 
 
-# persistence rows scored per kernel call, which bounds the temporaries
-TRANSITION_CHUNK = 1 << 16
-
-
 def _transition_blocks(cs, src, tgt, sig, starts, counts):
     """Log persistence matrices, keyed by k, of every step k -> k + 1
-    whose two vertices both have candidates. (src, tgt, sig) are the
-    chain's emission rows, vertex k's rows starting at starts[k]. The
-    matrices' rows are scored in kernel calls of about TRANSITION_CHUNK
-    rows, whole steps at a time."""
+    whose two vertices both have candidates, all scored in one kernel
+    call. (src, tgt, sig) are the chain's emission rows, vertex k's rows
+    starting at starts[k]."""
     steps = np.nonzero((counts[:-1] > 0) & (counts[1:] > 0))[0]
-    sizes = counts[steps] * counts[steps + 1]
-    chunk = (np.cumsum(sizes) - sizes) // TRANSITION_CHUNK
-    cuts = np.nonzero(np.diff(chunk, prepend=-1))[0].tolist()
-    blocks = {}
-    for lo, hi in zip(cuts, cuts[1:] + [len(steps)]):
-        st = steps[lo:hi]
-        k_i, k_j = counts[st], counts[st + 1]
-        # candidate a of vertex k against candidate b of vertex k + 1,
-        # row-major per step
-        block = np.repeat(np.arange(len(st)), k_i * k_j)
-        block_start = np.concatenate([[0], np.cumsum(k_i * k_j)])
-        r = np.arange(block_start[-1]) - block_start[block]
-        ri = starts[st][block] + r // k_j[block]
-        rj = starts[st + 1][block] + r % k_j[block]
-        trans = scoring.persistence_log_rows(
-            cs.pos[src[ri]], cs.pos[src[rj]], cs.pos[tgt[ri]],
-            cs.pos[tgt[rj]], sig[ri])
-        for o, k in enumerate(st.tolist()):
-            blocks[k] = trans[block_start[o]:block_start[o + 1]].reshape(
+    k_i, k_j = counts[steps], counts[steps + 1]
+    # candidate a of vertex k against candidate b of vertex k + 1,
+    # row-major per step
+    block = np.repeat(np.arange(len(steps)), k_i * k_j)
+    block_start = np.concatenate([[0], np.cumsum(k_i * k_j)])
+    r = np.arange(block_start[-1]) - block_start[block]
+    ri = starts[steps][block] + r // k_j[block]
+    rj = starts[steps + 1][block] + r % k_j[block]
+    trans = scoring.persistence_log_rows(
+        cs.pos[src[ri]], cs.pos[src[rj]], cs.pos[tgt[ri]],
+        cs.pos[tgt[rj]], sig[ri])
+    return {k: trans[block_start[o]:block_start[o + 1]].reshape(
                 int(k_i[o]), int(k_j[o]))
-    return blocks
+            for o, k in enumerate(steps.tolist())}
 
 
 def viterbi_chain(cs, chain_id, side, cand_lists, config):
@@ -375,7 +366,7 @@ def viterbi_chain(cs, chain_id, side, cand_lists, config):
     Every (vertex, candidate) row of the chain is scored in one call of
     the vertex-score kernel, and every transition block (the candidates
     of vertex k against those of vertex k + 1, for consecutive vertices
-    that both have some) in calls of the row-wise persistence kernel;
+    that both have some) in one call of the row-wise persistence kernel;
     the segments' Viterbi sweeps then read slices of the two.
     """
     n = len(cs.chains[chain_id])

@@ -11,10 +11,11 @@ retained set manifold-safe. A final deterministic sweep clears any
 residual non-manifold configuration the pairwise criteria cannot
 express (three wide-angle sheets on one edge, pinched vertex fans).
 
-Pairs sharing an edge are few and are tested one at a time (criteria 1
-and 3). Pairs sharing only a vertex are many on noisy input, so
-criterion 2 enumerates every pair of each vertex fan with numpy and
-tests them in batches of about PAIR_CHUNK pairs, which bounds memory.
+Pairs sharing an edge are gathered in one list and tested with numpy,
+criterion 1 then criterion 3 (one dihedral row-kernel call). Pairs
+sharing only a vertex are many on noisy input, so criterion 2
+enumerates every pair of each vertex fan with numpy and tests them in
+batches of about PAIR_CHUNK pairs, which bounds memory.
 A ConsolidationStats passed to consolidate_mesh collects what a pass
 found and did, for the run report.
 """
@@ -28,8 +29,8 @@ import numpy as np
 
 from . import geometry, mesh_ops, scoring
 from .matcher import pair_sigmas
-from .mesher import (OUTPUT, REMOVED, UNDECIDED, join_equal_keys,
-                     split_by_label)
+from .mesher import (OUTPUT, REMOVED, UNDECIDED, apex_sides,
+                     join_equal_keys, split_by_label)
 
 OUT_NODE = -1
 
@@ -69,61 +70,39 @@ def _gid_flat_index(cs, n_vertices):
     return index
 
 
-def _apex_side_current(cs, gid2flat, edge, apex_pos, width_hint):
-    """Side of an apex against the edge chain's binormals, evaluated in
-    the current phase's frames. 0 when the offset is too small to call."""
-    fa = gid2flat[edge[0]]
-    fb = gid2flat[edge[1]]
-    if fa < 0 or fb < 0:
-        return 0
-    off = 0.5 * (np.dot(apex_pos - cs.pos[fa], cs.bin[fa])
-                 + np.dot(apex_pos - cs.pos[fb], cs.bin[fb]))
-    if abs(off) < 1e-9 * max(1.0, width_hint):
-        return 0
-    return 1 if off > 0 else -1
+def _edge_criteria(mesh, cs, config, gid2flat, table, t1, t2, edges):
+    """Per pair of triangles (t1[i], t2[i]) sharing edges[i] = (a, b):
+    the criterion that makes them incompatible, 1 or 3, else 0.
+    Criterion 1: both hang on one stroke edge of the current chains,
+    with their apexes on one side of it. Criterion 3: they fold sharper
+    than the dihedral threshold. Each criterion scores all its pairs at
+    once; `table` is _triangle_table(mesh)."""
+    verts, prov_edges = table
+    t1 = np.asarray(t1, dtype=np.int64)
+    t2 = np.asarray(t2, dtype=np.int64)
+    crit = np.zeros(len(t1), dtype=np.int64)
+    pos = mesh.positions
 
+    e = prov_edges[t1]
+    f = gid2flat[e]
+    rows = np.flatnonzero((e[:, 0] >= 0) & (e == prov_edges[t2]).all(axis=1)
+                          & (f >= 0).all(axis=1))
+    e, f = e[rows], f[rows]
+    apexes = np.stack([mesh_ops.third_vertices(verts[t1[rows]], e),
+                       mesh_ops.third_vertices(verts[t2[rows]], e)], axis=1)
+    sides = apex_sides(cs, np.repeat(f[:, 0], 2), np.repeat(f[:, 1], 2),
+                       pos[apexes.ravel()],
+                       np.repeat(mesh.widths[e[:, 0]], 2)).reshape(-1, 2)
+    crit[rows[(sides[:, 0] != 0) & (sides[:, 0] == sides[:, 1])]] = 1
 
-def _crit1_same_edge_same_side(mesh, cs, gid2flat, t1, t2):
-    """Both triangles hang on one stroke edge with apexes on one side."""
-    p1 = mesh.tri_prov[t1]
-    p2 = mesh.tri_prov[t2]
-    if p1 is None or p2 is None:
-        return False
-    e1 = tuple(sorted(p1.edge))
-    e2 = tuple(sorted(p2.edge))
-    if e1 != e2:
-        return False
-    a1 = mesh_ops.third_vertex(mesh.tri_verts[t1], e1)
-    a2 = mesh_ops.third_vertex(mesh.tri_verts[t2], e2)
-    if a1 is None or a2 is None:
-        return False
-    w = float(mesh.widths[e1[0]])
-    s1 = _apex_side_current(cs, gid2flat, e1, mesh.positions[a1], w)
-    s2 = _apex_side_current(cs, gid2flat, e1, mesh.positions[a2], w)
-    return s1 != 0 and s1 == s2
-
-
-def _crit3_sharp_shared_edge(mesh, config, t1, t2, edge):
-    """Any two triangles meeting at an edge folded sharper than the
-    dihedral threshold conflict."""
-    a, b = edge
-    c = mesh_ops.third_vertex(mesh.tri_verts[t1], edge)
-    d = mesh_ops.third_vertex(mesh.tri_verts[t2], edge)
-    if c is None or d is None:
-        return False
-    di = geometry.dihedral_deg(mesh.positions[a], mesh.positions[b],
-                               mesh.positions[c], mesh.positions[d])
-    return di < config.dihedral_min_deg
-
-
-def _edge_criterion(mesh, cs, config, gid2flat, t1, t2, edge):
-    """The criterion (1 or 3) that makes two triangles sharing `edge`
-    incompatible, else 0."""
-    if _crit1_same_edge_same_side(mesh, cs, gid2flat, t1, t2):
-        return 1
-    if _crit3_sharp_shared_edge(mesh, config, t1, t2, edge):
-        return 3
-    return 0
+    rest = np.flatnonzero(crit == 0)
+    ab = np.asarray(edges, dtype=np.int64).reshape(-1, 2)[rest]
+    c = mesh_ops.third_vertices(verts[t1[rest]], ab)
+    d = mesh_ops.third_vertices(verts[t2[rest]], ab)
+    di = geometry.dihedral_deg_rows(pos[ab[:, 0]], pos[ab[:, 1]], pos[c],
+                                    pos[d])
+    crit[rest[di < config.dihedral_min_deg]] = 3
+    return crit
 
 
 def _triangle_table(mesh):
@@ -226,7 +205,8 @@ def incompatible(mesh, cs, config, t1, t2):
     shared = sorted(set(mesh.tri_verts[t1]) & set(mesh.tri_verts[t2]))
     if len(shared) == 2:
         edge = (shared[0], shared[1])
-        if _edge_criterion(mesh, cs, config, gid2flat, t1, t2, edge):
+        if _edge_criteria(mesh, cs, config, gid2flat, _triangle_table(mesh),
+                          [t1], [t2], [edge])[0]:
             return True, ("edge", edge)
     elif len(shared) == 1:
         verts, edges = _triangle_table(mesh)
@@ -250,19 +230,21 @@ def find_incompatible_pairs(mesh, cs, config, frozen=frozenset(),
     if stats is None:
         stats = ConsolidationStats()
     gid2flat = _gid_flat_index(cs, mesh.vertex_count())
+    verts, edges = table = _triangle_table(mesh)
+    shared = [(edge, t1, t2)
+              for edge, tids in sorted(mesh.edge_map().items())
+              for i, t1 in enumerate(tids) for t2 in tids[i + 1:]
+              if not (t1 in frozen and t2 in frozen)]
     pairs = []
-    for edge, tids in sorted(mesh.edge_map().items()):
-        for i, t1 in enumerate(tids):
-            for t2 in tids[i + 1:]:
-                if t1 in frozen and t2 in frozen:
-                    continue
-                crit = _edge_criterion(mesh, cs, config, gid2flat, t1, t2,
-                                       edge)
-                if crit:
-                    pairs.append((t1, t2, ("edge", edge)))
-                    stats.pairs_by_criterion[crit - 1] += 1
+    if shared:
+        shared_edges, t1, t2 = zip(*shared)
+        crit = _edge_criteria(mesh, cs, config, gid2flat, table, t1, t2,
+                              shared_edges)
+        for (edge, a, b), c in zip(shared, crit.tolist()):
+            if c:
+                pairs.append((a, b, ("edge", edge)))
+                stats.pairs_by_criterion[c - 1] += 1
 
-    verts, edges = _triangle_table(mesh)
     active = np.array(mesh.tri_state, dtype=np.int64) != REMOVED
     frozen_mask = np.zeros(len(verts), dtype=bool)
     frozen_mask[list(frozen)] = True

@@ -35,17 +35,42 @@ def unit_rows(arr, eps=EPS_DEGENERATE):
     return out, ok
 
 
+def _acos_deg(c):
+    """Degrees of math.acos over a 1-D array, value by value. np.arccos
+    rounds differently from libm's acos on a share of inputs, and the
+    angle tie rules of strip meshing must see the scalar bits."""
+    return np.degrees(np.fromiter(map(math.acos, memoryview(c)),
+                                  dtype=np.float64, count=len(c)))
+
+
+def _clamp_unit(c):
+    """min(1.0, max(-1.0, c)) with Python's argument order, NaN included."""
+    c = np.where(c > -1.0, c, -1.0)
+    return np.where(c < 1.0, c, 1.0)
+
+
+def angle_between_deg_rows(u, v):
+    """Row-wise angle between vectors u[i] and v[i], (n, 3) arrays, in
+    degrees in [0, 180]; 0 where either vector is degenerate. Each row
+    runs the same IEEE operations in the same order as a scalar
+    evaluation, so its answer does not depend on the batch."""
+    u = np.asarray(u, dtype=np.float64).reshape(-1, 3)
+    v = np.asarray(v, dtype=np.float64).reshape(-1, 3)
+    ux, uy, uz = u[:, 0], u[:, 1], u[:, 2]
+    vx, vy, vz = v[:, 0], v[:, 1], v[:, 2]
+    nu = np.sqrt(ux * ux + uy * uy + uz * uz)
+    nv = np.sqrt(vx * vx + vy * vy + vz * vz)
+    ok = ~((nu < EPS_DEGENERATE) | (nv < EPS_DEGENERATE))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        c = (ux * vx + uy * vy + uz * vz) / (nu * nv)
+    # acos(1) is 0, the degenerate answer
+    return _acos_deg(np.where(ok, _clamp_unit(c), 1.0))
+
+
 def angle_between_deg(u, v):
-    """Angle between two vectors in degrees, in [0, 180]."""
-    ux, uy, uz = float(u[0]), float(u[1]), float(u[2])
-    vx, vy, vz = float(v[0]), float(v[1]), float(v[2])
-    nu = math.sqrt(ux * ux + uy * uy + uz * uz)
-    nv = math.sqrt(vx * vx + vy * vy + vz * vz)
-    if nu < EPS_DEGENERATE or nv < EPS_DEGENERATE:
-        return 0.0
-    c = (ux * vx + uy * vy + uz * vz) / (nu * nv)
-    c = min(1.0, max(-1.0, c))
-    return math.degrees(math.acos(c))
+    """Angle between two vectors in degrees, in [0, 180]: the one-row
+    form of angle_between_deg_rows."""
+    return float(angle_between_deg_rows(u, v)[0])
 
 
 def triangle_normal(a, b, c):
@@ -57,8 +82,22 @@ def triangle_normal(a, b, c):
 
 
 def triangle_area(a, b, c):
-    n = triangle_normal(a, b, c)
-    return 0.5 * math.sqrt(n[0] * n[0] + n[1] * n[1] + n[2] * n[2])
+    """Area of triangle (a, b, c), with triangle_normal's operations.
+    Corners given as lists of Python floats skip numpy's per-scalar
+    cost."""
+    ux, uy, uz = b[0] - a[0], b[1] - a[1], b[2] - a[2]
+    vx, vy, vz = c[0] - a[0], c[1] - a[1], c[2] - a[2]
+    nx, ny, nz = uy * vz - uz * vy, uz * vx - ux * vz, ux * vy - uy * vx
+    return 0.5 * math.sqrt(nx * nx + ny * ny + nz * nz)
+
+
+def triangle_areas(a, b, c):
+    """Row-wise triangle_area over (n, 3) corner arrays, with the same
+    operations in the same order."""
+    ux, uy, uz = (b[:, k] - a[:, k] for k in range(3))
+    vx, vy, vz = (c[:, k] - a[:, k] for k in range(3))
+    nx, ny, nz = uy * vz - uz * vy, uz * vx - ux * vz, ux * vy - uy * vx
+    return 0.5 * np.sqrt(nx * nx + ny * ny + nz * nz)
 
 
 def triangle_normals(positions, tris):
@@ -67,42 +106,59 @@ def triangle_normals(positions, tris):
     return np.cross(positions[tris[:, 1]] - p, positions[tris[:, 2]] - p)
 
 
+def min_interior_angle_deg_rows(a, b, c):
+    """Row-wise smallest interior angle in degrees of triangles (a[i],
+    b[i], c[i]), (n, 3) arrays."""
+    a, b, c = (np.asarray(x, dtype=np.float64).reshape(-1, 3)
+               for x in (a, b, c))
+    return np.minimum(np.minimum(angle_between_deg_rows(b - a, c - a),
+                                 angle_between_deg_rows(a - b, c - b)),
+                      angle_between_deg_rows(a - c, b - c))
+
+
 def min_interior_angle_deg(a, b, c):
-    """Smallest interior angle of a triangle in degrees."""
-    angles = (
-        angle_between_deg(b - a, c - a),
-        angle_between_deg(a - b, c - b),
-        angle_between_deg(a - c, b - c),
-    )
-    return min(angles)
+    """Smallest interior angle of a triangle in degrees: the one-row form
+    of min_interior_angle_deg_rows."""
+    return float(min_interior_angle_deg_rows(a, b, c)[0])
 
 
-def dihedral_deg(a, b, c, d):
-    """Dihedral between triangles (a, b, c) and (a, b, d) across edge ab.
+def dihedral_deg_rows(a, b, c, d):
+    """Row-wise dihedral between triangles (a, b, c) and (a, b, d) across
+    edge ab, over (n, 3) arrays.
 
     Returns 180 for coplanar triangles on opposite sides of the edge
     (flat surface) and values near 0 for a fold where c and d nearly
     coincide. Degenerate configurations report 180 (no fold evidence).
+    Each row runs the same IEEE operations in the same order as a
+    scalar evaluation, so its answer does not depend on the batch.
     """
-    ax, ay, az = float(a[0]), float(a[1]), float(a[2])
-    ex, ey, ez = float(b[0]) - ax, float(b[1]) - ay, float(b[2]) - az
-    el = math.sqrt(ex * ex + ey * ey + ez * ez)
-    if el < EPS_DEGENERATE:
-        return 180.0
-    ex, ey, ez = ex / el, ey / el, ez / el
-    ux, uy, uz = float(c[0]) - ax, float(c[1]) - ay, float(c[2]) - az
-    vx, vy, vz = float(d[0]) - ax, float(d[1]) - ay, float(d[2]) - az
-    du = ux * ex + uy * ey + uz * ez
-    dv = vx * ex + vy * ey + vz * ez
-    ux, uy, uz = ux - du * ex, uy - du * ey, uz - du * ez
-    vx, vy, vz = vx - dv * ex, vy - dv * ey, vz - dv * ez
-    nu = math.sqrt(ux * ux + uy * uy + uz * uz)
-    nv = math.sqrt(vx * vx + vy * vy + vz * vz)
-    if nu < EPS_DEGENERATE or nv < EPS_DEGENERATE:
-        return 180.0
-    cang = (ux * vx + uy * vy + uz * vz) / (nu * nv)
-    cang = min(1.0, max(-1.0, cang))
-    return math.degrees(math.acos(cang))
+    a, b, c, d = (np.asarray(x, dtype=np.float64).reshape(-1, 3)
+                  for x in (a, b, c, d))
+    ax, ay, az = a[:, 0], a[:, 1], a[:, 2]
+    ex, ey, ez = b[:, 0] - ax, b[:, 1] - ay, b[:, 2] - az
+    el = np.sqrt(ex * ex + ey * ey + ez * ez)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ex, ey, ez = ex / el, ey / el, ez / el
+        ux, uy, uz = c[:, 0] - ax, c[:, 1] - ay, c[:, 2] - az
+        vx, vy, vz = d[:, 0] - ax, d[:, 1] - ay, d[:, 2] - az
+        du = ux * ex + uy * ey + uz * ez
+        dv = vx * ex + vy * ey + vz * ez
+        ux, uy, uz = ux - du * ex, uy - du * ey, uz - du * ez
+        vx, vy, vz = vx - dv * ex, vy - dv * ey, vz - dv * ez
+        nu = np.sqrt(ux * ux + uy * uy + uz * uz)
+        nv = np.sqrt(vx * vx + vy * vy + vz * vz)
+        ok = ~((el < EPS_DEGENERATE) | (nu < EPS_DEGENERATE)
+               | (nv < EPS_DEGENERATE))
+        cang = (ux * vx + uy * vy + uz * vz) / (nu * nv)
+    # acos(-1) is pi, and pi in degrees is exactly 180, the degenerate
+    # answer
+    return _acos_deg(np.where(ok, _clamp_unit(cang), -1.0))
+
+
+def dihedral_deg(a, b, c, d):
+    """Dihedral between triangles (a, b, c) and (a, b, d) across edge ab:
+    the one-row form of dihedral_deg_rows."""
+    return float(dihedral_deg_rows(a, b, c, d)[0])
 
 
 def polyline_arclengths(points):

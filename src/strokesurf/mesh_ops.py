@@ -427,21 +427,21 @@ def _quad_fill(mesh, loop):
                        ((c, a), ((c, b, a), (c, a, d)))):
         angles = [geometry.min_interior_angle_deg(p[t[0]], p[t[1]], p[t[2]])
                   for t in tris]
-        dihed = geometry.dihedral_deg(p[diag[0]], p[diag[1]],
-                                      p[third_vertex(tris[0], diag)],
-                                      p[third_vertex(tris[1], diag)])
+        c, d = third_vertices(tris, [diag, diag]).tolist()
+        dihed = geometry.dihedral_deg(p[diag[0]], p[diag[1]], p[c], p[d])
         low_pair = tuple(-x for x in sorted(diag))
         splits.append((min(angles), -abs(180.0 - dihed), low_pair, tris))
     splits.sort(reverse=True)
     return splits[0][3]
 
 
-def third_vertex(tri, edge):
-    """The corner of a triangle that is not on the given edge."""
-    for v in tri:
-        if v not in edge:
-            return v
-    return None
+def third_vertices(verts, edges):
+    """The first corner of each triangle row of verts, (n, 3), that is
+    not on its edge edges[i]; every row holds its edge."""
+    verts = np.asarray(verts, dtype=np.int64).reshape(-1, 3)
+    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    off = (verts != edges[:, :1]) & (verts != edges[:, 1:])
+    return verts[np.arange(len(verts)), np.argmax(off, axis=1)]
 
 
 def close_small_holes(mesh, config, phase="fill"):

@@ -7,11 +7,21 @@ along the better diagonal, and a jump across a short target section with
 no internal matches gives a fan polygon. Quads folding sharper than the
 dihedral threshold are discarded outright; everything else is cleaned up
 later by consolidation.
+
+Emission is queued: the strips of a whole match table become rows in
+emission order, every quad is scored in one pass of the row kernels in
+`geometry`, and the rows go into the mesh through one
+`SurfaceMesh.add_triangles` call, which keeps the first emission of each
+triangle and builds provenance only for the triangles it inserts. The
+crease-preserving variant inserts what is queued before each ribbon it
+adds vertices for, so every row meets the area floor of the vertex
+table it was emitted under.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -116,6 +126,7 @@ class SurfaceMesh:
         self.removed_count = 0
         self.duplicates_skipped = 0
         self.quads_rejected = 0
+        self.emissions = 0
 
     # ---- vertices ----
 
@@ -161,8 +172,9 @@ class SurfaceMesh:
         a, b, c = int(a), int(b), int(c)
         if a == b or b == c or a == c:
             return None
-        area = geometry.triangle_area(self.positions[a], self.positions[b],
-                                      self.positions[c])
+        pos = self.positions
+        area = geometry.triangle_area(pos[a].tolist(), pos[b].tolist(),
+                                      pos[c].tolist())
         if area < (1e-12 * self.scale()) ** 2:
             return None
         key = tuple(sorted((a, b, c)))
@@ -180,6 +192,41 @@ class SurfaceMesh:
             ekey = (u, v) if u < v else (v, u)
             self._em.setdefault(ekey, []).append(tid)
         return tid
+
+    def add_triangles(self, verts, phase, provenance):
+        """Add the rows of an (R, 3) gid array as add_triangle would, one
+        after another: a row naming a vertex twice or under the area
+        floor is dropped, and a row whose vertex set an active triangle
+        or an earlier row holds counts as a duplicate. Every row is
+        decided at once; the winners then go through add_triangle in row
+        order, with the provenance list provenance(rows) builds for
+        those rows only. Returns the tid of each row, -1 where none."""
+        verts = np.asarray(verts, dtype=np.int64).reshape(-1, 3)
+        self.emissions += len(verts)
+        tids = np.full(len(verts), -1, dtype=np.int64)
+        a, b, c = verts.T
+        area = geometry.triangle_areas(self.positions[a], self.positions[b],
+                                       self.positions[c])
+        valid = ((a != b) & (b != c) & (a != c)
+                 & ~(area < (1e-12 * self.scale()) ** 2))
+        rows = np.flatnonzero(valid)
+        # the first valid row of each vertex set, in row order
+        keys = np.sort(verts[rows], axis=1)
+        order = np.lexsort(keys.T[::-1])
+        first = np.ones(len(rows), dtype=bool)
+        first[1:] = (keys[order[1:]] != keys[order[:-1]]).any(axis=1)
+        first = np.sort(order[first])
+        wins = []
+        for row, key in zip(rows[first].tolist(), keys[first].tolist()):
+            old = self._key_to_id.get(tuple(key))
+            if old is None or self.tri_state[old] == REMOVED:
+                wins.append(row)
+        self.duplicates_skipped += len(rows) - len(wins)
+        wins = np.array(wins, dtype=np.int64)
+        tids[wins] = [self.add_triangle(*tri, phase, prov)
+                      for tri, prov in zip(verts[wins].tolist(),
+                                           provenance(wins))]
+        return tids
 
     def remove(self, tid):
         if self.tri_state[tid] == REMOVED:
@@ -259,104 +306,128 @@ class SurfaceMesh:
         return u
 
 
-def _apex_side(cs, edge_ref, apex_pos):
-    """Side of an apex relative to a chain edge, against the chain's
-    binormal averaged over the edge endpoints. Near-zero offsets return
-    0 (no side)."""
-    (ci, ia), (_, ib) = edge_ref
-    base = int(cs.offsets[ci])
-    fa, fb = base + ia, base + ib
-    off = (np.dot(apex_pos - cs.pos[fa], cs.bin[fa])
-           + np.dot(apex_pos - cs.pos[fb], cs.bin[fb])) * 0.5
-    if abs(off) < 1e-9 * max(1.0, float(cs.w[fa])):
-        return 0
-    return 1 if off > 0 else -1
+def apex_sides(cs, fa, fb, apex_pos, width):
+    """Side of each apex apex_pos[i] relative to the chain edge between
+    flat ids fa[i] and fb[i], against the chain's binormal averaged over
+    the edge endpoints, as an int array of +1/-1. Offsets below 1e-9 *
+    max(1, width[i]) give 0 (no side)."""
+    apex_pos = np.asarray(apex_pos, dtype=np.float64).reshape(-1, 3)
+    n = len(apex_pos)
+    # np.dot row by row, not einsum: BLAS ddot rounds as sidedness was
+    # always decided, and einsum differs from it on a share of rows
+    dots = [np.fromiter(map(np.dot, apex_pos - cs.pos[f], cs.bin[f]),
+                        dtype=np.float64, count=n) for f in (fa, fb)]
+    off = (dots[0] + dots[1]) * 0.5
+    return np.where(np.abs(off) < 1e-9 * np.maximum(1.0, width), 0,
+                    np.where(off > 0, 1, -1))
 
 
 class _Emitter:
-    """Shared state for one meshing invocation."""
+    """The emission queue of one meshing invocation.
+
+    tri_on_edge, quad and polygon append triangle rows in emission
+    order: a chain edge as flat ids (fa, fb), the apex under each quad
+    diagonal, the match side and the index of the row's quad, -1 for a
+    plain triangle. A quad queues both of its triangles. flush scores
+    every queued quad at once, keeps each quad's rows with the apexes of
+    its chosen diagonal or drops them with the quad, and inserts the
+    rows with one SurfaceMesh.add_triangles call; the queue is then
+    empty for more rows."""
 
     def __init__(self, mesh, cs, config, phase):
         self.mesh = mesh
         self.cs = cs
         self.config = config
         self.phase = phase
-
-    def _prov(self, ci, ia, ib, apex_flat, match_side):
-        cs = self.cs
-        base = int(cs.offsets[ci])
-        edge_ref = (VertexRef(ci, ia), VertexRef(ci, ib))
-        apex_ref = cs.ref(apex_flat)
-        side = _apex_side(cs, edge_ref, cs.pos[apex_flat])
-        if side == 0:
-            side = int(match_side)
-        return Provenance(
-            phase=self.phase,
-            edge=(int(cs.gid[base + ia]), int(cs.gid[base + ib])),
-            apex=int(cs.gid[apex_flat]),
-            side=side,
-            edge_ref=edge_ref,
-            apex_ref=apex_ref,
-        )
+        # flat int64 rows (fa, fb, apex if diagonal 1, else, side, quad)
+        # and (fa, fb, qa, qb) per quad
+        self.rows = array("q")
+        self.quads = array("q")
 
     def tri_on_edge(self, ci, ia, ib, apex_flat, match_side):
-        cs = self.cs
-        base = int(cs.offsets[ci])
-        prov = self._prov(ci, ia, ib, apex_flat, match_side)
-        return self.mesh.add_triangle(
-            cs.gid[base + ia], cs.gid[base + ib], cs.gid[apex_flat],
-            self.phase, prov)
+        base = int(self.cs.offsets[ci])
+        self.rows.extend((base + ia, base + ib, apex_flat, apex_flat,
+                          int(match_side), -1))
 
     def quad(self, ci, ia, ib, qa_flat, qb_flat, match_side):
-        """Quad cycle (p_ia, p_ib, q_b, q_a); split along the diagonal
-        with the larger minimum interior angle; discard the whole quad
-        when the chosen split folds sharper than the threshold."""
+        """Quad cycle (p_ia, p_ib, q_b, q_a), split in flush: diagonal 1,
+        (p_ia, q_b), gives (p_ia, p_ib, q_b) + (q_a, q_b, p_ia), and
+        diagonal 2, (p_ib, q_a), gives (p_ia, p_ib, q_a) + (q_a, q_b,
+        p_ib)."""
+        base = int(self.cs.offsets[ci])
+        fa, fb = base + ia, base + ib
+        q = len(self.quads) // 4
+        self.quads.extend((fa, fb, qa_flat, qb_flat))
+        side = int(match_side)
+        self.rows.extend((fa, fb, qb_flat, qa_flat, side, q,
+                          qa_flat, qb_flat, fa, fb, side, q))
+
+    def _split_quads(self, quads):
+        """(use1, rejected) per quad row (fa, fb, qa, qb): split along the
+        diagonal with the larger minimum interior angle, ties within
+        1e-12 going to the flatter fold and then to the smaller sorted
+        diagonal; reject the quad when its split folds sharper than the
+        dihedral threshold."""
+        # one kernel call per triangle and per diagonal: stacked, they
+        # make temporaries of 12 rows per quad, and once those are freed
+        # the heap stays several MB larger over repeated runs
+        pa, pb, qa, qb = (self.cs.pos[quads[:, k]] for k in range(4))
+        angle = geometry.min_interior_angle_deg_rows
+        min1 = np.minimum(angle(pa, pb, qb), angle(pa, qb, qa))
+        min2 = np.minimum(angle(pa, pb, qa), angle(pb, qb, qa))
+        di1 = geometry.dihedral_deg_rows(pa, qb, pb, qa)
+        di2 = geometry.dihedral_deg_rows(pb, qa, pa, qb)
+        g = self.cs.gid[quads]
+        key1 = np.sort(g[:, [0, 3]], axis=1)
+        key2 = np.sort(g[:, [1, 2]], axis=1)
+        key1_first = (key1[:, 0] < key2[:, 0]) | (
+            (key1[:, 0] == key2[:, 0]) & (key1[:, 1] <= key2[:, 1]))
+        flat1, flat2 = np.abs(180.0 - di1), np.abs(180.0 - di2)
+        use1 = np.where(np.abs(min1 - min2) > 1e-12, min1 > min2,
+                        np.where(np.abs(flat1 - flat2) > 1e-12,
+                                 flat1 < flat2, key1_first))
+        rejected = np.where(use1, di1, di2) < self.config.dihedral_min_deg
+        return use1, rejected
+
+    def flush(self):
+        """Insert the queued rows, quads split; returns the tid of each
+        row offered to the mesh, -1 where none."""
         cs = self.cs
-        base = int(cs.offsets[ci])
-        pa = cs.pos[base + ia]
-        pb = cs.pos[base + ib]
-        qa = cs.pos[qa_flat]
-        qb = cs.pos[qb_flat]
+        rows = np.array(self.rows, dtype=np.int64).reshape(-1, 6)
+        fa, fb, apex, apex2, side, quad = rows.T
+        if self.quads:
+            use1, rejected = self._split_quads(
+                np.array(self.quads, dtype=np.int64).reshape(-1, 4))
+            self.mesh.quads_rejected += int(rejected.sum())
+            in_quad = quad >= 0
+            apex = np.where(in_quad & ~use1[quad], apex2, apex)
+            keep = ~(in_quad & rejected[quad])
+            fa, fb, apex, side = fa[keep], fb[keep], apex[keep], side[keep]
+        self.rows, self.quads = array("q"), array("q")
+        verts = np.stack([cs.gid[fa], cs.gid[fb], cs.gid[apex]], axis=1)
+        return self.mesh.add_triangles(
+            verts, self.phase,
+            lambda rows: self._provenance(fa[rows], fb[rows], apex[rows],
+                                          side[rows]))
 
-        # diagonal 1: (p_ia, q_b) -> (pa, pb, qb) + (pa, qb, qa)
-        min1 = min(geometry.min_interior_angle_deg(pa, pb, qb),
-                   geometry.min_interior_angle_deg(pa, qb, qa))
-        di1 = geometry.dihedral_deg(pa, qb, pb, qa)
-        # diagonal 2: (p_ib, q_a) -> (pa, pb, qa) + (pb, qb, qa)
-        min2 = min(geometry.min_interior_angle_deg(pa, pb, qa),
-                   geometry.min_interior_angle_deg(pb, qb, qa))
-        di2 = geometry.dihedral_deg(pb, qa, pa, qb)
+    def _provenance(self, fa, fb, apex, match_side):
+        """Provenance of the rows with edges (fa, fb), apexes and match
+        sides given as arrays; an apex too close to its edge's ribbon
+        plane to have a side takes the match side."""
+        cs = self.cs
+        side = apex_sides(cs, fa, fb, cs.pos[apex], cs.w[fa])
+        side = np.where(side != 0, side, match_side)
+        gid = cs.gid
 
-        gid_pa = int(cs.gid[base + ia])
-        gid_pb = int(cs.gid[base + ib])
-        gid_qa = int(cs.gid[qa_flat])
-        gid_qb = int(cs.gid[qb_flat])
-        key1 = tuple(sorted((gid_pa, gid_qb)))
-        key2 = tuple(sorted((gid_pb, gid_qa)))
+        def refs(f):
+            return map(VertexRef, cs.chain_id[f].tolist(),
+                       cs.index[f].tolist())
 
-        if abs(min1 - min2) > 1e-12:
-            use1 = min1 > min2
-        elif abs(abs(180.0 - di1) - abs(180.0 - di2)) > 1e-12:
-            use1 = abs(180.0 - di1) < abs(180.0 - di2)
-        else:
-            use1 = key1 <= key2
-
-        dihedral = di1 if use1 else di2
-        if dihedral < self.config.dihedral_min_deg:
-            self.mesh.quads_rejected += 1
-            return
-
-        qa_ref = cs.ref(qa_flat)
-        qb_ref = cs.ref(qb_flat)
-        tci = qa_ref.chain
-        if use1:
-            self.tri_on_edge(ci, ia, ib, qb_flat, match_side)
-            self.tri_on_edge(tci, qa_ref.index, qb_ref.index,
-                             int(cs.offsets[ci]) + ia, match_side)
-        else:
-            self.tri_on_edge(ci, ia, ib, qa_flat, match_side)
-            self.tri_on_edge(tci, qa_ref.index, qb_ref.index,
-                             int(cs.offsets[ci]) + ib, match_side)
+        return [Provenance(phase=self.phase, edge=(ga, gb), apex=gq,
+                           side=sd, edge_ref=(ra, rb), apex_ref=rq)
+                for ga, gb, gq, sd, ra, rb, rq in zip(
+                    gid[fa].tolist(), gid[fb].tolist(), gid[apex].tolist(),
+                    side.tolist(), refs(fa), refs(fb), refs(apex))]
 
     def polygon(self, ci, ia, ib, qa_flat, qb_flat, table, match_side):
         """Fan a section of the target chain between two non-consecutive
@@ -469,8 +540,9 @@ def _emission_order(table):
 
 def mesh_from_matches(table, config, mesh=None, phase="stroke"):
     """Emit triangle strips for every matched chain pair in the table,
-    in `_emission_order`. Duplicate triangles (same vertex set) are
-    inserted once and keep the provenance of their first emission."""
+    in `_emission_order`, and insert them in one pass. Duplicate
+    triangles (same vertex set) are inserted once and keep the
+    provenance of their first emission."""
     cs = table.chainset
     if mesh is None:
         mesh = SurfaceMesh()
@@ -480,6 +552,7 @@ def mesh_from_matches(table, config, mesh=None, phase="stroke"):
     emitter = _Emitter(mesh, cs, config, phase)
     for (ci, side) in _emission_order(table):
         _emit_pairs(emitter, table, ci, side, table.matches[(ci, side)])
+    emitter.flush()
     return mesh
 
 
@@ -601,6 +674,9 @@ def mesh_with_creases(table, config, mesh=None, phase="stroke"):
                 keeper = min(ci, tci)
 
             run = list(range(i0, i1 + 1))
+            # offset vertices move mesh.scale() and with it the area
+            # floor: insert the rows queued before them under the old one
+            emitter.flush()
             if keeper == ci:
                 # this stroke keeps its half ribbon toward the partner
                 dirs = []
@@ -651,4 +727,5 @@ def mesh_with_creases(table, config, mesh=None, phase="stroke"):
         _emit_pairs(emitter, table, ci, side, match)
     for ci, side, match in extra:
         _emit_pairs(emitter, table, ci, side, match)
+    emitter.flush()
     return mesh

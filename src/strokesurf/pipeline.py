@@ -97,7 +97,15 @@ class _StageScope:
         self.removed_before = mesh.removed_count
         self.duplicates_before = mesh.duplicates_skipped
         self.rejected_before = mesh.quads_rejected
+        self.emissions_before = mesh.emissions
         return self
+
+    def count_emissions(self):
+        """Report the triangle rows strip meshing offered the mesh in
+        this stage: every row of a kept quad, triangle or fan, whether
+        it was added, skipped as a duplicate or too thin."""
+        self.count("emissions",
+                   self.tracker.mesh.emissions - self.emissions_before)
 
     def __exit__(self, exc_type, exc, tb):
         mesh = self.tracker.mesh
@@ -249,11 +257,12 @@ def run_pipeline(drawing, options=None):
         _count_matching(stage, cands, table)
     _match_stage(tracker, "restricted_match", table)
 
-    with tracker.stage("strip_meshing"):
+    with tracker.stage("strip_meshing") as stage:
         if options.preserve_creases:
             mesher.mesh_with_creases(table, config, mesh=mesh)
         else:
             mesher.mesh_from_matches(table, config, mesh=mesh)
+        stage.count_emissions()
 
     stats = consolidate.ConsolidationStats()
     with tracker.stage("strip_consolidation", stats) as stage:
@@ -277,6 +286,7 @@ def run_pipeline(drawing, options=None):
                 mesher.mesh_from_matches(btable, config, mesh=mesh,
                                          phase="extension")
                 _match_stage(tracker, "boundary_extension", btable)
+            stage.count_emissions()
         stats = consolidate.ConsolidationStats()
         with tracker.stage("extension_consolidation", stats) as stage:
             if bcs is not None:
@@ -310,6 +320,7 @@ def run_pipeline(drawing, options=None):
             mesher.mesh_from_matches(gtable, config, mesh=mesh,
                                      phase="gap")
             _match_stage(tracker, "gap_spanning", gtable)
+        stage.count_emissions()
     stats = consolidate.ConsolidationStats()
     with tracker.stage("gap_consolidation", stats):
         if gcs is not None:

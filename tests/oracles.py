@@ -9,10 +9,12 @@ clustering reference solves max-weight set partitioning exactly with a
 bitmask dynamic program, and the incompatible-pair reference tests
 every candidate pair one at a time with scalar float arithmetic, the
 point-to-mesh reference tests one sample point at a time against its
-candidate triangles, and the mesh-topology references (manifold audit,
+candidate triangles, the mesh-topology references (manifold audit,
 components, orientation, the repair net, undecided components, Moebius
 strips) walk vertex fans and components one at a time with hand-written
-union-finds.
+union-finds, the angle references evaluate one triangle at a time in
+Python floats, and the strip-meshing reference inserts every triangle
+the moment it is emitted, scoring each quad on its own.
 """
 
 import itertools
@@ -441,6 +443,159 @@ def partition_optimum(nodes, arcs, hard):
 
 
 # ---------------------------------------------------------------------------
+# angles, one triangle at a time
+
+EPS_DEGENERATE = 1e-9
+
+
+def angle_between_deg(u, v):
+    """Scalar reference for geometry.angle_between_deg_rows."""
+    ux, uy, uz = float(u[0]), float(u[1]), float(u[2])
+    vx, vy, vz = float(v[0]), float(v[1]), float(v[2])
+    nu = math.sqrt(ux * ux + uy * uy + uz * uz)
+    nv = math.sqrt(vx * vx + vy * vy + vz * vz)
+    if nu < EPS_DEGENERATE or nv < EPS_DEGENERATE:
+        return 0.0
+    c = (ux * vx + uy * vy + uz * vz) / (nu * nv)
+    c = min(1.0, max(-1.0, c))
+    return math.degrees(math.acos(c))
+
+
+def min_interior_angle_deg(a, b, c):
+    """Scalar reference for geometry.min_interior_angle_deg_rows."""
+    angles = (
+        angle_between_deg(b - a, c - a),
+        angle_between_deg(a - b, c - b),
+        angle_between_deg(a - c, b - c),
+    )
+    return min(angles)
+
+
+def dihedral_deg(a, b, c, d):
+    """Scalar reference for geometry.dihedral_deg_rows."""
+    ax, ay, az = float(a[0]), float(a[1]), float(a[2])
+    ex, ey, ez = float(b[0]) - ax, float(b[1]) - ay, float(b[2]) - az
+    el = math.sqrt(ex * ex + ey * ey + ez * ez)
+    if el < EPS_DEGENERATE:
+        return 180.0
+    ex, ey, ez = ex / el, ey / el, ez / el
+    ux, uy, uz = float(c[0]) - ax, float(c[1]) - ay, float(c[2]) - az
+    vx, vy, vz = float(d[0]) - ax, float(d[1]) - ay, float(d[2]) - az
+    du = ux * ex + uy * ey + uz * ez
+    dv = vx * ex + vy * ey + vz * ez
+    ux, uy, uz = ux - du * ex, uy - du * ey, uz - du * ez
+    vx, vy, vz = vx - dv * ex, vy - dv * ey, vz - dv * ez
+    nu = math.sqrt(ux * ux + uy * uy + uz * uz)
+    nv = math.sqrt(vx * vx + vy * vy + vz * vz)
+    if nu < EPS_DEGENERATE or nv < EPS_DEGENERATE:
+        return 180.0
+    cang = (ux * vx + uy * vy + uz * vz) / (nu * nv)
+    cang = min(1.0, max(-1.0, cang))
+    return math.degrees(math.acos(cang))
+
+
+# ---------------------------------------------------------------------------
+# strip meshing, one triangle at a time
+
+
+def _strip_apex_side(cs, edge_ref, apex_pos):
+    (ci, ia), (_, ib) = edge_ref
+    base = int(cs.offsets[ci])
+    fa, fb = base + ia, base + ib
+    off = (np.dot(apex_pos - cs.pos[fa], cs.bin[fa])
+           + np.dot(apex_pos - cs.pos[fb], cs.bin[fb])) * 0.5
+    if abs(off) < 1e-9 * max(1.0, float(cs.w[fa])):
+        return 0
+    return 1 if off > 0 else -1
+
+
+def scalar_emitter():
+    """The class of the strip-meshing reference: mesher._Emitter with
+    every triangle inserted through SurfaceMesh.add_triangle as it is
+    emitted, and every quad scored on its own with the scalar angle
+    references. Its polygon fans are mesher._Emitter's, which emit
+    through tri_on_edge. Patch it in for mesher._Emitter to run
+    mesh_from_matches or mesh_with_creases as the reference."""
+    from strokesurf import mesher
+    from strokesurf.matcher import VertexRef
+
+    class ScalarEmitter(mesher._Emitter):
+        def _prov(self, ci, ia, ib, apex_flat, match_side):
+            cs = self.cs
+            base = int(cs.offsets[ci])
+            edge_ref = (VertexRef(ci, ia), VertexRef(ci, ib))
+            side = _strip_apex_side(cs, edge_ref, cs.pos[apex_flat])
+            if side == 0:
+                side = int(match_side)
+            return mesher.Provenance(
+                phase=self.phase,
+                edge=(int(cs.gid[base + ia]), int(cs.gid[base + ib])),
+                apex=int(cs.gid[apex_flat]),
+                side=side,
+                edge_ref=edge_ref,
+                apex_ref=cs.ref(apex_flat),
+            )
+
+        def tri_on_edge(self, ci, ia, ib, apex_flat, match_side):
+            cs = self.cs
+            base = int(cs.offsets[ci])
+            prov = self._prov(ci, ia, ib, apex_flat, match_side)
+            return self.mesh.add_triangle(
+                cs.gid[base + ia], cs.gid[base + ib], cs.gid[apex_flat],
+                self.phase, prov)
+
+        def quad(self, ci, ia, ib, qa_flat, qb_flat, match_side):
+            cs = self.cs
+            base = int(cs.offsets[ci])
+            pa = cs.pos[base + ia]
+            pb = cs.pos[base + ib]
+            qa = cs.pos[qa_flat]
+            qb = cs.pos[qb_flat]
+
+            # diagonal 1: (p_ia, q_b) -> (pa, pb, qb) + (pa, qb, qa)
+            min1 = min(min_interior_angle_deg(pa, pb, qb),
+                       min_interior_angle_deg(pa, qb, qa))
+            di1 = dihedral_deg(pa, qb, pb, qa)
+            # diagonal 2: (p_ib, q_a) -> (pa, pb, qa) + (pb, qb, qa)
+            min2 = min(min_interior_angle_deg(pa, pb, qa),
+                       min_interior_angle_deg(pb, qb, qa))
+            di2 = dihedral_deg(pb, qa, pa, qb)
+
+            key1 = tuple(sorted((int(cs.gid[base + ia]),
+                                 int(cs.gid[qb_flat]))))
+            key2 = tuple(sorted((int(cs.gid[base + ib]),
+                                 int(cs.gid[qa_flat]))))
+            if abs(min1 - min2) > 1e-12:
+                use1 = min1 > min2
+            elif abs(abs(180.0 - di1) - abs(180.0 - di2)) > 1e-12:
+                use1 = abs(180.0 - di1) < abs(180.0 - di2)
+            else:
+                use1 = key1 <= key2
+
+            dihedral = di1 if use1 else di2
+            if dihedral < self.config.dihedral_min_deg:
+                self.mesh.quads_rejected += 1
+                return
+
+            qa_ref = cs.ref(qa_flat)
+            qb_ref = cs.ref(qb_flat)
+            tci = qa_ref.chain
+            if use1:
+                self.tri_on_edge(ci, ia, ib, qb_flat, match_side)
+                self.tri_on_edge(tci, qa_ref.index, qb_ref.index,
+                                 base + ia, match_side)
+            else:
+                self.tri_on_edge(ci, ia, ib, qa_flat, match_side)
+                self.tri_on_edge(tci, qa_ref.index, qb_ref.index,
+                                 base + ib, match_side)
+
+        def flush(self):
+            """Nothing is queued."""
+
+    return ScalarEmitter
+
+
+# ---------------------------------------------------------------------------
 # incompatible triangle pairs
 
 
@@ -601,15 +756,13 @@ def _crit2(mesh, cs, gid2flat, t1, t2, shared_gid):
 
 
 def _crit3(mesh, config, t1, t2, edge):
-    from strokesurf import geometry
-
     a, b = edge
     c = _third_vertex(mesh.tri_verts[t1], edge)
     d = _third_vertex(mesh.tri_verts[t2], edge)
     if c is None or d is None:
         return False
-    di = geometry.dihedral_deg(mesh.positions[a], mesh.positions[b],
-                               mesh.positions[c], mesh.positions[d])
+    di = dihedral_deg(mesh.positions[a], mesh.positions[b],
+                      mesh.positions[c], mesh.positions[d])
     return di < config.dihedral_min_deg
 
 

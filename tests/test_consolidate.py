@@ -1,5 +1,8 @@
 """Conflict detection, correlation clustering, and the repair net."""
 
+import dataclasses
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -14,7 +17,9 @@ from test_pipeline import FLIP_SPECS
 
 
 def strip_fixture(config, apexes, bn=(0, -1, 0)):
-    """One 3-vertex stroke chain plus an apex chain, with an emitter."""
+    """One 3-vertex stroke chain plus an apex chain, with an emitter
+    whose tri_on_edge inserts its triangle at once and returns the
+    tid."""
     chain0 = chain_from([[-1, 0, 0], [0, 0, 0], [1, 0, 0]], 0, (0, 1, 0))
     chain1 = chain_from(apexes, 3, bn)
     cs = matcher.ChainSet([chain0, chain1])
@@ -23,7 +28,11 @@ def strip_fixture(config, apexes, bn=(0, -1, 0)):
                       np.stack([cs.chain_id, cs.index], axis=1),
                       mesher.KIND_STROKE)
     emitter = mesher._Emitter(mesh, cs, config, "stroke")
-    return cs, mesh, emitter
+
+    def tri_on_edge(*args):
+        emitter.tri_on_edge(*args)
+        return int(emitter.flush()[0])
+    return cs, mesh, SimpleNamespace(tri_on_edge=tri_on_edge)
 
 
 # ---------------------------------------------------------------------------
@@ -46,6 +55,18 @@ def test_same_edge_opposite_sides_coexist(config):
     assert not flag and entity is None
 
 
+def test_same_edge_apexes_without_a_side_coexist(config):
+    # both apexes lie in the ribbon plane (zero offset along the
+    # binormal), so criterion 1 cannot put them on one side, and the
+    # flat fold keeps criterion 3 quiet
+    cs, mesh, em = strip_fixture(config, [[0.5, 0, 0.5], [0.4, 0, -0.5]])
+    t1 = em.tri_on_edge(0, 1, 2, 3, 1)
+    t2 = em.tri_on_edge(0, 1, 2, 4, 1)
+    assert consolidate.incompatible(mesh, cs, config, t1, t2) == (False,
+                                                                  None)
+    assert consolidate.find_incompatible_pairs(mesh, cs, config) == []
+
+
 def test_sharp_fold_conflicts_even_across_sides(config):
     # apexes nearly straight up with tiny opposite leans: the side test
     # splits them but the fold is far sharper than dihedral_min_deg
@@ -54,6 +75,23 @@ def test_sharp_fold_conflicts_even_across_sides(config):
     t2 = em.tri_on_edge(0, 1, 2, 4, -1)
     flag, entity = consolidate.incompatible(mesh, cs, config, t1, t2)
     assert flag and entity == ("edge", (1, 2))
+
+
+def test_fold_at_the_dihedral_threshold_is_compatible(config):
+    # no provenance, so criterion 3 alone can flag the pair
+    cs, mesh, _ = strip_fixture(config, [[0.4, 0.3, 0.5], [0.6, -0.2, 0.6]])
+    t1 = mesh.add_triangle(1, 2, 3, "stroke")
+    t2 = mesh.add_triangle(1, 2, 4, "stroke")
+    fold = oracles.dihedral_deg(*mesh.positions[[1, 2, 3, 4]])
+    for limit, want in ((fold, []),
+                        (np.nextafter(fold, 180.0),
+                         [(t1, t2, ("edge", (1, 2)))])):
+        at = dataclasses.replace(config, dihedral_min_deg=float(limit))
+        stats = consolidate.ConsolidationStats()
+        pairs = consolidate.find_incompatible_pairs(mesh, cs, at, stats=stats)
+        assert pairs == want == oracles.find_incompatible_pairs(mesh, cs, at)
+        assert stats.pairs_by_criterion == [0, 0, len(want)]
+        assert consolidate.incompatible(mesh, cs, at, t1, t2)[0] == bool(want)
 
 
 def test_overlapping_fans_conflict(config):

@@ -1,5 +1,8 @@
-"""The batched segment-versus-triangle crossing test and the row-wise
-point-triangle distance against their references."""
+"""The batched segment-versus-triangle crossing test, the row-wise
+point-triangle distance and the row-wise angle kernels against their
+references."""
+
+import math
 
 import numpy as np
 from hypothesis import given, settings
@@ -131,3 +134,125 @@ def test_one_point_form_matches_reference_and_rows():
     empty = np.zeros((0, 3))
     assert geometry.point_triangle_pair_distances(*(empty,) * 4).shape \
         == (0,)
+
+
+# ---------------------------------------------------------------------------
+# angles
+
+
+def angle_rows(rng, n):
+    """Vector pairs (u, v): random, degenerate (zero or below
+    EPS_DEGENERATE), parallel and antiparallel (cosines at the clamp),
+    and orthogonal."""
+    u, v = rng.normal(size=(n, 3)), rng.normal(size=(n, 3))
+    k = rng.uniform(0.1, 3.0, size=(n, 1))
+    kind = (np.arange(n) % 8)[:, None]
+    u = np.where(kind == 0, 0.0, u)
+    v = np.where(kind == 1, 1e-10 * v, v)
+    v = np.where(kind == 2, k * u, v)
+    v = np.where(kind == 3, -k * u, v)
+    v = np.where(kind == 4, np.cross(u, v), v)
+    return u, v
+
+
+def triangle_rows(rng, n):
+    """Triangles (a, b, c): random, collinear, with coincident corners,
+    and slivers."""
+    a, b, c = (rng.normal(size=(n, 3)) for _ in range(3))
+    t = rng.uniform(-0.5, 1.5, size=(n, 1))
+    kind = (np.arange(n) % 5)[:, None]
+    c = np.where(kind == 0, a + t * (b - a), c)
+    b = np.where(kind == 1, a, b)
+    c = np.where(kind == 2, b, c)
+    c = np.where(kind == 3, a + t * (b - a) + 1e-7 * c, c)
+    return a, b, c
+
+
+def scalar_rows(fn, *rows):
+    return np.array([fn(*row) for row in zip(*rows)])
+
+
+def kernel_cosines(u, v):
+    """The clamped cosines angle_between_deg_rows takes the acos of."""
+    nu, nv = np.linalg.norm(u, axis=1), np.linalg.norm(v, axis=1)
+    c = np.einsum("ij,ij->i", u, v) / (nu * nv)
+    return np.clip(c, -1.0, 1.0)
+
+
+def test_angle_rows_equal_scalar_reference():
+    rng = np.random.default_rng(31)
+    u, v = angle_rows(rng, 4000)
+    got = geometry.angle_between_deg_rows(u, v)
+    want = scalar_rows(oracles.angle_between_deg, u, v)
+    assert np.array_equal(got, want)
+    kind = np.arange(4000) % 8
+    assert np.all(got[(kind == 0) | (kind == 1)] == 0.0)
+    # np.arccos rounds differently from math.acos on some of these
+    # cosines, so a kernel taking it fails the comparison above
+    live = kind >= 5
+    c = kernel_cosines(u[live], v[live])
+    assert not np.array_equal(np.degrees(np.arccos(c)),
+                              [math.degrees(math.acos(x)) for x in c])
+    one = [geometry.angle_between_deg(a, b) for a, b in zip(u[:80], v[:80])]
+    assert one == want[:80].tolist()
+    assert all(type(x) is float for x in one)
+
+
+def test_min_interior_angle_rows_equal_scalar_reference():
+    rng = np.random.default_rng(32)
+    a, b, c = triangle_rows(rng, 3000)
+    got = geometry.min_interior_angle_deg_rows(a, b, c)
+    want = scalar_rows(oracles.min_interior_angle_deg, a, b, c)
+    assert np.array_equal(got, want)
+    kind = np.arange(3000) % 5
+    assert np.all(got[(kind == 1) | (kind == 2)] == 0.0)
+    one = [geometry.min_interior_angle_deg(*row)
+           for row in zip(a[:60], b[:60], c[:60])]
+    assert one == want[:60].tolist()
+
+
+def test_dihedral_rows_equal_scalar_reference():
+    rng = np.random.default_rng(33)
+    a, b, c, d = (rng.normal(size=(4000, 3)) for _ in range(4))
+    t = rng.uniform(-0.5, 1.5, size=(4000, 1))
+    kind = (np.arange(4000) % 7)[:, None]
+    # zero-length edge, an apex on the edge's line, apexes coinciding,
+    # coplanar on opposite sides (flat) and mirrored on one side
+    b = np.where(kind == 0, a, b)
+    c = np.where(kind == 1, a + t * (b - a), c)
+    d = np.where(kind == 2, c, d)
+    d = np.where(kind == 3, 2 * (a + t * (b - a)) - c, d)
+    got = geometry.dihedral_deg_rows(a, b, c, d)
+    want = scalar_rows(oracles.dihedral_deg, a, b, c, d)
+    assert np.array_equal(got, want)
+    kind = kind.ravel()
+    assert np.all(got[(kind == 0) | (kind == 1)] == 180.0)
+    assert np.all(got[kind == 2] < 1e-4)
+    one = [geometry.dihedral_deg(*row)
+           for row in zip(a[:70], b[:70], c[:70], d[:70])]
+    assert one == want[:70].tolist()
+
+
+def test_angle_kernels_take_empty_batches():
+    empty = np.zeros((0, 3))
+    assert geometry.angle_between_deg_rows(empty, empty).shape == (0,)
+    assert geometry.min_interior_angle_deg_rows(*(empty,) * 3).shape == (0,)
+    assert geometry.dihedral_deg_rows(*(empty,) * 4).shape == (0,)
+
+
+def normal_area(a, b, c):
+    """Half the norm of triangle_normal, summed in order."""
+    n = geometry.triangle_normal(a, b, c)
+    return 0.5 * math.sqrt(n[0] * n[0] + n[1] * n[1] + n[2] * n[2])
+
+
+def test_triangle_areas_equal_half_the_normal_norm():
+    rng = np.random.default_rng(34)
+    a, b, c = triangle_rows(rng, 2000)
+    want = scalar_rows(normal_area, a, b, c)
+    assert np.array_equal(geometry.triangle_areas(a, b, c), want)
+    assert np.array_equal(scalar_rows(geometry.triangle_area, a, b, c),
+                          want)
+    as_floats = [geometry.triangle_area(*(p.tolist() for p in row))
+                 for row in zip(a, b, c)]
+    assert as_floats == want.tolist()

@@ -1,13 +1,18 @@
 """Triangle-strip emission and the SurfaceMesh container."""
 
+import copy
+import dataclasses
+
 import numpy as np
 import pytest
 
 from strokesurf import matcher, mesher, mesh_ops, stroke_model as sm
+from strokesurf.pipeline import PipelineOptions, run_pipeline
 from strokesurf.scoring import Side
+from strokesurf.synth_eval import generate
 
 import oracles
-from conftest import line_stroke
+from conftest import line_stroke, random_frame_rows
 
 
 def chain_from(pts, gid_base, bno, cyclic=False, width=0.3):
@@ -290,3 +295,274 @@ def test_mesh_with_creases_matches_plain_on_flat_input(flat_pair, config):
     plain = mesher.mesh_from_matches(table, config)
     creased = mesher.mesh_with_creases(table, config)
     assert active_gid_sets(plain) == active_gid_sets(creased)
+
+
+# ---------------------------------------------------------------------------
+# the queued emitter against the one-triangle-at-a-time reference
+
+
+def mesh_state(mesh):
+    """Everything meshing can change, in comparable form."""
+    return {
+        "tri_verts": list(mesh.tri_verts),
+        "tri_state": list(mesh.tri_state),
+        "tri_phase": list(mesh.tri_phase),
+        "tri_prov": list(mesh.tri_prov),
+        "duplicates_skipped": mesh.duplicates_skipped,
+        "quads_rejected": mesh.quads_rejected,
+        "removed_count": mesh.removed_count,
+        "keys": dict(mesh._key_to_id),
+        "edges": {k: list(v) for k, v in mesh.edge_map().items()},
+        "vertices": [getattr(mesh, name).tobytes() for name in (
+            "positions", "normals", "widths", "colors", "origin",
+            "origin_kind")],
+    }
+
+
+def assert_meshing_equals_reference(fn, table, config, mesh=None,
+                                    phase="stroke"):
+    """Run fn (mesh_from_matches or mesh_with_creases) on table and mesh,
+    and the scalar reference on copies taken before; both must leave the
+    same mesh. Returns the mesh fn filled."""
+    ref_table, ref_mesh = copy.deepcopy((table, mesh))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mesher, "_Emitter", oracles.scalar_emitter())
+        want = fn(ref_table, config, mesh=ref_mesh, phase=phase)
+    got = fn(table, config, mesh=mesh, phase=phase)
+    assert mesh_state(got) == mesh_state(want)
+    cs, ref_cs = table.chainset, ref_table.chainset
+    assert cs.offsets.tolist() == ref_cs.offsets.tolist()
+    assert cs.gid.tolist() == ref_cs.gid.tolist()
+    assert cs.pos.tobytes() == ref_cs.pos.tobytes()
+    return got
+
+
+def rotation(rng):
+    q, r = np.linalg.qr(rng.normal(size=(3, 3)))
+    return q * np.sign(np.diag(r))
+
+
+def make_chain(pts, gid_base, rng, cyclic=False):
+    """A chain over pts with random frames, width and ok flags."""
+    pts = np.asarray(pts, dtype=np.float64)
+    n = len(pts)
+    tan, nrm, bno = random_frame_rows(rng, n)
+    return matcher.Chain(
+        gids=np.arange(gid_base, gid_base + n, dtype=np.int64),
+        positions=pts, tangents=tan, normals=nrm, binormals=bno,
+        widths=np.full(n, rng.uniform(0.1, 0.4)), colors=np.ones((n, 3)),
+        ok=rng.random(n) > 0.1, cyclic=cyclic)
+
+
+def special_quads(rng):
+    """Two-vertex chain pairs (p, q) matched p0 -> q0, p1 -> q1, placed
+    by a random rigid motion and scale: mirror-symmetric trapezoids
+    (the minimum angles tie, then the dihedrals, and the diagonal key
+    decides), the same lifted out of plane by a hair (the minimum angles
+    still tie; the dihedrals, or failing them the key, decide),
+    zero-length rungs and edges, and collinear quads."""
+    pairs = []
+    for kind in range(6):
+        s, h = rng.uniform(-0.4, 0.4), rng.uniform(0.05, 0.5)
+        p = np.array([[0.0, 0, 0], [1.0, 0, 0]])
+        q = np.array([[-s, h, 0], [1.0 + s, h, 0]])
+        if kind == 1:
+            q[0, 2] = 10.0 ** rng.uniform(-13, -7)
+        elif kind == 2:
+            p[1] = p[0]
+        elif kind == 3:
+            q[1] = q[0]
+        elif kind == 4:
+            q[:, 1] = 0.0
+        elif kind == 5:
+            q = p.copy()
+        motion = rotation(rng) * rng.uniform(0.1, 10.0)
+        shift = rng.normal(size=3)
+        pairs.append((p @ motion.T + shift, q @ motion.T + shift))
+    return pairs
+
+
+def random_strip_table(rng):
+    """A chain set with its match table: random chains (some cyclic,
+    some with coincident or collinear vertices) whose matches step
+    along other chains by 0 (a == b, one triangle), 1 (a quad), 2-3 (a
+    fan), or jump to another chain, plus the special quads."""
+    chains, gid = [], 0
+    for c in range(int(rng.integers(2, 6))):
+        n = int(rng.integers(2, 9))
+        cyclic = n > 2 and rng.random() < 0.3
+        if cyclic:
+            ang = np.sort(rng.uniform(0, 2 * np.pi, n))
+            pts = np.stack([np.cos(ang), np.sin(ang),
+                            np.full(n, 0.2 * c)], axis=1)
+        else:
+            pts = np.stack([np.sort(rng.uniform(0, 2, n)),
+                            np.full(n, 0.3 * c), np.zeros(n)], axis=1)
+            pts += 0.05 * rng.normal(size=(n, 3))
+        if n > 3 and rng.random() < 0.3:
+            pts[2] = pts[1]                       # zero-length edge
+        if n > 3 and rng.random() < 0.3:
+            pts[3] = 2 * pts[2] - pts[1]          # collinear run
+        chains.append(make_chain(pts, gid, rng, cyclic))
+        gid += n
+    special = special_quads(rng)
+    for p, q in special:
+        for pts in (p, q):
+            chains.append(make_chain(pts, gid, rng))
+            gid += 2
+    cs = matcher.ChainSet(chains)
+    table = matcher.MatchTable(cs)
+    n_random = len(chains) - 2 * len(special)
+    for ci in range(n_random):
+        for side in (1, -1):
+            if rng.random() < 0.3:
+                continue
+            n = len(cs.chains[ci])
+            match = np.full(n, -1, dtype=np.int64)
+            tci = int(rng.choice([c for c in range(n_random) if c != ci]))
+            j = int(rng.integers(len(cs.chains[tci])))
+            for i in range(n):
+                r = rng.random()
+                if r < 0.08:
+                    tci = int(rng.integers(n_random))
+                    j = int(rng.integers(len(cs.chains[tci])))
+                elif r < 0.15:
+                    continue
+                else:
+                    j += int(rng.choice([0, 1, 1, 1, -1, 2, 3]))
+                nt = len(cs.chains[tci])
+                if cs.chains[tci].cyclic:
+                    j %= nt
+                elif not 0 <= j < nt:
+                    j = int(np.clip(j, 0, nt - 1))
+                    continue
+                match[i] = cs.flat(tci, j)
+            table.matches[(ci, side)] = match
+    for k in range(len(special)):
+        ci = n_random + 2 * k
+        side = int(rng.choice([1, -1]))
+        table.matches[(ci, side)] = np.array(
+            [cs.flat(ci + 1, 0), cs.flat(ci + 1, 1)], dtype=np.int64)
+    return table
+
+
+def stroke_mesh(cs):
+    mesh = mesher.SurfaceMesh()
+    mesh.add_vertices(cs.pos, cs.nrm, cs.w, cs.col,
+                      np.stack([cs.chain_id, cs.index], axis=1),
+                      mesher.KIND_STROKE)
+    return mesh
+
+
+@pytest.mark.parametrize("fn", [mesher.mesh_from_matches,
+                                mesher.mesh_with_creases],
+                         ids=["plain", "creases"])
+def test_strip_meshing_equals_the_scalar_reference(config, fn):
+    rng = np.random.default_rng(2024)
+    totals = np.zeros(3, dtype=np.int64)
+    for _ in range(120):
+        mesh = assert_meshing_equals_reference(fn, random_strip_table(rng),
+                                               config)
+        totals += (mesh.active_count(), mesh.duplicates_skipped,
+                   mesh.quads_rejected)
+    # inserts, duplicates and rejected quads all occur
+    assert (totals > 0).all()
+
+
+def test_strip_meshing_over_a_used_mesh_equals_the_scalar_reference(config):
+    """Meshing into a mesh that already holds some of the strip
+    triangles, some of them removed: active ones count as duplicates and
+    removed ones are inserted again, as add_triangle does."""
+    rng = np.random.default_rng(77)
+    reinserted = 0
+    for _ in range(60):
+        table = random_strip_table(rng)
+        strips = mesher.mesh_from_matches(copy.deepcopy(table), config)
+        mesh = stroke_mesh(table.chainset)
+        for tri in strips.tri_verts:
+            if rng.random() < 0.4:
+                # None on slivers whose area, taken from another corner,
+                # rounds below the floor
+                tid = mesh.add_triangle(*tri[::-1], "prior")
+                if tid is not None and rng.random() < 0.5:
+                    mesh.remove(tid)
+        removed = {mesh.tri_verts[t] for t in range(len(mesh.tri_verts))
+                   if not mesh.is_active(t)}
+        got = assert_meshing_equals_reference(
+            mesher.mesh_from_matches, table, config, mesh, phase="gap")
+        reinserted += sum(got.tri_verts[t][::-1] in removed
+                          for t in range(len(mesh.tri_verts)))
+    assert reinserted > 0
+
+
+def test_quads_at_the_dihedral_threshold_are_kept(config):
+    """A quad whose split folds exactly at dihedral_min_deg stays; one ulp
+    higher a threshold rejects it."""
+    rng = np.random.default_rng(5)
+    for _ in range(40):
+        p = rng.normal(size=(2, 3))
+        q = p + rng.normal(size=(2, 3))
+        cs = matcher.ChainSet([make_chain(p, 0, rng), make_chain(q, 2, rng)])
+        table = table_for(cs, Side.LEFT, [(0, 2), (1, 3)])
+        probe = dataclasses.replace(config, dihedral_min_deg=1e-9)
+        used = mesher.mesh_from_matches(copy.deepcopy(table), probe)
+        # the fold of the split it chose, (p0, q1) or (p1, q0)
+        p0, p1, q0, q1 = cs.pos[[0, 1, 2, 3]]
+        if all({0, 3} <= set(t) for t in used.tri_verts):
+            fold = oracles.dihedral_deg(p0, q1, p1, q0)
+        else:
+            fold = oracles.dihedral_deg(p1, q0, p0, q1)
+        if not 0.0 < fold < 180.0:
+            continue
+        for limit, rejected in ((fold, 0), (np.nextafter(fold, 180.0), 1)):
+            at = dataclasses.replace(config, dihedral_min_deg=float(limit))
+            mesh = assert_meshing_equals_reference(
+                mesher.mesh_from_matches, copy.deepcopy(table), at)
+            assert mesh.quads_rejected == rejected
+
+
+@pytest.mark.parametrize("options", [
+    PipelineOptions(), PipelineOptions(preserve_creases=True)],
+    ids=["plain", "creases"])
+@pytest.mark.parametrize("name", ["dome_spiral", "cube_parallel"])
+def test_pipeline_meshing_equals_the_scalar_reference(name, options,
+                                                      monkeypatch):
+    """Every meshing call of a run (strips, boundary extension and gap
+    spanning, the last two into a mesh holding removed triangles)
+    leaves the mesh the reference leaves."""
+    from test_pipeline import FLIP_SPECS
+
+    calls = []
+    for fname in ("mesh_from_matches", "mesh_with_creases"):
+        fn = getattr(mesher, fname)
+
+        def checked(table, config, mesh=None, phase="stroke", fn=fn):
+            calls.append((phase, mesh.removed_count))
+            return assert_meshing_equals_reference(fn, table, config, mesh,
+                                                   phase)
+        monkeypatch.setattr(mesher, fname, checked)
+    run_pipeline(generate(FLIP_SPECS[name])[0], options)
+    assert [c[0] for c in calls] == ["stroke", "extension", "gap"]
+    assert calls[2][1] > 0
+
+
+def test_crease_rows_meet_the_floor_of_their_vertex_table(config):
+    """The ribbon of a tiny crease section, emitted before a wide ribbon
+    grows the bounding box half a million-fold, is inserted: each row
+    meets the area floor of the vertex table it was emitted under."""
+    cs = matcher.ChainSet([
+        chain_from([[0, 0, 0], [1e-7, 0, 0]], 0, (0, 1, 0), width=1e-7),
+        chain_from([[0, 1e-7, 1e-7], [1e-7, 1e-7, 1e-7]], 2, (0, 0, 1),
+                   width=1e-7),
+        chain_from([[1, 0, 0], [1.1, 0, 0]], 4, (0, 1, 0), width=1e6),
+        chain_from([[1, 0.1, 0.1], [1.1, 0.1, 0.1]], 6, (0, 0, 1)),
+    ])
+    table = matcher.MatchTable(cs)
+    table.matches[(0, 1)] = np.array([cs.flat(1, 0), cs.flat(1, 1)])
+    table.matches[(2, 1)] = np.array([cs.flat(3, 0), cs.flat(3, 1)])
+    mesh = assert_meshing_equals_reference(mesher.mesh_with_creases, table,
+                                           config)
+    assert mesh.scale() > 1e5
+    tiny = [t for t in mesh.active_ids()
+            if np.abs(mesh.positions[list(mesh.tri_verts[t])]).max() < 1e-6]
+    assert len(tiny) == 2

@@ -93,12 +93,16 @@ def test_noisy_spiral_reports_a_greedy_sized_component():
     assert strip["undecided"] >= strip["largest_component"]
 
 
-# what each matching or repairing stage reports beside its deltas
+# what each matching, strip-emitting or repairing stage reports beside
+# its deltas
 REPAIR_COUNTS = {
     "baseline_match": {"candidates", "candidate_pairs", "matched"},
     "restricted_match": {"candidates", "candidate_pairs", "matched"},
-    "boundary_extension": {"candidates", "candidate_pairs", "matched"},
-    "gap_spanning": {"candidates", "candidate_pairs", "matched"},
+    "strip_meshing": {"emissions"},
+    "boundary_extension": {"candidates", "candidate_pairs", "matched",
+                           "emissions"},
+    "gap_spanning": {"candidates", "candidate_pairs", "matched",
+                     "emissions"},
     "strip_consolidation": {"nonorientable_removed"},
     "extension_consolidation": {"nonorientable_removed"},
     "small_holes": {"holes_closed_added"},
@@ -166,6 +170,10 @@ def test_stage_counts_add_up_to_report_totals(name, options):
                   "boundary_extension", "gap_spanning"):
         assert by_name[stage]["candidates"] <= \
             by_name[stage]["candidate_pairs"]
+    # every emitted row is added, skipped as a duplicate or too thin
+    for stage in ("strip_meshing", "boundary_extension", "gap_spanning"):
+        s = by_name[stage]
+        assert s["emissions"] >= s["triangles_added"] + s["duplicates_skipped"]
     if name == "flat_pair":
         # every vertex lists the partner vertex across and its diagonal
         # neighbours (two at a stroke end): 2 * (8 * 3 + 2 * 2); every
@@ -177,6 +185,7 @@ def test_stage_counts_add_up_to_report_totals(name, options):
         assert by_name["baseline_match"]["candidate_pairs"] == 184
         assert by_name["baseline_match"]["matched"] == 20
         assert by_name["strip_meshing"]["duplicates_skipped"] == 18
+        assert by_name["strip_meshing"]["emissions"] == 36
     else:
         assert report["quads_rejected"] > 0
 

@@ -79,16 +79,19 @@ def _directed_edge_in(verts, edge):
     return edge in ((a, b), (b, c), (c, a))
 
 
-def orient_component(mesh, tids, em=None):
-    """Flip triangles breadth-first so shared edges run in opposite
-    directions. Returns True when the component is orientable."""
-    if em is None:
-        em = mesh.edge_map(tids)
+def orient_component(mesh, tids):
+    """Flip triangles breadth-first from the lowest tid so shared edges
+    run in opposite directions. Returns the first conflicting pair
+    (t, other) the walk meets, or None when the component is orientable.
+
+    The walk reads the live edge map and skips triangles outside tids;
+    its edge lists are in ascending tid order."""
+    em = mesh.edge_map()
     seed = min(tids)
     visited = {seed}
     queue = deque([seed])
     comp = set(tids)
-    ok = True
+    conflict = None
     while queue:
         t = queue.popleft()
         a, b, c = mesh.tri_verts[t]
@@ -99,14 +102,14 @@ def orient_component(mesh, tids, em=None):
                     continue
                 same = _directed_edge_in(mesh.tri_verts[other], (u, v))
                 if other in visited:
-                    if same:
-                        ok = False
+                    if same and conflict is None:
+                        conflict = (t, other)
                 else:
                     if same:
                         mesh.flip(other)
                     visited.add(other)
                     queue.append(other)
-    return ok
+    return conflict
 
 
 def _align_with_source_normals(mesh, tids):
@@ -134,9 +137,10 @@ def orient_all(mesh, align=True):
     than two triangles and no (t, 0), (t, 1) share a label; it is then
     wound by flipping the triangles whose (t, 1) carries the label of
     (lowest tid, 0), which is the one consistent winding that keeps the
-    lowest triangle as it is. A non-orientable component is walked by
-    orient_component from its untouched state, and break_nonorientable
-    reads the partial flips that walk leaves.
+    lowest triangle as it is. A broken component is wound by
+    orient_component from its untouched state instead; a second walk
+    over that winding flips nothing and meets the same conflicts, which
+    is how break_nonorientable finds its cuts.
 
     With align (the default) an orientable component is then flipped to
     face its source vertex normals. The pipeline orients without
@@ -176,7 +180,7 @@ def orient_all(mesh, align=True):
     bad = []
     for c, ctids in enumerate(split_by_label(tids, comp)):
         if broken[c]:
-            orient_component(mesh, ctids, mesh.edge_map(ctids))
+            orient_component(mesh, ctids)
             bad.append(ctids)
         elif align:
             _align_with_source_normals(mesh, ctids)
@@ -184,49 +188,26 @@ def orient_all(mesh, align=True):
 
 
 def break_nonorientable(mesh, frozen=frozenset()):
-    """Remove triangles until every component orients. At each conflict
-    the newest removable triangle on the offending edge goes. Surviving
-    components keep the winding of their lowest triangle id; align them
-    with orient_all afterwards if they should face the source normals."""
+    """Remove triangles until every component orients. Each round, every
+    component orient_all leaves broken is walked again by
+    orient_component, which flips nothing there, and the newer removable
+    triangle of the first conflicting pair it meets goes (the newer of
+    both when both are frozen). Surviving components keep the winding of
+    their lowest triangle id; align them with orient_all afterwards if
+    they should face the source normals."""
     removed = []
     for _ in range(len(mesh.tri_verts)):
         bad = orient_all(mesh, align=False)
         if not bad:
             break
         for tids in bad:
-            em = mesh.edge_map(tids)
-            victim = None
-            seed = min(tids)
-            visited = {seed}
-            queue = deque([seed])
-            comp = set(tids)
-            while queue and victim is None:
-                t = queue.popleft()
-                a, b, c = mesh.tri_verts[t]
-                for u, v in ((a, b), (b, c), (c, a)):
-                    key = (u, v) if u < v else (v, u)
-                    for other in em.get(key, ()):
-                        if other == t or other not in comp:
-                            continue
-                        same = _directed_edge_in(mesh.tri_verts[other],
-                                                 (u, v))
-                        if other in visited:
-                            if same:
-                                cands = [x for x in (t, other)
-                                         if x not in frozen]
-                                victim = max(cands) if cands else max(t,
-                                                                      other)
-                                break
-                        else:
-                            if same:
-                                mesh.flip(other)
-                            visited.add(other)
-                            queue.append(other)
-                    if victim is not None:
-                        break
-            if victim is not None:
-                mesh.remove(victim)
-                removed.append(victim)
+            # every broken component meets a conflict: it has no
+            # consistent winding, or an edge that two of its triangles
+            # run the same way
+            conflict = orient_component(mesh, tids)
+            victim = max([t for t in conflict if t not in frozen] or conflict)
+            mesh.remove(victim)
+            removed.append(victim)
     return removed
 
 
@@ -243,7 +224,7 @@ def resolve_moebius(mesh, new_tids):
 
     removed = []
     for strip in strips:
-        orient_component(mesh, strip, mesh.edge_map(strip))
+        orient_component(mesh, strip)
         aligned, inverted = [], []
         for t in strip:
             a, b, c = mesh.tri_verts[t]
@@ -669,6 +650,20 @@ def component_stats(mesh):
             "closed": loops == 0,
         })
     return stats
+
+
+def path_edge_fraction(mesh, paths):
+    """Share of the consecutive vertex-id pairs along paths that are
+    distinct and present as active mesh edges; 0.0 without pairs. An id
+    that names no vertex, such as -1, is on no edge."""
+    em = mesh.edge_map()
+    total = present = 0
+    for ids in paths:
+        ids = np.asarray(ids, dtype=np.int64).tolist()
+        total += max(len(ids) - 1, 0)
+        present += sum(1 for u, v in zip(ids, ids[1:])
+                       if u != v and em.get((u, v) if u < v else (v, u)))
+    return present / total if total else 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -298,13 +298,6 @@ class SurfaceMesh:
         comps = split_by_label(tids, labels)
         return dict(zip(tids.tolist(), labels.tolist())), comps
 
-    def triangle_normalized_normal(self, tid):
-        a, b, c = self.tri_verts[tid]
-        n = geometry.triangle_normal(self.positions[a], self.positions[b],
-                                     self.positions[c])
-        u, _ = geometry.unit(n)
-        return u
-
 
 def apex_sides(cs, fa, fb, apex_pos, width):
     """Side of each apex apex_pos[i] relative to the chain edge between

@@ -167,23 +167,6 @@ def _emit_ribbons(mesh, drawing, cs):
     return added
 
 
-def _interpolated_fraction_exact(mesh, cs):
-    """Fraction of trimmed stroke edges present as active mesh edges,
-    by vertex id."""
-    edges = {k for k, v in mesh.edge_map().items() if v}
-    total = 0
-    present = 0
-    for chain in cs.chains:
-        g = chain.gids
-        for i in range(len(g) - 1):
-            total += 1
-            u, v = int(g[i]), int(g[i + 1])
-            key = (u, v) if u < v else (v, u)
-            if key in edges:
-                present += 1
-    return present / total if total else 0.0
-
-
 def _count_matching(stage, cands=None, table=None):
     """Add a match stage's candidate targets (summed over every vertex's
     list), the pairs its search tested and its matched vertices to its
@@ -367,8 +350,8 @@ def run_pipeline(drawing, options=None):
     stats = mesh_ops.component_stats(mesh)
     report = {
         "stage_stats": tracker.stats,
-        "interpolated_edge_fraction": _interpolated_fraction_exact(mesh,
-                                                                   cs),
+        "interpolated_edge_fraction": mesh_ops.path_edge_fraction(
+            mesh, [chain.gids for chain in cs.chains]),
         "nonmanifold_edges": len(bad_edges),
         "nonmanifold_vertices": len(bad_vertices),
         "components": len(stats),

@@ -76,24 +76,10 @@ def vertex_score(p, q, side, config, sigma=None):
     fq = q.frame
     if not (fp.ok and fq.ok):
         raise ValueError("vertex_score requires non-degenerate frames")
-    pp = np.asarray(p.position, dtype=np.float64)
-    qq = np.asarray(q.position, dtype=np.float64)
-    d = pp - qq
-
-    d_align = float(np.linalg.norm(d))
-    d_tangent = 0.5 * (abs(float(np.dot(d, fp.tangent)))
-                       + abs(float(np.dot(d, fq.tangent))))
-
-    p_c = pp + side.sign * p.width * fp.binormal
-    q_l = qq + q.width * fq.binormal
-    q_r = qq - q.width * fq.binormal
-    dl = float(np.linalg.norm(q_l - p_c))
-    dr = float(np.linalg.norm(q_r - p_c))
-    q_c = q_l if _takes_left(dl, dr) else q_r
-    m_probe = 0.5 * (p_c + q_c)
-    m = 0.5 * (pp + qq)
-    d_normal = float(np.linalg.norm(m - m_probe))
-
+    d_align, d_tangent, d_normal = (float(d) for d in vertex_distance_rows(
+        np.asarray(p.position, dtype=np.float64), fp.tangent, fp.binormal,
+        p.width, side.sign, np.asarray(q.position, dtype=np.float64),
+        fq.tangent, fq.binormal, np.float64(q.width)))
     if sigma is None:
         sigma = sigma_for(p.width, q.width, config)
     total = d_align + d_tangent + d_normal
@@ -117,14 +103,12 @@ def persistence_log(p_i, p_j, q_i, q_j, sigma):
 
 # ---- vectorized kernels over raw arrays (used by the matcher) ----
 
-def vertex_scores_log_arrays(p_pos, p_tan, p_bin, p_w, side_sign,
-                             q_pos, q_tan, q_bin, q_w, sigma):
-    """Log vertex scores of source vertices against candidate rows.
-
-    q_* are (k, ...) arrays and sigma is (k,). Each p_* argument and
-    side_sign is either one source vertex's value, shared by every row,
-    or a per-row (k, ...) array. Returns (k,) log scores.
-    """
+def vertex_distance_rows(p_pos, p_tan, p_bin, p_w, side_sign,
+                         q_pos, q_tan, q_bin, q_w):
+    """The three distances of the vertex score, row by row: (d_align,
+    d_tangent, d_normal). q_* are (..., 3) or (...) arrays; each p_*
+    argument and side_sign is either one source vertex's value, shared
+    by every row, or a per-row array."""
     d = p_pos - q_pos
     d_align = np.linalg.norm(d, axis=-1)
     d_tangent = 0.5 * (np.abs(np.einsum("...j,...j->...", d, p_tan)) +
@@ -138,8 +122,19 @@ def vertex_scores_log_arrays(p_pos, p_tan, p_bin, p_w, side_sign,
     q_c = np.where(_takes_left(dl, dr)[..., None], q_l, q_r)
     m_probe = 0.5 * (p_c + q_c)
     m = 0.5 * (p_pos + q_pos)
-    d_normal = np.linalg.norm(m - m_probe, axis=-1)
+    return d_align, d_tangent, np.linalg.norm(m - m_probe, axis=-1)
 
+
+def vertex_scores_log_arrays(p_pos, p_tan, p_bin, p_w, side_sign,
+                             q_pos, q_tan, q_bin, q_w, sigma):
+    """Log vertex scores of source vertices against candidate rows.
+
+    q_* are (k, ...) arrays and sigma is (k,). Each p_* argument and
+    side_sign is either one source vertex's value, shared by every row,
+    or a per-row (k, ...) array. Returns (k,) log scores.
+    """
+    d_align, d_tangent, d_normal = vertex_distance_rows(
+        p_pos, p_tan, p_bin, p_w, side_sign, q_pos, q_tan, q_bin, q_w)
     total = d_align + d_tangent + d_normal
     return -(total * total) / (2.0 * sigma * sigma)
 

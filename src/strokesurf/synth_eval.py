@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.spatial import cKDTree
 
-from . import geometry
+from . import geometry, mesh_ops
 from .stroke_model import Config, Drawing, Stroke, trim_hooks
 
 _MASK = (1 << 64) - 1
@@ -694,31 +694,20 @@ def interpolated_fraction(mesh, drawing, config=None, tol_rel=1e-6):
     """Share of trimmed stroke polyline edges present as mesh edges,
     located by position (for meshes loaded back from OBJ)."""
     config = config or Config()
-    active = mesh.active_ids()
-    used = sorted({v for t in active for v in mesh.tri_verts[t]})
-    if not used:
+    used = np.unique(np.array([mesh.tri_verts[t] for t in mesh.active_ids()],
+                              dtype=np.int64))
+    if not used.size:
         return 0.0
     tree = cKDTree(mesh.positions[used])
-    edges = {k for k, v in mesh.edge_map(active).items() if v}
     tol = tol_rel * mesh.scale()
-    total = 0
-    present = 0
+    paths = []
     for stroke in drawing.strokes:
         trimmed = trim_hooks(stroke, config)
         if trimmed is None:
             continue
         dists, idx = tree.query(trimmed.points)
-        ids = [used[j] if d <= tol else None
-               for d, j in zip(dists, idx)]
-        for i in range(len(trimmed) - 1):
-            total += 1
-            u, v = ids[i], ids[i + 1]
-            if u is None or v is None or u == v:
-                continue
-            key = (u, v) if u < v else (v, u)
-            if key in edges:
-                present += 1
-    return present / total if total else 0.0
+        paths.append(np.where(dists <= tol, used[idx], -1))
+    return mesh_ops.path_edge_fraction(mesh, paths)
 
 
 def evaluate(mesh, truth, drawing=None, samples=10000, seed=7,
@@ -726,8 +715,6 @@ def evaluate(mesh, truth, drawing=None, samples=10000, seed=7,
     """Measure a reconstruction: audits, topology, symmetric sampled
     Hausdorff distance against the ground truth, and (when the source
     drawing is supplied) the interpolated-edge fraction."""
-    from . import mesh_ops
-
     t0 = time.perf_counter()
     rng = SplitMix64(seed)
     active = mesh.active_ids()

@@ -65,6 +65,42 @@ def _persistence_log(cs, fp, fq_i, fq_j, config):
     return -(d_p * d_p) / (2.0 * sigma * sigma)
 
 
+def vertex_score(p, q, side, config, sigma=None):
+    """Reference for scoring.vertex_score: one pair of StrokeVertex
+    views scored with scalar dot products and norms."""
+    from strokesurf.scoring import (ScoreBreakdown, Side, _gauss_log,
+                                    _takes_left, sigma_for)
+
+    side = Side(side)
+    fp = p.frame
+    fq = q.frame
+    if not (fp.ok and fq.ok):
+        raise ValueError("vertex_score requires non-degenerate frames")
+    pp = np.asarray(p.position, dtype=np.float64)
+    qq = np.asarray(q.position, dtype=np.float64)
+    d = pp - qq
+
+    d_align = float(np.linalg.norm(d))
+    d_tangent = 0.5 * (abs(float(np.dot(d, fp.tangent)))
+                       + abs(float(np.dot(d, fq.tangent))))
+
+    p_c = pp + side.sign * p.width * fp.binormal
+    q_l = qq + q.width * fq.binormal
+    q_r = qq - q.width * fq.binormal
+    dl = float(np.linalg.norm(q_l - p_c))
+    dr = float(np.linalg.norm(q_r - p_c))
+    q_c = q_l if _takes_left(dl, dr) else q_r
+    m_probe = 0.5 * (p_c + q_c)
+    m = 0.5 * (pp + qq)
+    d_normal = float(np.linalg.norm(m - m_probe))
+
+    if sigma is None:
+        sigma = sigma_for(p.width, q.width, config)
+    total = d_align + d_tangent + d_normal
+    return ScoreBreakdown(d_align, d_tangent, d_normal, float(sigma),
+                          _gauss_log(total, float(sigma)))
+
+
 def viterbi_reference(cs, chain_id, side, cand_lists, config):
     """Best total log score by exhaustive enumeration, segment by
     segment, plus the score of a given assignment evaluator."""
@@ -983,15 +1019,17 @@ def _directed_edge_in(verts, edge):
 
 def orient_component(mesh, tids, em=None):
     """Reference for mesh_ops.orient_component: breadth-first from the
-    lowest tid, flipping each newly reached triangle that runs a shared
-    edge in the same direction. True when the component is orientable."""
+    lowest tid over the component's own edge map, flipping each newly
+    reached triangle that runs a shared edge in the same direction.
+    Returns the first conflicting pair (t, other), or None when the
+    component is orientable."""
     if em is None:
         em = mesh.edge_map(tids)
     seed = min(tids)
     visited = {seed}
     queue = deque([seed])
     comp = set(tids)
-    ok = True
+    conflict = None
     while queue:
         t = queue.popleft()
         a, b, c = mesh.tri_verts[t]
@@ -1002,14 +1040,14 @@ def orient_component(mesh, tids, em=None):
                     continue
                 same = _directed_edge_in(mesh.tri_verts[other], (u, v))
                 if other in visited:
-                    if same:
-                        ok = False
+                    if same and conflict is None:
+                        conflict = (t, other)
                 else:
                     if same:
                         mesh.flip(other)
                     visited.add(other)
                     queue.append(other)
-    return ok
+    return conflict
 
 
 def orient_all(mesh, align=True):
@@ -1020,12 +1058,58 @@ def orient_all(mesh, align=True):
     _, comps = components(mesh)
     bad = []
     for tids in comps:
-        if orient_component(mesh, tids, mesh.edge_map(tids)):
+        if orient_component(mesh, tids, mesh.edge_map(tids)) is None:
             if align:
                 mesh_ops._align_with_source_normals(mesh, tids)
         else:
             bad.append(tids)
     return bad
+
+
+def break_nonorientable(mesh, frozen=frozenset()):
+    """Reference for mesh_ops.break_nonorientable over orient_all above:
+    its own breadth-first walk per broken component, over the
+    component's own edge map, stopped at the first conflict."""
+    removed = []
+    for _ in range(len(mesh.tri_verts)):
+        bad = orient_all(mesh, align=False)
+        if not bad:
+            break
+        for tids in bad:
+            em = mesh.edge_map(tids)
+            victim = None
+            seed = min(tids)
+            visited = {seed}
+            queue = deque([seed])
+            comp = set(tids)
+            while queue and victim is None:
+                t = queue.popleft()
+                a, b, c = mesh.tri_verts[t]
+                for u, v in ((a, b), (b, c), (c, a)):
+                    key = (u, v) if u < v else (v, u)
+                    for other in em.get(key, ()):
+                        if other == t or other not in comp:
+                            continue
+                        same = _directed_edge_in(mesh.tri_verts[other],
+                                                 (u, v))
+                        if other in visited:
+                            if same:
+                                cands = [x for x in (t, other)
+                                         if x not in frozen]
+                                victim = max(cands) if cands else max(t,
+                                                                      other)
+                                break
+                        else:
+                            if same:
+                                mesh.flip(other)
+                            visited.add(other)
+                            queue.append(other)
+                    if victim is not None:
+                        break
+            if victim is not None:
+                mesh.remove(victim)
+                removed.append(victim)
+    return removed
 
 
 def repair_nonmanifold(mesh, frozen=frozenset()):

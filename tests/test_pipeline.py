@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from strokesurf import consolidate, matcher
+from strokesurf import consolidate, geometry, matcher
 from strokesurf.mesher import KIND_RIBBON
 from strokesurf.pipeline import PipelineOptions, run_pipeline
 from strokesurf.stroke_model import Drawing, Stroke, ValidationError
@@ -359,8 +359,11 @@ def test_dump_dir_writes_stage_artifacts(tmp_path):
 
 def _face_normal_z(mesh):
     """z of each active triangle's unit normal, rounded."""
-    return [round(float(mesh.triangle_normalized_normal(t)[2]), 9)
-            for t in mesh.active_ids()]
+    z = []
+    for t in mesh.active_ids():
+        n = geometry.triangle_normal(*mesh.positions[list(mesh.tri_verts[t])])
+        z.append(round(float(geometry.unit(n)[0][2]), 9))
+    return z
 
 
 def _triangle_signature(mesh):

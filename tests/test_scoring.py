@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from strokesurf import scoring, stroke_model as sm
 
+import oracles
 from conftest import make_stroke
 
 
@@ -245,5 +246,7 @@ def test_vectorized_scores_match_scalar(config):
         np.asarray(p.position), p.frame.tangent, p.frame.binormal, p.width,
         1, q_pos, q_tan, q_bin, q_w, sig)
     for i, q in enumerate(qs):
-        ref = scoring.vertex_score(p, q, scoring.Side.LEFT, config)
+        ref = oracles.vertex_score(p, q, scoring.Side.LEFT, config)
         assert logs[i] == pytest.approx(ref.log_score, rel=1e-12)
+        one = scoring.vertex_score(p, q, scoring.Side.LEFT, config)
+        assert one.log_score == pytest.approx(ref.log_score, rel=1e-12)

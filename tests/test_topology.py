@@ -165,14 +165,40 @@ def test_orient_all_matches_reference(make, align):
 
 
 @pytest.mark.parametrize("make", _all_cases())
-def test_break_nonorientable_matches_reference(make, monkeypatch):
+def test_break_nonorientable_matches_reference(make):
     mesh, frozen = make()
     ref = copy.deepcopy(mesh)
     removed = mesh_ops.break_nonorientable(mesh, frozen=frozen)
-    monkeypatch.setattr(mesh_ops, "orient_all", oracles.orient_all)
-    assert removed == mesh_ops.break_nonorientable(ref, frozen=frozen)
+    assert removed == oracles.break_nonorientable(ref, frozen=frozen)
     assert mesh.tri_verts == ref.tri_verts
     assert mesh.tri_state == ref.tri_state
+
+
+@pytest.mark.parametrize("make", _all_cases())
+def test_second_walk_of_a_broken_component_repeats_the_first(make):
+    """orient_all winds a broken component with orient_component; walking
+    it again flips nothing and meets the first walk's conflict."""
+    mesh, _ = make()
+    untouched = copy.deepcopy(mesh)
+    for tids in mesh_ops.orient_all(mesh, align=False):
+        first = mesh_ops.orient_component(untouched, tids)
+        wound = list(mesh.tri_verts)
+        assert first is not None
+        assert mesh_ops.orient_component(mesh, tids) == first
+        assert mesh.tri_verts == wound
+
+
+@pytest.mark.parametrize("make", _all_cases())
+def test_orient_component_skips_triangles_outside_the_strip(make):
+    """Strips of the frozen draw, as resolve_moebius orients them: the
+    live edge lists also carry triangles outside the strip."""
+    mesh, subset = make()
+    ref = copy.deepcopy(mesh)
+    for strip in mesh.components(subset)[1]:
+        assert (mesh_ops.orient_component(mesh, strip)
+                == oracles.orient_component(ref, strip,
+                                            ref.edge_map(strip)))
+        assert mesh.tri_verts == ref.tri_verts
 
 
 @pytest.mark.parametrize("make", _all_cases())
@@ -236,23 +262,54 @@ def test_hypothesis_soups_match_reference(n, data):
     assert (consolidate.repair_nonmanifold(a, frozen=frozen)
             == oracles.repair_nonmanifold(b, frozen=frozen))
     assert a.tri_state == b.tri_state
+    a, b = copy.deepcopy(mesh), copy.deepcopy(mesh)
+    assert (mesh_ops.break_nonorientable(a, frozen=frozen)
+            == oracles.break_nonorientable(b, frozen=frozen))
+    assert a.tri_verts == b.tri_verts
+    assert a.tri_state == b.tri_state
+
+
+def _conflicts(mesh, frozen):
+    """The conflicts break_nonorientable cuts at, over every round."""
+    out = []
+    while bad := oracles.orient_all(mesh, align=False):
+        for tids in bad:
+            conflict = oracles.orient_component(mesh, tids)
+            out.append(conflict)
+            mesh.remove(max([t for t in conflict if t not in frozen]
+                            or conflict))
+    return out
 
 
 def test_soups_cover_the_hard_cases():
     """The random soups contain what the references are compared on:
     overfull edges of three and four triangles, pinched vertices,
-    non-orientable components, removed and pre-flipped triangles."""
+    non-orientable components, removed and pre-flipped triangles,
+    orientation conflicts between two frozen triangles and on an
+    overfull edge, and frozen strips whose edges also carry triangles
+    outside the strip."""
     overfull, pinched, nonorientable, removed = set(), 0, 0, 0
+    both_frozen = on_overfull = shared_strips = 0
     for seed in SEEDS:
-        mesh, _ = random_soup(seed)
-        for tids in mesh.edge_map().values():
+        mesh, frozen = random_soup(seed)
+        em = mesh.edge_map()
+        for tids in em.values():
             overfull.add(len(tids))
         bad_e, bad_v = oracles.audit_manifold(mesh)
         pinched += len(bad_v)
         nonorientable += len(oracles.orient_all(copy.deepcopy(mesh)))
         removed += mesh.removed_count
+        for t, other in _conflicts(copy.deepcopy(mesh), frozen):
+            both_frozen += t in frozen and other in frozen
+            edge = set(mesh.tri_verts[t]) & set(mesh.tri_verts[other])
+            on_overfull += len(em[tuple(sorted(edge))]) > 2
+        for strip in mesh.components(frozen)[1]:
+            inside = set(strip)
+            shared_strips += any(not inside.issuperset(em[key])
+                                 for key in mesh.edge_map(strip))
     assert {3, 4} <= overfull
     assert pinched and nonorientable and removed
+    assert both_frozen and on_overfull and shared_strips
 
 
 @pytest.mark.parametrize("seed", range(40))

@@ -259,25 +259,20 @@ def find_incompatible_pairs(mesh, cs, config, frozen=frozenset(),
 
 def classify_undecided(mesh, pairs, frozen=frozenset()):
     """Mark conflict participants and everything touching a conflict's
-    shared edge/vertex as undecided; the rest stays output."""
-    active = mesh.active_ids()
-    vmap = mesh.vertex_tris(active)
-    undecided = set()
-    for t1, t2, entity in pairs:
-        for t in (t1, t2):
-            if t not in frozen:
-                undecided.add(t)
-        verts = entity[1] if entity[0] == "edge" else (entity[1],)
-        for v in verts:
-            for t in vmap.get(v, ()):
-                if t not in frozen:
-                    undecided.add(t)
-    for t in undecided:
-        mesh.tri_state[t] = UNDECIDED
-    for t in active:
-        if t not in undecided:
-            mesh.tri_state[t] = OUTPUT
-    return undecided
+    shared edge/vertex as undecided; the rest stays output. The pairs
+    are between active triangles that hold their shared entity, as
+    find_incompatible_pairs gives them, so the participants are among
+    the triangles touching it."""
+    tids, verts = mesh.triangle_array()
+    hot = np.array([v for _, _, (kind, at) in pairs
+                    for v in (at if kind == "edge" else (at,))],
+                   dtype=np.int64)
+    frozen_mask = np.zeros(len(mesh.tri_state), dtype=bool)
+    frozen_mask[list(frozen)] = True
+    touched = np.isin(verts, hot).any(axis=1) & ~frozen_mask[tids]
+    for t, u in zip(tids.tolist(), touched.tolist()):
+        mesh.tri_state[t] = UNDECIDED if u else OUTPUT
+    return set(tids[touched].tolist())
 
 
 def undecided_components(mesh, undecided):
@@ -609,15 +604,11 @@ def apply_consolidation(mesh, cluster, component):
 
 
 def repair_nonmanifold(mesh, frozen=frozenset()):
-    """Public entry for the deterministic manifold repair net; used by
-    the pipeline after orientation-driven removals."""
-    return _repair_nonmanifold(mesh, frozen)
-
-
-def _repair_nonmanifold(mesh, frozen):
     """Deterministically remove the newest triangles at any residual
     non-manifold edge or pinched vertex. The pairwise criteria cover the
-    overwhelming majority of conflicts; this net guarantees the audit.
+    overwhelming majority of conflicts; this net guarantees the audit,
+    after consolidation and after the pipeline's orientation-driven
+    removals.
 
     Overfull edges are cleared once, in sorted order: removals only
     lower edge counts, so no edge can become overfull later. Pinched
@@ -691,7 +682,7 @@ def consolidate_mesh(mesh, cs, config, frozen=frozenset(), stats=None):
             raise InvariantError(
                 f"incompatible pair ({t1}, {t2}) survived consolidation")
 
-    repaired = len(_repair_nonmanifold(mesh, frozen))
+    repaired = len(repair_nonmanifold(mesh, frozen))
     stats.repair_removed += repaired
     removed += repaired
     nm_edges, nm_vertices = mesh_ops.audit_manifold(mesh)

@@ -10,6 +10,7 @@ fold.
 from __future__ import annotations
 
 import math
+from itertools import repeat
 
 import numpy as np
 
@@ -17,12 +18,24 @@ EPS_DEGENERATE = 1e-9
 
 
 def unit(v, eps=EPS_DEGENERATE):
-    """Normalize a vector, returning (unit_vector, ok)."""
-    v = np.asarray(v, dtype=np.float64)
-    n = math.sqrt(float(v[0]) ** 2 + float(v[1]) ** 2 + float(v[2]) ** 2)
-    if n < eps:
-        return np.zeros(3), False
-    return v / n, True
+    """Normalize a vector, returning (unit_vector, ok): the one-row form
+    of unit_rows_pow."""
+    units, ok = unit_rows_pow(v, eps)
+    return units[0], bool(ok[0])
+
+
+def unit_rows_pow(arr, eps=EPS_DEGENERATE):
+    """unit_rows with every square taken by libm pow, as Python's
+    float ** 2 takes it; pow can sit one ulp off the product x * x that
+    unit_rows uses."""
+    arr = np.asarray(arr, dtype=np.float64).reshape(-1, 3)
+    sq = [np.fromiter(map(math.pow, arr[:, k].tolist(), repeat(2.0)),
+                      dtype=np.float64, count=len(arr)) for k in range(3)]
+    norms = np.sqrt(sq[0] + sq[1] + sq[2])
+    ok = ~(norms < eps)
+    out = np.zeros_like(arr)
+    np.divide(arr, norms[:, None], out=out, where=ok[:, None])
+    return out, ok
 
 
 def unit_rows(arr, eps=EPS_DEGENERATE):
@@ -74,11 +87,10 @@ def angle_between_deg(u, v):
 
 
 def triangle_normal(a, b, c):
-    """Unnormalized normal of triangle (a, b, c); norm is twice the area."""
-    ux, uy, uz = b[0] - a[0], b[1] - a[1], b[2] - a[2]
-    vx, vy, vz = c[0] - a[0], c[1] - a[1], c[2] - a[2]
-    return np.array((uy * vz - uz * vy, uz * vx - ux * vz,
-                     ux * vy - uy * vx))
+    """Unnormalized normal of triangle (a, b, c): the one-row form of
+    triangle_normals."""
+    return triangle_normals(np.array([a, b, c], dtype=np.float64),
+                            np.array([[0, 1, 2]]))[0]
 
 
 def triangle_area(a, b, c):
@@ -101,7 +113,9 @@ def triangle_areas(a, b, c):
 
 
 def triangle_normals(positions, tris):
-    """Unnormalized normals for an (m, 3) index array of triangles."""
+    """Unnormalized normals for an (m, 3) index array of triangles; each
+    norm is twice the area. np.cross runs the same IEEE operations in the
+    same order for every row."""
     p = positions[tris[:, 0]]
     return np.cross(positions[tris[:, 1]] - p, positions[tris[:, 2]] - p)
 

@@ -60,7 +60,7 @@ def vertex_fan_groups(mesh, v, tids=None):
     """Incident active triangles of v grouped by shared-edge adjacency at
     v; groups are ordered by their lowest tid, tids ascending."""
     if tids is None:
-        tids = mesh.vertex_tris().get(v, [])
+        tids = [t for t in mesh.active_ids() if v in mesh.tri_verts[t]]
     tids = np.array(sorted(t for t in tids if mesh.is_active(t)),
                     dtype=np.int64)
     verts = np.array([mesh.tri_verts[t] for t in tids],
@@ -297,22 +297,74 @@ def boundary_loops(mesh):
     return loops
 
 
-def _interpolation_dmax(mesh, comp_of, config):
+class _ComponentLookup:
+    """One mesh.components() labelling, read per triangle and per vertex.
+    tids and verts are the active triangles as triangle_array() gives
+    them and labels their components; of_vertex holds the component of
+    the lowest active triangle at each vertex (-1 at none), and
+    incidences every (component c, vertex v) pair as c * n + v for n
+    vertices, ascending, so that each component's vertices form one
+    run."""
+
+    def __init__(self, mesh):
+        comp_of, self.comps = mesh.components()
+        self.tids, self.verts = mesh.triangle_array()
+        # comp_of lists the active tids ascending, as triangle_array does
+        self.labels = np.fromiter(comp_of.values(), dtype=np.int64,
+                                  count=len(comp_of))
+        at, at_label = self.verts.ravel(), np.repeat(self.labels, 3)
+        self.n = mesh.vertex_count()
+        self.of_vertex = np.full(self.n, -1, dtype=np.int64)
+        v, first = np.unique(at, return_index=True)
+        self.of_vertex[v] = at_label[first]
+        self.incidences = np.unique(at_label * self.n + at)
+
+    def of_loop(self, loop):
+        return int(self.of_vertex[loop[0]])
+
+    def loop_spans_component(self, loop):
+        """Whether every vertex of the loop's component lies on the loop,
+        which makes it the whole boundary of a sheet-like component."""
+        base = self.of_loop(loop) * self.n
+        lo, hi = np.searchsorted(self.incidences, [base, base + self.n])
+        return bool(hi - lo <= len(loop) and np.isin(
+            self.incidences[lo:hi] - base, loop).all())
+
+
+def _loop_neighbours(loops):
+    """The previous and the next vertex of every loop vertex, with the
+    loops concatenated."""
+    return (np.concatenate([np.roll(lp, s) for lp in loops]) for s in (1, -1))
+
+
+def _vertex_sums(verts, rows, n):
+    """Per-vertex sums, (n, 3), of one row per triangle of verts; each
+    vertex adds the rows of its triangles in row order."""
+    out = np.zeros((n, 3))
+    np.add.at(out, verts.ravel(), np.repeat(rows, 3, axis=0))
+    return out
+
+
+def _interpolation_dmax(mesh, lookup):
     """Per-component acceptance radius for gap matching: the mean length
-    of interpolation edges (edges not following a source polyline)."""
-    lengths = {}
-    for key, tids in mesh.edge_map().items():
-        u, v = key
-        ou, ov = mesh.origin[u], mesh.origin[v]
-        structural = (ou[0] == ov[0]
-                      and mesh.origin_kind[u] == mesh.origin_kind[v]
-                      and abs(int(ou[1]) - int(ov[1])) == 1)
-        if structural:
-            continue
-        d = float(np.linalg.norm(mesh.positions[u] - mesh.positions[v]))
-        for c in sorted({comp_of[t] for t in tids}):
-            lengths.setdefault(c, []).append(d)
-    return {c: float(np.mean(ls)) for c, ls in lengths.items()}
+    of interpolation edges (edges not following a source polyline), each
+    component's lengths taken in edge-map order."""
+    u, v, t = np.array([(u, v, tids[0]) for (u, v), tids
+                        in mesh.edge_map().items() if tids],
+                       dtype=np.int64).reshape(-1, 3).T
+    ou, ov = mesh.origin[u], mesh.origin[v]
+    interp = ~((ou[:, 0] == ov[:, 0])
+               & (mesh.origin_kind[u] == mesh.origin_kind[v])
+               & (np.abs(ou[:, 1] - ov[:, 1]) == 1))
+    diff = mesh.positions[u[interp]] - mesh.positions[v[interp]]
+    # np.linalg.norm's dot, row by row
+    lengths = np.sqrt(np.fromiter(map(np.dot, diff, diff),
+                                  dtype=np.float64, count=len(diff)))
+    comp = lookup.labels[np.searchsorted(lookup.tids, t[interp])]
+    order = np.argsort(comp, kind="stable")
+    comps, starts = np.unique(comp[order], return_index=True)
+    return {c: float(np.mean(ls)) for c, ls in zip(
+        comps.tolist(), np.split(lengths[order], starts[1:]))}
 
 
 def boundary_chain_set(mesh, config, with_dmax=False):
@@ -323,77 +375,56 @@ def boundary_chain_set(mesh, config, with_dmax=False):
     probe lands in the open gap. With with_dmax the per-component
     interpolation-edge mean becomes the acceptance radius, falling back
     to the width rule where a component has no interpolation edges.
+    Every loop vertex is framed in one row pass.
     """
     loops = boundary_loops(mesh)
     if not loops:
         return None
-    comp_of, _ = mesh.components()
-    vmap = mesh.vertex_tris()
-    dmax_comp = _interpolation_dmax(mesh, comp_of, config) if with_dmax \
-        else {}
+    lookup = _ComponentLookup(mesh)
+    dmax_comp = _interpolation_dmax(mesh, lookup) if with_dmax else {}
+    pos, verts, n = mesh.positions, lookup.verts, mesh.vertex_count()
+    face_sum = _vertex_sums(verts, geometry.triangle_normals(pos, verts), n)
+    centroid_sum = _vertex_sums(verts, (pos[verts[:, 0]] + pos[verts[:, 1]]
+                                        + pos[verts[:, 2]]) / 3.0, n)
+    count = np.bincount(verts.ravel(), minlength=n)
+
+    g = np.concatenate(loops)
+    prev, nxt = _loop_neighbours(loops)
+    tan, t_ok = geometry.unit_rows_pow(pos[nxt] - pos[prev])
+    nrm, n_ok = geometry.unit_rows_pow(face_sum[g])
+    source, s_ok = geometry.unit_rows_pow(mesh.normals[g])
+    nrm = np.where(n_ok[:, None], nrm, source)
+    n_ok |= s_ok
+    binorm, b_ok = geometry.unit_rows_pow(np.cross(tan, nrm))
+    # turn binormals away from the mean centroid of their triangles
+    rows = np.flatnonzero(b_ok & (count[g] > 0))
+    inward = centroid_sum[g[rows]] / count[g[rows], None] - pos[g[rows]]
+    facing = np.fromiter(map(np.dot, binorm[rows], inward),
+                         dtype=np.float64, count=len(rows))
+    flip = rows[facing > 0]
+    binorm[flip] = -binorm[flip]
+    ok = t_ok & n_ok & b_ok
 
     chains = []
-    for loop in loops:
-        gids = np.asarray(loop, dtype=np.int64)
-        pos = mesh.positions[gids]
-        n = len(loop)
-        tan = np.zeros((n, 3))
-        nrm = np.zeros((n, 3))
-        binorm = np.zeros((n, 3))
-        ok = np.ones(n, dtype=bool)
-        for i, g in enumerate(loop):
-            t_vec, t_ok = geometry.unit(pos[(i + 1) % n] - pos[(i - 1) % n])
-            acc = np.zeros(3)
-            centroid_acc = np.zeros(3)
-            count = 0
-            for tid in vmap.get(g, ()):
-                if not mesh.is_active(tid):
-                    continue
-                a, b, c = mesh.tri_verts[tid]
-                acc += geometry.triangle_normal(
-                    mesh.positions[a], mesh.positions[b], mesh.positions[c])
-                centroid_acc += (mesh.positions[a] + mesh.positions[b]
-                                 + mesh.positions[c]) / 3.0
-                count += 1
-            n_vec, n_ok = geometry.unit(acc)
-            if not n_ok:
-                n_vec, n_ok = geometry.unit(np.asarray(mesh.normals[g]))
-            b_vec, b_ok = geometry.unit(np.cross(t_vec, n_vec))
-            if b_ok and count:
-                inward = centroid_acc / count - pos[i]
-                if float(np.dot(b_vec, inward)) > 0:
-                    b_vec = -b_vec
-            tan[i] = t_vec
-            nrm[i] = n_vec
-            binorm[i] = b_vec
-            ok[i] = t_ok and n_ok and b_ok
-        comp = comp_of[vmap[loop[0]][0]]
+    cuts = np.cumsum([len(lp) for lp in loops])[:-1]
+    for loop, gids, t, nv, bv, okv in zip(
+            loops, *(np.split(x, cuts) for x in (g, tan, nrm, binorm, ok))):
+        comp = lookup.of_loop(loop)
         dmax = None
         if with_dmax:
             fallback = config.width_factor * float(
                 np.mean(mesh.widths[gids]))
-            dmax = np.full(n, dmax_comp.get(comp, fallback))
+            dmax = np.full(len(loop), dmax_comp.get(comp, fallback))
         chains.append(Chain(
-            gids=gids, positions=pos, tangents=tan, normals=nrm,
-            binormals=binorm, widths=mesh.widths[gids].copy(),
-            colors=mesh.colors[gids].copy(), ok=ok, cyclic=True,
+            gids=gids, positions=pos[gids], tangents=t, normals=nv,
+            binormals=bv, widths=mesh.widths[gids].copy(),
+            colors=mesh.colors[gids].copy(), ok=okv, cyclic=True,
             component=comp, dmax=dmax))
     return ChainSet(chains)
 
 
 # ---------------------------------------------------------------------------
 # hole filling
-
-
-def _component_vertex_sets(mesh):
-    comp_of, comps = mesh.components()
-    sets = []
-    for tids in comps:
-        verts = set()
-        for t in tids:
-            verts.update(mesh.tri_verts[t])
-        sets.append(verts)
-    return comp_of, sets
 
 
 def _quad_fill(mesh, loop):
@@ -425,7 +456,7 @@ def third_vertices(verts, edges):
     return verts[np.arange(len(verts)), np.argmax(off, axis=1)]
 
 
-def close_small_holes(mesh, config, phase="fill"):
+def close_small_holes(mesh, config):
     """Fill boundary loops of up to small_hole_max_sides vertices,
     skipping loops that are the entire boundary of a sheet-like
     component (closing those would glue a pillow shut)."""
@@ -435,13 +466,11 @@ def close_small_holes(mesh, config, phase="fill"):
                  if len(lp) <= config.small_hole_max_sides]
         if not loops:
             break
-        comp_of, comp_verts = _component_vertex_sets(mesh)
-        vmap = mesh.vertex_tris()
+        lookup = _ComponentLookup(mesh)
         em = mesh.edge_map()
         added_now = 0
         for loop in loops:
-            comp = comp_of[vmap[loop[0]][0]]
-            if set(loop) >= comp_verts[comp]:
+            if lookup.loop_spans_component(loop):
                 continue
             if len(loop) == 3:
                 tris = [tuple(loop[::-1])]
@@ -454,25 +483,18 @@ def close_small_holes(mesh, config, phase="fill"):
                              (tri[2], tri[0])):
                     key = (u, v) if u < v else (v, u)
                     gain[key] = gain.get(key, 0) + 1
-            conflict = any(
-                len([t for t in em.get(key, ()) if mesh.is_active(t)])
-                + extra > 2 for key, extra in gain.items())
-            if conflict:
+            if any(len(em.get(key, ())) + extra > 2
+                   for key, extra in gain.items()):
                 continue
-            filled = 0
-            for tri in tris:
-                if mesh.add_triangle(*tri, phase=phase) is not None:
-                    filled += 1
-            if filled:
-                added_now += filled
-                em = mesh.edge_map()
+            added_now += sum(mesh.add_triangle(*tri) is not None
+                             for tri in tris)
         if not added_now:
             break
         added += added_now
     return added
 
 
-def fill_hole(mesh, loop, phase="fill"):
+def fill_hole(mesh, loop):
     """Minimum-area triangulation of one boundary loop (classic interval
     DP). Triangles are wound against the loop so they join the surface
     coherently. Chords that would overload an existing mesh edge are
@@ -487,8 +509,7 @@ def fill_hole(mesh, loop, phase="fill"):
         # loop edges gain one triangle, interior chords gain two
         adjacent = (j - i == 1) or (i == 0 and j == n - 1)
         key = (min(loop[i], loop[j]), max(loop[i], loop[j]))
-        have = len([t for t in em.get(key, ()) if mesh.is_active(t)])
-        return have <= (1 if adjacent else 0)
+        return len(em.get(key, ())) <= (1 if adjacent else 0)
 
     pts = [mesh.positions[g] for g in loop]
     cost = [[0.0] * n for _ in range(n)]
@@ -514,28 +535,25 @@ def fill_hole(mesh, loop, phase="fill"):
         if j - i < 2:
             continue
         k = pick[i][j]
-        if mesh.add_triangle(loop[j], loop[k], loop[i],
-                             phase=phase) is not None:
+        if mesh.add_triangle(loop[j], loop[k], loop[i]) is not None:
             added += 1
         stack.append((i, k))
         stack.append((k, j))
     return added
 
 
-def fill_all_holes(mesh, config, max_sides=None, phase="fill"):
+def fill_all_holes(mesh, config, max_sides=None):
     """Triangulate remaining boundary loops (optionally only those with
     at most max_sides vertices), skipping pillow cases."""
     added = 0
     loops = boundary_loops(mesh)
-    comp_of, comp_verts = _component_vertex_sets(mesh)
-    vmap = mesh.vertex_tris()
+    lookup = _ComponentLookup(mesh)
     for loop in loops:
         if max_sides is not None and len(loop) > max_sides:
             continue
-        comp = comp_of[vmap[loop[0]][0]]
-        if set(loop) >= comp_verts[comp]:
+        if lookup.loop_spans_component(loop):
             continue
-        added += fill_hole(mesh, loop, phase=phase)
+        added += fill_hole(mesh, loop)
     return added
 
 
@@ -543,78 +561,89 @@ def fill_all_holes(mesh, config, max_sides=None, phase="fill"):
 # smoothing
 
 
-def _move_keeps_normals(mesh, vmap, g, proposal, cos_guard):
-    """A vertex may move only if no incident triangle flips or tilts
-    past the guard angle, and none collapses."""
-    for tid in vmap.get(g, ()):
-        if not mesh.is_active(tid):
-            continue
-        a, b, c = mesh.tri_verts[tid]
-        before = geometry.triangle_normal(
-            mesh.positions[a], mesh.positions[b], mesh.positions[c])
-        pa, pb, pc = (proposal if x == g else mesh.positions[x]
-                      for x in (a, b, c))
-        after = geometry.triangle_normal(pa, pb, pc)
-        nb, ok_b = geometry.unit(before)
-        na, ok_a = geometry.unit(after)
-        if not ok_a:
-            return False
-        if ok_b and float(np.dot(nb, na)) < cos_guard:
-            return False
-    return True
+def _guarded_moves(mesh, g, prop, config):
+    """Move each vertex g[i] to prop[i] unless that collapses one of its
+    active triangles or turns one's unit normal past the smoothing
+    guard angle. Every proposal is judged against the positions before
+    any move, and a later proposal for a vertex wins over an earlier
+    one. Returns the number of proposals that passed."""
+    cos_guard = float(np.cos(np.radians(config.smoothing_normal_guard_deg)))
+    _, verts = mesh.triangle_array()
+    pos, n = mesh.positions, mesh.vertex_count()
+    # one row per (proposal, active corner at its vertex)
+    at = verts.ravel()
+    order = np.argsort(at, kind="stable")
+    count = np.bincount(at, minlength=n)[g]
+    owner = np.repeat(np.arange(len(g)), count)
+    corner = order[np.repeat(np.searchsorted(at, g, sorter=order)
+                             - np.cumsum(count) + count, count)
+                   + np.arange(len(owner))]
+    before = verts[corner // 3]
+    # the proposals follow the vertices as extra positions
+    after = before.copy()
+    after[np.arange(len(after)), corner % 3] = n + owner
+    nb, ok_b = geometry.unit_rows_pow(geometry.triangle_normals(pos, before))
+    na, ok_a = geometry.unit_rows_pow(
+        geometry.triangle_normals(np.concatenate([pos, prop]), after))
+    rows = np.flatnonzero(ok_a & ok_b)
+    # np.dot row by row, not einsum: the guard angle is judged on BLAS
+    # ddot's rounding, as in mesher.apex_sides
+    dots = np.fromiter(map(np.dot, nb[rows], na[rows]), dtype=np.float64,
+                       count=len(rows))
+    blocked = np.zeros(len(g), dtype=bool)
+    blocked[owner[~ok_a]] = True
+    blocked[owner[rows[dots < cos_guard]]] = True
+    passed = np.flatnonzero(~blocked)
+    _, last = np.unique(g[passed][::-1], return_index=True)
+    last = passed[len(passed) - 1 - last]
+    pos[g[last]] = prop[last]
+    return len(passed)
 
 
 def smooth_boundary(mesh, config, iterations=1, lam=0.5):
-    """Laplacian relaxation along boundary loops with a normal guard."""
-    cos_guard = float(np.cos(np.radians(config.smoothing_normal_guard_deg)))
+    """Laplacian relaxation along boundary loops with a normal guard:
+    each loop vertex proposes a move toward the midpoint of its loop
+    neighbours."""
     moved = 0
     for _ in range(iterations):
         loops = boundary_loops(mesh)
-        vmap = mesh.vertex_tris()
-        proposals = []
-        for loop in loops:
-            n = len(loop)
-            for i, g in enumerate(loop):
-                target = 0.5 * (mesh.positions[loop[(i - 1) % n]]
-                                + mesh.positions[loop[(i + 1) % n]])
-                prop = mesh.positions[g] + lam * (target - mesh.positions[g])
-                if _move_keeps_normals(mesh, vmap, g, prop, cos_guard):
-                    proposals.append((g, prop))
-        for g, prop in proposals:
-            mesh.positions[g] = prop
-            moved += 1
+        if not loops:
+            continue
+        g = np.concatenate(loops)
+        prev, nxt = _loop_neighbours(loops)
+        pos = mesh.positions
+        target = 0.5 * (pos[prev] + pos[nxt])
+        moved += _guarded_moves(mesh, g, pos[g] + lam * (target - pos[g]),
+                                config)
     return moved
 
 
 def laplacian_smooth(mesh, config, iterations=1, lam=0.5):
-    """Interior-vertex Laplacian smoothing; boundary vertices stay put."""
-    cos_guard = float(np.cos(np.radians(config.smoothing_normal_guard_deg)))
+    """Interior-vertex Laplacian smoothing; boundary vertices stay put.
+    Each interior vertex proposes a move toward the mean of its one-ring,
+    summed in ascending neighbour order, with a normal guard."""
     moved = 0
     for _ in range(iterations):
-        em = mesh.edge_map()
-        vmap = mesh.vertex_tris()
-        boundary = set()
-        neighbors = {}
-        for (u, v), tids in em.items():
-            if not tids:
-                continue        # every triangle on this edge was removed
-            if len(tids) == 1:
-                boundary.add(u)
-                boundary.add(v)
-            neighbors.setdefault(u, set()).add(v)
-            neighbors.setdefault(v, set()).add(u)
-        proposals = []
-        for g in sorted(neighbors):
-            if g in boundary:
-                continue
-            ring = sorted(neighbors[g])
-            target = np.mean(mesh.positions[ring], axis=0)
-            prop = mesh.positions[g] + lam * (target - mesh.positions[g])
-            if _move_keeps_normals(mesh, vmap, g, prop, cos_guard):
-                proposals.append((g, prop))
-        for g, prop in proposals:
-            mesh.positions[g] = prop
-            moved += 1
+        _, verts = mesh.triangle_array()
+        n = mesh.vertex_count()
+        keys, count = np.unique(edge_keys(verts, n), return_counts=True)
+        boundary = np.zeros(n, dtype=bool)
+        boundary[keys[count == 1] // n] = True
+        boundary[keys[count == 1] % n] = True
+        # both directions of every edge, by vertex, then by neighbour
+        own = np.concatenate([keys // n, keys % n])
+        ring = np.concatenate([keys % n, keys // n])
+        order = np.lexsort((ring, own))
+        own, ring = own[order], ring[order]
+        own, ring = own[~boundary[own]], ring[~boundary[own]]
+        pos = mesh.positions
+        ring_sum = np.zeros((n, 3))
+        np.add.at(ring_sum, own, pos[ring])
+        size = np.bincount(own, minlength=n)
+        g = np.flatnonzero(size)
+        target = ring_sum[g] / size[g, None]
+        moved += _guarded_moves(mesh, g, pos[g] + lam * (target - pos[g]),
+                                config)
     return moved
 
 
@@ -625,31 +654,24 @@ def laplacian_smooth(mesh, config, iterations=1, lam=0.5):
 def component_stats(mesh):
     """Per-component counts plus Euler characteristic and boundary loop
     tally, ordered like mesh.components()."""
-    comp_of, comps = mesh.components()
-    loop_count = {}
-    vmap = mesh.vertex_tris()
-    for loop in boundary_loops(mesh):
-        comp = comp_of[vmap[loop[0]][0]]
-        loop_count[comp] = loop_count.get(comp, 0) + 1
-    stats = []
-    for i, tids in enumerate(comps):
-        verts = set()
-        edges = set()
-        for t in tids:
-            a, b, c = mesh.tri_verts[t]
-            verts.update((a, b, c))
-            for u, v in ((a, b), (b, c), (c, a)):
-                edges.add((u, v) if u < v else (v, u))
-        loops = loop_count.get(i, 0)
-        stats.append({
-            "triangles": len(tids),
-            "vertices": len(verts),
-            "edges": len(edges),
-            "euler": len(verts) - len(edges) + len(tids),
-            "boundary_loops": loops,
-            "closed": loops == 0,
-        })
-    return stats
+    lookup = _ComponentLookup(mesh)
+    k = len(lookup.comps)
+    _, first = np.unique(edge_keys(lookup.verts, mesh.vertex_count()),
+                         return_index=True)
+    edges = np.bincount(lookup.labels[first // 3], minlength=k).tolist()
+    vertices = np.bincount(lookup.incidences // lookup.n,
+                           minlength=k).tolist()
+    loops = np.bincount(np.array([lookup.of_loop(lp)
+                                  for lp in boundary_loops(mesh)],
+                                 dtype=np.int64), minlength=k).tolist()
+    return [{
+        "triangles": len(tids),
+        "vertices": vertices[i],
+        "edges": edges[i],
+        "euler": vertices[i] - edges[i] + len(tids),
+        "boundary_loops": loops[i],
+        "closed": loops[i] == 0,
+    } for i, tids in enumerate(lookup.comps)]
 
 
 def path_edge_fraction(mesh, paths):
@@ -687,24 +709,16 @@ def export_obj(mesh, path):
     """Write active triangles as a deterministic OBJ: vertices in
     ascending id order, one group per connected component, faces rotated
     to lead with their smallest vertex."""
-    active = mesh.active_ids()
-    comp_of, comps = mesh.components()
-    used = sorted({v for t in active for v in mesh.tri_verts[t]})
-    remap = {g: i + 1 for i, g in enumerate(used)}
+    _, verts = mesh.triangle_array()
+    _, comps = mesh.components()
+    used = np.unique(verts)
+    remap = dict(zip(used.tolist(), range(1, len(used) + 1)))
 
     # area-weighted vertex normals over the oriented surface
-    acc = np.zeros((len(used), 3))
-    row = {g: i for i, g in enumerate(used)}
-    for t in active:
-        a, b, c = mesh.tri_verts[t]
-        n = geometry.triangle_normal(mesh.positions[a], mesh.positions[b],
-                                     mesh.positions[c])
-        for g in (a, b, c):
-            acc[row[g]] += n
-    norms = np.zeros_like(acc)
-    for i in range(len(used)):
-        u, ok = geometry.unit(acc[i])
-        norms[i] = u if ok else np.array([0.0, 0.0, 1.0])
+    pos = mesh.positions
+    norms, ok = geometry.unit_rows_pow(_vertex_sums(
+        verts, geometry.triangle_normals(pos, verts), len(pos))[used])
+    norms[~ok] = (0.0, 0.0, 1.0)
 
     comp_faces = []
     for tids in comps:
@@ -714,11 +728,9 @@ def export_obj(mesh, path):
     comp_faces.sort(key=lambda fs: fs[0])
 
     lines = []
-    for g in used:
-        p = mesh.positions[g]
+    for p in pos[used]:
         lines.append(f"v {_fmt(p[0])} {_fmt(p[1])} {_fmt(p[2])}")
-    for i in range(len(used)):
-        n = norms[i]
+    for n in norms:
         lines.append(f"vn {_fmt(n[0])} {_fmt(n[1])} {_fmt(n[2])}")
     for ci, faces in enumerate(comp_faces):
         lines.append(f"g component_{ci:03d}")
@@ -759,7 +771,7 @@ def load_obj(path):
     return pos, faces, nrm
 
 
-def mesh_from_arrays(positions, faces, normals=None, phase="import"):
+def mesh_from_arrays(positions, faces, normals=None):
     """Wrap raw geometry in a SurfaceMesh (for evaluating OBJ files)."""
     from .mesher import KIND_STROKE, SurfaceMesh
 
@@ -772,5 +784,5 @@ def mesh_from_arrays(positions, faces, normals=None, phase="import"):
     mesh.add_vertices(np.asarray(positions, dtype=np.float64), normals,
                       np.ones(n), np.zeros((n, 3)), origin, KIND_STROKE)
     for f in faces:
-        mesh.add_triangle(f[0], f[1], f[2], phase=phase)
+        mesh.add_triangle(f[0], f[1], f[2])
     return mesh

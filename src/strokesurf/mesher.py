@@ -44,11 +44,9 @@ KIND_RIBBON = 2
 @dataclass(frozen=True)
 class Provenance:
     """What a triangle hangs on: a chain edge and an apex, in the
-    coordinate frame of the ChainSet of its phase."""
+    coordinate frame of the ChainSet it was meshed from."""
 
-    phase: str
     edge: tuple                 # (gid, gid) in chain order
-    apex: int                   # gid
     side: int                   # +1 / -1, apex side of the edge's chain
     edge_ref: tuple             # (VertexRef, VertexRef)
     apex_ref: VertexRef
@@ -118,7 +116,6 @@ class SurfaceMesh:
 
         self.tri_verts = []
         self.tri_state = []
-        self.tri_phase = []
         self.tri_prov = []
         self._key_to_id = {}
         self._em = {}
@@ -168,7 +165,7 @@ class SurfaceMesh:
 
     # ---- triangles ----
 
-    def add_triangle(self, a, b, c, phase, prov=None, state=OUTPUT):
+    def add_triangle(self, a, b, c, prov=None):
         a, b, c = int(a), int(b), int(c)
         if a == b or b == c or a == c:
             return None
@@ -184,8 +181,7 @@ class SurfaceMesh:
             return None
         tid = len(self.tri_verts)
         self.tri_verts.append((a, b, c))
-        self.tri_state.append(state)
-        self.tri_phase.append(phase)
+        self.tri_state.append(OUTPUT)
         self.tri_prov.append(prov)
         self._key_to_id[key] = tid
         for u, v in ((a, b), (b, c), (c, a)):
@@ -193,7 +189,7 @@ class SurfaceMesh:
             self._em.setdefault(ekey, []).append(tid)
         return tid
 
-    def add_triangles(self, verts, phase, provenance):
+    def add_triangles(self, verts, provenance):
         """Add the rows of an (R, 3) gid array as add_triangle would, one
         after another: a row naming a vertex twice or under the area
         floor is dropped, and a row whose vertex set an active triangle
@@ -223,7 +219,7 @@ class SurfaceMesh:
                 wins.append(row)
         self.duplicates_skipped += len(rows) - len(wins)
         wins = np.array(wins, dtype=np.int64)
-        tids[wins] = [self.add_triangle(*tri, phase, prov)
+        tids[wins] = [self.add_triangle(*tri, prov)
                       for tri, prov in zip(verts[wins].tolist(),
                                            provenance(wins))]
         return tids
@@ -268,11 +264,10 @@ class SurfaceMesh:
                 edges.setdefault(key, []).append(tid)
         return edges
 
-    def vertex_tris(self, tri_ids=None):
-        if tri_ids is None:
-            tri_ids = self.active_ids()
+    def vertex_tris(self):
+        """Vertex -> list of incident active triangle ids, ascending."""
         out = {}
-        for tid in tri_ids:
+        for tid in self.active_ids():
             for v in self.tri_verts[tid]:
                 out.setdefault(v, []).append(tid)
         return out
@@ -291,8 +286,8 @@ class SurfaceMesh:
     def components(self, tri_ids=None):
         """Edge-connected components of the given (default: the active)
         triangles. Returns (comp_of: dict tid -> comp index, comps: list
-        of tid lists); components are ordered by their lowest tid, tids
-        ascending."""
+        of tid lists); components are ordered by their lowest tid, and
+        comp_of and every list hold their tids ascending."""
         tids, verts = self.triangle_array(tri_ids)
         labels = join_equal_keys(edge_keys(verts, self.vertex_count()))
         comps = split_by_label(tids, labels)
@@ -327,11 +322,10 @@ class _Emitter:
     rows with one SurfaceMesh.add_triangles call; the queue is then
     empty for more rows."""
 
-    def __init__(self, mesh, cs, config, phase):
+    def __init__(self, mesh, cs, config):
         self.mesh = mesh
         self.cs = cs
         self.config = config
-        self.phase = phase
         # flat int64 rows (fa, fb, apex if diagonal 1, else, side, quad)
         # and (fa, fb, qa, qb) per quad
         self.rows = array("q")
@@ -399,7 +393,7 @@ class _Emitter:
         self.rows, self.quads = array("q"), array("q")
         verts = np.stack([cs.gid[fa], cs.gid[fb], cs.gid[apex]], axis=1)
         return self.mesh.add_triangles(
-            verts, self.phase,
+            verts,
             lambda rows: self._provenance(fa[rows], fb[rows], apex[rows],
                                           side[rows]))
 
@@ -416,11 +410,11 @@ class _Emitter:
             return map(VertexRef, cs.chain_id[f].tolist(),
                        cs.index[f].tolist())
 
-        return [Provenance(phase=self.phase, edge=(ga, gb), apex=gq,
-                           side=sd, edge_ref=(ra, rb), apex_ref=rq)
-                for ga, gb, gq, sd, ra, rb, rq in zip(
-                    gid[fa].tolist(), gid[fb].tolist(), gid[apex].tolist(),
-                    side.tolist(), refs(fa), refs(fb), refs(apex))]
+        return [Provenance(edge=(ga, gb), side=sd, edge_ref=(ra, rb),
+                           apex_ref=rq)
+                for ga, gb, sd, ra, rb, rq in zip(
+                    gid[fa].tolist(), gid[fb].tolist(), side.tolist(),
+                    refs(fa), refs(fb), refs(apex))]
 
     def polygon(self, ci, ia, ib, qa_flat, qb_flat, table, match_side):
         """Fan a section of the target chain between two non-consecutive
@@ -531,7 +525,7 @@ def _emission_order(table):
                   key=lambda k: (k[0], table.matches[k].tolist()))
 
 
-def mesh_from_matches(table, config, mesh=None, phase="stroke"):
+def mesh_from_matches(table, config, mesh=None):
     """Emit triangle strips for every matched chain pair in the table,
     in `_emission_order`, and insert them in one pass. Duplicate
     triangles (same vertex set) are inserted once and keep the
@@ -542,7 +536,7 @@ def mesh_from_matches(table, config, mesh=None, phase="stroke"):
         mesh.add_vertices(cs.pos, cs.nrm, cs.w, cs.col,
                           np.stack([cs.chain_id, cs.index], axis=1),
                           KIND_STROKE)
-    emitter = _Emitter(mesh, cs, config, phase)
+    emitter = _Emitter(mesh, cs, config)
     for (ci, side) in _emission_order(table):
         _emit_pairs(emitter, table, ci, side, table.matches[(ci, side)])
     emitter.flush()
@@ -629,7 +623,7 @@ def _make_offset_chain(mesh, cs, source_ci, idx_range, dirs, offset_cache):
     return cs.append_chain(chain)
 
 
-def mesh_with_creases(table, config, mesh=None, phase="stroke"):
+def mesh_with_creases(table, config, mesh=None):
     """Like mesh_from_matches, but matched sections meeting at a sharp
     angle keep a crease: the stroke with more vertices along the section
     extends a half-width ribbon toward the partner, and that ribbon edge
@@ -642,7 +636,7 @@ def mesh_with_creases(table, config, mesh=None, phase="stroke"):
         mesh.add_vertices(cs.pos, cs.nrm, cs.w, cs.col,
                           np.stack([cs.chain_id, cs.index], axis=1),
                           KIND_STROKE)
-    emitter = _Emitter(mesh, cs, config, phase)
+    emitter = _Emitter(mesh, cs, config)
     offset_cache = {}
 
     jobs = []      # (chain_id, side, working match array)

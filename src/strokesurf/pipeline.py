@@ -132,14 +132,9 @@ class _StageScope:
 
 def _stroke_triangle_presence(mesh, cs):
     """Which stroke chains own at least one active triangle vertex."""
-    touched = set()
-    for t in mesh.active_ids():
-        for g in mesh.tri_verts[t]:
-            touched.add(g)
-    present = []
-    for ci, chain in enumerate(cs.chains):
-        present.append(any(int(g) in touched for g in chain.gids))
-    return present
+    touched = np.zeros(mesh.vertex_count(), dtype=bool)
+    touched[mesh.triangle_array()[1]] = True
+    return [bool(touched[chain.gids].any()) for chain in cs.chains]
 
 
 def _emit_ribbons(mesh, drawing, cs):
@@ -161,8 +156,7 @@ def _emit_ribbons(mesh, drawing, cs):
             corners, stroke.normals[spine], stroke.widths[spine],
             np.tile(stroke.color, (len(corners), 1)), origin, KIND_RIBBON)
         for a, b, c in tris:
-            if mesh.add_triangle(gids[a], gids[b], gids[c],
-                                 phase="ribbon") is not None:
+            if mesh.add_triangle(gids[a], gids[b], gids[c]) is not None:
                 added += 1
     return added
 
@@ -177,10 +171,6 @@ def _count_matching(stage, cands=None, table=None):
                 0 if cands is None else cands.pairs_tested)
     stage.count("matched", 0 if table is None else sum(
         int((m >= 0).sum()) for m in table.matches.values()))
-
-
-def _match_stage(tracker, name, table):
-    tracker.dump_json(name, "matches", _match_payload(table))
 
 
 def _match_payload(table):
@@ -231,14 +221,14 @@ def run_pipeline(drawing, options=None):
         _count_matching(stage, cands, baseline)
         freqs = matcher.matching_frequencies(baseline)
         neighbors = matcher.dominant_neighbors(baseline, freqs, config)
-    _match_stage(tracker, "baseline_match", baseline)
+    tracker.dump_json("baseline_match", "matches", _match_payload(baseline))
 
     with tracker.stage("restricted_match") as stage:
         cands = matcher.restricted_candidates(cs, config, neighbors,
                                               color_cue=options.use_color)
         table = matcher.match_all(cands, config)
         _count_matching(stage, cands, table)
-    _match_stage(tracker, "restricted_match", table)
+    tracker.dump_json("restricted_match", "matches", _match_payload(table))
 
     with tracker.stage("strip_meshing") as stage:
         if options.preserve_creases:
@@ -253,7 +243,6 @@ def run_pipeline(drawing, options=None):
         stage.count("nonorientable_removed",
                     len(mesh_ops.break_nonorientable(mesh)))
         stats.repair_removed += len(consolidate.repair_nonmanifold(mesh))
-        mesh_ops.orient_all(mesh, align=False)
 
     if not options.skip_extension:
         frozen = set(mesh.active_ids())
@@ -266,9 +255,9 @@ def run_pipeline(drawing, options=None):
                     bcs, config, "extension", color_cue=options.use_color)
                 btable = matcher.match_all(bcands, config)
                 _count_matching(stage, bcands, btable)
-                mesher.mesh_from_matches(btable, config, mesh=mesh,
-                                         phase="extension")
-                _match_stage(tracker, "boundary_extension", btable)
+                mesher.mesh_from_matches(btable, config, mesh=mesh)
+                tracker.dump_json("boundary_extension", "matches",
+                                  _match_payload(btable))
             stage.count_emissions()
         stats = consolidate.ConsolidationStats()
         with tracker.stage("extension_consolidation", stats) as stage:
@@ -279,7 +268,6 @@ def run_pipeline(drawing, options=None):
                 mesh_ops.break_nonorientable(mesh, frozen=frozen)))
             stats.repair_removed += len(
                 consolidate.repair_nonmanifold(mesh, frozen=frozen))
-            mesh_ops.orient_all(mesh, align=False)
 
     with tracker.stage("small_holes") as stage:
         stage.count("holes_closed_added",
@@ -300,9 +288,9 @@ def run_pipeline(drawing, options=None):
                 gcs, config, "gap", color_cue=options.use_color)
             gtable = matcher.match_all(gcands, config)
             _count_matching(stage, gcands, gtable)
-            mesher.mesh_from_matches(gtable, config, mesh=mesh,
-                                     phase="gap")
-            _match_stage(tracker, "gap_spanning", gtable)
+            mesher.mesh_from_matches(gtable, config, mesh=mesh)
+            tracker.dump_json("gap_spanning", "matches",
+                              _match_payload(gtable))
         stage.count_emissions()
     stats = consolidate.ConsolidationStats()
     with tracker.stage("gap_consolidation", stats):
@@ -320,7 +308,6 @@ def run_pipeline(drawing, options=None):
         # removals may leave pinched fans behind
         stage.count("repair_removed", len(
             consolidate.repair_nonmanifold(mesh, frozen=frozen)))
-        mesh_ops.orient_all(mesh, align=False)
         stage.count("holes_closed_added",
                     mesh_ops.close_small_holes(mesh, config))
         stage.count("repair_removed", len(
@@ -358,8 +345,7 @@ def run_pipeline(drawing, options=None):
         "euler_characteristics": [s["euler"] for s in stats],
         "boundary_loops": [s["boundary_loops"] for s in stats],
         "triangles": mesh.active_count(),
-        "vertices": len({v for t in mesh.active_ids()
-                         for v in mesh.tri_verts[t]}),
+        "vertices": len(np.unique(mesh.triangle_array()[1])),
         "strokes_in": len(drawing.strokes),
         "strokes_trimmed_away": dropped,
         "duplicates_skipped": mesh.duplicates_skipped,

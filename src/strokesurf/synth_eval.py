@@ -647,7 +647,7 @@ def points_to_mesh_distance(points, positions, faces, return_pairs=False):
 def sample_mesh_surface(positions, faces, n, rng):
     """Area-weighted barycentric samples over a triangle list."""
     positions = np.asarray(positions, dtype=np.float64)
-    tris = np.array([tuple(f) for f in faces], dtype=np.int64)
+    tris = np.asarray(faces, dtype=np.int64).reshape(-1, 3)
     a = positions[tris[:, 0]]
     b = positions[tris[:, 1]]
     c = positions[tris[:, 2]]
@@ -694,8 +694,7 @@ def interpolated_fraction(mesh, drawing, config=None, tol_rel=1e-6):
     """Share of trimmed stroke polyline edges present as mesh edges,
     located by position (for meshes loaded back from OBJ)."""
     config = config or Config()
-    used = np.unique(np.array([mesh.tri_verts[t] for t in mesh.active_ids()],
-                              dtype=np.int64))
+    used = np.unique(mesh.triangle_array()[1])
     if not used.size:
         return 0.0
     tree = cKDTree(mesh.positions[used])
@@ -717,13 +716,12 @@ def evaluate(mesh, truth, drawing=None, samples=10000, seed=7,
     drawing is supplied) the interpolated-edge fraction."""
     t0 = time.perf_counter()
     rng = SplitMix64(seed)
-    active = mesh.active_ids()
-    if not active:
+    _, faces = mesh.triangle_array()
+    if not len(faces):
         raise ValueError("mesh has no active triangles")
     bad_edges, bad_vertices = mesh_ops.audit_manifold(mesh)
     stats = mesh_ops.component_stats(mesh)
 
-    faces = [mesh.tri_verts[t] for t in active]
     mesh_samples = sample_mesh_surface(mesh.positions, faces, samples, rng)
     d_mesh, pairs_mesh = truth.distance(mesh_samples, return_pairs=True)
     d_mesh = float(d_mesh.max())

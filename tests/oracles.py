@@ -13,8 +13,11 @@ candidate triangles, the mesh-topology references (manifold audit,
 components, orientation, the repair net, undecided components, Moebius
 strips) walk vertex fans and components one at a time with hand-written
 union-finds, the angle references evaluate one triangle at a time in
-Python floats, and the strip-meshing reference inserts every triangle
-the moment it is emitted, scoring each quad on its own.
+Python floats, the strip-meshing reference inserts every triangle
+the moment it is emitted, scoring each quad on its own, and the
+neighbourhood references (both smoothers with their move guard,
+boundary chain frames, component stats, undecided classification)
+walk a vertex -> triangle dict one vertex at a time.
 """
 
 import itertools
@@ -564,9 +567,7 @@ def scalar_emitter():
             if side == 0:
                 side = int(match_side)
             return mesher.Provenance(
-                phase=self.phase,
                 edge=(int(cs.gid[base + ia]), int(cs.gid[base + ib])),
-                apex=int(cs.gid[apex_flat]),
                 side=side,
                 edge_ref=edge_ref,
                 apex_ref=cs.ref(apex_flat),
@@ -578,7 +579,7 @@ def scalar_emitter():
             prov = self._prov(ci, ia, ib, apex_flat, match_side)
             return self.mesh.add_triangle(
                 cs.gid[base + ia], cs.gid[base + ib], cs.gid[apex_flat],
-                self.phase, prov)
+                prov)
 
         def quad(self, ci, ia, ib, qa_flat, qb_flat, match_side):
             cs = self.cs
@@ -840,7 +841,7 @@ def find_incompatible_pairs(mesh, cs, config, frozen=frozenset()):
                 if not (tids[i] in frozen and tids[j] in frozen):
                     consider(tids[i], tids[j])
 
-    for gid, tids in sorted(mesh.vertex_tris(mesh.active_ids()).items()):
+    for gid, tids in sorted(mesh.vertex_tris().items()):
         for i in range(len(tids)):
             vi = set(mesh.tri_verts[tids[i]])
             for j in range(i + 1, len(tids)):
@@ -1006,7 +1007,7 @@ def audit_manifold(mesh):
     fans of every vertex one at a time."""
     em = mesh.edge_map()
     bad_edges = sorted(e for e, tids in em.items() if len(tids) > 2)
-    vmap = mesh.vertex_tris(mesh.active_ids())
+    vmap = mesh.vertex_tris()
     bad_vertices = [v for v in sorted(vmap)
                     if len(vertex_fan_groups(mesh, v, vmap[v])) > 1]
     return bad_edges, bad_vertices
@@ -1208,3 +1209,239 @@ def resolve_moebius(mesh, new_tids):
                 mesh.remove(t)
                 removed.append(t)
     return removed
+
+
+# ---------------------------------------------------------------------------
+# mesh neighbourhoods: smoothing, boundary frames, component stats and
+# undecided classification, one vertex or triangle at a time over
+# vertex -> triangle dicts
+
+
+def _unit(v, eps=1e-9):
+    v = np.asarray(v, dtype=np.float64)
+    n = math.sqrt(float(v[0]) ** 2 + float(v[1]) ** 2 + float(v[2]) ** 2)
+    if n < eps:
+        return np.zeros(3), False
+    return v / n, True
+
+
+def _triangle_normal(a, b, c):
+    ux, uy, uz = b[0] - a[0], b[1] - a[1], b[2] - a[2]
+    vx, vy, vz = c[0] - a[0], c[1] - a[1], c[2] - a[2]
+    return np.array((uy * vz - uz * vy, uz * vx - ux * vz,
+                     ux * vy - uy * vx))
+
+
+def move_keeps_normals(mesh, vmap, g, proposal, cos_guard):
+    """A vertex may move only if no incident triangle flips or tilts
+    past the guard angle, and none collapses."""
+    for tid in vmap.get(g, ()):
+        if not mesh.is_active(tid):
+            continue
+        a, b, c = mesh.tri_verts[tid]
+        before = _triangle_normal(
+            mesh.positions[a], mesh.positions[b], mesh.positions[c])
+        pa, pb, pc = (proposal if x == g else mesh.positions[x]
+                      for x in (a, b, c))
+        after = _triangle_normal(pa, pb, pc)
+        nb, ok_b = _unit(before)
+        na, ok_a = _unit(after)
+        if not ok_a:
+            return False
+        if ok_b and float(np.dot(nb, na)) < cos_guard:
+            return False
+    return True
+
+
+def smooth_boundary(mesh, config, iterations=1, lam=0.5):
+    """Reference for mesh_ops.smooth_boundary: one guard call per loop
+    vertex."""
+    from strokesurf.mesh_ops import boundary_loops
+
+    cos_guard = float(np.cos(np.radians(config.smoothing_normal_guard_deg)))
+    moved = 0
+    for _ in range(iterations):
+        loops = boundary_loops(mesh)
+        vmap = mesh.vertex_tris()
+        proposals = []
+        for loop in loops:
+            n = len(loop)
+            for i, g in enumerate(loop):
+                target = 0.5 * (mesh.positions[loop[(i - 1) % n]]
+                                + mesh.positions[loop[(i + 1) % n]])
+                prop = mesh.positions[g] + lam * (target - mesh.positions[g])
+                if move_keeps_normals(mesh, vmap, g, prop, cos_guard):
+                    proposals.append((g, prop))
+        for g, prop in proposals:
+            mesh.positions[g] = prop
+            moved += 1
+    return moved
+
+
+def laplacian_smooth(mesh, config, iterations=1, lam=0.5):
+    """Reference for mesh_ops.laplacian_smooth: rings from the live edge
+    map, means with np.mean, one guard call per vertex."""
+    cos_guard = float(np.cos(np.radians(config.smoothing_normal_guard_deg)))
+    moved = 0
+    for _ in range(iterations):
+        em = mesh.edge_map()
+        vmap = mesh.vertex_tris()
+        boundary = set()
+        neighbors = {}
+        for (u, v), tids in em.items():
+            if not tids:
+                continue        # every triangle on this edge was removed
+            if len(tids) == 1:
+                boundary.add(u)
+                boundary.add(v)
+            neighbors.setdefault(u, set()).add(v)
+            neighbors.setdefault(v, set()).add(u)
+        proposals = []
+        for g in sorted(neighbors):
+            if g in boundary:
+                continue
+            ring = sorted(neighbors[g])
+            target = np.mean(mesh.positions[ring], axis=0)
+            prop = mesh.positions[g] + lam * (target - mesh.positions[g])
+            if move_keeps_normals(mesh, vmap, g, prop, cos_guard):
+                proposals.append((g, prop))
+        for g, prop in proposals:
+            mesh.positions[g] = prop
+            moved += 1
+    return moved
+
+
+def _interpolation_dmax(mesh, comp_of, config):
+    lengths = {}
+    for key, tids in mesh.edge_map().items():
+        u, v = key
+        ou, ov = mesh.origin[u], mesh.origin[v]
+        structural = (ou[0] == ov[0]
+                      and mesh.origin_kind[u] == mesh.origin_kind[v]
+                      and abs(int(ou[1]) - int(ov[1])) == 1)
+        if structural:
+            continue
+        d = float(np.linalg.norm(mesh.positions[u] - mesh.positions[v]))
+        for c in sorted({comp_of[t] for t in tids}):
+            lengths.setdefault(c, []).append(d)
+    return {c: float(np.mean(ls)) for c, ls in lengths.items()}
+
+
+def boundary_chain_set(mesh, config, with_dmax=False):
+    """Reference for mesh_ops.boundary_chain_set: each loop vertex framed
+    on its own, its incident triangles summed one at a time."""
+    from strokesurf.matcher import Chain, ChainSet
+    from strokesurf.mesh_ops import boundary_loops
+
+    loops = boundary_loops(mesh)
+    if not loops:
+        return None
+    comp_of, _ = components(mesh)
+    vmap = mesh.vertex_tris()
+    dmax_comp = _interpolation_dmax(mesh, comp_of, config) if with_dmax \
+        else {}
+
+    chains = []
+    for loop in loops:
+        gids = np.asarray(loop, dtype=np.int64)
+        pos = mesh.positions[gids]
+        n = len(loop)
+        tan = np.zeros((n, 3))
+        nrm = np.zeros((n, 3))
+        binorm = np.zeros((n, 3))
+        ok = np.ones(n, dtype=bool)
+        for i, g in enumerate(loop):
+            t_vec, t_ok = _unit(pos[(i + 1) % n] - pos[(i - 1) % n])
+            acc = np.zeros(3)
+            centroid_acc = np.zeros(3)
+            count = 0
+            for tid in vmap.get(g, ()):
+                if not mesh.is_active(tid):
+                    continue
+                a, b, c = mesh.tri_verts[tid]
+                acc += _triangle_normal(
+                    mesh.positions[a], mesh.positions[b], mesh.positions[c])
+                centroid_acc += (mesh.positions[a] + mesh.positions[b]
+                                 + mesh.positions[c]) / 3.0
+                count += 1
+            n_vec, n_ok = _unit(acc)
+            if not n_ok:
+                n_vec, n_ok = _unit(np.asarray(mesh.normals[g]))
+            b_vec, b_ok = _unit(np.cross(t_vec, n_vec))
+            if b_ok and count:
+                inward = centroid_acc / count - pos[i]
+                if float(np.dot(b_vec, inward)) > 0:
+                    b_vec = -b_vec
+            tan[i] = t_vec
+            nrm[i] = n_vec
+            binorm[i] = b_vec
+            ok[i] = t_ok and n_ok and b_ok
+        comp = comp_of[vmap[loop[0]][0]]
+        dmax = None
+        if with_dmax:
+            fallback = config.width_factor * float(
+                np.mean(mesh.widths[gids]))
+            dmax = np.full(n, dmax_comp.get(comp, fallback))
+        chains.append(Chain(
+            gids=gids, positions=pos, tangents=tan, normals=nrm,
+            binormals=binorm, widths=mesh.widths[gids].copy(),
+            colors=mesh.colors[gids].copy(), ok=ok, cyclic=True,
+            component=comp, dmax=dmax))
+    return ChainSet(chains)
+
+
+def component_stats(mesh):
+    """Reference for mesh_ops.component_stats: vertex and edge sets per
+    component."""
+    from strokesurf.mesh_ops import boundary_loops
+
+    comp_of, comps = components(mesh)
+    loop_count = {}
+    vmap = mesh.vertex_tris()
+    for loop in boundary_loops(mesh):
+        comp = comp_of[vmap[loop[0]][0]]
+        loop_count[comp] = loop_count.get(comp, 0) + 1
+    stats = []
+    for i, tids in enumerate(comps):
+        verts = set()
+        edges = set()
+        for t in tids:
+            a, b, c = mesh.tri_verts[t]
+            verts.update((a, b, c))
+            for u, v in ((a, b), (b, c), (c, a)):
+                edges.add((u, v) if u < v else (v, u))
+        loops = loop_count.get(i, 0)
+        stats.append({
+            "triangles": len(tids),
+            "vertices": len(verts),
+            "edges": len(edges),
+            "euler": len(verts) - len(edges) + len(tids),
+            "boundary_loops": loops,
+            "closed": loops == 0,
+        })
+    return stats
+
+
+def classify_undecided(mesh, pairs, frozen=frozenset()):
+    """Reference for consolidate.classify_undecided: the participants and
+    every triangle at a conflict's entity, through a vertex map."""
+    from strokesurf.mesher import OUTPUT, UNDECIDED
+
+    active = mesh.active_ids()
+    vmap = mesh.vertex_tris()
+    undecided = set()
+    for t1, t2, entity in pairs:
+        for t in (t1, t2):
+            if t not in frozen:
+                undecided.add(t)
+        verts = entity[1] if entity[0] == "edge" else (entity[1],)
+        for v in verts:
+            for t in vmap.get(v, ()):
+                if t not in frozen:
+                    undecided.add(t)
+    for t in undecided:
+        mesh.tri_state[t] = UNDECIDED
+    for t in active:
+        if t not in undecided:
+            mesh.tri_state[t] = OUTPUT
+    return undecided

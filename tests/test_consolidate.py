@@ -27,7 +27,7 @@ def strip_fixture(config, apexes, bn=(0, -1, 0)):
     mesh.add_vertices(cs.pos, cs.nrm, cs.w, cs.col,
                       np.stack([cs.chain_id, cs.index], axis=1),
                       mesher.KIND_STROKE)
-    emitter = mesher._Emitter(mesh, cs, config, "stroke")
+    emitter = mesher._Emitter(mesh, cs, config)
 
     def tri_on_edge(*args):
         emitter.tri_on_edge(*args)
@@ -80,8 +80,8 @@ def test_sharp_fold_conflicts_even_across_sides(config):
 def test_fold_at_the_dihedral_threshold_is_compatible(config):
     # no provenance, so criterion 3 alone can flag the pair
     cs, mesh, _ = strip_fixture(config, [[0.4, 0.3, 0.5], [0.6, -0.2, 0.6]])
-    t1 = mesh.add_triangle(1, 2, 3, "stroke")
-    t2 = mesh.add_triangle(1, 2, 4, "stroke")
+    t1 = mesh.add_triangle(1, 2, 3)
+    t2 = mesh.add_triangle(1, 2, 4)
     fold = oracles.dihedral_deg(*mesh.positions[[1, 2, 3, 4]])
     for limit, want in ((fold, []),
                         (np.nextafter(fold, 180.0),
@@ -143,8 +143,8 @@ def test_classify_undecided_is_local(config):
                             np.tile([0, 0, 1.0], (4, 1)), np.full(4, 0.3),
                             np.ones((4, 3)), np.zeros((4, 2), np.int64),
                             mesher.KIND_STROKE)
-    toucher = mesh.add_triangle(2, far[3], far[0], "stroke")
-    distant = mesh.add_triangle(far[0], far[1], far[2], "stroke")
+    toucher = mesh.add_triangle(2, far[3], far[0])
+    distant = mesh.add_triangle(far[0], far[1], far[2])
 
     pairs = consolidate.find_incompatible_pairs(mesh, cs, config)
     undecided = consolidate.classify_undecided(mesh, pairs)
@@ -353,9 +353,9 @@ def soup_mesh(n_extra=0):
 
 def test_repair_removes_newest_at_overfull_edge():
     mesh = soup_mesh()
-    t0 = mesh.add_triangle(0, 1, 2, "stroke")
-    t1 = mesh.add_triangle(0, 1, 3, "stroke")
-    t2 = mesh.add_triangle(0, 1, 4, "stroke")
+    t0 = mesh.add_triangle(0, 1, 2)
+    t1 = mesh.add_triangle(0, 1, 3)
+    t2 = mesh.add_triangle(0, 1, 4)
     removed = consolidate.repair_nonmanifold(mesh)
     assert removed == [t2]
     assert mesh.is_active(t0) and mesh.is_active(t1)
@@ -365,9 +365,9 @@ def test_repair_removes_newest_at_overfull_edge():
 
 def test_repair_overfull_edge_respects_frozen():
     mesh = soup_mesh()
-    t0 = mesh.add_triangle(0, 1, 2, "stroke")
-    t1 = mesh.add_triangle(0, 1, 3, "stroke")
-    t2 = mesh.add_triangle(0, 1, 4, "stroke")
+    t0 = mesh.add_triangle(0, 1, 2)
+    t1 = mesh.add_triangle(0, 1, 3)
+    t2 = mesh.add_triangle(0, 1, 4)
     removed = consolidate.repair_nonmanifold(mesh, frozen={t2})
     assert removed == [t1]
     assert mesh.is_active(t0) and mesh.is_active(t2)
@@ -375,9 +375,9 @@ def test_repair_overfull_edge_respects_frozen():
 
 def test_repair_separates_bowtie_fans():
     mesh = soup_mesh()
-    t0 = mesh.add_triangle(0, 1, 2, "stroke")     # fan A at vertex 0
-    t1 = mesh.add_triangle(0, 2, 5, "stroke")
-    t2 = mesh.add_triangle(0, 3, 6, "stroke")     # fan B, vertex only
+    t0 = mesh.add_triangle(0, 1, 2)     # fan A at vertex 0
+    t1 = mesh.add_triangle(0, 2, 5)
+    t2 = mesh.add_triangle(0, 3, 6)     # fan B, vertex only
     removed = consolidate.repair_nonmanifold(mesh)
     assert removed == [t2]                        # smaller fan goes whole
     bad_e, bad_v = mesh_ops.audit_manifold(mesh)
@@ -386,9 +386,9 @@ def test_repair_separates_bowtie_fans():
 
 def test_repair_bowtie_prefers_frozen_fan():
     mesh = soup_mesh()
-    t0 = mesh.add_triangle(0, 1, 2, "stroke")
-    t1 = mesh.add_triangle(0, 2, 5, "stroke")
-    t2 = mesh.add_triangle(0, 3, 6, "stroke")
+    t0 = mesh.add_triangle(0, 1, 2)
+    t1 = mesh.add_triangle(0, 2, 5)
+    t2 = mesh.add_triangle(0, 3, 6)
     removed = consolidate.repair_nonmanifold(mesh, frozen={t2})
     assert sorted(removed) == [t0, t1]            # frozen fan survives
     assert mesh.is_active(t2)

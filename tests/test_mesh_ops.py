@@ -57,8 +57,8 @@ def moebius_band(close=True):
     closing = []
     if close:
         a5, b5, a0, b0 = 10, 11, 0, 1
-        closing.append(mesh.add_triangle(a5, b5, a0, phase="gap"))
-        closing.append(mesh.add_triangle(a5, a0, b0, phase="gap"))
+        closing.append(mesh.add_triangle(a5, b5, a0))
+        closing.append(mesh.add_triangle(a5, a0, b0))
     return mesh, closing
 
 
@@ -162,7 +162,7 @@ def test_resolve_moebius_keeps_flippable_strip():
     # for orient_all to flip, not cut
     pos = np.array([[0.0, 0, 0], [1.0, 0, 0], [0.0, 1, 0], [1.0, -1, 0]])
     mesh = mesh_from_arrays(pos, [(0, 1, 2)])
-    t = mesh.add_triangle(0, 1, 3, phase="gap")   # same directed (0, 1)
+    t = mesh.add_triangle(0, 1, 3)   # same directed (0, 1)
     assert mesh_ops.resolve_moebius(mesh, [t]) == []
     assert mesh_ops.orient_all(mesh) == []
 
@@ -291,7 +291,7 @@ def test_laplacian_smooth_ignores_removed_triangles(config):
     mesh = grid_mesh(5, 5, jitter=jitter)
     far = mesh.add_vertices([[2.0, 2.0, 5.0]], [[0.0, 0.0, 1.0]], [1.0],
                             [[0.0, 0.0, 0.0]], [[-1, 25]], 0)[0]
-    mesh.remove(mesh.add_triangle(12, 13, far, phase="gap"))
+    mesh.remove(mesh.add_triangle(12, 13, far))
     assert mesh_ops.laplacian_smooth(mesh, config, iterations=2) == \
         mesh_ops.laplacian_smooth(clean, config, iterations=2)
     assert np.array_equal(mesh.positions[:25], clean.positions)
@@ -300,17 +300,22 @@ def test_laplacian_smooth_ignores_removed_triangles(config):
 
 def test_move_guard_blocks_flips_and_collapses():
     pos = np.array([[0.0, 0, 0], [1.0, 0, 0], [0.5, 0.4, 0]])
-    mesh = mesh_from_arrays(pos, [(0, 1, 2)])
-    vmap = mesh.vertex_tris()
-    cos_guard = math.cos(math.radians(45.0))
-    ok = mesh_ops._move_keeps_normals
-    assert ok(mesh, vmap, 2, np.array([0.6, 0.5, 0.0]), cos_guard)
+
+    def moves(target):
+        # guard angle 45 degrees
+        mesh = mesh_from_arrays(pos, [(0, 1, 2)])
+        moved = mesh_ops._guarded_moves(mesh, np.array([2]),
+                                        np.array([target]), _cfg())
+        assert np.array_equal(mesh.positions[2], target if moved else pos[2])
+        return moved == 1
+
+    assert moves([0.6, 0.5, 0.0])
     # crossing the opposite edge flips the normal
-    assert not ok(mesh, vmap, 2, np.array([0.5, -0.4, 0.0]), cos_guard)
+    assert not moves([0.5, -0.4, 0.0])
     # collapsing onto the edge is degenerate
-    assert not ok(mesh, vmap, 2, np.array([0.5, 0.0, 0.0]), cos_guard)
+    assert not moves([0.5, 0.0, 0.0])
     # tilting past the guard angle
-    assert not ok(mesh, vmap, 2, np.array([0.5, 0.0, 0.4]), cos_guard)
+    assert not moves([0.5, 0.0, 0.4])
 
 
 def test_smooth_boundary_relaxes_flat_patch(config):

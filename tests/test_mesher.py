@@ -60,28 +60,28 @@ def triangle_mesh():
 
 def test_add_triangle_rejects_degenerate():
     mesh = triangle_mesh()
-    assert mesh.add_triangle(0, 0, 1, "stroke") is None
+    assert mesh.add_triangle(0, 0, 1) is None
     mesh.positions[3] = [2, 0, 0]       # collinear with 0 and 1
-    assert mesh.add_triangle(0, 1, 3, "stroke") is None
+    assert mesh.add_triangle(0, 1, 3) is None
     assert mesh.active_count() == 0
 
 
 def test_duplicate_triangles_inserted_once():
     mesh = triangle_mesh()
-    t0 = mesh.add_triangle(0, 1, 2, "stroke")
+    t0 = mesh.add_triangle(0, 1, 2)
     assert t0 is not None
-    assert mesh.add_triangle(2, 0, 1, "stroke") is None
+    assert mesh.add_triangle(2, 0, 1) is None
     assert mesh.duplicates_skipped == 1
     mesh.remove(t0)
-    t1 = mesh.add_triangle(0, 1, 2, "stroke")
+    t1 = mesh.add_triangle(0, 1, 2)
     assert t1 is not None and t1 != t0
     assert mesh.active_count() == 1
 
 
 def test_edge_map_tracks_removal():
     mesh = triangle_mesh()
-    t0 = mesh.add_triangle(0, 1, 2, "stroke")
-    t1 = mesh.add_triangle(1, 3, 2, "stroke")
+    t0 = mesh.add_triangle(0, 1, 2)
+    t1 = mesh.add_triangle(1, 3, 2)
     em = mesh.edge_map()
     assert em[(1, 2)] == [t0, t1]
     mesh.remove(t0)
@@ -98,9 +98,9 @@ def test_components_split_and_flip():
         np.array([[5, 0, 0], [6, 0, 0], [5, 1, 0.0]]),
         np.tile([0, 0, 1.0], (3, 1)), np.full(3, 0.1), np.ones((3, 3)),
         np.zeros((3, 2), dtype=np.int64), mesher.KIND_STROKE)
-    t0 = mesh.add_triangle(0, 1, 2, "stroke")
-    t1 = mesh.add_triangle(1, 3, 2, "stroke")
-    t2 = mesh.add_triangle(*extra, "stroke")
+    t0 = mesh.add_triangle(0, 1, 2)
+    t1 = mesh.add_triangle(1, 3, 2)
+    t2 = mesh.add_triangle(*extra)
     comp_of, comps = mesh.components()
     assert comps == [[t0, t1], [t2]]
     assert comp_of[t1] == 0 and comp_of[t2] == 1
@@ -131,7 +131,7 @@ def test_flat_pair_strip(flat_pair, config):
     bad_e, bad_v = mesh_ops.audit_manifold(mesh)
     assert bad_e == [] and bad_v == []
     prov = mesh.tri_prov[mesh.active_ids()[0]]
-    assert prov.phase == "stroke" and prov.side in (-1, 1)
+    assert prov.side in (-1, 1)
 
 
 def test_same_target_collapses_to_triangle(config):
@@ -306,7 +306,6 @@ def mesh_state(mesh):
     return {
         "tri_verts": list(mesh.tri_verts),
         "tri_state": list(mesh.tri_state),
-        "tri_phase": list(mesh.tri_phase),
         "tri_prov": list(mesh.tri_prov),
         "duplicates_skipped": mesh.duplicates_skipped,
         "quads_rejected": mesh.quads_rejected,
@@ -319,16 +318,15 @@ def mesh_state(mesh):
     }
 
 
-def assert_meshing_equals_reference(fn, table, config, mesh=None,
-                                    phase="stroke"):
+def assert_meshing_equals_reference(fn, table, config, mesh=None):
     """Run fn (mesh_from_matches or mesh_with_creases) on table and mesh,
     and the scalar reference on copies taken before; both must leave the
     same mesh. Returns the mesh fn filled."""
     ref_table, ref_mesh = copy.deepcopy((table, mesh))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(mesher, "_Emitter", oracles.scalar_emitter())
-        want = fn(ref_table, config, mesh=ref_mesh, phase=phase)
-    got = fn(table, config, mesh=mesh, phase=phase)
+        want = fn(ref_table, config, mesh=ref_mesh)
+    got = fn(table, config, mesh=mesh)
     assert mesh_state(got) == mesh_state(want)
     cs, ref_cs = table.chainset, ref_table.chainset
     assert cs.offsets.tolist() == ref_cs.offsets.tolist()
@@ -483,13 +481,13 @@ def test_strip_meshing_over_a_used_mesh_equals_the_scalar_reference(config):
             if rng.random() < 0.4:
                 # None on slivers whose area, taken from another corner,
                 # rounds below the floor
-                tid = mesh.add_triangle(*tri[::-1], "prior")
+                tid = mesh.add_triangle(*tri[::-1])
                 if tid is not None and rng.random() < 0.5:
                     mesh.remove(tid)
         removed = {mesh.tri_verts[t] for t in range(len(mesh.tri_verts))
                    if not mesh.is_active(t)}
         got = assert_meshing_equals_reference(
-            mesher.mesh_from_matches, table, config, mesh, phase="gap")
+            mesher.mesh_from_matches, table, config, mesh)
         reinserted += sum(got.tri_verts[t][::-1] in removed
                           for t in range(len(mesh.tri_verts)))
     assert reinserted > 0
@@ -536,13 +534,15 @@ def test_pipeline_meshing_equals_the_scalar_reference(name, options,
     for fname in ("mesh_from_matches", "mesh_with_creases"):
         fn = getattr(mesher, fname)
 
-        def checked(table, config, mesh=None, phase="stroke", fn=fn):
-            calls.append((phase, mesh.removed_count))
-            return assert_meshing_equals_reference(fn, table, config, mesh,
-                                                   phase)
+        def checked(table, config, mesh=None, fn=fn, fname=fname):
+            calls.append((fname, mesh.removed_count))
+            return assert_meshing_equals_reference(fn, table, config, mesh)
         monkeypatch.setattr(mesher, fname, checked)
     run_pipeline(generate(FLIP_SPECS[name])[0], options)
-    assert [c[0] for c in calls] == ["stroke", "extension", "gap"]
+    strips = ("mesh_with_creases" if options.preserve_creases
+              else "mesh_from_matches")
+    assert [c[0] for c in calls] == [strips, "mesh_from_matches",
+                                     "mesh_from_matches"]
     assert calls[2][1] > 0
 
 

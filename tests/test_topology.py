@@ -231,9 +231,9 @@ def test_groupings_match_reference(make):
     assert mesh.tri_state == ref.tri_state
 
 
-@settings(max_examples=150, deadline=None)
-@given(n=st.integers(3, 9), data=st.data())
-def test_hypothesis_soups_match_reference(n, data):
+def draw_soup(n, data):
+    """Random triangles over n random points, some removed, some
+    flipped; returns (mesh, frozen tid set)."""
     rng = np.random.default_rng(n)
     pos = rng.normal(size=(n, 3))
     tri = st.lists(st.integers(0, n - 1), min_size=3, max_size=3,
@@ -241,15 +241,20 @@ def test_hypothesis_soups_match_reference(n, data):
     faces = data.draw(st.lists(tri, max_size=14))
     mesh = mesh_from_arrays(pos, faces)
     count = len(mesh.tri_verts)
-    for t in data.draw(st.lists(st.integers(0, max(count - 1, 0)),
-                                max_size=4)) if count else []:
+    if not count:
+        return mesh, set()
+    tid = st.lists(st.integers(0, count - 1), max_size=4)
+    for t in data.draw(tid):
         mesh.remove(t)
-    for t in data.draw(st.lists(st.integers(0, max(count - 1, 0)),
-                                max_size=4)) if count else []:
+    for t in data.draw(tid):
         mesh.flip(t)
-    frozen = set(data.draw(st.lists(st.integers(0, max(count - 1, 0)),
-                                    max_size=4))) if count else set()
+    return mesh, set(data.draw(tid))
 
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(3, 9), data=st.data())
+def test_hypothesis_soups_match_reference(n, data):
+    mesh, frozen = draw_soup(n, data)
     assert mesh.components() == oracles.components(mesh)
     assert mesh_ops.audit_manifold(mesh) == oracles.audit_manifold(mesh)
     assert (consolidate.undecided_components(mesh, set(mesh.active_ids()))
@@ -267,6 +272,21 @@ def test_hypothesis_soups_match_reference(n, data):
             == oracles.break_nonorientable(b, frozen=frozen))
     assert a.tri_verts == b.tri_verts
     assert a.tri_state == b.tri_state
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(3, 9), data=st.data())
+def test_orientation_holds_through_the_repair_net(n, data):
+    """Once break_nonorientable returns, every component is wound
+    consistently from its lowest tid, and the repair net's removals
+    keep that: orienting again finds nothing broken and flips
+    nothing."""
+    mesh, frozen = draw_soup(n, data)
+    mesh_ops.break_nonorientable(mesh, frozen=frozen)
+    consolidate.repair_nonmanifold(mesh, frozen=frozen)
+    wound = list(mesh.tri_verts)
+    assert mesh_ops.orient_all(mesh, align=False) == []
+    assert mesh.tri_verts == wound
 
 
 def _conflicts(mesh, frozen):

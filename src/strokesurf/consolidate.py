@@ -70,14 +70,14 @@ def _gid_flat_index(cs, n_vertices):
     return index
 
 
-def _edge_criteria(mesh, cs, config, gid2flat, table, t1, t2, edges):
+def _edge_criteria(mesh, cs, config, gid2flat, prov_edges, t1, t2, edges):
     """Per pair of triangles (t1[i], t2[i]) sharing edges[i] = (a, b):
     the criterion that makes them incompatible, 1 or 3, else 0.
     Criterion 1: both hang on one stroke edge of the current chains,
     with their apexes on one side of it. Criterion 3: they fold sharper
     than the dihedral threshold. Each criterion scores all its pairs at
-    once; `table` is _triangle_table(mesh)."""
-    verts, prov_edges = table
+    once; `prov_edges` is _provenance_edges(mesh)."""
+    verts = mesh.tri_verts
     t1 = np.asarray(t1, dtype=np.int64)
     t2 = np.asarray(t2, dtype=np.int64)
     crit = np.zeros(len(t1), dtype=np.int64)
@@ -105,21 +105,21 @@ def _edge_criteria(mesh, cs, config, gid2flat, table, t1, t2, edges):
     return crit
 
 
-def _triangle_table(mesh):
-    """Corner gids of every triangle in stored order, (n, 3), and its
-    sorted provenance edge, (n, 2), with -1 where it has none."""
-    verts = np.array(mesh.tri_verts, dtype=np.int64).reshape(-1, 3)
+def _provenance_edges(mesh):
+    """The sorted provenance edge of every triangle, (T, 2), with -1
+    where it has none."""
     edges = np.array([(-1, -1) if p is None else p.edge
                       for p in mesh.tri_prov], dtype=np.int64)
-    return verts, np.sort(edges.reshape(-1, 2), axis=1)
+    return np.sort(edges.reshape(-1, 2), axis=1)
 
 
-def _crit2_overlapping_fans(mesh, cs, gid2flat, verts, edges, t1, t2, q):
+def _crit2_overlapping_fans(mesh, cs, gid2flat, edges, t1, t2, q):
     """Criterion 2 over arrays of triangle pairs (t1[i], t2[i]) sharing
     exactly the vertex q[i]: the triangles hang on different stroke
     edges, their centroids lie on the same side of q's stroke, and a
     spoke of one from q, projected onto the other, crosses its interior.
     Returns a bool array."""
+    verts = mesh.tri_verts
     hit = np.zeros(len(t1), dtype=bool)
     keep = ((edges[t1, 0] >= 0) & (edges[t2, 0] >= 0)
             & ~(edges[t1] == edges[t2]).all(axis=1))
@@ -202,17 +202,17 @@ def incompatible(mesh, cs, config, t1, t2):
     find_incompatible_pairs. Returns (flag, entity) where entity is
     ("edge", (a, b)) or ("vertex", g) naming the shared item."""
     gid2flat = _gid_flat_index(cs, mesh.vertex_count())
-    shared = sorted(set(mesh.tri_verts[t1]) & set(mesh.tri_verts[t2]))
+    edges = _provenance_edges(mesh)
+    corners1, corners2 = mesh.tri_verts[[t1, t2]].tolist()
+    shared = sorted(set(corners1) & set(corners2))
     if len(shared) == 2:
         edge = (shared[0], shared[1])
-        if _edge_criteria(mesh, cs, config, gid2flat, _triangle_table(mesh),
-                          [t1], [t2], [edge])[0]:
+        if _edge_criteria(mesh, cs, config, gid2flat, edges, [t1], [t2],
+                          [edge])[0]:
             return True, ("edge", edge)
     elif len(shared) == 1:
-        verts, edges = _triangle_table(mesh)
-        if _crit2_overlapping_fans(mesh, cs, gid2flat, verts, edges,
-                                   np.array([t1]), np.array([t2]),
-                                   np.array(shared))[0]:
+        if _crit2_overlapping_fans(mesh, cs, gid2flat, edges, np.array([t1]),
+                                   np.array([t2]), np.array(shared))[0]:
             return True, ("vertex", shared[0])
     return False, None
 
@@ -230,7 +230,7 @@ def find_incompatible_pairs(mesh, cs, config, frozen=frozenset(),
     if stats is None:
         stats = ConsolidationStats()
     gid2flat = _gid_flat_index(cs, mesh.vertex_count())
-    verts, edges = table = _triangle_table(mesh)
+    edges = _provenance_edges(mesh)
     shared = [(edge, t1, t2)
               for edge, tids in sorted(mesh.edge_map().items())
               for i, t1 in enumerate(tids) for t2 in tids[i + 1:]
@@ -238,19 +238,18 @@ def find_incompatible_pairs(mesh, cs, config, frozen=frozenset(),
     pairs = []
     if shared:
         shared_edges, t1, t2 = zip(*shared)
-        crit = _edge_criteria(mesh, cs, config, gid2flat, table, t1, t2,
+        crit = _edge_criteria(mesh, cs, config, gid2flat, edges, t1, t2,
                               shared_edges)
         for (edge, a, b), c in zip(shared, crit.tolist()):
             if c:
                 pairs.append((a, b, ("edge", edge)))
                 stats.pairs_by_criterion[c - 1] += 1
 
-    active = np.array(mesh.tri_state, dtype=np.int64) != REMOVED
-    frozen_mask = np.zeros(len(verts), dtype=bool)
+    frozen_mask = np.zeros(len(edges), dtype=bool)
     frozen_mask[list(frozen)] = True
-    for t1, t2, q in _fan_pairs(verts, active, frozen_mask):
-        hit = _crit2_overlapping_fans(mesh, cs, gid2flat, verts, edges,
-                                      t1, t2, q)
+    for t1, t2, q in _fan_pairs(mesh.tri_verts, mesh.tri_state != REMOVED,
+                                frozen_mask):
+        hit = _crit2_overlapping_fans(mesh, cs, gid2flat, edges, t1, t2, q)
         pairs.extend((a, b, ("vertex", g)) for a, b, g in zip(
             t1[hit].tolist(), t2[hit].tolist(), q[hit].tolist()))
         stats.pairs_by_criterion[1] += int(hit.sum())
@@ -267,11 +266,8 @@ def classify_undecided(mesh, pairs, frozen=frozenset()):
     hot = np.array([v for _, _, (kind, at) in pairs
                     for v in (at if kind == "edge" else (at,))],
                    dtype=np.int64)
-    frozen_mask = np.zeros(len(mesh.tri_state), dtype=bool)
-    frozen_mask[list(frozen)] = True
-    touched = np.isin(verts, hot).any(axis=1) & ~frozen_mask[tids]
-    for t, u in zip(tids.tolist(), touched.tolist()):
-        mesh.tri_state[t] = UNDECIDED if u else OUTPUT
+    touched = np.isin(verts, hot).any(axis=1) & ~np.isin(tids, list(frozen))
+    mesh.tri_state[tids] = np.where(touched, UNDECIDED, OUTPUT)
     return set(tids[touched].tolist())
 
 
@@ -349,11 +345,10 @@ def build_conflict_graph(mesh, cs, config, component, pairs, undecided):
 
     em = mesh.edge_map()
     incompat_keys = {(min(a, b), max(a, b)) for a, b, _ in pairs}
+    corners = mesh.tri_verts[graph.nodes].tolist()
     seen_edges = set()
-    for t in sorted(comp):
-        verts = mesh.tri_verts[t]
-        for a, b in ((0, 1), (1, 2), (2, 0)):
-            u, v = verts[a], verts[b]
+    for a, b, c in corners:
+        for u, v in ((a, b), (b, c), (c, a)):
             key = (u, v) if u < v else (v, u)
             if key in seen_edges:
                 continue
@@ -367,14 +362,13 @@ def build_conflict_graph(mesh, cs, config, component, pairs, undecided):
                         graph.add_arc(t1, t2, config.compatible_weight)
 
     m_scores = _emission_scores(mesh, cs, config, graph.nodes)
-    for t, m_t in zip(graph.nodes, m_scores):
+    state = mesh.tri_state
+    for t, m_t, (a, b, c) in zip(graph.nodes, m_scores, corners):
         c_count = 0
-        verts = mesh.tri_verts[t]
-        for a, b in ((0, 1), (1, 2), (2, 0)):
-            u, v = verts[a], verts[b]
+        for u, v in ((a, b), (b, c), (c, a)):
             key = (u, v) if u < v else (v, u)
             for other in em.get(key, ()):
-                if other != t and mesh.tri_state[other] == OUTPUT:
+                if other != t and state[other] == OUTPUT:
                     c_count += 1
         graph.add_arc(OUT_NODE, t, m_t + c_count)
     return graph
@@ -593,12 +587,10 @@ def apply_consolidation(mesh, cluster, component):
     """Keep undecided triangles clustered with the output node, remove
     the rest of the component."""
     out_cluster = cluster[OUT_NODE]
-    kept = []
+    kept = [t for t in component if cluster[t] == out_cluster]
+    mesh.tri_state[kept] = OUTPUT
     for t in component:
-        if cluster[t] == out_cluster:
-            mesh.tri_state[t] = OUTPUT
-            kept.append(t)
-        else:
+        if cluster[t] != out_cluster:
             mesh.remove(t)
     return kept
 

@@ -60,11 +60,9 @@ def vertex_fan_groups(mesh, v, tids=None):
     """Incident active triangles of v grouped by shared-edge adjacency at
     v; groups are ordered by their lowest tid, tids ascending."""
     if tids is None:
-        tids = [t for t in mesh.active_ids() if v in mesh.tri_verts[t]]
-    tids = np.array(sorted(t for t in tids if mesh.is_active(t)),
-                    dtype=np.int64)
-    verts = np.array([mesh.tri_verts[t] for t in tids],
-                     dtype=np.int64).reshape(-1, 3)
+        tids = np.flatnonzero((mesh.tri_verts == v).any(axis=1))
+    tids = np.asarray(tids, dtype=np.int64)
+    tids, verts = mesh.triangle_array(tids[mesh.is_active(tids)])
     # two triangles at v share an edge when they share an opposite vertex
     labels = join_equal_keys(verts[verts != v].reshape(-1, 2))
     return split_by_label(tids, labels)
@@ -85,43 +83,46 @@ def orient_component(mesh, tids):
     (t, other) the walk meets, or None when the component is orientable.
 
     The walk reads the live edge map and skips triangles outside tids;
-    its edge lists are in ascending tid order."""
+    its edge lists are in ascending tid order. It reads the corners of
+    tids once and writes its flips back in one column swap."""
     em = mesh.edge_map()
+    corners = dict(zip(tids, mesh.tri_verts[tids].tolist()))
     seed = min(tids)
     visited = {seed}
     queue = deque([seed])
-    comp = set(tids)
     conflict = None
+    flipped = []
     while queue:
         t = queue.popleft()
-        a, b, c = mesh.tri_verts[t]
+        a, b, c = corners[t]
         for u, v in ((a, b), (b, c), (c, a)):
             key = (u, v) if u < v else (v, u)
             for other in em.get(key, ()):
-                if other == t or other not in comp:
+                if other == t or other not in corners:
                     continue
-                same = _directed_edge_in(mesh.tri_verts[other], (u, v))
+                same = _directed_edge_in(corners[other], (u, v))
                 if other in visited:
                     if same and conflict is None:
                         conflict = (t, other)
                 else:
                     if same:
-                        mesh.flip(other)
+                        corners[other][1:] = corners[other][:0:-1]
+                        flipped.append(other)
                     visited.add(other)
                     queue.append(other)
+    mesh.flip(flipped)
     return conflict
 
 
 def _align_with_source_normals(mesh, tids):
     """Flip a consistently oriented component so its area-weighted face
     normals agree with the source vertex normals."""
-    tv = np.asarray([mesh.tri_verts[t] for t in tids], dtype=np.int64)
+    tv = mesh.tri_verts[tids]
     n = geometry.triangle_normals(mesh.positions, tv)
     ref = (mesh.normals[tv[:, 0]] + mesh.normals[tv[:, 1]]
            + mesh.normals[tv[:, 2]])
     if float(np.einsum("ij,ij->", n, ref)) < 0:
-        for t in tids:
-            mesh.flip(t)
+        mesh.flip(tids)
 
 
 def orient_all(mesh, align=True):
@@ -174,8 +175,7 @@ def orient_all(mesh, align=True):
     broken = np.zeros(len(seed), dtype=bool)
     broken[comp[kept == flipped]] = True
     broken[comp[overfull]] = True
-    for t in tids[(flipped == kept[seed][comp]) & ~broken[comp]].tolist():
-        mesh.flip(t)
+    mesh.flip(tids[(flipped == kept[seed][comp]) & ~broken[comp]])
 
     bad = []
     for c, ctids in enumerate(split_by_label(tids, comp)):
@@ -221,19 +221,19 @@ def resolve_moebius(mesh, new_tids):
         return []
     em_all = mesh.edge_map()
     _, strips = mesh.components(new_set)
+    verts = mesh.tri_verts
 
     removed = []
     for strip in strips:
         orient_component(mesh, strip)
         aligned, inverted = [], []
-        for t in strip:
-            a, b, c = mesh.tri_verts[t]
+        for t, (a, b, c) in zip(strip, verts[strip].tolist()):
             for u, v in ((a, b), (b, c), (c, a)):
                 key = (u, v) if u < v else (v, u)
                 for other in em_all.get(key, ()):
                     if other in new_set or not mesh.is_active(other):
                         continue
-                    if _directed_edge_in(mesh.tri_verts[other], (u, v)):
+                    if _directed_edge_in(verts[other].tolist(), (u, v)):
                         inverted.append(t)
                     else:
                         aligned.append(t)
@@ -256,11 +256,10 @@ def boundary_loops(mesh):
     orientation of the incident triangles. Each loop is rotated to start
     at its smallest vertex id; loops are sorted by that id."""
     em = mesh.edge_map()
+    border = [(key, tids[0]) for key, tids in em.items() if len(tids) == 1]
+    corners = mesh.tri_verts[[t for _, t in border]].tolist()
     outgoing = {}
-    for key, tids in em.items():
-        if len(tids) != 1:
-            continue
-        a, b, c = mesh.tri_verts[tids[0]]
+    for (key, _), (a, b, c) in zip(border, corners):
         for u, v in ((a, b), (b, c), (c, a)):
             if (min(u, v), max(u, v)) == key:
                 outgoing.setdefault(u, []).append(v)
@@ -720,12 +719,9 @@ def export_obj(mesh, path):
         verts, geometry.triangle_normals(pos, verts), len(pos))[used])
     norms[~ok] = (0.0, 0.0, 1.0)
 
-    comp_faces = []
-    for tids in comps:
-        faces = sorted(_canonical_face(list(mesh.tri_verts[t]))
-                       for t in tids)
-        comp_faces.append(faces)
-    comp_faces.sort(key=lambda fs: fs[0])
+    comp_faces = sorted((sorted(map(_canonical_face,
+                                    mesh.tri_verts[tids].tolist()))
+                         for tids in comps), key=lambda fs: fs[0])
 
     lines = []
     for p in pos[used]:
@@ -745,12 +741,14 @@ def export_obj(mesh, path):
 
 def load_obj(path):
     """Read positions, faces, and optional normals from an OBJ file.
-    Faces with more than three vertices are fanned from the first."""
+    Faces with more than three vertices are fanned from the first. A
+    face index must name a vertex listed above it: 1 is the first, -1
+    the last so far; any other index raises ValueError."""
     positions = []
     normals = []
     faces = []
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             parts = line.strip().split()
             if not parts or parts[0].startswith("#"):
                 continue
@@ -761,9 +759,12 @@ def load_obj(path):
             elif parts[0] == "f":
                 idx = []
                 for tok in parts[1:]:
-                    s = tok.split("/")[0]
-                    i = int(s)
-                    idx.append(i - 1 if i > 0 else len(positions) + i)
+                    i = int(tok.split("/")[0])
+                    g = i - 1 if i > 0 else len(positions) + i
+                    if not 0 <= g < len(positions):
+                        raise ValueError(f"{path}:{lineno}: face index {i} "
+                                         "names no vertex")
+                    idx.append(g)
                 for k in range(1, len(idx) - 1):
                     faces.append((idx[0], idx[k], idx[k + 1]))
     pos = np.asarray(positions, dtype=np.float64)

@@ -16,6 +16,16 @@ triangle and builds provenance only for the triangles it inserts. The
 crease-preserving variant inserts what is queued before each ribbon it
 adds vertices for, so every row meets the area floor of the vertex
 table it was emitted under.
+
+SurfaceMesh keeps one triangle table: corners as a (T, 3) int64 array,
+states as a (T,) array, in storage whose capacity doubles when an insert
+finds it full. Passes slice and write through the views `tri_verts` and
+`tri_state`, and take the rows they walk in Python once with `.tolist()`.
+An insert may move the storage, so no caller holds a view across
+`add_triangle` or `add_triangles`. `add_triangles` still inserts its
+winners one by one through `add_triangle`: the benchmark's traced runs
+count strip triangles by its returns, so a bulk append waits until
+those counts are redefined.
 """
 
 from __future__ import annotations
@@ -98,13 +108,18 @@ def split_by_label(ids, labels):
     """Lists of ids per label, for labels 0..k-1; ids keep their order."""
     if len(labels) == 0:
         return []
-    order = np.argsort(labels, kind="stable")
-    cuts = np.cumsum(np.bincount(labels))[:-1]
-    return [part.tolist() for part in np.split(np.asarray(ids)[order], cuts)]
+    ids = np.asarray(ids)[np.argsort(labels, kind="stable")].tolist()
+    cuts = np.cumsum(np.bincount(labels)).tolist()
+    return [ids[lo:hi] for lo, hi in zip([0] + cuts[:-1], cuts)]
 
 
 class SurfaceMesh:
-    """Growable triangle soup over a global vertex table."""
+    """Growable triangle soup over a global vertex table.
+
+    Triangle t is row t of tri_verts, (T, 3) int64, and entry t of
+    tri_state (OUTPUT, UNDECIDED or REMOVED): views of storage whose
+    capacity doubles when full. An insert may move that storage, so take
+    the views afresh after add_triangle or add_triangles."""
 
     def __init__(self):
         self.positions = np.zeros((0, 3))
@@ -114,8 +129,9 @@ class SurfaceMesh:
         self.origin = np.zeros((0, 2), dtype=np.int64)
         self.origin_kind = np.zeros(0, dtype=np.int64)
 
-        self.tri_verts = []
-        self.tri_state = []
+        self._verts = np.zeros((0, 3), dtype=np.int64)
+        self._state = np.zeros(0, dtype=np.int8)
+        self._count = 0
         self.tri_prov = []
         self._key_to_id = {}
         self._em = {}
@@ -124,6 +140,9 @@ class SurfaceMesh:
         self.duplicates_skipped = 0
         self.quads_rejected = 0
         self.emissions = 0
+
+    tri_verts = property(lambda self: self._verts[:self._count])
+    tri_state = property(lambda self: self._state[:self._count])
 
     # ---- vertices ----
 
@@ -176,12 +195,16 @@ class SurfaceMesh:
             return None
         key = tuple(sorted((a, b, c)))
         old = self._key_to_id.get(key)
-        if old is not None and self.tri_state[old] != REMOVED:
+        if old is not None and self._state[old] != REMOVED:
             self.duplicates_skipped += 1
             return None
-        tid = len(self.tri_verts)
-        self.tri_verts.append((a, b, c))
-        self.tri_state.append(OUTPUT)
+        tid = self._count
+        if tid == len(self._state):     # double; rows past tid go unread
+            self._verts = np.resize(self._verts, (max(2 * tid, 16), 3))
+            self._state = np.resize(self._state, max(2 * tid, 16))
+        self._verts[tid] = a, b, c
+        self._state[tid] = OUTPUT
+        self._count = tid + 1
         self.tri_prov.append(prov)
         self._key_to_id[key] = tid
         for u, v in ((a, b), (b, c), (c, a)):
@@ -196,7 +219,8 @@ class SurfaceMesh:
         or an earlier row holds counts as a duplicate. Every row is
         decided at once; the winners then go through add_triangle in row
         order, with the provenance list provenance(rows) builds for
-        those rows only. Returns the tid of each row, -1 where none."""
+        those rows only (see the module docstring for why one by one).
+        Returns the tid of each row, -1 where none."""
         verts = np.asarray(verts, dtype=np.int64).reshape(-1, 3)
         self.emissions += len(verts)
         tids = np.full(len(verts), -1, dtype=np.int64)
@@ -212,76 +236,61 @@ class SurfaceMesh:
         first = np.ones(len(rows), dtype=bool)
         first[1:] = (keys[order[1:]] != keys[order[:-1]]).any(axis=1)
         first = np.sort(order[first])
-        wins = []
-        for row, key in zip(rows[first].tolist(), keys[first].tolist()):
-            old = self._key_to_id.get(tuple(key))
-            if old is None or self.tri_state[old] == REMOVED:
-                wins.append(row)
+        held = [self._key_to_id.get(tuple(k)) for k in keys[first].tolist()]
+        free = [t is None or self._state[t] == REMOVED for t in held]
+        wins = rows[first][np.array(free, dtype=bool)]
         self.duplicates_skipped += len(rows) - len(wins)
-        wins = np.array(wins, dtype=np.int64)
         tids[wins] = [self.add_triangle(*tri, prov)
                       for tri, prov in zip(verts[wins].tolist(),
                                            provenance(wins))]
         return tids
 
     def remove(self, tid):
-        if self.tri_state[tid] == REMOVED:
+        if self._state[tid] == REMOVED:
             return
-        self.tri_state[tid] = REMOVED
+        self._state[tid] = REMOVED
         self.removed_count += 1
-        a, b, c = self.tri_verts[tid]
+        a, b, c = self._verts[tid].tolist()
         for u, v in ((a, b), (b, c), (c, a)):
             ekey = (u, v) if u < v else (v, u)
             # empty lists stay so iterators never see a key vanish
             self._em[ekey].remove(tid)
 
     def is_active(self, tid):
-        return self.tri_state[tid] != REMOVED
+        return self._state[tid] != REMOVED
 
     def active_ids(self):
-        return [i for i, s in enumerate(self.tri_state) if s != REMOVED]
+        return np.flatnonzero(self.tri_state != REMOVED).tolist()
 
     def active_count(self):
-        return len(self.tri_state) - self.removed_count
+        return self._count - self.removed_count
 
-    def flip(self, tid):
-        a, b, c = self.tri_verts[tid]
-        self.tri_verts[tid] = (a, c, b)
+    def flip(self, tids):
+        """Swap the last two corners of a triangle or an array of them."""
+        verts = self.tri_verts
+        verts[tids, 1:] = verts[tids, :0:-1]
 
-    def edge_map(self, tri_ids=None):
-        """Undirected edge -> list of incident active triangle ids.
-
-        Without tri_ids this returns the live map maintained by
-        add_triangle/remove; treat it as read-only. Keys whose last
-        triangle was removed remain with an empty list."""
-        if tri_ids is None:
-            return self._em
-        edges = {}
-        for tid in tri_ids:
-            a, b, c = self.tri_verts[tid]
-            for u, v in ((a, b), (b, c), (c, a)):
-                key = (u, v) if u < v else (v, u)
-                edges.setdefault(key, []).append(tid)
-        return edges
+    def edge_map(self):
+        """The live map undirected edge -> incident active triangle ids,
+        kept by add_triangle/remove; read-only. Keys whose last triangle
+        was removed remain with an empty list."""
+        return self._em
 
     def vertex_tris(self):
         """Vertex -> list of incident active triangle ids, ascending."""
-        out = {}
-        for tid in self.active_ids():
-            for v in self.tri_verts[tid]:
-                out.setdefault(v, []).append(tid)
-        return out
+        tids, verts = self.triangle_array()
+        gids, labels = np.unique(verts.ravel(), return_inverse=True)
+        return dict(zip(gids.tolist(),
+                        split_by_label(np.repeat(tids, 3), labels)))
 
     def triangle_array(self, tri_ids=None):
         """(tids, verts): the given triangle ids (default: the active
-        ones) ascending, and their corners in stored order as an (R, 3)
-        array."""
+        ones) ascending, and their rows of tri_verts, (R, 3)."""
         if tri_ids is None:
-            tids = np.flatnonzero(np.array(self.tri_state) != REMOVED)
+            tids = np.flatnonzero(self.tri_state != REMOVED)
         else:
-            tids = np.array(sorted(tri_ids), dtype=np.int64)
-        verts = np.array(self.tri_verts, dtype=np.int64).reshape(-1, 3)
-        return tids, verts[tids]
+            tids = np.sort(np.fromiter(tri_ids, dtype=np.int64))
+        return tids, self.tri_verts[tids]
 
     def components(self, tri_ids=None):
         """Edge-connected components of the given (default: the active)

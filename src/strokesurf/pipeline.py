@@ -18,6 +18,7 @@ output faces the way the strokes were drawn.
 from __future__ import annotations
 
 import json
+import os
 import time
 from dataclasses import asdict, dataclass, field
 
@@ -61,22 +62,19 @@ class _Tracker:
     def stage(self, name, consolidation=None):
         return _StageScope(self, name, consolidation)
 
-    def dump_mesh(self, name, suffix="mesh"):
-        if self.dump_dir is None or self.mesh.active_count() == 0:
-            return
-        import os
-        path = os.path.join(self.dump_dir,
-                            f"{self._seq:02d}_{name}_{suffix}.obj")
-        mesh_ops.export_obj(self.mesh, path)
+    def _path(self, name, suffix):
+        return os.path.join(self.dump_dir, f"{self._seq:02d}_{name}_{suffix}")
 
-    def dump_json(self, name, suffix, payload):
-        if self.dump_dir is None:
-            return
-        import os
-        path = os.path.join(self.dump_dir,
-                            f"{self._seq:02d}_{name}_{suffix}.json")
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=1)
+    def dump_mesh(self, name):
+        if self.dump_dir is not None and self.mesh.active_count():
+            mesh_ops.export_obj(self.mesh, self._path(name, "mesh.obj"))
+
+    def dump_matches(self, name, table):
+        """Write a stage's match table, built only with a dump directory."""
+        if self.dump_dir is not None:
+            with open(self._path(name, "matches.json"), "w",
+                      encoding="utf-8") as fh:
+                json.dump(_match_payload(table), fh, indent=1)
 
 
 class _StageScope:
@@ -209,7 +207,6 @@ def run_pipeline(drawing, options=None):
     mesh = SurfaceMesh.from_drawing(work)
     tracker = _Tracker(mesh, options.dump_dir)
     if options.dump_dir is not None:
-        import os
         os.makedirs(options.dump_dir, exist_ok=True)
 
     cs = matcher.stroke_chains(work)
@@ -221,14 +218,14 @@ def run_pipeline(drawing, options=None):
         _count_matching(stage, cands, baseline)
         freqs = matcher.matching_frequencies(baseline)
         neighbors = matcher.dominant_neighbors(baseline, freqs, config)
-    tracker.dump_json("baseline_match", "matches", _match_payload(baseline))
+    tracker.dump_matches("baseline_match", baseline)
 
     with tracker.stage("restricted_match") as stage:
         cands = matcher.restricted_candidates(cs, config, neighbors,
                                               color_cue=options.use_color)
         table = matcher.match_all(cands, config)
         _count_matching(stage, cands, table)
-    tracker.dump_json("restricted_match", "matches", _match_payload(table))
+    tracker.dump_matches("restricted_match", table)
 
     with tracker.stage("strip_meshing") as stage:
         if options.preserve_creases:
@@ -256,8 +253,7 @@ def run_pipeline(drawing, options=None):
                 btable = matcher.match_all(bcands, config)
                 _count_matching(stage, bcands, btable)
                 mesher.mesh_from_matches(btable, config, mesh=mesh)
-                tracker.dump_json("boundary_extension", "matches",
-                                  _match_payload(btable))
+                tracker.dump_matches("boundary_extension", btable)
             stage.count_emissions()
         stats = consolidate.ConsolidationStats()
         with tracker.stage("extension_consolidation", stats) as stage:
@@ -289,8 +285,7 @@ def run_pipeline(drawing, options=None):
             gtable = matcher.match_all(gcands, config)
             _count_matching(stage, gcands, gtable)
             mesher.mesh_from_matches(gtable, config, mesh=mesh)
-            tracker.dump_json("gap_spanning", "matches",
-                              _match_payload(gtable))
+            tracker.dump_matches("gap_spanning", gtable)
         stage.count_emissions()
     stats = consolidate.ConsolidationStats()
     with tracker.stage("gap_consolidation", stats):
@@ -299,8 +294,7 @@ def run_pipeline(drawing, options=None):
                                          stats=stats)
 
     with tracker.stage("orientation") as stage:
-        new_tids = [t for t in range(tris_before_gap, len(mesh.tri_verts))
-                    if mesh.is_active(t)]
+        new_tids = [t for t in mesh.active_ids() if t >= tris_before_gap]
         stage.count("moebius_removed",
                     len(mesh_ops.resolve_moebius(mesh, new_tids)))
         stage.count("nonorientable_removed", len(

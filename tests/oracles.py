@@ -14,7 +14,8 @@ components, orientation, the repair net, undecided components, Moebius
 strips) walk vertex fans and components one at a time with hand-written
 union-finds, the angle references evaluate one triangle at a time in
 Python floats, the strip-meshing reference inserts every triangle
-the moment it is emitted, scoring each quad on its own, and the
+the moment it is emitted, scoring each quad on its own, the triangle
+table reference keeps corners and states in Python lists, and the
 neighbourhood references (both smoothers with their move guard,
 boundary chain frames, component stats, undecided classification)
 walk a vertex -> triangle dict one vertex at a time.
@@ -741,8 +742,8 @@ def _crit1(mesh, cs, gid2flat, t1, t2):
     e2 = tuple(sorted(p2.edge))
     if e1 != e2:
         return False
-    a1 = _third_vertex(mesh.tri_verts[t1], e1)
-    a2 = _third_vertex(mesh.tri_verts[t2], e2)
+    a1 = _third_vertex(mesh.tri_verts[t1].tolist(), e1)
+    a2 = _third_vertex(mesh.tri_verts[t2].tolist(), e2)
     if a1 is None or a2 is None:
         return False
     w = float(mesh.widths[e1[0]])
@@ -769,7 +770,7 @@ def _crit2(mesh, cs, gid2flat, t1, t2, shared_gid):
     pos = mesh.positions
 
     def side_of(tid):
-        va, vb, vc = mesh.tri_verts[tid]
+        va, vb, vc = mesh.tri_verts[tid].tolist()
         cx = (pos[va, 0] + pos[vb, 0] + pos[vc, 0]) / 3.0
         cy = (pos[va, 1] + pos[vb, 1] + pos[vc, 1]) / 3.0
         cz = (pos[va, 2] + pos[vb, 2] + pos[vc, 2]) / 3.0
@@ -784,18 +785,18 @@ def _crit2(mesh, cs, gid2flat, t1, t2, shared_gid):
         return False
 
     def crosses(ta, tb):
-        pb = [pos[v] for v in mesh.tri_verts[tb]]
+        pb = [pos[v] for v in mesh.tri_verts[tb].tolist()]
         return any(segment_crosses_triangle_interior(
             pos[shared_gid], pos[v], pb[0], pb[1], pb[2])
-            for v in mesh.tri_verts[ta] if v != shared_gid)
+            for v in mesh.tri_verts[ta].tolist() if v != shared_gid)
 
     return crosses(t1, t2) or crosses(t2, t1)
 
 
 def _crit3(mesh, config, t1, t2, edge):
     a, b = edge
-    c = _third_vertex(mesh.tri_verts[t1], edge)
-    d = _third_vertex(mesh.tri_verts[t2], edge)
+    c = _third_vertex(mesh.tri_verts[t1].tolist(), edge)
+    d = _third_vertex(mesh.tri_verts[t2].tolist(), edge)
     if c is None or d is None:
         return False
     di = dihedral_deg(mesh.positions[a], mesh.positions[b],
@@ -805,7 +806,8 @@ def _crit3(mesh, config, t1, t2, edge):
 
 def incompatible(mesh, cs, config, t1, t2, gid2flat):
     """Scalar reference for consolidate.incompatible."""
-    shared = sorted(set(mesh.tri_verts[t1]) & set(mesh.tri_verts[t2]))
+    corners1, corners2 = mesh.tri_verts[[t1, t2]].tolist()
+    shared = sorted(set(corners1) & set(corners2))
     if len(shared) == 2:
         edge = (shared[0], shared[1])
         if (_crit1(mesh, cs, gid2flat, t1, t2)
@@ -843,11 +845,11 @@ def find_incompatible_pairs(mesh, cs, config, frozen=frozenset()):
 
     for gid, tids in sorted(mesh.vertex_tris().items()):
         for i in range(len(tids)):
-            vi = set(mesh.tri_verts[tids[i]])
+            vi = set(mesh.tri_verts[tids[i]].tolist())
             for j in range(i + 1, len(tids)):
                 if tids[i] in frozen and tids[j] in frozen:
                     continue
-                if len(vi & set(mesh.tri_verts[tids[j]])) == 1:
+                if len(vi & set(mesh.tri_verts[tids[j]].tolist())) == 1:
                     consider(tids[i], tids[j])
     return pairs
 
@@ -942,6 +944,81 @@ def points_to_mesh_distance(points, positions, faces):
 # mesh topology
 
 
+class ListTriangleTable:
+    """Reference for SurfaceMesh's triangle table, kept as it once was:
+    corners as a list of tuples, states as a list, and the key and edge
+    maps updated one triangle at a time. Triangles over positions
+    (n, 3) are added, removed and flipped one at a time under
+    add_triangle's rules: three distinct corners, area at least
+    (1e-12 * bounding-box diagonal) ** 2, and no active triangle on
+    the same vertex set."""
+
+    OUTPUT, REMOVED = 1, 2
+
+    def __init__(self, positions):
+        self.pos = np.asarray(positions, dtype=np.float64).tolist()
+        diag = math.dist(np.max(positions, axis=0).tolist(),
+                         np.min(positions, axis=0).tolist())
+        self.floor = (1e-12 * max(diag, 1e-12)) ** 2
+        self.tri_verts = []
+        self.tri_state = []
+        self.key_to_id = {}
+        self.edges = {}
+
+    def add(self, a, b, c):
+        a, b, c = int(a), int(b), int(c)
+        if len({a, b, c}) < 3:
+            return None
+        pa, pb, pc = self.pos[a], self.pos[b], self.pos[c]
+        u = [pb[k] - pa[k] for k in range(3)]
+        v = [pc[k] - pa[k] for k in range(3)]
+        n = (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2],
+             u[0] * v[1] - u[1] * v[0])
+        if 0.5 * math.sqrt(n[0] * n[0] + n[1] * n[1] + n[2] * n[2]) \
+                < self.floor:
+            return None
+        key = tuple(sorted((a, b, c)))
+        old = self.key_to_id.get(key)
+        if old is not None and self.tri_state[old] != self.REMOVED:
+            return None
+        tid = len(self.tri_verts)
+        self.tri_verts.append((a, b, c))
+        self.tri_state.append(self.OUTPUT)
+        self.key_to_id[key] = tid
+        for u, v in ((a, b), (b, c), (c, a)):
+            self.edges.setdefault((min(u, v), max(u, v)), []).append(tid)
+        return tid
+
+    def remove(self, tid):
+        if self.tri_state[tid] == self.REMOVED:
+            return
+        self.tri_state[tid] = self.REMOVED
+        a, b, c = self.tri_verts[tid]
+        for u, v in ((a, b), (b, c), (c, a)):
+            self.edges[(min(u, v), max(u, v))].remove(tid)
+
+    def flip(self, tid):
+        a, b, c = self.tri_verts[tid]
+        self.tri_verts[tid] = (a, c, b)
+
+    def active_ids(self):
+        return [t for t, s in enumerate(self.tri_state)
+                if s != self.REMOVED]
+
+    def triangle_array(self):
+        tids = self.active_ids()
+        return (np.array(tids, dtype=np.int64),
+                np.array([self.tri_verts[t] for t in tids],
+                         dtype=np.int64).reshape(-1, 3))
+
+    def vertex_tris(self):
+        out = {}
+        for t in self.active_ids():
+            for v in self.tri_verts[t]:
+                out.setdefault(v, []).append(t)
+        return out
+
+
 class _UnionFind:
     """Union-find over hashable ids whose roots are component minima."""
 
@@ -992,7 +1069,7 @@ def vertex_fan_groups(mesh, v, tids=None):
         return []
     opposite = {}
     for t in tids:
-        for u in mesh.tri_verts[t]:
+        for u in mesh.tri_verts[t].tolist():
             if u != v:
                 opposite.setdefault(u, []).append(t)
     uf = _UnionFind(tids)
@@ -1018,6 +1095,17 @@ def _directed_edge_in(verts, edge):
     return edge in ((a, b), (b, c), (c, a))
 
 
+def strip_edge_map(mesh, tids):
+    """Undirected edge -> the triangles of tids on it, in tids order:
+    the edge map of those triangles alone, removed ones included."""
+    tids = list(tids)
+    edges = {}
+    for tid, (a, b, c) in zip(tids, mesh.tri_verts[tids].tolist()):
+        for u, v in ((a, b), (b, c), (c, a)):
+            edges.setdefault((u, v) if u < v else (v, u), []).append(tid)
+    return edges
+
+
 def orient_component(mesh, tids, em=None):
     """Reference for mesh_ops.orient_component: breadth-first from the
     lowest tid over the component's own edge map, flipping each newly
@@ -1025,7 +1113,7 @@ def orient_component(mesh, tids, em=None):
     Returns the first conflicting pair (t, other), or None when the
     component is orientable."""
     if em is None:
-        em = mesh.edge_map(tids)
+        em = strip_edge_map(mesh, tids)
     seed = min(tids)
     visited = {seed}
     queue = deque([seed])
@@ -1033,13 +1121,14 @@ def orient_component(mesh, tids, em=None):
     conflict = None
     while queue:
         t = queue.popleft()
-        a, b, c = mesh.tri_verts[t]
+        a, b, c = mesh.tri_verts[t].tolist()
         for u, v in ((a, b), (b, c), (c, a)):
             key = (u, v) if u < v else (v, u)
             for other in em.get(key, ()):
                 if other == t or other not in comp:
                     continue
-                same = _directed_edge_in(mesh.tri_verts[other], (u, v))
+                same = _directed_edge_in(mesh.tri_verts[other].tolist(),
+                                         (u, v))
                 if other in visited:
                     if same and conflict is None:
                         conflict = (t, other)
@@ -1059,7 +1148,7 @@ def orient_all(mesh, align=True):
     _, comps = components(mesh)
     bad = []
     for tids in comps:
-        if orient_component(mesh, tids, mesh.edge_map(tids)) is None:
+        if orient_component(mesh, tids, strip_edge_map(mesh, tids)) is None:
             if align:
                 mesh_ops._align_with_source_normals(mesh, tids)
         else:
@@ -1077,7 +1166,7 @@ def break_nonorientable(mesh, frozen=frozenset()):
         if not bad:
             break
         for tids in bad:
-            em = mesh.edge_map(tids)
+            em = strip_edge_map(mesh, tids)
             victim = None
             seed = min(tids)
             visited = {seed}
@@ -1085,14 +1174,14 @@ def break_nonorientable(mesh, frozen=frozenset()):
             comp = set(tids)
             while queue and victim is None:
                 t = queue.popleft()
-                a, b, c = mesh.tri_verts[t]
+                a, b, c = mesh.tri_verts[t].tolist()
                 for u, v in ((a, b), (b, c), (c, a)):
                     key = (u, v) if u < v else (v, u)
                     for other in em.get(key, ()):
                         if other == t or other not in comp:
                             continue
-                        same = _directed_edge_in(mesh.tri_verts[other],
-                                                 (u, v))
+                        same = _directed_edge_in(
+                            mesh.tri_verts[other].tolist(), (u, v))
                         if other in visited:
                             if same:
                                 cands = [x for x in (t, other)
@@ -1159,7 +1248,7 @@ def undecided_components(mesh, undecided):
     triangles joined through any shared vertex."""
     by_vertex = {}
     for t in undecided:
-        for v in mesh.tri_verts[t]:
+        for v in mesh.tri_verts[t].tolist():
             by_vertex.setdefault(v, []).append(t)
     uf = _UnionFind(undecided)
     for tids in by_vertex.values():
@@ -1188,16 +1277,17 @@ def resolve_moebius(mesh, new_tids):
     em_all = mesh.edge_map()
     removed = []
     for strip in moebius_strips(mesh, new_tids):
-        orient_component(mesh, strip, mesh.edge_map(strip))
+        orient_component(mesh, strip, strip_edge_map(mesh, strip))
         aligned, inverted = [], []
         for t in strip:
-            a, b, c = mesh.tri_verts[t]
+            a, b, c = mesh.tri_verts[t].tolist()
             for u, v in ((a, b), (b, c), (c, a)):
                 key = (u, v) if u < v else (v, u)
                 for other in em_all.get(key, ()):
                     if other in new_set or not mesh.is_active(other):
                         continue
-                    if _directed_edge_in(mesh.tri_verts[other], (u, v)):
+                    if _directed_edge_in(mesh.tri_verts[other].tolist(),
+                                         (u, v)):
                         inverted.append(t)
                     else:
                         aligned.append(t)
@@ -1238,7 +1328,7 @@ def move_keeps_normals(mesh, vmap, g, proposal, cos_guard):
     for tid in vmap.get(g, ()):
         if not mesh.is_active(tid):
             continue
-        a, b, c = mesh.tri_verts[tid]
+        a, b, c = mesh.tri_verts[tid].tolist()
         before = _triangle_normal(
             mesh.positions[a], mesh.positions[b], mesh.positions[c])
         pa, pb, pc = (proposal if x == g else mesh.positions[x]
@@ -1358,7 +1448,7 @@ def boundary_chain_set(mesh, config, with_dmax=False):
             for tid in vmap.get(g, ()):
                 if not mesh.is_active(tid):
                     continue
-                a, b, c = mesh.tri_verts[tid]
+                a, b, c = mesh.tri_verts[tid].tolist()
                 acc += _triangle_normal(
                     mesh.positions[a], mesh.positions[b], mesh.positions[c])
                 centroid_acc += (mesh.positions[a] + mesh.positions[b]
@@ -1406,7 +1496,7 @@ def component_stats(mesh):
         verts = set()
         edges = set()
         for t in tids:
-            a, b, c = mesh.tri_verts[t]
+            a, b, c = mesh.tri_verts[t].tolist()
             verts.update((a, b, c))
             for u, v in ((a, b), (b, c), (c, a)):
                 edges.add((u, v) if u < v else (v, u))

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from strokesurf import mesh_ops
 from strokesurf.cli import cli_main
 from strokesurf.stroke_model import Drawing, save_drawing
 
@@ -134,3 +135,26 @@ def test_eval_rejects_empty_mesh(tmp_path, capsys):
     assert cli_main(["eval", "--mesh", str(empty),
                      "--truth", str(empty)]) == 2
     assert "no faces" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("face", ["f 1 2 0", "f 1 2 5", "f 1 2 -5",
+                                  "f 1 2 4"])
+@pytest.mark.parametrize("role", ["--mesh", "--truth"])
+def test_eval_rejects_face_index_out_of_range(tmp_path, capsys, face, role):
+    good = tmp_path / "good.obj"
+    good.write_text("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 3\n")
+    bad = tmp_path / "bad.obj"
+    bad.write_text(f"v 0 0 0\nv 1 0 0\nv 0 1 0\n{face}\n")
+    files = {"--mesh": good, "--truth": good, role: bad}
+    assert cli_main(["eval", "--mesh", str(files["--mesh"]),
+                     "--truth", str(files["--truth"])]) == 2
+    err = capsys.readouterr().err
+    assert "input error" in err and f"{bad}:4:" in err
+
+
+def test_load_obj_resolves_negative_indices(tmp_path):
+    path = tmp_path / "m.obj"
+    path.write_text("v 0 0 0\nv 1 0 0\nv 0 1 0\nf -3 -2 -1\n"
+                    "v 1 1 0\nf 2 4 -2\n")
+    _, faces, _ = mesh_ops.load_obj(path)
+    assert faces == [(0, 1, 2), (1, 3, 2)]

@@ -6,7 +6,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from strokesurf import matcher, mesher, mesh_ops, stroke_model as sm
+from strokesurf import consolidate, matcher, mesher, mesh_ops
+from strokesurf import stroke_model as sm
 from strokesurf.pipeline import PipelineOptions, run_pipeline
 from strokesurf.scoring import Side
 from strokesurf.synth_eval import generate
@@ -42,7 +43,8 @@ def table_for(cs, side, pairs):
 
 
 def active_gid_sets(mesh):
-    return sorted(frozenset(mesh.tri_verts[t]) for t in mesh.active_ids())
+    return sorted(frozenset(tri)
+                  for tri in mesh.triangle_array()[1].tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -88,7 +90,7 @@ def test_edge_map_tracks_removal():
     mesh.remove(t0)                     # second removal is a no-op
     assert em[(1, 2)] == [t1]
     assert em[(0, 1)] == []             # key lingers, list empties
-    fresh = mesh.edge_map(mesh.active_ids())
+    fresh = oracles.strip_edge_map(mesh, mesh.active_ids())
     assert (0, 1) not in fresh
 
 
@@ -104,9 +106,9 @@ def test_components_split_and_flip():
     comp_of, comps = mesh.components()
     assert comps == [[t0, t1], [t2]]
     assert comp_of[t1] == 0 and comp_of[t2] == 1
-    before = mesh.tri_verts[t2]
+    before = mesh.tri_verts[t2].tolist()
     mesh.flip(t2)
-    assert mesh.tri_verts[t2] == (before[0], before[2], before[1])
+    assert mesh.tri_verts[t2].tolist() == [before[0], before[2], before[1]]
 
 
 def test_from_drawing_copies_vertex_table(flat_pair):
@@ -115,6 +117,98 @@ def test_from_drawing_copies_vertex_table(flat_pair):
     assert np.allclose(mesh.positions[:10], flat_pair.strokes[0].points)
     assert list(mesh.origin[10]) == [1, 0]
     assert set(mesh.origin_kind) == {mesher.KIND_STROKE}
+
+
+def assert_python_ints(value):
+    """Every number in a nest of lists, tuples, sets and dicts (keys
+    too) is a Python int, not a numpy scalar."""
+    if isinstance(value, dict):
+        assert_python_ints(list(value.items()))
+    elif isinstance(value, (list, tuple, set, frozenset)):
+        for item in value:
+            assert_python_ints(item)
+    else:
+        assert type(value) is int, type(value)
+
+
+def assert_table_equals_reference(mesh, ref):
+    assert np.array_equal(mesh.tri_verts,
+                          np.array(ref.tri_verts, dtype=np.int64)
+                          .reshape(-1, 3))
+    assert mesh.tri_state.tolist() == ref.tri_state
+    tids, verts = mesh.triangle_array()
+    ref_tids, ref_verts = ref.triangle_array()
+    assert np.array_equal(tids, ref_tids)
+    assert np.array_equal(verts, ref_verts)
+    assert mesh.active_ids() == ref.active_ids()
+    assert mesh.active_count() == len(ref.active_ids())
+    assert mesh.vertex_tris() == ref.vertex_tris()
+    assert mesh._key_to_id == ref.key_to_id
+    assert mesh.edge_map() == ref.edges
+    for value in (mesh.active_ids(), mesh.vertex_tris(), mesh._key_to_id,
+                  mesh.edge_map()):
+        assert_python_ints(value)
+
+
+def test_triangle_table_grows_like_a_list_reference():
+    """Inserts one at a time and in batches, across several capacity
+    doublings, interleaved with removals and flips of single triangles
+    and of arrays of them."""
+    rng = np.random.default_rng(12)
+    n = 30
+    mesh = mesher.SurfaceMesh()
+    mesh.add_vertices(rng.normal(size=(n, 3)), np.tile([0, 0, 1.0], (n, 1)),
+                      np.full(n, 0.1), np.ones((n, 3)),
+                      np.zeros((n, 2), dtype=np.int64), mesher.KIND_STROKE)
+    ref = oracles.ListTriangleTable(mesh.positions)
+    capacities = set()
+    for _ in range(14):
+        for a, b, c in rng.integers(0, n, size=(int(rng.integers(1, 40)), 3)):
+            tid = mesh.add_triangle(a, b, c)
+            assert tid == ref.add(a, b, c)
+            assert tid is None or type(tid) is int
+        # batches repeat rows and hold degenerate ones
+        rows = rng.integers(0, n, size=(int(rng.integers(1, 50)), 3))
+        rows = np.concatenate([rows, rows[:5]])
+        tids = mesh.add_triangles(rows, lambda wins: [None] * len(wins))
+        want = [ref.add(*row) for row in rows]
+        assert tids.tolist() == [-1 if t is None else t for t in want]
+        active = mesh.active_ids()
+        gone = rng.choice(active, size=min(len(active), 6),
+                          replace=False).tolist()
+        for t in gone + gone[:1]:           # removing twice is a no-op
+            mesh.remove(t)
+            ref.remove(t)
+        for t in rng.choice(len(mesh.tri_verts), size=3).tolist():
+            mesh.flip(t)
+            ref.flip(t)
+        some = rng.choice(len(mesh.tri_verts), size=4, replace=False)
+        mesh.flip(some)
+        for t in some.tolist():
+            ref.flip(t)
+        assert_table_equals_reference(mesh, ref)
+        capacities.add(len(mesh._state))
+    assert len(mesh.tri_verts) > 256
+    assert len(capacities) >= 4
+
+
+def test_topology_results_hold_python_ints():
+    """Tids and vertex ids that the topology passes return are Python
+    ints, as the pipeline's dicts, loops and reports need."""
+    from test_topology import random_soup
+
+    found = np.zeros(5, dtype=int)
+    for seed in range(20):
+        mesh, frozen = random_soup(seed)
+        results = [
+            mesh_ops.boundary_loops(mesh),
+            mesh_ops.orient_all(copy.deepcopy(mesh)),
+            mesh_ops.break_nonorientable(copy.deepcopy(mesh), frozen),
+            mesh_ops.resolve_moebius(copy.deepcopy(mesh), sorted(frozen)),
+            consolidate.repair_nonmanifold(copy.deepcopy(mesh), frozen)]
+        assert_python_ints(results)
+        found += [len(r) > 0 for r in results]
+    assert found.all()
 
 
 # ---------------------------------------------------------------------------
@@ -304,8 +398,8 @@ def test_mesh_with_creases_matches_plain_on_flat_input(flat_pair, config):
 def mesh_state(mesh):
     """Everything meshing can change, in comparable form."""
     return {
-        "tri_verts": list(mesh.tri_verts),
-        "tri_state": list(mesh.tri_state),
+        "tri_verts": mesh.tri_verts.tolist(),
+        "tri_state": mesh.tri_state.tolist(),
         "tri_prov": list(mesh.tri_prov),
         "duplicates_skipped": mesh.duplicates_skipped,
         "quads_rejected": mesh.quads_rejected,
@@ -477,18 +571,19 @@ def test_strip_meshing_over_a_used_mesh_equals_the_scalar_reference(config):
         table = random_strip_table(rng)
         strips = mesher.mesh_from_matches(copy.deepcopy(table), config)
         mesh = stroke_mesh(table.chainset)
-        for tri in strips.tri_verts:
+        for tri in strips.tri_verts.tolist():
             if rng.random() < 0.4:
                 # None on slivers whose area, taken from another corner,
                 # rounds below the floor
                 tid = mesh.add_triangle(*tri[::-1])
                 if tid is not None and rng.random() < 0.5:
                     mesh.remove(tid)
-        removed = {mesh.tri_verts[t] for t in range(len(mesh.tri_verts))
+        removed = {tuple(mesh.tri_verts[t].tolist())
+                   for t in range(len(mesh.tri_verts))
                    if not mesh.is_active(t)}
         got = assert_meshing_equals_reference(
             mesher.mesh_from_matches, table, config, mesh)
-        reinserted += sum(got.tri_verts[t][::-1] in removed
+        reinserted += sum(tuple(got.tri_verts[t].tolist()[::-1]) in removed
                           for t in range(len(mesh.tri_verts)))
     assert reinserted > 0
 
@@ -506,7 +601,7 @@ def test_quads_at_the_dihedral_threshold_are_kept(config):
         used = mesher.mesh_from_matches(copy.deepcopy(table), probe)
         # the fold of the split it chose, (p0, q1) or (p1, q0)
         p0, p1, q0, q1 = cs.pos[[0, 1, 2, 3]]
-        if all({0, 3} <= set(t) for t in used.tri_verts):
+        if all({0, 3} <= set(t) for t in used.tri_verts.tolist()):
             fold = oracles.dihedral_deg(p0, q1, p1, q0)
         else:
             fold = oracles.dihedral_deg(p1, q0, p0, q1)
@@ -564,5 +659,5 @@ def test_crease_rows_meet_the_floor_of_their_vertex_table(config):
                                            config)
     assert mesh.scale() > 1e5
     tiny = [t for t in mesh.active_ids()
-            if np.abs(mesh.positions[list(mesh.tri_verts[t])]).max() < 1e-6]
+            if np.abs(mesh.positions[mesh.tri_verts[t]]).max() < 1e-6]
     assert len(tiny) == 2

@@ -49,8 +49,8 @@ def assert_same_chains(got, want):
 
 def assert_same_mesh(got, want):
     assert got.positions.tobytes() == want.positions.tobytes()
-    assert got.tri_verts == want.tri_verts
-    assert got.tri_state == want.tri_state
+    assert np.array_equal(got.tri_verts, want.tri_verts)
+    assert np.array_equal(got.tri_state, want.tri_state)
 
 
 # pass -> (module, its scalar reference, how results compare)
@@ -114,7 +114,8 @@ def incompatible_like_pairs(mesh, pick):
     pairs = []
     tids = mesh.active_ids()
     for t1, t2 in itertools.combinations(tids, 2):
-        shared = sorted(set(mesh.tri_verts[t1]) & set(mesh.tri_verts[t2]))
+        corners1, corners2 = mesh.tri_verts[[t1, t2]].tolist()
+        shared = sorted(set(corners1) & set(corners2))
         if len(shared) == 2:
             pairs.append((t1, t2, ("edge", tuple(shared))))
         elif len(shared) == 1:
@@ -131,7 +132,7 @@ def check_loop_components(mesh):
     vmap = mesh.vertex_tris()
     for loop in mesh_ops.boundary_loops(mesh):
         comp = comp_of[vmap[loop[0]][0]]
-        verts = {v for t in comps[comp] for v in mesh.tri_verts[t]}
+        verts = set(mesh.tri_verts[comps[comp]].ravel().tolist())
         assert lookup.of_loop(loop) == comp
         assert lookup.loop_spans_component(loop) == (set(loop) >= verts)
 

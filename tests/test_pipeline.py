@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from strokesurf import consolidate, geometry, matcher
+from strokesurf import consolidate, geometry, matcher, pipeline
 from strokesurf.mesher import KIND_RIBBON
 from strokesurf.pipeline import PipelineOptions, run_pipeline
 from strokesurf.stroke_model import Drawing, Stroke, ValidationError
@@ -355,6 +355,15 @@ def test_dump_dir_writes_stage_artifacts(tmp_path):
     # stage prefixes are ordered
     prefixes = [int(n.split("_")[0]) for n in names]
     assert prefixes == sorted(prefixes)
+
+
+def test_match_dumps_are_built_only_with_a_dump_dir(monkeypatch):
+    def no_payload(table):
+        raise AssertionError("match payload built without a dump dir")
+
+    monkeypatch.setattr(pipeline, "_match_payload", no_payload)
+    _, report = run_pipeline(flat_pair_drawing())
+    assert report["triangles"] > 0
 
 
 def _face_normal_z(mesh):

@@ -29,7 +29,7 @@ import numpy as np
 
 from . import geometry, mesh_ops, scoring
 from .matcher import pair_sigmas
-from .mesher import (OUTPUT, REMOVED, UNDECIDED, apex_sides,
+from .mesher import (OUTPUT, REMOVED, UNDECIDED, apex_sides, edge_keys,
                      join_equal_keys, split_by_label)
 
 OUT_NODE = -1
@@ -50,7 +50,9 @@ class InvariantError(RuntimeError):
 class ConsolidationStats:
     """Counts from consolidation passes; passes given the same instance
     add to it. `pairs_by_criterion[k - 1]` counts the incompatible pairs
-    criterion k flagged."""
+    criterion k flagged. `greedy_objective` sums the clustering_objective
+    of the greedy solves and `greedy_bound` the positive soft arc weights
+    of their graphs, an upper bound on it."""
 
     pairs_by_criterion: list = field(default_factory=lambda: [0, 0, 0])
     undecided: int = 0
@@ -58,6 +60,8 @@ class ConsolidationStats:
     largest_component: int = 0
     exact_solves: int = 0
     greedy_solves: int = 0
+    greedy_objective: float = 0.0
+    greedy_bound: float = 0.0
     repair_removed: int = 0
 
 
@@ -163,6 +167,36 @@ def _crit2_overlapping_fans(mesh, cs, gid2flat, edges, t1, t2, q):
     return hit
 
 
+def _run_pairs(sizes):
+    """Index pairs (i, j), i < j, of every run of a sequence cut into runs
+    of the given sizes, in (run, i, j) order."""
+    starts = np.cumsum(sizes) - sizes
+    rank = np.arange(sizes.sum()) - np.repeat(starts, sizes)
+    later = np.repeat(sizes, sizes) - 1 - rank
+    first = np.repeat(np.arange(len(rank)), later)
+    second = (first + 1 + np.arange(len(first))
+              - np.repeat(np.cumsum(later) - later, later))
+    return first, second
+
+
+def _edge_pairs(mesh, frozen):
+    """(t1, t2, edges) of every pair of active triangles t1 < t2 on one
+    edge, (R, 2) with a < b, that are not both frozen, ordered by edge,
+    then t1, then t2."""
+    tids, verts = mesh.triangle_array()
+    n = mesh.vertex_count()
+    key = edge_keys(verts, n).ravel()
+    tid = np.repeat(tids, 3)
+    order = np.lexsort((tid, key))
+    key, tid = key[order], tid[order]
+    _, sizes = np.unique(key, return_counts=True)
+    first, second = _run_pairs(sizes)
+    t1, t2 = tid[first], tid[second]
+    keep = ~(frozen[t1] & frozen[t2])
+    key = key[first[keep]]
+    return t1[keep], t2[keep], np.stack([key // n, key % n], axis=1)
+
+
 def _fan_pairs(verts, active, frozen):
     """Batches (t1, t2, q) of every pair of active triangles t1 < t2 that
     share exactly the vertex q and are not both frozen, in (q, t1, t2)
@@ -182,13 +216,7 @@ def _fan_pairs(verts, active, frozen):
                  len(sizes)]
     for f0, f1 in zip(cuts[:-1], cuts[1:]):
         lo, hi = bounds[f0], bounds[f1]
-        fan_sizes = sizes[f0:f1]
-        # each incidence pairs with the ones after it in its fan
-        rank = np.arange(hi - lo) - np.repeat(bounds[f0:f1] - lo, fan_sizes)
-        later = np.repeat(fan_sizes, fan_sizes) - 1 - rank
-        first = np.repeat(np.arange(hi - lo), later)
-        second = (first + 1 + np.arange(len(first))
-                  - np.repeat(np.cumsum(later) - later, later))
+        first, second = _run_pairs(sizes[f0:f1])
         t1, t2 = tid[lo:hi][first], tid[lo:hi][second]
         q = gid[lo:hi][first]
         keep = ~(frozen[t1] & frozen[t2])
@@ -231,22 +259,21 @@ def find_incompatible_pairs(mesh, cs, config, frozen=frozenset(),
         stats = ConsolidationStats()
     gid2flat = _gid_flat_index(cs, mesh.vertex_count())
     edges = _provenance_edges(mesh)
-    shared = [(edge, t1, t2)
-              for edge, tids in sorted(mesh.edge_map().items())
-              for i, t1 in enumerate(tids) for t2 in tids[i + 1:]
-              if not (t1 in frozen and t2 in frozen)]
-    pairs = []
-    if shared:
-        shared_edges, t1, t2 = zip(*shared)
-        crit = _edge_criteria(mesh, cs, config, gid2flat, edges, t1, t2,
-                              shared_edges)
-        for (edge, a, b), c in zip(shared, crit.tolist()):
-            if c:
-                pairs.append((a, b, ("edge", edge)))
-                stats.pairs_by_criterion[c - 1] += 1
-
     frozen_mask = np.zeros(len(edges), dtype=bool)
     frozen_mask[list(frozen)] = True
+
+    t1, t2, ab = _edge_pairs(mesh, frozen_mask)
+    pairs = []
+    if len(t1):
+        crit = _edge_criteria(mesh, cs, config, gid2flat, edges, t1, t2, ab)
+        hit = np.flatnonzero(crit)
+        pairs = [(a, b, ("edge", (u, v))) for a, b, u, v in zip(
+            t1[hit].tolist(), t2[hit].tolist(), *ab[hit].T.tolist())]
+        for c, count in enumerate(np.bincount(crit[hit], minlength=4)[1:]):
+            stats.pairs_by_criterion[c] += int(count)
+    # free the edge-pair arrays before the fan batches take their memory
+    del t1, t2, ab
+
     for t1, t2, q in _fan_pairs(mesh.tri_verts, mesh.tri_state != REMOVED,
                                 frozen_mask):
         hit = _crit2_overlapping_fans(mesh, cs, gid2flat, edges, t1, t2, q)
@@ -323,11 +350,26 @@ def _emission_scores(mesh, cs, config, tids):
     return out
 
 
-def build_conflict_graph(mesh, cs, config, component, pairs, undecided):
+def _pairs_by_component(pairs, components):
+    """Per component, the pairs with a triangle in it, in pair order."""
+    comp_of = {t: c for c, tids in enumerate(components) for t in tids}
+    out = [[] for _ in components]
+    for pair in pairs:
+        c1, c2 = comp_of.get(pair[0], -1), comp_of.get(pair[1], -1)
+        if c1 >= 0:
+            out[c1].append(pair)
+        if c2 >= 0 and c2 != c1:
+            out[c2].append(pair)
+    return out
+
+
+def build_conflict_graph(mesh, cs, config, component, pairs):
     """Arc weights: incompatible pairs get incompatible_weight (hard),
     compatible shared-edge pairs get compatible_weight, and every node
     gets an output arc of M(t) plus its count of edges shared with
-    already-output triangles."""
+    already-output triangles. `pairs` holds the incompatible pairs with
+    a triangle in the component, in find_incompatible_pairs order; any
+    other pairs in it are skipped."""
     comp = set(component)
     graph = ConflictGraph(nodes=sorted(comp))
 
@@ -344,7 +386,6 @@ def build_conflict_graph(mesh, cs, config, component, pairs, undecided):
                               hard=True)
 
     em = mesh.edge_map()
-    incompat_keys = {(min(a, b), max(a, b)) for a, b, _ in pairs}
     corners = mesh.tri_verts[graph.nodes].tolist()
     seen_edges = set()
     for a, b, c in corners:
@@ -357,8 +398,10 @@ def build_conflict_graph(mesh, cs, config, component, pairs, undecided):
             for i in range(len(tids)):
                 for j in range(i + 1, len(tids)):
                     t1, t2 = sorted((tids[i], tids[j]))
+                    # within the component, the hard arcs are exactly
+                    # its incompatible pairs
                     if (t1 in comp and t2 in comp
-                            and (t1, t2) not in incompat_keys):
+                            and (t1, t2) not in graph.hard):
                         graph.add_arc(t1, t2, config.compatible_weight)
 
     m_scores = _emission_scores(mesh, cs, config, graph.nodes)
@@ -391,7 +434,10 @@ def solve_clustering(graph):
     ones by greedy additive edge contraction followed by single-node
     moves accepted only when they increase the objective, repeated to a
     fixed point. Both paths are deterministic, with ties falling to the
-    smallest node id. Returns node -> cluster id; cluster ids are the
+    smallest node id. The greedy path contracts over soft arcs alone and
+    re-sweeps only nodes whose neighbourhood changed; _contract and
+    _solve_greedy say why that yields the clusters of contracting over
+    every arc and sweeping every node. Returns node -> cluster id; cluster ids are the
     minimum node id of each cluster."""
     if len(graph.nodes) <= EXACT_NODE_LIMIT:
         return _solve_exact(graph)
@@ -479,10 +525,97 @@ def _solve_exact(graph):
 
 
 def _solve_greedy(graph):
+    """Greedy additive edge contraction (_contract), then single-node
+    moves.
+
+    Moves sweep the nodes in ascending id to a fixed point (at most 100
+    sweeps): a node joins the neighbouring cluster, or a fresh one, that
+    raises the objective most, if any does, and never a cluster holding
+    a hard partner. Hard partners never share a cluster, so a hard arc
+    only ever weighs on a blocked target and the moves read soft arcs
+    alone.
+
+    Each sweep after the first visits only dirty nodes, in ascending id:
+    the soft and hard neighbours of the nodes that moved. A node's gains
+    depend only on which clusters its neighbours are in; cluster labels
+    only order targets of equal gain, which matters only to a node that
+    moves. A node that stayed, and none of whose neighbours moved since,
+    would stay again; a node that moved has no better target left, since
+    its gains are unchanged and its move took the best. A node dirtied
+    by an earlier node of the same sweep is visited later in that sweep,
+    as a full sweep would, so the moves are those of full Gauss-Seidel
+    sweeps."""
+    cluster, members = _contract(graph)
+    arcs_of = {n: [] for n in cluster}
+    for (u, v), w in graph.arcs.items():
+        if (u, v) not in graph.hard:
+            arcs_of[u].append((v, w))
+            arcs_of[v].append((u, w))
+    hard_of = {n: [] for n in cluster}
+    for (u, v) in graph.hard:
+        hard_of[u].append(v)
+        hard_of[v].append(u)
+
+    dirty = set(graph.nodes)
+    for _ in range(100):
+        if not dirty:
+            break
+        todo = sorted(dirty)
+        queued = set(todo)
+        dirty = set()
+        while todo:
+            n = heapq.heappop(todo)
+            cur = cluster[n]
+            gain_cur = sum(w for (m, w) in arcs_of[n]
+                           if cluster[m] == cur and m != n)
+            options = {}
+            for (m, w) in arcs_of[n]:
+                tgt = cluster[m]
+                if tgt == cur:
+                    continue
+                options[tgt] = options.get(tgt, 0.0) + w
+            fresh = -10 - n  # label no renormalized cluster can carry
+            options.setdefault(fresh, 0.0)
+            blocked = {cluster[h] for h in hard_of[n]}
+            best_tgt, best_delta = None, 1e-12
+            for tgt in sorted(options):
+                if tgt in blocked:
+                    continue
+                delta = options[tgt] - gain_cur
+                if delta > best_delta:
+                    best_tgt, best_delta = tgt, delta
+            if best_tgt is None:
+                continue
+            _move_node(cluster, members, n, best_tgt)
+            for m in hard_of[n] + [m for m, _ in arcs_of[n]]:
+                if m == OUT_NODE:       # never moves
+                    continue
+                if m < n:
+                    dirty.add(m)
+                elif m not in queued:
+                    queued.add(m)
+                    heapq.heappush(todo, m)
+    return cluster
+
+
+def _contract(graph):
+    """Greedy additive edge contraction: merge the two clusters joined by
+    the largest positive summed weight, smallest key first on ties,
+    unless a hard arc runs between them, until no pair can merge.
+    Returns (node -> cluster id, cluster id -> member set).
+
+    Hard arcs only fill the forbidden sets: they never enter the
+    contraction weights. A cluster pair with a hard arc across it is
+    forbidden for good, since merges only grow forbidden sets, so its
+    summed weight could only ever be popped and skipped; every pair
+    that can merge sums exactly the soft arcs across it, in the same
+    merge order, so the merge sequence is the one contraction over all
+    arcs gives. Keys holding a hard part and an output weight are hard
+    as a whole."""
     nodes = [OUT_NODE] + list(graph.nodes)
     cluster = {n: n for n in nodes}
     members = {n: {n} for n in nodes}
-    weight = dict(graph.arcs)
+    weight = {k: w for k, w in graph.arcs.items() if k not in graph.hard}
     adj = {n: set() for n in nodes}
     for (u, v) in weight:
         adj[u].add(v)
@@ -513,74 +646,44 @@ def _solve_greedy(graph):
         for c in hard_b:
             forbidden[c].discard(b)
             forbidden[c].add(a)
-        for c in list(adj[b]):
+        for c in adj.pop(b):
             adj[c].discard(b)
             if c == a:
                 continue
-            wkey_b = (min(b, c), max(b, c))
-            w_bc = weight.pop(wkey_b, 0.0)
-            wkey_a = (min(a, c), max(a, c))
-            weight[wkey_a] = weight.get(wkey_a, 0.0) + w_bc
+            w_bc = weight.pop((b, c) if b < c else (c, b), 0.0)
+            wkey_a = (a, c) if a < c else (c, a)
+            w_ac = weight[wkey_a] = weight.get(wkey_a, 0.0) + w_bc
             adj[a].add(c)
             adj[c].add(a)
-            if weight[wkey_a] > 0:
-                heapq.heappush(heap, (-weight[wkey_a], wkey_a))
-        adj.pop(b, None)
-
-    # local moves on the original graph until stable
-    arcs_of = {n: [] for n in nodes}
-    for (u, v), w in graph.arcs.items():
-        arcs_of[u].append((v, w))
-        arcs_of[v].append((u, w))
-    hard_of = {n: set() for n in nodes}
-    for (u, v) in graph.hard:
-        hard_of[u].add(v)
-        hard_of[v].add(u)
-
-    for _ in range(100):
-        moved = False
-        for n in sorted(graph.nodes):
-            cur = cluster[n]
-            gain_cur = sum(w for (m, w) in arcs_of[n]
-                           if cluster[m] == cur and m != n)
-            options = {}
-            for (m, w) in arcs_of[n]:
-                tgt = cluster[m]
-                if tgt == cur:
-                    continue
-                options[tgt] = options.get(tgt, 0.0) + w
-            fresh = -10 - n  # label no renormalized cluster can carry
-            options.setdefault(fresh, 0.0)
-            best_tgt, best_delta = None, 1e-12
-            for tgt in sorted(options):
-                if tgt != fresh and any(cluster[h] == tgt
-                                        for h in hard_of[n]):
-                    continue
-                delta = options[tgt] - gain_cur
-                if delta > best_delta:
-                    best_tgt, best_delta = tgt, delta
-            if best_tgt is not None:
-                _move_node(cluster, members, n, best_tgt)
-                moved = True
-        if not moved:
-            break
-    return cluster
+            if w_ac > 0:
+                heapq.heappush(heap, (-w_ac, wkey_a))
+    return cluster, members
 
 
 def _move_node(cluster, members, n, tgt):
     """Move node n into cluster tgt, a new cluster if no node carries
-    that id, re-labelling the two clusters involved so that every
-    cluster id stays the minimum member id."""
-    rest = members.pop(cluster[n])
+    that id, re-labelling a cluster involved only where its minimum
+    member changes, so that every cluster id stays the minimum member
+    id."""
+    cur = cluster[n]
+    rest = members.pop(cur)
     rest.discard(n)
-    group = members.pop(tgt, set())
+    if rest and cur == n:
+        cur = min(rest)
+        for node in rest:
+            cluster[node] = cur
+    if rest:
+        members[cur] = rest
+    group = members.pop(tgt, None)
+    if group is None:
+        group, tgt = set(), n
     group.add(n)
-    for mem in (rest, group):
-        if mem:
-            cid = min(mem)
-            members[cid] = mem
-            for node in mem:
-                cluster[node] = cid
+    if n < tgt:
+        for node in group:
+            cluster[node] = n
+        tgt = n
+    cluster[n] = tgt
+    members[tgt] = group
 
 
 def apply_consolidation(mesh, cluster, component):
@@ -618,7 +721,7 @@ def repair_nonmanifold(mesh, frozen=frozenset()):
     for _ in range(64):
         changed = False
         _, nm_vertices = mesh_ops.audit_manifold(mesh)
-        vmap = mesh.vertex_tris() if nm_vertices else {}
+        vmap = mesh.vertex_tris(nm_vertices) if nm_vertices else {}
         for v in nm_vertices:
             # removals at earlier vertices leave removed tids in vmap;
             # vertex_fan_groups skips them
@@ -655,16 +758,21 @@ def consolidate_mesh(mesh, cs, config, frozen=frozenset(), stats=None):
     stats.undecided += len(undecided)
     stats.components += len(components)
     removed = 0
-    for component in components:
+    for component, comp_pairs in zip(
+            components, _pairs_by_component(pairs, components)):
         stats.largest_component = max(stats.largest_component,
                                       len(component))
+        graph = build_conflict_graph(mesh, cs, config, component,
+                                     comp_pairs)
+        cluster = solve_clustering(graph)
         if len(component) <= EXACT_NODE_LIMIT:
             stats.exact_solves += 1
         else:
             stats.greedy_solves += 1
-        graph = build_conflict_graph(mesh, cs, config, component, pairs,
-                                     undecided)
-        cluster = solve_clustering(graph)
+            stats.greedy_objective += clustering_objective(graph, cluster)
+            stats.greedy_bound += sum(
+                w for key, w in graph.arcs.items()
+                if w > 0 and key not in graph.hard)
         kept = apply_consolidation(mesh, cluster, component)
         removed += len(component) - len(kept)
 

@@ -125,7 +125,7 @@ def _align_with_source_normals(mesh, tids):
         mesh.flip(tids)
 
 
-def orient_all(mesh, align=True):
+def orient_all(mesh, align=True, conflicts=None):
     """Orient every component; returns the list of non-orientable
     components (as sorted tid lists), ordered by their lowest tid.
 
@@ -139,9 +139,11 @@ def orient_all(mesh, align=True):
     wound by flipping the triangles whose (t, 1) carries the label of
     (lowest tid, 0), which is the one consistent winding that keeps the
     lowest triangle as it is. A broken component is wound by
-    orient_component from its untouched state instead; a second walk
-    over that winding flips nothing and meets the same conflicts, which
-    is how break_nonorientable finds its cuts.
+    orient_component from its untouched state instead, and with a list
+    as `conflicts` the first conflicting pair that walk meets is
+    appended to it, one per returned component. A second walk over that
+    winding would flip nothing and meet the same conflict, so
+    break_nonorientable cuts at the recorded one without walking again.
 
     With align (the default) an orientable component is then flipped to
     face its source vertex normals. The pipeline orients without
@@ -180,7 +182,9 @@ def orient_all(mesh, align=True):
     bad = []
     for c, ctids in enumerate(split_by_label(tids, comp)):
         if broken[c]:
-            orient_component(mesh, ctids)
+            conflict = orient_component(mesh, ctids)
+            if conflicts is not None:
+                conflicts.append(conflict)
             bad.append(ctids)
         elif align:
             _align_with_source_normals(mesh, ctids)
@@ -188,23 +192,22 @@ def orient_all(mesh, align=True):
 
 
 def break_nonorientable(mesh, frozen=frozenset()):
-    """Remove triangles until every component orients. Each round, every
-    component orient_all leaves broken is walked again by
-    orient_component, which flips nothing there, and the newer removable
-    triangle of the first conflicting pair it meets goes (the newer of
-    both when both are frozen). Surviving components keep the winding of
+    """Remove triangles until every component orients. Each round,
+    orient_all walks every broken component once and records the first
+    conflicting pair the walk meets; the newer removable triangle of
+    each such pair goes (the newer of both when both are frozen). A cut
+    changes only its own component's edges, so the other conflicts of
+    the round still hold. Surviving components keep the winding of
     their lowest triangle id; align them with orient_all afterwards if
     they should face the source normals."""
     removed = []
     for _ in range(len(mesh.tri_verts)):
-        bad = orient_all(mesh, align=False)
-        if not bad:
+        conflicts = []
+        if not orient_all(mesh, align=False, conflicts=conflicts):
             break
-        for tids in bad:
-            # every broken component meets a conflict: it has no
-            # consistent winding, or an edge that two of its triangles
-            # run the same way
-            conflict = orient_component(mesh, tids)
+        # every broken component meets a conflict: it has no consistent
+        # winding, or an edge that two of its triangles run the same way
+        for conflict in conflicts:
             victim = max([t for t in conflict if t not in frozen] or conflict)
             mesh.remove(victim)
             removed.append(victim)
@@ -255,17 +258,16 @@ def boundary_loops(mesh):
     """Closed vertex loops along the surface boundary, following the
     orientation of the incident triangles. Each loop is rotated to start
     at its smallest vertex id; loops are sorted by that id."""
-    em = mesh.edge_map()
-    border = [(key, tids[0]) for key, tids in em.items() if len(tids) == 1]
-    corners = mesh.tri_verts[[t for _, t in border]].tolist()
+    _, verts = mesh.triangle_array()
+    keys = edge_keys(verts, mesh.vertex_count())
+    _, edge, count = np.unique(keys, return_inverse=True, return_counts=True)
+    # border edges, as their one triangle runs them
+    border = count[edge.reshape(keys.shape)] == 1
+    u, v = verts[border], np.roll(verts, -1, axis=1)[border]
+    order = np.lexsort((v, u))
     outgoing = {}
-    for (key, _), (a, b, c) in zip(border, corners):
-        for u, v in ((a, b), (b, c), (c, a)):
-            if (min(u, v), max(u, v)) == key:
-                outgoing.setdefault(u, []).append(v)
-                break
-    for v in outgoing:
-        outgoing[v].sort()
+    for a, b in zip(u[order].tolist(), v[order].tolist()):
+        outgoing.setdefault(a, []).append(b)
 
     loops = []
     used = set()
@@ -277,7 +279,8 @@ def boundary_loops(mesh):
             used.add((start, first))
             cur = first
             broken = False
-            for _ in range(len(used) + len(em) + 2):
+            # every step but the last takes a border edge not yet used
+            for _ in range(len(u) + 1):
                 if cur == start:
                     break
                 loop.append(cur)

@@ -276,12 +276,17 @@ class SurfaceMesh:
         was removed remain with an empty list."""
         return self._em
 
-    def vertex_tris(self):
-        """Vertex -> list of incident active triangle ids, ascending."""
+    def vertex_tris(self, gids=None):
+        """Vertex -> list of incident active triangle ids, ascending, for
+        every vertex or only the given ones; vertices without active
+        triangles are left out."""
         tids, verts = self.triangle_array()
-        gids, labels = np.unique(verts.ravel(), return_inverse=True)
-        return dict(zip(gids.tolist(),
-                        split_by_label(np.repeat(tids, 3), labels)))
+        at, tid = verts.ravel(), np.repeat(tids, 3)
+        if gids is not None:
+            keep = np.isin(at, np.asarray(gids, dtype=np.int64))
+            at, tid = at[keep], tid[keep]
+        at, labels = np.unique(at, return_inverse=True)
+        return dict(zip(at.tolist(), split_by_label(tid, labels)))
 
     def triangle_array(self, tri_ids=None):
         """(tids, verts): the given triangle ids (default: the active

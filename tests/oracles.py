@@ -6,7 +6,9 @@ built with scalar arithmetic, the candidate and Viterbi-scoring
 references gather and score one source vertex at a time (a spatial
 hash lookup per vertex instead of one pair search per phase), the
 clustering reference solves max-weight set partitioning exactly with a
-bitmask dynamic program, and the incompatible-pair reference tests
+bitmask dynamic program, the greedy clustering reference contracts over
+every arc, hard ones included, and sweeps every node, the boundary-loop
+reference scans the live edge map, the incompatible-pair reference tests
 every candidate pair one at a time with scalar float arithmetic, the
 point-to-mesh reference tests one sample point at a time against its
 candidate triangles, the mesh-topology references (manifold audit,
@@ -21,12 +23,15 @@ boundary chain frames, component stats, undecided classification)
 walk a vertex -> triangle dict one vertex at a time.
 """
 
+import heapq
 import itertools
 import math
 from collections import deque
 
 import numpy as np
 from scipy.spatial import cKDTree
+
+OUT_NODE = -1
 
 
 # ---------------------------------------------------------------------------
@@ -480,6 +485,114 @@ def partition_optimum(nodes, arcs, hard):
             t = (t - 1) & s
         best[s] = b
     return best[size - 1]
+
+
+def solve_greedy(graph):
+    """Reference for consolidate._solve_greedy: contraction over every
+    arc, hard ones included, and full move sweeps that test each target
+    against every hard partner."""
+    nodes = [OUT_NODE] + list(graph.nodes)
+    cluster = {n: n for n in nodes}
+    members = {n: {n} for n in nodes}
+    weight = dict(graph.arcs)
+    adj = {n: set() for n in nodes}
+    for (u, v) in weight:
+        adj[u].add(v)
+        adj[v].add(u)
+    forbidden = {n: set() for n in nodes}
+    for (u, v) in graph.hard:
+        forbidden[u].add(v)
+        forbidden[v].add(u)
+
+    heap = [(-w, k) for k, w in weight.items() if w > 0]
+    heapq.heapify(heap)
+    while heap:
+        negw, (a, b) = heapq.heappop(heap)
+        if a not in members or b not in members:
+            continue
+        if weight.get((a, b)) != -negw or -negw <= 0:
+            continue
+        if b in forbidden[a]:
+            continue
+        # merge b into a (a < b by arc key construction)
+        joined = members.pop(b)
+        members[a] |= joined
+        for n in joined:
+            cluster[n] = a
+        # hard sets are symmetric, so only b's own partners name b
+        hard_b = forbidden.pop(b)
+        forbidden[a] |= hard_b
+        for c in hard_b:
+            forbidden[c].discard(b)
+            forbidden[c].add(a)
+        for c in list(adj[b]):
+            adj[c].discard(b)
+            if c == a:
+                continue
+            wkey_b = (min(b, c), max(b, c))
+            w_bc = weight.pop(wkey_b, 0.0)
+            wkey_a = (min(a, c), max(a, c))
+            weight[wkey_a] = weight.get(wkey_a, 0.0) + w_bc
+            adj[a].add(c)
+            adj[c].add(a)
+            if weight[wkey_a] > 0:
+                heapq.heappush(heap, (-weight[wkey_a], wkey_a))
+        adj.pop(b, None)
+
+    # local moves on the original graph until stable
+    arcs_of = {n: [] for n in nodes}
+    for (u, v), w in graph.arcs.items():
+        arcs_of[u].append((v, w))
+        arcs_of[v].append((u, w))
+    hard_of = {n: set() for n in nodes}
+    for (u, v) in graph.hard:
+        hard_of[u].add(v)
+        hard_of[v].add(u)
+
+    for _ in range(100):
+        moved = False
+        for n in sorted(graph.nodes):
+            cur = cluster[n]
+            gain_cur = sum(w for (m, w) in arcs_of[n]
+                           if cluster[m] == cur and m != n)
+            options = {}
+            for (m, w) in arcs_of[n]:
+                tgt = cluster[m]
+                if tgt == cur:
+                    continue
+                options[tgt] = options.get(tgt, 0.0) + w
+            fresh = -10 - n  # label no renormalized cluster can carry
+            options.setdefault(fresh, 0.0)
+            best_tgt, best_delta = None, 1e-12
+            for tgt in sorted(options):
+                if tgt != fresh and any(cluster[h] == tgt
+                                        for h in hard_of[n]):
+                    continue
+                delta = options[tgt] - gain_cur
+                if delta > best_delta:
+                    best_tgt, best_delta = tgt, delta
+            if best_tgt is not None:
+                _move_node(cluster, members, n, best_tgt)
+                moved = True
+        if not moved:
+            break
+    return cluster
+
+
+def _move_node(cluster, members, n, tgt):
+    """Move node n into cluster tgt, a new cluster if no node carries
+    that id, re-labelling the two clusters involved so that every
+    cluster id stays the minimum member id."""
+    rest = members.pop(cluster[n])
+    rest.discard(n)
+    group = members.pop(tgt, set())
+    group.add(n)
+    for mem in (rest, group):
+        if mem:
+            cid = min(mem)
+            members[cid] = mem
+            for node in mem:
+                cluster[node] = cid
 
 
 # ---------------------------------------------------------------------------
@@ -1299,6 +1412,50 @@ def resolve_moebius(mesh, new_tids):
                 mesh.remove(t)
                 removed.append(t)
     return removed
+
+
+def boundary_loops(mesh):
+    """Reference for mesh_ops.boundary_loops: border edges found by a
+    scan of the live edge map."""
+    em = mesh.edge_map()
+    border = [(key, tids[0]) for key, tids in em.items() if len(tids) == 1]
+    corners = mesh.tri_verts[[t for _, t in border]].tolist()
+    outgoing = {}
+    for (key, _), (a, b, c) in zip(border, corners):
+        for u, v in ((a, b), (b, c), (c, a)):
+            if (min(u, v), max(u, v)) == key:
+                outgoing.setdefault(u, []).append(v)
+                break
+    for v in outgoing:
+        outgoing[v].sort()
+
+    loops = []
+    used = set()
+    for start in sorted(outgoing):
+        for first in outgoing[start]:
+            if (start, first) in used:
+                continue
+            loop = [start]
+            used.add((start, first))
+            cur = first
+            broken = False
+            for _ in range(len(used) + len(em) + 2):
+                if cur == start:
+                    break
+                loop.append(cur)
+                nxt = [w for w in outgoing.get(cur, ())
+                       if (cur, w) not in used]
+                if not nxt:
+                    broken = True
+                    break
+                used.add((cur, nxt[0]))
+                cur = nxt[0]
+            if broken or len(loop) < 3:
+                continue
+            k = loop.index(min(loop))
+            loops.append(loop[k:] + loop[:k])
+    loops.sort(key=lambda lp: lp[0])
+    return loops
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 """Conflict detection, correlation clustering, and the repair net."""
 
 import dataclasses
+import heapq
+from collections import Counter
 from types import SimpleNamespace
 
 import numpy as np
@@ -156,6 +158,28 @@ def test_classify_undecided_is_local(config):
     assert comps == [sorted([t1, t2, toucher])]
 
 
+def test_pair_search_on_a_crowded_edge_matches_scalar_reference(config):
+    """Six triangles on the stroke edge (1, 2), one of them removed: the
+    shared-edge pairs of the five active ones, listed by edge and tids,
+    equal the scalar reference's under frozen sets that drop some of
+    them, a removed tid included."""
+    cs, mesh, em = strip_fixture(config, [[0.4, 0.5, 0], [0.6, 0.8, 0],
+                                          [0.5, 0.3, 0.1], [0.3, -0.6, 0],
+                                          [0.7, -0.4, 0.1], [0.5, 1.2, 0]])
+    tids = [em.tri_on_edge(0, 1, 2, 3 + k, 1 if k in (0, 1, 2, 5) else -1)
+            for k in range(6)]
+    mesh.remove(tids[2])
+    assert len(mesh.edge_map()[(1, 2)]) == 5
+    for frozen in (set(), {tids[0], tids[1]}, {tids[2], tids[3], tids[4]},
+                   {tids[0], tids[3], tids[5]}):
+        pairs = consolidate.find_incompatible_pairs(mesh, cs, config, frozen)
+        assert pairs == oracles.find_incompatible_pairs(mesh, cs, config,
+                                                        frozen)
+        if not frozen:
+            assert len(pairs) == 4
+            assert all(tids[2] not in pair[:2] for pair in pairs)
+
+
 @pytest.mark.parametrize("name", sorted(FLIP_SPECS))
 def test_pair_search_matches_scalar_reference(name, monkeypatch):
     """At every consolidation pass of a noisy run, the batched search
@@ -294,6 +318,101 @@ def test_greedy_clustering_against_exact_optimum(monkeypatch):
     # greedy contraction plus single-node moves is not near-optimal:
     # the worst ratio on these graphs is 0.538
     assert worst >= 0.5
+
+
+def large_conflict_graph(rng):
+    """Random graphs of 13-400 nodes with the arcs build_conflict_graph
+    emits, in its order. Nodes lie along a few strips, with sparse ids
+    as tids have. Hard -30 arcs join nearby nodes and the output node to
+    a few nodes (a conflict with a kept triangle, once or twice), then
+    +1 compatible arcs join nearby nodes of one strip that are not hard,
+    then every node gets an output arc of M(t) + C, which lands on the
+    hard output keys as well. On weak strips M(t) + C stays below 1, so
+    a strip contracts over its +1 arcs before its output arcs, and its
+    summed output arcs can outweigh a hard one."""
+    n = int(rng.integers(13, 401))
+    nodes = np.sort(rng.choice(4 * n, size=n, replace=False)).tolist()
+    strip = np.searchsorted(
+        np.sort(rng.choice(n, size=int(rng.integers(0, 5)))), np.arange(n),
+        side="right")
+    weak = rng.random(strip[-1] + 1) < 0.5
+    g = consolidate.ConflictGraph(nodes=nodes)
+    reach = int(rng.integers(2, 9))
+    near = [(i, j) for i in range(n)
+            for j in range(i + 1, min(n, i + reach + 1))]
+    # hard arcs sparse on half of the graphs, up to dense on the rest
+    is_hard = rng.random(len(near)) < rng.choice([0.05, 0.5]) * rng.random()
+    hard = [(nodes[i], nodes[j]) for (i, j), h in zip(near, is_hard) if h]
+    for i in rng.choice(n, size=int(rng.integers(1, 4)), replace=False):
+        hard += [(OUT_NODE, nodes[i])] * int(rng.integers(1, 3))
+    for k in rng.permutation(len(hard)):
+        g.add_arc(*hard[k], -30.0, hard=True)
+    p_soft = rng.uniform(0.3, 1.0)
+    for (i, j), h in zip(near, is_hard):
+        if not h and strip[i] == strip[j] and rng.random() < p_soft:
+            g.add_arc(nodes[i], nodes[j], 1.0)
+    for i, t in enumerate(nodes):
+        out = (float(rng.uniform(0.0, 0.9)) if weak[strip[i]] else
+               float(rng.uniform(0.0, 2.0)) + int(rng.integers(0, 4)))
+        g.add_arc(OUT_NODE, t, out)
+    return g
+
+
+class _HeapLog:
+    """heapq as the solvers use it, logging every arc entry pushed."""
+
+    def __init__(self):
+        self.arcs = []
+
+    def heapify(self, heap):
+        self.arcs += [x for x in heap if isinstance(x, tuple)]
+        heapq.heapify(heap)
+
+    def heappush(self, heap, item):
+        if isinstance(item, tuple):
+            self.arcs.append(item)
+        heapq.heappush(heap, item)
+
+    heappop = staticmethod(heapq.heappop)
+
+
+def test_greedy_solver_matches_reference(monkeypatch):
+    """The soft-arc contraction and the dirty-node sweeps give the
+    reference's clusters exactly. The reference's heap also holds
+    cluster pairs whose summed weight is positive although a hard arc
+    runs across them, which the solver leaves out; some graph must have
+    one, or the comparison would not test that argument."""
+    ref_log, new_log = _HeapLog(), _HeapLog()
+    monkeypatch.setattr(oracles, "heapq", ref_log)
+    monkeypatch.setattr(consolidate, "heapq", new_log)
+    rng = np.random.default_rng(1208)
+    left_out = 0
+    for _ in range(300):
+        g = large_conflict_graph(rng)
+        # hard output keys, each with its output arc on it
+        assert any(key[0] == OUT_NODE for key in g.hard)
+        ref_log.arcs.clear()
+        new_log.arcs.clear()
+        assert consolidate._solve_greedy(g) == oracles.solve_greedy(g)
+        left_out += bool(Counter(ref_log.arcs) - Counter(new_log.arcs))
+    assert left_out > 0
+
+
+def test_greedy_solver_matches_reference_on_a_noisy_run(monkeypatch):
+    """Every greedy solve of the noisy spiral, against the reference."""
+    greedy = consolidate._solve_greedy
+    sizes = []
+
+    def checked(graph):
+        cluster = greedy(graph)
+        assert cluster == oracles.solve_greedy(graph)
+        sizes.append(len(graph.nodes))
+        return cluster
+
+    monkeypatch.setattr(consolidate, "_solve_greedy", checked)
+    drawing, _ = generate(FLIP_SPECS["dome_spiral"])
+    run_pipeline(drawing)
+    assert max(sizes) > 100
 
 
 # ---------------------------------------------------------------------------

@@ -62,7 +62,8 @@ CONSOLIDATION_STAGES = ["strip_consolidation", "extension_consolidation",
                         "gap_consolidation"]
 CONSOLIDATION_KEYS = {
     "pairs_by_criterion", "undecided", "components", "largest_component",
-    "exact_solves", "greedy_solves", "repair_removed",
+    "exact_solves", "greedy_solves", "greedy_objective", "greedy_bound",
+    "repair_removed",
 }
 
 
@@ -89,6 +90,7 @@ def test_noisy_spiral_reports_a_greedy_sized_component():
     strip = by_name["strip_consolidation"]["consolidation"]
     assert strip["largest_component"] > consolidate.EXACT_NODE_LIMIT
     assert strip["greedy_solves"] >= 1
+    assert 0 < strip["greedy_objective"] <= strip["greedy_bound"]
     assert min(strip["pairs_by_criterion"]) > 0
     assert strip["undecided"] >= strip["largest_component"]
 

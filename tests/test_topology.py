@@ -153,6 +153,9 @@ def test_components_audit_and_fans_match_reference(make):
                 == oracles.vertex_fan_groups(mesh, v))
         assert (mesh_ops.vertex_fan_groups(mesh, v, vmap.get(v, []))
                 == oracles.vertex_fan_groups(mesh, v, vmap.get(v, [])))
+    some = list(range(0, mesh.vertex_count(), 2))
+    assert mesh.vertex_tris(some) == {v: vmap[v] for v in some if v in vmap}
+    assert mesh_ops.boundary_loops(mesh) == oracles.boundary_loops(mesh)
 
 
 @pytest.mark.parametrize("align", [False, True])
@@ -180,10 +183,13 @@ def test_second_walk_of_a_broken_component_repeats_the_first(make):
     it again flips nothing and meets the first walk's conflict."""
     mesh, _ = make()
     untouched = copy.deepcopy(mesh)
-    for tids in mesh_ops.orient_all(mesh, align=False):
+    conflicts = []
+    bad = mesh_ops.orient_all(mesh, align=False, conflicts=conflicts)
+    assert len(conflicts) == len(bad)
+    for tids, recorded in zip(bad, conflicts):
         first = mesh_ops.orient_component(untouched, tids)
         wound = mesh.tri_verts.copy()
-        assert first is not None
+        assert first is not None and recorded == first
         assert mesh_ops.orient_component(mesh, tids) == first
         assert np.array_equal(mesh.tri_verts, wound)
 
@@ -272,6 +278,22 @@ def test_hypothesis_soups_match_reference(n, data):
             == oracles.break_nonorientable(b, frozen=frozen))
     assert np.array_equal(a.tri_verts, b.tri_verts)
     assert np.array_equal(a.tri_state, b.tri_state)
+    assert mesh_ops.boundary_loops(mesh) == oracles.boundary_loops(mesh)
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(3, 9), data=st.data())
+def test_orient_all_records_the_conflict_a_second_walk_meets(n, data):
+    """The conflict orient_all's walk records for each broken component
+    is the one a fresh orient_component walk over its winding meets,
+    which is the walk break_nonorientable no longer makes."""
+    mesh, _ = draw_soup(n, data)
+    conflicts = []
+    bad = mesh_ops.orient_all(mesh, align=False, conflicts=conflicts)
+    assert len(conflicts) == len(bad)
+    for tids, recorded in zip(bad, conflicts):
+        assert recorded is not None
+        assert mesh_ops.orient_component(mesh, tids) == recorded
 
 
 @settings(max_examples=150, deadline=None)

@@ -110,11 +110,9 @@ def _edge_criteria(mesh, cs, config, gid2flat, prov_edges, t1, t2, edges):
 
 
 def _provenance_edges(mesh):
-    """The sorted provenance edge of every triangle, (T, 2), with -1
+    """The provenance edge of every triangle as sorted gids, (T, 2), -1
     where it has none."""
-    edges = np.array([(-1, -1) if p is None else p.edge
-                      for p in mesh.tri_prov], dtype=np.int64)
-    return np.sort(edges.reshape(-1, 2), axis=1)
+    return np.sort(mesh.tri_prov[:, :2], axis=1)
 
 
 def _crit2_overlapping_fans(mesh, cs, gid2flat, edges, t1, t2, q):
@@ -323,31 +321,26 @@ class ConflictGraph:
 
 def _emission_scores(mesh, cs, config, tids):
     """M(t) per triangle of tids: vertex scores of the two edge endpoints
-    against the apex, on the triangle's recorded side, in linear domain.
-    Every (endpoint, apex) row is scored in one kernel call."""
-    rows = []
-    for n, tid in enumerate(tids):
-        prov = mesh.tri_prov[tid]
-        if prov is None:
-            continue
-        (ci, ia), (cj, ib) = prov.edge_ref
-        aref = prov.apex_ref
-        fq = cs.flat(aref.chain, aref.index)
-        if not cs.ok[fq]:
-            continue
-        for fp in (cs.flat(ci, ia), cs.flat(cj, ib)):
-            if cs.ok[fp]:
-                rows.append((n, fp, fq, prov.side))
-    out = [0.0] * len(tids)
-    if rows:
-        node, p, q, side = np.array(rows, dtype=np.int64).T
-        logs = scoring.vertex_scores_log_arrays(
-            cs.pos[p], cs.tan[p], cs.bin[p], cs.w[p], side,
-            cs.pos[q], cs.tan[q], cs.bin[q], cs.w[q],
-            pair_sigmas(cs, p, q, config))
-        for n, score in zip(node.tolist(), np.exp(logs).tolist()):
-            out[n] += score
-    return out
+    against the apex, on the triangle's recorded side, in linear domain;
+    0 without provenance or with a degenerate apex frame, and an endpoint
+    with a degenerate frame adds nothing. Every (endpoint, apex) row is
+    scored in one kernel call. The provenance flat ids index cs: the
+    triangles scored are undecided ones, meshed from cs itself (see the
+    mesher module docstring)."""
+    prov = mesh.tri_prov[np.asarray(tids, dtype=np.int64)]
+    ends, q = prov[:, 2:4], prov[:, 4]
+    use = (q >= 0)[:, None] & cs.ok[q][:, None] & cs.ok[ends]
+    # rows by node, edge start before edge end; np.add.at adds them to
+    # 0.0 in that order
+    node, k = np.nonzero(use)
+    p, q = ends[node, k], q[node]
+    logs = scoring.vertex_scores_log_arrays(
+        cs.pos[p], cs.tan[p], cs.bin[p], cs.w[p], prov[node, 5],
+        cs.pos[q], cs.tan[q], cs.bin[q], cs.w[q],
+        pair_sigmas(cs, p, q, config))
+    out = np.zeros(len(prov))
+    np.add.at(out, node, np.exp(logs))
+    return out.tolist()
 
 
 def _pairs_by_component(pairs, components):

@@ -13,7 +13,7 @@ import numpy as np
 
 from . import geometry
 from .matcher import Chain, ChainSet
-from .mesher import edge_keys, join_equal_keys, split_by_label
+from .mesher import edge_keys, join_equal_keys, split_by_label, split_quads
 
 
 # ---------------------------------------------------------------------------
@@ -430,23 +430,13 @@ def boundary_chain_set(mesh, config, with_dmax=False):
 
 
 def _quad_fill(mesh, loop):
-    """Split a reversed 4-loop by the diagonal giving the larger minimum
-    interior angle; ties prefer the more planar split, then the lower
-    diagonal ids."""
-    d, c, b, a = loop[::-1][0], loop[::-1][1], loop[::-1][2], loop[::-1][3]
-    # candidate diagonals of quad (d, c, b, a)
-    p = {g: mesh.positions[g] for g in loop}
-    splits = []
-    for diag, tris in (((d, b), ((d, c, b), (d, b, a))),
-                       ((c, a), ((c, b, a), (c, a, d)))):
-        angles = [geometry.min_interior_angle_deg(p[t[0]], p[t[1]], p[t[2]])
-                  for t in tris]
-        c, d = third_vertices(tris, [diag, diag]).tolist()
-        dihed = geometry.dihedral_deg(p[diag[0]], p[diag[1]], p[c], p[d])
-        low_pair = tuple(-x for x in sorted(diag))
-        splits.append((min(angles), -abs(180.0 - dihed), low_pair, tris))
-    splits.sort(reverse=True)
-    return splits[0][3]
+    """Split a 4-loop (a, b, c, d) by mesher.split_quads, as the quad
+    (d, c, a, b) of strip meshing, into two triangles wound against the
+    loop."""
+    a, b, c, d = loop
+    quad = np.array([[d, c, a, b]], dtype=np.int64)
+    use1, _ = split_quads(*mesh.positions[quad.T], quad)
+    return ((d, c, b), (d, b, a)) if use1[0] else ((c, b, a), (c, a, d))
 
 
 def third_vertices(verts, edges):

@@ -12,33 +12,42 @@ Emission is queued: the strips of a whole match table become rows in
 emission order, every quad is scored in one pass of the row kernels in
 `geometry`, and the rows go into the mesh through one
 `SurfaceMesh.add_triangles` call, which keeps the first emission of each
-triangle and builds provenance only for the triangles it inserts. The
-crease-preserving variant inserts what is queued before each ribbon it
-adds vertices for, so every row meets the area floor of the vertex
+triangle; one assignment then writes the provenance of those inserted.
+The crease-preserving variant inserts what is queued before each ribbon
+it adds vertices for, so every row meets the area floor of the vertex
 table it was emitted under.
 
 SurfaceMesh keeps one triangle table: corners as a (T, 3) int64 array,
-states as a (T,) array, in storage whose capacity doubles when an insert
-finds it full. Passes slice and write through the views `tri_verts` and
-`tri_state`, and take the rows they walk in Python once with `.tolist()`.
+states as a (T,) array and provenance as a (T, 6) int64 array, in
+storage whose capacity doubles when an insert finds it full. Passes
+slice and write through the views `tri_verts`, `tri_state` and
+`tri_prov`, and take the rows they walk in Python once with `.tolist()`.
 An insert may move the storage, so no caller holds a view across
 `add_triangle` or `add_triangles`. `add_triangles` still inserts its
 winners one by one through `add_triangle`: the benchmark's traced runs
 count strip triangles by its returns, so a bulk append waits until
 those counts are redefined.
+
+A provenance row says what a strip triangle hangs on: (gid a, gid b,
+flat a, flat b, flat apex, side) holds its chain edge in chain order,
+as gids and as flat ids in the ChainSet it was meshed from, the flat id
+of its apex there, and the apex side of the edge (+1 / -1). Every other
+insert keeps the none row NO_PROV: -1 in every id column, side 0. The
+flat ids serve the consolidation pass that follows the meshing:
+ChainSet.append_chain never renumbers earlier chains, and that pass
+scores only undecided triangles, which are never frozen and so come
+from its own chain set.
 """
 
 from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import geometry, scoring
-from .matcher import Chain, VertexRef, pair_sigmas
-from .scoring import Side
+from .matcher import Chain, pair_sigmas
 
 # triangle states
 OUTPUT = 1
@@ -51,15 +60,8 @@ KIND_OFFSET = 1
 KIND_RIBBON = 2
 
 
-@dataclass(frozen=True)
-class Provenance:
-    """What a triangle hangs on: a chain edge and an apex, in the
-    coordinate frame of the ChainSet it was meshed from."""
-
-    edge: tuple                 # (gid, gid) in chain order
-    side: int                   # +1 / -1, apex side of the edge's chain
-    edge_ref: tuple             # (VertexRef, VertexRef)
-    apex_ref: VertexRef
+# provenance row of a triangle that hangs on no chain edge
+NO_PROV = (-1, -1, -1, -1, -1, 0)
 
 
 def edge_keys(verts, n_vertices):
@@ -116,9 +118,11 @@ def split_by_label(ids, labels):
 class SurfaceMesh:
     """Growable triangle soup over a global vertex table.
 
-    Triangle t is row t of tri_verts, (T, 3) int64, and entry t of
-    tri_state (OUTPUT, UNDECIDED or REMOVED): views of storage whose
-    capacity doubles when full. An insert may move that storage, so take
+    Triangle t is row t of tri_verts, (T, 3) int64, entry t of tri_state
+    (OUTPUT, UNDECIDED or REMOVED) and row t of tri_prov, (T, 6) int64,
+    its provenance (module docstring): views of storage whose capacity
+    doubles when full. Inserts leave the provenance row at NO_PROV and
+    strip meshing writes it. An insert may move that storage, so take
     the views afresh after add_triangle or add_triangles."""
 
     def __init__(self):
@@ -131,8 +135,8 @@ class SurfaceMesh:
 
         self._verts = np.zeros((0, 3), dtype=np.int64)
         self._state = np.zeros(0, dtype=np.int8)
+        self._prov = np.zeros((0, 6), dtype=np.int64)
         self._count = 0
-        self.tri_prov = []
         self._key_to_id = {}
         self._em = {}
         self._scale = None
@@ -143,6 +147,7 @@ class SurfaceMesh:
 
     tri_verts = property(lambda self: self._verts[:self._count])
     tri_state = property(lambda self: self._state[:self._count])
+    tri_prov = property(lambda self: self._prov[:self._count])
 
     # ---- vertices ----
 
@@ -155,6 +160,16 @@ class SurfaceMesh:
                                np.arange(n, dtype=np.int64)], axis=1)
             mesh.add_vertices(s.points, s.normals, s.widths,
                               np.tile(s.color, (n, 1)), origin, KIND_STROKE)
+        return mesh
+
+    @classmethod
+    def from_chains(cls, cs):
+        """A mesh with no triangles whose vertex table is the vertices of
+        ChainSet cs in flat order, with origins (chain, index)."""
+        mesh = cls()
+        mesh.add_vertices(cs.pos, cs.nrm, cs.w, cs.col,
+                          np.stack([cs.chain_id, cs.index], axis=1),
+                          KIND_STROKE)
         return mesh
 
     def add_vertices(self, pos, nrm, w, col, origin, kind):
@@ -184,7 +199,7 @@ class SurfaceMesh:
 
     # ---- triangles ----
 
-    def add_triangle(self, a, b, c, prov=None):
+    def add_triangle(self, a, b, c):
         a, b, c = int(a), int(b), int(c)
         if a == b or b == c or a == c:
             return None
@@ -199,28 +214,29 @@ class SurfaceMesh:
             self.duplicates_skipped += 1
             return None
         tid = self._count
-        if tid == len(self._state):     # double; rows past tid go unread
-            self._verts = np.resize(self._verts, (max(2 * tid, 16), 3))
-            self._state = np.resize(self._state, max(2 * tid, 16))
+        if tid == len(self._state):     # double; new rows start NO_PROV
+            cap = max(2 * tid, 16)
+            self._verts = np.resize(self._verts, (cap, 3))
+            self._state = np.resize(self._state, cap)
+            self._prov = np.resize(self._prov, (cap, 6))
+            self._prov[tid:] = NO_PROV
         self._verts[tid] = a, b, c
         self._state[tid] = OUTPUT
         self._count = tid + 1
-        self.tri_prov.append(prov)
         self._key_to_id[key] = tid
         for u, v in ((a, b), (b, c), (c, a)):
             ekey = (u, v) if u < v else (v, u)
             self._em.setdefault(ekey, []).append(tid)
         return tid
 
-    def add_triangles(self, verts, provenance):
+    def add_triangles(self, verts):
         """Add the rows of an (R, 3) gid array as add_triangle would, one
         after another: a row naming a vertex twice or under the area
         floor is dropped, and a row whose vertex set an active triangle
         or an earlier row holds counts as a duplicate. Every row is
         decided at once; the winners then go through add_triangle in row
-        order, with the provenance list provenance(rows) builds for
-        those rows only (see the module docstring for why one by one).
-        Returns the tid of each row, -1 where none."""
+        order (see the module docstring for why one by one). Returns the
+        tid of each row, -1 where none."""
         verts = np.asarray(verts, dtype=np.int64).reshape(-1, 3)
         self.emissions += len(verts)
         tids = np.full(len(verts), -1, dtype=np.int64)
@@ -240,9 +256,7 @@ class SurfaceMesh:
         free = [t is None or self._state[t] == REMOVED for t in held]
         wins = rows[first][np.array(free, dtype=bool)]
         self.duplicates_skipped += len(rows) - len(wins)
-        tids[wins] = [self.add_triangle(*tri, prov)
-                      for tri, prov in zip(verts[wins].tolist(),
-                                           provenance(wins))]
+        tids[wins] = [self.add_triangle(*tri) for tri in verts[wins].tolist()]
         return tids
 
     def remove(self, tid):
@@ -324,6 +338,34 @@ def apex_sides(cs, fa, fb, apex_pos, width):
                     np.where(off > 0, 1, -1))
 
 
+def split_quads(pa, pb, qa, qb, gids):
+    """How to split the quads with cycle (pa[i], pb[i], qb[i], qa[i]),
+    (Q, 3) position arrays, and corner gids (Q, 4) in the order (pa, pb,
+    qa, qb). Diagonal 1, (pa, qb), gives (pa, pb, qb) + (qa, qb, pa);
+    diagonal 2, (pb, qa), gives (pa, pb, qa) + (pb, qb, qa). Returns
+    (use1, dihedral): whether each quad takes diagonal 1, the one with
+    the larger minimum interior angle, ties within 1e-12 going to the
+    flatter fold and then to the smaller sorted diagonal; and the
+    dihedral across the diagonal taken."""
+    # one kernel call per triangle and per diagonal: stacked, they
+    # make temporaries of 12 rows per quad, and once those are freed
+    # the heap stays several MB larger over repeated runs
+    angle = geometry.min_interior_angle_deg_rows
+    min1 = np.minimum(angle(pa, pb, qb), angle(pa, qb, qa))
+    min2 = np.minimum(angle(pa, pb, qa), angle(pb, qb, qa))
+    di1 = geometry.dihedral_deg_rows(pa, qb, pb, qa)
+    di2 = geometry.dihedral_deg_rows(pb, qa, pa, qb)
+    key1 = np.sort(gids[:, [0, 3]], axis=1)
+    key2 = np.sort(gids[:, [1, 2]], axis=1)
+    key1_first = (key1[:, 0] < key2[:, 0]) | (
+        (key1[:, 0] == key2[:, 0]) & (key1[:, 1] <= key2[:, 1]))
+    flat1, flat2 = np.abs(180.0 - di1), np.abs(180.0 - di2)
+    use1 = np.where(np.abs(min1 - min2) > 1e-12, min1 > min2,
+                    np.where(np.abs(flat1 - flat2) > 1e-12,
+                             flat1 < flat2, key1_first))
+    return use1, np.where(use1, di1, di2)
+
+
 class _Emitter:
     """The emission queue of one meshing invocation.
 
@@ -351,10 +393,8 @@ class _Emitter:
                           int(match_side), -1))
 
     def quad(self, ci, ia, ib, qa_flat, qb_flat, match_side):
-        """Quad cycle (p_ia, p_ib, q_b, q_a), split in flush: diagonal 1,
-        (p_ia, q_b), gives (p_ia, p_ib, q_b) + (q_a, q_b, p_ia), and
-        diagonal 2, (p_ib, q_a), gives (p_ia, p_ib, q_a) + (q_a, q_b,
-        p_ib)."""
+        """Quad cycle (p_ia, p_ib, q_b, q_a), split in flush by
+        split_quads."""
         base = int(self.cs.offsets[ci])
         fa, fb = base + ia, base + ib
         q = len(self.quads) // 4
@@ -363,42 +403,19 @@ class _Emitter:
         self.rows.extend((fa, fb, qb_flat, qa_flat, side, q,
                           qa_flat, qb_flat, fa, fb, side, q))
 
-    def _split_quads(self, quads):
-        """(use1, rejected) per quad row (fa, fb, qa, qb): split along the
-        diagonal with the larger minimum interior angle, ties within
-        1e-12 going to the flatter fold and then to the smaller sorted
-        diagonal; reject the quad when its split folds sharper than the
-        dihedral threshold."""
-        # one kernel call per triangle and per diagonal: stacked, they
-        # make temporaries of 12 rows per quad, and once those are freed
-        # the heap stays several MB larger over repeated runs
-        pa, pb, qa, qb = (self.cs.pos[quads[:, k]] for k in range(4))
-        angle = geometry.min_interior_angle_deg_rows
-        min1 = np.minimum(angle(pa, pb, qb), angle(pa, qb, qa))
-        min2 = np.minimum(angle(pa, pb, qa), angle(pb, qb, qa))
-        di1 = geometry.dihedral_deg_rows(pa, qb, pb, qa)
-        di2 = geometry.dihedral_deg_rows(pb, qa, pa, qb)
-        g = self.cs.gid[quads]
-        key1 = np.sort(g[:, [0, 3]], axis=1)
-        key2 = np.sort(g[:, [1, 2]], axis=1)
-        key1_first = (key1[:, 0] < key2[:, 0]) | (
-            (key1[:, 0] == key2[:, 0]) & (key1[:, 1] <= key2[:, 1]))
-        flat1, flat2 = np.abs(180.0 - di1), np.abs(180.0 - di2)
-        use1 = np.where(np.abs(min1 - min2) > 1e-12, min1 > min2,
-                        np.where(np.abs(flat1 - flat2) > 1e-12,
-                                 flat1 < flat2, key1_first))
-        rejected = np.where(use1, di1, di2) < self.config.dihedral_min_deg
-        return use1, rejected
-
     def flush(self):
-        """Insert the queued rows, quads split; returns the tid of each
-        row offered to the mesh, -1 where none."""
+        """Insert the queued rows, quads split, and write the provenance
+        rows of the triangles inserted; an apex too close to its edge's
+        ribbon plane to have a side takes the match side. Returns the tid
+        of each row offered to the mesh, -1 where none."""
         cs = self.cs
         rows = np.array(self.rows, dtype=np.int64).reshape(-1, 6)
         fa, fb, apex, apex2, side, quad = rows.T
         if self.quads:
-            use1, rejected = self._split_quads(
-                np.array(self.quads, dtype=np.int64).reshape(-1, 4))
+            quads = np.array(self.quads, dtype=np.int64).reshape(-1, 4)
+            use1, dihedral = split_quads(
+                *(cs.pos[quads[:, k]] for k in range(4)), cs.gid[quads])
+            rejected = dihedral < self.config.dihedral_min_deg
             self.mesh.quads_rejected += int(rejected.sum())
             in_quad = quad >= 0
             apex = np.where(in_quad & ~use1[quad], apex2, apex)
@@ -406,29 +423,14 @@ class _Emitter:
             fa, fb, apex, side = fa[keep], fb[keep], apex[keep], side[keep]
         self.rows, self.quads = array("q"), array("q")
         verts = np.stack([cs.gid[fa], cs.gid[fb], cs.gid[apex]], axis=1)
-        return self.mesh.add_triangles(
-            verts,
-            lambda rows: self._provenance(fa[rows], fb[rows], apex[rows],
-                                          side[rows]))
-
-    def _provenance(self, fa, fb, apex, match_side):
-        """Provenance of the rows with edges (fa, fb), apexes and match
-        sides given as arrays; an apex too close to its edge's ribbon
-        plane to have a side takes the match side."""
-        cs = self.cs
-        side = apex_sides(cs, fa, fb, cs.pos[apex], cs.w[fa])
-        side = np.where(side != 0, side, match_side)
-        gid = cs.gid
-
-        def refs(f):
-            return map(VertexRef, cs.chain_id[f].tolist(),
-                       cs.index[f].tolist())
-
-        return [Provenance(edge=(ga, gb), side=sd, edge_ref=(ra, rb),
-                           apex_ref=rq)
-                for ga, gb, sd, ra, rb, rq in zip(
-                    gid[fa].tolist(), gid[fb].tolist(), side.tolist(),
-                    refs(fa), refs(fb), refs(apex))]
+        tids = self.mesh.add_triangles(verts)
+        won = tids >= 0
+        fa, fb, apex, side = fa[won], fb[won], apex[won], side[won]
+        sides = apex_sides(cs, fa, fb, cs.pos[apex], cs.w[fa])
+        self.mesh.tri_prov[tids[won]] = np.stack(
+            [verts[won, 0], verts[won, 1], fa, fb, apex,
+             np.where(sides != 0, sides, side)], axis=1)
+        return tids
 
     def polygon(self, ci, ia, ib, qa_flat, qb_flat, table, match_side):
         """Fan a section of the target chain between two non-consecutive
@@ -545,11 +547,7 @@ def mesh_from_matches(table, config, mesh=None):
     triangles (same vertex set) are inserted once and keep the
     provenance of their first emission."""
     cs = table.chainset
-    if mesh is None:
-        mesh = SurfaceMesh()
-        mesh.add_vertices(cs.pos, cs.nrm, cs.w, cs.col,
-                          np.stack([cs.chain_id, cs.index], axis=1),
-                          KIND_STROKE)
+    mesh = SurfaceMesh.from_chains(cs) if mesh is None else mesh
     emitter = _Emitter(mesh, cs, config)
     for (ci, side) in _emission_order(table):
         _emit_pairs(emitter, table, ci, side, table.matches[(ci, side)])
@@ -645,11 +643,7 @@ def mesh_with_creases(table, config, mesh=None):
     in `_emission_order`, so the offset vertices and chains get ids that
     do not depend on normal signs either."""
     cs = table.chainset
-    if mesh is None:
-        mesh = SurfaceMesh()
-        mesh.add_vertices(cs.pos, cs.nrm, cs.w, cs.col,
-                          np.stack([cs.chain_id, cs.index], axis=1),
-                          KIND_STROKE)
+    mesh = SurfaceMesh.from_chains(cs) if mesh is None else mesh
     emitter = _Emitter(mesh, cs, config)
     offset_cache = {}
 

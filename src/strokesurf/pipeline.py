@@ -26,6 +26,7 @@ import numpy as np
 
 from . import consolidate, matcher, mesh_ops, mesher
 from .mesher import KIND_RIBBON, SurfaceMesh
+from .scoring import Side
 from .stroke_model import (Config, Drawing, ValidationError,
                            canonical_stroke_order, ribbon_geometry,
                            trim_hooks)
@@ -175,7 +176,7 @@ def _match_payload(table):
     payload = []
     for (ci, side) in sorted(table.matches, key=lambda k: (k[0], -k[1])):
         match = table.matches[(ci, side)]
-        tag = "L" if int(side) == 1 else "R"
+        tag = Side(side).tag
         for i, m in enumerate(match):
             if m >= 0:
                 ref = table.chainset.ref(int(m))

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -26,6 +27,31 @@ class StrokeFormatError(ValueError):
 
 class ValidationError(ValueError):
     """Raised when parsed input violates the drawing contract."""
+
+
+_JSON_TYPES = {"float": (int, float), "int": (int,), "str": (str,)}
+
+
+def json_fields(cls, data, what):
+    """The keyword arguments for dataclass cls that a parsed JSON
+    document holds: an object whose keys name fields of cls, each with
+    a finite value of the field's type (a float field takes integers
+    too). Raises ValidationError otherwise; `what` names the document."""
+    if not isinstance(data, dict):
+        raise ValidationError(
+            f"{what} must be a JSON object, got {type(data).__name__}")
+    types = {f.name: f.type for f in fields(cls)}
+    unknown = set(data) - set(types)
+    if unknown:
+        raise ValidationError(f"unknown {what} keys: {sorted(unknown)}")
+    for name, value in data.items():
+        if (isinstance(value, bool)
+                or not isinstance(value, _JSON_TYPES[types[name]])
+                or isinstance(value, float) and not math.isfinite(value)):
+            raise ValidationError(
+                f"{what} key {name} must be a JSON {types[name]}, "
+                f"got {value!r}")
+    return data
 
 
 @dataclass
@@ -70,12 +96,7 @@ class Config:
                 raise StrokeFormatError(
                     f"{path}: invalid JSON at line {exc.lineno}, "
                     f"column {exc.colno}: {exc.msg}") from exc
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise ValidationError(
-                f"unknown config keys: {sorted(unknown)}")
-        return cls(**data)
+        return cls(**json_fields(cls, data, "config"))
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from . import geometry, mesh_ops
-from .stroke_model import Config, Drawing, Stroke, trim_hooks
+from .stroke_model import Config, Drawing, Stroke, json_fields, trim_hooks
 
 _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -115,11 +115,7 @@ class SyntheticSpec:
     def from_json(cls, path):
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(data) - known
-        if unknown:
-            raise ValueError(f"unknown spec fields: {sorted(unknown)}")
-        return cls(**data)
+        return cls(**json_fields(cls, data, "spec"))
 
 
 # ---------------------------------------------------------------------------

@@ -392,18 +392,14 @@ def emission_score(mesh, cs, config, tid):
     """M(t) of one triangle, scoring its two edge endpoints against its
     apex one kernel call each (consolidate._emission_scores batches
     them)."""
-    prov = mesh.tri_prov[tid]
-    if prov is None:
-        return 0.0
-    (ci, ia), (cj, ib) = prov.edge_ref
-    fq = cs.flat(prov.apex_ref.chain, prov.apex_ref.index)
-    if not cs.ok[fq]:
+    _, _, fa, fb, fq, side = mesh.tri_prov[tid].tolist()
+    if fq < 0 or not cs.ok[fq]:
         return 0.0
     total = 0.0
-    for fp in (cs.flat(ci, ia), cs.flat(cj, ib)):
+    for fp in (fa, fb):
         if cs.ok[fp]:
             log = _vertex_scores_log(
-                cs.pos[fp], cs.tan[fp], cs.bin[fp], cs.w[fp], prov.side,
+                cs.pos[fp], cs.tan[fp], cs.bin[fp], cs.w[fp], side,
                 cs.pos[[fq]], cs.tan[[fq]], cs.bin[[fq]], cs.w[[fq]],
                 _pair_sigmas(cs, fp, np.array([fq]), config))
             total += float(np.exp(log[0]))
@@ -647,14 +643,30 @@ def dihedral_deg(a, b, c, d):
     return math.degrees(math.acos(cang))
 
 
+def quad_fill(positions, loop):
+    """Hole closing's quad split as it once had its own rule: of the
+    4-loop (a, b, c, d), the diagonal (d, b) or (c, a) whose triangles
+    have the larger minimum interior angle, then the flatter fold, then
+    the smaller sorted diagonal, by an exact sort of key tuples. Returns
+    the two triangles, wound against the loop."""
+    a, b, c, d = loop
+    p = np.asarray(positions, dtype=np.float64)
+    splits = []
+    for diag, tris in (((d, b), ((d, c, b), (d, b, a))),
+                       ((c, a), ((c, b, a), (c, a, d)))):
+        angle = min(min_interior_angle_deg(*p[list(t)]) for t in tris)
+        wing1, wing2 = (_third_vertex(t, diag) for t in tris)
+        fold = dihedral_deg(p[diag[0]], p[diag[1]], p[wing1], p[wing2])
+        splits.append((angle, -abs(180.0 - fold),
+                       tuple(-x for x in sorted(diag)), tris))
+    return max(splits)[3]
+
+
 # ---------------------------------------------------------------------------
 # strip meshing, one triangle at a time
 
 
-def _strip_apex_side(cs, edge_ref, apex_pos):
-    (ci, ia), (_, ib) = edge_ref
-    base = int(cs.offsets[ci])
-    fa, fb = base + ia, base + ib
+def _strip_apex_side(cs, fa, fb, apex_pos):
     off = (np.dot(apex_pos - cs.pos[fa], cs.bin[fa])
            + np.dot(apex_pos - cs.pos[fb], cs.bin[fb])) * 0.5
     if abs(off) < 1e-9 * max(1.0, float(cs.w[fa])):
@@ -665,35 +677,26 @@ def _strip_apex_side(cs, edge_ref, apex_pos):
 def scalar_emitter():
     """The class of the strip-meshing reference: mesher._Emitter with
     every triangle inserted through SurfaceMesh.add_triangle as it is
-    emitted, and every quad scored on its own with the scalar angle
-    references. Its polygon fans are mesher._Emitter's, which emit
-    through tri_on_edge. Patch it in for mesher._Emitter to run
-    mesh_from_matches or mesh_with_creases as the reference."""
+    emitted, its provenance row written right after, and every quad
+    scored on its own with the scalar angle references. Its polygon
+    fans are mesher._Emitter's, which emit through tri_on_edge. Patch it
+    in for mesher._Emitter to run mesh_from_matches or mesh_with_creases
+    as the reference."""
     from strokesurf import mesher
-    from strokesurf.matcher import VertexRef
 
     class ScalarEmitter(mesher._Emitter):
-        def _prov(self, ci, ia, ib, apex_flat, match_side):
-            cs = self.cs
-            base = int(cs.offsets[ci])
-            edge_ref = (VertexRef(ci, ia), VertexRef(ci, ib))
-            side = _strip_apex_side(cs, edge_ref, cs.pos[apex_flat])
-            if side == 0:
-                side = int(match_side)
-            return mesher.Provenance(
-                edge=(int(cs.gid[base + ia]), int(cs.gid[base + ib])),
-                side=side,
-                edge_ref=edge_ref,
-                apex_ref=cs.ref(apex_flat),
-            )
-
         def tri_on_edge(self, ci, ia, ib, apex_flat, match_side):
             cs = self.cs
             base = int(cs.offsets[ci])
-            prov = self._prov(ci, ia, ib, apex_flat, match_side)
-            return self.mesh.add_triangle(
-                cs.gid[base + ia], cs.gid[base + ib], cs.gid[apex_flat],
-                prov)
+            fa, fb = base + ia, base + ib
+            ga, gb = int(cs.gid[fa]), int(cs.gid[fb])
+            tid = self.mesh.add_triangle(ga, gb, cs.gid[apex_flat])
+            if tid is not None:
+                side = _strip_apex_side(cs, fa, fb, cs.pos[apex_flat])
+                if side == 0:
+                    side = int(match_side)
+                self.mesh.tri_prov[tid] = ga, gb, fa, fb, apex_flat, side
+            return tid
 
         def quad(self, ci, ia, ib, qa_flat, qb_flat, match_side):
             cs = self.cs
@@ -847,12 +850,11 @@ def _third_vertex(tri, edge):
 
 
 def _crit1(mesh, cs, gid2flat, t1, t2):
-    p1 = mesh.tri_prov[t1]
-    p2 = mesh.tri_prov[t2]
-    if p1 is None or p2 is None:
+    p1, p2 = mesh.tri_prov[[t1, t2]].tolist()
+    if p1[0] < 0 or p2[0] < 0:
         return False
-    e1 = tuple(sorted(p1.edge))
-    e2 = tuple(sorted(p2.edge))
+    e1 = tuple(sorted(p1[:2]))
+    e2 = tuple(sorted(p2[:2]))
     if e1 != e2:
         return False
     a1 = _third_vertex(mesh.tri_verts[t1].tolist(), e1)
@@ -866,11 +868,10 @@ def _crit1(mesh, cs, gid2flat, t1, t2):
 
 
 def _crit2(mesh, cs, gid2flat, t1, t2, shared_gid):
-    p1 = mesh.tri_prov[t1]
-    p2 = mesh.tri_prov[t2]
-    if p1 is None or p2 is None:
+    p1, p2 = mesh.tri_prov[[t1, t2]].tolist()
+    if p1[0] < 0 or p2[0] < 0:
         return False
-    if tuple(sorted(p1.edge)) == tuple(sorted(p2.edge)):
+    if sorted(p1[:2]) == sorted(p2[:2]):
         return False
     fq = gid2flat.get(shared_gid)
     if fq is None or not cs.ok[fq]:

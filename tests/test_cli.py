@@ -129,6 +129,31 @@ def test_bad_spec_field_exit_code(tmp_path, capsys):
     assert "bogus" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("doc", [
+    {"width_factor": "x"}, [[1]], 3, None, {"small_hole_max_sides": 4.5},
+    {"cone_angle_deg": True}, {"dihedral_min_deg": [45]},
+    {"width_factor": float("nan")}, {"width_factor": float("inf")}])
+def test_bad_config_document_exit_code(tmp_path, capsys, doc):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    assert cli_main(["--input", str(tmp_path / "d.json"),
+                     "--output", str(tmp_path / "m.obj"),
+                     "--config", str(cfg)]) == 2
+    assert "input error: config" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("doc", [
+    {"strokes": "x"}, ["sphere"], "sphere", {"seed": 1.5},
+    {"surface": 3}, {"width": None}, {"strokes": False},
+    {"width": float("nan")}, {"noise": float("-inf")}])
+def test_bad_spec_document_exit_code(tmp_path, capsys, doc):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(doc))
+    assert cli_main(["synth", "--spec", str(spec),
+                     "--out", str(tmp_path / "d.json")]) == 2
+    assert "input error: spec" in capsys.readouterr().err
+
+
 def test_eval_rejects_empty_mesh(tmp_path, capsys):
     empty = tmp_path / "empty.obj"
     empty.write_text("v 0 0 0\nv 1 0 0\nv 0 1 0\n")

@@ -10,7 +10,8 @@ import pytest
 
 from strokesurf import consolidate, matcher, mesher, mesh_ops
 from strokesurf.consolidate import OUT_NODE
-from strokesurf.pipeline import run_pipeline
+from strokesurf.mesher import UNDECIDED
+from strokesurf.pipeline import PipelineOptions, run_pipeline
 from strokesurf.synth_eval import generate
 
 import oracles
@@ -25,10 +26,7 @@ def strip_fixture(config, apexes, bn=(0, -1, 0)):
     chain0 = chain_from([[-1, 0, 0], [0, 0, 0], [1, 0, 0]], 0, (0, 1, 0))
     chain1 = chain_from(apexes, 3, bn)
     cs = matcher.ChainSet([chain0, chain1])
-    mesh = mesher.SurfaceMesh()
-    mesh.add_vertices(cs.pos, cs.nrm, cs.w, cs.col,
-                      np.stack([cs.chain_id, cs.index], axis=1),
-                      mesher.KIND_STROKE)
+    mesh = mesher.SurfaceMesh.from_chains(cs)
     emitter = mesher._Emitter(mesh, cs, config)
 
     def tri_on_edge(*args):
@@ -445,6 +443,32 @@ def test_emission_scores_equal_the_per_triangle_reference(config, spec):
     got = consolidate._emission_scores(mesh, cs, config, tids)
     want = [oracles.emission_score(mesh, cs, config, t) for t in tids]
     assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("spec", FLIP_SPECS.values(), ids=FLIP_SPECS.keys())
+def test_scored_triangles_name_their_own_gids_by_flat_id(spec, monkeypatch):
+    """Every triangle consolidation scores is undecided, and the flat ids
+    of its provenance row name, in the chain set of the pass, its edge's
+    gids and its three corners."""
+    scores = consolidate._emission_scores
+    chainsets = []
+
+    def checked(mesh, cs, config, tids):
+        tids = np.asarray(tids, dtype=np.int64)
+        assert (mesh.tri_state[tids] == UNDECIDED).all()
+        prov = mesh.tri_prov[tids]
+        assert (prov[:, 2:5] >= 0).all()
+        assert np.array_equal(cs.gid[prov[:, 2:4]], prov[:, :2])
+        assert np.array_equal(np.sort(cs.gid[prov[:, 2:5]], axis=1),
+                              np.sort(mesh.tri_verts[tids], axis=1))
+        if not any(c is cs for c in chainsets):
+            chainsets.append(cs)
+        return scores(mesh, cs, config, tids)
+
+    monkeypatch.setattr(consolidate, "_emission_scores", checked)
+    drawing, _ = generate(spec)
+    run_pipeline(drawing, PipelineOptions(preserve_creases=True))
+    assert len(chainsets) >= 2
 
 
 def test_consolidate_mesh_leaves_clean_strips_alone(config, flat_pair):

@@ -2,12 +2,15 @@
 filling, smoothing, and the OBJ round trip."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from strokesurf import mesh_ops
 from strokesurf.mesh_ops import mesh_from_arrays
+
+import oracles
 
 
 def grid_mesh(nx=4, ny=4, jitter=None):
@@ -228,6 +231,32 @@ def test_close_small_holes_quad():
     assert added == 2
     assert mesh_ops.boundary_loops(mesh) == []
     assert mesh_ops.audit_manifold(mesh) == ([], [])
+
+
+def test_quad_fill_splits_as_its_old_rule():
+    """Hole closing splits quads by strip meshing's rule. Outside that
+    rule's 1e-12 tie band it picks what hole closing's own exact sort
+    picked, and on planar symmetric quads, whose two splits tie
+    exactly, both fall to the smaller sorted diagonal. Every loop order
+    of each quad is tried."""
+    rng = np.random.default_rng(31)
+    quads = [
+        np.array([[0.0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 0]]),  # square
+        np.array([[0.0, 0, 0], [2, 0, 0], [2, 1, 0], [0, 1, 0]]),
+        np.array([[0.0, 0, 0], [3, 0, 0], [2, 1, 0], [1, 1, 0]]),  # trapezoid
+        np.array([[0.0, 0, 0], [1, 0, 0], [1, 1, 1], [0, 1, 1]]),  # tilted
+    ]
+    quads += list(rng.normal(size=(200, 4, 3)))
+    planar = rng.normal(size=(100, 4, 3))
+    planar[:, :, 2] = 0.0
+    quads += list(planar)
+    loops = [[0, 1, 2, 3], [1, 2, 3, 0], [2, 3, 0, 1], [3, 0, 1, 2]]
+    loops += [lp[::-1] for lp in loops]
+    for pts in quads:
+        mesh = SimpleNamespace(positions=pts)
+        for loop in loops:
+            assert (mesh_ops._quad_fill(mesh, loop)
+                    == oracles.quad_fill(pts, loop))
 
 
 def test_close_small_holes_pillow_guard():

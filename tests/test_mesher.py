@@ -6,7 +6,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from strokesurf import consolidate, matcher, mesher, mesh_ops
+from strokesurf import consolidate, matcher, mesher, mesh_ops, pipeline
 from strokesurf import stroke_model as sm
 from strokesurf.pipeline import PipelineOptions, run_pipeline
 from strokesurf.scoring import Side
@@ -14,6 +14,7 @@ from strokesurf.synth_eval import generate
 
 import oracles
 from conftest import line_stroke, random_frame_rows
+from test_mesh_ops import grid_mesh
 
 
 def chain_from(pts, gid_base, bno, cyclic=False, width=0.3):
@@ -153,7 +154,10 @@ def assert_table_equals_reference(mesh, ref):
 def test_triangle_table_grows_like_a_list_reference():
     """Inserts one at a time and in batches, across several capacity
     doublings, interleaved with removals and flips of single triangles
-    and of arrays of them."""
+    and of arrays of them. Provenance rows written as strip meshing
+    writes them survive doublings; every other row, those past the end
+    included, is the none row; a duplicate keeps its first emission's
+    row, and a re-insert over a removed key gets a new one."""
     rng = np.random.default_rng(12)
     n = 30
     mesh = mesher.SurfaceMesh()
@@ -161,6 +165,7 @@ def test_triangle_table_grows_like_a_list_reference():
                       np.full(n, 0.1), np.ones((n, 3)),
                       np.zeros((n, 2), dtype=np.int64), mesher.KIND_STROKE)
     ref = oracles.ListTriangleTable(mesh.positions)
+    ref_prov = []
     capacities = set()
     for _ in range(14):
         for a, b, c in rng.integers(0, n, size=(int(rng.integers(1, 40)), 3)):
@@ -170,9 +175,26 @@ def test_triangle_table_grows_like_a_list_reference():
         # batches repeat rows and hold degenerate ones
         rows = rng.integers(0, n, size=(int(rng.integers(1, 50)), 3))
         rows = np.concatenate([rows, rows[:5]])
-        tids = mesh.add_triangles(rows, lambda wins: [None] * len(wins))
+        tids = mesh.add_triangles(rows)
         want = [ref.add(*row) for row in rows]
         assert tids.tolist() == [-1 if t is None else t for t in want]
+        # rows for every other new triangle, as a flush writes them
+        new = np.arange(len(ref_prov), len(ref.tri_verts))
+        ref_prov += [mesher.NO_PROV] * len(new)
+        for t in new[::2].tolist():
+            ref_prov[t] = tuple(rng.integers(0, n, size=5)) + (1,)
+        mesh.tri_prov[new[::2]] = [ref_prov[t] for t in new[::2].tolist()]
+        # a duplicate of a triangle with a row keeps that row
+        if len(new):
+            t = int(new[0])
+            assert mesh.add_triangle(*mesh.tri_verts[t][::-1]) is None
+            ref.add(*ref.tri_verts[t][::-1])
+            # a re-insert over its removed key gets a new, none row
+            mesh.remove(t)
+            ref.remove(t)
+            assert mesh.add_triangle(*mesh.tri_verts[t]) == ref.add(
+                *ref.tri_verts[t])
+            ref_prov.append(mesher.NO_PROV)
         active = mesh.active_ids()
         gone = rng.choice(active, size=min(len(active), 6),
                           replace=False).tolist()
@@ -187,9 +209,38 @@ def test_triangle_table_grows_like_a_list_reference():
         for t in some.tolist():
             ref.flip(t)
         assert_table_equals_reference(mesh, ref)
+        assert np.array_equal(mesh.tri_prov,
+                              np.array(ref_prov, dtype=np.int64))
+        assert (mesh._prov[len(ref_prov):] == mesher.NO_PROV).all()
         capacities.add(len(mesh._state))
     assert len(mesh.tri_verts) > 256
     assert len(capacities) >= 4
+
+
+def test_inserts_outside_strip_meshing_keep_the_none_row(config):
+    """Reloading, small-hole closing, hole filling and ribbons add
+    triangles with the none row and leave the rows already written."""
+    # 6 x 3 quads without quad 1 (a 4-hole) and quads 3, 4 (a 6-hole)
+    # of the middle row
+    mesh = grid_mesh(7, 4)
+    assert (mesh.tri_prov == mesher.NO_PROV).all()
+    for quad in (7, 9, 10):
+        mesh.remove(2 * quad)
+        mesh.remove(2 * quad + 1)
+    written = np.arange(6 * len(mesh.tri_verts)).reshape(-1, 6)
+    mesh.tri_prov[:] = written
+    assert mesh_ops.close_small_holes(mesh, config) == 2
+    (loop,) = [lp for lp in mesh_ops.boundary_loops(mesh) if len(lp) == 6]
+    mesh_ops.fill_hole(mesh, loop)
+    assert len(mesh.tri_verts) == len(written) + 6
+    assert np.array_equal(mesh.tri_prov[:len(written)], written)
+    assert (mesh.tri_prov[len(written):] == mesher.NO_PROV).all()
+
+    drawing = sm.Drawing(strokes=[line_stroke(n=6)])
+    mesh = mesher.SurfaceMesh.from_drawing(drawing)
+    pipeline._emit_ribbons(mesh, drawing, matcher.stroke_chains(drawing))
+    assert len(mesh.tri_verts) > 0
+    assert (mesh.tri_prov == mesher.NO_PROV).all()
 
 
 def test_topology_results_hold_python_ints():
@@ -224,8 +275,7 @@ def test_flat_pair_strip(flat_pair, config):
     assert mesh.quads_rejected == 0
     bad_e, bad_v = mesh_ops.audit_manifold(mesh)
     assert bad_e == [] and bad_v == []
-    prov = mesh.tri_prov[mesh.active_ids()[0]]
-    assert prov.side in (-1, 1)
+    assert mesh.tri_prov[mesh.active_ids()[0], 5] in (-1, 1)
 
 
 def test_same_target_collapses_to_triangle(config):
@@ -400,7 +450,7 @@ def mesh_state(mesh):
     return {
         "tri_verts": mesh.tri_verts.tolist(),
         "tri_state": mesh.tri_state.tolist(),
-        "tri_prov": list(mesh.tri_prov),
+        "tri_prov": mesh.tri_prov.tolist(),
         "duplicates_skipped": mesh.duplicates_skipped,
         "quads_rejected": mesh.quads_rejected,
         "removed_count": mesh.removed_count,

@@ -15,7 +15,7 @@ Pairs sharing an edge are gathered in one list and tested with numpy,
 criterion 1 then criterion 3 (one dihedral row-kernel call). Pairs
 sharing only a vertex are many on noisy input, so criterion 2
 enumerates every pair of each vertex fan with numpy and tests them in
-batches of about PAIR_CHUNK pairs, which bounds memory.
+batches of PAIR_CHUNK pairs, which bounds memory.
 A ConsolidationStats passed to consolidate_mesh collects what a pass
 found and did, for the run report.
 """
@@ -30,7 +30,7 @@ import numpy as np
 from . import geometry, mesh_ops, scoring
 from .matcher import pair_sigmas
 from .mesher import (OUTPUT, REMOVED, UNDECIDED, apex_sides, edge_keys,
-                     join_equal_keys, split_by_label)
+                     join_equal_keys, run_pairs, split_by_label)
 
 OUT_NODE = -1
 
@@ -165,18 +165,6 @@ def _crit2_overlapping_fans(mesh, cs, gid2flat, edges, t1, t2, q):
     return hit
 
 
-def _run_pairs(sizes):
-    """Index pairs (i, j), i < j, of every run of a sequence cut into runs
-    of the given sizes, in (run, i, j) order."""
-    starts = np.cumsum(sizes) - sizes
-    rank = np.arange(sizes.sum()) - np.repeat(starts, sizes)
-    later = np.repeat(sizes, sizes) - 1 - rank
-    first = np.repeat(np.arange(len(rank)), later)
-    second = (first + 1 + np.arange(len(first))
-              - np.repeat(np.cumsum(later) - later, later))
-    return first, second
-
-
 def _edge_pairs(mesh, frozen):
     """(t1, t2, edges) of every pair of active triangles t1 < t2 on one
     edge, (R, 2) with a < b, that are not both frozen, ordered by edge,
@@ -188,7 +176,7 @@ def _edge_pairs(mesh, frozen):
     order = np.lexsort((tid, key))
     key, tid = key[order], tid[order]
     _, sizes = np.unique(key, return_counts=True)
-    first, second = _run_pairs(sizes)
+    first, second = run_pairs(sizes)
     t1, t2 = tid[first], tid[second]
     keep = ~(frozen[t1] & frozen[t2])
     key = key[first[keep]]
@@ -198,7 +186,9 @@ def _edge_pairs(mesh, frozen):
 def _fan_pairs(verts, active, frozen):
     """Batches (t1, t2, q) of every pair of active triangles t1 < t2 that
     share exactly the vertex q and are not both frozen, in (q, t1, t2)
-    order. A batch holds whole fans, about PAIR_CHUNK pairs of them."""
+    order. Each batch takes the next PAIR_CHUNK pairs of the sequence,
+    counted before those filters, so a large fan's pairs may span
+    batches."""
     tids = np.flatnonzero(active)
     gid = verts[tids].ravel()
     tid = np.repeat(tids, 3)
@@ -208,13 +198,15 @@ def _fan_pairs(verts, active, frozen):
                    len(gid)]
     sizes = np.diff(bounds)
     npairs = sizes * (sizes - 1) // 2
-    # a fan goes to batch (pairs in the fans before it) // PAIR_CHUNK
-    batch = (np.cumsum(npairs) - npairs) // PAIR_CHUNK
-    cuts = np.r_[np.flatnonzero(np.r_[True, batch[1:] != batch[:-1]]),
-                 len(sizes)]
-    for f0, f1 in zip(cuts[:-1], cuts[1:]):
+    ends = np.cumsum(npairs)
+    for p0 in range(0, int(npairs.sum()), PAIR_CHUNK):
+        # the fans overlapping the batch, from the one holding row p0
+        f0 = int(np.searchsorted(ends, p0, side="right"))
+        f1 = int(np.searchsorted(ends - npairs, p0 + PAIR_CHUNK))
         lo, hi = bounds[f0], bounds[f1]
-        first, second = _run_pairs(sizes[f0:f1])
+        skip = p0 - int(ends[f0] - npairs[f0])
+        first, second = (x[skip:skip + PAIR_CHUNK]
+                         for x in run_pairs(sizes[f0:f1]))
         t1, t2 = tid[lo:hi][first], tid[lo:hi][second]
         q = gid[lo:hi][first]
         keep = ~(frozen[t1] & frozen[t2])

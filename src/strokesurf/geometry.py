@@ -17,13 +17,6 @@ import numpy as np
 EPS_DEGENERATE = 1e-9
 
 
-def unit(v, eps=EPS_DEGENERATE):
-    """Normalize a vector, returning (unit_vector, ok): the one-row form
-    of unit_rows_pow."""
-    units, ok = unit_rows_pow(v, eps)
-    return units[0], bool(ok[0])
-
-
 def unit_rows_pow(arr, eps=EPS_DEGENERATE):
     """unit_rows with every square taken by libm pow, as Python's
     float ** 2 takes it; pow can sit one ulp off the product x * x that
@@ -80,21 +73,8 @@ def angle_between_deg_rows(u, v):
     return _acos_deg(np.where(ok, _clamp_unit(c), 1.0))
 
 
-def angle_between_deg(u, v):
-    """Angle between two vectors in degrees, in [0, 180]: the one-row
-    form of angle_between_deg_rows."""
-    return float(angle_between_deg_rows(u, v)[0])
-
-
-def triangle_normal(a, b, c):
-    """Unnormalized normal of triangle (a, b, c): the one-row form of
-    triangle_normals."""
-    return triangle_normals(np.array([a, b, c], dtype=np.float64),
-                            np.array([[0, 1, 2]]))[0]
-
-
 def triangle_area(a, b, c):
-    """Area of triangle (a, b, c), with triangle_normal's operations.
+    """Area of triangle (a, b, c), with triangle_normals' operations.
     Corners given as lists of Python floats skip numpy's per-scalar
     cost."""
     ux, uy, uz = b[0] - a[0], b[1] - a[1], b[2] - a[2]
@@ -130,12 +110,6 @@ def min_interior_angle_deg_rows(a, b, c):
                       angle_between_deg_rows(a - c, b - c))
 
 
-def min_interior_angle_deg(a, b, c):
-    """Smallest interior angle of a triangle in degrees: the one-row form
-    of min_interior_angle_deg_rows."""
-    return float(min_interior_angle_deg_rows(a, b, c)[0])
-
-
 def dihedral_deg_rows(a, b, c, d):
     """Row-wise dihedral between triangles (a, b, c) and (a, b, d) across
     edge ab, over (n, 3) arrays.
@@ -167,12 +141,6 @@ def dihedral_deg_rows(a, b, c, d):
     # acos(-1) is pi, and pi in degrees is exactly 180, the degenerate
     # answer
     return _acos_deg(np.where(ok, _clamp_unit(cang), -1.0))
-
-
-def dihedral_deg(a, b, c, d):
-    """Dihedral between triangles (a, b, c) and (a, b, d) across edge ab:
-    the one-row form of dihedral_deg_rows."""
-    return float(dihedral_deg_rows(a, b, c, d)[0])
 
 
 def polyline_arclengths(points):
@@ -229,15 +197,6 @@ def point_triangle_pair_distances(p, a, b, c):
     d2_in = np.einsum("ij,ij->i", diff_in, diff_in)
     best = np.where(inside, np.minimum(best, d2_in), best)
     return np.sqrt(np.maximum(best, 0.0))
-
-
-def point_to_triangles_distance(p, a, b, c):
-    """Exact distances from one point to (m, 3)-arrays of triangle
-    corners: the one-point form of point_triangle_pair_distances."""
-    a = np.atleast_2d(np.asarray(a, dtype=np.float64))
-    p = np.asarray(p, dtype=np.float64).reshape(3)
-    return point_triangle_pair_distances(np.broadcast_to(p, a.shape), a, b,
-                                         c)
 
 
 def segments_cross_triangles_interior(p0, p1, a, b, c, eps_rel=1e-9):

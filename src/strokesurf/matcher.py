@@ -156,12 +156,6 @@ class MatchTable:
     match_logs: dict = field(default_factory=dict)
     totals: dict = field(default_factory=dict)
 
-    def match_of(self, chain, index, side):
-        arr = self.matches.get((chain, int(side)))
-        if arr is None or arr[index] < 0:
-            return None
-        return self.chainset.ref(arr[index])
-
 
 def _query_radii(cs, config, radius_mode):
     """Upper bound on the acceptance radius per source vertex."""

@@ -3,17 +3,37 @@ hole filling, smoothing, and OBJ round-tripping.
 
 Everything here works on the active triangles of a SurfaceMesh and is
 deterministic: iteration orders are sorted, ties broken by ids.
+
+Every orientation (orient_all, break_nonorientable, resolve_moebius)
+is one breadth-first walk, orient_parts, over a set of triangle rows.
+Each edge-connected part starts at its lowest tid, and the walk
+expands all parts one level at a time in numpy. The next level is
+ordered by the parent's rank, then the position of the shared edge in
+the parent's current winding, then the child's tid; a winding (a, b, c)
+runs (a, b), (b, c), (c, a), so a flipped row visits its original
+slots in the order 2, 1, 0. The first discovery of a row wins, and a
+child is flipped exactly when it runs the shared edge the way its
+parent now runs it. After the walk, a part is broken exactly when two
+of its neighbours run their shared edge the same way (an edge with
+three or more triangles always has such a pair). Its first conflict is
+the pair (t, other), t ranked earlier, with the smallest key (rank of
+t, position of the edge in t's winding, tid of other): the pair a
+queue-driven walk in that order meets first.
 """
 
 from __future__ import annotations
-
-from collections import deque
 
 import numpy as np
 
 from . import geometry
 from .matcher import Chain, ChainSet
-from .mesher import edge_keys, join_equal_keys, split_by_label, split_quads
+from .mesher import (edge_keys, join_equal_keys, run_pairs, split_by_label,
+                     split_quads)
+
+
+def _spans(lo, n):
+    """The ranges [lo[i], lo[i] + n[i]), concatenated."""
+    return np.repeat(lo - np.cumsum(n) + n, n) + np.arange(n.sum())
 
 
 # ---------------------------------------------------------------------------
@@ -72,46 +92,75 @@ def vertex_fan_groups(mesh, v, tids=None):
 # orientation
 
 
-def _directed_edge_in(verts, edge):
-    a, b, c = verts
-    return edge in ((a, b), (b, c), (c, a))
+def orient_parts(mesh, tids):
+    """Wind the active triangles tids so that neighbours run their shared
+    edge in opposite directions, with the walk of the module docstring,
+    and write the flips to the mesh at once. Returns (parts, conflicts):
+    the edge-connected parts of tids (joined through edges of tids only)
+    as ascending tid lists ordered by their lowest tid, and for each the
+    first conflicting pair (t, other) of its walk, or None when the part
+    is orientable."""
+    tids, verts = mesh.triangle_array(tids)
+    r = len(tids)
+    if not r:
+        return [], []
+    keys = edge_keys(verts, mesh.vertex_count()).ravel()
+    up = (verts < np.roll(verts, -1, axis=1)).ravel()
+    labels = join_equal_keys(keys.reshape(-1, 3))
+    # every ordered pair (src, dst) of corners, 3 row + slot, on one edge;
+    # the lower corner of each pair comes first as dst, so that a stable
+    # sort by src leaves each corner's others ascending
+    order = np.argsort(keys, kind="stable")
+    first, second = run_pairs(np.unique(keys[order], return_counts=True)[1])
+    src = order[np.concatenate([second, first])]
+    dst = order[np.concatenate([first, second])]
+    by_src = np.argsort(src, kind="stable")
+    src, dst = src[by_src], dst[by_src]
+    same = up[src] == up[dst]
+    parent, child = src // 3, dst // 3
+    # a row's pairs in the order its winding runs them: kept, slots 0, 1,
+    # 2 (walk[:p]); flipped, 2, 1, 0 (walk[p:])
+    p = len(src)
+    walk = np.concatenate([np.arange(p), np.argsort(src + 2 - 2 * (src % 3),
+                                                    kind="stable")])
+    count = np.bincount(parent, minlength=r)
+    start = np.cumsum(count) - count
 
+    # level by level from the lowest row of every part. Each pair of a
+    # level offers its child the next rank; a row keeps its lowest offer,
+    # its first discovery, and a visited row holds a lower rank already.
+    # Ranks leave gaps but keep the walk's order.
+    flip = np.zeros(r, dtype=bool)
+    rank = np.full(r, np.iinfo(np.int64).max)
+    level = np.unique(labels, return_index=True)[1]
+    rank[level] = np.arange(len(level))
+    done = len(level)
+    while len(level):
+        lo, n = start[level] + p * flip[level], count[level]
+        at = walk[_spans(lo, n)]
+        kid = child[at]
+        offer = np.arange(done, done + len(kid))
+        np.minimum.at(rank, kid, offer)
+        won = rank[kid] == offer
+        at, level = at[won], kid[won]
+        flip[level] = same[at] ^ flip[parent[at]]
+        done += len(kid)
+    mesh.flip(tids[flip])
 
-def orient_component(mesh, tids):
-    """Flip triangles breadth-first from the lowest tid so shared edges
-    run in opposite directions. Returns the first conflicting pair
-    (t, other) the walk meets, or None when the component is orientable.
-
-    The walk reads the live edge map and skips triangles outside tids;
-    its edge lists are in ascending tid order. It reads the corners of
-    tids once and writes its flips back in one column swap."""
-    em = mesh.edge_map()
-    corners = dict(zip(tids, mesh.tri_verts[tids].tolist()))
-    seed = min(tids)
-    visited = {seed}
-    queue = deque([seed])
-    conflict = None
-    flipped = []
-    while queue:
-        t = queue.popleft()
-        a, b, c = corners[t]
-        for u, v in ((a, b), (b, c), (c, a)):
-            key = (u, v) if u < v else (v, u)
-            for other in em.get(key, ()):
-                if other == t or other not in corners:
-                    continue
-                same = _directed_edge_in(corners[other], (u, v))
-                if other in visited:
-                    if same and conflict is None:
-                        conflict = (t, other)
-                else:
-                    if same:
-                        corners[other][1:] = corners[other][:0:-1]
-                        flipped.append(other)
-                    visited.add(other)
-                    queue.append(other)
-    mesh.flip(flipped)
-    return conflict
+    # the earliest pair of the walk, in each part, that runs its edge one
+    # way: (rank of t, position of the edge in t's winding, other's row)
+    clash = np.flatnonzero((same ^ flip[parent] ^ flip[child])
+                           & (rank[parent] < rank[child]))
+    pos = np.where(flip[parent[clash]], 2 - src[clash] % 3, src[clash] % 3)
+    clash = clash[np.argsort((3 * rank[parent[clash]] + pos) * r
+                             + child[clash])]
+    part, once = np.unique(labels[parent[clash]], return_index=True)
+    parts = split_by_label(tids, labels)
+    conflicts = [None] * len(parts)
+    for c, t, other in zip(part.tolist(), *(
+            tids[x[clash[once]]].tolist() for x in (parent, child))):
+        conflicts[c] = (t, other)
+    return parts, conflicts
 
 
 def _align_with_source_normals(mesh, tids):
@@ -125,129 +174,94 @@ def _align_with_source_normals(mesh, tids):
         mesh.flip(tids)
 
 
-def orient_all(mesh, align=True, conflicts=None):
-    """Orient every component; returns the list of non-orientable
-    components (as sorted tid lists), ordered by their lowest tid.
-
-    Each component takes the winding of its lowest triangle id. The
-    windings come from one labelling of the double cover of the active
-    triangles: node (t, s) is triangle t kept (s = 0) or flipped
-    (s = 1), and where t1 and t2 share an edge, (t1, s) is joined to
-    (t2, s ^ same), with same = 1 when both run the edge in one
-    direction. A component is orientable iff no edge of it carries more
-    than two triangles and no (t, 0), (t, 1) share a label; it is then
-    wound by flipping the triangles whose (t, 1) carries the label of
-    (lowest tid, 0), which is the one consistent winding that keeps the
-    lowest triangle as it is. A broken component is wound by
-    orient_component from its untouched state instead, and with a list
-    as `conflicts` the first conflicting pair that walk meets is
-    appended to it, one per returned component. A second walk over that
-    winding would flip nothing and meet the same conflict, so
-    break_nonorientable cuts at the recorded one without walking again.
+def orient_all(mesh, align=True):
+    """Wind every component of the active triangles with orient_parts;
+    returns the non-orientable ones, as ascending tid lists ordered by
+    their lowest tid. Each component keeps the winding of its lowest
+    tid, and an orientable one then has the only consistent winding
+    that does.
 
     With align (the default) an orientable component is then flipped to
     face its source vertex normals. The pipeline orients without
     alignment until its last step: the winding steers boundary walks,
-    the traversal order of orient_component and strip judgements in
-    resolve_moebius, and none of these may read the signs of the
-    artist's normals."""
-    tids, verts = mesh.triangle_array()
-    keys = edge_keys(verts, mesh.vertex_count())
-    runs_up = verts < np.roll(verts, -1, axis=1)
-    _, first, edge, count = np.unique(keys, return_index=True,
-                                      return_inverse=True,
-                                      return_counts=True)
-    head = np.zeros(keys.size, dtype=bool)
-    head[first] = True
-    overfull = (count[edge] > 2).reshape(keys.shape).any(axis=1)
-
-    # node (t, s), row 2 t + s, keys each edge of t by the direction t
-    # runs it after s, reversed for every triangle but the edge's first:
-    # equal keys then join windings that run a two-triangle edge in
-    # opposite directions
-    kept_keys = 2 * keys + (runs_up ^ ~head.reshape(keys.shape))
-    labels = join_equal_keys(
-        np.stack([kept_keys, kept_keys ^ 1], axis=1).reshape(-1, 3))
-    kept, flipped = labels[0::2], labels[1::2]
-
-    # every triangle of an edge-connected component reaches the sheet of
-    # (lowest tid, 0), which has the lowest label of the component
-    _, seed, comp = np.unique(np.minimum(kept, flipped), return_index=True,
-                              return_inverse=True)
-    broken = np.zeros(len(seed), dtype=bool)
-    broken[comp[kept == flipped]] = True
-    broken[comp[overfull]] = True
-    mesh.flip(tids[(flipped == kept[seed][comp]) & ~broken[comp]])
-
+    the walk's own order and strip judgements in resolve_moebius, and
+    none of these may read the signs of the artist's normals."""
+    parts, conflicts = orient_parts(mesh, mesh.active_ids())
     bad = []
-    for c, ctids in enumerate(split_by_label(tids, comp)):
-        if broken[c]:
-            conflict = orient_component(mesh, ctids)
-            if conflicts is not None:
-                conflicts.append(conflict)
-            bad.append(ctids)
+    for tids, conflict in zip(parts, conflicts):
+        if conflict is not None:
+            bad.append(tids)
         elif align:
-            _align_with_source_normals(mesh, ctids)
+            _align_with_source_normals(mesh, tids)
     return bad
 
 
 def break_nonorientable(mesh, frozen=frozenset()):
-    """Remove triangles until every component orients. Each round,
-    orient_all walks every broken component once and records the first
-    conflicting pair the walk meets; the newer removable triangle of
-    each such pair goes (the newer of both when both are frozen). A cut
-    changes only its own component's edges, so the other conflicts of
-    the round still hold. Surviving components keep the winding of
-    their lowest triangle id; align them with orient_all afterwards if
-    they should face the source normals."""
+    """Remove triangles until every component orients. Each round walks
+    the components the round before cut (at first every active
+    triangle) with orient_parts; the newer removable triangle of each
+    part's first conflicting pair goes (the newer of both when both are
+    frozen). A cut changes only its own part's edges, so the other
+    conflicts of the round still hold, and a part without conflict is
+    wound for good. Surviving components keep the winding of their
+    lowest triangle id; align them with orient_all afterwards if they
+    should face the source normals."""
     removed = []
-    for _ in range(len(mesh.tri_verts)):
-        conflicts = []
-        if not orient_all(mesh, align=False, conflicts=conflicts):
-            break
-        # every broken component meets a conflict: it has no consistent
-        # winding, or an edge that two of its triangles run the same way
-        for conflict in conflicts:
+    tids = mesh.active_ids()
+    while True:
+        parts, conflicts = orient_parts(mesh, tids)
+        cut = [(part, conflict) for part, conflict in zip(parts, conflicts)
+               if conflict is not None]
+        if not cut:
+            return removed
+        for _, conflict in cut:
             victim = max([t for t in conflict if t not in frozen] or conflict)
             mesh.remove(victim)
             removed.append(victim)
-    return removed
+        tids = np.concatenate([part for part, _ in cut])
+        tids = tids[mesh.is_active(tids)]
 
 
 def resolve_moebius(mesh, new_tids):
     """Detach strip triangles whose orientation fights the surface they
     border. Each edge-connected strip of new triangles is oriented on
-    its own, then compared against prior triangles along shared edges;
-    the strip triangles on the minority (inverted loses ties) are cut."""
-    new_set = {t for t in new_tids if mesh.is_active(t)}
-    if not new_set:
+    its own, then compared against prior triangles along shared edges:
+    every (strip corner, prior corner) pair on one edge votes inverted
+    when both run the edge one way, aligned otherwise, and the strip
+    triangles with a vote on the minority side (inverted loses ties)
+    are cut."""
+    new = np.unique(np.asarray(new_tids, dtype=np.int64))
+    new = new[mesh.is_active(new)]
+    if not len(new):
         return []
-    em_all = mesh.edge_map()
-    _, strips = mesh.components(new_set)
-    verts = mesh.tri_verts
+    strips, _ = orient_parts(mesh, new)
+    strip_of = np.repeat(np.arange(len(strips)), [len(s) for s in strips])
+    strip_of = strip_of[np.argsort(np.concatenate(strips))]
 
-    removed = []
-    for strip in strips:
-        orient_component(mesh, strip)
-        aligned, inverted = [], []
-        for t, (a, b, c) in zip(strip, verts[strip].tolist()):
-            for u, v in ((a, b), (b, c), (c, a)):
-                key = (u, v) if u < v else (v, u)
-                for other in em_all.get(key, ()):
-                    if other in new_set or not mesh.is_active(other):
-                        continue
-                    if _directed_edge_in(verts[other].tolist(), (u, v)):
-                        inverted.append(t)
-                    else:
-                        aligned.append(t)
-        if not aligned and not inverted:
-            continue
-        minority = inverted if len(inverted) <= len(aligned) else aligned
-        for t in sorted(set(minority)):
-            if mesh.is_active(t):
-                mesh.remove(t)
-                removed.append(t)
-    return removed
+    tids, verts = mesh.triangle_array()
+    keys = edge_keys(verts, mesh.vertex_count())
+    up = verts < np.roll(verts, -1, axis=1)
+    is_new = np.isin(tids, new)
+    # each corner of the strips against the prior corners on its edge
+    prior_keys, prior_up = keys[~is_new].ravel(), up[~is_new].ravel()
+    order = np.argsort(prior_keys)
+    prior_keys = prior_keys[order]
+    new_keys = keys[is_new].ravel()
+    lo = np.searchsorted(prior_keys, new_keys)
+    count = np.searchsorted(prior_keys, new_keys, side="right") - lo
+    corner = np.repeat(np.arange(len(new_keys)), count)
+    inverted = (up[is_new].ravel()[corner]
+                == prior_up[order[_spans(lo, count)]])
+    strip = strip_of[corner // 3]
+    votes = np.bincount(strip, minlength=len(strips))
+    n_inverted = np.bincount(strip[inverted], minlength=len(strips))
+    losing = n_inverted <= votes - n_inverted
+    cut = np.unique(new[corner // 3][inverted == losing[strip]])
+    cut = cut[np.argsort(strip_of[np.searchsorted(new, cut)],
+                         kind="stable")].tolist()
+    for t in cut:
+        mesh.remove(t)
+    return cut
 
 
 # ---------------------------------------------------------------------------
@@ -567,9 +581,7 @@ def _guarded_moves(mesh, g, prop, config):
     order = np.argsort(at, kind="stable")
     count = np.bincount(at, minlength=n)[g]
     owner = np.repeat(np.arange(len(g)), count)
-    corner = order[np.repeat(np.searchsorted(at, g, sorter=order)
-                             - np.cumsum(count) + count, count)
-                   + np.arange(len(owner))]
+    corner = order[_spans(np.searchsorted(at, g, sorter=order), count)]
     before = verts[corner // 3]
     # the proposals follow the vertices as extra positions
     after = before.copy()

@@ -106,6 +106,18 @@ def join_equal_keys(keys):
     return np.unique(root, return_inverse=True)[1]
 
 
+def run_pairs(sizes):
+    """Index pairs (i, j), i < j, of every run of a sequence cut into runs
+    of the given sizes, in (run, i, j) order."""
+    starts = np.cumsum(sizes) - sizes
+    rank = np.arange(sizes.sum()) - np.repeat(starts, sizes)
+    later = np.repeat(sizes, sizes) - 1 - rank
+    first = np.repeat(np.arange(len(rank)), later)
+    second = (first + 1 + np.arange(len(first))
+              - np.repeat(np.cumsum(later) - later, later))
+    return first, second
+
+
 def split_by_label(ids, labels):
     """Lists of ids per label, for labels 0..k-1; ids keep their order."""
     if len(labels) == 0:

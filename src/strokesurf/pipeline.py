@@ -269,7 +269,6 @@ def run_pipeline(drawing, options=None):
     with tracker.stage("small_holes") as stage:
         stage.count("holes_closed_added",
                     mesh_ops.close_small_holes(mesh, config))
-        mesh_ops.orient_all(mesh, align=False)
 
     with tracker.stage("boundary_smoothing"):
         mesh_ops.smooth_boundary(mesh, config)
@@ -307,17 +306,14 @@ def run_pipeline(drawing, options=None):
                     mesh_ops.close_small_holes(mesh, config))
         stage.count("repair_removed", len(
             consolidate.repair_nonmanifold(mesh, frozen=frozen)))
-        mesh_ops.orient_all(mesh, align=False)
 
     with tracker.stage("ribbons"):
         _emit_ribbons(mesh, work, cs)
-        mesh_ops.orient_all(mesh, align=False)
 
     if options.close_holes_max_sides > 0:
         with tracker.stage("hole_filling") as stage:
             stage.count("holes_filled_added", mesh_ops.fill_all_holes(
                 mesh, config, max_sides=options.close_holes_max_sides))
-            mesh_ops.orient_all(mesh, align=False)
 
     if options.smooth_iterations > 0:
         with tracker.stage("smoothing"):

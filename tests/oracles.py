@@ -1221,11 +1221,11 @@ def strip_edge_map(mesh, tids):
 
 
 def orient_component(mesh, tids, em=None):
-    """Reference for mesh_ops.orient_component: breadth-first from the
-    lowest tid over the component's own edge map, flipping each newly
-    reached triangle that runs a shared edge in the same direction.
-    Returns the first conflicting pair (t, other), or None when the
-    component is orientable."""
+    """Reference for the walk of one part in mesh_ops.orient_parts: a
+    queue walk breadth-first from the lowest tid over the component's
+    own edge map, flipping each newly reached triangle that runs a
+    shared edge in the same direction. Returns the first conflicting
+    pair (t, other), or None when the component is orientable."""
     if em is None:
         em = strip_edge_map(mesh, tids)
     seed = min(tids)

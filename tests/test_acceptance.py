@@ -101,9 +101,9 @@ def min_interior_dihedral(mesh):
             continue
         wings = [next(x for x in mesh.tri_verts[t] if x not in (u, v))
                  for t in live]
-        best = min(best, geometry.dihedral_deg(
+        best = min(best, float(geometry.dihedral_deg_rows(
             mesh.positions[u], mesh.positions[v],
-            mesh.positions[wings[0]], mesh.positions[wings[1]]))
+            mesh.positions[wings[0]], mesh.positions[wings[1]])[0]))
     return best
 
 

@@ -208,6 +208,46 @@ def test_pair_search_matches_scalar_reference(name, monkeypatch):
     assert kinds == {"edge", "vertex"}
 
 
+def fan_pairs_reference(verts, active, frozen):
+    """Every (t1, t2, q) of active triangles t1 < t2 sharing exactly the
+    vertex q, not both frozen, in (q, t1, t2) order."""
+    at = {}
+    for t in np.flatnonzero(active).tolist():
+        for v in verts[t].tolist():
+            at.setdefault(v, []).append(t)
+    return [(t1, t2, q) for q in sorted(at)
+            for i, t1 in enumerate(at[q]) for t2 in at[q][i + 1:]
+            if not (frozen[t1] and frozen[t2])
+            and len(set(verts[t1].tolist()) & set(verts[t2].tolist())) == 1]
+
+
+@pytest.mark.parametrize("chunk", [7, 1000, consolidate.PAIR_CHUNK])
+def test_fan_pairs_cut_batches_at_pair_chunk(chunk, monkeypatch):
+    """Criterion-2 batches hold at most PAIR_CHUNK pairs, so a fan of 120
+    triangles (7,140 pairs) spans batches, and together the batches
+    list every shared-vertex pair in order."""
+    from test_topology import random_soup
+
+    rng = np.random.default_rng(chunk)
+    angles = np.linspace(0, 2 * np.pi, 121)[:, None]
+    ring = np.hstack([np.cos(angles), np.sin(angles),
+                      0.1 * rng.normal(size=(121, 1))])
+    fan = mesh_ops.mesh_from_arrays(
+        np.vstack([[0, 0, 0], ring]), [(0, i, i + 1) for i in range(1, 121)])
+    monkeypatch.setattr(consolidate, "PAIR_CHUNK", chunk)
+    counts = []
+    for mesh in (fan, random_soup(chunk)[0]):
+        verts, active = mesh.tri_verts, mesh.tri_state != mesher.REMOVED
+        frozen = rng.random(len(verts)) < 0.3
+        batches = list(consolidate._fan_pairs(verts, active, frozen))
+        assert all(len(t1) <= chunk for t1, _, _ in batches)
+        got = [row for batch in batches for row in zip(
+            *(x.tolist() for x in batch))]
+        assert got == fan_pairs_reference(verts, active, frozen)
+        counts.append(len(batches))
+    assert counts[0] >= 7140 // chunk + 1
+
+
 # ---------------------------------------------------------------------------
 # clustering
 

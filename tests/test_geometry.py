@@ -119,18 +119,6 @@ def test_row_distances_equal_one_point_reference():
     got = geometry.point_triangle_pair_distances(p, a, b, c)
     assert np.array_equal(got, distance_reference(p, a, b, c))
     assert np.all(got[kind == 0] == 0.0)
-
-
-def test_one_point_form_matches_reference_and_rows():
-    rng = np.random.default_rng(4)
-    p = rng.normal(size=3)
-    a, b, c = (rng.normal(size=(50, 3)) for _ in range(3))
-    one = geometry.point_to_triangles_distance(p, a, b, c)
-    assert np.array_equal(one, oracles.point_to_triangles_distance(p, a, b,
-                                                                   c))
-    rows = geometry.point_triangle_pair_distances(np.tile(p, (50, 1)), a, b,
-                                                  c)
-    assert np.array_equal(one, rows)
     empty = np.zeros((0, 3))
     assert geometry.point_triangle_pair_distances(*(empty,) * 4).shape \
         == (0,)
@@ -193,9 +181,6 @@ def test_angle_rows_equal_scalar_reference():
     c = kernel_cosines(u[live], v[live])
     assert not np.array_equal(np.degrees(np.arccos(c)),
                               [math.degrees(math.acos(x)) for x in c])
-    one = [geometry.angle_between_deg(a, b) for a, b in zip(u[:80], v[:80])]
-    assert one == want[:80].tolist()
-    assert all(type(x) is float for x in one)
 
 
 def test_min_interior_angle_rows_equal_scalar_reference():
@@ -206,9 +191,6 @@ def test_min_interior_angle_rows_equal_scalar_reference():
     assert np.array_equal(got, want)
     kind = np.arange(3000) % 5
     assert np.all(got[(kind == 1) | (kind == 2)] == 0.0)
-    one = [geometry.min_interior_angle_deg(*row)
-           for row in zip(a[:60], b[:60], c[:60])]
-    assert one == want[:60].tolist()
 
 
 def test_dihedral_rows_equal_scalar_reference():
@@ -228,9 +210,6 @@ def test_dihedral_rows_equal_scalar_reference():
     kind = kind.ravel()
     assert np.all(got[(kind == 0) | (kind == 1)] == 180.0)
     assert np.all(got[kind == 2] < 1e-4)
-    one = [geometry.dihedral_deg(*row)
-           for row in zip(a[:70], b[:70], c[:70], d[:70])]
-    assert one == want[:70].tolist()
 
 
 def test_angle_kernels_take_empty_batches():
@@ -241,8 +220,9 @@ def test_angle_kernels_take_empty_batches():
 
 
 def normal_area(a, b, c):
-    """Half the norm of triangle_normal, summed in order."""
-    n = geometry.triangle_normal(a, b, c)
+    """Half the norm of triangle_normals' row, summed in order."""
+    n = geometry.triangle_normals(np.array([a, b, c]),
+                                  np.array([[0, 1, 2]]))[0]
     return 0.5 * math.sqrt(n[0] * n[0] + n[1] * n[1] + n[2] * n[2])
 
 

@@ -368,10 +368,9 @@ def test_match_all_solves_every_side(config):
     cands = matcher.baseline_candidates(cs, config)
     table = matcher.match_all(cands, config)
     assert set(table.matches) == set(cands.lists)
-    mid = table.match_of(1, 5, Side.LEFT)
-    assert mid is not None and mid.chain == 0
-    mid = table.match_of(1, 5, Side.RIGHT)
-    assert mid is not None and mid.chain == 2
+    for side, chain in ((Side.LEFT, 0), (Side.RIGHT, 2)):
+        mid = table.matches[(1, int(side))][5]
+        assert mid >= 0 and cs.ref(mid).chain == chain
 
 
 # ---------------------------------------------------------------------------

@@ -372,8 +372,8 @@ def _face_normal_z(mesh):
     """z of each active triangle's unit normal, rounded."""
     z = []
     for t in mesh.active_ids():
-        n = geometry.triangle_normal(*mesh.positions[list(mesh.tri_verts[t])])
-        z.append(round(float(geometry.unit(n)[0][2]), 9))
+        n = geometry.triangle_normals(mesh.positions, mesh.tri_verts[[t]])
+        z.append(round(float(geometry.unit_rows_pow(n)[0][0, 2]), 9))
     return z
 
 

@@ -224,7 +224,8 @@ def test_points_to_mesh_distance_matches_brute_force():
     tris = np.array(faces)
     a, b, c = pos[tris[:, 0]], pos[tris[:, 1]], pos[tris[:, 2]]
     for i, p in enumerate(points):
-        exact = float(geometry.point_to_triangles_distance(p, a, b, c).min())
+        exact = float(geometry.point_triangle_pair_distances(
+            np.broadcast_to(p, a.shape), a, b, c).min())
         assert got[i] == pytest.approx(exact, abs=1e-12)
 
 

@@ -7,6 +7,7 @@ with scipy.sparse.csgraph.connected_components."""
 
 import copy
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -14,9 +15,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from strokesurf import consolidate, mesh_ops
+from strokesurf import consolidate, mesh_ops, pipeline
 from strokesurf.mesh_ops import mesh_from_arrays
 from strokesurf.mesher import join_equal_keys
+from strokesurf.pipeline import PipelineOptions, run_pipeline
+from strokesurf.synth_eval import SyntheticSpec, generate
+from test_pipeline import FLIP_SPECS
 
 
 def _grid(rng, base):
@@ -177,21 +181,34 @@ def test_break_nonorientable_matches_reference(make):
     assert np.array_equal(mesh.tri_state, ref.tri_state)
 
 
+def _assert_walk_matches_reference(mesh, tids,
+                                   walk=mesh_ops.orient_parts):
+    """orient_parts on tids gives the parts, conflicts and windings of one
+    queue walk per part over that part's own edges."""
+    ref = copy.deepcopy(mesh)
+    parts, conflicts = walk(mesh, tids)
+    assert parts == oracles.moebius_strips(ref, tids)
+    for part, conflict in zip(parts, conflicts):
+        assert conflict == oracles.orient_component(
+            ref, part, oracles.strip_edge_map(ref, part))
+    assert np.array_equal(mesh.tri_verts, ref.tri_verts)
+    return parts, conflicts
+
+
 @pytest.mark.parametrize("make", _all_cases())
 def test_second_walk_of_a_broken_component_repeats_the_first(make):
-    """orient_all winds a broken component with orient_component; walking
-    it again flips nothing and meets the first walk's conflict."""
+    """orient_parts winds every component as a queue walk from the
+    untouched state does and records the conflict that walk meets;
+    walking its winding again flips nothing and meets the same
+    conflicts."""
     mesh, _ = make()
-    untouched = copy.deepcopy(mesh)
-    conflicts = []
-    bad = mesh_ops.orient_all(mesh, align=False, conflicts=conflicts)
-    assert len(conflicts) == len(bad)
-    for tids, recorded in zip(bad, conflicts):
-        first = mesh_ops.orient_component(untouched, tids)
-        wound = mesh.tri_verts.copy()
-        assert first is not None and recorded == first
-        assert mesh_ops.orient_component(mesh, tids) == first
-        assert np.array_equal(mesh.tri_verts, wound)
+    parts, conflicts = _assert_walk_matches_reference(mesh,
+                                                      mesh.active_ids())
+    assert parts == oracles.components(mesh)[1]
+    wound = mesh.tri_verts.copy()
+    assert (mesh_ops.orient_parts(mesh, mesh.active_ids())
+            == (parts, conflicts))
+    assert np.array_equal(mesh.tri_verts, wound)
 
 
 @pytest.mark.parametrize("make", _all_cases())
@@ -199,12 +216,7 @@ def test_orient_component_skips_triangles_outside_the_strip(make):
     """Strips of the frozen draw, as resolve_moebius orients them: the
     live edge lists also carry triangles outside the strip."""
     mesh, subset = make()
-    ref = copy.deepcopy(mesh)
-    for strip in mesh.components(subset)[1]:
-        assert (mesh_ops.orient_component(mesh, strip)
-                == oracles.orient_component(
-                    ref, strip, oracles.strip_edge_map(ref, strip)))
-        assert np.array_equal(mesh.tri_verts, ref.tri_verts)
+    _assert_walk_matches_reference(mesh, subset)
 
 
 @pytest.mark.parametrize("make", _all_cases())
@@ -235,6 +247,125 @@ def test_groupings_match_reference(make):
             == oracles.resolve_moebius(ref, new))
     assert np.array_equal(mesh.tri_verts, ref.tri_verts)
     assert np.array_equal(mesh.tri_state, ref.tri_state)
+
+
+def test_deep_band_orients_like_the_queue_walk():
+    """A band whose 480 triangles follow one another edge to edge, so
+    the walk goes 480 levels deep; the one triangle flipped near its far
+    end is turned back. Closed with a half twist, the band is a ring
+    walked from tid 0 both ways, and the two fronts meet in conflict
+    about 240 levels out."""
+    rungs = 241
+    pos = [[i, j, 0.01 * i * j] for i in range(rungs) for j in (0, 1)]
+    faces = []
+    for i in range(rungs - 1):
+        a, b, c, d = 2 * i, 2 * i + 1, 2 * i + 2, 2 * i + 3
+        faces += [(a, c, b), (b, c, d)]
+    mesh = _mesh(pos, faces)
+    wound = mesh.tri_verts.copy()
+    mesh.flip(len(faces) - 3)
+    parts, conflicts = _assert_walk_matches_reference(mesh,
+                                                      mesh.active_ids())
+    assert parts == [list(range(len(faces)))] and conflicts == [None]
+    assert np.array_equal(mesh.tri_verts, wound)
+    p, q = 2 * rungs - 2, 2 * rungs - 1
+    twisted = _mesh(pos, faces + [(q, p, 1), (1, 0, q)])
+    _, (conflict,) = _assert_walk_matches_reference(twisted,
+                                                    twisted.active_ids())
+    assert conflict is not None and min(conflict) > 200
+
+
+def many_parts(seed, count=150):
+    """count disjoint grids, bands and clutter pieces with shuffled,
+    partly reversed faces: a soup of many small parts."""
+    rng = np.random.default_rng(seed)
+    pos, faces = [], []
+    for _ in range(count):
+        make = (_grid, _band, _clutter)[rng.integers(3)]
+        p, f = make(rng, len(pos))
+        pos += [list(x) for x in p]
+        faces += f
+    faces = [faces[i][::-1] if rng.random() < 0.3 else faces[i]
+             for i in rng.permutation(len(faces))]
+    return _mesh(pos, faces)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_many_small_parts_orient_like_the_queue_walk(seed):
+    mesh = many_parts(seed)
+    parts, conflicts = _assert_walk_matches_reference(
+        copy.deepcopy(mesh), mesh.active_ids())
+    assert len(parts) > 150
+    assert any(c is None for c in conflicts)
+    assert any(c is not None for c in conflicts)
+    ref = copy.deepcopy(mesh)
+    assert (mesh_ops.break_nonorientable(mesh)
+            == oracles.break_nonorientable(ref))
+    assert np.array_equal(mesh.tri_verts, ref.tri_verts)
+
+
+CREASE_OPTIONS = PipelineOptions(preserve_creases=True,
+                                 close_holes_max_sides=8, smooth_iterations=3)
+RUN_OPTIONS = pytest.mark.parametrize(
+    "options", [PipelineOptions(), CREASE_OPTIONS],
+    ids=["default", "creases_fill_smooth"])
+
+
+# the 30-cell acceptance corpus's noisy dome of parallel strokes: a run
+# of it cuts at orientation conflicts, where FLIP_SPECS runs meet none
+WALK_SPECS = dict(FLIP_SPECS, dome_parallel=SyntheticSpec(
+    surface="dome", pattern="parallel", strokes=14, width=0.15,
+    spacing=0.06, noise=0.25 * 0.15, normal_noise_deg=6.0,
+    flip_probability=1 / 3, seed=109))
+
+
+@RUN_OPTIONS
+@pytest.mark.parametrize("name", sorted(WALK_SPECS))
+def test_pipeline_walks_match_the_queue_walk(name, options, monkeypatch):
+    """Every walk of a run, from orient_all, break_nonorientable and
+    resolve_moebius, equals one queue walk per part."""
+    walk = mesh_ops.orient_parts
+    callers, conflicts = set(), 0
+
+    def checked(mesh, tids):
+        nonlocal conflicts
+        callers.add(sys._getframe(1).f_code.co_name)
+        parts, found = _assert_walk_matches_reference(mesh, tids, walk)
+        conflicts += sum(c is not None for c in found)
+        return parts, found
+
+    monkeypatch.setattr(mesh_ops, "orient_parts", checked)
+    run_pipeline(generate(WALK_SPECS[name])[0], options)
+    assert callers == {"orient_all", "break_nonorientable",
+                       "resolve_moebius"}
+    assert (conflicts > 0) == (name == "dome_parallel")
+
+
+# stages after which the pipeline once oriented again, or could have
+WOUND_STAGES = {"strip_consolidation", "extension_consolidation",
+                "small_holes", "boundary_smoothing", "orientation",
+                "ribbons", "hole_filling", "smoothing"}
+
+
+@RUN_OPTIONS
+@pytest.mark.parametrize("name", sorted(FLIP_SPECS))
+def test_stages_leave_every_component_wound(name, options, monkeypatch):
+    """From strip_consolidation on, every stage but the strip stages of
+    extension and gap closing leaves each component wound from its
+    lowest tid: orienting a copy flips nothing. So the run orients only
+    once more, at its end."""
+    checked = []
+
+    def dump_mesh(tracker, stage):
+        if stage in WOUND_STAGES:
+            mesh = copy.deepcopy(tracker.mesh)
+            mesh_ops.orient_all(mesh, align=False)
+            assert np.array_equal(mesh.tri_verts, tracker.mesh.tri_verts)
+            checked.append(stage)
+
+    monkeypatch.setattr(pipeline._Tracker, "dump_mesh", dump_mesh)
+    run_pipeline(generate(FLIP_SPECS[name])[0], options)
+    assert len(checked) == (8 if options is CREASE_OPTIONS else 6)
 
 
 def draw_soup(n, data):
@@ -284,16 +415,19 @@ def test_hypothesis_soups_match_reference(n, data):
 @settings(max_examples=150, deadline=None)
 @given(n=st.integers(3, 9), data=st.data())
 def test_orient_all_records_the_conflict_a_second_walk_meets(n, data):
-    """The conflict orient_all's walk records for each broken component
-    is the one a fresh orient_component walk over its winding meets,
-    which is the walk break_nonorientable no longer makes."""
+    """The conflict orient_parts records for each component is the one a
+    queue walk from the untouched state meets, and a second walk over
+    the winding meets it again: break_nonorientable cuts at it without
+    walking twice."""
     mesh, _ = draw_soup(n, data)
-    conflicts = []
-    bad = mesh_ops.orient_all(mesh, align=False, conflicts=conflicts)
-    assert len(conflicts) == len(bad)
-    for tids, recorded in zip(bad, conflicts):
-        assert recorded is not None
-        assert mesh_ops.orient_component(mesh, tids) == recorded
+    ref = copy.deepcopy(mesh)
+    parts, conflicts = mesh_ops.orient_parts(mesh, mesh.active_ids())
+    assert ([tids for tids, c in zip(parts, conflicts) if c is not None]
+            == oracles.orient_all(copy.deepcopy(ref), align=False))
+    for tids, recorded in zip(parts, conflicts):
+        assert recorded == oracles.orient_component(ref, tids)
+    assert np.array_equal(mesh.tri_verts, ref.tri_verts)
+    assert mesh_ops.orient_parts(mesh, mesh.active_ids())[1] == conflicts
 
 
 @settings(max_examples=150, deadline=None)

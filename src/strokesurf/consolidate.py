@@ -15,14 +15,18 @@ Pairs sharing an edge are gathered in one list and tested with numpy,
 criterion 1 then criterion 3 (one dihedral row-kernel call). Pairs
 sharing only a vertex are many on noisy input, so criterion 2
 enumerates every pair of each vertex fan with numpy and tests them in
-batches of PAIR_CHUNK pairs, which bounds memory.
-A ConsolidationStats passed to consolidate_mesh collects what a pass
+batches of PAIR_CHUNK pairs, which bounds memory. Which triangles share
+an edge is read from the triangle table: one SurfaceMesh.edge_map over
+the undecided triangles serves every conflict graph of a pass, and the
+repair net reads each overfull edge from the active rows. A
+ConsolidationStats passed to consolidate_mesh collects what a pass
 found and did, for the run report.
 """
 
 from __future__ import annotations
 
 import heapq
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -348,13 +352,16 @@ def _pairs_by_component(pairs, components):
     return out
 
 
-def build_conflict_graph(mesh, cs, config, component, pairs):
+def build_conflict_graph(mesh, cs, config, component, pairs, incidence):
     """Arc weights: incompatible pairs get incompatible_weight (hard),
     compatible shared-edge pairs get compatible_weight, and every node
     gets an output arc of M(t) plus its count of edges shared with
     already-output triangles. `pairs` holds the incompatible pairs with
     a triangle in the component, in find_incompatible_pairs order; any
-    other pairs in it are skipped."""
+    other pairs in it are skipped. `incidence` is a mesh.edge_map that
+    covers the component's edges, taken since it was classified: later
+    removals are other components' triangles, which the state test
+    skips, so one map serves a whole pass."""
     comp = set(component)
     graph = ConflictGraph(nodes=sorted(comp))
 
@@ -370,35 +377,21 @@ def build_conflict_graph(mesh, cs, config, component, pairs):
                 graph.add_arc(OUT_NODE, t_in, config.incompatible_weight,
                               hard=True)
 
-    em = mesh.edge_map()
-    corners = mesh.tri_verts[graph.nodes].tolist()
-    seen_edges = set()
-    for a, b, c in corners:
-        for u, v in ((a, b), (b, c), (c, a)):
-            key = (u, v) if u < v else (v, u)
-            if key in seen_edges:
-                continue
-            seen_edges.add(key)
-            tids = em.get(key, ())
-            for i in range(len(tids)):
-                for j in range(i + 1, len(tids)):
-                    t1, t2 = sorted((tids[i], tids[j]))
-                    # within the component, the hard arcs are exactly
-                    # its incompatible pairs
-                    if (t1 in comp and t2 in comp
-                            and (t1, t2) not in graph.hard):
-                        graph.add_arc(t1, t2, config.compatible_weight)
+    edges = [[(u, v) if u < v else (v, u) for u, v in ((a, b), (b, c), (c, a))]
+             for a, b, c in mesh.tri_verts[graph.nodes].tolist()]
+    for key in dict.fromkeys(key for keys in edges for key in keys):
+        for t1, t2 in itertools.combinations(incidence[key], 2):
+            # within the component, the hard arcs are exactly its
+            # incompatible pairs
+            if t1 in comp and t2 in comp and (t1, t2) not in graph.hard:
+                graph.add_arc(t1, t2, config.compatible_weight)
 
     m_scores = _emission_scores(mesh, cs, config, graph.nodes)
     state = mesh.tri_state
-    for t, m_t, (a, b, c) in zip(graph.nodes, m_scores, corners):
-        c_count = 0
-        for u, v in ((a, b), (b, c), (c, a)):
-            key = (u, v) if u < v else (v, u)
-            for other in em.get(key, ()):
-                if other != t and state[other] == OUTPUT:
-                    c_count += 1
-        graph.add_arc(OUT_NODE, t, m_t + c_count)
+    for t, m_t, keys in zip(graph.nodes, m_scores, edges):
+        graph.add_arc(OUT_NODE, t, m_t + sum(
+            1 for key in keys for other in incidence[key]
+            if other != t and state[other] == OUTPUT))
     return graph
 
 
@@ -677,9 +670,7 @@ def apply_consolidation(mesh, cluster, component):
     out_cluster = cluster[OUT_NODE]
     kept = [t for t in component if cluster[t] == out_cluster]
     mesh.tri_state[kept] = OUTPUT
-    for t in component:
-        if cluster[t] != out_cluster:
-            mesh.remove(t)
+    mesh.remove([t for t in component if cluster[t] != out_cluster])
     return kept
 
 
@@ -690,19 +681,20 @@ def repair_nonmanifold(mesh, frozen=frozenset()):
     after consolidation and after the pipeline's orientation-driven
     removals.
 
-    Overfull edges are cleared once, in sorted order: removals only
-    lower edge counts, so no edge can become overfull later. Pinched
-    vertices are then split until the audit finds none."""
+    Overfull edges are cleared once, in sorted order, of their newest
+    active triangles, unfrozen before frozen: removals only lower edge
+    counts, so no edge can become overfull later. Pinched vertices are
+    then split until the audit finds none."""
     removed = []
-    em = mesh.edge_map()
-    for edge in mesh_ops.nonmanifold_edges(mesh):
-        tids = list(em[edge])
-        while len(tids) > 2:
-            pick = max(t for t in tids if t not in frozen) \
-                if any(t not in frozen for t in tids) else max(tids)
-            mesh.remove(pick)
-            removed.append(pick)
-            tids.remove(pick)
+    tids, verts = mesh.triangle_array()
+    keys = edge_keys(verts, mesh.vertex_count())
+    bad, count = np.unique(keys, return_counts=True)
+    for key in bad[count > 2].tolist():
+        on = tids[(keys == key).any(axis=1)]
+        on = sorted(on[mesh.is_active(on)].tolist(),
+                    key=lambda t: (t not in frozen, t), reverse=True)
+        mesh.remove(on[:-2])
+        removed += on[:-2]
     for _ in range(64):
         changed = False
         _, nm_vertices = mesh_ops.audit_manifold(mesh)
@@ -723,10 +715,9 @@ def repair_nonmanifold(mesh, frozen=frozenset()):
                     continue
                 # losing groups go entirely, frozen or not: the audit
                 # guarantee outranks keeping prior triangles
-                for t in sorted(g):
-                    mesh.remove(t)
-                    removed.append(t)
-                    changed = True
+                mesh.remove(g)
+                removed += g
+                changed = True
         if not changed:
             break
     return removed
@@ -742,13 +733,14 @@ def consolidate_mesh(mesh, cs, config, frozen=frozenset(), stats=None):
     components = undecided_components(mesh, undecided)
     stats.undecided += len(undecided)
     stats.components += len(components)
+    incidence = mesh.edge_map(undecided)
     removed = 0
     for component, comp_pairs in zip(
             components, _pairs_by_component(pairs, components)):
         stats.largest_component = max(stats.largest_component,
                                       len(component))
         graph = build_conflict_graph(mesh, cs, config, component,
-                                     comp_pairs)
+                                     comp_pairs, incidence)
         cluster = solve_clustering(graph)
         if len(component) <= EXACT_NODE_LIMIT:
             stats.exact_solves += 1

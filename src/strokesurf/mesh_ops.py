@@ -23,12 +23,15 @@ queue-driven walk in that order meets first.
 
 from __future__ import annotations
 
+import itertools
+from collections import Counter
+
 import numpy as np
 
 from . import geometry
 from .matcher import Chain, ChainSet
-from .mesher import (edge_keys, join_equal_keys, run_pairs, split_by_label,
-                     split_quads)
+from .mesher import (edge_keys, join_equal_keys, join_links, run_pairs,
+                     split_by_label, split_quads)
 
 
 def _spans(lo, n):
@@ -38,19 +41,6 @@ def _spans(lo, n):
 
 # ---------------------------------------------------------------------------
 # audits
-
-
-def nonmanifold_edges(mesh):
-    """Sorted edges (a, b), a < b, with more than two incident active
-    triangles."""
-    _, verts = mesh.triangle_array()
-    return _overfull_edges(verts, mesh.vertex_count())
-
-
-def _overfull_edges(verts, n):
-    keys, counts = np.unique(edge_keys(verts, n), return_counts=True)
-    bad = keys[counts > 2]
-    return list(zip((bad // n).tolist(), (bad % n).tolist()))
 
 
 def audit_manifold(mesh):
@@ -73,7 +63,10 @@ def audit_manifold(mesh):
     # each label lies at one vertex: count labels per vertex
     _, first = np.unique(labels, return_index=True)
     fans = np.bincount(at[first], minlength=n)
-    return _overfull_edges(verts, n), np.flatnonzero(fans > 1).tolist()
+    keys, count = np.unique(edge_keys(verts, n), return_counts=True)
+    bad = keys[count > 2]
+    return (list(zip((bad // n).tolist(), (bad % n).tolist())),
+            np.flatnonzero(fans > 1).tolist())
 
 
 def vertex_fan_groups(mesh, v, tids=None):
@@ -106,12 +99,12 @@ def orient_parts(mesh, tids):
         return [], []
     keys = edge_keys(verts, mesh.vertex_count()).ravel()
     up = (verts < np.roll(verts, -1, axis=1)).ravel()
-    labels = join_equal_keys(keys.reshape(-1, 3))
     # every ordered pair (src, dst) of corners, 3 row + slot, on one edge;
     # the lower corner of each pair comes first as dst, so that a stable
     # sort by src leaves each corner's others ascending
     order = np.argsort(keys, kind="stable")
     first, second = run_pairs(np.unique(keys[order], return_counts=True)[1])
+    labels = join_links(r, order[first] // 3, order[second] // 3)
     src = order[np.concatenate([second, first])]
     dst = order[np.concatenate([first, second])]
     by_src = np.argsort(src, kind="stable")
@@ -214,10 +207,10 @@ def break_nonorientable(mesh, frozen=frozenset()):
                if conflict is not None]
         if not cut:
             return removed
-        for _, conflict in cut:
-            victim = max([t for t in conflict if t not in frozen] or conflict)
-            mesh.remove(victim)
-            removed.append(victim)
+        victims = [max([t for t in conflict if t not in frozen] or conflict)
+                   for _, conflict in cut]
+        mesh.remove(victims)
+        removed += victims
         tids = np.concatenate([part for part, _ in cut])
         tids = tids[mesh.is_active(tids)]
 
@@ -259,8 +252,7 @@ def resolve_moebius(mesh, new_tids):
     cut = np.unique(new[corner // 3][inverted == losing[strip]])
     cut = cut[np.argsort(strip_of[np.searchsorted(new, cut)],
                          kind="stable")].tolist()
-    for t in cut:
-        mesh.remove(t)
+    mesh.remove(cut)
     return cut
 
 
@@ -315,8 +307,8 @@ def boundary_loops(mesh):
 
 class _ComponentLookup:
     """One mesh.components() labelling, read per triangle and per vertex.
-    tids and verts are the active triangles as triangle_array() gives
-    them and labels their components; of_vertex holds the component of
+    verts holds the active triangles as triangle_array() gives them and
+    labels their components; of_vertex holds the component of
     the lowest active triangle at each vertex (-1 at none), and
     incidences every (component c, vertex v) pair as c * n + v for n
     vertices, ascending, so that each component's vertices form one
@@ -324,7 +316,7 @@ class _ComponentLookup:
 
     def __init__(self, mesh):
         comp_of, self.comps = mesh.components()
-        self.tids, self.verts = mesh.triangle_array()
+        _, self.verts = mesh.triangle_array()
         # comp_of lists the active tids ascending, as triangle_array does
         self.labels = np.fromiter(comp_of.values(), dtype=np.int64,
                                   count=len(comp_of))
@@ -364,10 +356,10 @@ def _vertex_sums(verts, rows, n):
 def _interpolation_dmax(mesh, lookup):
     """Per-component acceptance radius for gap matching: the mean length
     of interpolation edges (edges not following a source polyline), each
-    component's lengths taken in edge-map order."""
-    u, v, t = np.array([(u, v, tids[0]) for (u, v), tids
-                        in mesh.edge_map().items() if tids],
-                       dtype=np.int64).reshape(-1, 3).T
+    component's lengths taken in ascending edge order."""
+    n = mesh.vertex_count()
+    keys, first = np.unique(edge_keys(lookup.verts, n), return_index=True)
+    u, v = keys // n, keys % n
     ou, ov = mesh.origin[u], mesh.origin[v]
     interp = ~((ou[:, 0] == ov[:, 0])
                & (mesh.origin_kind[u] == mesh.origin_kind[v])
@@ -376,7 +368,7 @@ def _interpolation_dmax(mesh, lookup):
     # np.linalg.norm's dot, row by row
     lengths = np.sqrt(np.fromiter(map(np.dot, diff, diff),
                                   dtype=np.float64, count=len(diff)))
-    comp = lookup.labels[np.searchsorted(lookup.tids, t[interp])]
+    comp = lookup.labels[first[interp] // 3]
     order = np.argsort(comp, kind="stable")
     comps, starts = np.unique(comp[order], return_index=True)
     return {c: float(np.mean(ls)) for c, ls in zip(
@@ -462,10 +454,19 @@ def third_vertices(verts, edges):
     return verts[np.arange(len(verts)), np.argmax(off, axis=1)]
 
 
+def _edge_counts(mesh, keys):
+    """Counter of the active triangles on each of the given edge keys
+    (mesher.edge_keys); a key without any reads 0."""
+    _, verts = mesh.triangle_array()
+    have = edge_keys(verts, mesh.vertex_count()).ravel()
+    return Counter(have[np.isin(have, keys)].tolist())
+
+
 def close_small_holes(mesh, config):
     """Fill boundary loops of up to small_hole_max_sides vertices,
     skipping loops that are the entire boundary of a sheet-like
-    component (closing those would glue a pillow shut)."""
+    component (closing those would glue a pillow shut). A round counts
+    the triangles on its fills' edges once; each fill it adds counts."""
     added = 0
     for _ in range(len(mesh.tri_verts) + 1):
         loops = [lp for lp in boundary_loops(mesh)
@@ -473,27 +474,22 @@ def close_small_holes(mesh, config):
         if not loops:
             break
         lookup = _ComponentLookup(mesh)
-        em = mesh.edge_map()
+        fills = [[tuple(loop[::-1])] if len(loop) == 3
+                 else _quad_fill(mesh, loop)
+                 for loop in loops if not lookup.loop_spans_component(loop)]
+        keys = [edge_keys(np.array(tris), mesh.vertex_count()).tolist()
+                for tris in fills]
+        count = _edge_counts(mesh, sum(keys, []))
         added_now = 0
-        for loop in loops:
-            if lookup.loop_spans_component(loop):
-                continue
-            if len(loop) == 3:
-                tris = [tuple(loop[::-1])]
-            else:
-                tris = _quad_fill(mesh, loop)
+        for tris, rows in zip(fills, keys):
             # every edge may end up with at most two incident triangles
-            gain = {}
-            for tri in tris:
-                for u, v in ((tri[0], tri[1]), (tri[1], tri[2]),
-                             (tri[2], tri[0])):
-                    key = (u, v) if u < v else (v, u)
-                    gain[key] = gain.get(key, 0) + 1
-            if any(len(em.get(key, ())) + extra > 2
-                   for key, extra in gain.items()):
+            gain = Counter(k for r in rows for k in r)
+            if any(count[k] + extra > 2 for k, extra in gain.items()):
                 continue
-            added_now += sum(mesh.add_triangle(*tri) is not None
-                             for tri in tris)
+            for tri, r in zip(tris, rows):
+                if mesh.add_triangle(*tri) is not None:
+                    added_now += 1
+                    count.update(r)
         if not added_now:
             break
         added += added_now
@@ -508,14 +504,16 @@ def fill_hole(mesh, loop):
     n = len(loop)
     if n < 3:
         return 0
-    em = mesh.edge_map()
+    nv = mesh.vertex_count()
+    count = _edge_counts(mesh, [min(u, v) * nv + max(u, v) for u, v
+                                in itertools.combinations(loop, 2)])
     inf = float("inf")
 
     def chord_ok(i, j):
         # loop edges gain one triangle, interior chords gain two
         adjacent = (j - i == 1) or (i == 0 and j == n - 1)
-        key = (min(loop[i], loop[j]), max(loop[i], loop[j]))
-        return len(em.get(key, ())) <= (1 if adjacent else 0)
+        key = min(loop[i], loop[j]) * nv + max(loop[i], loop[j])
+        return count[key] <= (1 if adjacent else 0)
 
     pts = [mesh.positions[g] for g in loop]
     cost = [[0.0] * n for _ in range(n)]
@@ -681,15 +679,19 @@ def component_stats(mesh):
 def path_edge_fraction(mesh, paths):
     """Share of the consecutive vertex-id pairs along paths that are
     distinct and present as active mesh edges; 0.0 without pairs. An id
-    that names no vertex, such as -1, is on no edge."""
-    em = mesh.edge_map()
-    total = present = 0
-    for ids in paths:
-        ids = np.asarray(ids, dtype=np.int64).tolist()
-        total += max(len(ids) - 1, 0)
-        present += sum(1 for u, v in zip(ids, ids[1:])
-                       if u != v and em.get((u, v) if u < v else (v, u)))
-    return present / total if total else 0.0
+    that names no vertex, such as -1, is on no edge. All pairs are
+    looked up in one pass."""
+    paths = [np.asarray(ids, dtype=np.int64).ravel() for ids in paths]
+    lo, hi = (np.concatenate([p[s] for p in paths] + [np.zeros(0, np.int64)])
+              for s in (np.s_[:-1], np.s_[1:]))
+    if not len(lo):
+        return 0.0
+    lo, hi = np.minimum(lo, hi), np.maximum(lo, hi)
+    n = mesh.vertex_count()
+    pair = (lo >= 0) & (hi < n) & (lo != hi)
+    _, verts = mesh.triangle_array()
+    present = np.isin(lo[pair] * n + hi[pair], edge_keys(verts, n))
+    return int(present.sum()) / len(lo)
 
 
 # ---------------------------------------------------------------------------

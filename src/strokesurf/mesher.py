@@ -26,7 +26,9 @@ An insert may move the storage, so no caller holds a view across
 `add_triangle` or `add_triangles`. `add_triangles` still inserts its
 winners one by one through `add_triangle`: the benchmark's traced runs
 count strip triangles by its returns, so a bulk append waits until
-those counts are redefined.
+those counts are redefined. The table is the only incidence store:
+`edge_map`, `vertex_tris` and `components` derive from its active rows
+when called, so no edge key outlives its last triangle.
 
 A provenance row says what a strip triangle hangs on: (gid a, gid b,
 flat a, flat b, flat apex, side) holds its chain edge in chain order,
@@ -72,24 +74,28 @@ def edge_keys(verts, n_vertices):
 
 
 def join_equal_keys(keys):
-    """Component labels of the rows of an (n, k) key array, in the graph
-    that joins every two rows holding an equal key. Labels count up from
-    0 in the order of each component's lowest row.
-
-    Rows sharing a key are chained in key order. Each round hooks the
-    larger root of every chain link that still joins two trees onto the
-    smaller one, then points every row at its root; a round merges at
-    least one pair of trees, and on meshes a few rounds settle it.
-    Roots are the lowest rows of their components. This labels like
-    scipy.sparse.csgraph.connected_components (the tests compare them)
-    without importing it: it loads scipy.sparse.linalg, which costs a
-    surfacing run 3-4.6 MB of peak memory."""
+    """join_links labels of the rows of an (n, k) key array, linking
+    every two rows that hold an equal key (chained in key order)."""
     n, k = keys.shape
     keys = keys.ravel()
     order = np.argsort(keys, kind="stable")
     rows = order // k
     same = keys[order[1:]] == keys[order[:-1]]
-    a, b = rows[:-1][same], rows[1:][same]
+    return join_links(n, rows[:-1][same], rows[1:][same])
+
+
+def join_links(n, a, b):
+    """Component labels of rows 0..n-1 in the graph whose links join rows
+    a[i] and b[i]. Labels count up from 0 in the order of each
+    component's lowest row.
+
+    Each round hooks the larger root of every link that still joins two
+    trees onto the smaller one, then points every row at its root; a
+    round merges at least one pair of trees, and on meshes a few rounds
+    settle it. Roots are the lowest rows of their components. This
+    labels like scipy.sparse.csgraph.connected_components (the tests
+    compare them) without importing it: it loads scipy.sparse.linalg,
+    which costs a surfacing run 3-4.6 MB of peak memory."""
     root = np.arange(n)
     while True:
         ra, rb = root[a], root[b]
@@ -150,7 +156,6 @@ class SurfaceMesh:
         self._prov = np.zeros((0, 6), dtype=np.int64)
         self._count = 0
         self._key_to_id = {}
-        self._em = {}
         self._scale = None
         self.removed_count = 0
         self.duplicates_skipped = 0
@@ -236,9 +241,6 @@ class SurfaceMesh:
         self._state[tid] = OUTPUT
         self._count = tid + 1
         self._key_to_id[key] = tid
-        for u, v in ((a, b), (b, c), (c, a)):
-            ekey = (u, v) if u < v else (v, u)
-            self._em.setdefault(ekey, []).append(tid)
         return tid
 
     def add_triangles(self, verts):
@@ -271,16 +273,13 @@ class SurfaceMesh:
         tids[wins] = [self.add_triangle(*tri) for tri in verts[wins].tolist()]
         return tids
 
-    def remove(self, tid):
-        if self._state[tid] == REMOVED:
-            return
-        self._state[tid] = REMOVED
-        self.removed_count += 1
-        a, b, c = self._verts[tid].tolist()
-        for u, v in ((a, b), (b, c), (c, a)):
-            ekey = (u, v) if u < v else (v, u)
-            # empty lists stay so iterators never see a key vanish
-            self._em[ekey].remove(tid)
+    def remove(self, tids):
+        """Remove a triangle or an array of them; a tid listed twice
+        counts once, and one removed already not at all."""
+        tids = np.unique(np.asarray(tids, dtype=np.int64))
+        tids = tids[self._state[tids] != REMOVED]
+        self._state[tids] = REMOVED
+        self.removed_count += len(tids)
 
     def is_active(self, tid):
         return self._state[tid] != REMOVED
@@ -296,11 +295,20 @@ class SurfaceMesh:
         verts = self.tri_verts
         verts[tids, 1:] = verts[tids, :0:-1]
 
-    def edge_map(self):
-        """The live map undirected edge -> incident active triangle ids,
-        kept by add_triangle/remove; read-only. Keys whose last triangle
-        was removed remain with an empty list."""
-        return self._em
+    def edge_map(self, tids=None):
+        """Undirected edge (a, b), a < b -> its active triangle ids,
+        ascending, for every edge of an active triangle or only those
+        edges of the given triangles that still have one. A snapshot of
+        the table: later inserts and removals do not show in it."""
+        all_tids, verts = self.triangle_array()
+        n = self.vertex_count()
+        key, tid = edge_keys(verts, n).ravel(), np.repeat(all_tids, 3)
+        if tids is not None:
+            keep = np.isin(key, edge_keys(self.triangle_array(tids)[1], n))
+            key, tid = key[keep], tid[keep]
+        key, labels = np.unique(key, return_inverse=True)
+        return dict(zip(zip((key // n).tolist(), (key % n).tolist()),
+                        split_by_label(tid, labels)))
 
     def vertex_tris(self, gids=None):
         """Vertex -> list of incident active triangle ids, ascending, for
@@ -613,27 +621,24 @@ def _section_is_crease(cs, base, match, i0, i1, config):
 
 def _make_offset_chain(mesh, cs, source_ci, idx_range, dirs, offset_cache):
     """Create (or reuse) half-width offset vertices for a run of chain
-    vertices and register them as a new chain with copied frames."""
-    src = cs.chains[source_ci]
-    base = int(cs.offsets[source_ci])
-    gids = []
-    pos = []
-    for x, sgn in zip(idx_range, dirs):
-        f = base + x
-        key = (int(cs.gid[f]), int(sgn))
-        if key in offset_cache:
-            gids.append(offset_cache[key][0])
-            pos.append(offset_cache[key][1])
-            continue
-        p = cs.pos[f] + 0.5 * cs.w[f] * sgn * cs.bin[f]
-        gid = mesh.add_vertices(p[None, :], cs.nrm[f][None, :],
-                                [cs.w[f]], cs.col[f][None, :],
-                                np.asarray([(source_ci, x)]),
-                                KIND_OFFSET)[0]
-        offset_cache[key] = (int(gid), p)
-        gids.append(int(gid))
-        pos.append(p)
-    idx = [base + x for x in idx_range]
+    vertices and register them as a new chain with copied frames; the
+    new vertices are added in one call, in run order."""
+    idx = [int(cs.offsets[source_ci]) + x for x in idx_range]
+    keys = [(int(cs.gid[f]), int(s)) for f, s in zip(idx, dirs)]
+    new = {}        # key not yet cached -> flat id of its first vertex
+    for f, key in zip(idx, keys):
+        if key not in offset_cache:
+            new.setdefault(key, f)
+    if new:
+        f = np.array(list(new.values()), dtype=np.int64)
+        sgn = np.array([s for _, s in new])[:, None]
+        pos = cs.pos[f] + 0.5 * cs.w[f, None] * sgn * cs.bin[f]
+        gids = mesh.add_vertices(pos, cs.nrm[f], cs.w[f], cs.col[f],
+                                 np.stack([np.full_like(f, source_ci),
+                                           cs.index[f]], axis=1),
+                                 KIND_OFFSET)
+        offset_cache.update(zip(new, zip(gids.tolist(), pos)))
+    gids, pos = zip(*(offset_cache[key] for key in keys))
     chain = Chain(
         gids=np.asarray(gids, dtype=np.int64),
         positions=np.asarray(pos),

@@ -1415,6 +1415,19 @@ def resolve_moebius(mesh, new_tids):
     return removed
 
 
+def path_edge_fraction(mesh, paths):
+    """Reference for mesh_ops.path_edge_fraction: each path's pairs
+    looked up one at a time in the edge map."""
+    em = mesh.edge_map()
+    total = present = 0
+    for ids in paths:
+        ids = np.asarray(ids, dtype=np.int64).tolist()
+        total += max(len(ids) - 1, 0)
+        present += sum(1 for u, v in zip(ids, ids[1:])
+                       if u != v and em.get((u, v) if u < v else (v, u)))
+    return present / total if total else 0.0
+
+
 def boundary_loops(mesh):
     """Reference for mesh_ops.boundary_loops: border edges found by a
     scan of the live edge map."""

@@ -1,5 +1,6 @@
 """Conflict detection, correlation clustering, and the repair net."""
 
+import copy
 import dataclasses
 import heapq
 from collections import Counter
@@ -565,6 +566,24 @@ def test_repair_separates_bowtie_fans():
     assert removed == [t2]                        # smaller fan goes whole
     bad_e, bad_v = mesh_ops.audit_manifold(mesh)
     assert not bad_e and not bad_v
+
+
+def test_repair_reads_each_overfull_edge_from_live_rows():
+    """Clearing (0, 1) removes t2, which (1, 4) lists too; (1, 4) then
+    holds two active triangles and loses none, though three were on it
+    when the repair began."""
+    mesh = soup_mesh()
+    t0 = mesh.add_triangle(0, 1, 2)
+    t1 = mesh.add_triangle(0, 1, 3)
+    t2 = mesh.add_triangle(0, 1, 4)
+    t3 = mesh.add_triangle(1, 4, 2)
+    t4 = mesh.add_triangle(1, 4, 3)
+    assert mesh_ops.audit_manifold(mesh)[0] == [(0, 1), (1, 4)]
+    ref = copy.deepcopy(mesh)
+    removed = consolidate.repair_nonmanifold(mesh)
+    assert removed == [t2] == oracles.repair_nonmanifold(ref)
+    assert mesh.active_ids() == [t0, t1, t3, t4]
+    assert mesh_ops.audit_manifold(mesh) == ([], [])
 
 
 def test_repair_bowtie_prefers_frozen_fan():

@@ -259,6 +259,46 @@ def test_quad_fill_splits_as_its_old_rule():
                     == oracles.quad_fill(pts, loop))
 
 
+def twin_rhombus_holes():
+    """Two sheets that share only the vertices a = 0 and c = 1: each is
+    an octagon, radius 4, with a rhombus hole (a, c at x = -1 and 1, the
+    other corners 2 off the axis), one in the plane z = 0 and one in
+    y = 0. Both holes split along their short diagonal (a, c)."""
+    ang = np.radians(45.0 * np.arange(8))
+    plane = np.concatenate([[[-1.0, 0], [1, 0], [0, 2], [0, -2]],
+                            np.stack([4 * np.cos(ang), 4 * np.sin(ang)], 1)])
+    zero = np.zeros((len(plane), 1))
+    sheet_a = np.hstack([plane, zero])
+    sheet_b = np.hstack([plane[:, :1], zero, plane[:, 1:]])
+    pos = np.concatenate([sheet_a, sheet_b[2:]])
+    faces = []
+    for base in (0, 10):
+        ring = [1, base + 2, 0, base + 3]           # c, top, a, bottom
+        outer = [base + 4 + k for k in range(8)]
+        for k in range(4):
+            i, j = ring[k], ring[(k + 1) % 4]
+            o0, o1, o2 = outer[2 * k], outer[2 * k + 1], outer[(2 * k + 2) % 8]
+            faces += [(i, o0, o1), (i, o1, j), (j, o1, o2)]
+    return mesh_from_arrays(pos, faces)
+
+
+def test_close_small_holes_counts_fills_earlier_in_the_round():
+    """Two 4-loops in one round share their split diagonal (a, c): the
+    first fill puts two triangles on it, so the second loop must see
+    them and stay open, or (a, c) would carry four."""
+    mesh = twin_rhombus_holes()
+    loops = [lp for lp in mesh_ops.boundary_loops(mesh) if len(lp) == 4]
+    assert len(loops) == 2
+    for loop in loops:
+        assert all({0, 1} <= set(tri)
+                   for tri in mesh_ops._quad_fill(mesh, loop))
+    assert mesh_ops.audit_manifold(mesh)[0] == []
+    assert mesh_ops.close_small_holes(mesh, _cfg()) == 2
+    assert mesh_ops.audit_manifold(mesh)[0] == []
+    assert len(mesh.edge_map()[(0, 1)]) == 2
+    assert sum(len(lp) == 4 for lp in mesh_ops.boundary_loops(mesh)) == 1
+
+
 def test_close_small_holes_pillow_guard():
     pos = np.array([[0.0, 0, 0], [1.0, 0, 0], [1.0, 1, 0], [0.0, 1, 0]])
     mesh = mesh_from_arrays(pos, [(0, 1, 2), (0, 2, 3)])
@@ -278,6 +318,24 @@ def test_fill_hole_pentagon():
     assert mesh_ops.audit_manifold(mesh) == ([], [])
     (stats,) = mesh_ops.component_stats(mesh)
     assert stats["euler"] == 2 and stats["closed"]
+
+
+def test_path_edge_fraction_equals_the_pairwise_reference():
+    """All paths at once against one lookup per pair: ids off the
+    vertex table (-1 and past the end), repeats, removed triangles'
+    edges, and paths of zero or one id."""
+    rng = np.random.default_rng(8)
+    mesh = grid_mesh(5, 5)
+    mesh.remove(rng.choice(len(mesh.tri_verts), size=10, replace=False))
+    for _ in range(20):
+        paths = [rng.integers(-1, 30, size=int(rng.integers(0, 12)))
+                 for _ in range(int(rng.integers(0, 6)))]
+        # 0 * 25 + 27 is the key of the edge (1, 2)
+        paths += [[3, 3, 4], [7], [0, 27]]
+        assert (mesh_ops.path_edge_fraction(mesh, paths)
+                == oracles.path_edge_fraction(mesh, paths))
+    assert mesh_ops.path_edge_fraction(mesh, []) == 0.0
+    assert mesh_ops.path_edge_fraction(mesh, [[5], []]) == 0.0
 
 
 def test_fill_all_holes_respects_max_sides():

@@ -82,17 +82,75 @@ def test_duplicate_triangles_inserted_once():
 
 
 def test_edge_map_tracks_removal():
+    """edge_map is derived from the active rows on each call: a map taken
+    earlier is a snapshot, and a key whose last triangle went is gone."""
     mesh = triangle_mesh()
     t0 = mesh.add_triangle(0, 1, 2)
     t1 = mesh.add_triangle(1, 3, 2)
-    em = mesh.edge_map()
-    assert em[(1, 2)] == [t0, t1]
+    before = mesh.edge_map()
+    assert before[(1, 2)] == [t0, t1]
     mesh.remove(t0)
     mesh.remove(t0)                     # second removal is a no-op
+    assert mesh.removed_count == 1
+    assert before[(1, 2)] == [t0, t1]
+    em = mesh.edge_map()
     assert em[(1, 2)] == [t1]
-    assert em[(0, 1)] == []             # key lingers, list empties
-    fresh = oracles.strip_edge_map(mesh, mesh.active_ids())
-    assert (0, 1) not in fresh
+    assert (0, 1) not in em and (0, 2) not in em
+    assert em == oracles.strip_edge_map(mesh, mesh.active_ids())
+    mesh.remove(t1)
+    assert mesh.edge_map() == {}
+
+
+def test_edge_map_of_given_triangles_lists_every_active_triangle():
+    """edge_map(tids) keeps the edges of the given triangles, removed ones
+    included, and lists all active triangles on each, ascending; an edge
+    with none left is dropped. Checked on a random soup against a scan
+    of the rows."""
+    rng = np.random.default_rng(5)
+    n = 12
+    mesh = mesher.SurfaceMesh()
+    mesh.add_vertices(rng.normal(size=(n, 3)), np.tile([0, 0, 1.0], (n, 1)),
+                      np.full(n, 0.1), np.ones((n, 3)),
+                      np.zeros((n, 2), dtype=np.int64), mesher.KIND_STROKE)
+    mesh.add_triangles(rng.integers(0, n, size=(80, 3)))
+    mesh.remove(rng.choice(len(mesh.tri_verts), size=15, replace=False))
+    active = set(mesh.active_ids())
+
+    def edges_of(t):
+        a, b, c = mesh.tri_verts[t].tolist()
+        return {(min(u, v), max(u, v)) for u, v in ((a, b), (b, c), (c, a))}
+
+    removed = sorted(set(range(len(mesh.tri_verts))) - active)
+    assert len(removed) == 15
+    for tids in ([], [3], [0, 3, 3, 7], removed, removed[:4] + [1, 2],
+                 list(range(0, len(mesh.tri_verts), 4)), None):
+        chosen = active if tids is None else set(tids)
+        want = {}
+        for e in set().union(*map(edges_of, chosen)):
+            on = [t for t in sorted(active) if e in edges_of(t)]
+            if on:
+                want[e] = on
+        assert mesh.edge_map(tids) == want
+        assert mesh.edge_map(None if tids is None
+                             else np.array(tids, dtype=np.int64)) == want
+
+
+def test_remove_takes_arrays_with_duplicates_and_removed_tids():
+    mesh = triangle_mesh()
+    t0 = mesh.add_triangle(0, 1, 2)
+    t1 = mesh.add_triangle(1, 3, 2)
+    t2 = mesh.add_triangle(0, 1, 3)
+    mesh.remove(np.array([], dtype=np.int64))
+    assert mesh.removed_count == 0
+    mesh.remove(t1)
+    mesh.remove([t2, t1, t2])           # t1 gone already, t2 listed twice
+    assert mesh.removed_count == 2
+    assert mesh.active_ids() == [t0]
+    assert mesh.tri_state.tolist() == [mesher.OUTPUT, mesher.REMOVED,
+                                       mesher.REMOVED]
+    mesh.remove(np.array([t0, t1, t2, t0]))
+    assert mesh.removed_count == 3 == len(mesh.tri_verts)
+    assert mesh.active_count() == 0 and mesh.edge_map() == {}
 
 
 def test_components_split_and_flip():
@@ -145,7 +203,9 @@ def assert_table_equals_reference(mesh, ref):
     assert mesh.active_count() == len(ref.active_ids())
     assert mesh.vertex_tris() == ref.vertex_tris()
     assert mesh._key_to_id == ref.key_to_id
-    assert mesh.edge_map() == ref.edges
+    # the reference keeps keys whose triangles all went, with [] lists
+    assert mesh.edge_map() == {e: tids for e, tids in ref.edges.items()
+                               if tids}
     for value in (mesh.active_ids(), mesh.vertex_tris(), mesh._key_to_id,
                   mesh.edge_map()):
         assert_python_ints(value)

@@ -16,6 +16,10 @@ import numpy as np
 
 EPS_DEGENERATE = 1e-9
 
+# tolerance of the segment-triangle crossing test, relative to the
+# triangle's longest edge (and to the segment's parameter range)
+CROSS_EPS_REL = 1e-9
+
 
 def unit_rows_pow(arr, eps=EPS_DEGENERATE):
     """unit_rows with every square taken by libm pow, as Python's
@@ -199,7 +203,7 @@ def point_triangle_pair_distances(p, a, b, c):
     return np.sqrt(np.maximum(best, 0.0))
 
 
-def segments_cross_triangles_interior(p0, p1, a, b, c, eps_rel=1e-9):
+def segments_cross_triangles_interior(p0, p1, a, b, c):
     """Row-wise over (n, 3) arrays, a bool array: does segment (p0[i],
     p1[i]), projected onto the plane of triangle (a[i], b[i], c[i]),
     pass through the triangle's open interior? Endpoints on the
@@ -226,7 +230,7 @@ def segments_cross_triangles_interior(p0, p1, a, b, c, eps_rel=1e-9):
         # (libm pow) can sit one ulp off x * x, but a triangle that close
         # to the threshold is far too thin to pass the interior test
         # below, so the answer is the same either way
-        thr = eps_rel * scale
+        thr = CROSS_EPS_REL * scale
         ok = (scale != 0.0) & ~(nn < thr * thr) & ~(lab < EPS_DEGENERATE)
 
         nx, ny, nz = nx / nn, ny / nn, nz / nn
@@ -268,13 +272,13 @@ def segments_cross_triangles_interior(p0, p1, a, b, c, eps_rel=1e-9):
             lo = np.where(enter & (tcross > lo), tcross, lo)
             hi = np.where(leave & (tcross < hi), tcross, hi)
         # lo only rises and hi only falls, so crossing once is final
-        ok &= ~(lo > hi) & ~(hi - lo < eps_rel)
+        ok &= ~(lo > hi) & ~(hi - lo < CROSS_EPS_REL)
 
         # strict interior test at the clipped midpoint
         mid = 0.5 * (lo + hi)
         mx = q0[0] + mid * dx
         my = q0[1] + mid * dy
-        eps = eps_rel * scale
+        eps = CROSS_EPS_REL * scale
         for e0, (nrx, nry) in zip(t2, inward):
             nlen = np.sqrt(nrx * nrx + nry * nry)
             ok &= ~(nlen < 1e-300)
@@ -282,9 +286,8 @@ def segments_cross_triangles_interior(p0, p1, a, b, c, eps_rel=1e-9):
     return ok
 
 
-def segment_crosses_triangle_interior(p0, p1, ta, tb, tc, eps_rel=1e-9):
+def segment_crosses_triangle_interior(p0, p1, ta, tb, tc):
     """True if segment (p0, p1), projected onto the triangle's plane,
     passes through the triangle's open interior: the one-row form of
     segments_cross_triangles_interior."""
-    return bool(segments_cross_triangles_interior(
-        p0, p1, ta, tb, tc, eps_rel=eps_rel)[0])
+    return bool(segments_cross_triangles_interior(p0, p1, ta, tb, tc)[0])

@@ -2,25 +2,29 @@
 
 Matching runs per chain and per side. A chain is a polyline with frames:
 either a stroke spine or, in the later surfacing phases, a boundary loop
-of the partial mesh. Candidates come from one pair search per phase: a
-cKDTree gathers every pair of vertices within the largest acceptance
-radius, the geometric conditions (distance, probe cone, non-adjacency,
-end cone, target chain) filter the pair arrays, and a sort splits what
-is left into each vertex's list. One match per vertex is then chosen by
-maximizing the product of vertex and persistence scores along the chain
-with a Viterbi sweep, after all of a chain side's vertex and transition
-scores have been computed in batches. Vertices with no candidates split
-the chain into independently solved segments.
+of the partial mesh. One ChainSet holds every chain of a phase flat, and
+every vertex is named by its flat id there: candidates are (source,
+target) rows of flat ids, and a match is a flat target id per vertex.
 
-All candidate ids are flat indices into the ChainSet arrays; ties are
-broken toward the lowest (chain, vertex) pair, which equals flat-id
-order.
+Candidates come from one pair search per phase: a cKDTree gathers every
+pair of vertices within the largest acceptance radius, the geometric
+conditions (distance, probe cone, non-adjacency, end cone, target
+chain) filter the pair arrays, and a sort by (source, target) leaves
+each side's rows with every chain's sources in one run. One match per
+vertex is then chosen by maximizing the product of vertex and
+persistence scores along the chain with a Viterbi sweep, after all of a
+chain side's vertex and transition scores have been computed in
+batches. Vertices with no candidates split the chain into independently
+solved segments.
+
+Ties are broken toward the lowest (chain, vertex) pair, which equals
+flat-id order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -29,132 +33,110 @@ from . import scoring
 from .scoring import Side
 
 
-class VertexRef(NamedTuple):
-    chain: int
-    index: int
+@dataclass(eq=False)
+class ChainSet:
+    """Polyline chains stored flat.
 
+    Vertex k of chain c has flat id offsets[c] + k. Per vertex: gid, its
+    mesh vertex id; pos, tan, nrm and bin, its position and frame; w
+    and col, its width and color; ok, whether its frame is usable; and
+    optionally dmax, an acceptance radius overriding the width rule. Per
+    chain: cyclic, and component, the mesh component a boundary chain
+    bounds (-1 for strokes). chain_id, index and lengths are derived
+    from offsets: each flat id's chain and position in it, and each
+    chain's vertex count."""
 
-@dataclass
-class Chain:
-    """A polyline with per-vertex frames, widths and colors.
-
-    gids map chain vertices to mesh vertex ids (for strokes these are
-    assigned densely in stroke order). component tags boundary chains
-    with the mesh component they bound; dmax optionally overrides the
-    width-based acceptance radius per vertex.
-    """
-
-    gids: np.ndarray
-    positions: np.ndarray
-    tangents: np.ndarray
-    normals: np.ndarray
-    binormals: np.ndarray
-    widths: np.ndarray
-    colors: np.ndarray
+    offsets: np.ndarray
+    gid: np.ndarray
+    pos: np.ndarray
+    tan: np.ndarray
+    nrm: np.ndarray
+    bin: np.ndarray
+    w: np.ndarray
+    col: np.ndarray
     ok: np.ndarray
-    cyclic: bool = False
-    component: int = -1
+    cyclic: Optional[np.ndarray] = None
+    component: Optional[np.ndarray] = None
     dmax: Optional[np.ndarray] = None
 
-    def __len__(self):
-        return len(self.positions)
-
-
-class ChainSet:
-    """A list of chains plus flattened per-vertex arrays for bulk math."""
-
-    def __init__(self, chains):
-        self.chains = list(chains)
-        self._rebuild()
-
-    def _rebuild(self):
-        cs = self.chains
-        self.offsets = np.zeros(len(cs) + 1, dtype=np.int64)
-        for i, c in enumerate(cs):
-            self.offsets[i + 1] = self.offsets[i] + len(c)
-        total = int(self.offsets[-1])
-        if total == 0:
+    def __post_init__(self):
+        self.offsets = np.asarray(self.offsets, dtype=np.int64)
+        if self.offsets[-1] == 0:
             raise ValueError("empty chain set")
-        self.pos = np.concatenate([c.positions for c in cs])
-        self.tan = np.concatenate([c.tangents for c in cs])
-        self.nrm = np.concatenate([c.normals for c in cs])
-        self.bin = np.concatenate([c.binormals for c in cs])
-        self.w = np.concatenate([c.widths for c in cs])
-        self.col = np.concatenate([c.colors for c in cs])
-        self.ok = np.concatenate([c.ok for c in cs])
-        self.gid = np.concatenate([c.gids for c in cs])
-        self.chain_id = np.concatenate(
-            [np.full(len(c), i, dtype=np.int64) for i, c in enumerate(cs)])
-        self.index = np.concatenate(
-            [np.arange(len(c), dtype=np.int64) for c in cs])
-        if all(c.dmax is not None for c in cs):
-            self.dmax = np.concatenate([c.dmax for c in cs])
-        else:
-            self.dmax = None
+        count = len(self.offsets) - 1
+        if self.cyclic is None:
+            self.cyclic = np.zeros(count, dtype=bool)
+        if self.component is None:
+            self.component = np.full(count, -1, dtype=np.int64)
+        self._index()
 
-    def append_chain(self, chain):
-        self.chains.append(chain)
-        self._rebuild()
-        return len(self.chains) - 1
+    def _index(self):
+        self.lengths = np.diff(self.offsets)
+        self.chain_id = np.repeat(np.arange(len(self.lengths)), self.lengths)
+        self.index = np.arange(len(self)) - self.offsets[self.chain_id]
 
-    def flat(self, chain, index):
-        return int(self.offsets[chain]) + int(index)
+    def append_chain(self, flat, gid, pos):
+        """Append a non-cyclic chain whose vertices take the given gids
+        and positions and copy every other per-vertex value from the
+        flat ids `flat`; returns its chain id. Earlier flat ids keep
+        their meaning."""
+        self.offsets = np.append(self.offsets, len(self) + len(flat))
+        self.gid = np.concatenate([self.gid, gid])
+        self.pos = np.concatenate([self.pos, pos])
+        for name in ("tan", "nrm", "bin", "w", "col", "ok", "dmax"):
+            rows = getattr(self, name)
+            if rows is not None:
+                setattr(self, name, np.concatenate([rows, rows[flat]]))
+        self.cyclic = np.append(self.cyclic, False)
+        self.component = np.append(self.component, -1)
+        self._index()
+        return self.chain_count() - 1
 
-    def ref(self, flat_id):
-        return VertexRef(int(self.chain_id[flat_id]), int(self.index[flat_id]))
+    def chain_count(self):
+        return len(self.offsets) - 1
 
     def __len__(self):
         return int(self.offsets[-1])
 
 
-def stroke_chains(drawing, gid_base=None):
-    """Build the phase-one ChainSet straight from the drawing's strokes."""
-    chains = []
-    base = 0
-    for s in drawing.strokes:
-        n = len(s)
-        chains.append(Chain(
-            gids=np.arange(base, base + n, dtype=np.int64),
-            positions=s.points,
-            tangents=s.tangents,
-            normals=s.normals,
-            binormals=s.binormals,
-            widths=s.widths,
-            colors=np.tile(s.color, (n, 1)),
-            ok=s.frames_ok.copy(),
-        ))
-        base += n
-    return ChainSet(chains)
+def stroke_chains(drawing):
+    """Build the phase-one ChainSet straight from the drawing's strokes:
+    one chain per stroke, gids dense in stroke order."""
+    strokes = drawing.strokes
+    lengths = [len(s) for s in strokes]
+    return ChainSet(
+        offsets=np.concatenate([[0], np.cumsum(lengths)]),
+        gid=np.arange(sum(lengths), dtype=np.int64),
+        pos=np.concatenate([s.points for s in strokes]),
+        tan=np.concatenate([s.tangents for s in strokes]),
+        nrm=np.concatenate([s.normals for s in strokes]),
+        bin=np.concatenate([s.binormals for s in strokes]),
+        w=np.concatenate([s.widths for s in strokes]),
+        col=np.repeat([s.color for s in strokes], lengths, axis=0),
+        ok=np.concatenate([s.frames_ok for s in strokes]))
 
 
 @dataclass
 class CandidateSet:
-    """Per (chain, side) candidate lists of flat vertex ids.
+    """Candidates per side: lists[side] is an (R, 2) int64 array of
+    (source, target) flat ids, sorted by source and then target.
 
     pairs_tested counts the directed (source, target) pairs the pair
     search tested, once per side built.
     """
 
     chainset: ChainSet
-    cone_deg: float
-    radius_mode: str                      # "width" or "dmax"
     pairs_tested: int = 0
     lists: dict = field(default_factory=dict)
-
-    def get(self, chain, side):
-        return self.lists.get((chain, int(side)))
 
 
 @dataclass
 class MatchTable:
-    """Chosen matches per (chain, side): flat target ids (-1 = none),
-    the log vertex score of each chosen match, and per-chain-side total
-    log scores over the solved segments."""
+    """Chosen matches per side: matches[side] holds one flat target id
+    per vertex of the chain set, -1 where the vertex is unmatched."""
 
     chainset: ChainSet
     matches: dict = field(default_factory=dict)
-    match_logs: dict = field(default_factory=dict)
-    totals: dict = field(default_factory=dict)
 
 
 def _query_radii(cs, config, radius_mode):
@@ -184,8 +166,8 @@ def _build_candidates(cs, config, cone_deg, sides, radius_mode,
     (minimum length, width-mode radius, color, polyline adjacency) run
     on the undirected pairs; the pairs are then taken in both
     directions, and the directed tests (dmax-mode radius, target chain,
-    probe cone per side, end cone) run on those arrays. Sorting by
-    (source, target) splits them into each vertex's ascending list.
+    probe cone per side, end cone) run on those arrays. Each side keeps
+    its rows sorted by (source, target).
 
     allowed: optional function (source chains, target chains, side) ->
     bool mask of the pairs whose target chain may be matched; None
@@ -198,8 +180,7 @@ def _build_candidates(cs, config, cone_deg, sides, radius_mode,
     # the slack keeps pairs whose tree distance rounds above the radius
     pairs = ok_ids[cKDTree(cs.pos[ok_ids]).query_pairs(
         float(radii.max()) * (1 + 1e-9), output_type="ndarray")]
-    out = CandidateSet(cs, cone_deg, radius_mode,
-                       pairs_tested=2 * len(pairs) * len(sides))
+    out = CandidateSet(cs, pairs_tested=2 * len(pairs) * len(sides))
 
     a, b = pairs[:, 0], pairs[:, 1]
     d = cs.pos[b] - cs.pos[a]
@@ -211,8 +192,7 @@ def _build_candidates(cs, config, cone_deg, sides, radius_mode,
         keep &= np.all(cs.col[a] == cs.col[b], axis=1)
 
     # exclude the immediate polyline neighbors
-    lengths = np.diff(cs.offsets)
-    cyclic = np.array([c.cyclic for c in cs.chains], dtype=bool)
+    lengths, cyclic = cs.lengths, cs.cyclic
     ca = cs.chain_id[a]
     di = np.abs(cs.index[a] - cs.index[b])
     wrap = cyclic[ca] & (lengths[ca] > 2) & (di == lengths[ca] - 1)
@@ -245,12 +225,7 @@ def _build_candidates(cs, config, cone_deg, sides, radius_mode,
             sel &= allowed(cs.chain_id[src], cs.chain_id[tgt], side)
         s, t = src[sel], tgt[sel]
         order = np.lexsort((t, s))
-        s, t = s[order], t[order]
-        bounds = np.searchsorted(s, np.arange(len(cs) + 1)).tolist()
-        per_vertex = [t[i:j] for i, j in zip(bounds[:-1], bounds[1:])]
-        for ci in range(len(cs.chains)):
-            out.lists[(ci, side)] = per_vertex[
-                int(cs.offsets[ci]):int(cs.offsets[ci + 1])]
+        out.lists[side] = np.stack([s[order], t[order]], axis=1)
     return out
 
 
@@ -262,17 +237,10 @@ def baseline_candidates(cs, config, color_cue=False):
                              color_cue=color_cue)
 
 
-def restricted_candidates(cs, config, neighbors, color_cue=False):
+def restricted_candidates(cs, config, dominant, color_cue=False):
     """Second-pass candidates, limited per side to the stroke itself and
-    its dominant neighbor on that side."""
-    # dominant neighbor per chain and side, -1 where there is none
-    dominant = {}
-    for side in (Side.LEFT, Side.RIGHT):
-        dominant[int(side)] = np.array(
-            [-1 if t is None else t for t in
-             (neighbors.neighbor_of(ci, side)
-              for ci in range(len(cs.chains)))], dtype=np.int64)
-
+    its dominant neighbor on that side; dominant[side] is
+    dominant_neighbors' array of them."""
     def allowed(src_chain, tgt_chain, side):
         return ((tgt_chain == src_chain)
                 | (tgt_chain == dominant[side][src_chain]))
@@ -288,14 +256,11 @@ def boundary_candidates(cs, config, phase, color_cue=False):
 
     phase "extension" keeps candidates within each chain's own mesh
     component; phase "gap" searches all boundaries with a wider cone and
-    the per-component acceptance radius carried in chain.dmax.
+    the per-component acceptance radius carried in cs.dmax.
     """
     if phase == "extension":
-        component = np.array([c.component for c in cs.chains],
-                             dtype=np.int64)
-
         def allowed(src_chain, tgt_chain, side):
-            return component[src_chain] == component[tgt_chain]
+            return cs.component[src_chain] == cs.component[tgt_chain]
 
         return _build_candidates(cs, config, config.cone_angle_deg,
                                  (Side.LEFT,), "width",
@@ -331,51 +296,40 @@ def viterbi_path(emissions, transitions):
     return choices, float(dp[end])
 
 
-def _transition_blocks(cs, src, tgt, sig, starts, counts):
-    """Log persistence matrices, keyed by k, of every step k -> k + 1
-    whose two vertices both have candidates, all scored in one kernel
-    call. (src, tgt, sig) are the chain's emission rows, vertex k's rows
-    starting at starts[k]."""
-    steps = np.nonzero((counts[:-1] > 0) & (counts[1:] > 0))[0]
-    k_i, k_j = counts[steps], counts[steps + 1]
-    # candidate a of vertex k against candidate b of vertex k + 1,
-    # row-major per step
-    block = np.repeat(np.arange(len(steps)), k_i * k_j)
-    block_start = np.concatenate([[0], np.cumsum(k_i * k_j)])
-    r = np.arange(block_start[-1]) - block_start[block]
-    ri = starts[steps][block] + r // k_j[block]
-    rj = starts[steps + 1][block] + r % k_j[block]
-    trans = scoring.persistence_log_rows(
-        cs.pos[src[ri]], cs.pos[src[rj]], cs.pos[tgt[ri]],
-        cs.pos[tgt[rj]], sig[ri])
-    return {k: trans[block_start[o]:block_start[o + 1]].reshape(
-                int(k_i[o]), int(k_j[o]))
-            for o, k in enumerate(steps.tolist())}
+def viterbi_chain(cs, chain_id, side, rows, config):
+    """Solve one chain/side from its candidate rows, the (source,
+    target) rows of CandidateSet.lists[side] whose sources lie on the
+    chain: per-vertex matches (-1 where unmatched), their log vertex
+    scores, and the summed log score over segments.
 
-
-def viterbi_chain(cs, chain_id, side, cand_lists, config):
-    """Solve one chain/side: per-vertex matches (-1 where unmatched),
-    their log vertex scores, and the summed log score over segments.
-
-    Every (vertex, candidate) row of the chain is scored in one call of
-    the vertex-score kernel, and every transition block (the candidates
-    of vertex k against those of vertex k + 1, for consecutive vertices
-    that both have some) in one call of the row-wise persistence kernel;
-    the segments' Viterbi sweeps then read slices of the two.
+    Every row is scored in one call of the vertex-score kernel, and
+    every transition block (the candidates of vertex k against those of
+    vertex k + 1, for consecutive vertices that both have some) in one
+    call of the row-wise persistence kernel; the segments' Viterbi
+    sweeps then read slices of the two.
     """
-    n = len(cs.chains[chain_id])
+    n = int(cs.lengths[chain_id])
     base = int(cs.offsets[chain_id])
     match = np.full(n, -1, dtype=np.int64)
     mlog = np.full(n, np.nan)
-    counts = np.array([len(c) for c in cand_lists], dtype=np.int64)
-    src = np.repeat(np.arange(base, base + n), counts)
-    tgt = np.concatenate(cand_lists)
+    src, tgt = rows[:, 0], rows[:, 1]
+    counts = np.bincount(src - base, minlength=n)
     sig = pair_sigmas(cs, src, tgt, config)
     emis = scoring.vertex_scores_log_arrays(
         cs.pos[src], cs.tan[src], cs.bin[src], cs.w[src], int(side),
         cs.pos[tgt], cs.tan[tgt], cs.bin[tgt], cs.w[tgt], sig)
     starts = np.concatenate([[0], np.cumsum(counts)])
-    step_trans = _transition_blocks(cs, src, tgt, sig, starts, counts)
+    # the block of step k -> k + 1: candidate a of vertex k against
+    # candidate b of vertex k + 1, row-major, empty unless both have some
+    size = counts[:-1] * counts[1:]
+    block_start = np.concatenate([[0], np.cumsum(size)])
+    block = np.repeat(np.arange(n - 1), size)
+    r = np.arange(block_start[-1]) - block_start[block]
+    ri = starts[block] + r // counts[block + 1]
+    rj = starts[block + 1] + r % counts[block + 1]
+    trans = scoring.persistence_log_rows(
+        cs.pos[src[ri]], cs.pos[src[rj]], cs.pos[tgt[ri]],
+        cs.pos[tgt[rj]], sig[ri])
 
     total = 0.0
     i = 0
@@ -387,10 +341,11 @@ def viterbi_chain(cs, chain_id, side, cand_lists, config):
         while j + 1 < n and counts[j + 1] > 0:
             j += 1
         emissions = [emis[starts[k]:starts[k + 1]] for k in range(i, j + 1)]
-        transitions = [step_trans[k] for k in range(i, j)]
+        transitions = [trans[block_start[k]:block_start[k + 1]].reshape(
+            counts[k], counts[k + 1]) for k in range(i, j)]
         choices, seg_total = viterbi_path(emissions, transitions)
         for off, c in enumerate(choices):
-            match[i + off] = cand_lists[i + off][c]
+            match[i + off] = tgt[starts[i + off] + c]
             mlog[i + off] = emissions[off][c]
         total += seg_total
         i = j + 1
@@ -398,16 +353,18 @@ def viterbi_chain(cs, chain_id, side, cand_lists, config):
 
 
 def match_all(cands, config):
-    """Run viterbi_chain for every (chain, side) present in the
-    candidate set."""
+    """Run viterbi_chain for every chain with candidates on every side
+    the candidate set holds."""
     cs = cands.chainset
     table = MatchTable(cs)
-    for (ci, side) in sorted(cands.lists.keys()):
-        match, mlog, total = viterbi_chain(cs, ci, side,
-                                           cands.lists[(ci, side)], config)
-        table.matches[(ci, side)] = match
-        table.match_logs[(ci, side)] = mlog
-        table.totals[(ci, side)] = total
+    for side in sorted(cands.lists):
+        rows = cands.lists[side]
+        match = np.full(len(cs), -1, dtype=np.int64)
+        cuts = np.searchsorted(rows[:, 0], cs.offsets).tolist()
+        for ci in np.flatnonzero(np.diff(cuts)).tolist():
+            match[cs.offsets[ci]:cs.offsets[ci + 1]] = viterbi_chain(
+                cs, ci, side, rows[cuts[ci]:cuts[ci + 1]], config)[0]
+        table.matches[side] = match
     return table
 
 
@@ -415,56 +372,39 @@ def match_all(cands, config):
 
 def matching_frequencies(table):
     """Share of each chain's vertices matched into each target chain,
-    per side: freq[(chain, side)][target] in [0, 1]."""
+    per side: freqs[side][chain, target] in [0, 1]."""
     cs = table.chainset
+    count = cs.chain_count()
     freqs = {}
-    for (ci, side), match in table.matches.items():
-        n = len(match)
-        counts = {}
-        for t in cs.chain_id[match[match >= 0]]:
-            counts[int(t)] = counts.get(int(t), 0) + 1
-        freqs[(ci, side)] = {t: c / n for t, c in sorted(counts.items())}
+    for side, match in table.matches.items():
+        f = np.flatnonzero(match >= 0)
+        hits = np.bincount(cs.chain_id[f] * count + cs.chain_id[match[f]],
+                           minlength=count * count)
+        freqs[side] = hits.reshape(count, count) / cs.lengths[:, None]
     return freqs
 
 
-@dataclass
-class NeighborMap:
-    """Dominant neighbor per (chain, side), with its frequency."""
-
-    dominant: dict = field(default_factory=dict)
-
-    def neighbor_of(self, chain, side):
-        entry = self.dominant.get((chain, int(side)))
-        return None if entry is None else entry[0]
-
-
 def dominant_neighbors(table, freqs, config):
-    """Pick the per-side dominant neighbor: strictly highest matching
-    frequency (ties to the lower chain id), at least dominant_freq, and
-    at least one consecutive vertex pair matched to consecutive target
-    vertices (either index order)."""
+    """Pick the per-side dominant neighbor of every chain: strictly
+    highest matching frequency (ties to the lower chain id), at least
+    dominant_freq, and at least one consecutive vertex pair matched to
+    consecutive target vertices (either index order). Returns
+    dominant[side], the neighbor per chain, -1 where there is none."""
     cs = table.chainset
-    out = NeighborMap()
-    for (ci, side), match in sorted(table.matches.items()):
-        fmap = freqs.get((ci, side), {})
-        best_t, best_f = None, 0.0
-        for t in sorted(fmap):
-            if fmap[t] > best_f:
-                best_t, best_f = t, fmap[t]
-        if best_t is None or best_f < config.dominant_freq:
-            continue
-        m = match
-        ok_pair = False
-        for i in range(len(m) - 1):
-            a, b = m[i], m[i + 1]
-            if a < 0 or b < 0:
-                continue
-            if cs.chain_id[a] != best_t or cs.chain_id[b] != best_t:
-                continue
-            if abs(int(cs.index[a]) - int(cs.index[b])) == 1:
-                ok_pair = True
-                break
-        if ok_pair:
-            out.dominant[(ci, int(side))] = (best_t, best_f)
+    # the first vertex of every consecutive pair within a chain
+    first = np.flatnonzero(cs.chain_id[1:] == cs.chain_id[:-1])
+    out = {}
+    for side, freq in freqs.items():
+        best = np.argmax(freq, axis=1)
+        often = freq[np.arange(len(best)), best] >= config.dominant_freq
+        match = table.matches[side]
+        a, b = match[first], match[first + 1]
+        both = (a >= 0) & (b >= 0)
+        f, a, b = first[both], a[both], b[both]
+        t = best[cs.chain_id[f]]
+        run = ((cs.chain_id[a] == t) & (cs.chain_id[b] == t)
+               & (np.abs(cs.index[a] - cs.index[b]) == 1))
+        supported = np.zeros(len(best), dtype=bool)
+        supported[cs.chain_id[f[run]]] = True
+        out[side] = np.where(often & supported, best, -1)
     return out
-

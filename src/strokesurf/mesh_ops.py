@@ -29,9 +29,12 @@ from collections import Counter
 import numpy as np
 
 from . import geometry
-from .matcher import Chain, ChainSet
+from .matcher import ChainSet
 from .mesher import (edge_keys, join_equal_keys, join_links, run_pairs,
                      split_by_label, split_quads)
+
+# share of the way a smoothing step moves a vertex toward its target
+SMOOTH_STEP = 0.5
 
 
 def _spans(lo, n):
@@ -413,22 +416,20 @@ def boundary_chain_set(mesh, config, with_dmax=False):
     binorm[flip] = -binorm[flip]
     ok = t_ok & n_ok & b_ok
 
-    chains = []
-    cuts = np.cumsum([len(lp) for lp in loops])[:-1]
-    for loop, gids, t, nv, bv, okv in zip(
-            loops, *(np.split(x, cuts) for x in (g, tan, nrm, binorm, ok))):
-        comp = lookup.of_loop(loop)
-        dmax = None
-        if with_dmax:
-            fallback = config.width_factor * float(
-                np.mean(mesh.widths[gids]))
-            dmax = np.full(len(loop), dmax_comp.get(comp, fallback))
-        chains.append(Chain(
-            gids=gids, positions=pos[gids], tangents=t, normals=nv,
-            binormals=bv, widths=mesh.widths[gids].copy(),
-            colors=mesh.colors[gids].copy(), ok=okv, cyclic=True,
-            component=comp, dmax=dmax))
-    return ChainSet(chains)
+    lengths = [len(lp) for lp in loops]
+    component = np.array([lookup.of_loop(lp) for lp in loops],
+                         dtype=np.int64)
+    dmax = None
+    if with_dmax:
+        dmax = np.repeat([
+            dmax_comp.get(c, config.width_factor * float(
+                np.mean(mesh.widths[lp]))) for c, lp in zip(
+                    component.tolist(), loops)], lengths)
+    return ChainSet(
+        offsets=np.concatenate([[0], np.cumsum(lengths)]), gid=g,
+        pos=pos[g], tan=tan, nrm=nrm, bin=binorm, w=mesh.widths[g],
+        col=mesh.colors[g], ok=ok, cyclic=np.ones(len(loops), dtype=bool),
+        component=component, dmax=dmax)
 
 
 # ---------------------------------------------------------------------------
@@ -602,7 +603,7 @@ def _guarded_moves(mesh, g, prop, config):
     return len(passed)
 
 
-def smooth_boundary(mesh, config, iterations=1, lam=0.5):
+def smooth_boundary(mesh, config, iterations=1):
     """Laplacian relaxation along boundary loops with a normal guard:
     each loop vertex proposes a move toward the midpoint of its loop
     neighbours."""
@@ -615,12 +616,12 @@ def smooth_boundary(mesh, config, iterations=1, lam=0.5):
         prev, nxt = _loop_neighbours(loops)
         pos = mesh.positions
         target = 0.5 * (pos[prev] + pos[nxt])
-        moved += _guarded_moves(mesh, g, pos[g] + lam * (target - pos[g]),
-                                config)
+        moved += _guarded_moves(
+            mesh, g, pos[g] + SMOOTH_STEP * (target - pos[g]), config)
     return moved
 
 
-def laplacian_smooth(mesh, config, iterations=1, lam=0.5):
+def laplacian_smooth(mesh, config, iterations=1):
     """Interior-vertex Laplacian smoothing; boundary vertices stay put.
     Each interior vertex proposes a move toward the mean of its one-ring,
     summed in ascending neighbour order, with a normal guard."""
@@ -644,8 +645,8 @@ def laplacian_smooth(mesh, config, iterations=1, lam=0.5):
         size = np.bincount(own, minlength=n)
         g = np.flatnonzero(size)
         target = ring_sum[g] / size[g, None]
-        moved += _guarded_moves(mesh, g, pos[g] + lam * (target - pos[g]),
-                                config)
+        moved += _guarded_moves(
+            mesh, g, pos[g] + SMOOTH_STEP * (target - pos[g]), config)
     return moved
 
 

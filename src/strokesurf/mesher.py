@@ -35,10 +35,11 @@ flat a, flat b, flat apex, side) holds its chain edge in chain order,
 as gids and as flat ids in the ChainSet it was meshed from, the flat id
 of its apex there, and the apex side of the edge (+1 / -1). Every other
 insert keeps the none row NO_PROV: -1 in every id column, side 0. The
-flat ids serve the consolidation pass that follows the meshing:
-ChainSet.append_chain never renumbers earlier chains, and that pass
-scores only undecided triangles, which are never frozen and so come
-from its own chain set.
+flat ids serve the consolidation pass that follows the meshing: the
+crease variant appends its offset chains after every stroke chain, so
+the flat ids meshing wrote keep their meaning, and that pass scores
+only undecided triangles, which are never frozen and so come from its
+own chain set.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ from array import array
 import numpy as np
 
 from . import geometry, scoring
-from .matcher import Chain, pair_sigmas
+from .matcher import pair_sigmas
 
 # triangle states
 OUTPUT = 1
@@ -167,17 +168,6 @@ class SurfaceMesh:
     tri_prov = property(lambda self: self._prov[:self._count])
 
     # ---- vertices ----
-
-    @classmethod
-    def from_drawing(cls, drawing):
-        mesh = cls()
-        for sid, s in enumerate(drawing.strokes):
-            n = len(s)
-            origin = np.stack([np.full(n, sid, dtype=np.int64),
-                               np.arange(n, dtype=np.int64)], axis=1)
-            mesh.add_vertices(s.points, s.normals, s.widths,
-                              np.tile(s.color, (n, 1)), origin, KIND_STROKE)
-        return mesh
 
     @classmethod
     def from_chains(cls, cs):
@@ -454,17 +444,15 @@ class _Emitter:
 
     def polygon(self, ci, ia, ib, qa_flat, qb_flat, table, match_side):
         """Fan a section of the target chain between two non-consecutive
-        matched vertices, provided the section has no internal matches."""
+        matched vertices, provided the section has no internal matches
+        in the table."""
         cs = self.cs
-        qa_ref = cs.ref(qa_flat)
-        qb_ref = cs.ref(qb_flat)
-        tci = qa_ref.chain
-        tchain = cs.chains[tci]
-        nt = len(tchain)
-        ja, jb = qa_ref.index, qb_ref.index
+        tci = int(cs.chain_id[qa_flat])
+        nt, cyclic = int(cs.lengths[tci]), bool(cs.cyclic[tci])
+        ja, jb = int(cs.index[qa_flat]), int(cs.index[qb_flat])
 
         delta = jb - ja
-        if tchain.cyclic:
+        if cyclic:
             fwd = delta % nt
             bwd = (-delta) % nt
             if fwd <= bwd:
@@ -476,18 +464,15 @@ class _Emitter:
         if steps < 2:
             return
 
-        idxs = [(ja + step * k) % nt if tchain.cyclic else ja + step * k
+        idxs = [(ja + step * k) % nt if cyclic else ja + step * k
                 for k in range(steps + 1)]
-        inside = set(idxs[1:-1])
         tbase = int(cs.offsets[tci])
-        for u in inside:
-            for side_key in ((tci, 1), (tci, -1)):
-                arr = table.matches.get(side_key)
-                if arr is None or arr[u] < 0:
-                    continue
-                m = arr[u]
-                if cs.chain_id[m] == tci and int(cs.index[m]) in inside:
-                    return
+        inside = tbase + np.asarray(idxs[1:-1], dtype=np.int64)
+        for match in table.matches.values():
+            # chains appended after matching have no matches
+            m = match[inside[inside < len(match)]]
+            if np.isin(m, inside).any():
+                return
 
         base = int(cs.offsets[ci])
         fa = base + ia
@@ -520,11 +505,12 @@ class _Emitter:
 
 
 def _emit_pairs(emitter, table, ci, side, match):
+    """Queue the strips of chain ci's side, match holding one flat target
+    id per chain vertex (-1 where unmatched)."""
     cs = emitter.cs
-    chain = cs.chains[ci]
-    n = len(chain)
+    n = len(match)
     pairs = [(i, i + 1) for i in range(n - 1)]
-    if chain.cyclic and n > 2:
+    if cs.cyclic[ci] and n > 2:
         pairs.append((n - 1, 0))
     for ia, ib in pairs:
         a = match[ia]
@@ -538,10 +524,10 @@ def _emit_pairs(emitter, table, ci, side, match):
             emitter.tri_on_edge(ci, ia, ib, a, side)
             continue
         ja, jb = int(cs.index[a]), int(cs.index[b])
-        tchain = cs.chains[ca]
+        nt = int(cs.lengths[ca])
         dj = abs(jb - ja)
-        if tchain.cyclic and len(tchain) > 2:
-            dj = min(dj, len(tchain) - dj)
+        if cs.cyclic[ca] and nt > 2:
+            dj = min(dj, nt - dj)
         if dj == 1:
             emitter.quad(ci, ia, ib, a, b, side)
         else:
@@ -549,16 +535,23 @@ def _emit_pairs(emitter, table, ci, side, match):
 
 
 def _emission_order(table):
-    """The table's (chain, side) keys in emission order: by chain, then
-    by the flat ids of the targets each side matched.
+    """(chain, side, the chain's slice of the side's matches) for every
+    chain side that matched something, in emission order: by chain,
+    then by the flat ids of the targets each side matched.
 
     A side is only a label for one half-plane of a ribbon: flipping a
     stroke's normals swaps its LEFT and RIGHT match arrays. Ordering the
     two sides by what they matched rather than by label keeps triangle
     ids, and the provenance kept for each duplicate, independent of
     normal signs."""
-    return sorted(table.matches,
-                  key=lambda k: (k[0], table.matches[k].tolist()))
+    offsets = table.chainset.offsets.tolist()
+    order = []
+    for ci, (lo, hi) in enumerate(zip(offsets[:-1], offsets[1:])):
+        runs = {side: match[lo:hi] for side, match in table.matches.items()
+                if (match[lo:hi] >= 0).any()}
+        order += [(ci, side, runs[side]) for side in sorted(
+            runs, key=lambda side: (runs[side].tolist(), side))]
+    return order
 
 
 def mesh_from_matches(table, config, mesh=None):
@@ -569,8 +562,8 @@ def mesh_from_matches(table, config, mesh=None):
     cs = table.chainset
     mesh = SurfaceMesh.from_chains(cs) if mesh is None else mesh
     emitter = _Emitter(mesh, cs, config)
-    for (ci, side) in _emission_order(table):
-        _emit_pairs(emitter, table, ci, side, table.matches[(ci, side)])
+    for ci, side, match in _emission_order(table):
+        _emit_pairs(emitter, table, ci, side, match)
     emitter.flush()
     return mesh
 
@@ -621,8 +614,8 @@ def _section_is_crease(cs, base, match, i0, i1, config):
 
 def _make_offset_chain(mesh, cs, source_ci, idx_range, dirs, offset_cache):
     """Create (or reuse) half-width offset vertices for a run of chain
-    vertices and register them as a new chain with copied frames; the
-    new vertices are added in one call, in run order."""
+    vertices and append them to cs as a new chain with copied frames;
+    the new vertices are added in one call, in run order."""
     idx = [int(cs.offsets[source_ci]) + x for x in idx_range]
     keys = [(int(cs.gid[f]), int(s)) for f, s in zip(idx, dirs)]
     new = {}        # key not yet cached -> flat id of its first vertex
@@ -639,17 +632,8 @@ def _make_offset_chain(mesh, cs, source_ci, idx_range, dirs, offset_cache):
                                  KIND_OFFSET)
         offset_cache.update(zip(new, zip(gids.tolist(), pos)))
     gids, pos = zip(*(offset_cache[key] for key in keys))
-    chain = Chain(
-        gids=np.asarray(gids, dtype=np.int64),
-        positions=np.asarray(pos),
-        tangents=cs.tan[idx].copy(),
-        normals=cs.nrm[idx].copy(),
-        binormals=cs.bin[idx].copy(),
-        widths=cs.w[idx].copy(),
-        colors=cs.col[idx].copy(),
-        ok=cs.ok[idx].copy(),
-    )
-    return cs.append_chain(chain)
+    return cs.append_chain(idx, np.asarray(gids, dtype=np.int64),
+                           np.asarray(pos))
 
 
 def mesh_with_creases(table, config, mesh=None):
@@ -667,10 +651,10 @@ def mesh_with_creases(table, config, mesh=None):
     jobs = []      # (chain_id, side, working match array)
     extra = []     # synthetic jobs for offset chains
 
-    for (ci, side) in _emission_order(table):
-        match = table.matches[(ci, side)].copy()
+    for ci, side, matched in _emission_order(table):
+        match = matched.copy()
         base = int(cs.offsets[ci])
-        for i0, i1, tci in _sections(cs, table.matches[(ci, side)]):
+        for i0, i1, tci in _sections(cs, matched):
             if i1 - i0 < 1:
                 continue
             if not _section_is_crease(cs, base, match, i0, i1, config):

@@ -129,17 +129,25 @@ class _StageScope:
         return False
 
 
-def _stroke_triangle_presence(mesh, cs):
+def _stroke_paths(cs, drawing):
+    """The gids of each stroke's chain: the first chains of cs, one per
+    stroke of the drawing, ahead of any offset chain crease meshing
+    appended."""
+    count = len(drawing.strokes)
+    return np.split(cs.gid[:cs.offsets[count]], cs.offsets[1:count])
+
+
+def _stroke_triangle_presence(mesh, cs, drawing):
     """Which stroke chains own at least one active triangle vertex."""
     touched = np.zeros(mesh.vertex_count(), dtype=bool)
     touched[mesh.triangle_array()[1]] = True
-    return [bool(touched[chain.gids].any()) for chain in cs.chains]
+    return [bool(touched[gids].any()) for gids in _stroke_paths(cs, drawing)]
 
 
 def _emit_ribbons(mesh, drawing, cs):
     """Strokes with no retained triangles contribute their original
     triangulated ribbons."""
-    present = _stroke_triangle_presence(mesh, cs)
+    present = _stroke_triangle_presence(mesh, cs, drawing)
     added = 0
     for si, stroke in enumerate(drawing.strokes):
         if present[si]:
@@ -161,11 +169,11 @@ def _emit_ribbons(mesh, drawing, cs):
 
 
 def _count_matching(stage, cands=None, table=None):
-    """Add a match stage's candidate targets (summed over every vertex's
-    list), the pairs its search tested and its matched vertices to its
-    entry; without a candidate set the stage matched nothing."""
+    """Add a match stage's candidate rows, the pairs its search tested
+    and its matched vertices to its entry; without a candidate set the
+    stage matched nothing."""
     stage.count("candidates", 0 if cands is None else sum(
-        len(c) for lists in cands.lists.values() for c in lists))
+        len(rows) for rows in cands.lists.values()))
     stage.count("candidate_pairs",
                 0 if cands is None else cands.pairs_tested)
     stage.count("matched", 0 if table is None else sum(
@@ -173,15 +181,17 @@ def _count_matching(stage, cands=None, table=None):
 
 
 def _match_payload(table):
+    """One entry per matched vertex, as (chain, index) pairs, ordered by
+    chain, LEFT before RIGHT, then vertex index."""
+    cs = table.chainset
+    offsets = cs.offsets.tolist()
     payload = []
-    for (ci, side) in sorted(table.matches, key=lambda k: (k[0], -k[1])):
-        match = table.matches[(ci, side)]
-        tag = Side(side).tag
-        for i, m in enumerate(match):
-            if m >= 0:
-                ref = table.chainset.ref(int(m))
-                payload.append({"from": [ci, i], "side": tag,
-                                "to": [int(ref.chain), int(ref.index)]})
+    for ci, (lo, hi) in enumerate(zip(offsets[:-1], offsets[1:])):
+        for side in sorted(table.matches, reverse=True):
+            match = table.matches[side][lo:hi].tolist()
+            payload += [{"from": [ci, i], "side": Side(side).tag,
+                         "to": [int(cs.chain_id[m]), int(cs.index[m])]}
+                        for i, m in enumerate(match) if m >= 0]
     return payload
 
 
@@ -205,12 +215,11 @@ def run_pipeline(drawing, options=None):
         raise ValidationError("no strokes survive hook trimming")
     work = canonical_stroke_order(Drawing(strokes=trimmed))
 
-    mesh = SurfaceMesh.from_drawing(work)
+    cs = matcher.stroke_chains(work)
+    mesh = SurfaceMesh.from_chains(cs)
     tracker = _Tracker(mesh, options.dump_dir)
     if options.dump_dir is not None:
         os.makedirs(options.dump_dir, exist_ok=True)
-
-    cs = matcher.stroke_chains(work)
 
     with tracker.stage("baseline_match") as stage:
         cands = matcher.baseline_candidates(cs, config,
@@ -329,7 +338,7 @@ def run_pipeline(drawing, options=None):
     report = {
         "stage_stats": tracker.stats,
         "interpolated_edge_fraction": mesh_ops.path_edge_fraction(
-            mesh, [chain.gids for chain in cs.chains]),
+            mesh, _stroke_paths(cs, work)),
         "nonmanifold_edges": len(bad_edges),
         "nonmanifold_vertices": len(bad_vertices),
         "components": len(stats),

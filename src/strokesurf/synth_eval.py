@@ -31,6 +31,10 @@ _GAMMA = 0x9E3779B97F4A7C15
 POINT_BLOCK = 256
 PAIR_ROWS = 1 << 14
 
+# interpolated_fraction: how far, relative to the mesh's bounding-box
+# diagonal, a mesh vertex may lie from a stroke point it stands for
+POINT_TOL_REL = 1e-6
+
 
 class SplitMix64:
     """Counter-based 64-bit generator (SplitMix64). Fixed constants,
@@ -686,7 +690,7 @@ class EvalReport:
         return d
 
 
-def interpolated_fraction(mesh, drawing, config=None, tol_rel=1e-6):
+def interpolated_fraction(mesh, drawing, config=None):
     """Share of trimmed stroke polyline edges present as mesh edges,
     located by position (for meshes loaded back from OBJ)."""
     config = config or Config()
@@ -694,7 +698,7 @@ def interpolated_fraction(mesh, drawing, config=None, tol_rel=1e-6):
     if not used.size:
         return 0.0
     tree = cKDTree(mesh.positions[used])
-    tol = tol_rel * mesh.scale()
+    tol = POINT_TOL_REL * mesh.scale()
     paths = []
     for stroke in drawing.strokes:
         trimmed = trim_hooks(stroke, config)

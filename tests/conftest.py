@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from strokesurf import stroke_model as sm
+from strokesurf import matcher, stroke_model as sm
 
 
 def make_stroke(points, normal=(0.0, 0.0, 1.0), width=0.12, color=(1, 1, 1)):
@@ -42,3 +42,31 @@ def random_frame_rows(rng, n):
         b = np.cross(t, nn)
         tans[i], nrms[i], bins[i] = t, nn, b
     return tans, nrms, bins
+
+
+def chain(gid, pos, tan, nrm, bin, w, col, ok, cyclic=False, component=-1,
+          dmax=None):
+    """One chain's per-vertex arrays and per-chain values, for chain_set."""
+    return dict(locals())
+
+
+def flat(cs, chain_id, index):
+    """The flat id of a chain vertex in ChainSet cs."""
+    return int(cs.offsets[chain_id]) + index
+
+
+def chain_set(chains):
+    """A matcher.ChainSet over the given chains (dicts from chain), in
+    order; it carries dmax only when every chain does."""
+    fields = ("gid", "pos", "tan", "nrm", "bin", "w", "col", "ok")
+    dmax = None
+    if all(c["dmax"] is not None for c in chains):
+        dmax = np.concatenate([c["dmax"] for c in chains])
+    return matcher.ChainSet(
+        offsets=np.cumsum([0] + [len(c["pos"]) for c in chains]),
+        cyclic=np.array([c["cyclic"] for c in chains], dtype=bool),
+        component=np.array([c["component"] for c in chains],
+                           dtype=np.int64),
+        dmax=dmax,
+        **{f: np.concatenate([np.asarray(c[f]) for c in chains])
+           for f in fields})

@@ -114,7 +114,7 @@ def viterbi_reference(cs, chain_id, side, cand_lists, config):
     """Best total log score by exhaustive enumeration, segment by
     segment, plus the score of a given assignment evaluator."""
     base = int(cs.offsets[chain_id])
-    n = len(cs.chains[chain_id])
+    n = int(cs.lengths[chain_id])
     total = 0.0
     i = 0
     while i < n:
@@ -148,7 +148,7 @@ def assignment_score(cs, chain_id, side, cand_lists, match, config):
     """Log score of a concrete per-vertex assignment under the same
     segment decomposition."""
     base = int(cs.offsets[chain_id])
-    n = len(cs.chains[chain_id])
+    n = int(cs.lengths[chain_id])
     total = 0.0
     i = 0
     while i < n:
@@ -204,7 +204,8 @@ def build_candidates(cs, config, cone_deg, sides, radius_mode,
     per source vertex and side, then the radius, cone, adjacency and
     end-cone tests on that vertex's gathered ids. target_chains maps
     (chain, side) to the set of allowed target chains (None: all).
-    Returns the per (chain, side) lists of sorted flat ids."""
+    Returns per side the (R, 2) int64 array of (source, target) flat-id
+    rows, vertex after vertex with each vertex's targets ascending."""
     cos_cone = float(np.cos(np.radians(cone_deg)))
     if radius_mode == "dmax":
         radii = cs.dmax
@@ -215,9 +216,10 @@ def build_candidates(cs, config, cone_deg, sides, radius_mode,
     ok_ids = np.nonzero(cs.ok)[0]
     grid = _UniformGrid(cs.pos[ok_ids], float(radii.max()))
     eps_len = 1e-12 * max(1.0, float(np.abs(cs.pos).max()))
-    lists = {}
-    for ci, chain in enumerate(cs.chains):
-        n = len(chain)
+    rows = {int(side): [] for side in sides}
+    for ci in range(cs.chain_count()):
+        n = int(cs.lengths[ci])
+        cyclic = bool(cs.cyclic[ci])
         base = int(cs.offsets[ci])
         for side in sides:
             allowed = None
@@ -251,17 +253,17 @@ def build_candidates(cs, config, cone_deg, sides, radius_mode,
                 same = cs.chain_id[cand] == ci
                 di = np.abs(cs.index[cand] - i)
                 adj = same & (di == 1)
-                if chain.cyclic and n > 2:
+                if cyclic and n > 2:
                     adj |= same & (di == n - 1)
                 keep &= ~adj
                 cand_k = cand[keep]
                 if len(cand_k):
-                    p_end = (not chain.cyclic) and (i == 0 or i == n - 1)
+                    p_end = (not cyclic) and (i == 0 or i == n - 1)
                     tchain = cs.chain_id[cand_k]
                     tidx = cs.index[cand_k]
-                    q_cyc = np.array([cs.chains[t].cyclic for t in tchain],
+                    q_cyc = np.array([bool(cs.cyclic[t]) for t in tchain],
                                      dtype=bool)
-                    q_n = np.array([len(cs.chains[t]) for t in tchain],
+                    q_n = np.array([int(cs.lengths[t]) for t in tchain],
                                    dtype=np.int64)
                     need = ((~q_cyc) & ((tidx == 0) | (tidx == q_n - 1))
                             | p_end)
@@ -272,13 +274,27 @@ def build_candidates(cs, config, cone_deg, sides, radius_mode,
                                                 cs.bin[cand_k]))
                         cand_k = cand_k[~(need & (at_q < cos_cone * ndq))]
                 per_vertex.append(np.sort(cand_k))
-            lists[(ci, int(side))] = per_vertex
-    return lists
+            rows[int(side)] += [(fp, int(t)) for fp, ts in enumerate(
+                per_vertex, base) for t in ts]
+    return {side: np.array(r, dtype=np.int64).reshape(-1, 2)
+            for side, r in rows.items()}
+
+
+def vertex_lists(rows, cs, chain_id):
+    """The per-vertex candidate lists of one chain, as the references
+    take them, from (source, target) candidate rows."""
+    base = int(cs.offsets[chain_id])
+    lists = [[] for _ in range(int(cs.lengths[chain_id]))]
+    for src, tgt in rows.tolist():
+        if 0 <= src - base < len(lists):
+            lists[src - base].append(tgt)
+    return [np.array(targets, dtype=np.int64) for targets in lists]
 
 
 def phase_candidates(cs, config, phase, neighbors=None, color_cue=False):
     """Reference candidate lists of one matching phase: "baseline",
-    "restricted" (the chain itself and its dominant neighbor per side),
+    "restricted" (the chain itself and its dominant neighbor per side,
+    from neighbors[side], -1 for none),
     "extension" (chains of the same mesh component, LEFT only) or "gap"
     (dmax radius and the boundary cone, LEFT only)."""
     both = (1, -1)
@@ -287,21 +303,59 @@ def phase_candidates(cs, config, phase, neighbors=None, color_cue=False):
                                 "width", color_cue)
     if phase == "restricted":
         targets = {}
-        for ci in range(len(cs.chains)):
+        for ci in range(cs.chain_count()):
             for side in both:
-                t = neighbors.neighbor_of(ci, side)
-                targets[(ci, side)] = {ci} if t is None else {ci, t}
+                t = int(neighbors[side][ci])
+                targets[(ci, side)] = {ci} if t < 0 else {ci, t}
         return build_candidates(cs, config, config.cone_angle_deg, both,
                                 "width", color_cue, targets)
     if phase == "extension":
-        targets = {(ci, 1): {j for j, c in enumerate(cs.chains)
-                             if c.component == chain.component}
-                   for ci, chain in enumerate(cs.chains)}
+        component = cs.component.tolist()
+        targets = {(ci, 1): {j for j, c in enumerate(component) if c == own}
+                   for ci, own in enumerate(component)}
         return build_candidates(cs, config, config.cone_angle_deg, (1,),
                                 "width", color_cue, targets)
     assert phase == "gap"
     return build_candidates(cs, config, config.boundary_cone_angle_deg,
                             (1,), "dmax", color_cue)
+
+
+def neighbor_statistics(table, config):
+    """Reference for matcher.matching_frequencies and
+    matcher.dominant_neighbors, one chain at a time with Python counts.
+    Returns (shares, dominant): shares[side] maps (chain, target chain)
+    to the share of the chain's vertices matched into the target, and
+    dominant[side] holds each chain's dominant neighbor (-1 for none):
+    the target with the largest share (ties to the lower id), if that
+    share reaches dominant_freq and two consecutive vertices match
+    consecutive vertices of it."""
+    cs = table.chainset
+    shares, dominant = {}, {}
+    for side, match in table.matches.items():
+        shares[side], best_of = {}, []
+        for ci in range(cs.chain_count()):
+            lo, n = int(cs.offsets[ci]), int(cs.lengths[ci])
+            m = match[lo:lo + n].tolist()
+            counts = {}
+            for t in m:
+                if t >= 0:
+                    c = int(cs.chain_id[t])
+                    counts[c] = counts.get(c, 0) + 1
+            for c, k in counts.items():
+                shares[side][(ci, c)] = k / n
+            best = -1
+            if counts:
+                top = max(counts.values())
+                t = min(c for c, k in counts.items() if k == top)
+                if top / n >= config.dominant_freq and any(
+                        a >= 0 and b >= 0 and cs.chain_id[a] == t
+                        and cs.chain_id[b] == t
+                        and abs(int(cs.index[a]) - int(cs.index[b])) == 1
+                        for a, b in zip(m, m[1:])):
+                    best = t
+            best_of.append(best)
+        dominant[side] = np.array(best_of, dtype=np.int64)
+    return shares, dominant
 
 
 def _vertex_scores_log(p_pos, p_tan, p_bin, p_w, side_sign,
@@ -351,7 +405,7 @@ def viterbi_chain(cs, chain_id, side, cand_lists, config):
     kernel call; the package's viterbi_path solves each segment."""
     from strokesurf.matcher import viterbi_path
 
-    n = len(cs.chains[chain_id])
+    n = int(cs.lengths[chain_id])
     base = int(cs.offsets[chain_id])
     match = np.full(n, -1, dtype=np.int64)
     mlog = np.full(n, np.nan)
@@ -731,17 +785,14 @@ def scalar_emitter():
                 self.mesh.quads_rejected += 1
                 return
 
-            qa_ref = cs.ref(qa_flat)
-            qb_ref = cs.ref(qb_flat)
-            tci = qa_ref.chain
+            tci = int(cs.chain_id[qa_flat])
+            ja, jb = int(cs.index[qa_flat]), int(cs.index[qb_flat])
             if use1:
                 self.tri_on_edge(ci, ia, ib, qb_flat, match_side)
-                self.tri_on_edge(tci, qa_ref.index, qb_ref.index,
-                                 base + ia, match_side)
+                self.tri_on_edge(tci, ja, jb, base + ia, match_side)
             else:
                 self.tri_on_edge(ci, ia, ib, qa_flat, match_side)
-                self.tri_on_edge(tci, qa_ref.index, qb_ref.index,
-                                 base + ib, match_side)
+                self.tri_on_edge(tci, ja, jb, base + ib, match_side)
 
         def flush(self):
             """Nothing is queued."""
@@ -1591,7 +1642,7 @@ def _interpolation_dmax(mesh, comp_of, config):
 def boundary_chain_set(mesh, config, with_dmax=False):
     """Reference for mesh_ops.boundary_chain_set: each loop vertex framed
     on its own, its incident triangles summed one at a time."""
-    from strokesurf.matcher import Chain, ChainSet
+    from conftest import chain, chain_set
     from strokesurf.mesh_ops import boundary_loops
 
     loops = boundary_loops(mesh)
@@ -1643,12 +1694,11 @@ def boundary_chain_set(mesh, config, with_dmax=False):
             fallback = config.width_factor * float(
                 np.mean(mesh.widths[gids]))
             dmax = np.full(n, dmax_comp.get(comp, fallback))
-        chains.append(Chain(
-            gids=gids, positions=pos, tangents=tan, normals=nrm,
-            binormals=binorm, widths=mesh.widths[gids].copy(),
-            colors=mesh.colors[gids].copy(), ok=ok, cyclic=True,
+        chains.append(chain(
+            gid=gids, pos=pos, tan=tan, nrm=nrm, bin=binorm,
+            w=mesh.widths[gids], col=mesh.colors[gids], ok=ok, cyclic=True,
             component=comp, dmax=dmax))
-    return ChainSet(chains)
+    return chain_set(chains)
 
 
 def component_stats(mesh):

@@ -15,7 +15,7 @@ import pytest
 import oracles
 from conftest import make_stroke
 from test_consolidate import random_conflict_graph
-from test_matcher import random_viterbi_instance
+from test_matcher import candidate_rows, random_viterbi_instance
 
 from strokesurf import consolidate, geometry, matcher, mesh_ops, scoring
 from strokesurf import stroke_model as sm
@@ -182,8 +182,8 @@ def test_04_matching_is_optimal(capsys, config):
     for _ in range(n):
         cs, cand_lists = random_viterbi_instance(rng, config)
         side = int(rng.choice([1, -1]))
-        match, _, total = matcher.viterbi_chain(cs, 0, side, cand_lists,
-                                                config)
+        match, _, total = matcher.viterbi_chain(
+            cs, 0, side, candidate_rows(cand_lists), config)
         best = oracles.viterbi_reference(cs, 0, side, cand_lists, config)
         achieved = oracles.assignment_score(cs, 0, side, cand_lists,
                                             match, config)

@@ -16,6 +16,7 @@ from strokesurf.pipeline import PipelineOptions, run_pipeline
 from strokesurf.synth_eval import generate
 
 import oracles
+from conftest import chain_set
 from test_mesher import chain_from
 from test_pipeline import FLIP_SPECS
 
@@ -26,7 +27,7 @@ def strip_fixture(config, apexes, bn=(0, -1, 0)):
     tid."""
     chain0 = chain_from([[-1, 0, 0], [0, 0, 0], [1, 0, 0]], 0, (0, 1, 0))
     chain1 = chain_from(apexes, 3, bn)
-    cs = matcher.ChainSet([chain0, chain1])
+    cs = chain_set([chain0, chain1])
     mesh = mesher.SurfaceMesh.from_chains(cs)
     emitter = mesher._Emitter(mesh, cs, config)
 

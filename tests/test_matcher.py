@@ -1,5 +1,7 @@
 """Candidate generation, Viterbi matching, and neighbor statistics."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,8 @@ from strokesurf import matcher, stroke_model as sm
 from strokesurf.scoring import Side
 
 import oracles
-from conftest import line_stroke, random_frame_rows
+from conftest import (chain, chain_set, flat, line_stroke,
+                      random_frame_rows)
 
 
 def parallel_drawing(ys, width=0.12, colors=None):
@@ -18,16 +21,53 @@ def parallel_drawing(ys, width=0.12, colors=None):
     return sm.Drawing(strokes=strokes)
 
 
+def targets(cands, side, chain_id, index=None):
+    """Candidate targets on one side of one chain vertex, or of every
+    vertex of the chain."""
+    cs = cands.chainset
+    src, tgt = cands.lists[int(side)].T
+    on = cs.chain_id[src] == chain_id
+    if index is not None:
+        on &= cs.index[src] == index
+    return tgt[on]
+
+
 def test_stroke_chains_layout(flat_pair):
     cs = matcher.stroke_chains(flat_pair)
-    assert len(cs.chains) == 2
+    assert cs.chain_count() == 2 and len(cs) == 20
     assert list(cs.offsets) == [0, 10, 20]
+    assert list(cs.lengths) == [10, 10]
     assert np.array_equal(cs.gid, np.arange(20))
-    assert cs.flat(1, 3) == 13
-    assert cs.ref(13) == matcher.VertexRef(1, 3)
     assert cs.chain_id[13] == 1 and cs.index[13] == 3
+    assert not cs.cyclic.any() and list(cs.component) == [-1, -1]
+    assert cs.dmax is None
+    assert np.array_equal(cs.pos[10:], flat_pair.strokes[1].points)
     # line_stroke runs along +x with a +z normal, so binormals point -y
     assert np.allclose(cs.bin, np.tile([0.0, -1.0, 0.0], (20, 1)))
+
+
+def test_append_chain_copies_rows_and_keeps_flat_ids(flat_pair):
+    cs = matcher.stroke_chains(flat_pair)
+    before = {name: getattr(cs, name).copy() for name in (
+        "gid", "pos", "tan", "nrm", "bin", "w", "col", "ok", "chain_id",
+        "index")}
+    cs.ok[12] = False
+    before["ok"][12] = False
+    src = np.array([11, 12, 13])
+    pos = np.ones((3, 3))
+    assert cs.append_chain(src, np.array([40, 41, 42]), pos) == 2
+    assert list(cs.offsets) == [0, 10, 20, 23]
+    for name, rows in before.items():
+        assert np.array_equal(getattr(cs, name)[:20], rows), name
+    assert list(cs.gid[20:]) == [40, 41, 42]
+    assert np.array_equal(cs.pos[20:], pos)
+    for name in ("tan", "nrm", "bin", "w", "col", "ok"):
+        assert np.array_equal(getattr(cs, name)[20:],
+                              before[name][src]), name
+    assert list(cs.chain_id[20:]) == [2, 2, 2]
+    assert list(cs.index[20:]) == [0, 1, 2]
+    assert list(cs.cyclic) == [False] * 3
+    assert list(cs.component) == [-1] * 3
 
 
 # ---------------------------------------------------------------------------
@@ -39,24 +79,23 @@ def test_baseline_candidates_radius_and_side(config):
     cs = matcher.stroke_chains(parallel_drawing([0.0, 0.1, 0.5]))
     cands = matcher.baseline_candidates(cs, config)
 
-    right = cands.get(0, Side.RIGHT)     # RIGHT of chain 0 faces +y
-    assert cs.flat(1, 5) in right[5]
-    assert all(cs.chain_id[f] == 1 for f in np.concatenate(right))
-    left = cands.get(0, Side.LEFT)       # nothing below chain 0
-    assert sum(len(l) for l in left) == 0
+    # RIGHT of chain 0 faces +y
+    assert flat(cs, 1, 5) in targets(cands, Side.RIGHT, 0, 5)
+    assert (cs.chain_id[targets(cands, Side.RIGHT, 0)] == 1).all()
+    assert len(targets(cands, Side.LEFT, 0)) == 0   # nothing below chain 0
     for side in (Side.LEFT, Side.RIGHT):  # chain 2 is isolated
-        assert sum(len(l) for l in cands.get(2, side)) == 0
+        assert len(targets(cands, side, 2)) == 0
 
 
 def test_baseline_candidates_exclude_self_and_adjacent(config):
     cs = matcher.stroke_chains(parallel_drawing([0.0, 0.1]))
     cands = matcher.baseline_candidates(cs, config)
-    for (ci, side), lists in cands.lists.items():
-        base = int(cs.offsets[ci])
-        for i, l in enumerate(lists):
-            assert base + i not in l
-            assert base + i - 1 not in l and base + i + 1 not in l
-            assert np.array_equal(l, np.sort(l))
+    assert set(cands.lists) == {1, -1}
+    for rows in cands.lists.values():
+        assert rows.dtype == np.int64 and rows.shape[1] == 2
+        src, tgt = rows.T
+        assert (np.abs(tgt - src) > 1).all()
+        assert np.array_equal(rows, rows[np.lexsort((tgt, src))])
 
 
 def test_baseline_candidates_cone(config):
@@ -67,7 +106,7 @@ def test_baseline_candidates_cone(config):
     cs2 = matcher.stroke_chains(sm.Drawing(strokes=[line_stroke(), above]))
     cands = matcher.baseline_candidates(cs2, config)
     for side in (Side.LEFT, Side.RIGHT):
-        assert sum(len(l) for l in cands.get(0, side)) == 0
+        assert len(targets(cands, side, 0)) == 0
     del cs
 
 
@@ -75,9 +114,9 @@ def test_baseline_candidates_color_cue(config):
     d = parallel_drawing([0.0, 0.1], colors=[(1, 0, 0), (0, 1, 0)])
     cs = matcher.stroke_chains(d)
     plain = matcher.baseline_candidates(cs, config)
-    assert sum(len(l) for l in plain.get(0, Side.RIGHT)) > 0
+    assert len(targets(plain, Side.RIGHT, 0)) > 0
     cued = matcher.baseline_candidates(cs, config, color_cue=True)
-    assert sum(len(l) for l in cued.get(0, Side.RIGHT)) == 0
+    assert len(targets(cued, Side.RIGHT, 0)) == 0
 
 
 def test_degenerate_vertices_get_no_candidates(config):
@@ -85,11 +124,10 @@ def test_degenerate_vertices_get_no_candidates(config):
     cs = matcher.stroke_chains(d)
     cs.ok[3] = False
     cands = matcher.baseline_candidates(cs, config)
-    assert len(cands.get(0, Side.RIGHT)[3]) == 0
+    assert len(targets(cands, Side.RIGHT, 0, 3)) == 0
     # nor do they appear as targets
-    for lists in cands.lists.values():
-        for l in lists:
-            assert 3 not in l
+    for rows in cands.lists.values():
+        assert 3 not in rows
 
 
 def random_chainset(rng, with_dmax):
@@ -102,23 +140,22 @@ def random_chainset(rng, with_dmax):
         steps = rng.normal(size=(n, 3)) * rng.uniform(0.02, 0.08)
         pos = rng.uniform(-0.2, 0.2, size=3) + np.cumsum(steps, axis=0)
         tans, nrms, bins = random_frame_rows(rng, n)
-        chains.append(matcher.Chain(
-            gids=np.arange(n), positions=pos, tangents=tans, normals=nrms,
-            binormals=bins, widths=rng.uniform(0.03, 0.15, size=n),
-            colors=np.tile(rng.integers(0, 2, size=(1, 3)), (n, 1)),
+        chains.append(chain(
+            gid=np.arange(n), pos=pos, tan=tans, nrm=nrms, bin=bins,
+            w=rng.uniform(0.03, 0.15, size=n),
+            col=np.tile(rng.integers(0, 2, size=(1, 3)), (n, 1)),
             ok=rng.random(n) > 0.1, cyclic=bool(rng.random() < 0.3),
             component=int(rng.integers(0, 3)),
             dmax=rng.uniform(0.05, 0.3, size=n) if with_dmax else None))
-    return matcher.ChainSet(chains)
+    return chain_set(chains)
 
 
 def assert_same_lists(cands, ref):
     assert set(cands.lists) == set(ref)
-    for key, lists in ref.items():
-        got = cands.lists[key]
-        assert len(got) == len(lists)
-        for g, r in zip(got, lists):
-            assert g.dtype == np.int64 and np.array_equal(g, r), key
+    for side, rows in ref.items():
+        got = cands.lists[side]
+        assert got.dtype == np.int64 and got.shape == rows.shape, side
+        assert np.array_equal(got, rows), side
 
 
 def test_candidates_equal_the_per_vertex_builder(config):
@@ -126,12 +163,11 @@ def test_candidates_equal_the_per_vertex_builder(config):
     for _ in range(80):
         cs = random_chainset(rng, with_dmax=bool(rng.random() < 0.5))
         color_cue = bool(rng.random() < 0.5)
-        nm = matcher.NeighborMap()
-        for ci in range(len(cs.chains)):
+        nm = {side: np.full(cs.chain_count(), -1) for side in (1, -1)}
+        for ci in range(cs.chain_count()):
             for side in (1, -1):
                 if rng.random() < 0.6:
-                    nm.dominant[(ci, side)] = (
-                        int(rng.integers(0, len(cs.chains))), 0.5)
+                    nm[side][ci] = rng.integers(0, cs.chain_count())
         phases = [("baseline", matcher.baseline_candidates(
                       cs, config, color_cue=color_cue)),
                   ("restricted", matcher.restricted_candidates(
@@ -144,16 +180,16 @@ def test_candidates_equal_the_per_vertex_builder(config):
         for phase, cands in phases:
             ref = oracles.phase_candidates(cs, config, phase, nm, color_cue)
             assert_same_lists(cands, ref)
-            listed = sum(len(l) for lists in ref.values() for l in lists)
+            listed = sum(len(rows) for rows in ref.values())
             assert listed <= cands.pairs_tested
 
 
 def single_vertex_chain(pos, width=0.1, dmax=None):
-    return matcher.Chain(
-        gids=np.arange(1), positions=np.array([pos], dtype=float),
-        tangents=np.array([[1.0, 0, 0]]), normals=np.array([[0, 0, 1.0]]),
-        binormals=np.array([[0, 1.0, 0]]), widths=np.array([width]),
-        colors=np.ones((1, 3)), ok=np.ones(1, dtype=bool),
+    return chain(
+        gid=np.arange(1), pos=np.array([pos], dtype=float),
+        tan=np.array([[1.0, 0, 0]]), nrm=np.array([[0, 0, 1.0]]),
+        bin=np.array([[0, 1.0, 0]]), w=np.array([width]),
+        col=np.ones((1, 3)), ok=np.ones(1, dtype=bool),
         dmax=None if dmax is None else np.array([dmax]))
 
 
@@ -177,17 +213,16 @@ def test_candidates_at_the_radius_and_cone_boundaries(config):
     points = [(0, 0, 0), (0, r, 0), (0, np.nextafter(r, 1.0), 0),
               (x, on_cone, 0), (x, y, 0)]
     for dmax in (None, r):
-        cs = matcher.ChainSet([single_vertex_chain(p, dmax=dmax)
-                               for p in points])
+        cs = chain_set([single_vertex_chain(p, dmax=dmax) for p in points])
         if dmax is None:
             phase = "baseline"
             cands = matcher.baseline_candidates(cs, config)
-            assert list(cands.get(0, Side.LEFT)[0]) == [1, 3]
+            assert list(targets(cands, Side.LEFT, 0)) == [1, 3]
         else:
             phase = "gap"
             cands = matcher.boundary_candidates(cs, config, "gap")
-            assert 1 in cands.get(0, Side.LEFT)[0]
-            assert 2 not in cands.get(0, Side.LEFT)[0]
+            assert 1 in targets(cands, Side.LEFT, 0)
+            assert 2 not in targets(cands, Side.LEFT, 0)
         assert_same_lists(cands, oracles.phase_candidates(cs, config,
                                                           phase))
 
@@ -222,11 +257,10 @@ def test_candidates_next_to_the_cone_with_rotated_frames(config):
                     tq = np.cos(theta) * u - np.sin(theta) * side * b
                     points.append(origin + 0.5 * r * ray)
                     frames.append((tq, np.cross(ray, tq), ray))
-        cs = matcher.ChainSet([matcher.Chain(
-            gids=np.arange(1), positions=np.array([p]),
-            tangents=np.array([ft]), normals=np.array([fn]),
-            binormals=np.array([fb]), widths=np.array([0.1]),
-            colors=np.ones((1, 3)), ok=np.ones(1, dtype=bool),
+        cs = chain_set([chain(
+            gid=np.arange(1), pos=np.array([p]), tan=np.array([ft]),
+            nrm=np.array([fn]), bin=np.array([fb]), w=np.array([0.1]),
+            col=np.ones((1, 3)), ok=np.ones(1, dtype=bool),
             dmax=np.array([r]) if gap else None)
             for p, (ft, fn, fb) in zip(points, frames)])
         if gap:
@@ -235,21 +269,21 @@ def test_candidates_next_to_the_cone_with_rotated_frames(config):
         else:
             cands = matcher.baseline_candidates(cs, config)
             ref = oracles.phase_candidates(cs, config, "baseline")
-            assert list(cands.get(0, Side.RIGHT)[0]) == inside[-1]
-        assert list(cands.get(0, Side.LEFT)[0]) == inside[1]
+            assert list(targets(cands, Side.RIGHT, 0)) == inside[-1]
+        assert list(targets(cands, Side.LEFT, 0)) == inside[1]
         assert_same_lists(cands, ref)
 
 
 def test_restricted_candidates_limit_targets(config):
     cs = matcher.stroke_chains(parallel_drawing([0.0, 0.1, 0.2]))
-    nm = matcher.NeighborMap()
-    nm.dominant[(1, int(Side.LEFT))] = (0, 0.9)
-    cands = matcher.restricted_candidates(cs, config, nm)
-    left = np.concatenate(cands.get(1, Side.LEFT))
+    dominant = {side: np.full(3, -1) for side in (1, -1)}
+    dominant[int(Side.LEFT)][1] = 0
+    cands = matcher.restricted_candidates(cs, config, dominant)
+    left = targets(cands, Side.LEFT, 1)
     assert len(left) and set(cs.chain_id[left]) == {0}
     # no dominant neighbor on the right leaves only the chain itself,
     # whose vertices are all excluded by radius or adjacency
-    assert sum(len(l) for l in cands.get(1, Side.RIGHT)) == 0
+    assert len(targets(cands, Side.RIGHT, 1)) == 0
 
 
 def boundary_chain(y, component, n=10, dmax=None):
@@ -258,46 +292,46 @@ def boundary_chain(y, component, n=10, dmax=None):
     tan = np.tile([1.0, 0, 0], (n, 1))
     nrm = np.tile([0.0, 0, 1.0], (n, 1))
     bno = np.tile([0.0, 1.0, 0], (n, 1))
-    return matcher.Chain(
-        gids=np.arange(n), positions=pts, tangents=tan, normals=nrm,
-        binormals=bno, widths=np.full(n, 0.12), colors=np.ones((n, 3)),
-        ok=np.ones(n, dtype=bool), component=component,
+    return chain(
+        gid=np.arange(n), pos=pts, tan=tan, nrm=nrm, bin=bno,
+        w=np.full(n, 0.12), col=np.ones((n, 3)), ok=np.ones(n, dtype=bool),
+        component=component,
         dmax=None if dmax is None else np.full(n, float(dmax)))
 
 
 def test_boundary_candidates_extension_stays_in_component(config):
-    same = matcher.ChainSet([boundary_chain(0.0, 0),
-                             boundary_chain(0.1, 0)])
+    same = chain_set([boundary_chain(0.0, 0), boundary_chain(0.1, 0)])
     cands = matcher.boundary_candidates(same, config, "extension")
-    assert set(cands.lists) == {(0, 1), (1, 1)}   # LEFT only
-    assert sum(len(l) for l in cands.get(0, Side.LEFT)) > 0
+    assert set(cands.lists) == {1}   # LEFT only
+    assert len(targets(cands, Side.LEFT, 0)) > 0
 
-    split = matcher.ChainSet([boundary_chain(0.0, 0),
-                              boundary_chain(0.1, 1)])
+    split = chain_set([boundary_chain(0.0, 0), boundary_chain(0.1, 1)])
     cands = matcher.boundary_candidates(split, config, "extension")
-    assert sum(len(l) for l in cands.get(0, Side.LEFT)) == 0
+    assert len(targets(cands, Side.LEFT, 0)) == 0
 
 
 def test_boundary_candidates_gap_uses_dmax(config):
-    cs = matcher.ChainSet([boundary_chain(0.0, 0, dmax=0.5),
-                           boundary_chain(0.4, 1, dmax=0.5)])
+    cs = chain_set([boundary_chain(0.0, 0, dmax=0.5),
+                    boundary_chain(0.4, 1, dmax=0.5)])
     cands = matcher.boundary_candidates(cs, config, "gap")
-    assert cands.radius_mode == "dmax"
-    assert sum(len(l) for l in cands.get(0, Side.LEFT)) > 0
-    tight = matcher.ChainSet([boundary_chain(0.0, 0, dmax=0.2),
-                              boundary_chain(0.4, 1, dmax=0.2)])
+    assert len(targets(cands, Side.LEFT, 0)) > 0
+    # the width rule alone reaches 0.18, not 0.4
+    width = matcher.baseline_candidates(cs, config)
+    assert len(targets(width, Side.LEFT, 0)) == 0
+    tight = chain_set([boundary_chain(0.0, 0, dmax=0.2),
+                       boundary_chain(0.4, 1, dmax=0.2)])
     cands = matcher.boundary_candidates(tight, config, "gap")
-    assert sum(len(l) for l in cands.get(0, Side.LEFT)) == 0
+    assert len(targets(cands, Side.LEFT, 0)) == 0
     with pytest.raises(ValueError):
         matcher.boundary_candidates(cs, config, "nonsense")
 
 
 def test_pair_sigmas_width_and_dmax_modes(config):
-    cs = matcher.ChainSet([boundary_chain(0.0, 0), boundary_chain(0.1, 0)])
+    cs = chain_set([boundary_chain(0.0, 0), boundary_chain(0.1, 0)])
     sig = matcher.pair_sigmas(cs, 0, np.array([10, 11]), config)
     assert np.allclose(sig, 1.5 * 0.12)
-    gap = matcher.ChainSet([boundary_chain(0.0, 0, dmax=0.2),
-                            boundary_chain(0.1, 0, dmax=0.6)])
+    gap = chain_set([boundary_chain(0.0, 0, dmax=0.2),
+                     boundary_chain(0.1, 0, dmax=0.6)])
     sig = matcher.pair_sigmas(gap, 0, np.array([10, 11]), config)
     assert np.allclose(sig, 0.4)
 
@@ -327,14 +361,12 @@ def random_viterbi_instance(rng, config):
     chains = []
     for count in (n_src, n_pool):
         tans, nrms, bins = random_frame_rows(rng, count)
-        chains.append(matcher.Chain(
-            gids=np.arange(count),
-            positions=rng.normal(size=(count, 3)),
-            tangents=tans, normals=nrms, binormals=bins,
-            widths=rng.uniform(0.1, 1.0, size=count),
-            colors=np.ones((count, 3)),
+        chains.append(chain(
+            gid=np.arange(count), pos=rng.normal(size=(count, 3)),
+            tan=tans, nrm=nrms, bin=bins,
+            w=rng.uniform(0.1, 1.0, size=count), col=np.ones((count, 3)),
             ok=np.ones(count, dtype=bool)))
-    cs = matcher.ChainSet(chains)
+    cs = chain_set(chains)
     pool_base = int(cs.offsets[1])
     cand_lists = []
     for _ in range(n_src):
@@ -344,13 +376,19 @@ def random_viterbi_instance(rng, config):
     return cs, cand_lists
 
 
+def candidate_rows(cand_lists):
+    """The (source, target) rows of chain 0's per-vertex lists."""
+    return np.array([(i, t) for i, ts in enumerate(cand_lists)
+                     for t in ts], dtype=np.int64).reshape(-1, 2)
+
+
 def test_viterbi_chain_matches_enumeration(config):
     rng = np.random.default_rng(404)
     for _ in range(250):
         cs, cand_lists = random_viterbi_instance(rng, config)
         side = int(rng.choice([1, -1]))
-        match, mlog, total = matcher.viterbi_chain(cs, 0, side,
-                                                   cand_lists, config)
+        match, mlog, total = matcher.viterbi_chain(
+            cs, 0, side, candidate_rows(cand_lists), config)
         best = oracles.viterbi_reference(cs, 0, side, cand_lists, config)
         assert total == pytest.approx(best, abs=1e-9)
         achieved = oracles.assignment_score(cs, 0, side, cand_lists,
@@ -368,70 +406,103 @@ def test_match_all_solves_every_side(config):
     cands = matcher.baseline_candidates(cs, config)
     table = matcher.match_all(cands, config)
     assert set(table.matches) == set(cands.lists)
-    for side, chain in ((Side.LEFT, 0), (Side.RIGHT, 2)):
-        mid = table.matches[(1, int(side))][5]
-        assert mid >= 0 and cs.ref(mid).chain == chain
+    for match in table.matches.values():
+        assert match.dtype == np.int64 and match.shape == (len(cs),)
+    for side, target in ((Side.LEFT, 0), (Side.RIGHT, 2)):
+        mid = table.matches[int(side)][flat(cs, 1, 5)]
+        assert mid >= 0 and cs.chain_id[mid] == target
+    # chain 0 has nothing to its LEFT and chain 2 nothing to its RIGHT
+    assert (table.matches[int(Side.LEFT)][:10] == -1).all()
+    assert (table.matches[int(Side.RIGHT)][20:] == -1).all()
 
 
 # ---------------------------------------------------------------------------
 # neighbor statistics
 
 
-def table_with_matches(cs, chain, side, pairs):
-    """MatchTable with chain's given (source index, flat target) pairs."""
+def table_with_matches(cs, chain_id, side, pairs):
+    """MatchTable whose one side matches chain_id's given (source index,
+    flat target) pairs and nothing else."""
     table = matcher.MatchTable(cs)
-    n = len(cs.chains[chain])
-    m = np.full(n, -1, dtype=np.int64)
+    m = np.full(len(cs), -1, dtype=np.int64)
     for i, f in pairs:
-        m[i] = f
-    table.matches[(chain, int(side))] = m
-    table.match_logs[(chain, int(side))] = np.zeros(n)
-    table.totals[(chain, int(side))] = 0.0
+        m[flat(cs, chain_id, i)] = f
+    table.matches[int(side)] = m
     return table
+
+
+def dominant(table, config):
+    return matcher.dominant_neighbors(
+        table, matcher.matching_frequencies(table), config)
 
 
 def test_matching_frequencies(config):
     cs = matcher.stroke_chains(parallel_drawing([0.0, 0.1, 0.2]))
-    pairs = [(0, cs.flat(1, 0)), (1, cs.flat(1, 1)), (2, cs.flat(2, 0))]
+    pairs = [(0, flat(cs, 1, 0)), (1, flat(cs, 1, 1)), (2, flat(cs, 2, 0))]
     table = table_with_matches(cs, 0, Side.RIGHT, pairs)
     freqs = matcher.matching_frequencies(table)
-    assert freqs[(0, int(Side.RIGHT))] == {1: 0.2, 2: 0.1}
+    assert set(freqs) == {int(Side.RIGHT)}
+    freq = freqs[int(Side.RIGHT)]
+    assert freq[0].tolist() == [0.0, 0.2, 0.1]
+    assert not freq[1:].any()
 
 
 def test_dominant_needs_frequency_threshold(config):
     cs = matcher.stroke_chains(parallel_drawing([0.0, 0.1]))
-    pairs = [(0, cs.flat(1, 0)), (1, cs.flat(1, 1))]   # 2 of 10 = 0.2
+    pairs = [(0, flat(cs, 1, 0)), (1, flat(cs, 1, 1))]   # 2 of 10 = 0.2
     table = table_with_matches(cs, 0, Side.RIGHT, pairs)
-    nm = matcher.dominant_neighbors(table,
-                                    matcher.matching_frequencies(table),
-                                    config)
-    assert nm.neighbor_of(0, Side.RIGHT) is None
+    assert dominant(table, config)[int(Side.RIGHT)].tolist() == [-1, -1]
 
 
 def test_dominant_needs_consecutive_support(config):
     cs = matcher.stroke_chains(parallel_drawing([0.0, 0.1]))
-    scattered = [(i, cs.flat(1, 2 * i)) for i in range(4)]  # 0.4, strided
+    scattered = [(i, flat(cs, 1, 2 * i)) for i in range(4)]  # 0.4, strided
     table = table_with_matches(cs, 0, Side.RIGHT, scattered)
-    nm = matcher.dominant_neighbors(table,
-                                    matcher.matching_frequencies(table),
-                                    config)
-    assert nm.neighbor_of(0, Side.RIGHT) is None
+    assert dominant(table, config)[int(Side.RIGHT)].tolist() == [-1, -1]
 
-    solid = [(i, cs.flat(1, i)) for i in range(4)]
+    solid = [(i, flat(cs, 1, i)) for i in range(4)]
     table = table_with_matches(cs, 0, Side.RIGHT, solid)
-    nm = matcher.dominant_neighbors(table,
-                                    matcher.matching_frequencies(table),
-                                    config)
-    assert nm.neighbor_of(0, Side.RIGHT) == 1
-    assert nm.dominant[(0, int(Side.RIGHT))] == (1, pytest.approx(0.4))
+    assert dominant(table, config)[int(Side.RIGHT)].tolist() == [1, -1]
 
 
 def test_dominant_tie_goes_to_lower_chain_id(config):
     cs = matcher.stroke_chains(parallel_drawing([0.0, 0.1, 0.2]))
-    pairs = ([(i, cs.flat(1, i)) for i in range(3)]
-             + [(i + 3, cs.flat(2, i)) for i in range(3)])
+    pairs = ([(i, flat(cs, 1, i)) for i in range(3)]
+             + [(i + 3, flat(cs, 2, i)) for i in range(3)])
     table = table_with_matches(cs, 0, Side.RIGHT, pairs)
-    nm = matcher.dominant_neighbors(table,
-                                    matcher.matching_frequencies(table),
-                                    config)
-    assert nm.neighbor_of(0, Side.RIGHT) == 1
+    assert dominant(table, config)[int(Side.RIGHT)].tolist() == [1, -1, -1]
+
+
+def test_neighbor_statistics_equal_the_per_chain_reference(config):
+    """Frequencies and dominant neighbors over random tables whose
+    matches often run along a target chain, at random thresholds."""
+    rng = np.random.default_rng(3131)
+    found = 0
+    for _ in range(200):
+        cs = random_chainset(rng, with_dmax=False)
+        probe = dataclasses.replace(config,
+                                    dominant_freq=rng.uniform(0.05, 0.6))
+        table = matcher.MatchTable(cs)
+        for side in (1, -1):
+            match = rng.integers(-len(cs), len(cs), size=len(cs))
+            match[match < 0] = -1
+            for f in range(1, len(cs)):
+                step = match[f - 1] + rng.choice([-1, 1])
+                if (match[f - 1] >= 0 and rng.random() < 0.6
+                        and 0 <= step < len(cs)
+                        and cs.chain_id[step] == cs.chain_id[match[f - 1]]):
+                    match[f] = step
+            table.matches[side] = match
+        shares, want = oracles.neighbor_statistics(table, probe)
+        freqs = matcher.matching_frequencies(table)
+        got = matcher.dominant_neighbors(table, freqs, probe)
+        assert set(got) == set(want) == set(freqs) == {1, -1}
+        for side in (1, -1):
+            dense = np.zeros((cs.chain_count(), cs.chain_count()))
+            for (ci, t), share in shares[side].items():
+                dense[ci, t] = share
+            assert freqs[side].tolist() == dense.tolist()
+            assert got[side].dtype == np.int64
+            assert got[side].tolist() == want[side].tolist()
+            found += int((got[side] >= 0).sum())
+    assert found > 0

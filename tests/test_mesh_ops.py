@@ -194,17 +194,17 @@ def test_boundary_chain_set(config):
         pos, [(0, 1, 2), (0, 2, 3)],
         normals=np.tile([0.0, 0.0, 1.0], (4, 1)))
     cs = mesh_ops.boundary_chain_set(mesh, config, with_dmax=True)
-    assert len(cs.chains) == 1
-    chain = cs.chains[0]
-    assert chain.cyclic
-    assert list(chain.gids) == [0, 1, 2, 3]
+    assert list(cs.offsets) == [0, 4]
+    assert list(cs.cyclic) == [True]
+    assert list(cs.component) == [0]
+    assert list(cs.gid) == [0, 1, 2, 3]
     # mean length of the two non-structural edges: diagonal and (0, 3)
-    np.testing.assert_allclose(chain.dmax, (1 + math.sqrt(2)) / 2)
+    np.testing.assert_allclose(cs.dmax, (1 + math.sqrt(2)) / 2)
     centroid = pos.mean(axis=0)
     for k in range(4):
-        outward = chain.positions[k] - centroid
-        assert float(np.dot(chain.binormals[k], outward)) > 0
-        assert abs(float(np.dot(chain.binormals[k], chain.tangents[k]))) < 1e-6
+        outward = cs.pos[k] - centroid
+        assert float(np.dot(cs.bin[k], outward)) > 0
+        assert abs(float(np.dot(cs.bin[k], cs.tan[k]))) < 1e-6
 
 
 # ---------------------------------------------------------------------------

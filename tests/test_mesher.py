@@ -13,7 +13,8 @@ from strokesurf.scoring import Side
 from strokesurf.synth_eval import generate
 
 import oracles
-from conftest import line_stroke, random_frame_rows
+from conftest import (chain, chain_set, flat, line_stroke,
+                      random_frame_rows)
 from test_mesh_ops import grid_mesh
 
 
@@ -27,19 +28,20 @@ def chain_from(pts, gid_base, bno, cyclic=False, width=0.3):
     if bno.ndim == 1:
         bno = np.tile(bno, (n, 1))
     nrm = np.cross(bno, tan)
-    return matcher.Chain(
-        gids=np.arange(gid_base, gid_base + n, dtype=np.int64),
-        positions=pts, tangents=tan, normals=nrm, binormals=bno,
-        widths=np.full(n, width), colors=np.ones((n, 3)),
+    return chain(
+        gid=np.arange(gid_base, gid_base + n, dtype=np.int64), pos=pts,
+        tan=tan, nrm=nrm, bin=bno, w=np.full(n, width), col=np.ones((n, 3)),
         ok=np.ones(n, dtype=bool), cyclic=cyclic)
 
 
 def table_for(cs, side, pairs):
+    """MatchTable whose one side matches chain 0's given (index, flat
+    target) pairs and nothing else."""
     table = matcher.MatchTable(cs)
-    m = np.full(len(cs.chains[0]), -1, dtype=np.int64)
+    m = np.full(len(cs), -1, dtype=np.int64)
     for i, f in pairs:
         m[i] = f
-    table.matches[(0, int(side))] = m
+    table.matches[int(side)] = m
     return table
 
 
@@ -171,7 +173,7 @@ def test_components_split_and_flip():
 
 
 def test_from_drawing_copies_vertex_table(flat_pair):
-    mesh = mesher.SurfaceMesh.from_drawing(flat_pair)
+    mesh = mesher.SurfaceMesh.from_chains(matcher.stroke_chains(flat_pair))
     assert mesh.vertex_count() == 20
     assert np.allclose(mesh.positions[:10], flat_pair.strokes[0].points)
     assert list(mesh.origin[10]) == [1, 0]
@@ -297,8 +299,9 @@ def test_inserts_outside_strip_meshing_keep_the_none_row(config):
     assert (mesh.tri_prov[len(written):] == mesher.NO_PROV).all()
 
     drawing = sm.Drawing(strokes=[line_stroke(n=6)])
-    mesh = mesher.SurfaceMesh.from_drawing(drawing)
-    pipeline._emit_ribbons(mesh, drawing, matcher.stroke_chains(drawing))
+    cs = matcher.stroke_chains(drawing)
+    mesh = mesher.SurfaceMesh.from_chains(cs)
+    pipeline._emit_ribbons(mesh, drawing, cs)
     assert len(mesh.tri_verts) > 0
     assert (mesh.tri_prov == mesher.NO_PROV).all()
 
@@ -339,7 +342,7 @@ def test_flat_pair_strip(flat_pair, config):
 
 
 def test_same_target_collapses_to_triangle(config):
-    cs = matcher.ChainSet([
+    cs = chain_set([
         chain_from([[0, 0, 0], [1, 0, 0]], 0, (0, 1, 0)),
         chain_from([[0.5, 0.3, 0], [0.5, 0.9, 0]], 2, (0, -1, 0)),
     ])
@@ -350,7 +353,7 @@ def test_same_target_collapses_to_triangle(config):
 
 def test_quad_splits_along_better_diagonal(config):
     # qa far left makes diagonal (p0, qb) the only non-skinny split
-    cs = matcher.ChainSet([
+    cs = chain_set([
         chain_from([[0, 0, 0], [1, 0, 0]], 0, (0, 1, 0)),
         chain_from([[-1, 1, 0], [1, 1, 0]], 2, (0, -1, 0)),
     ])
@@ -362,7 +365,7 @@ def test_quad_splits_along_better_diagonal(config):
 
 def test_quad_tie_breaks_on_vertex_ids(config):
     # mirror-symmetric trapezoid: both splits equal, ids decide
-    cs = matcher.ChainSet([
+    cs = chain_set([
         chain_from([[0, 0, 0], [1, 0, 0]], 0, (0, 1, 0)),
         chain_from([[-0.5, 1, 0], [1.5, 1, 0]], 2, (0, -1, 0)),
     ])
@@ -374,7 +377,7 @@ def test_quad_tie_breaks_on_vertex_ids(config):
 
 def test_folded_quad_rejected(config):
     # wedge fold between the two strip rows, far sharper than 45 degrees
-    cs = matcher.ChainSet([
+    cs = chain_set([
         chain_from([[0, 0, 0], [1, 0, 0]], 0, (0, 1, 0)),
         chain_from([[0, 0.05, 0.4], [1, 0.05, 0.4]], 2, (0, -1, 0)),
     ])
@@ -389,9 +392,9 @@ def test_polygon_fans_skipped_section(config):
     src = chain_from([[0, 0, 0], [1, 0, 0]], 0, (0, 1, 0))
     tgt = chain_from([[x, 0.4, 0] for x in (-0.5, 0.0, 0.5, 1.0, 1.5)],
                      2, (0, -1, 0))
-    cs = matcher.ChainSet([src, tgt])
-    table = table_for(cs, Side.LEFT, [(0, cs.flat(1, 1)),
-                                      (1, cs.flat(1, 3))])
+    cs = chain_set([src, tgt])
+    table = table_for(cs, Side.LEFT, [(0, flat(cs, 1, 1)),
+                                      (1, flat(cs, 1, 3))])
     mesh = mesher.mesh_from_matches(table, config)
     sets = active_gid_sets(mesh)
     assert len(sets) == 3
@@ -413,8 +416,8 @@ def test_polygon_fan_split_matches_reference(config):
         src = chain_from([[0, 0, 0], [1, 0, 0]], 0, (0, 1, 0))
         tgt = chain_from(pts, 2, (0, int(rng.choice([-1, 1])), 0),
                          width=float(rng.uniform(0.1, 0.4)))
-        tgt.ok[1:-1] = rng.random(k - 2) > 0.2
-        cs = matcher.ChainSet([src, tgt])
+        tgt["ok"][1:-1] = rng.random(k - 2) > 0.2
+        cs = chain_set([src, tgt])
         table = table_for(cs, Side.LEFT, [(0, 2), (1, 1 + k)])
         mesh = mesher.mesh_from_matches(table, config)
         apex = 2 + oracles.fan_split(cs, config, 0, 1, np.arange(2, 2 + k))
@@ -425,12 +428,11 @@ def test_polygon_vetoed_by_internal_match(config):
     src = chain_from([[0, 0, 0], [1, 0, 0]], 0, (0, 1, 0))
     tgt = chain_from([[x, 0.4, 0] for x in (-0.5, 0.0, 0.5, 1.0, 1.5)],
                      2, (0, -1, 0))
-    cs = matcher.ChainSet([src, tgt])
-    table = table_for(cs, Side.LEFT, [(0, cs.flat(1, 0)),
-                                      (1, cs.flat(1, 4))])
-    m = np.full(5, -1, dtype=np.int64)
-    m[2] = cs.flat(1, 3)                 # section-interior match
-    table.matches[(1, int(Side.LEFT))] = m
+    cs = chain_set([src, tgt])
+    table = table_for(cs, Side.LEFT, [(0, flat(cs, 1, 0)),
+                                      (1, flat(cs, 1, 4))])
+    # section-interior match
+    table.matches[int(Side.LEFT)][flat(cs, 1, 2)] = flat(cs, 1, 3)
     mesh = mesher.mesh_from_matches(table, config)
     # the fan is vetoed; only the target chain's own pass emits anything
     for s in active_gid_sets(mesh):
@@ -442,9 +444,9 @@ def test_polygon_wraps_cyclic_chains(config):
     hexa = np.stack([np.cos(ang), np.sin(ang), np.zeros(6)], axis=1)
     tgt = chain_from(hexa, 2, hexa.copy(), cyclic=True)   # outward probes
     src = chain_from([[1.4, -0.2, 0], [1.4, 0.2, 0]], 0, (-1, 0, 0))
-    cs = matcher.ChainSet([src, tgt])
-    table = table_for(cs, Side.LEFT, [(0, cs.flat(1, 5)),
-                                      (1, cs.flat(1, 1))])
+    cs = chain_set([src, tgt])
+    table = table_for(cs, Side.LEFT, [(0, flat(cs, 1, 5)),
+                                      (1, flat(cs, 1, 1))])
     mesh = mesher.mesh_from_matches(table, config)
     sets = active_gid_sets(mesh)
     assert len(sets) == 3
@@ -468,16 +470,16 @@ def test_crease_section_detected(config):
     cs = matcher.stroke_chains(perpendicular_pair())
     table = matcher.match_all(matcher.baseline_candidates(cs, config),
                               config)
-    m = table.matches[(0, int(Side.RIGHT))]
+    m = table.matches[int(Side.RIGHT)][:cs.offsets[1]]
     assert (m >= 0).sum() >= 8
     assert mesher._section_is_crease(cs, 0, m, 1, 8, config)
 
-    flat = matcher.stroke_chains(
+    level = matcher.stroke_chains(
         sm.Drawing(strokes=[line_stroke(y=0.0), line_stroke(y=0.1)]))
-    ftab = matcher.match_all(matcher.baseline_candidates(flat, config),
+    ftab = matcher.match_all(matcher.baseline_candidates(level, config),
                              config)
-    fm = ftab.matches[(0, int(Side.RIGHT))]
-    assert not mesher._section_is_crease(flat, 0, fm, 1, 8, config)
+    fm = ftab.matches[int(Side.RIGHT)][:level.offsets[1]]
+    assert not mesher._section_is_crease(level, 0, fm, 1, 8, config)
 
 
 def test_mesh_with_creases_offsets_fold_sections(config):
@@ -549,11 +551,10 @@ def make_chain(pts, gid_base, rng, cyclic=False):
     pts = np.asarray(pts, dtype=np.float64)
     n = len(pts)
     tan, nrm, bno = random_frame_rows(rng, n)
-    return matcher.Chain(
-        gids=np.arange(gid_base, gid_base + n, dtype=np.int64),
-        positions=pts, tangents=tan, normals=nrm, binormals=bno,
-        widths=np.full(n, rng.uniform(0.1, 0.4)), colors=np.ones((n, 3)),
-        ok=rng.random(n) > 0.1, cyclic=cyclic)
+    return chain(
+        gid=np.arange(gid_base, gid_base + n, dtype=np.int64), pos=pts,
+        tan=tan, nrm=nrm, bin=bno, w=np.full(n, rng.uniform(0.1, 0.4)),
+        col=np.ones((n, 3)), ok=rng.random(n) > 0.1, cyclic=cyclic)
 
 
 def special_quads(rng):
@@ -612,39 +613,41 @@ def random_strip_table(rng):
         for pts in (p, q):
             chains.append(make_chain(pts, gid, rng))
             gid += 2
-    cs = matcher.ChainSet(chains)
+    cs = chain_set(chains)
     table = matcher.MatchTable(cs)
+    table.matches = {side: np.full(len(cs), -1, dtype=np.int64)
+                     for side in (1, -1)}
     n_random = len(chains) - 2 * len(special)
+    lengths = cs.lengths.tolist()
     for ci in range(n_random):
         for side in (1, -1):
             if rng.random() < 0.3:
                 continue
-            n = len(cs.chains[ci])
-            match = np.full(n, -1, dtype=np.int64)
+            n = lengths[ci]
+            match = table.matches[side][cs.offsets[ci]:cs.offsets[ci + 1]]
             tci = int(rng.choice([c for c in range(n_random) if c != ci]))
-            j = int(rng.integers(len(cs.chains[tci])))
+            j = int(rng.integers(lengths[tci]))
             for i in range(n):
                 r = rng.random()
                 if r < 0.08:
                     tci = int(rng.integers(n_random))
-                    j = int(rng.integers(len(cs.chains[tci])))
+                    j = int(rng.integers(lengths[tci]))
                 elif r < 0.15:
                     continue
                 else:
                     j += int(rng.choice([0, 1, 1, 1, -1, 2, 3]))
-                nt = len(cs.chains[tci])
-                if cs.chains[tci].cyclic:
+                nt = lengths[tci]
+                if cs.cyclic[tci]:
                     j %= nt
                 elif not 0 <= j < nt:
                     j = int(np.clip(j, 0, nt - 1))
                     continue
-                match[i] = cs.flat(tci, j)
-            table.matches[(ci, side)] = match
+                match[i] = flat(cs, tci, j)
     for k in range(len(special)):
         ci = n_random + 2 * k
         side = int(rng.choice([1, -1]))
-        table.matches[(ci, side)] = np.array(
-            [cs.flat(ci + 1, 0), cs.flat(ci + 1, 1)], dtype=np.int64)
+        table.matches[side][flat(cs, ci, 0):flat(cs, ci, 2)] = [
+            flat(cs, ci + 1, 0), flat(cs, ci + 1, 1)]
     return table
 
 
@@ -705,7 +708,7 @@ def test_quads_at_the_dihedral_threshold_are_kept(config):
     for _ in range(40):
         p = rng.normal(size=(2, 3))
         q = p + rng.normal(size=(2, 3))
-        cs = matcher.ChainSet([make_chain(p, 0, rng), make_chain(q, 2, rng)])
+        cs = chain_set([make_chain(p, 0, rng), make_chain(q, 2, rng)])
         table = table_for(cs, Side.LEFT, [(0, 2), (1, 3)])
         probe = dataclasses.replace(config, dihedral_min_deg=1e-9)
         used = mesher.mesh_from_matches(copy.deepcopy(table), probe)
@@ -755,7 +758,7 @@ def test_crease_rows_meet_the_floor_of_their_vertex_table(config):
     """The ribbon of a tiny crease section, emitted before a wide ribbon
     grows the bounding box half a million-fold, is inserted: each row
     meets the area floor of the vertex table it was emitted under."""
-    cs = matcher.ChainSet([
+    cs = chain_set([
         chain_from([[0, 0, 0], [1e-7, 0, 0]], 0, (0, 1, 0), width=1e-7),
         chain_from([[0, 1e-7, 1e-7], [1e-7, 1e-7, 1e-7]], 2, (0, 0, 1),
                    width=1e-7),
@@ -763,8 +766,9 @@ def test_crease_rows_meet_the_floor_of_their_vertex_table(config):
         chain_from([[1, 0.1, 0.1], [1.1, 0.1, 0.1]], 6, (0, 0, 1)),
     ])
     table = matcher.MatchTable(cs)
-    table.matches[(0, 1)] = np.array([cs.flat(1, 0), cs.flat(1, 1)])
-    table.matches[(2, 1)] = np.array([cs.flat(3, 0), cs.flat(3, 1)])
+    table.matches[1] = np.full(len(cs), -1, dtype=np.int64)
+    table.matches[1][[0, 1]] = flat(cs, 1, 0), flat(cs, 1, 1)
+    table.matches[1][[4, 5]] = flat(cs, 3, 0), flat(cs, 3, 1)
     mesh = assert_meshing_equals_reference(mesher.mesh_with_creases, table,
                                            config)
     assert mesh.scale() > 1e5

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 import oracles
 from strokesurf import consolidate, mesh_ops
-from strokesurf.matcher import Chain
+from strokesurf.matcher import ChainSet
 from strokesurf.mesh_ops import mesh_from_arrays
 from strokesurf.pipeline import PipelineOptions, run_pipeline
 from strokesurf.stroke_model import Config
@@ -41,10 +41,9 @@ def assert_same_chains(got, want):
     if want is None:
         assert got is None
         return
-    assert len(got.chains) == len(want.chains)
-    for a, b in zip(got.chains, want.chains):
-        for f in dataclasses.fields(Chain):
-            assert_same_bits(getattr(a, f.name), getattr(b, f.name))
+    for name in [f.name for f in dataclasses.fields(ChainSet)] + [
+            "lengths", "chain_id", "index"]:
+        assert_same_bits(getattr(got, name), getattr(want, name))
 
 
 def assert_same_mesh(got, want):

@@ -1,12 +1,13 @@
 """Full pipeline wiring: stages, options, reports, and fallbacks."""
 
+import json
 import os
 
 import numpy as np
 import pytest
 
 from strokesurf import consolidate, geometry, matcher, pipeline
-from strokesurf.mesher import KIND_RIBBON
+from strokesurf.mesher import KIND_OFFSET, KIND_RIBBON, KIND_STROKE
 from strokesurf.pipeline import PipelineOptions, run_pipeline
 from strokesurf.stroke_model import Drawing, Stroke, ValidationError
 from strokesurf.synth_eval import SyntheticSpec, generate
@@ -309,14 +310,20 @@ def test_matching_equals_the_per_vertex_reference(spec, monkeypatch):
 
     def checked_match_all(cands, config):
         table = match_all(cands, config)
-        for (ci, side), lists in cands.lists.items():
-            match, mlog, total = oracles.viterbi_chain(
-                cands.chainset, ci, side, lists, config)
-            assert np.array_equal(table.matches[(ci, side)], match)
-            np.testing.assert_allclose(table.match_logs[(ci, side)], mlog,
-                                       rtol=1e-12)
-            assert table.totals[(ci, side)] == pytest.approx(total,
-                                                             rel=1e-12)
+        cs = cands.chainset
+        assert set(table.matches) == set(cands.lists)
+        for side, rows in cands.lists.items():
+            assert table.matches[side].shape == (len(cs),)
+            for ci in range(cs.chain_count()):
+                lo, hi = cs.offsets[ci], cs.offsets[ci + 1]
+                match, mlog, total = oracles.viterbi_chain(
+                    cs, ci, side, oracles.vertex_lists(rows, cs, ci), config)
+                assert np.array_equal(table.matches[side][lo:hi], match)
+                on = (rows[:, 0] >= lo) & (rows[:, 0] < hi)
+                got = matcher.viterbi_chain(cs, ci, side, rows[on], config)
+                assert np.array_equal(got[0], match)
+                np.testing.assert_allclose(got[1], mlog, rtol=1e-12)
+                assert got[2] == pytest.approx(total, rel=1e-12)
         return table
 
     match_all = matcher.match_all
@@ -357,6 +364,94 @@ def test_dump_dir_writes_stage_artifacts(tmp_path):
     # stage prefixes are ordered
     prefixes = [int(n.split("_")[0]) for n in names]
     assert prefixes == sorted(prefixes)
+
+
+def expected_match_entries(table):
+    """A match table's dump entries, chain by chain, LEFT before RIGHT,
+    vertex by vertex; each target located by the chain offsets."""
+    cs = table.chainset
+    offsets = cs.offsets.tolist()
+    entries = []
+    for ci in range(len(offsets) - 1):
+        for side, tag in ((1, "L"), (-1, "R")):
+            if side not in table.matches:
+                continue
+            for i in range(offsets[ci + 1] - offsets[ci]):
+                m = int(table.matches[side][offsets[ci] + i])
+                if m >= 0:
+                    tc = int(np.searchsorted(offsets, m, side="right")) - 1
+                    entries.append({"from": [ci, i], "side": tag,
+                                    "to": [tc, m - offsets[tc]]})
+    return entries
+
+
+def test_match_dumps_list_every_match_in_order(tmp_path, monkeypatch):
+    tables = []
+
+    def recorded(cands, config):
+        tables.append(match_all(cands, config))
+        return tables[-1]
+
+    match_all = matcher.match_all
+    monkeypatch.setattr(matcher, "match_all", recorded)
+    dump = tmp_path / "stages"
+    run_pipeline(generate(FLIP_SPECS["dome_spiral"])[0],
+                 PipelineOptions(dump_dir=str(dump)))
+    names = sorted(n for n in os.listdir(dump) if n.endswith("matches.json"))
+    assert [n.split("_", 1)[1] for n in names] == [
+        "baseline_match_matches.json", "restricted_match_matches.json",
+        "boundary_extension_matches.json", "gap_spanning_matches.json"]
+    assert len(tables) == len(names)
+    for name, table in zip(names, tables):
+        with open(dump / name, encoding="utf-8") as fh:
+            entries = json.load(fh)
+        assert entries and entries == expected_match_entries(table)
+
+
+def test_stage_candidates_count_every_candidate_row(monkeypatch):
+    """A match stage's `candidates` is the number of (source, target)
+    rows its candidate set holds, summed over sides as the benchmark's
+    tracer sums len() over CandidateSet.lists."""
+    counted = []
+
+    def counting(build):
+        def wrapper(*args, **kwargs):
+            cands = build(*args, **kwargs)
+            counted.append(sum(len(v) for v in cands.lists.values()))
+            assert counted[-1] == sum(
+                int(rows.shape[0]) for rows in cands.lists.values())
+            return cands
+        return wrapper
+
+    for name in ("baseline_candidates", "restricted_candidates",
+                 "boundary_candidates"):
+        monkeypatch.setattr(matcher, name,
+                            counting(getattr(matcher, name)))
+    _, report = run_pipeline(generate(FLIP_SPECS["dome_spiral"])[0])
+    by_name = {s["name"]: s for s in report["stage_stats"]}
+    stages = ("baseline_match", "restricted_match", "boundary_extension",
+              "gap_spanning")
+    assert counted == [by_name[s]["candidates"] for s in stages]
+    assert all(n > 0 for n in counted)
+
+
+def test_interpolated_fraction_counts_stroke_polylines_only():
+    """Crease meshing appends offset chains to the stroke chain set; the
+    report's fraction still reads the stroke polylines alone."""
+    drawing, _ = generate(FLIP_SPECS["cube_parallel"])
+    mesh, report = run_pipeline(drawing,
+                                PipelineOptions(preserve_creases=True))
+    assert (mesh.origin_kind == KIND_OFFSET).any()
+    # stroke vertices, stroke by stroke in polyline order
+    stroke = np.flatnonzero(mesh.origin_kind == KIND_STROKE)
+    paths = np.split(stroke,
+                     np.flatnonzero(np.diff(mesh.origin[stroke, 0])) + 1)
+    assert len(paths) == report["strokes_in"] - report[
+        "strokes_trimmed_away"]
+    edges = mesh.edge_map()
+    pairs = [(int(a), int(b)) for p in paths for a, b in zip(p[:-1], p[1:])]
+    want = sum(pair in edges for pair in pairs) / len(pairs)
+    assert report["interpolated_edge_fraction"] == want
 
 
 def test_match_dumps_are_built_only_with_a_dump_dir(monkeypatch):

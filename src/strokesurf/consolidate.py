@@ -72,9 +72,8 @@ class ConsolidationStats:
 def _gid_flat_index(cs, n_vertices):
     """Array gid -> flat index in the current chain set, -1 for gids on
     no chain. A gid listed twice maps to its last flat index."""
-    last = {int(g): i for i, g in enumerate(cs.gid)}
     index = np.full(n_vertices, -1, dtype=np.int64)
-    index[list(last)] = list(last.values())
+    np.maximum.at(index, cs.gid, np.arange(len(cs)))
     return index
 
 

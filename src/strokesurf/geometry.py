@@ -45,6 +45,13 @@ def unit_rows(arr, eps=EPS_DEGENERATE):
     return out, ok
 
 
+def dot_rows(u, v):
+    """Row-wise dot products of (n, 3) arrays, each row rounded as
+    np.dot rounds it (one BLAS ddot per row); einsum and a left-to-right
+    sum differ from that on a share of rows."""
+    return (u[:, None, :] @ v[:, :, None])[:, 0, 0]
+
+
 def _acos_deg(c):
     """Degrees of math.acos over a 1-D array, value by value. np.arccos
     rounds differently from libm's acos on a share of inputs, and the

@@ -12,10 +12,9 @@ conditions (distance, probe cone, non-adjacency, end cone, target
 chain) filter the pair arrays, and a sort by (source, target) leaves
 each side's rows with every chain's sources in one run. One match per
 vertex is then chosen by maximizing the product of vertex and
-persistence scores along the chain with a Viterbi sweep, after all of a
-chain side's vertex and transition scores have been computed in
-batches. Vertices with no candidates split the chain into independently
-solved segments.
+persistence scores along each segment, a run of consecutive chain
+vertices that all have candidates. One Viterbi pass per side scores
+every row in batches and advances every segment one step at a time.
 
 Ties are broken toward the lowest (chain, vertex) pair, which equals
 flat-id order.
@@ -271,101 +270,97 @@ def boundary_candidates(cs, config, phase, color_cue=False):
     raise ValueError(f"unknown boundary phase {phase!r}")
 
 
-# ---- Viterbi over segments ----
+# ---- Viterbi, one level-synchronous pass per side ----
 
-def viterbi_path(emissions, transitions):
-    """Maximize sum(emissions) + sum(transitions) over one choice per
-    position. emissions[i] is (k_i,), transitions[i] is (k_i, k_{i+1}).
-    Ties resolve to the lowest candidate index at every step.
+# rows per scoring-kernel call; the kernels work row by row, so the
+# chunk size bounds their temporaries and changes no score
+ROW_CHUNK = 4096
 
-    Returns (choices, total_log).
+
+def _first_max(values, at, sizes):
+    """Max of each group values[at[g]:at[g] + sizes[g]] (the groups tile
+    values) and the index of its first occurrence, as argmax picks it."""
+    best = np.maximum.reduceat(values, at)
+    hit = values == np.repeat(best, sizes)
+    index = np.where(hit, np.arange(len(values)), len(values))
+    return best, np.minimum.reduceat(index, at)
+
+
+def viterbi_chain(cs, side, rows, config):
+    """Solve every chain of one side from its candidate rows,
+    CandidateSet.lists[side]: per flat vertex the match and its log
+    vertex score (-1 and NaN where unmatched), and per chain its
+    segments' log scores added in order from 0.0.
+
+    Vertex v is linked to v - 1 when both have candidates on one chain,
+    never across a cyclic chain's ends; its level is its step in its
+    segment. Level by level, every segment's step takes dp[a] +
+    trans[a, b] over the rows a of v - 1 and b of v, the max over a
+    (lowest a on ties), then + emis[b].
     """
-    n = len(emissions)
-    dp = np.asarray(emissions[0], dtype=np.float64).copy()
-    back = []
-    for i in range(1, n):
-        tot = dp[:, None] + np.asarray(transitions[i - 1], dtype=np.float64)
-        bp = np.argmax(tot, axis=0)
-        dp = tot[bp, np.arange(tot.shape[1])] + emissions[i]
-        back.append(bp)
-    end = int(np.argmax(dp))
-    choices = [0] * n
-    choices[-1] = end
-    for i in range(n - 2, -1, -1):
-        choices[i] = int(back[i][choices[i + 1]])
-    return choices, float(dp[end])
-
-
-def viterbi_chain(cs, chain_id, side, rows, config):
-    """Solve one chain/side from its candidate rows, the (source,
-    target) rows of CandidateSet.lists[side] whose sources lie on the
-    chain: per-vertex matches (-1 where unmatched), their log vertex
-    scores, and the summed log score over segments.
-
-    Every row is scored in one call of the vertex-score kernel, and
-    every transition block (the candidates of vertex k against those of
-    vertex k + 1, for consecutive vertices that both have some) in one
-    call of the row-wise persistence kernel; the segments' Viterbi
-    sweeps then read slices of the two.
-    """
-    n = int(cs.lengths[chain_id])
-    base = int(cs.offsets[chain_id])
-    match = np.full(n, -1, dtype=np.int64)
-    mlog = np.full(n, np.nan)
-    src, tgt = rows[:, 0], rows[:, 1]
-    counts = np.bincount(src - base, minlength=n)
-    sig = pair_sigmas(cs, src, tgt, config)
-    emis = scoring.vertex_scores_log_arrays(
-        cs.pos[src], cs.tan[src], cs.bin[src], cs.w[src], int(side),
-        cs.pos[tgt], cs.tan[tgt], cs.bin[tgt], cs.w[tgt], sig)
+    n, src, tgt = len(cs), rows[:, 0], rows[:, 1]
+    counts = np.bincount(src, minlength=n)
     starts = np.concatenate([[0], np.cumsum(counts)])
-    # the block of step k -> k + 1: candidate a of vertex k against
-    # candidate b of vertex k + 1, row-major, empty unless both have some
-    size = counts[:-1] * counts[1:]
-    block_start = np.concatenate([[0], np.cumsum(size)])
-    block = np.repeat(np.arange(n - 1), size)
-    r = np.arange(block_start[-1]) - block_start[block]
-    ri = starts[block] + r // counts[block + 1]
-    rj = starts[block + 1] + r % counts[block + 1]
-    trans = scoring.persistence_log_rows(
-        cs.pos[src[ri]], cs.pos[src[rj]], cs.pos[tgt[ri]],
-        cs.pos[tgt[rj]], sig[ri])
+    sig = pair_sigmas(cs, src, tgt, config)
+    emis = np.empty(len(rows))
+    for lo in range(0, len(rows), ROW_CHUNK):
+        s, t = src[lo:lo + ROW_CHUNK], tgt[lo:lo + ROW_CHUNK]
+        emis[lo:lo + ROW_CHUNK] = scoring.vertex_scores_log_arrays(
+            cs.pos[s], cs.tan[s], cs.bin[s], cs.w[s], int(side),
+            cs.pos[t], cs.tan[t], cs.bin[t], cs.w[t], sig[lo:lo + ROW_CHUNK])
+    has = counts > 0
+    linked = np.zeros(n, dtype=bool)
+    linked[1:] = has[1:] & has[:-1] & (cs.chain_id[1:] == cs.chain_id[:-1])
+    step = np.arange(n)
+    level = step - np.maximum.accumulate(np.where(linked, 0, step))
 
-    total = 0.0
-    i = 0
-    while i < n:
-        if counts[i] == 0:
-            i += 1
-            continue
-        j = i
-        while j + 1 < n and counts[j + 1] > 0:
-            j += 1
-        emissions = [emis[starts[k]:starts[k + 1]] for k in range(i, j + 1)]
-        transitions = [trans[block_start[k]:block_start[k + 1]].reshape(
-            counts[k], counts[k + 1]) for k in range(i, j)]
-        choices, seg_total = viterbi_path(emissions, transitions)
-        for off, c in enumerate(choices):
-            match[i + off] = tgt[starts[i + off] + c]
-            mlog[i + off] = emissions[off][c]
-        total += seg_total
-        i = j + 1
-    return match, mlog, total
+    # the rows b of linked vertices by level, and per row b one group of
+    # transition rows, (a, b) for every row a of v - 1
+    lrows = np.flatnonzero(linked[src])
+    lrows = lrows[np.argsort(level[src[lrows]], kind="stable")]
+    pred = src[lrows] - 1
+    gcut = np.searchsorted(level[pred + 1], np.arange(1, level.max() + 2))
+    levels = list(zip(gcut[:-1].tolist(), gcut[1:].tolist()))
+    size = counts[pred]
+    cut = np.concatenate([[0], np.cumsum(size)])
+    ja = np.repeat(starts[pred] - cut[:-1], size) + np.arange(cut[-1])
+    jb = np.repeat(lrows, size)
+    trans = np.empty(len(ja))
+    for lo in range(0, len(ja), ROW_CHUNK):
+        a, b = ja[lo:lo + ROW_CHUNK], jb[lo:lo + ROW_CHUNK]
+        trans[lo:lo + ROW_CHUNK] = scoring.persistence_log_rows(
+            cs.pos[src[a]], cs.pos[src[b]], cs.pos[tgt[a]], cs.pos[tgt[b]],
+            sig[a])
+
+    dp, back = emis.copy(), np.zeros(len(rows), dtype=np.int64)
+    for g0, g1 in levels:
+        t0, t1 = cut[g0], cut[g1]
+        best, first = _first_max(dp[ja[t0:t1]] + trans[t0:t1],
+                                 cut[g0:g1] - t0, size[g0:g1])
+        b = lrows[g0:g1]
+        dp[b] = best + emis[b]
+        back[b] = ja[t0 + first]
+
+    # each segment ends at its best row; walk back level by level
+    hv = np.flatnonzero(has)
+    best, first = _first_max(dp, starts[hv], counts[hv])
+    ends = ~np.append(linked[1:], False)[hv]
+    choice = np.full(n, -1, dtype=np.int64)
+    choice[hv[ends]] = first[ends]
+    for g0, g1 in reversed(levels):
+        choice[pred[g0:g1]] = back[choice[pred[g0:g1] + 1]]
+    totals = np.bincount(cs.chain_id[hv[ends]], weights=best[ends],
+                         minlength=cs.chain_count())
+    # choice -1 takes the appended value
+    return (np.append(tgt, -1)[choice], np.append(emis, np.nan)[choice],
+            totals)
 
 
 def match_all(cands, config):
-    """Run viterbi_chain for every chain with candidates on every side
-    the candidate set holds."""
+    """Solve every side the candidate set holds with viterbi_chain."""
     cs = cands.chainset
-    table = MatchTable(cs)
-    for side in sorted(cands.lists):
-        rows = cands.lists[side]
-        match = np.full(len(cs), -1, dtype=np.int64)
-        cuts = np.searchsorted(rows[:, 0], cs.offsets).tolist()
-        for ci in np.flatnonzero(np.diff(cuts)).tolist():
-            match[cs.offsets[ci]:cs.offsets[ci + 1]] = viterbi_chain(
-                cs, ci, side, rows[cuts[ci]:cuts[ci + 1]], config)[0]
-        table.matches[side] = match
-    return table
+    return MatchTable(cs, {side: viterbi_chain(cs, side, rows, config)[0]
+                           for side, rows in sorted(cands.lists.items())})
 
 
 # ---- neighbor statistics ----

@@ -369,8 +369,7 @@ def _interpolation_dmax(mesh, lookup):
                & (np.abs(ou[:, 1] - ov[:, 1]) == 1))
     diff = mesh.positions[u[interp]] - mesh.positions[v[interp]]
     # np.linalg.norm's dot, row by row
-    lengths = np.sqrt(np.fromiter(map(np.dot, diff, diff),
-                                  dtype=np.float64, count=len(diff)))
+    lengths = np.sqrt(geometry.dot_rows(diff, diff))
     comp = lookup.labels[first[interp] // 3]
     order = np.argsort(comp, kind="stable")
     comps, starts = np.unique(comp[order], return_index=True)
@@ -410,8 +409,7 @@ def boundary_chain_set(mesh, config, with_dmax=False):
     # turn binormals away from the mean centroid of their triangles
     rows = np.flatnonzero(b_ok & (count[g] > 0))
     inward = centroid_sum[g[rows]] / count[g[rows], None] - pos[g[rows]]
-    facing = np.fromiter(map(np.dot, binorm[rows], inward),
-                         dtype=np.float64, count=len(rows))
+    facing = geometry.dot_rows(binorm[rows], inward)
     flip = rows[facing > 0]
     binorm[flip] = -binorm[flip]
     ok = t_ok & n_ok & b_ok
@@ -589,10 +587,9 @@ def _guarded_moves(mesh, g, prop, config):
     na, ok_a = geometry.unit_rows_pow(
         geometry.triangle_normals(np.concatenate([pos, prop]), after))
     rows = np.flatnonzero(ok_a & ok_b)
-    # np.dot row by row, not einsum: the guard angle is judged on BLAS
-    # ddot's rounding, as in mesher.apex_sides
-    dots = np.fromiter(map(np.dot, nb[rows], na[rows]), dtype=np.float64,
-                       count=len(rows))
+    # geometry.dot_rows, not einsum: the guard angle is judged on
+    # np.dot's rounding, as in mesher.apex_sides
+    dots = geometry.dot_rows(nb[rows], na[rows])
     blocked = np.zeros(len(g), dtype=bool)
     blocked[owner[~ok_a]] = True
     blocked[owner[rows[dots < cos_guard]]] = True

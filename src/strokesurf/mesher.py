@@ -338,12 +338,10 @@ def apex_sides(cs, fa, fb, apex_pos, width):
     the edge endpoints, as an int array of +1/-1. Offsets below 1e-9 *
     max(1, width[i]) give 0 (no side)."""
     apex_pos = np.asarray(apex_pos, dtype=np.float64).reshape(-1, 3)
-    n = len(apex_pos)
-    # np.dot row by row, not einsum: BLAS ddot rounds as sidedness was
-    # always decided, and einsum differs from it on a share of rows
-    dots = [np.fromiter(map(np.dot, apex_pos - cs.pos[f], cs.bin[f]),
-                        dtype=np.float64, count=n) for f in (fa, fb)]
-    off = (dots[0] + dots[1]) * 0.5
+    # geometry.dot_rows, not einsum: sidedness is decided on np.dot's
+    # rounding
+    off = (geometry.dot_rows(apex_pos - cs.pos[fa], cs.bin[fa])
+           + geometry.dot_rows(apex_pos - cs.pos[fb], cs.bin[fb])) * 0.5
     return np.where(np.abs(off) < 1e-9 * np.maximum(1.0, width), 0,
                     np.where(off > 0, 1, -1))
 

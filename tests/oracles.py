@@ -4,7 +4,8 @@ These avoid the package's algorithmic code paths on purpose: the chain
 matcher reference enumerates full assignment products from score tables
 built with scalar arithmetic, the candidate and Viterbi-scoring
 references gather and score one source vertex at a time (a spatial
-hash lookup per vertex instead of one pair search per phase), the
+hash lookup per vertex instead of one pair search per phase) and sweep
+one chain's segments one at a time, step by step, the
 clustering reference solves max-weight set partitioning exactly with a
 bitmask dynamic program, the greedy clustering reference contracts over
 every arc, hard ones included, and sweeps every node, the boundary-loop
@@ -399,12 +400,35 @@ def _pair_sigmas(cs, p, q, config):
     return config.width_factor * 0.5 * (cs.w[p] + cs.w[q])
 
 
-def viterbi_chain(cs, chain_id, side, cand_lists, config):
-    """Reference for matcher.viterbi_chain that scores one vertex's
-    candidates, and one pair of consecutive vertices' transitions, per
-    kernel call; the package's viterbi_path solves each segment."""
-    from strokesurf.matcher import viterbi_path
+def viterbi_path(emissions, transitions):
+    """Maximize sum(emissions) + sum(transitions) over one choice per
+    position, sweeping the positions in order. emissions[i] is (k_i,),
+    transitions[i] is (k_i, k_{i+1}). Ties resolve to the lowest
+    candidate index at every step.
 
+    Returns (choices, total_log).
+    """
+    n = len(emissions)
+    dp = np.asarray(emissions[0], dtype=np.float64).copy()
+    back = []
+    for i in range(1, n):
+        tot = dp[:, None] + np.asarray(transitions[i - 1], dtype=np.float64)
+        bp = np.argmax(tot, axis=0)
+        dp = tot[bp, np.arange(tot.shape[1])] + emissions[i]
+        back.append(bp)
+    end = int(np.argmax(dp))
+    choices = [0] * n
+    choices[-1] = end
+    for i in range(n - 2, -1, -1):
+        choices[i] = int(back[i][choices[i + 1]])
+    return choices, float(dp[end])
+
+
+def viterbi_chain(cs, chain_id, side, cand_lists, config):
+    """Reference for one chain of matcher.viterbi_chain that scores one
+    vertex's candidates, and one pair of consecutive vertices'
+    transitions, per kernel call, and solves each segment with
+    viterbi_path."""
     n = int(cs.lengths[chain_id])
     base = int(cs.offsets[chain_id])
     match = np.full(n, -1, dtype=np.int64)

@@ -182,8 +182,9 @@ def test_04_matching_is_optimal(capsys, config):
     for _ in range(n):
         cs, cand_lists = random_viterbi_instance(rng, config)
         side = int(rng.choice([1, -1]))
-        match, _, total = matcher.viterbi_chain(
-            cs, 0, side, candidate_rows(cand_lists), config)
+        match, _, totals = matcher.viterbi_chain(
+            cs, side, candidate_rows(cand_lists), config)
+        total = totals[0]
         best = oracles.viterbi_reference(cs, 0, side, cand_lists, config)
         achieved = oracles.assignment_score(cs, 0, side, cand_lists,
                                             match, config)

@@ -16,7 +16,7 @@ from strokesurf.pipeline import PipelineOptions, run_pipeline
 from strokesurf.synth_eval import generate
 
 import oracles
-from conftest import chain_set
+from conftest import chain, chain_set
 from test_mesher import chain_from
 from test_pipeline import FLIP_SPECS
 
@@ -120,6 +120,27 @@ def test_fans_on_opposite_sides_coexist(config):
     t2 = em.tri_on_edge(0, 0, 1, 4, -1)
     flag, _ = consolidate.incompatible(mesh, cs, config, t1, t2)
     assert not flag
+
+
+def test_gid_flat_index_keeps_the_last_flat_index_of_a_gid():
+    """Crease offset chains repeat gids: a gid maps to its last flat id,
+    as a dict built in flat order keeps it, and a gid on no chain to
+    -1."""
+    rng = np.random.default_rng(72)
+    for _ in range(50):
+        lengths = rng.integers(1, 8, size=int(rng.integers(2, 5)))
+        gids = rng.integers(0, 15, size=lengths.sum())
+        gids[-1] = gids[0]
+        cs = chain_set([chain(
+            gid=g, pos=np.zeros((len(g), 3)), tan=np.zeros((len(g), 3)),
+            nrm=np.zeros((len(g), 3)), bin=np.zeros((len(g), 3)),
+            w=np.ones(len(g)), col=np.ones((len(g), 3)),
+            ok=np.ones(len(g), dtype=bool))
+            for g in np.split(gids, np.cumsum(lengths)[:-1])])
+        last = {int(g): i for i, g in enumerate(cs.gid)}
+        index = consolidate._gid_flat_index(cs, 20)
+        assert index[gids[0]] == len(cs) - 1
+        assert index.tolist() == [last.get(g, -1) for g in range(20)]
 
 
 def test_find_pairs_skips_frozen_frozen(config):

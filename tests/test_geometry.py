@@ -219,6 +219,25 @@ def test_angle_kernels_take_empty_batches():
     assert geometry.dihedral_deg_rows(*(empty,) * 4).shape == (0,)
 
 
+def test_dot_rows_equal_np_dot_row_by_row():
+    rng = np.random.default_rng(71)
+
+    def per_row(u, v):
+        return np.fromiter(map(np.dot, u, v), dtype=np.float64,
+                           count=len(u))
+
+    for scale in (1.0, 1e-6, 1e9):
+        u = rng.normal(size=(20000, 3)) * scale
+        v = rng.normal(size=(20000, 3))
+        assert np.array_equal(geometry.dot_rows(u, v), per_row(u, v))
+    wide = rng.normal(size=(5000, 8))
+    u, v = wide[:, 1:7:2], wide[::-1, :3]
+    assert not (u.flags.c_contiguous or v.flags.c_contiguous)
+    assert np.array_equal(geometry.dot_rows(u, v), per_row(u, v))
+    empty = np.zeros((0, 3))
+    assert geometry.dot_rows(empty, empty).shape == (0,)
+
+
 def normal_area(a, b, c):
     """Half the norm of triangle_normals' row, summed in order."""
     n = geometry.triangle_normals(np.array([a, b, c]),

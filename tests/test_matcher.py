@@ -340,21 +340,6 @@ def test_pair_sigmas_width_and_dmax_modes(config):
 # Viterbi
 
 
-def test_viterbi_path_picks_best_and_breaks_ties_low():
-    emissions = [np.array([0.0, 0.0]), np.array([0.0, -1.0])]
-    transitions = [np.zeros((2, 2))]
-    choices, total = matcher.viterbi_path(emissions, transitions)
-    assert choices == [0, 0]
-    assert total == pytest.approx(0.0)
-
-    # a cheap transition out of a poor emission can still win
-    emissions = [np.array([-5.0, 0.0]), np.array([0.0])]
-    transitions = [np.array([[0.0], [-10.0]])]
-    choices, total = matcher.viterbi_path(emissions, transitions)
-    assert choices == [0, 0]
-    assert total == pytest.approx(-5.0)
-
-
 def random_viterbi_instance(rng, config):
     n_src = int(rng.integers(2, 7))
     n_pool = int(rng.integers(4, 13))
@@ -387,8 +372,11 @@ def test_viterbi_chain_matches_enumeration(config):
     for _ in range(250):
         cs, cand_lists = random_viterbi_instance(rng, config)
         side = int(rng.choice([1, -1]))
-        match, mlog, total = matcher.viterbi_chain(
-            cs, 0, side, candidate_rows(cand_lists), config)
+        match, mlog, totals = matcher.viterbi_chain(
+            cs, side, candidate_rows(cand_lists), config)
+        # chain 0 holds every source; the pool chain matches nothing
+        assert (match[cs.offsets[1]:] == -1).all() and totals[1] == 0.0
+        total = totals[0]
         best = oracles.viterbi_reference(cs, 0, side, cand_lists, config)
         assert total == pytest.approx(best, abs=1e-9)
         achieved = oracles.assignment_score(cs, 0, side, cand_lists,
@@ -399,6 +387,67 @@ def test_viterbi_chain_matches_enumeration(config):
             if match[i] >= 0:
                 assert match[i] in cl
                 assert np.isfinite(mlog[i])
+
+
+def random_chain_rows(rng):
+    """A random ChainSet of 2-5 chains, chain 0 cyclic, and candidate
+    rows over it. Each vertex has 0-3 targets anywhere in the set but
+    itself, so vertices without any split segments; chain 0's first and
+    last vertices both have some. The last flat vertex copies the
+    position, frame and width of vertex 0, and one random source has
+    exactly these two as targets. Returns (cs, rows, that source)."""
+    lengths = [int(rng.integers(3, 9))] + [
+        int(rng.integers(1, 9)) for _ in range(int(rng.integers(1, 5)))]
+    chains = []
+    for i, count in enumerate(lengths):
+        tans, nrms, bins = random_frame_rows(rng, count)
+        chains.append(chain(
+            gid=np.arange(count), pos=rng.normal(size=(count, 3)),
+            tan=tans, nrm=nrms, bin=bins,
+            w=rng.uniform(0.1, 1.0, size=count), col=np.ones((count, 3)),
+            ok=np.ones(count, dtype=bool), cyclic=i == 0))
+    cs = chain_set(chains)
+    last = len(cs) - 1
+    for name in ("pos", "tan", "nrm", "bin", "w"):
+        getattr(cs, name)[last] = getattr(cs, name)[0]
+    tie = int(rng.integers(1, last))
+    rows = []
+    for v in range(len(cs)):
+        k = int(rng.integers(0, 4))
+        if v in (0, lengths[0] - 1):
+            k = max(k, 1)
+        others = np.delete(np.arange(len(cs)), v)
+        targets = np.sort(rng.choice(others, size=min(k, len(others)),
+                                     replace=False))
+        if v == tie:
+            targets = [0, last]
+        rows.extend((v, int(t)) for t in targets)
+    return cs, np.array(rows, dtype=np.int64), tie
+
+
+def test_viterbi_chain_solves_every_chain_as_the_per_chain_reference(
+        config):
+    """One call solves every chain of a side as the per-chain reference
+    does: a cyclic chain's first and last vertices stay two segment
+    ends, and of two identical targets the lower flat id wins."""
+    rng = np.random.default_rng(1717)
+    for _ in range(200):
+        cs, rows, tie = random_chain_rows(rng)
+        for side in (1, -1):
+            match, mlog, totals = matcher.viterbi_chain(cs, side, rows,
+                                                        config)
+            assert match[tie] == 0
+            assert totals.shape == (cs.chain_count(),)
+            for ci in range(cs.chain_count()):
+                lo, hi = cs.offsets[ci], cs.offsets[ci + 1]
+                want = oracles.viterbi_chain(
+                    cs, ci, side, oracles.vertex_lists(rows, cs, ci), config)
+                assert np.array_equal(match[lo:hi], want[0])
+                np.testing.assert_allclose(mlog[lo:hi], want[1], rtol=1e-12)
+                assert totals[ci] == pytest.approx(want[2], rel=1e-12)
+        match, mlog, totals = matcher.viterbi_chain(cs, 1, rows[:0], config)
+        assert (match == -1).all() and np.isnan(mlog).all()
+        assert (totals == 0.0).all()
 
 
 def test_match_all_solves_every_side(config):

@@ -11,23 +11,30 @@ retained set manifold-safe. A final deterministic sweep clears any
 residual non-manifold configuration the pairwise criteria cannot
 express (three wide-angle sheets on one edge, pinched vertex fans).
 
-Pairs sharing an edge are gathered in one list and tested with numpy,
-criterion 1 then criterion 3 (one dihedral row-kernel call). Pairs
-sharing only a vertex are many on noisy input, so criterion 2
-enumerates every pair of each vertex fan with numpy and tests them in
-batches of PAIR_CHUNK pairs, which bounds memory. Which triangles share
-an edge is read from the triangle table: one SurfaceMesh.edge_map over
-the undecided triangles serves every conflict graph of a pass, and the
-repair net reads each overfull edge from the active rows. A
-ConsolidationStats passed to consolidate_mesh collects what a pass
+The incompatible pairs are one (P, 4) int64 table of rows (t1, t2, a,
+b), t1 < t2, naming the shared edge (a, b), a < b, or the shared vertex
+a with b = -1. Shared-edge pairs come from the triangle table's edge
+keys and are tested with numpy, criterion 1 then criterion 3. Pairs
+sharing only a vertex are many on noisy input, so criterion 2 tests the
+pairs of every vertex fan in batches of PAIR_CHUNK, which bounds memory.
+
+A pass builds the arcs of all its conflict graphs in one array pass
+before solving any component. Two invariants make that exact:
+- a pair's partner outside a component is frozen and active, since a
+  pair's unfrozen triangles are undecided and undecided triangles
+  sharing a vertex share a component;
+- the triangles already OUTPUT on a node's edges are the active ones
+  there that are not undecided, since undecided edge neighbours share
+  a component and a solve decides only its own triangles.
+A ConsolidationStats passed to consolidate_mesh collects what a pass
 found and did, for the run report.
 """
 
 from __future__ import annotations
 
 import heapq
-import itertools
 from dataclasses import dataclass, field
+from itertools import compress
 
 import numpy as np
 
@@ -56,12 +63,15 @@ class ConsolidationStats:
     add to it. `pairs_by_criterion[k - 1]` counts the incompatible pairs
     criterion k flagged. `greedy_objective` sums the clustering_objective
     of the greedy solves and `greedy_bound` the positive soft arc weights
-    of their graphs, an upper bound on it."""
+    of their graphs, an upper bound on it. `component_histogram[k]`
+    counts the undecided components of 2**k to 2**(k + 1) - 1
+    triangles."""
 
     pairs_by_criterion: list = field(default_factory=lambda: [0, 0, 0])
     undecided: int = 0
     components: int = 0
     largest_component: int = 0
+    component_histogram: list = field(default_factory=list)
     exact_solves: int = 0
     greedy_solves: int = 0
     greedy_objective: float = 0.0
@@ -85,8 +95,6 @@ def _edge_criteria(mesh, cs, config, gid2flat, prov_edges, t1, t2, edges):
     than the dihedral threshold. Each criterion scores all its pairs at
     once; `prov_edges` is _provenance_edges(mesh)."""
     verts = mesh.tri_verts
-    t1 = np.asarray(t1, dtype=np.int64)
-    t2 = np.asarray(t2, dtype=np.int64)
     crit = np.zeros(len(t1), dtype=np.int64)
     pos = mesh.positions
 
@@ -103,7 +111,7 @@ def _edge_criteria(mesh, cs, config, gid2flat, prov_edges, t1, t2, edges):
     crit[rows[(sides[:, 0] != 0) & (sides[:, 0] == sides[:, 1])]] = 1
 
     rest = np.flatnonzero(crit == 0)
-    ab = np.asarray(edges, dtype=np.int64).reshape(-1, 2)[rest]
+    ab = edges[rest]
     c = mesh_ops.third_vertices(verts[t1[rest]], ab)
     d = mesh_ops.third_vertices(verts[t2[rest]], ab)
     di = geometry.dihedral_deg_rows(pos[ab[:, 0]], pos[ab[:, 1]], pos[c],
@@ -168,10 +176,10 @@ def _crit2_overlapping_fans(mesh, cs, gid2flat, edges, t1, t2, q):
     return hit
 
 
-def _edge_pairs(mesh, frozen):
+def _edge_pairs(mesh, skip):
     """(t1, t2, edges) of every pair of active triangles t1 < t2 on one
-    edge, (R, 2) with a < b, that are not both frozen, ordered by edge,
-    then t1, then t2."""
+    edge, (R, 2) with a < b, that the bool mask `skip` does not mark
+    both, ordered by edge, then t1, then t2."""
     tids, verts = mesh.triangle_array()
     n = mesh.vertex_count()
     key = edge_keys(verts, n).ravel()
@@ -181,7 +189,7 @@ def _edge_pairs(mesh, frozen):
     _, sizes = np.unique(key, return_counts=True)
     first, second = run_pairs(sizes)
     t1, t2 = tid[first], tid[second]
-    keep = ~(frozen[t1] & frozen[t2])
+    keep = ~(skip[t1] & skip[t2])
     key = key[first[keep]]
     return t1[keep], t2[keep], np.stack([key // n, key % n], axis=1)
 
@@ -220,34 +228,32 @@ def _fan_pairs(verts, active, frozen):
 
 def incompatible(mesh, cs, config, t1, t2):
     """Pairwise incompatibility test, the one-pair form of
-    find_incompatible_pairs. Returns (flag, entity) where entity is
-    ("edge", (a, b)) or ("vertex", g) naming the shared item."""
+    find_incompatible_pairs. Returns (flag, shared): shared is the pair
+    table's (a, b) of an incompatible pair, (a, -1) for a shared vertex,
+    and None for a compatible one."""
     gid2flat = _gid_flat_index(cs, mesh.vertex_count())
     edges = _provenance_edges(mesh)
-    corners1, corners2 = mesh.tri_verts[[t1, t2]].tolist()
-    shared = sorted(set(corners1) & set(corners2))
+    t1, t2 = np.array([t1]), np.array([t2])
+    shared = np.intersect1d(mesh.tri_verts[t1], mesh.tri_verts[t2]).tolist()
+    flag = False
     if len(shared) == 2:
-        edge = (shared[0], shared[1])
-        if _edge_criteria(mesh, cs, config, gid2flat, edges, [t1], [t2],
-                          [edge])[0]:
-            return True, ("edge", edge)
+        flag = _edge_criteria(mesh, cs, config, gid2flat, edges, t1, t2,
+                              np.array([shared]))[0] > 0
     elif len(shared) == 1:
-        if _crit2_overlapping_fans(mesh, cs, gid2flat, edges, np.array([t1]),
-                                   np.array([t2]), np.array(shared))[0]:
-            return True, ("vertex", shared[0])
-    return False, None
+        flag = _crit2_overlapping_fans(mesh, cs, gid2flat, edges, t1, t2,
+                                       np.array(shared))[0]
+    return bool(flag), (tuple(shared + [-1])[:2] if flag else None)
 
 
 def find_incompatible_pairs(mesh, cs, config, frozen=frozenset(),
                             stats=None):
-    """All incompatible pairs (t1, t2, entity), t1 < t2, among active
-    triangles, skipping pairs fully inside the frozen (prior-phase) set.
-
-    Shared-edge pairs come first, by sorted edge and then tids, with
-    entity ("edge", (a, b)); then shared-vertex pairs by (gid, t1, t2),
-    with entity ("vertex", gid). The order is part of the result:
-    build_conflict_graph sums arc weights in it. With a
-    ConsolidationStats as `stats`, pairs are counted per criterion."""
+    """All incompatible pairs among active triangles, skipping pairs
+    fully inside the frozen (prior-phase) set, as the module docstring's
+    (P, 4) pair table: shared-edge rows by edge (a, b) and then tids,
+    then shared-vertex rows (t1, t2, g, -1) by (g, t1, t2). The order is
+    part of the result: a triangle's hard output arc sums its conflicts
+    with frozen triangles in it. With a ConsolidationStats as `stats`,
+    pairs are counted per criterion."""
     if stats is None:
         stats = ConsolidationStats()
     gid2flat = _gid_flat_index(cs, mesh.vertex_count())
@@ -256,39 +262,35 @@ def find_incompatible_pairs(mesh, cs, config, frozen=frozenset(),
     frozen_mask[list(frozen)] = True
 
     t1, t2, ab = _edge_pairs(mesh, frozen_mask)
-    pairs = []
-    if len(t1):
-        crit = _edge_criteria(mesh, cs, config, gid2flat, edges, t1, t2, ab)
-        hit = np.flatnonzero(crit)
-        pairs = [(a, b, ("edge", (u, v))) for a, b, u, v in zip(
-            t1[hit].tolist(), t2[hit].tolist(), *ab[hit].T.tolist())]
-        for c, count in enumerate(np.bincount(crit[hit], minlength=4)[1:]):
-            stats.pairs_by_criterion[c] += int(count)
+    crit = _edge_criteria(mesh, cs, config, gid2flat, edges, t1, t2, ab)
+    hit = np.flatnonzero(crit)
+    rows = [np.column_stack([t1[hit], t2[hit], ab[hit]])]
+    for c, count in enumerate(np.bincount(crit[hit], minlength=4)[1:]):
+        stats.pairs_by_criterion[c] += int(count)
     # free the edge-pair arrays before the fan batches take their memory
     del t1, t2, ab
 
     for t1, t2, q in _fan_pairs(mesh.tri_verts, mesh.tri_state != REMOVED,
                                 frozen_mask):
         hit = _crit2_overlapping_fans(mesh, cs, gid2flat, edges, t1, t2, q)
-        pairs.extend((a, b, ("vertex", g)) for a, b, g in zip(
-            t1[hit].tolist(), t2[hit].tolist(), q[hit].tolist()))
+        rows.append(np.column_stack([t1[hit], t2[hit], q[hit],
+                                     np.full(hit.sum(), -1)]))
         stats.pairs_by_criterion[1] += int(hit.sum())
-    return pairs
+    return np.concatenate(rows)
 
 
 def classify_undecided(mesh, pairs, frozen=frozenset()):
     """Mark conflict participants and everything touching a conflict's
-    shared edge/vertex as undecided; the rest stays output. The pairs
-    are between active triangles that hold their shared entity, as
-    find_incompatible_pairs gives them, so the participants are among
-    the triangles touching it."""
+    shared edge/vertex as undecided, returned as an ascending tid array;
+    the rest stays output. The pairs are a find_incompatible_pairs
+    table, whose triangles hold the vertices of its columns 2-3, so the
+    participants are among the triangles touching those."""
     tids, verts = mesh.triangle_array()
-    hot = np.array([v for _, _, (kind, at) in pairs
-                    for v in (at if kind == "edge" else (at,))],
-                   dtype=np.int64)
-    touched = np.isin(verts, hot).any(axis=1) & ~np.isin(tids, list(frozen))
+    hot = pairs[:, 2:4]
+    touched = (np.isin(verts, hot[hot >= 0]).any(axis=1)
+               & ~np.isin(tids, list(frozen)))
     mesh.tri_state[tids] = np.where(touched, UNDECIDED, OUTPUT)
-    return set(tids[touched].tolist())
+    return tids[touched]
 
 
 def undecided_components(mesh, undecided):
@@ -335,63 +337,58 @@ def _emission_scores(mesh, cs, config, tids):
         pair_sigmas(cs, p, q, config))
     out = np.zeros(len(prov))
     np.add.at(out, node, np.exp(logs))
-    return out.tolist()
-
-
-def _pairs_by_component(pairs, components):
-    """Per component, the pairs with a triangle in it, in pair order."""
-    comp_of = {t: c for c, tids in enumerate(components) for t in tids}
-    out = [[] for _ in components]
-    for pair in pairs:
-        c1, c2 = comp_of.get(pair[0], -1), comp_of.get(pair[1], -1)
-        if c1 >= 0:
-            out[c1].append(pair)
-        if c2 >= 0 and c2 != c1:
-            out[c2].append(pair)
     return out
 
 
-def build_conflict_graph(mesh, cs, config, component, pairs, incidence):
-    """Arc weights: incompatible pairs get incompatible_weight (hard),
-    compatible shared-edge pairs get compatible_weight, and every node
-    gets an output arc of M(t) plus its count of edges shared with
-    already-output triangles. `pairs` holds the incompatible pairs with
-    a triangle in the component, in find_incompatible_pairs order; any
-    other pairs in it are skipped. `incidence` is a mesh.edge_map that
-    covers the component's edges, taken since it was classified: later
-    removals are other components' triangles, which the state test
-    skips, so one map serves a whole pass."""
-    comp = set(component)
-    graph = ConflictGraph(nodes=sorted(comp))
+def _conflict_arcs(mesh, cs, config, pairs, components):
+    """Per component, the arcs of its conflict graph (build_conflict_graph
+    gives their weights) as arrays (u, v, w, hard) in key order, from
+    the pair table and one listing of the edge pairs with an undecided
+    triangle."""
+    n = len(mesh.tri_state)
+    nodes = np.concatenate(components)
+    comp_of = np.full(n, -1)
+    comp_of[nodes] = np.repeat(np.arange(len(components)),
+                               list(map(len, components)))
+    und = comp_of >= 0
+    t1, t2 = pairs[:, 0], pairs[:, 1]
+    inner = und[t1] & und[t2]
+    # the undecided triangle of each pair with a frozen one
+    blocked = np.where(und[t1], t1, t2)[~inner]
+    out_w = np.zeros(n)
+    np.add.at(out_w, blocked, config.incompatible_weight)
+    e1, e2, _ = _edge_pairs(mesh, ~und)
+    both = und[e1] & und[e2]
+    soft = both & ~np.isin(e1 * n + e2, t1[inner] * n + t2[inner])
+    kept = np.bincount(np.where(und[e1], e1, e2)[~both], minlength=n)
+    out_w[nodes] += _emission_scores(mesh, cs, config, nodes) + kept[nodes]
 
-    for t1, t2, _ in pairs:
-        in1, in2 = t1 in comp, t2 in comp
-        if in1 and in2:
-            graph.add_arc(t1, t2, config.incompatible_weight, hard=True)
-        elif in1 or in2:
-            t_in = t1 if in1 else t2
-            t_out = t2 if in1 else t1
-            if mesh.is_active(t_out) and t_out not in comp:
-                # conflicting with a kept triangle: may not join output
-                graph.add_arc(OUT_NODE, t_in, config.incompatible_weight,
-                              hard=True)
+    u = np.r_[t1[inner], np.full(len(nodes), OUT_NODE), e1[soft]]
+    v = np.r_[t2[inner], nodes, e2[soft]]
+    w = np.r_[np.full(inner.sum(), config.incompatible_weight), out_w[nodes],
+              np.full(soft.sum(), config.compatible_weight)]
+    hard = np.r_[np.ones(inner.sum(), dtype=bool), np.isin(nodes, blocked),
+                 np.zeros(soft.sum(), dtype=bool)]
+    comp = comp_of[v]
+    order = np.lexsort((v, u, comp))
+    cuts = np.searchsorted(comp[order], np.arange(1, len(components)))
+    return [(u[k], v[k], w[k], hard[k]) for k in np.split(order, cuts)]
 
-    edges = [[(u, v) if u < v else (v, u) for u, v in ((a, b), (b, c), (c, a))]
-             for a, b, c in mesh.tri_verts[graph.nodes].tolist()]
-    for key in dict.fromkeys(key for keys in edges for key in keys):
-        for t1, t2 in itertools.combinations(incidence[key], 2):
-            # within the component, the hard arcs are exactly its
-            # incompatible pairs
-            if t1 in comp and t2 in comp and (t1, t2) not in graph.hard:
-                graph.add_arc(t1, t2, config.compatible_weight)
 
-    m_scores = _emission_scores(mesh, cs, config, graph.nodes)
-    state = mesh.tri_state
-    for t, m_t, keys in zip(graph.nodes, m_scores, edges):
-        graph.add_arc(OUT_NODE, t, m_t + sum(
-            1 for key in keys for other in incidence[key]
-            if other != t and state[other] == OUTPUT))
-    return graph
+def build_conflict_graph(component, u, v, w, hard):
+    """The ConflictGraph of one component from its _conflict_arcs slice,
+    arcs in key order. An incompatible pair inside the component is a
+    hard arc of incompatible_weight, a compatible pair sharing an edge a
+    soft arc of compatible_weight. Each node's output arc weighs M(t)
+    plus its count of edge neighbours already OUTPUT, and each conflict
+    with a frozen triangle adds incompatible_weight to it, in pair
+    order, and makes it hard. The slices of a pass are cut before any
+    component is solved; the module docstring's invariants make them
+    the graphs each component has when it is solved."""
+    keys = list(zip(u.tolist(), v.tolist()))
+    return ConflictGraph(nodes=list(component),
+                         arcs=dict(zip(keys, w.tolist())),
+                         hard=set(compress(keys, hard.tolist())))
 
 
 def clustering_objective(graph, assign):
@@ -732,14 +729,17 @@ def consolidate_mesh(mesh, cs, config, frozen=frozenset(), stats=None):
     components = undecided_components(mesh, undecided)
     stats.undecided += len(undecided)
     stats.components += len(components)
-    incidence = mesh.edge_map(undecided)
+    stats.largest_component = max([stats.largest_component,
+                                   *map(len, components)])
+    hist = stats.component_histogram
+    for k in (len(c).bit_length() - 1 for c in components):
+        hist += [0] * (k + 1 - len(hist))
+        hist[k] += 1
+    arcs = (_conflict_arcs(mesh, cs, config, pairs, components)
+            if components else [])
     removed = 0
-    for component, comp_pairs in zip(
-            components, _pairs_by_component(pairs, components)):
-        stats.largest_component = max(stats.largest_component,
-                                      len(component))
-        graph = build_conflict_graph(mesh, cs, config, component,
-                                     comp_pairs, incidence)
+    for component, comp_arcs in zip(components, arcs):
+        graph = build_conflict_graph(component, *comp_arcs)
         cluster = solve_clustering(graph)
         if len(component) <= EXACT_NODE_LIMIT:
             stats.exact_solves += 1
@@ -753,10 +753,11 @@ def consolidate_mesh(mesh, cs, config, frozen=frozenset(), stats=None):
         removed += len(component) - len(kept)
 
     # retained conflicts would be a solver bug
-    for t1, t2, _ in pairs:
-        if mesh.is_active(t1) and mesh.is_active(t2):
-            raise InvariantError(
-                f"incompatible pair ({t1}, {t2}) survived consolidation")
+    alive = (mesh.tri_state[pairs[:, :2]] != REMOVED).all(axis=1)
+    if alive.any():
+        t1, t2 = pairs[alive.argmax(), :2].tolist()
+        raise InvariantError(
+            f"incompatible pair ({t1}, {t2}) survived consolidation")
 
     repaired = len(repair_nonmanifold(mesh, frozen))
     stats.repair_removed += repaired

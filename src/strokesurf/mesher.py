@@ -285,17 +285,13 @@ class SurfaceMesh:
         verts = self.tri_verts
         verts[tids, 1:] = verts[tids, :0:-1]
 
-    def edge_map(self, tids=None):
+    def edge_map(self):
         """Undirected edge (a, b), a < b -> its active triangle ids,
-        ascending, for every edge of an active triangle or only those
-        edges of the given triangles that still have one. A snapshot of
+        ascending, for every edge of an active triangle. A snapshot of
         the table: later inserts and removals do not show in it."""
-        all_tids, verts = self.triangle_array()
+        tids, verts = self.triangle_array()
         n = self.vertex_count()
-        key, tid = edge_keys(verts, n).ravel(), np.repeat(all_tids, 3)
-        if tids is not None:
-            keep = np.isin(key, edge_keys(self.triangle_array(tids)[1], n))
-            key, tid = key[keep], tid[keep]
+        key, tid = edge_keys(verts, n).ravel(), np.repeat(tids, 3)
         key, labels = np.unique(key, return_inverse=True)
         return dict(zip(zip((key // n).tolist(), (key % n).tolist()),
                         split_by_label(tid, labels)))

@@ -52,7 +52,8 @@ class PipelineOptions:
 class _Tracker:
     """Collects per-stage triangle, duplicate and rejected-quad deltas,
     timings and consolidation counts; optionally dumps the mesh after
-    each stage (and on stage failure)."""
+    each stage (and on stage failure) and match tables, every dump
+    numbered by its stage's 1-based position in stage_stats."""
 
     def __init__(self, mesh, dump_dir):
         self.mesh = mesh
@@ -97,6 +98,7 @@ class _StageScope:
         self.duplicates_before = mesh.duplicates_skipped
         self.rejected_before = mesh.quads_rejected
         self.emissions_before = mesh.emissions
+        self.tracker._seq += 1
         return self
 
     def count_emissions(self):
@@ -121,7 +123,6 @@ class _StageScope:
         if self.consolidation is not None:
             entry["consolidation"] = asdict(self.consolidation)
         self.tracker.stats.append(entry)
-        self.tracker._seq += 1
         if exc_type is None:
             self.tracker.dump_mesh(self.name)
         else:

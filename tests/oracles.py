@@ -21,7 +21,9 @@ the moment it is emitted, scoring each quad on its own, the triangle
 table reference keeps corners and states in Python lists, and the
 neighbourhood references (both smoothers with their move guard,
 boundary chain frames, component stats, undecided classification)
-walk a vertex -> triangle dict one vertex at a time.
+walk a vertex -> triangle dict one vertex at a time, and the conflict
+graph reference builds each component's graph arc by arc from the pair
+list and an edge map when the component is solved.
 """
 
 import heapq
@@ -1001,17 +1003,18 @@ def incompatible(mesh, cs, config, t1, t2, gid2flat):
         edge = (shared[0], shared[1])
         if (_crit1(mesh, cs, gid2flat, t1, t2)
                 or _crit3(mesh, config, t1, t2, edge)):
-            return True, ("edge", edge)
+            return True, edge
     elif len(shared) == 1:
         if _crit2(mesh, cs, gid2flat, t1, t2, shared[0]):
-            return True, ("vertex", shared[0])
+            return True, (shared[0], -1)
     return False, None
 
 
 def find_incompatible_pairs(mesh, cs, config, frozen=frozenset()):
     """Scalar reference for consolidate.find_incompatible_pairs: every
     pair around every edge, then every pair around every vertex, tested
-    one at a time."""
+    one at a time. Returns the pair table's rows as lists [t1, t2, a,
+    b]."""
     gid2flat = {int(g): i for i, g in enumerate(cs.gid)}
     pairs = []
     seen = set()
@@ -1022,9 +1025,9 @@ def find_incompatible_pairs(mesh, cs, config, frozen=frozenset()):
         if (t1, t2) in seen:
             return
         seen.add((t1, t2))
-        flag, entity = incompatible(mesh, cs, config, t1, t2, gid2flat)
+        flag, shared = incompatible(mesh, cs, config, t1, t2, gid2flat)
         if flag:
-            pairs.append((t1, t2, entity))
+            pairs.append([t1, t2, *shared])
 
     for edge, tids in sorted(mesh.edge_map().items()):
         for i in range(len(tids)):
@@ -1759,18 +1762,18 @@ def component_stats(mesh):
 
 def classify_undecided(mesh, pairs, frozen=frozenset()):
     """Reference for consolidate.classify_undecided: the participants and
-    every triangle at a conflict's entity, through a vertex map."""
+    every triangle at a conflict's shared vertices, through a vertex
+    map."""
     from strokesurf.mesher import OUTPUT, UNDECIDED
 
     active = mesh.active_ids()
     vmap = mesh.vertex_tris()
     undecided = set()
-    for t1, t2, entity in pairs:
+    for t1, t2, a, b in pairs.tolist():
         for t in (t1, t2):
             if t not in frozen:
                 undecided.add(t)
-        verts = entity[1] if entity[0] == "edge" else (entity[1],)
-        for v in verts:
+        for v in (a, b) if b >= 0 else (a,):
             for t in vmap.get(v, ()):
                 if t not in frozen:
                     undecided.add(t)
@@ -1779,4 +1782,45 @@ def classify_undecided(mesh, pairs, frozen=frozenset()):
     for t in active:
         if t not in undecided:
             mesh.tri_state[t] = OUTPUT
-    return undecided
+    return np.array(sorted(undecided), dtype=np.int64)
+
+
+def build_conflict_graph(mesh, cs, config, component, pairs, incidence):
+    """Reference for consolidate.build_conflict_graph: one component's
+    graph built arc by arc into a dict, reading the mesh as it stands
+    when the component is solved. `pairs` is the pass's pair table; rows
+    with no triangle in the component are skipped. `incidence` is the
+    mesh.edge_map() taken after classification: later removals are
+    other components' triangles, which the state test skips."""
+    from strokesurf.consolidate import ConflictGraph, _emission_scores
+    from strokesurf.mesher import OUTPUT
+
+    comp = set(component)
+    graph = ConflictGraph(nodes=sorted(comp))
+
+    for t1, t2 in pairs[:, :2].tolist():
+        in1, in2 = t1 in comp, t2 in comp
+        if in1 and in2:
+            graph.add_arc(t1, t2, config.incompatible_weight, hard=True)
+        elif in1 or in2:
+            t_in = t1 if in1 else t2
+            t_out = t2 if in1 else t1
+            if mesh.is_active(t_out) and t_out not in comp:
+                # conflicting with a kept triangle: may not join output
+                graph.add_arc(OUT_NODE, t_in, config.incompatible_weight,
+                              hard=True)
+
+    edges = [[(u, v) if u < v else (v, u) for u, v in ((a, b), (b, c), (c, a))]
+             for a, b, c in mesh.tri_verts[graph.nodes].tolist()]
+    for key in dict.fromkeys(key for keys in edges for key in keys):
+        for t1, t2 in itertools.combinations(incidence[key], 2):
+            if t1 in comp and t2 in comp and (t1, t2) not in graph.hard:
+                graph.add_arc(t1, t2, config.compatible_weight)
+
+    m_scores = _emission_scores(mesh, cs, config, graph.nodes).tolist()
+    state = mesh.tri_state
+    for t, m_t, keys in zip(graph.nodes, m_scores, edges):
+        graph.add_arc(OUT_NODE, t, m_t + sum(
+            1 for key in keys for other in incidence[key]
+            if other != t and state[other] == OUTPUT))
+    return graph

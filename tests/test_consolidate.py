@@ -45,16 +45,16 @@ def test_same_edge_same_side_conflicts(config):
     cs, mesh, em = strip_fixture(config, [[0.4, 0.5, 0], [0.6, 0.8, 0]])
     t1 = em.tri_on_edge(0, 1, 2, 3, 1)
     t2 = em.tri_on_edge(0, 1, 2, 4, 1)
-    flag, entity = consolidate.incompatible(mesh, cs, config, t1, t2)
-    assert flag and entity == ("edge", (1, 2))
+    flag, shared = consolidate.incompatible(mesh, cs, config, t1, t2)
+    assert flag and shared == (1, 2)
 
 
 def test_same_edge_opposite_sides_coexist(config):
     cs, mesh, em = strip_fixture(config, [[0.4, 0.5, 0], [0.6, -0.8, 0]])
     t1 = em.tri_on_edge(0, 1, 2, 3, 1)
     t2 = em.tri_on_edge(0, 1, 2, 4, -1)
-    flag, entity = consolidate.incompatible(mesh, cs, config, t1, t2)
-    assert not flag and entity is None
+    flag, shared = consolidate.incompatible(mesh, cs, config, t1, t2)
+    assert not flag and shared is None
 
 
 def test_same_edge_apexes_without_a_side_coexist(config):
@@ -66,7 +66,8 @@ def test_same_edge_apexes_without_a_side_coexist(config):
     t2 = em.tri_on_edge(0, 1, 2, 4, 1)
     assert consolidate.incompatible(mesh, cs, config, t1, t2) == (False,
                                                                   None)
-    assert consolidate.find_incompatible_pairs(mesh, cs, config) == []
+    pairs = consolidate.find_incompatible_pairs(mesh, cs, config)
+    assert pairs.shape == (0, 4) and pairs.dtype == np.int64
 
 
 def test_sharp_fold_conflicts_even_across_sides(config):
@@ -75,8 +76,8 @@ def test_sharp_fold_conflicts_even_across_sides(config):
     cs, mesh, em = strip_fixture(config, [[0.5, 0.05, 1], [0.5, -0.05, 1]])
     t1 = em.tri_on_edge(0, 1, 2, 3, 1)
     t2 = em.tri_on_edge(0, 1, 2, 4, -1)
-    flag, entity = consolidate.incompatible(mesh, cs, config, t1, t2)
-    assert flag and entity == ("edge", (1, 2))
+    flag, shared = consolidate.incompatible(mesh, cs, config, t1, t2)
+    assert flag and shared == (1, 2)
 
 
 def test_fold_at_the_dihedral_threshold_is_compatible(config):
@@ -86,12 +87,12 @@ def test_fold_at_the_dihedral_threshold_is_compatible(config):
     t2 = mesh.add_triangle(1, 2, 4)
     fold = oracles.dihedral_deg(*mesh.positions[[1, 2, 3, 4]])
     for limit, want in ((fold, []),
-                        (np.nextafter(fold, 180.0),
-                         [(t1, t2, ("edge", (1, 2)))])):
+                        (np.nextafter(fold, 180.0), [[t1, t2, 1, 2]])):
         at = dataclasses.replace(config, dihedral_min_deg=float(limit))
         stats = consolidate.ConsolidationStats()
         pairs = consolidate.find_incompatible_pairs(mesh, cs, at, stats=stats)
-        assert pairs == want == oracles.find_incompatible_pairs(mesh, cs, at)
+        assert (pairs.tolist() == want
+                == oracles.find_incompatible_pairs(mesh, cs, at))
         assert stats.pairs_by_criterion == [0, 0, len(want)]
         assert consolidate.incompatible(mesh, cs, at, t1, t2)[0] == bool(want)
 
@@ -102,8 +103,8 @@ def test_overlapping_fans_conflict(config):
     t1 = em.tri_on_edge(0, 1, 2, 3, 1)
     t2 = em.tri_on_edge(0, 0, 1, 4, 1)
     assert set(mesh.tri_verts[t1]) & set(mesh.tri_verts[t2]) == {1}
-    flag, entity = consolidate.incompatible(mesh, cs, config, t1, t2)
-    assert flag and entity == ("vertex", 1)
+    flag, shared = consolidate.incompatible(mesh, cs, config, t1, t2)
+    assert flag and shared == (1, -1)
 
 
 def test_separate_fans_coexist(config):
@@ -150,7 +151,7 @@ def test_find_pairs_skips_frozen_frozen(config):
     assert len(consolidate.find_incompatible_pairs(mesh, cs, config)) == 1
     pairs = consolidate.find_incompatible_pairs(mesh, cs, config,
                                                 frozen={t1, t2})
-    assert pairs == []
+    assert len(pairs) == 0
     pairs = consolidate.find_incompatible_pairs(mesh, cs, config,
                                                 frozen={t1})
     assert len(pairs) == 1
@@ -171,7 +172,7 @@ def test_classify_undecided_is_local(config):
 
     pairs = consolidate.find_incompatible_pairs(mesh, cs, config)
     undecided = consolidate.classify_undecided(mesh, pairs)
-    assert undecided == {t1, t2, toucher}
+    assert undecided.tolist() == sorted([t1, t2, toucher])
     assert mesh.tri_state[distant] == mesher.OUTPUT
     assert mesh.tri_state[t1] == mesher.UNDECIDED
 
@@ -194,17 +195,17 @@ def test_pair_search_on_a_crowded_edge_matches_scalar_reference(config):
     for frozen in (set(), {tids[0], tids[1]}, {tids[2], tids[3], tids[4]},
                    {tids[0], tids[3], tids[5]}):
         pairs = consolidate.find_incompatible_pairs(mesh, cs, config, frozen)
-        assert pairs == oracles.find_incompatible_pairs(mesh, cs, config,
-                                                        frozen)
+        assert pairs.tolist() == oracles.find_incompatible_pairs(
+            mesh, cs, config, frozen)
         if not frozen:
             assert len(pairs) == 4
-            assert all(tids[2] not in pair[:2] for pair in pairs)
+            assert tids[2] not in pairs[:, :2]
 
 
 @pytest.mark.parametrize("name", sorted(FLIP_SPECS))
 def test_pair_search_matches_scalar_reference(name, monkeypatch):
     """At every consolidation pass of a noisy run, the batched search
-    returns the scalar reference's pair list, in the same order, under
+    returns the scalar reference's pair rows, in the same order, under
     the pass's own frozen set and under another one."""
     search = consolidate.find_incompatible_pairs
     kinds = set()
@@ -212,14 +213,16 @@ def test_pair_search_matches_scalar_reference(name, monkeypatch):
 
     def checked(mesh, cs, config, frozen=frozenset(), stats=None):
         pairs = search(mesh, cs, config, frozen, stats)
-        assert pairs == oracles.find_incompatible_pairs(mesh, cs, config,
-                                                        frozen)
+        assert pairs.dtype == np.int64 and pairs.shape[1] == 4
+        assert pairs.tolist() == oracles.find_incompatible_pairs(
+            mesh, cs, config, frozen)
         # unfrozen passes are checked with every other triangle frozen,
         # frozen ones without freezing
         other = frozenset() if frozen else frozenset(mesh.active_ids()[::2])
-        assert (search(mesh, cs, config, other)
+        assert (search(mesh, cs, config, other).tolist()
                 == oracles.find_incompatible_pairs(mesh, cs, config, other))
-        kinds.update(entity[0] for _, _, entity in pairs)
+        kinds.update("vertex" if b < 0 else "edge"
+                     for b in pairs[:, 3].tolist())
         frozen_sizes.append(len(frozen))
         return pairs
 
@@ -492,6 +495,72 @@ def test_consolidate_mesh_resolves_conflict(config):
     assert mesh.is_active(t1) and not mesh.is_active(t2)
     bad_e, bad_v = mesh_ops.audit_manifold(mesh)
     assert not bad_e and not bad_v
+
+
+def test_consolidate_mesh_raises_when_a_conflict_survives(config,
+                                                         monkeypatch):
+    """A solver that put every node with the output node would keep both
+    triangles of an incompatible pair; the pass raises instead of
+    returning a mesh that holds the conflict."""
+    cs, mesh, em = strip_fixture(config, [[0.4, 0.5, 0], [0.6, 0.8, 0]])
+    t1 = em.tri_on_edge(0, 1, 2, 3, 1)
+    t2 = em.tri_on_edge(0, 1, 2, 4, 1)
+    monkeypatch.setattr(
+        consolidate, "solve_clustering",
+        lambda graph: dict.fromkeys([OUT_NODE] + graph.nodes, OUT_NODE))
+    with pytest.raises(consolidate.InvariantError,
+                       match=rf"\({t1}, {t2}\) survived"):
+        consolidate.consolidate_mesh(mesh, cs, config)
+
+
+@pytest.mark.parametrize("name", sorted(FLIP_SPECS))
+def test_conflict_graphs_equal_the_dict_built_reference(name, monkeypatch):
+    """Every component graph of every consolidation pass, sliced from
+    the arrays the pass builds before solving any component, equals the
+    reference built arc by arc when the component is solved, after the
+    earlier components were applied: equal nodes, arc keys and hard
+    sets, and bitwise-equal weights. The runs must reach every kind of
+    arc: inner hard, hard output, compatible."""
+    consolidate_mesh = consolidate.consolidate_mesh
+    classify = consolidate.classify_undecided
+    build = consolidate.build_conflict_graph
+    passes = []
+    arcs = Counter()
+
+    def traced_pass(mesh, cs, config, frozen=frozenset(), stats=None):
+        passes.append(dict(mesh=mesh, cs=cs, config=config, graphs=0))
+        return consolidate_mesh(mesh, cs, config, frozen, stats)
+
+    def traced_classify(mesh, pairs, frozen=frozenset()):
+        undecided = classify(mesh, pairs, frozen)
+        passes[-1].update(pairs=pairs, incidence=mesh.edge_map())
+        return undecided
+
+    def checked(component, *comp_arcs):
+        graph = build(component, *comp_arcs)
+        p = passes[-1]
+        want = oracles.build_conflict_graph(
+            p["mesh"], p["cs"], p["config"], component, p["pairs"],
+            p["incidence"])
+        assert graph.nodes == want.nodes
+        assert graph.arcs.keys() == want.arcs.keys()
+        assert graph.hard == want.hard
+        keys = list(want.arcs)
+        assert (np.array([graph.arcs[k] for k in keys]).tobytes()
+                == np.array([want.arcs[k] for k in keys]).tobytes())
+        p["graphs"] += 1
+        for u, v in keys:
+            arcs[("hard " if (u, v) in graph.hard else "")
+                 + ("output" if u == OUT_NODE else "inner")] += 1
+        return graph
+
+    monkeypatch.setattr(consolidate, "consolidate_mesh", traced_pass)
+    monkeypatch.setattr(consolidate, "classify_undecided", traced_classify)
+    monkeypatch.setattr(consolidate, "build_conflict_graph", checked)
+    run_pipeline(generate(FLIP_SPECS[name])[0])
+    assert len(passes) == 3 and passes[0]["graphs"] > 0
+    assert min(arcs[k] for k in ("hard output", "hard inner", "inner",
+                                 "output")) > 0
 
 
 @pytest.mark.parametrize("spec", FLIP_SPECS.values(), ids=FLIP_SPECS.keys())

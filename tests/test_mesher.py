@@ -103,40 +103,6 @@ def test_edge_map_tracks_removal():
     assert mesh.edge_map() == {}
 
 
-def test_edge_map_of_given_triangles_lists_every_active_triangle():
-    """edge_map(tids) keeps the edges of the given triangles, removed ones
-    included, and lists all active triangles on each, ascending; an edge
-    with none left is dropped. Checked on a random soup against a scan
-    of the rows."""
-    rng = np.random.default_rng(5)
-    n = 12
-    mesh = mesher.SurfaceMesh()
-    mesh.add_vertices(rng.normal(size=(n, 3)), np.tile([0, 0, 1.0], (n, 1)),
-                      np.full(n, 0.1), np.ones((n, 3)),
-                      np.zeros((n, 2), dtype=np.int64), mesher.KIND_STROKE)
-    mesh.add_triangles(rng.integers(0, n, size=(80, 3)))
-    mesh.remove(rng.choice(len(mesh.tri_verts), size=15, replace=False))
-    active = set(mesh.active_ids())
-
-    def edges_of(t):
-        a, b, c = mesh.tri_verts[t].tolist()
-        return {(min(u, v), max(u, v)) for u, v in ((a, b), (b, c), (c, a))}
-
-    removed = sorted(set(range(len(mesh.tri_verts))) - active)
-    assert len(removed) == 15
-    for tids in ([], [3], [0, 3, 3, 7], removed, removed[:4] + [1, 2],
-                 list(range(0, len(mesh.tri_verts), 4)), None):
-        chosen = active if tids is None else set(tids)
-        want = {}
-        for e in set().union(*map(edges_of, chosen)):
-            on = [t for t in sorted(active) if e in edges_of(t)]
-            if on:
-                want[e] = on
-        assert mesh.edge_map(tids) == want
-        assert mesh.edge_map(None if tids is None
-                             else np.array(tids, dtype=np.int64)) == want
-
-
 def test_remove_takes_arrays_with_duplicates_and_removed_tids():
     mesh = triangle_mesh()
     t0 = mesh.add_triangle(0, 1, 2)

@@ -109,17 +109,17 @@ def test_pipeline_passes_equal_the_scalar_references(name, options,
 
 def incompatible_like_pairs(mesh, pick):
     """Pairs of active triangles sharing an edge or only a vertex, in the
-    shape find_incompatible_pairs returns, kept where pick(i) holds."""
+    (P, 4) table find_incompatible_pairs returns, kept where pick(i)
+    holds."""
     pairs = []
     tids = mesh.active_ids()
     for t1, t2 in itertools.combinations(tids, 2):
         corners1, corners2 = mesh.tri_verts[[t1, t2]].tolist()
         shared = sorted(set(corners1) & set(corners2))
-        if len(shared) == 2:
-            pairs.append((t1, t2, ("edge", tuple(shared))))
-        elif len(shared) == 1:
-            pairs.append((t1, t2, ("vertex", shared[0])))
-    return [p for i, p in enumerate(pairs) if pick(i)]
+        if shared:
+            pairs.append([t1, t2, *(shared + [-1])[:2]])
+    return np.array([p for i, p in enumerate(pairs) if pick(i)],
+                    dtype=np.int64).reshape(-1, 4)
 
 
 def check_loop_components(mesh):

@@ -63,8 +63,8 @@ CONSOLIDATION_STAGES = ["strip_consolidation", "extension_consolidation",
                         "gap_consolidation"]
 CONSOLIDATION_KEYS = {
     "pairs_by_criterion", "undecided", "components", "largest_component",
-    "exact_solves", "greedy_solves", "greedy_objective", "greedy_bound",
-    "repair_removed",
+    "component_histogram", "exact_solves", "greedy_solves",
+    "greedy_objective", "greedy_bound", "repair_removed",
 }
 
 
@@ -74,7 +74,7 @@ def test_consolidation_stages_report_counts():
         if s["name"] in CONSOLIDATION_STAGES:
             assert s["consolidation"] == dict(
                 dict.fromkeys(CONSOLIDATION_KEYS, 0),
-                pairs_by_criterion=[0, 0, 0])
+                pairs_by_criterion=[0, 0, 0], component_histogram=[])
         else:
             assert "consolidation" not in s
 
@@ -88,6 +88,12 @@ def test_noisy_spiral_reports_a_greedy_sized_component():
         assert set(counts) == CONSOLIDATION_KEYS
         assert (counts["exact_solves"] + counts["greedy_solves"]
                 == counts["components"])
+        # power-of-two size bins: the top one holds the largest component
+        hist = counts["component_histogram"]
+        assert sum(hist) == counts["components"]
+        if hist:
+            assert hist[-1] > 0
+            assert len(hist) == counts["largest_component"].bit_length()
     strip = by_name["strip_consolidation"]["consolidation"]
     assert strip["largest_component"] > consolidate.EXACT_NODE_LIMIT
     assert strip["greedy_solves"] >= 1
@@ -365,6 +371,26 @@ def test_dump_dir_writes_stage_artifacts(tmp_path):
     # stage prefixes are ordered
     prefixes = [int(n.split("_")[0]) for n in names]
     assert prefixes == sorted(prefixes)
+
+
+def test_dump_numbers_follow_the_stage_order(tmp_path):
+    """Every dump of a stage, its match table included, carries the
+    stage's 1-based position in stage_stats, so a stage's match and mesh
+    dumps share their number and sorting the names orders the stages."""
+    dump = tmp_path / "stages"
+    _, report = run_pipeline(generate(FLIP_SPECS["dome_spiral"])[0],
+                             PipelineOptions(dump_dir=str(dump)))
+    stages = [s["name"] for s in report["stage_stats"]]
+    assert len(set(stages)) == len(stages)
+    kinds = {}
+    for name in os.listdir(dump):
+        seq, rest = name.split("_", 1)
+        stage, kind = rest.rsplit("_", 1)
+        assert stages[int(seq) - 1] == stage
+        kinds.setdefault(stage, set()).add(kind)
+    # the stages that dump their matches before they end
+    for stage in ("boundary_extension", "gap_spanning"):
+        assert kinds[stage] == {"matches.json", "mesh.obj"}
 
 
 def expected_match_entries(table):

@@ -670,18 +670,26 @@ def apply_consolidation(mesh, cluster, component):
     return kept
 
 
+class Repair(list):
+    """The tids repair_nonmanifold removed, in removal order. `audit` is
+    the (bad_edges, bad_vertices) of the mesh as the net left it, or
+    None when the round cap stopped the net after a change."""
+
+    audit = None
+
+
 def repair_nonmanifold(mesh, frozen=frozenset()):
     """Deterministically remove the newest triangles at any residual
     non-manifold edge or pinched vertex. The pairwise criteria cover the
     overwhelming majority of conflicts; this net guarantees the audit,
     after consolidation and after the pipeline's orientation-driven
-    removals.
+    removals. Returns a Repair.
 
     Overfull edges are cleared once, in sorted order, of their newest
     active triangles, unfrozen before frozen: removals only lower edge
     counts, so no edge can become overfull later. Pinched vertices are
     then split until the audit finds none."""
-    removed = []
+    removed = Repair()
     tids, verts = mesh.triangle_array()
     keys = edge_keys(verts, mesh.vertex_count())
     bad, count = np.unique(keys, return_counts=True)
@@ -693,7 +701,8 @@ def repair_nonmanifold(mesh, frozen=frozenset()):
         removed += on[:-2]
     for _ in range(64):
         changed = False
-        _, nm_vertices = mesh_ops.audit_manifold(mesh)
+        audit = mesh_ops.audit_manifold(mesh)
+        nm_vertices = audit[1]
         vmap = mesh.vertex_tris(nm_vertices) if nm_vertices else {}
         for v in nm_vertices:
             # removals at earlier vertices leave removed tids in vmap;
@@ -715,6 +724,7 @@ def repair_nonmanifold(mesh, frozen=frozenset()):
                 removed += g
                 changed = True
         if not changed:
+            removed.audit = audit
             break
     return removed
 
@@ -759,10 +769,11 @@ def consolidate_mesh(mesh, cs, config, frozen=frozenset(), stats=None):
         raise InvariantError(
             f"incompatible pair ({t1}, {t2}) survived consolidation")
 
-    repaired = len(repair_nonmanifold(mesh, frozen))
-    stats.repair_removed += repaired
-    removed += repaired
-    nm_edges, nm_vertices = mesh_ops.audit_manifold(mesh)
+    repaired = repair_nonmanifold(mesh, frozen)
+    stats.repair_removed += len(repaired)
+    removed += len(repaired)
+    nm_edges, nm_vertices = (mesh_ops.audit_manifold(mesh)
+                             if repaired.audit is None else repaired.audit)
     if nm_edges or nm_vertices:
         raise InvariantError(
             f"non-manifold after consolidation: {len(nm_edges)} edges, "

@@ -748,32 +748,34 @@ def load_obj(path):
     """Read positions, faces, and optional normals from an OBJ file.
     Faces with more than three vertices are fanned from the first. A
     face index must name a vertex listed above it: 1 is the first, -1
-    the last so far; any other index raises ValueError."""
+    the last so far; any other index raises ValueError, as does a
+    vertex line without 3 numbers."""
     positions = []
     normals = []
     faces = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
-            parts = line.strip().split()
-            if not parts or parts[0].startswith("#"):
-                continue
-            if parts[0] == "v":
-                positions.append([float(x) for x in parts[1:4]])
-            elif parts[0] == "vn":
-                normals.append([float(x) for x in parts[1:4]])
-            elif parts[0] == "f":
+            parts = line.split()
+            tag = parts[0] if parts else ""
+            if tag == "v":
+                positions.append(parts[1:4])
+            elif tag == "vn":
+                normals.append(parts[1:4])
+            elif tag == "f":
                 idx = []
                 for tok in parts[1:]:
-                    i = int(tok.split("/")[0])
+                    i = int(tok.partition("/")[0])
                     g = i - 1 if i > 0 else len(positions) + i
                     if not 0 <= g < len(positions):
                         raise ValueError(f"{path}:{lineno}: face index {i} "
                                          "names no vertex")
                     idx.append(g)
-                for k in range(1, len(idx) - 1):
-                    faces.append((idx[0], idx[k], idx[k + 1]))
-    pos = np.asarray(positions, dtype=np.float64)
-    nrm = np.asarray(normals, dtype=np.float64) if normals else None
+                faces.extend(zip(idx[:1] * (len(idx) - 2), idx[1:-1],
+                                 idx[2:]))
+    pos = np.array(positions, dtype=np.float64)
+    if positions and pos.shape[1] != 3:
+        raise ValueError(f"{path}: vertex lines need 3 coordinates")
+    nrm = np.array(normals, dtype=np.float64) if normals else None
     return pos, faces, nrm
 
 

@@ -26,8 +26,9 @@ from .stroke_model import Config, Drawing, Stroke, json_fields, trim_hooks
 _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 
-# points_to_mesh_distance: sample points per centroid-tree query, and
-# (point, triangle) rows per distance-kernel call
+# points_to_mesh_distance: sample points per block, each block queried
+# against every spread class's centroid tree, and (point, triangle) rows
+# per distance-kernel call; together they bound its memory
 POINT_BLOCK = 256
 PAIR_ROWS = 1 << 14
 
@@ -219,13 +220,14 @@ class GroundTruthSurface:
             face = (rng.uniforms(n) * 6).astype(int).clip(0, 5)
             a = 2 * rng.uniforms(n) - 1.0
             b = 2 * rng.uniforms(n) - 1.0
+            axis, sign = np.divmod(face, 2)
+            # the two coordinates that vary on each face, in axis order
+            rest = np.array([[1, 2], [0, 2], [0, 1]])[axis]
+            rows = np.arange(n)
             out = np.zeros((n, 3))
-            for i in range(n):
-                axis, sign = divmod(int(face[i]), 2)
-                rest = [ax for ax in range(3) if ax != axis]
-                out[i, axis] = 1.0 if sign == 0 else -1.0
-                out[i, rest[0]] = a[i]
-                out[i, rest[1]] = b[i]
+            out[rows, axis] = np.where(sign == 0, 1.0, -1.0)
+            out[rows, rest[:, 0]] = a
+            out[rows, rest[:, 1]] = b
             return out
         if self.kind == "mesh":
             return sample_mesh_surface(self.positions, self.faces, n, rng)
@@ -590,16 +592,26 @@ def generate(spec):
 
 def points_to_mesh_distance(points, positions, faces, return_pairs=False):
     """Exact point-to-surface distance per sample: the nearest mesh
-    vertex bounds the answer, a centroid KD-tree prunes triangles, and
-    the survivors get the exact point-triangle test.
+    vertex bounds the answer, centroid KD-trees prune triangles, and the
+    survivors get the exact point-triangle test.
 
-    Points go to the tree in blocks of POINT_BLOCK, and their (point,
-    candidate triangle) pairs go through
-    geometry.point_triangle_pair_distances at most PAIR_ROWS rows at a
-    time, so memory stays bounded however many candidates a point has.
-    Each distance is bit-identical to testing the point's candidates in
-    one call, as the per-point reference in the tests does. With
-    return_pairs, also returns the number of pairs tested."""
+    A triangle's spread is the distance from its centroid to its
+    farthest corner. Triangles are split into classes by the binary
+    exponent of their spread, np.frexp(spread)[1], with one centroid
+    tree per class, and a point's ball in a class reaches its
+    nearest-vertex bound plus the largest spread in that class. A
+    triangle closer to the point than the bound has its centroid within
+    the bound plus its own spread, so it stays a candidate: the result
+    is min(bound, distances to every triangle), exactly, while a few
+    large triangles widen only the balls of their own class.
+
+    Points go to the trees in blocks of POINT_BLOCK. A block's (point,
+    candidate triangle) pairs from every class, sorted by point, go
+    through geometry.point_triangle_pair_distances at most PAIR_ROWS
+    rows at a time, so memory stays bounded however many candidates a
+    point has. Each distance is bit-identical to testing the point's
+    candidates in one call, as the per-point reference in the tests
+    does. With return_pairs, also returns the number of pairs tested."""
     positions = np.asarray(positions, dtype=np.float64)
     tris = np.asarray(faces, dtype=np.int64).reshape(-1, 3)
     if len(tris) == 0:
@@ -612,24 +624,35 @@ def points_to_mesh_distance(points, positions, faces, return_pairs=False):
         np.linalg.norm(a - centroids, axis=1),
         np.linalg.norm(b - centroids, axis=1)),
         np.linalg.norm(c - centroids, axis=1))
-    r_max = float(spread.max())
+    exponent = np.frexp(spread)[1]
+    classes = []
+    for e in np.unique(exponent):
+        ids = np.flatnonzero(exponent == e)
+        classes.append((ids, cKDTree(centroids[ids]),
+                        float(spread[ids].max())))
     used = np.unique(tris)
     vert_tree = cKDTree(positions[used])
-    cent_tree = cKDTree(centroids)
     points = np.asarray(points, dtype=np.float64).reshape(-1, 3)
     upper, _ = vert_tree.query(points)
     out = upper.copy()
-    radius = upper + r_max + 1e-12
     pairs = 0
     for start in range(0, len(points), POINT_BLOCK):
         stop = min(start + POINT_BLOCK, len(points))
-        balls = cent_tree.query_ball_point(points[start:stop],
-                                           radius[start:stop])
-        counts = np.fromiter(map(len, balls), dtype=np.int64,
-                             count=len(balls))
-        tri = np.fromiter(itertools.chain.from_iterable(balls),
-                          dtype=np.int64, count=int(counts.sum()))
-        owner = np.repeat(np.arange(start, stop), counts)
+        block = np.arange(start, stop)
+        owner, tri = [], []
+        for ids, tree, r_class in classes:
+            balls = tree.query_ball_point(points[start:stop],
+                                          upper[start:stop] + r_class + 1e-12)
+            counts = np.fromiter(map(len, balls), dtype=np.int64,
+                                 count=len(balls))
+            owner.append(np.repeat(block, counts))
+            tri.append(ids[np.fromiter(itertools.chain.from_iterable(balls),
+                                       dtype=np.int64,
+                                       count=int(counts.sum()))])
+        owner = np.concatenate(owner)
+        order = np.argsort(owner, kind="stable")
+        owner = owner[order]
+        tri = np.concatenate(tri)[order]
         pairs += len(tri)
         for lo in range(0, len(tri), PAIR_ROWS):
             o = owner[lo:lo + PAIR_ROWS]
@@ -679,7 +702,9 @@ class EvalReport:
     mesh_to_truth: float
     truth_to_mesh: float
     samples_per_side: int
-    distance_pairs: int        # (point, triangle) pairs tested, both sides
+    # (point, triangle) pairs tested, both sides: the candidates the
+    # spread-class pruning of points_to_mesh_distance keeps
+    distance_pairs: int
     interpolated_edge_fraction: float    # NaN when no drawing given
     runtime_seconds: float
 

@@ -3,27 +3,28 @@
 These avoid the package's algorithmic code paths on purpose: the chain
 matcher reference enumerates full assignment products from score tables
 built with scalar arithmetic, the candidate and Viterbi-scoring
-references gather and score one source vertex at a time (a spatial
-hash lookup per vertex instead of one pair search per phase) and sweep
-one chain's segments one at a time, step by step, the
-clustering reference solves max-weight set partitioning exactly with a
-bitmask dynamic program, the greedy clustering reference contracts over
-every arc, hard ones included, and sweeps every node, the boundary-loop
-reference scans the live edge map, the incompatible-pair reference tests
-every candidate pair one at a time with scalar float arithmetic, the
-point-to-mesh reference tests one sample point at a time against its
-candidate triangles, the mesh-topology references (manifold audit,
-components, orientation, the repair net, undecided components, Moebius
-strips) walk vertex fans and components one at a time with hand-written
-union-finds, the angle references evaluate one triangle at a time in
-Python floats, the strip-meshing reference inserts every triangle
-the moment it is emitted, scoring each quad on its own, the triangle
-table reference keeps corners and states in Python lists, and the
-neighbourhood references (both smoothers with their move guard,
-boundary chain frames, component stats, undecided classification)
-walk a vertex -> triangle dict one vertex at a time, and the conflict
-graph reference builds each component's graph arc by arc from the pair
-list and an edge map when the component is solved.
+references gather and score one source vertex at a time (a spatial hash
+lookup per vertex instead of one pair search per phase) and sweep one
+chain's segments one at a time, step by step, the clustering reference
+solves max-weight set partitioning exactly with a bitmask dynamic
+program, the greedy clustering reference contracts over every arc, hard
+ones included, and sweeps every node, the boundary-loop reference scans
+the live edge map, the incompatible-pair reference tests every candidate
+pair one at a time with scalar float arithmetic, the point-to-mesh
+reference tests one sample point at a time against its candidate
+triangles, the cube sampler and OBJ reader references place one sample
+and parse one token at a time, the mesh-topology references (manifold
+audit, components, orientation, the repair net, undecided components,
+Moebius strips) walk vertex fans and components one at a time with
+hand-written union-finds, the angle references evaluate one triangle at
+a time in Python floats, the strip-meshing reference inserts every
+triangle the moment it is emitted, scoring each quad on its own, the
+triangle table reference keeps corners and states in Python lists, and
+the neighbourhood references (both smoothers with their move guard,
+boundary chain frames, component stats, undecided classification) walk a
+vertex -> triangle dict one vertex at a time, and the conflict graph
+reference builds each component's graph arc by arc from the pair list
+and an edge map when the component is solved.
 """
 
 import heapq
@@ -1094,7 +1095,10 @@ def point_to_triangles_distance(p, a, b, c):
 def mesh_candidates(points, positions, faces):
     """Per point, the nearest-vertex bound and the candidate triangles
     of synth_eval.points_to_mesh_distance's pruning, all points at once:
-    (a, b, c, upper, balls)."""
+    (a, b, c, upper, balls). Each class of triangles with one binary
+    exponent of spread gets its own centroid tree, queried at the bound
+    plus the largest spread in the class; a point's candidates are its
+    balls in every class, as triangle ids."""
     positions = np.asarray(positions, dtype=np.float64)
     tris = np.array([tuple(f) for f in faces], dtype=np.int64)
     a = positions[tris[:, 0]]
@@ -1105,12 +1109,18 @@ def mesh_candidates(points, positions, faces):
         np.linalg.norm(a - centroids, axis=1),
         np.linalg.norm(b - centroids, axis=1)),
         np.linalg.norm(c - centroids, axis=1))
-    r_max = float(spread.max())
     vert_tree = cKDTree(positions[np.unique(tris)])
     points = np.atleast_2d(np.asarray(points, dtype=np.float64))
     upper, _ = vert_tree.query(points)
-    balls = cKDTree(centroids).query_ball_point(points,
-                                               upper + r_max + 1e-12)
+    balls = [[] for _ in points]
+    exponent = [math.frexp(r)[1] for r in spread.tolist()]
+    for e in sorted(set(exponent)):
+        ids = [t for t, x in enumerate(exponent) if x == e]
+        r_class = max(spread[t] for t in ids)
+        found = cKDTree(centroids[ids]).query_ball_point(
+            points, upper + r_class + 1e-12)
+        for ball, cand in zip(balls, found):
+            ball += [ids[k] for k in cand]
     return a, b, c, upper, balls
 
 
@@ -1824,3 +1834,54 @@ def build_conflict_graph(mesh, cs, config, component, pairs, incidence):
             1 for key in keys for other in incidence[key]
             if other != t and state[other] == OUTPUT))
     return graph
+
+
+# ---------------------------------------------------------------------------
+# ground truth sampling and OBJ input
+
+
+def cube_samples(n, rng):
+    """Reference for GroundTruthSurface("cube").sample: the same three
+    draws, then one sample placed at a time."""
+    face = (rng.uniforms(n) * 6).astype(int).clip(0, 5)
+    a = 2 * rng.uniforms(n) - 1.0
+    b = 2 * rng.uniforms(n) - 1.0
+    out = np.zeros((n, 3))
+    for i in range(n):
+        axis, sign = divmod(int(face[i]), 2)
+        rest = [ax for ax in range(3) if ax != axis]
+        out[i, axis] = 1.0 if sign == 0 else -1.0
+        out[i, rest[0]] = a[i]
+        out[i, rest[1]] = b[i]
+    return out
+
+
+def load_obj(path):
+    """Reference for mesh_ops.load_obj: every coordinate through float(),
+    every fan triangle appended on its own."""
+    positions = []
+    normals = []
+    faces = []
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, 1):
+            parts = line.strip().split()
+            if not parts or parts[0].startswith("#"):
+                continue
+            if parts[0] == "v":
+                positions.append([float(x) for x in parts[1:4]])
+            elif parts[0] == "vn":
+                normals.append([float(x) for x in parts[1:4]])
+            elif parts[0] == "f":
+                idx = []
+                for tok in parts[1:]:
+                    i = int(tok.split("/")[0])
+                    g = i - 1 if i > 0 else len(positions) + i
+                    if not 0 <= g < len(positions):
+                        raise ValueError(f"{path}:{lineno}: face index {i} "
+                                         "names no vertex")
+                    idx.append(g)
+                for k in range(1, len(idx) - 1):
+                    faces.append((idx[0], idx[k], idx[k + 1]))
+    pos = np.asarray(positions, dtype=np.float64)
+    nrm = np.asarray(normals, dtype=np.float64) if normals else None
+    return pos, faces, nrm

@@ -177,6 +177,19 @@ def test_eval_rejects_face_index_out_of_range(tmp_path, capsys, face, role):
     assert "input error" in err and f"{bad}:4:" in err
 
 
+@pytest.mark.parametrize("vertex", ["v 0 x 0", "v 0 0", "v 0 0 1e400z"])
+@pytest.mark.parametrize("role", ["--mesh", "--truth"])
+def test_eval_rejects_a_bad_vertex_line(tmp_path, capsys, vertex, role):
+    good = tmp_path / "good.obj"
+    good.write_text("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 3\n")
+    bad = tmp_path / "bad.obj"
+    bad.write_text(f"v 0 0 0\nv 1 0 0\n{vertex}\nf 1 2 3\n")
+    files = {"--mesh": good, "--truth": good, role: bad}
+    assert cli_main(["eval", "--mesh", str(files["--mesh"]),
+                     "--truth", str(files["--truth"])]) == 2
+    assert "input error" in capsys.readouterr().err
+
+
 def test_load_obj_resolves_negative_indices(tmp_path):
     path = tmp_path / "m.obj"
     path.write_text("v 0 0 0\nv 1 0 0\nv 0 1 0\nf -3 -2 -1\n"

@@ -513,6 +513,36 @@ def test_consolidate_mesh_raises_when_a_conflict_survives(config,
         consolidate.consolidate_mesh(mesh, cs, config)
 
 
+@pytest.mark.parametrize("audit", [None, ([], [7])])
+def test_consolidate_mesh_checks_the_repair_audit(config, monkeypatch,
+                                                  audit):
+    """The pass raises on the repair net's last audit when the net hands
+    one back, and audits the mesh itself only when it does not."""
+    cs, mesh, _ = strip_fixture(config, [[0.4, 0.5, 0], [0.6, 0.8, 0]])
+    audits = []
+    real_audit = mesh_ops.audit_manifold
+
+    def counted_audit(m):
+        audits.append(m)
+        return real_audit(m)
+
+    def repair(m, frozen=frozenset()):
+        removed = consolidate.Repair()
+        removed.audit = audit
+        return removed
+
+    monkeypatch.setattr(mesh_ops, "audit_manifold", counted_audit)
+    monkeypatch.setattr(consolidate, "repair_nonmanifold", repair)
+    if audit is None:
+        consolidate.consolidate_mesh(mesh, cs, config)
+        assert audits == [mesh]
+    else:
+        with pytest.raises(consolidate.InvariantError,
+                           match="0 edges, 1 vertices"):
+            consolidate.consolidate_mesh(mesh, cs, config)
+        assert audits == []
+
+
 @pytest.mark.parametrize("name", sorted(FLIP_SPECS))
 def test_conflict_graphs_equal_the_dict_built_reference(name, monkeypatch):
     """Every component graph of every consolidation pass, sliced from
@@ -657,6 +687,7 @@ def test_repair_separates_bowtie_fans():
     assert removed == [t2]                        # smaller fan goes whole
     bad_e, bad_v = mesh_ops.audit_manifold(mesh)
     assert not bad_e and not bad_v
+    assert removed.audit == (bad_e, bad_v)
 
 
 def test_repair_reads_each_overfull_edge_from_live_rows():
@@ -674,7 +705,7 @@ def test_repair_reads_each_overfull_edge_from_live_rows():
     removed = consolidate.repair_nonmanifold(mesh)
     assert removed == [t2] == oracles.repair_nonmanifold(ref)
     assert mesh.active_ids() == [t0, t1, t3, t4]
-    assert mesh_ops.audit_manifold(mesh) == ([], [])
+    assert removed.audit == mesh_ops.audit_manifold(mesh) == ([], [])
 
 
 def test_repair_bowtie_prefers_frozen_fan():

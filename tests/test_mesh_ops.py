@@ -495,6 +495,36 @@ def test_load_obj_negative_indices_and_fans(tmp_path):
     assert mesh_ops.audit_manifold(rebuilt) == ([], [])
 
 
+def test_load_obj_equals_the_per_token_reference(tmp_path):
+    path = tmp_path / "mixed.obj"
+    path.write_text("# comment\n\nv 0.1 -2e-3 7\nvn 0 0 1\n"
+                    "v 1.7976931348623157e308 5e-324 -0\nvn 0 1 0\n"
+                    "  v 3 4 5 0.5\nvn 1 0 0\no part\ng group\n"
+                    "vt 0.5 0.5\nf 1/1/1 2//2 3\nv 0.30000000000000004 1 2\n"
+                    "vn 0 0 -1\nf -4 -3 -2 -1\nf 1 2\nf\n#f 1 2 3\n")
+    pos, faces, normals = mesh_ops.load_obj(path)
+    want_pos, want_faces, want_normals = oracles.load_obj(path)
+    assert pos.dtype == normals.dtype == np.float64
+    assert pos.shape == want_pos.shape == (4, 3)
+    assert np.array_equal(pos.view(np.int64), want_pos.view(np.int64))
+    assert np.array_equal(normals.view(np.int64),
+                          want_normals.view(np.int64))
+    assert faces == want_faces == [(0, 1, 2), (0, 1, 2), (0, 2, 3)]
+    assert all(type(f) is tuple and all(type(i) is int for i in f)
+               for f in faces)
+
+
+@pytest.mark.parametrize("vertex", ["v 0 x 0", "v 1 2", "v"])
+def test_load_obj_rejects_a_bad_vertex_line(tmp_path, vertex):
+    path = tmp_path / "bad.obj"
+    path.write_text(f"{vertex}\n")
+    with pytest.raises(ValueError):
+        mesh_ops.load_obj(path)
+    path.write_text(f"v 0 0 0\n{vertex}\nv 0 1 0\n")
+    with pytest.raises(ValueError):
+        mesh_ops.load_obj(path)
+
+
 def test_mesh_from_arrays_defaults():
     pos = np.array([[0.0, 0, 0], [1.0, 0, 0], [0.0, 1, 0]])
     mesh = mesh_from_arrays(pos, [(0, 1, 2)])

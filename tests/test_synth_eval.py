@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 from strokesurf import geometry, synth_eval
 from strokesurf.mesh_ops import mesh_from_arrays
@@ -194,6 +195,16 @@ def test_samples_lie_on_surface(kind):
     assert float(truth.distance(pts).max()) <= 1e-12
 
 
+@pytest.mark.parametrize("n", [0, 1, 500])
+def test_cube_samples_equal_the_per_sample_reference(n):
+    fast, slow = SplitMix64(23), SplitMix64(23)
+    got = GroundTruthSurface(kind="cube").sample(n, fast)
+    want = oracles.cube_samples(n, slow)
+    assert got.shape == want.shape == (n, 3)
+    assert np.array_equal(got, want)
+    assert fast.state == slow.state
+
+
 @pytest.mark.parametrize("kind", synth_eval.SURFACES)
 def test_reference_mesh_vertices_on_surface(kind):
     truth = GroundTruthSurface(kind=kind)
@@ -313,6 +324,48 @@ def test_batched_distance_splits_a_point_across_row_chunks(monkeypatch):
     monkeypatch.setattr(synth_eval, "PAIR_ROWS", 7)
     monkeypatch.setattr(synth_eval, "POINT_BLOCK", 9)
     assert_matches_reference(points, pos, faces)
+
+
+def test_spread_classes_keep_every_closer_triangle():
+    """A grid of small triangles, one large triangle and a zero-spread
+    one: each spread class is queried at its own radius, yet every
+    distance is the brute-force minimum over all triangles, capped by
+    the nearest-vertex bound, and each point's candidates lie inside
+    the single ball the largest spread would give it."""
+    n = 12
+    u, v = np.meshgrid(np.linspace(0, 1, n), np.linspace(0, 1, n),
+                       indexing="ij")
+    pos = np.stack([u.ravel(), v.ravel(), np.zeros(n * n)], axis=1)
+    faces = []
+    for i in range(n - 1):
+        for j in range(n - 1):
+            k = i * n + j
+            faces += [(k, k + n, k + n + 1), (k, k + n + 1, k + 1)]
+    m = len(pos)
+    pos = np.vstack([pos, [[-3.0, -3.0, 1.0], [4.0, -3.0, 1.0],
+                           [0.5, 5.0, 1.0], [0.5, 0.5, -0.5]]])
+    faces += [(m, m + 1, m + 2), (m + 3, m + 3, m + 3)]
+    points = np.random.default_rng(17).uniform(-3, 4, (400, 3))
+
+    tris = np.array(faces)
+    a, b, c = pos[tris[:, 0]], pos[tris[:, 1]], pos[tris[:, 2]]
+    centroids = (a + b + c) / 3.0
+    spread = np.max([np.linalg.norm(x - centroids, axis=1)
+                     for x in (a, b, c)], axis=0)
+    assert len(set(np.frexp(spread)[1].tolist())) >= 3
+    assert spread[-1] == 0.0
+
+    balls = assert_matches_reference(points, pos, faces)
+    got = points_to_mesh_distance(points, pos, faces)
+    upper, _ = cKDTree(pos[np.unique(tris)]).query(points)
+    brute = np.array([geometry.point_triangle_pair_distances(
+        np.broadcast_to(p, a.shape), a, b, c).min() for p in points])
+    assert np.array_equal(got, np.minimum(upper, brute))
+
+    single = cKDTree(centroids).query_ball_point(
+        points, upper + spread.max() + 1e-12)
+    assert all(set(new) <= set(old) for new, old in zip(balls, single))
+    assert sum(map(len, balls)) < sum(map(len, single))
 
 
 def test_sample_mesh_surface_is_area_weighted():

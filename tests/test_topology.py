@@ -223,10 +223,10 @@ def test_orient_component_skips_triangles_outside_the_strip(make):
 def test_repair_net_matches_reference(make):
     mesh, frozen = make()
     ref = copy.deepcopy(mesh)
-    assert (consolidate.repair_nonmanifold(mesh, frozen=frozen)
-            == oracles.repair_nonmanifold(ref, frozen=frozen))
+    removed = consolidate.repair_nonmanifold(mesh, frozen=frozen)
+    assert removed == oracles.repair_nonmanifold(ref, frozen=frozen)
     assert np.array_equal(mesh.tri_state, ref.tri_state)
-    assert mesh_ops.audit_manifold(mesh) == ([], [])
+    assert removed.audit == mesh_ops.audit_manifold(mesh) == ([], [])
     assert mesh.active_count() == len(mesh.active_ids())
 
 

@@ -18,6 +18,20 @@ keys and are tested with numpy, criterion 1 then criterion 3. Pairs
 sharing only a vertex are many on noisy input, so criterion 2 tests the
 pairs of every vertex fan in batches of PAIR_CHUNK, which bounds memory.
 
+Criterion 2 does once what does not depend on the pair. Per triangle,
+once per search: the crossing test's plane frame, 2D corners and
+inward edge normals (geometry.triangle_frames). Per corner (a triangle
+on a vertex), once per search: the side of the vertex's stroke that the
+triangle's centroid lies on; corners that cannot pass (no provenance
+edge, a vertex on no chain or not ok, a side of 0) are dropped before
+any pair is formed. Per pair: the two sides and provenance edges are
+compared. Per spoke, of the pairs left: the spoke's far end is
+projected into the other triangle's frame, where the shared vertex is
+a corner, and clipped (geometry.segments_cross_frames). Every value is
+computed by the same operations, in the same order, as when each row
+recomputed its triangle, and corners are dropped only where a pair of
+them would fail anyway, so the pair table is unchanged.
+
 A pass builds the arcs of all its conflict graphs in one array pass
 before solving any component. Two invariants make that exact:
 - a pair's partner outside a component is frozen and active, since a
@@ -35,6 +49,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 from itertools import compress
+from typing import NamedTuple
 
 import numpy as np
 
@@ -65,7 +80,9 @@ class ConsolidationStats:
     of the greedy solves and `greedy_bound` the positive soft arc weights
     of their graphs, an upper bound on it. `component_histogram[k]`
     counts the undecided components of 2**k to 2**(k + 1) - 1
-    triangles."""
+    triangles. `edge_pairs_tested` counts the shared-edge pairs that
+    criteria 1 and 3 scored, and `vertex_pairs_tested` the shared-vertex
+    pairs that reached criterion 2's crossing test."""
 
     pairs_by_criterion: list = field(default_factory=lambda: [0, 0, 0])
     undecided: int = 0
@@ -77,6 +94,8 @@ class ConsolidationStats:
     greedy_objective: float = 0.0
     greedy_bound: float = 0.0
     repair_removed: int = 0
+    edge_pairs_tested: int = 0
+    vertex_pairs_tested: int = 0
 
 
 def _gid_flat_index(cs, n_vertices):
@@ -126,54 +145,102 @@ def _provenance_edges(mesh):
     return np.sort(mesh.tri_prov[:, :2], axis=1)
 
 
-def _crit2_overlapping_fans(mesh, cs, gid2flat, edges, t1, t2, q):
-    """Criterion 2 over arrays of triangle pairs (t1[i], t2[i]) sharing
-    exactly the vertex q[i]: the triangles hang on different stroke
-    edges, their centroids lie on the same side of q's stroke, and a
-    spoke of one from q, projected onto the other, crosses its interior.
-    Returns a bool array."""
+def _spoke_ends(verts, c):
+    """The gids at the other two corners of the triangles of corners c,
+    flat ids 3 t + k naming corner k of triangle t of the (T, 3) table
+    `verts`: the far ends of the corners' two spokes."""
+    k = c % 3
+    flat = verts.ravel()
+    return flat.take(c - k + (k + 1) % 3), flat.take(c - k + (k + 2) % 3)
+
+
+class _FanCorners(NamedTuple):
+    """What criterion 2 reads about the triangles it tests, computed
+    once per search. Corner c = 3 t + k is corner k of triangle t."""
+
+    # (3T,) int8: the side of the corner vertex's stroke that the
+    # triangle's centroid lies on, 0 for a corner no pair can pass on
+    side: np.ndarray
+    # (T,) int64: a key of each triangle's provenance edge
+    edge: np.ndarray
+    # geometry.triangle_frames of the triangles with a nonzero side,
+    # column slot[t] for triangle t
+    frames: np.ndarray
+    ok: np.ndarray
+    slot: np.ndarray
+
+
+def _corner_sides(mesh, cs, gid2flat, edges, tids):
+    """(T, 3) int8: for each corner of the triangles `tids` that can
+    pass criterion 2, the side of its vertex's stroke (the sign of the
+    offset along the vertex's binormal) that the triangle's centroid
+    lies on; 0 for the other corners, and for a centroid within 1e-9 of
+    the stroke width of that plane. A corner can pass only if its
+    triangle has a provenance edge and its vertex is on a chain and ok
+    there."""
     verts = mesh.tri_verts
-    hit = np.zeros(len(t1), dtype=bool)
-    keep = ((edges[t1, 0] >= 0) & (edges[t2, 0] >= 0)
-            & ~(edges[t1] == edges[t2]).all(axis=1))
-    fq = gid2flat[q]
-    keep &= fq >= 0
-    keep[keep] = cs.ok[fq[keep]]
-    rows = np.flatnonzero(keep)
-    t1, t2, q, fq = t1[rows], t2[rows], q[rows], fq[rows]
-
-    pos = mesh.positions
-    qpos = cs.pos[fq]
-    b = cs.bin[fq]
+    side = np.zeros(verts.shape, dtype=np.int8)
+    tids = tids[edges[tids, 0] >= 0]
+    corners = verts[tids]
+    fq = gid2flat[corners]
+    on = fq >= 0
+    on[on] = cs.ok[fq[on]]
+    t, k = np.nonzero(on)
+    fq = fq[t, k]
+    # one coordinate at a time, in the order of a dot product
+    for j in range(3):
+        pos = mesh.positions[:, j]
+        c = (pos[corners[:, 0]] + pos[corners[:, 1]]
+             + pos[corners[:, 2]]) / 3.0
+        term = (c[t] - cs.pos[fq, j]) * cs.bin[fq, j]
+        off = term if j == 0 else off + term
     eps = 1e-9 * np.maximum(1.0, cs.w[fq])
+    side[tids[t], k] = np.where(np.abs(off) < eps, 0,
+                                np.where(off > 0, 1, -1))
+    return side
 
-    def side_of(t):
-        corners = pos[verts[t]]
-        c = (corners[:, 0] + corners[:, 1] + corners[:, 2]) / 3.0
-        off = ((c[:, 0] - qpos[:, 0]) * b[:, 0]
-               + (c[:, 1] - qpos[:, 1]) * b[:, 1]
-               + (c[:, 2] - qpos[:, 2]) * b[:, 2])
-        return np.where(np.abs(off) < eps, 0, np.where(off > 0, 1, -1))
 
-    s1 = side_of(t1)
-    same = (s1 != 0) & (s1 == side_of(t2))
-    rows = rows[same]
-    t1, t2, q = t1[same], t2[same], q[same]
+def _fan_corners(mesh, cs, gid2flat, edges, tids):
+    """_FanCorners of the triangles `tids`."""
+    verts = mesh.tri_verts
+    side = _corner_sides(mesh, cs, gid2flat, edges, tids)
+    used = np.flatnonzero(side.any(axis=1))
+    slot = np.full(len(verts), -1)
+    slot[used] = np.arange(len(used))
+    corners = mesh.positions[verts[used]]
+    frames, ok = geometry.triangle_frames(corners[:, 0], corners[:, 1],
+                                          corners[:, 2])
+    edge = edges[:, 0] * mesh.vertex_count() + edges[:, 1]
+    return _FanCorners(side.ravel(), edge, frames, ok, slot)
 
-    # the two spokes of each triangle against the other one
-    ends, tris = [], []
-    for ta, tb in ((t1, t2), (t2, t1)):
-        va = verts[ta]
-        spokes = va[va != q[:, None]].reshape(-1, 2)
-        for k in range(2):
-            ends.append(spokes[:, k])
-            tris.append(verts[tb])
-    tris = pos[np.concatenate(tris)]
-    crossed = geometry.segments_cross_triangles_interior(
-        pos[np.tile(q, 4)], pos[np.concatenate(ends)],
-        tris[:, 0], tris[:, 1], tris[:, 2])
-    hit[rows] = crossed.reshape(4, -1).any(axis=0)
-    return hit
+
+def _crit2_overlapping_fans(mesh, fans, c1, c2):
+    """Criterion 2 over arrays of triangle pairs sharing exactly one
+    vertex, given as the corners c1[i], c2[i] on it, both with a
+    nonzero side in the _FanCorners `fans`: the triangles hang on
+    different stroke edges, their centroids lie on the same side of the
+    vertex's stroke, and a spoke of one from the vertex, projected onto
+    the other, crosses its interior. Returns a bool array and the
+    number of pairs that reached the crossing test."""
+    t1, t2 = c1 // 3, c2 // 3
+    hit = np.zeros(len(c1), dtype=bool)
+    rows = np.flatnonzero((fans.side[c1] == fans.side[c2])
+                          & (fans.edge[t1] != fans.edge[t2]))
+
+    # both spokes of each triangle from the shared vertex, against the
+    # other triangle, in whose frame that vertex is a corner
+    spoked = np.concatenate([c1[rows], c2[rows]])
+    other = np.concatenate([c2[rows], c1[rows]])
+    tri = fans.slot.take(other // 3)
+    # take is far faster than fancy indexing on these small tables
+    at = (geometry.FRAME_CORNERS + 2 * (other % 3)) * len(fans.ok) + tri
+    frames = fans.frames
+    q0 = frames.take(at), frames.take(at + len(fans.ok))
+    q1 = geometry.frame_coordinates(frames, tri, mesh.positions.take(
+        _spoke_ends(mesh.tri_verts, spoked), axis=0))
+    crosses = geometry.segments_cross_frames(frames, fans.ok, tri, q0, q1)
+    hit[rows] = crosses.any(axis=0).reshape(2, -1).any(axis=0)
+    return hit, len(rows)
 
 
 def _edge_pairs(mesh, skip):
@@ -194,17 +261,18 @@ def _edge_pairs(mesh, skip):
     return t1[keep], t2[keep], np.stack([key // n, key % n], axis=1)
 
 
-def _fan_pairs(verts, active, frozen):
-    """Batches (t1, t2, q) of every pair of active triangles t1 < t2 that
-    share exactly the vertex q and are not both frozen, in (q, t1, t2)
-    order. Each batch takes the next PAIR_CHUNK pairs of the sequence,
-    counted before those filters, so a large fan's pairs may span
-    batches."""
-    tids = np.flatnonzero(active)
-    gid = verts[tids].ravel()
-    tid = np.repeat(tids, 3)
-    order = np.lexsort((tid, gid))
-    gid, tid = gid[order], tid[order]
+def _fan_pairs(verts, usable, frozen):
+    """Batches (c1, c2) of every pair of corners, marked in the (T, 3)
+    bool mask `usable`, on one vertex q of triangles t1 < t2 that share
+    only q and are not both frozen, in (q, t1, t2) order. Corners are
+    flat ids 3 t + k, corner k of triangle t. Each batch takes the next
+    PAIR_CHUNK pairs of usable corners on one vertex, counted before the
+    other filters, so a large fan's pairs may span batches."""
+    corner = np.flatnonzero(usable)
+    gid = verts.ravel()[corner]
+    # corners come in tid order, so a stable sort gives (gid, tid)
+    order = np.argsort(gid, kind="stable")
+    corner, gid = corner[order], gid[order]
     bounds = np.r_[np.flatnonzero(np.r_[True, gid[1:] != gid[:-1]]),
                    len(gid)]
     sizes = np.diff(bounds)
@@ -218,12 +286,13 @@ def _fan_pairs(verts, active, frozen):
         skip = p0 - int(ends[f0] - npairs[f0])
         first, second = (x[skip:skip + PAIR_CHUNK]
                          for x in run_pairs(sizes[f0:f1]))
-        t1, t2 = tid[lo:hi][first], tid[lo:hi][second]
-        q = gid[lo:hi][first]
-        keep = ~(frozen[t1] & frozen[t2])
-        keep &= (verts[t1][:, :, None] == verts[t2][:, None, :]).sum(
-            axis=(1, 2)) == 1
-        yield t1[keep], t2[keep], q[keep]
+        c1, c2 = corner[lo:hi][first], corner[lo:hi][second]
+        keep = ~(frozen[c1 // 3] & frozen[c2 // 3])
+        c1, c2 = c1[keep], c2[keep]
+        # two triangles on q share more when any of their spokes meet
+        (a1, b1), (a2, b2) = _spoke_ends(verts, c1), _spoke_ends(verts, c2)
+        keep = ~((a1 == a2) | (a1 == b2) | (b1 == a2) | (b1 == b2))
+        yield c1[keep], c2[keep]
 
 
 def incompatible(mesh, cs, config, t1, t2):
@@ -233,15 +302,18 @@ def incompatible(mesh, cs, config, t1, t2):
     and None for a compatible one."""
     gid2flat = _gid_flat_index(cs, mesh.vertex_count())
     edges = _provenance_edges(mesh)
-    t1, t2 = np.array([t1]), np.array([t2])
-    shared = np.intersect1d(mesh.tri_verts[t1], mesh.tri_verts[t2]).tolist()
+    pair = np.array([t1, t2])
+    corners = mesh.tri_verts[pair]
+    shared = np.intersect1d(corners[0], corners[1]).tolist()
     flag = False
     if len(shared) == 2:
-        flag = _edge_criteria(mesh, cs, config, gid2flat, edges, t1, t2,
-                              np.array([shared]))[0] > 0
+        flag = _edge_criteria(mesh, cs, config, gid2flat, edges, pair[:1],
+                              pair[1:], np.array([shared]))[0] > 0
     elif len(shared) == 1:
-        flag = _crit2_overlapping_fans(mesh, cs, gid2flat, edges, t1, t2,
-                                       np.array(shared))[0]
+        fans = _fan_corners(mesh, cs, gid2flat, edges, pair)
+        c = 3 * pair + np.argmax(corners == shared[0], axis=1)
+        flag = (fans.side[c].all() and _crit2_overlapping_fans(
+            mesh, fans, c[:1], c[1:])[0][0])
     return bool(flag), (tuple(shared + [-1])[:2] if flag else None)
 
 
@@ -253,7 +325,7 @@ def find_incompatible_pairs(mesh, cs, config, frozen=frozenset(),
     then shared-vertex rows (t1, t2, g, -1) by (g, t1, t2). The order is
     part of the result: a triangle's hard output arc sums its conflicts
     with frozen triangles in it. With a ConsolidationStats as `stats`,
-    pairs are counted per criterion."""
+    pairs are counted per criterion, and so are the pairs tested."""
     if stats is None:
         stats = ConsolidationStats()
     gid2flat = _gid_flat_index(cs, mesh.vertex_count())
@@ -267,15 +339,22 @@ def find_incompatible_pairs(mesh, cs, config, frozen=frozenset(),
     rows = [np.column_stack([t1[hit], t2[hit], ab[hit]])]
     for c, count in enumerate(np.bincount(crit[hit], minlength=4)[1:]):
         stats.pairs_by_criterion[c] += int(count)
+    stats.edge_pairs_tested += len(t1)
     # free the edge-pair arrays before the fan batches take their memory
     del t1, t2, ab
 
-    for t1, t2, q in _fan_pairs(mesh.tri_verts, mesh.tri_state != REMOVED,
-                                frozen_mask):
-        hit = _crit2_overlapping_fans(mesh, cs, gid2flat, edges, t1, t2, q)
-        rows.append(np.column_stack([t1[hit], t2[hit], q[hit],
-                                     np.full(hit.sum(), -1)]))
-        stats.pairs_by_criterion[1] += int(hit.sum())
+    fans = _fan_corners(mesh, cs, gid2flat, edges,
+                        np.flatnonzero(mesh.tri_state != REMOVED))
+    verts = mesh.tri_verts
+    for c1, c2 in _fan_pairs(verts, fans.side.reshape(-1, 3) != 0,
+                             frozen_mask):
+        hit, tested = _crit2_overlapping_fans(mesh, fans, c1, c2)
+        c1 = c1[hit]
+        rows.append(np.column_stack([c1 // 3, c2[hit] // 3,
+                                     verts.ravel()[c1],
+                                     np.full(len(c1), -1)]))
+        stats.pairs_by_criterion[1] += len(c1)
+        stats.vertex_pairs_tested += tested
     return np.concatenate(rows)
 
 

@@ -210,66 +210,117 @@ def point_triangle_pair_distances(p, a, b, c):
     return np.sqrt(np.maximum(best, 0.0))
 
 
-def segments_cross_triangles_interior(p0, p1, a, b, c):
-    """Row-wise over (n, 3) arrays, a bool array: does segment (p0[i],
-    p1[i]), projected onto the plane of triangle (a[i], b[i], c[i]),
-    pass through the triangle's open interior? Endpoints on the
-    boundary do not count, nor does a projected segment running exactly
-    along an edge, nor a degenerate triangle. Each row runs the same
-    IEEE operations in the same order as a scalar evaluation (no fused
-    or reordered sums), so its answer does not depend on the batch."""
-    p0, p1, a, b, c = (np.asarray(v, dtype=np.float64).reshape(-1, 3)
-                       for v in (p0, p1, a, b, c))
+# rows of a triangle_frames table: the frame's origin (corner a), its
+# axes u (unit, along ab) and v (n x u), the corners a, b, c in (u, v)
+# coordinates, the inward normals of edges ab, bc, ca there and their
+# lengths, and the interior test's tolerance
+FRAME_ORIGIN, FRAME_U, FRAME_V = 0, 3, 6
+FRAME_CORNERS, FRAME_INWARD, FRAME_NLEN, FRAME_TOL = 9, 15, 21, 24
+
+
+def _plane_axes(a, b, c):
+    """The crossing test's plane frame of triangles (a, b, c), (k, 3)
+    arrays: unit u along ab and v = n x u as 3-tuples of arrays, the
+    interior test's tolerance and the bool array of usable triangles."""
+    ax, ay, az = a[:, 0], a[:, 1], a[:, 2]
+    ux, uy, uz = b[:, 0] - ax, b[:, 1] - ay, b[:, 2] - az
+    wx, wy, wz = c[:, 0] - ax, c[:, 1] - ay, c[:, 2] - az
+    nx = uy * wz - uz * wy
+    ny = uz * wx - ux * wz
+    nz = ux * wy - uy * wx
+    nn = np.sqrt(nx * nx + ny * ny + nz * nz)
+    lab = np.sqrt(ux * ux + uy * uy + uz * uz)
+    lac = np.sqrt(wx * wx + wy * wy + wz * wz)
+    bcx, bcy, bcz = wx - ux, wy - uy, wz - uz
+    lbc = np.sqrt(bcx * bcx + bcy * bcy + bcz * bcz)
+    scale = np.maximum(np.maximum(lab, lac), lbc)
+    # near-zero area relative to the longest edge. A scalar `x ** 2`
+    # (libm pow) can sit one ulp off x * x, but a triangle that close to
+    # the threshold is far too thin to pass the interior test, so the
+    # answer is the same either way
+    thr = CROSS_EPS_REL * scale
+    ok = (scale != 0.0) & ~(nn < thr * thr) & ~(lab < EPS_DEGENERATE)
+
+    nx, ny, nz = nx / nn, ny / nn, nz / nn
+    fx, fy, fz = ux / lab, uy / lab, uz / lab
+    return ((fx, fy, fz),
+            (ny * fz - nz * fy, nz * fx - nx * fz, nx * fy - ny * fx),
+            thr, ok)
+
+
+def triangle_frames(a, b, c):
+    """The per-triangle part of segments_cross_triangles_interior over
+    (k, 3) corner arrays: a (25, k) float64 table whose rows the FRAME_*
+    offsets name (x then y for 2D rows), and a (k,) bool array, False
+    for a degenerate triangle, which nothing crosses."""
+    a, b, c = (np.asarray(v, dtype=np.float64).reshape(-1, 3)
+               for v in (a, b, c))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        ax, ay, az = a[:, 0], a[:, 1], a[:, 2]
-        ux, uy, uz = b[:, 0] - ax, b[:, 1] - ay, b[:, 2] - az
-        wx, wy, wz = c[:, 0] - ax, c[:, 1] - ay, c[:, 2] - az
-        nx = uy * wz - uz * wy
-        ny = uz * wx - ux * wz
-        nz = ux * wy - uy * wx
-        nn = np.sqrt(nx * nx + ny * ny + nz * nz)
-        lab = np.sqrt(ux * ux + uy * uy + uz * uz)
-        lac = np.sqrt(wx * wx + wy * wy + wz * wz)
-        bcx, bcy, bcz = wx - ux, wy - uy, wz - uz
-        lbc = np.sqrt(bcx * bcx + bcy * bcy + bcz * bcz)
-        scale = np.maximum(np.maximum(lab, lac), lbc)
-        # near-zero area relative to the longest edge. A scalar `x ** 2`
-        # (libm pow) can sit one ulp off x * x, but a triangle that close
-        # to the threshold is far too thin to pass the interior test
-        # below, so the answer is the same either way
-        thr = CROSS_EPS_REL * scale
-        ok = (scale != 0.0) & ~(nn < thr * thr) & ~(lab < EPS_DEGENERATE)
-
-        nx, ny, nz = nx / nn, ny / nn, nz / nn
-        # 2D frame in the triangle plane: u along ab, v = n x u
-        fx, fy, fz = ux / lab, uy / lab, uz / lab
-        vx = ny * fz - nz * fy
-        vy = nz * fx - nx * fz
-        vz = nx * fy - ny * fx
-
-        def to2d(p):
-            dx, dy, dz = p[:, 0] - ax, p[:, 1] - ay, p[:, 2] - az
-            return (dx * fx + dy * fy + dz * fz,
-                    dx * vx + dy * vy + dz * vz)
-
-        q0, q1 = to2d(p0), to2d(p1)
-        t2 = (to2d(a), to2d(b), to2d(c))
+        # the 3D part's temporaries are freed before the table is made
+        u, v, tol, ok = _plane_axes(a, b, c)
+        frames = np.empty((25, len(a)))
+        frames[FRAME_ORIGIN:FRAME_ORIGIN + 3] = a.T
+        frames[FRAME_U:FRAME_U + 3] = u
+        frames[FRAME_V:FRAME_V + 3] = v
+        frames[FRAME_TOL] = tol
+        del u, v, tol
+        corners = frames[FRAME_CORNERS:FRAME_INWARD].reshape(3, 2, -1)
+        inward = frames[FRAME_INWARD:FRAME_NLEN].reshape(3, 2, -1)
+        for i, p in enumerate((a, b, c)):
+            corners[i] = frame_coordinates(frames, None, p)
         # inward edge normals, oriented by the opposite vertex
-        inward = []
         for i in range(3):
-            e0, e1, third = t2[i], t2[(i + 1) % 3], t2[(i + 2) % 3]
+            e0, e1, third = (corners[(i + j) % 3] for j in range(3))
             nrx, nry = e0[1] - e1[1], e1[0] - e0[0]
             flip = (nrx * (third[0] - e0[0]) + nry * (third[1] - e0[1])
                     < 0)
-            inward.append((np.where(flip, -nrx, nrx),
-                           np.where(flip, -nry, nry)))
+            inward[i] = np.where(flip, -nrx, nrx), np.where(flip, -nry, nry)
+            nrx, nry = inward[i]
+            frames[FRAME_NLEN + i] = np.sqrt(nrx * nrx + nry * nry)
+            ok &= ~(frames[FRAME_NLEN + i] < 1e-300)
+    return frames, ok
 
+
+def frame_coordinates(frames, tri, p):
+    """(x, y) of the points p[..., i, :] in the plane frame of column
+    tri[i] of a triangle_frames table, tri None meaning column i; p is
+    (n, 3), or (m, n, 3) for m points per column."""
+    def row(r):
+        return frames[r] if tri is None else frames[r].take(tri)
+
+    # a degenerate triangle's frame holds inf and NaN
+    with np.errstate(invalid="ignore", over="ignore"):
+        dx = p[..., 0] - row(FRAME_ORIGIN)
+        dy = p[..., 1] - row(FRAME_ORIGIN + 1)
+        dz = p[..., 2] - row(FRAME_ORIGIN + 2)
+        return (dx * row(FRAME_U) + dy * row(FRAME_U + 1)
+                + dz * row(FRAME_U + 2),
+                dx * row(FRAME_V) + dy * row(FRAME_V + 1)
+                + dz * row(FRAME_V + 2))
+
+
+def segments_cross_frames(frames, ok, tri, q0, q1):
+    """The per-row part of segments_cross_triangles_interior: does the
+    2D segment from q0 to q1, in the frame of column tri[i] of the
+    triangle_frames table `frames` with flags `ok`, pass through that
+    triangle's open interior? q0 and q1 are (x, y) pairs of arrays
+    whose last axis runs along tri; a start shared by m segments may be
+    given once, (n,) against (m, n) ends. Returns a bool array of the
+    broadcast shape."""
+    def row(r, tri=tri):
+        return frames[r].take(tri)
+
+    shape = np.broadcast_shapes(np.shape(q0[0]), np.shape(q1[0]))
+    ok = np.broadcast_to(ok.take(tri), shape).copy()
+    lo = np.zeros(shape)
+    hi = np.ones(shape)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         # clip the segment against the three half planes
-        lo = np.zeros(len(ok))
-        hi = np.ones(len(ok))
         dx, dy = q1[0] - q0[0], q1[1] - q0[1]
-        for e0, (nrx, nry) in zip(t2, inward):
-            f0 = nrx * (q0[0] - e0[0]) + nry * (q0[1] - e0[1])
+        for i in range(3):
+            ex, ey = row(FRAME_CORNERS + 2 * i), row(FRAME_CORNERS + 2 * i + 1)
+            nrx, nry = row(FRAME_INWARD + 2 * i), row(FRAME_INWARD + 2 * i + 1)
+            f0 = nrx * (q0[0] - ex) + nry * (q0[1] - ey)
             fd = nrx * dx + nry * dy
             parallel = np.abs(fd) < 1e-300
             ok &= ~(parallel & (f0 < 0))
@@ -281,16 +332,44 @@ def segments_cross_triangles_interior(p0, p1, a, b, c):
         # lo only rises and hi only falls, so crossing once is final
         ok &= ~(lo > hi) & ~(hi - lo < CROSS_EPS_REL)
 
-        # strict interior test at the clipped midpoint
-        mid = 0.5 * (lo + hi)
-        mx = q0[0] + mid * dx
-        my = q0[1] + mid * dy
-        eps = CROSS_EPS_REL * scale
-        for e0, (nrx, nry) in zip(t2, inward):
-            nlen = np.sqrt(nrx * nrx + nry * nry)
-            ok &= ~(nlen < 1e-300)
-            ok &= ~((nrx * (mx - e0[0]) + nry * (my - e0[1])) / nlen <= eps)
+        # strict interior test at the clipped midpoint, on the segments
+        # the clipping left (few, when they start at a corner)
+        at = np.nonzero(ok)
+        left = np.broadcast_to(tri, shape)[at]
+        mid = 0.5 * (lo[at] + hi[at])
+        mx = np.broadcast_to(q0[0], shape)[at] + mid * dx[at]
+        my = np.broadcast_to(q0[1], shape)[at] + mid * dy[at]
+        eps = row(FRAME_TOL, left)
+        inside = np.ones(len(left), dtype=bool)
+        for i in range(3):
+            ex, ey = (row(FRAME_CORNERS + 2 * i, left),
+                      row(FRAME_CORNERS + 2 * i + 1, left))
+            nrx, nry = (row(FRAME_INWARD + 2 * i, left),
+                        row(FRAME_INWARD + 2 * i + 1, left))
+            inside &= ~((nrx * (mx - ex) + nry * (my - ey))
+                        / row(FRAME_NLEN + i, left) <= eps)
+        ok[at] = inside
     return ok
+
+
+def segments_cross_triangles_interior(p0, p1, a, b, c):
+    """Row-wise over (n, 3) arrays, a bool array: does segment (p0[i],
+    p1[i]), projected onto the plane of triangle (a[i], b[i], c[i]),
+    pass through the triangle's open interior? Endpoints on the
+    boundary do not count, nor does a projected segment running exactly
+    along an edge, nor a degenerate triangle. It composes the
+    per-triangle part triangle_frames with the per-row parts
+    frame_coordinates and segments_cross_frames. Each row runs the same
+    IEEE operations in the same order as a scalar evaluation (no fused
+    or reordered sums), so its answer does not depend on the batch, nor
+    on how many rows share a triangle."""
+    p0, p1 = (np.asarray(v, dtype=np.float64).reshape(-1, 3)
+              for v in (p0, p1))
+    frames, ok = triangle_frames(a, b, c)
+    tri = np.arange(len(ok))
+    return segments_cross_frames(frames, ok, tri,
+                                 frame_coordinates(frames, tri, p0),
+                                 frame_coordinates(frames, tri, p1))
 
 
 def segment_crosses_triangle_interior(p0, p1, ta, tb, tc):

@@ -831,10 +831,11 @@ def scalar_emitter():
 # incompatible triangle pairs
 
 
-def segment_crosses_triangle_interior(p0, p1, ta, tb, tc, eps_rel=1e-9):
-    """Scalar reference for geometry.segments_cross_triangles_interior:
-    does segment (p0, p1), projected onto the triangle's plane, pass
-    through the triangle's open interior?"""
+def crossing_plane(ta, tb, tc, eps_rel=1e-9):
+    """The plane frame segment_crosses_triangle_interior projects onto:
+    ((ax, ay, az), (fx, fy, fz), (vx, vy, vz), scale), corner a, unit
+    axes u along ab and v = n x u and the longest edge, as floats; None
+    for a triangle too thin (or with ab too short) to be crossed."""
     ax, ay, az = float(ta[0]), float(ta[1]), float(ta[2])
     ux, uy, uz = float(tb[0]) - ax, float(tb[1]) - ay, float(tb[2]) - az
     wx, wy, wz = float(tc[0]) - ax, float(tc[1]) - ay, float(tc[2]) - az
@@ -848,12 +849,21 @@ def segment_crosses_triangle_interior(p0, p1, ta, tb, tc, eps_rel=1e-9):
     lbc = math.sqrt(bcx * bcx + bcy * bcy + bcz * bcz)
     scale = max(lab, lac, lbc)
     if scale == 0.0 or nn < (eps_rel * scale) ** 2 or lab < 1e-9:
-        return False
+        return None
     nx, ny, nz = nx / nn, ny / nn, nz / nn
     fx, fy, fz = ux / lab, uy / lab, uz / lab
-    vx = ny * fz - nz * fy
-    vy = nz * fx - nx * fz
-    vz = nx * fy - ny * fx
+    return ((ax, ay, az), (fx, fy, fz),
+            (ny * fz - nz * fy, nz * fx - nx * fz, nx * fy - ny * fx), scale)
+
+
+def segment_crosses_triangle_interior(p0, p1, ta, tb, tc, eps_rel=1e-9):
+    """Scalar reference for geometry.segments_cross_triangles_interior:
+    does segment (p0, p1), projected onto the triangle's plane, pass
+    through the triangle's open interior?"""
+    plane = crossing_plane(ta, tb, tc, eps_rel)
+    if plane is None:
+        return False
+    (ax, ay, az), (fx, fy, fz), (vx, vy, vz), scale = plane
 
     def to2d(px, py, pz):
         dx, dy, dz = px - ax, py - ay, pz - az

@@ -1,4 +1,5 @@
-"""The batched segment-versus-triangle crossing test, the row-wise
+"""The batched segment-versus-triangle crossing test (its row-wise form
+and its split into per-triangle and per-row parts), the row-wise
 point-triangle distance and the row-wise angle kernels against their
 references."""
 
@@ -78,6 +79,75 @@ def test_empty_batch():
     empty = np.zeros((0, 3))
     got = geometry.segments_cross_triangles_interior(*(empty,) * 5)
     assert got.shape == (0,) and got.dtype == bool
+
+
+def shared_triangle_rows(rng, n, k):
+    """Rows as criterion 2 draws them: k triangles, each crossed by many
+    segments that start at one of its corners. The triangles include
+    degenerate ones; the far ends are random points, corners of other
+    triangles, and points on the triangle's own edges and lines."""
+    a, b, c = degenerate_rows(rng, k)[2:]
+    tri = rng.integers(0, k, n)
+    corner = rng.integers(0, 3, n)
+    tris = np.stack([a, b, c])
+    p0 = tris[corner, tri]
+    p1 = rng.normal(size=(n, 3))
+    t = rng.uniform(-0.5, 1.5, size=(n, 1))
+    kind = np.arange(n) % 4
+    p1 = np.where(kind[:, None] == 1, tris[rng.integers(0, 3, n),
+                                           rng.integers(0, k, n)], p1)
+    p1 = np.where(kind[:, None] == 2, b[tri] + t * (c[tri] - b[tri]), p1)
+    p1 = np.where(kind[:, None] == 3, p0 + t * (a[tri] - p0), p1)
+    return (a, b, c), tri, corner, p0, p1
+
+
+def test_split_form_equals_scalar_on_shared_triangles():
+    """The per-triangle part once per triangle, then the per-row part
+    for all rows, answers each row as the scalar reference does, whether
+    the start is projected or read from the frame's corner rows, and
+    whether the segments sharing a start come one per row or stacked."""
+    rng = np.random.default_rng(5)
+    (a, b, c), tri, corner, p0, p1 = shared_triangle_rows(rng, 6000, 60)
+    want = reference(p0, p1, a[tri], b[tri], c[tri])
+    frames, ok = geometry.triangle_frames(a, b, c)
+    q0 = geometry.frame_coordinates(frames, tri, p0)
+    q1 = geometry.frame_coordinates(frames, tri, p1)
+    got = geometry.segments_cross_frames(frames, ok, tri, q0, q1)
+    assert np.array_equal(got, want)
+    assert 0.05 < want.mean() < 0.9
+
+    row = geometry.FRAME_CORNERS + 2 * corner
+    corner_q0 = frames[row, tri], frames[row + 1, tri]
+    # bit for bit; degenerate frames hold NaN
+    assert np.array_equal(corner_q0[0], q0[0], equal_nan=True)
+    assert np.array_equal(corner_q0[1], q0[1], equal_nan=True)
+    # two ends per shared start, as criterion 2 stacks a triangle's spokes
+    half = len(tri) // 2
+    ends = np.stack([p1[:half], p1[half:2 * half]])
+    stacked = geometry.segments_cross_frames(
+        frames, ok, tri[:half], (corner_q0[0][:half], corner_q0[1][:half]),
+        geometry.frame_coordinates(frames, tri[:half], ends))
+    other = reference(p0[:half], ends[1], a[tri[:half]], b[tri[:half]],
+                      c[tri[:half]])
+    assert stacked.shape == (2, half)
+    assert np.array_equal(stacked[0], want[:half])
+    assert np.array_equal(stacked[1], other)
+
+
+def test_triangle_frames_flag_degenerate_triangles():
+    """The per-triangle flag is False exactly where the scalar reference
+    gives up on the triangle: every zero-length ab, and the collinear
+    corners whose rounded area falls under the threshold (others are
+    merely too thin to cross), among random triangles."""
+    rng = np.random.default_rng(13)
+    _, _, a, b, c = degenerate_rows(rng, 3000)
+    _, ok = geometry.triangle_frames(a, b, c)
+    want = [oracles.crossing_plane(*row) is not None
+            for row in zip(a, b, c)]
+    assert ok.tolist() == want
+    kind = np.arange(3000) % 6
+    assert not ok[kind == 1].any() and not ok[kind == 0].all()
+    assert ok[kind > 1].all()
 
 
 # points on a coarse lattice: exact collinearity, shared corners and

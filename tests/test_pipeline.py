@@ -65,16 +65,24 @@ CONSOLIDATION_KEYS = {
     "pairs_by_criterion", "undecided", "components", "largest_component",
     "component_histogram", "exact_solves", "greedy_solves",
     "greedy_objective", "greedy_bound", "repair_removed",
+    "edge_pairs_tested", "vertex_pairs_tested",
 }
 
 
 def test_consolidation_stages_report_counts():
+    """The pair's strip of 18 triangles has 17 shared edges, and its
+    triangles i and i + 2 share one vertex: 16 pairs that hang on
+    different stroke edges on the same side of the vertex's stroke, so
+    all reach the crossing test. Nothing conflicts, and the later passes
+    only see pairs of frozen triangles, which they skip."""
     _, report = run_pipeline(flat_pair_drawing())
     for s in report["stage_stats"]:
         if s["name"] in CONSOLIDATION_STAGES:
+            tested = (17, 16) if s["name"] == "strip_consolidation" else (0, 0)
             assert s["consolidation"] == dict(
                 dict.fromkeys(CONSOLIDATION_KEYS, 0),
-                pairs_by_criterion=[0, 0, 0], component_histogram=[])
+                pairs_by_criterion=[0, 0, 0], component_histogram=[],
+                edge_pairs_tested=tested[0], vertex_pairs_tested=tested[1])
         else:
             assert "consolidation" not in s
 
@@ -88,6 +96,10 @@ def test_noisy_spiral_reports_a_greedy_sized_component():
         assert set(counts) == CONSOLIDATION_KEYS
         assert (counts["exact_solves"] + counts["greedy_solves"]
                 == counts["components"])
+        # the pairs found are among the pairs tested
+        crit = counts["pairs_by_criterion"]
+        assert crit[0] + crit[2] <= counts["edge_pairs_tested"]
+        assert crit[1] <= counts["vertex_pairs_tested"]
         # power-of-two size bins: the top one holds the largest component
         hist = counts["component_histogram"]
         assert sum(hist) == counts["components"]

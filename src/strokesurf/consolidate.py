@@ -55,8 +55,8 @@ import numpy as np
 
 from . import geometry, mesh_ops, scoring
 from .matcher import pair_sigmas
-from .mesher import (OUTPUT, REMOVED, UNDECIDED, apex_sides, edge_keys,
-                     join_equal_keys, run_pairs, split_by_label)
+from .mesher import (OUTPUT, REMOVED, UNDECIDED, apex_sides, join_equal_keys,
+                     run_pairs, split_by_label)
 
 OUT_NODE = -1
 
@@ -133,8 +133,8 @@ def _edge_criteria(mesh, cs, config, gid2flat, prov_edges, t1, t2, edges):
     ab = edges[rest]
     c = mesh_ops.third_vertices(verts[t1[rest]], ab)
     d = mesh_ops.third_vertices(verts[t2[rest]], ab)
-    di = geometry.dihedral_deg_rows(pos[ab[:, 0]], pos[ab[:, 1]], pos[c],
-                                    pos[d])
+    di = geometry.dihedral_deg_rows(
+        *(pos.take(x, axis=0) for x in (ab[:, 0], ab[:, 1], c, d)))
     crit[rest[di < config.dihedral_min_deg]] = 3
     return crit
 
@@ -247,18 +247,12 @@ def _edge_pairs(mesh, skip):
     """(t1, t2, edges) of every pair of active triangles t1 < t2 on one
     edge, (R, 2) with a < b, that the bool mask `skip` does not mark
     both, ordered by edge, then t1, then t2."""
-    tids, verts = mesh.triangle_array()
-    n = mesh.vertex_count()
-    key = edge_keys(verts, n).ravel()
-    tid = np.repeat(tids, 3)
-    order = np.lexsort((tid, key))
-    key, tid = key[order], tid[order]
-    _, sizes = np.unique(key, return_counts=True)
-    first, second = run_pairs(sizes)
-    t1, t2 = tid[first], tid[second]
+    tids, _, index = mesh.edges()
+    c1, c2 = index.corner_pairs()
+    t1, t2 = tids[c1 // 3], tids[c2 // 3]
     keep = ~(skip[t1] & skip[t2])
-    key = key[first[keep]]
-    return t1[keep], t2[keep], np.stack([key // n, key % n], axis=1)
+    return t1[keep], t2[keep], np.stack(
+        index.ends(index.edge.ravel()[c1[keep]]), axis=1)
 
 
 def _fan_pairs(verts, usable, frozen):
@@ -769,11 +763,10 @@ def repair_nonmanifold(mesh, frozen=frozenset()):
     counts, so no edge can become overfull later. Pinched vertices are
     then split until the audit finds none."""
     removed = Repair()
-    tids, verts = mesh.triangle_array()
-    keys = edge_keys(verts, mesh.vertex_count())
-    bad, count = np.unique(keys, return_counts=True)
-    for key in bad[count > 2].tolist():
-        on = tids[(keys == key).any(axis=1)]
+    tids, _, index = mesh.edges()
+    stop = np.cumsum(index.count)
+    for e in np.flatnonzero(index.count > 2).tolist():
+        on = tids[index.corner[stop[e] - index.count[e]:stop[e]] // 3]
         on = sorted(on[mesh.is_active(on)].tolist(),
                     key=lambda t: (t not in frozen, t), reverse=True)
         mesh.remove(on[:-2])

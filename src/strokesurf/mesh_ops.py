@@ -2,7 +2,9 @@
 hole filling, smoothing, and OBJ round-tripping.
 
 Everything here works on the active triangles of a SurfaceMesh and is
-deterministic: iteration orders are sorted, ties broken by ids.
+deterministic: iteration orders are sorted, ties broken by ids. Every
+edge reader slices `mesh.edges()`, the mesh's one edge index per
+version (see mesher), but orient_parts on a subset indexes its rows.
 
 Every orientation (orient_all, break_nonorientable, resolve_moebius)
 is one breadth-first walk, orient_parts, over a set of triangle rows.
@@ -23,14 +25,13 @@ queue-driven walk in that order meets first.
 
 from __future__ import annotations
 
-import itertools
 from collections import Counter
 
 import numpy as np
 
 from . import geometry
 from .matcher import ChainSet
-from .mesher import (edge_keys, join_equal_keys, join_links, run_pairs,
+from .mesher import (edge_index, join_equal_keys, join_links,
                      split_by_label, split_quads)
 
 # share of the way a smoothing step moves a vertex toward its target
@@ -55,20 +56,20 @@ def audit_manifold(mesh):
     of two triangles at v are joined when the triangles also share an
     opposite vertex u, that is the edge (v, u). A vertex is bad when its
     corners carry more than one label."""
-    _, verts = mesh.triangle_array()
-    n = mesh.vertex_count()
+    _, verts, index = mesh.edges()
     at = verts.ravel()
-    # the corner at v keys the edges to the next and the previous corner
-    # of its triangle, directed away from v
-    labels = join_equal_keys(np.stack(
-        [at * n + np.roll(verts, -1, axis=1).ravel(),
-         at * n + np.roll(verts, 1, axis=1).ravel()], axis=1))
+    # two rows on an edge join their corners at each of its ends: corner
+    # c's edge runs from c to the next corner of its row
+    c1, c2 = index.corner_pairs()
+    n1, n2 = (c + 1 - 3 * (c % 3 == 2) for c in (c1, c2))
+    same = at[c1] == at[c2]
+    labels = join_links(len(at), np.r_[c1, n1], np.r_[
+        np.where(same, c2, n2), np.where(same, n2, c2)])
     # each label lies at one vertex: count labels per vertex
     _, first = np.unique(labels, return_index=True)
-    fans = np.bincount(at[first], minlength=n)
-    keys, count = np.unique(edge_keys(verts, n), return_counts=True)
-    bad = keys[count > 2]
-    return (list(zip((bad // n).tolist(), (bad % n).tolist())),
+    fans = np.bincount(at[first], minlength=mesh.vertex_count())
+    lo, hi = index.ends(index.count > 2)
+    return (list(zip(lo.tolist(), hi.tolist())),
             np.flatnonzero(fans > 1).tolist())
 
 
@@ -95,21 +96,24 @@ def orient_parts(mesh, tids):
     the edge-connected parts of tids (joined through edges of tids only)
     as ascending tid lists ordered by their lowest tid, and for each the
     first conflicting pair (t, other) of its walk, or None when the part
-    is orientable."""
+    is orientable. All the active triangles read the mesh's edge index,
+    a subset indexes its own rows."""
     tids, verts = mesh.triangle_array(tids)
     r = len(tids)
     if not r:
         return [], []
-    keys = edge_keys(verts, mesh.vertex_count()).ravel()
+    whole = (r == mesh.active_count()
+             and np.array_equal(tids, mesh.edges()[0]))
+    index = (mesh.edges()[2] if whole
+             else edge_index(verts, mesh.vertex_count()))
     up = (verts < np.roll(verts, -1, axis=1)).ravel()
     # every ordered pair (src, dst) of corners, 3 row + slot, on one edge;
     # the lower corner of each pair comes first as dst, so that a stable
     # sort by src leaves each corner's others ascending
-    order = np.argsort(keys, kind="stable")
-    first, second = run_pairs(np.unique(keys[order], return_counts=True)[1])
-    labels = join_links(r, order[first] // 3, order[second] // 3)
-    src = order[np.concatenate([second, first])]
-    dst = order[np.concatenate([first, second])]
+    first, second = index.corner_pairs()
+    labels = join_links(r, first // 3, second // 3)
+    src = np.concatenate([second, first])
+    dst = np.concatenate([first, second])
     by_src = np.argsort(src, kind="stable")
     src, dst = src[by_src], dst[by_src]
     same = up[src] == up[dst]
@@ -234,25 +238,21 @@ def resolve_moebius(mesh, new_tids):
     strip_of = np.repeat(np.arange(len(strips)), [len(s) for s in strips])
     strip_of = strip_of[np.argsort(np.concatenate(strips))]
 
-    tids, verts = mesh.triangle_array()
-    keys = edge_keys(verts, mesh.vertex_count())
-    up = verts < np.roll(verts, -1, axis=1)
+    tids, verts, index = mesh.edges()
+    up = (verts < np.roll(verts, -1, axis=1)).ravel()
     is_new = np.isin(tids, new)
     # each corner of the strips against the prior corners on its edge
-    prior_keys, prior_up = keys[~is_new].ravel(), up[~is_new].ravel()
-    order = np.argsort(prior_keys)
-    prior_keys = prior_keys[order]
-    new_keys = keys[is_new].ravel()
-    lo = np.searchsorted(prior_keys, new_keys)
-    count = np.searchsorted(prior_keys, new_keys, side="right") - lo
-    corner = np.repeat(np.arange(len(new_keys)), count)
-    inverted = (up[is_new].ravel()[corner]
-                == prior_up[order[_spans(lo, count)]])
-    strip = strip_of[corner // 3]
+    c1, c2 = index.corner_pairs()
+    first_new = is_new[c1 // 3]
+    mixed = first_new != is_new[c2 // 3]
+    corner = np.where(first_new, c1, c2)[mixed]
+    inverted = up[corner] == up[np.where(first_new, c2, c1)[mixed]]
+    tid = tids[corner // 3]
+    strip = strip_of[np.searchsorted(new, tid)]
     votes = np.bincount(strip, minlength=len(strips))
     n_inverted = np.bincount(strip[inverted], minlength=len(strips))
     losing = n_inverted <= votes - n_inverted
-    cut = np.unique(new[corner // 3][inverted == losing[strip]])
+    cut = np.unique(tid[inverted == losing[strip]])
     cut = cut[np.argsort(strip_of[np.searchsorted(new, cut)],
                          kind="stable")].tolist()
     mesh.remove(cut)
@@ -267,63 +267,46 @@ def boundary_loops(mesh):
     """Closed vertex loops along the surface boundary, following the
     orientation of the incident triangles. Each loop is rotated to start
     at its smallest vertex id; loops are sorted by that id."""
-    _, verts = mesh.triangle_array()
-    keys = edge_keys(verts, mesh.vertex_count())
-    _, edge, count = np.unique(keys, return_inverse=True, return_counts=True)
+    _, verts, index = mesh.edges()
     # border edges, as their one triangle runs them
-    border = count[edge.reshape(keys.shape)] == 1
+    border = index.count[index.edge] == 1
     u, v = verts[border], np.roll(verts, -1, axis=1)[border]
     order = np.lexsort((v, u))
-    outgoing = {}
+    # each vertex hands out its border edges in order; a walk ends back
+    # at its start or, broken, at a vertex with none left
+    ahead = {}
     for a, b in zip(u[order].tolist(), v[order].tolist()):
-        outgoing.setdefault(a, []).append(b)
-
+        ahead.setdefault(a, []).append(b)
+    ahead = {a: iter(bs) for a, bs in ahead.items()}
     loops = []
-    used = set()
-    for start in sorted(outgoing):
-        for first in outgoing[start]:
-            if (start, first) in used:
-                continue
+    for start in sorted(ahead):
+        for cur in ahead[start]:
             loop = [start]
-            used.add((start, first))
-            cur = first
-            broken = False
-            # every step but the last takes a border edge not yet used
-            for _ in range(len(u) + 1):
-                if cur == start:
-                    break
+            while cur not in (start, None):
                 loop.append(cur)
-                nxt = [w for w in outgoing.get(cur, ())
-                       if (cur, w) not in used]
-                if not nxt:
-                    broken = True
-                    break
-                used.add((cur, nxt[0]))
-                cur = nxt[0]
-            if broken or len(loop) < 3:
-                continue
-            k = loop.index(min(loop))
-            loops.append(loop[k:] + loop[:k])
+                cur = next(ahead.get(cur, iter(())), None)
+            if cur == start and len(loop) >= 3:
+                k = loop.index(min(loop))
+                loops.append(loop[k:] + loop[:k])
     loops.sort(key=lambda lp: lp[0])
     return loops
 
 
 class _ComponentLookup:
-    """One mesh.components() labelling, read per triangle and per vertex.
-    verts holds the active triangles as triangle_array() gives them and
-    labels their components; of_vertex holds the component of
-    the lowest active triangle at each vertex (-1 at none), and
+    """One mesh.components() labelling, read per triangle and per vertex:
+    labels holds the component of each row of mesh.edges(), of_vertex
+    that of the lowest active triangle at each vertex (-1 at none), and
     incidences every (component c, vertex v) pair as c * n + v for n
     vertices, ascending, so that each component's vertices form one
     run."""
 
     def __init__(self, mesh):
         comp_of, self.comps = mesh.components()
-        _, self.verts = mesh.triangle_array()
-        # comp_of lists the active tids ascending, as triangle_array does
+        _, verts, _ = mesh.edges()
+        # comp_of lists the active tids ascending, as mesh.edges() does
         self.labels = np.fromiter(comp_of.values(), dtype=np.int64,
                                   count=len(comp_of))
-        at, at_label = self.verts.ravel(), np.repeat(self.labels, 3)
+        at, at_label = verts.ravel(), np.repeat(self.labels, 3)
         self.n = mesh.vertex_count()
         self.of_vertex = np.full(self.n, -1, dtype=np.int64)
         v, first = np.unique(at, return_index=True)
@@ -360,9 +343,8 @@ def _interpolation_dmax(mesh, lookup):
     """Per-component acceptance radius for gap matching: the mean length
     of interpolation edges (edges not following a source polyline), each
     component's lengths taken in ascending edge order."""
-    n = mesh.vertex_count()
-    keys, first = np.unique(edge_keys(lookup.verts, n), return_index=True)
-    u, v = keys // n, keys % n
+    _, _, index = mesh.edges()
+    u, v = index.ends()
     ou, ov = mesh.origin[u], mesh.origin[v]
     interp = ~((ou[:, 0] == ov[:, 0])
                & (mesh.origin_kind[u] == mesh.origin_kind[v])
@@ -370,11 +352,9 @@ def _interpolation_dmax(mesh, lookup):
     diff = mesh.positions[u[interp]] - mesh.positions[v[interp]]
     # np.linalg.norm's dot, row by row
     lengths = np.sqrt(geometry.dot_rows(diff, diff))
-    comp = lookup.labels[first[interp] // 3]
-    order = np.argsort(comp, kind="stable")
-    comps, starts = np.unique(comp[order], return_index=True)
-    return {c: float(np.mean(ls)) for c, ls in zip(
-        comps.tolist(), np.split(lengths[order], starts[1:]))}
+    comp = lookup.labels[index.first()[interp] // 3]
+    return {c: float(np.mean(ls)) for c, ls in enumerate(
+        split_by_label(lengths, comp)) if ls}
 
 
 def boundary_chain_set(mesh, config, with_dmax=False):
@@ -392,7 +372,7 @@ def boundary_chain_set(mesh, config, with_dmax=False):
         return None
     lookup = _ComponentLookup(mesh)
     dmax_comp = _interpolation_dmax(mesh, lookup) if with_dmax else {}
-    pos, verts, n = mesh.positions, lookup.verts, mesh.vertex_count()
+    pos, verts, n = mesh.positions, mesh.edges()[1], mesh.vertex_count()
     face_sum = _vertex_sums(verts, geometry.triangle_normals(pos, verts), n)
     centroid_sum = _vertex_sums(verts, (pos[verts[:, 0]] + pos[verts[:, 1]]
                                         + pos[verts[:, 2]]) / 3.0, n)
@@ -453,14 +433,6 @@ def third_vertices(verts, edges):
     return verts[np.arange(len(verts)), np.argmax(off, axis=1)]
 
 
-def _edge_counts(mesh, keys):
-    """Counter of the active triangles on each of the given edge keys
-    (mesher.edge_keys); a key without any reads 0."""
-    _, verts = mesh.triangle_array()
-    have = edge_keys(verts, mesh.vertex_count()).ravel()
-    return Counter(have[np.isin(have, keys)].tolist())
-
-
 def close_small_holes(mesh, config):
     """Fill boundary loops of up to small_hole_max_sides vertices,
     skipping loops that are the entire boundary of a sheet-like
@@ -476,14 +448,18 @@ def close_small_holes(mesh, config):
         fills = [[tuple(loop[::-1])] if len(loop) == 3
                  else _quad_fill(mesh, loop)
                  for loop in loops if not lookup.loop_spans_component(loop)]
-        keys = [edge_keys(np.array(tris), mesh.vertex_count()).tolist()
-                for tris in fills]
-        count = _edge_counts(mesh, sum(keys, []))
+        # the undirected edges (lo, hi) of each triangle of each fill
+        sides = [[[tuple(sorted(e)) for e in zip(t, t[1:] + t[:1])]
+                  for t in tris] for tris in fills]
+        flat = [e for rows in sides for r in rows for e in r]
+        lo, hi = np.array(flat, dtype=np.int64).reshape(-1, 2).T
+        count = Counter(dict(zip(flat, mesh.edges()[2].counts(lo, hi)
+                                 .tolist())))
         added_now = 0
-        for tris, rows in zip(fills, keys):
+        for tris, rows in zip(fills, sides):
             # every edge may end up with at most two incident triangles
-            gain = Counter(k for r in rows for k in r)
-            if any(count[k] + extra > 2 for k, extra in gain.items()):
+            gain = Counter(e for r in rows for e in r)
+            if any(count[e] + extra > 2 for e, extra in gain.items()):
                 continue
             for tri, r in zip(tris, rows):
                 if mesh.add_triangle(*tri) is not None:
@@ -503,16 +479,16 @@ def fill_hole(mesh, loop):
     n = len(loop)
     if n < 3:
         return 0
-    nv = mesh.vertex_count()
-    count = _edge_counts(mesh, [min(u, v) * nv + max(u, v) for u, v
-                                in itertools.combinations(loop, 2)])
+    # the triangles on the chord between loop positions i < j
+    i, j = np.triu_indices(n, 1)
+    count = np.zeros((n, n), dtype=np.int64)
+    count[i, j] = mesh.edges()[2].counts(np.take(loop, i), np.take(loop, j))
     inf = float("inf")
 
     def chord_ok(i, j):
         # loop edges gain one triangle, interior chords gain two
         adjacent = (j - i == 1) or (i == 0 and j == n - 1)
-        key = min(loop[i], loop[j]) * nv + max(loop[i], loop[j])
-        return count[key] <= (1 if adjacent else 0)
+        return count[i, j] <= (1 if adjacent else 0)
 
     pts = [mesh.positions[g] for g in loop]
     cost = [[0.0] * n for _ in range(n)]
@@ -624,15 +600,13 @@ def laplacian_smooth(mesh, config, iterations=1):
     summed in ascending neighbour order, with a normal guard."""
     moved = 0
     for _ in range(iterations):
-        _, verts = mesh.triangle_array()
+        _, _, index = mesh.edges()
         n = mesh.vertex_count()
-        keys, count = np.unique(edge_keys(verts, n), return_counts=True)
-        boundary = np.zeros(n, dtype=bool)
-        boundary[keys[count == 1] // n] = True
-        boundary[keys[count == 1] % n] = True
+        lo, hi = index.ends()
         # both directions of every edge, by vertex, then by neighbour
-        own = np.concatenate([keys // n, keys % n])
-        ring = np.concatenate([keys % n, keys // n])
+        own, ring = np.r_[lo, hi], np.r_[hi, lo]
+        boundary = np.zeros(n, dtype=bool)
+        boundary[own[np.tile(index.count == 1, 2)]] = True
         order = np.lexsort((ring, own))
         own, ring = own[order], ring[order]
         own, ring = own[~boundary[own]], ring[~boundary[own]]
@@ -656,9 +630,8 @@ def component_stats(mesh):
     tally, ordered like mesh.components()."""
     lookup = _ComponentLookup(mesh)
     k = len(lookup.comps)
-    _, first = np.unique(edge_keys(lookup.verts, mesh.vertex_count()),
-                         return_index=True)
-    edges = np.bincount(lookup.labels[first // 3], minlength=k).tolist()
+    edges = np.bincount(lookup.labels[mesh.edges()[2].first() // 3],
+                        minlength=k).tolist()
     vertices = np.bincount(lookup.incidences // lookup.n,
                            minlength=k).tolist()
     loops = np.bincount(np.array([lookup.of_loop(lp)
@@ -684,12 +657,7 @@ def path_edge_fraction(mesh, paths):
               for s in (np.s_[:-1], np.s_[1:]))
     if not len(lo):
         return 0.0
-    lo, hi = np.minimum(lo, hi), np.maximum(lo, hi)
-    n = mesh.vertex_count()
-    pair = (lo >= 0) & (hi < n) & (lo != hi)
-    _, verts = mesh.triangle_array()
-    present = np.isin(lo[pair] * n + hi[pair], edge_keys(verts, n))
-    return int(present.sum()) / len(lo)
+    return np.count_nonzero(mesh.edges()[2].counts(lo, hi)) / len(lo)
 
 
 # ---------------------------------------------------------------------------

@@ -26,9 +26,14 @@ An insert may move the storage, so no caller holds a view across
 `add_triangle` or `add_triangles`. `add_triangles` still inserts its
 winners one by one through `add_triangle`: the benchmark's traced runs
 count strip triangles by its returns, so a bulk append waits until
-those counts are redefined. The table is the only incidence store:
-`edge_map`, `vertex_tris` and `components` derive from its active rows
-when called, so no edge key outlives its last triangle.
+those counts are redefined. The table is the only incidence store, and
+only `edge_index` keys edges: `edges()` indexes the active rows once
+per mesh version, read-only, for every edge reader to slice. A version
+ends when `add_triangle` or `remove` change a row, at `flip`, which
+moves edges between the slots that boundary walks and orientation
+read, and at `add_vertices`, as the vertex count is in every key.
+`tri_state` writes only move rows between UNDECIDED and OUTPUT, which
+keeps the active set; no code but `flip` rewrites a `tri_verts` row.
 
 A provenance row says what a strip triangle hangs on: (gid a, gid b,
 flat a, flat b, flat apex, side) holds its chain edge in chain order,
@@ -46,6 +51,7 @@ from __future__ import annotations
 
 import math
 from array import array
+from typing import NamedTuple
 
 import numpy as np
 
@@ -67,11 +73,56 @@ KIND_RIBBON = 2
 NO_PROV = (-1, -1, -1, -1, -1, 0)
 
 
-def edge_keys(verts, n_vertices):
-    """Undirected edge keys lo * n_vertices + hi of the corner rows
-    (a, b, c), as an (R, 3) array for the edges (a, b), (b, c), (c, a)."""
+class EdgeIndex(NamedTuple):
+    """The undirected edges of triangle rows, from edge_index. Corner c =
+    3 row + slot stands for the edge from that slot to the next. key:
+    the edges' keys, ascending; count: the rows on each; corner: every
+    corner, by edge and then by row; edge: (R, 3), each corner's edge
+    as a position in key; n: the vertex count of the keys."""
+
+    key: np.ndarray
+    count: np.ndarray
+    corner: np.ndarray
+    edge: np.ndarray
+    n: int
+
+    def ends(self, which=slice(None)):
+        """(lo, hi), lo < hi: the vertices of the edges `which` selects."""
+        return self.key[which] // self.n, self.key[which] % self.n
+
+    def first(self):
+        """The lowest corner on each edge."""
+        return self.corner[np.cumsum(self.count) - self.count]
+
+    def corner_pairs(self):
+        """(c1, c2): every two corners on one edge, c1's row first, in
+        (edge, c1, c2) order."""
+        first, second = run_pairs(self.count)
+        return self.corner[first], self.corner[second]
+
+    def counts(self, a, b):
+        """The rows on each vertex pair (a[i], b[i]), in either order; 0
+        for a pair that is no edge or names an id outside 0..n-1."""
+        lo, hi = np.minimum(a, b), np.maximum(a, b)
+        key = np.where((lo >= 0) & (hi < self.n), lo * self.n + hi, -1)
+        at = np.searchsorted(self.key, key)    # E: a sentinel, count 0
+        return np.where(np.append(self.key, -1)[at] == key,
+                        np.append(self.count, 0)[at], 0)
+
+
+def edge_index(verts, n):
+    """The EdgeIndex of (R, 3) triangle rows over n vertices, from one
+    stable sort of their undirected edge keys."""
     nxt = np.roll(verts, -1, axis=1)
-    return np.minimum(verts, nxt) * n_vertices + np.maximum(verts, nxt)
+    key = (np.minimum(verts, nxt) * n + np.maximum(verts, nxt)).ravel()
+    corner = np.argsort(key, kind="stable")
+    key = key[corner]
+    new = np.r_[True, key[1:] != key[:-1]][:len(key)]
+    edge = np.empty(len(key), dtype=np.int64)
+    edge[corner] = np.cumsum(new) - 1
+    start = np.flatnonzero(new)
+    return EdgeIndex(key[start], np.diff(np.append(start, len(key))),
+                     corner, edge.reshape(verts.shape), n)
 
 
 def join_equal_keys(keys):
@@ -142,7 +193,8 @@ class SurfaceMesh:
     its provenance (module docstring): views of storage whose capacity
     doubles when full. Inserts leave the provenance row at NO_PROV and
     strip meshing writes it. An insert may move that storage, so take
-    the views afresh after add_triangle or add_triangles."""
+    the views afresh after add_triangle or add_triangles. `version`
+    counts the writes that end an edge index (module docstring)."""
 
     def __init__(self):
         self.positions = np.zeros((0, 3))
@@ -158,6 +210,8 @@ class SurfaceMesh:
         self._count = 0
         self._key_to_id = {}
         self._scale = None
+        self._edges = None
+        self.version = 0
         self.removed_count = 0
         self.duplicates_skipped = 0
         self.quads_rejected = 0
@@ -194,6 +248,7 @@ class SurfaceMesh:
         self.origin_kind = np.concatenate(
             [self.origin_kind, np.full(n, kind, dtype=np.int64)])
         self._scale = None
+        self._changed()
         return np.arange(base, base + n, dtype=np.int64)
 
     def vertex_count(self):
@@ -231,6 +286,7 @@ class SurfaceMesh:
         self._state[tid] = OUTPUT
         self._count = tid + 1
         self._key_to_id[key] = tid
+        self._changed()
         return tid
 
     def add_triangles(self, verts):
@@ -270,6 +326,8 @@ class SurfaceMesh:
         tids = tids[self._state[tids] != REMOVED]
         self._state[tids] = REMOVED
         self.removed_count += len(tids)
+        if len(tids):
+            self._changed()
 
     def is_active(self, tid):
         return self._state[tid] != REMOVED
@@ -284,17 +342,31 @@ class SurfaceMesh:
         """Swap the last two corners of a triangle or an array of them."""
         verts = self.tri_verts
         verts[tids, 1:] = verts[tids, :0:-1]
+        if np.size(tids):
+            self._changed()
+
+    def _changed(self):
+        self.version += 1
+        self._edges = None
+
+    def edges(self):
+        """(tids, verts, index): triangle_array() and the edge_index of
+        its rows, built once per version; every array is read-only."""
+        if self._edges is None:
+            tids, verts = self.triangle_array()
+            self._edges = tids, verts, edge_index(verts, self.vertex_count())
+            for a in (tids, verts, *self._edges[2][:4]):
+                a.flags.writeable = False
+        return self._edges
 
     def edge_map(self):
         """Undirected edge (a, b), a < b -> its active triangle ids,
         ascending, for every edge of an active triangle. A snapshot of
         the table: later inserts and removals do not show in it."""
-        tids, verts = self.triangle_array()
-        n = self.vertex_count()
-        key, tid = edge_keys(verts, n).ravel(), np.repeat(tids, 3)
-        key, labels = np.unique(key, return_inverse=True)
-        return dict(zip(zip((key // n).tolist(), (key % n).tolist()),
-                        split_by_label(tid, labels)))
+        tids, _, index = self.edges()
+        lo, hi = index.ends()
+        return dict(zip(zip(lo.tolist(), hi.tolist()), split_by_label(
+            tids[index.corner // 3], index.edge.ravel()[index.corner])))
 
     def vertex_tris(self, gids=None):
         """Vertex -> list of incident active triangle ids, ascending, for
@@ -317,15 +389,16 @@ class SurfaceMesh:
             tids = np.sort(np.fromiter(tri_ids, dtype=np.int64))
         return tids, self.tri_verts[tids]
 
-    def components(self, tri_ids=None):
-        """Edge-connected components of the given (default: the active)
-        triangles. Returns (comp_of: dict tid -> comp index, comps: list
-        of tid lists); components are ordered by their lowest tid, and
-        comp_of and every list hold their tids ascending."""
-        tids, verts = self.triangle_array(tri_ids)
-        labels = join_equal_keys(edge_keys(verts, self.vertex_count()))
-        comps = split_by_label(tids, labels)
-        return dict(zip(tids.tolist(), labels.tolist())), comps
+    def components(self):
+        """Edge-connected components of the active triangles. Returns
+        (comp_of: dict tid -> comp index, comps: list of tid lists);
+        components are ordered by their lowest tid, and comp_of and
+        every list hold their tids ascending."""
+        tids, _, index = self.edges()
+        c1, c2 = index.corner_pairs()
+        labels = join_links(len(tids), c1 // 3, c2 // 3)
+        return (dict(zip(tids.tolist(), labels.tolist())),
+                split_by_label(tids, labels))
 
 
 def apex_sides(cs, fa, fb, apex_pos, width):
@@ -567,19 +640,12 @@ def mesh_from_matches(table, config, mesh=None):
 def _sections(cs, match):
     """Maximal runs of consecutive matched vertices with one target
     chain. Yields (start, end_inclusive, target_chain)."""
-    n = len(match)
-    i = 0
-    while i < n:
-        if match[i] < 0:
-            i += 1
-            continue
-        t = int(cs.chain_id[match[i]])
-        j = i
-        while (j + 1 < n and match[j + 1] >= 0
-               and int(cs.chain_id[match[j + 1]]) == t):
-            j += 1
-        yield i, j, t
-        i = j + 1
+    target = np.where(match >= 0, cs.chain_id[np.maximum(match, 0)], -1)
+    cuts = [0, *(np.flatnonzero(target[1:] != target[:-1]) + 1).tolist(),
+            len(match)]
+    for i, j in zip(cuts[:-1], cuts[1:]):
+        if i < j and target[i] >= 0:
+            yield i, j - 1, int(target[i])
 
 
 def _section_is_crease(cs, base, match, i0, i1, config):
@@ -587,30 +653,23 @@ def _section_is_crease(cs, base, match, i0, i1, config):
     facing each other meet at a dihedral of at most crease_angle_deg,
     measured as the angle between the two facing directions."""
     cos_lim = math.cos(math.radians(config.crease_angle_deg))
-    dots = []
-    for x in range(i0, i1 + 1):
-        fp = base + x
-        fq = match[x]
-        if fq < 0 or not cs.ok[fp] or not cs.ok[fq]:
-            continue
-        d = cs.pos[fq] - cs.pos[fp]
-        sp = np.dot(d, cs.bin[fp])
-        sq = np.dot(-d, cs.bin[fq])
-        if abs(sp) < 1e-12 or abs(sq) < 1e-12:
-            continue
-        a_p = np.sign(sp) * cs.bin[fp]
-        a_q = np.sign(sq) * cs.bin[fq]
-        dots.append(float(np.dot(a_p, a_q)))
-    if not dots:
-        return False
-    return float(np.mean(dots)) >= cos_lim - 1e-12
+    fp = base + np.arange(i0, i1 + 1)
+    fq = match[i0:i1 + 1]
+    keep = (fq >= 0) & cs.ok[fp] & cs.ok[np.maximum(fq, 0)]
+    fp, fq = fp[keep], fq[keep]
+    d = cs.pos[fq] - cs.pos[fp]
+    sp = geometry.dot_rows(d, cs.bin[fp])
+    sq = geometry.dot_rows(-d, cs.bin[fq])
+    keep = (np.abs(sp) >= 1e-12) & (np.abs(sq) >= 1e-12)
+    dots = geometry.dot_rows(np.sign(sp[keep])[:, None] * cs.bin[fp[keep]],
+                             np.sign(sq[keep])[:, None] * cs.bin[fq[keep]])
+    return bool(len(dots)) and float(np.mean(dots)) >= cos_lim - 1e-12
 
 
-def _make_offset_chain(mesh, cs, source_ci, idx_range, dirs, offset_cache):
-    """Create (or reuse) half-width offset vertices for a run of chain
-    vertices and append them to cs as a new chain with copied frames;
-    the new vertices are added in one call, in run order."""
-    idx = [int(cs.offsets[source_ci]) + x for x in idx_range]
+def _make_offset_chain(mesh, cs, source_ci, idx, dirs, offset_cache):
+    """Create (or reuse) half-width offset vertices for the flat ids idx
+    of chain source_ci and append them to cs as a new chain with copied
+    frames; the new vertices are added in one call, in run order."""
     keys = [(int(cs.gid[f]), int(s)) for f, s in zip(idx, dirs)]
     new = {}        # key not yet cached -> flat id of its first vertex
     for f, key in zip(idx, keys):
@@ -649,68 +708,45 @@ def mesh_with_creases(table, config, mesh=None):
         match = matched.copy()
         base = int(cs.offsets[ci])
         for i0, i1, tci in _sections(cs, matched):
-            if i1 - i0 < 1:
+            if i1 - i0 < 1 or not _section_is_crease(cs, base, match, i0,
+                                                     i1, config):
                 continue
-            if not _section_is_crease(cs, base, match, i0, i1, config):
-                continue
-            src_count = i1 - i0 + 1
-            tidx = [int(cs.index[match[x]]) for x in range(i0, i1 + 1)]
-            tgt_count = max(tidx) - min(tidx) + 1
-            if src_count > tgt_count:
-                keeper = ci
-            elif tgt_count > src_count:
-                keeper = tci
-            else:
-                keeper = min(ci, tci)
-
-            run = list(range(i0, i1 + 1))
+            run = np.arange(i0, i1 + 1)
+            fp, fq = base + run, match[run]
+            tidx = cs.index[fq]
+            jmin, jmax = int(tidx.min()), int(tidx.max())
+            src_count, tgt_count = len(run), jmax - jmin + 1
+            keeper = (ci if src_count > tgt_count else
+                      tci if tgt_count > src_count else min(ci, tci))
             # offset vertices move mesh.scale() and with it the area
             # floor: insert the rows queued before them under the old one
             emitter.flush()
             if keeper == ci:
                 # this stroke keeps its half ribbon toward the partner
-                dirs = []
-                for x in run:
-                    f = base + x
-                    d = cs.pos[match[x]] - cs.pos[f]
-                    s = np.dot(d, cs.bin[f])
-                    dirs.append(1 if s >= 0 else -1)
-                oc = _make_offset_chain(mesh, cs, ci, run, dirs, offset_cache)
-                obase = int(cs.offsets[oc])
-                # ribbon quads spine -> offset polyline
-                for k in range(len(run) - 1):
-                    emitter.quad(ci, run[k], run[k + 1],
-                                 obase + k, obase + k + 1, side)
-                # strip from the ribbon edge to the partner spine
-                omatch = np.full(len(run), -1, dtype=np.int64)
-                for k, x in enumerate(run):
-                    omatch[k] = match[x]
-                extra.append((oc, side, omatch))
+                first, ribbon = i0, fp
+                s = geometry.dot_rows(cs.pos[fq] - cs.pos[fp], cs.bin[fp])
             else:
-                # partner keeps the ribbon; redirect matches to offsets
-                jmin, jmax = min(tidx), max(tidx)
-                tbase = int(cs.offsets[tci])
-                centroid = np.mean(
-                    [cs.pos[base + x] for x in run], axis=0)
-                t_run = list(range(jmin, jmax + 1))
-                dirs = []
-                for j in t_run:
-                    f = tbase + j
-                    s = np.dot(centroid - cs.pos[f], cs.bin[f])
-                    dirs.append(1 if s >= 0 else -1)
-                oc = _make_offset_chain(mesh, cs, tci, t_run, dirs,
-                                        offset_cache)
-                obase = int(cs.offsets[oc])
-                for k in range(len(t_run) - 1):
-                    emitter.quad(tci, t_run[k], t_run[k + 1],
-                                 obase + k, obase + k + 1, side)
-                for x in run:
-                    j = int(cs.index[match[x]])
-                    match[x] = obase + (j - jmin)
-            # suppress the direct strip when this stroke was the keeper
+                # the partner keeps its half ribbon toward this stroke
+                first = jmin
+                ribbon = int(cs.offsets[tci]) + np.arange(jmin, jmax + 1)
+                s = geometry.dot_rows(cs.pos[fp].mean(axis=0)
+                                      - cs.pos[ribbon], cs.bin[ribbon])
+            oc = _make_offset_chain(mesh, cs, keeper, ribbon.tolist(),
+                                    np.where(s >= 0, 1, -1).tolist(),
+                                    offset_cache)
+            # ribbon quads spine -> offset polyline
+            obase = int(cs.offsets[oc])
+            for k in range(len(ribbon) - 1):
+                emitter.quad(keeper, first + k, first + k + 1,
+                             obase + k, obase + k + 1, side)
             if keeper == ci:
-                for x in run:
-                    match[x] = -1
+                # a strip from the ribbon edge to the partner spine
+                # replaces the direct strip
+                extra.append((oc, side, fq))
+                match[run] = -1
+            else:
+                # matches move to the partner's offset vertices
+                match[run] = obase + tidx - jmin
         jobs.append((ci, side, match))
 
     for ci, side, match in jobs:

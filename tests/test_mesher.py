@@ -2,6 +2,7 @@
 
 import copy
 import dataclasses
+import sys
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ import oracles
 from conftest import (chain, chain_set, flat, line_stroke,
                       random_frame_rows)
 from test_mesh_ops import grid_mesh
+from test_pipeline import FLIP_SPECS
 
 
 def chain_from(pts, gid_base, bno, cyclic=False, width=0.3):
@@ -103,6 +105,37 @@ def test_edge_map_tracks_removal():
     assert mesh.edge_map() == {}
 
 
+@pytest.mark.parametrize("options", [
+    PipelineOptions(),
+    PipelineOptions(preserve_creases=True, close_holes_max_sides=8,
+                    smooth_iterations=3),
+], ids=["default", "creases_fill_smooth"])
+def test_surfacing_indexes_each_mesh_version_once(options, monkeypatch):
+    """Every reader of the whole mesh's edges slices mesh.edges(): a
+    surfacing calls mesher.edge_index on a mesh's active rows at most
+    once per mesh version."""
+    meshes, builds = [], []
+    init, build = mesher.SurfaceMesh.__init__, mesher.edge_index
+
+    def tracked_init(self):
+        init(self)
+        meshes.append(self)
+
+    def counted(verts, n):
+        builds.extend((id(mesh), mesh.version) for mesh in meshes
+                      if np.array_equal(verts, mesh.triangle_array()[1]))
+        return build(verts, n)
+
+    monkeypatch.setattr(mesher.SurfaceMesh, "__init__", tracked_init)
+    for name, module in list(sys.modules.items()):
+        if (name.startswith("strokesurf")
+                and getattr(module, "edge_index", None) is build):
+            monkeypatch.setattr(module, "edge_index", counted)
+    run_pipeline(generate(FLIP_SPECS["cube_parallel"])[0], options)
+    assert len(builds) > 10
+    assert len(builds) == len(set(builds))
+
+
 def test_remove_takes_arrays_with_duplicates_and_removed_tids():
     mesh = triangle_mesh()
     t0 = mesh.add_triangle(0, 1, 2)
@@ -177,6 +210,52 @@ def assert_table_equals_reference(mesh, ref):
     for value in (mesh.active_ids(), mesh.vertex_tris(), mesh._key_to_id,
                   mesh.edge_map()):
         assert_python_ints(value)
+    assert_index_equals_reference(mesh, ref)
+
+
+def assert_index_equals_reference(mesh, ref):
+    """mesh.edges() against the reference's edge lists: the active rows,
+    every edge that has a triangle in (lo, hi) order with its triangles
+    ascending, each corner on its own edge, and counts looked up in
+    either order, absent pairs reading 0."""
+    tids, verts, index = mesh.edges()
+    ref_tids, ref_verts = ref.triangle_array()
+    assert np.array_equal(tids, ref_tids)
+    assert np.array_equal(verts, ref_verts)
+    edges = sorted((e, t) for e, t in ref.edges.items() if t)
+    lo, hi = index.ends()
+    assert list(zip(lo.tolist(), hi.tolist())) == [e for e, _ in edges]
+    assert index.count.tolist() == [len(t) for _, t in edges]
+    assert (mesher.split_by_label(tids[index.corner // 3],
+                                  index.edge.ravel()[index.corner])
+            == [t for _, t in edges])
+    assert np.array_equal(index.edge.ravel()[index.corner],
+                          np.repeat(np.arange(len(edges)), index.count))
+    nxt = np.roll(verts, -1, axis=1)
+    lo, hi = index.ends(index.edge)
+    assert np.array_equal(lo, np.minimum(verts, nxt))
+    assert np.array_equal(hi, np.maximum(verts, nxt))
+    assert index.n == mesh.vertex_count()
+    a, b = np.array([e for e, _ in edges], dtype=np.int64).reshape(-1, 2).T
+    assert np.array_equal(index.counts(b, a), index.count)
+    n = mesh.vertex_count()
+    absent = [(0, 0), (-1, 0), (0, n), (n - 1, n)] + [
+        (u, v) for u in range(4) for v in range(n) if u < v
+        and (u, v) not in ref.edges]
+    assert not index.counts(*np.array(absent).T).any()
+    for a in (tids, verts, *index[:4]):
+        assert not a.flags.writeable
+
+
+def assert_write(mesh, write, changed):
+    """Run write(): mesh.edges() is then a fresh index, under a new
+    version, exactly when `changed`, and with no write in between it
+    stays the same object."""
+    before, version = mesh.edges(), mesh.version
+    write()
+    assert (mesh.edges() is not before) == changed
+    assert (mesh.version != version) == changed
+    assert mesh.edges() is mesh.edges()
 
 
 def test_triangle_table_grows_like_a_list_reference():
@@ -195,17 +274,28 @@ def test_triangle_table_grows_like_a_list_reference():
     ref = oracles.ListTriangleTable(mesh.positions)
     ref_prov = []
     capacities = set()
-    for _ in range(14):
+    for step in range(14):
+        before = mesh.edges()
         for a, b, c in rng.integers(0, n, size=(int(rng.integers(1, 40)), 3)):
             tid = mesh.add_triangle(a, b, c)
             assert tid == ref.add(a, b, c)
             assert tid is None or type(tid) is int
+            assert (mesh.edges() is not before) == (tid is not None)
+            before = mesh.edges()
         # batches repeat rows and hold degenerate ones
         rows = rng.integers(0, n, size=(int(rng.integers(1, 50)), 3))
         rows = np.concatenate([rows, rows[:5]])
         tids = mesh.add_triangles(rows)
         want = [ref.add(*row) for row in rows]
         assert tids.tolist() == [-1 if t is None else t for t in want]
+        assert (mesh.edges() is not before) == (tids >= 0).any()
+        assert_index_equals_reference(mesh, ref)
+        # state writes between UNDECIDED and OUTPUT keep the index
+        before = mesh.edges()
+        undecided = np.flatnonzero(mesh.tri_state == mesher.OUTPUT)[::3]
+        mesh.tri_state[undecided] = mesher.UNDECIDED
+        assert mesh.edges() is before
+        mesh.tri_state[undecided] = mesher.OUTPUT
         # rows for every other new triangle, as a flush writes them
         new = np.arange(len(ref_prov), len(ref.tri_verts))
         ref_prov += [mesher.NO_PROV] * len(new)
@@ -227,15 +317,36 @@ def test_triangle_table_grows_like_a_list_reference():
         gone = rng.choice(active, size=min(len(active), 6),
                           replace=False).tolist()
         for t in gone + gone[:1]:           # removing twice is a no-op
-            mesh.remove(t)
+            assert_write(mesh, lambda: mesh.remove(t),
+                         t in ref.active_ids())
             ref.remove(t)
+        assert_table_equals_reference(mesh, ref)
         for t in rng.choice(len(mesh.tri_verts), size=3).tolist():
-            mesh.flip(t)
+            assert_write(mesh, lambda: mesh.flip(t), True)
             ref.flip(t)
         some = rng.choice(len(mesh.tri_verts), size=4, replace=False)
-        mesh.flip(some)
+        assert_write(mesh, lambda: mesh.flip(some), True)
         for t in some.tolist():
             ref.flip(t)
+        assert_write(mesh, lambda: mesh.flip([]), False)
+        if step == 7:
+            # vertices inside the bounding box, which keeps the area
+            # floor: every key of an edge off vertex 0 moves
+            before = mesh.edges()
+            k = 5
+            new = rng.uniform(mesh.positions.min(axis=0),
+                              mesh.positions.max(axis=0), size=(k, 3))
+            assert_write(mesh, lambda: mesh.add_vertices(
+                new, np.tile([0, 0, 1.0], (k, 1)), np.full(k, 0.1),
+                np.ones((k, 3)), np.zeros((k, 2), dtype=np.int64),
+                mesher.KIND_STROKE), True)
+            ref.pos += new.tolist()
+            n += k
+            after = mesh.edges()[2]
+            assert after.n == before[2].n + k
+            assert np.array_equal(after.ends()[0], before[2].ends()[0])
+            assert np.array_equal(after.key != before[2].key,
+                                  before[2].ends()[0] > 0)
         assert_table_equals_reference(mesh, ref)
         assert np.array_equal(mesh.tri_prov,
                               np.array(ref_prov, dtype=np.int64))

@@ -98,6 +98,15 @@ def _mesh(pos, faces):
     return mesh_from_arrays(np.asarray(pos, dtype=float), faces)
 
 
+def _components_of(mesh, tids):
+    """SurfaceMesh.components of a copy of mesh in which only the active
+    triangles tids stay active: the components of tids joined through
+    their own edges."""
+    sub = copy.deepcopy(mesh)
+    sub.remove(np.setdiff1d(sub.active_ids(), list(tids)))
+    return sub.components()[1]
+
+
 def named_cases():
     """Hand-made meshes covering the cases random soups may miss."""
     fan_pos = [[0, 0, 0], [1, 0, 0], [0.5, 1, 0], [0.5, -1, 0],
@@ -240,8 +249,10 @@ def test_groupings_match_reference(make):
     assert (consolidate.undecided_components(mesh, subset)
             == oracles.undecided_components(mesh, subset))
     new = sorted(subset) + removed
-    assert (mesh.components({t for t in new if mesh.is_active(t)})[1]
-            == oracles.moebius_strips(mesh, new))
+    strips = oracles.moebius_strips(mesh, new)
+    active_new = [t for t in new if mesh.is_active(t)]
+    assert _components_of(mesh, active_new) == strips
+    assert mesh_ops.orient_parts(copy.deepcopy(mesh), active_new)[0] == strips
     ref = copy.deepcopy(mesh)
     assert (mesh_ops.resolve_moebius(mesh, new)
             == oracles.resolve_moebius(ref, new))
@@ -480,7 +491,7 @@ def test_soups_cover_the_hard_cases():
             edge = (set(mesh.tri_verts[t].tolist())
                     & set(mesh.tri_verts[other].tolist()))
             on_overfull += len(em[tuple(sorted(edge))]) > 2
-        for strip in mesh.components(frozen)[1]:
+        for strip in _components_of(mesh, frozen):
             inside = set(strip)
             shared_strips += any(not inside.issuperset(em[key])
                                  for key in oracles.strip_edge_map(

@@ -293,19 +293,17 @@ def boundary_loops(mesh):
 
 
 class _ComponentLookup:
-    """One mesh.components() labelling, read per triangle and per vertex:
-    labels holds the component of each row of mesh.edges(), of_vertex
-    that of the lowest active triangle at each vertex (-1 at none), and
-    incidences every (component c, vertex v) pair as c * n + v for n
-    vertices, ascending, so that each component's vertices form one
-    run."""
+    """One mesh.component_labels() labelling, read per triangle and per
+    vertex: labels holds the component of each row of mesh.edges(), k
+    the number of components, of_vertex the component of the lowest
+    active triangle at each vertex (-1 at none), and incidences every
+    (component c, vertex v) pair as c * n + v for n vertices, ascending,
+    so that each component's vertices form one run."""
 
     def __init__(self, mesh):
-        comp_of, self.comps = mesh.components()
+        self.labels = mesh.component_labels()
+        self.k = int(self.labels.max()) + 1 if len(self.labels) else 0
         _, verts, _ = mesh.edges()
-        # comp_of lists the active tids ascending, as mesh.edges() does
-        self.labels = np.fromiter(comp_of.values(), dtype=np.int64,
-                                  count=len(comp_of))
         at, at_label = verts.ravel(), np.repeat(self.labels, 3)
         self.n = mesh.vertex_count()
         self.of_vertex = np.full(self.n, -1, dtype=np.int64)
@@ -629,7 +627,8 @@ def component_stats(mesh):
     """Per-component counts plus Euler characteristic and boundary loop
     tally, ordered like mesh.components()."""
     lookup = _ComponentLookup(mesh)
-    k = len(lookup.comps)
+    k = lookup.k
+    triangles = np.bincount(lookup.labels, minlength=k).tolist()
     edges = np.bincount(lookup.labels[mesh.edges()[2].first() // 3],
                         minlength=k).tolist()
     vertices = np.bincount(lookup.incidences // lookup.n,
@@ -638,13 +637,13 @@ def component_stats(mesh):
                                   for lp in boundary_loops(mesh)],
                                  dtype=np.int64), minlength=k).tolist()
     return [{
-        "triangles": len(tids),
+        "triangles": triangles[i],
         "vertices": vertices[i],
         "edges": edges[i],
-        "euler": vertices[i] - edges[i] + len(tids),
+        "euler": vertices[i] - edges[i] + triangles[i],
         "boundary_loops": loops[i],
         "closed": loops[i] == 0,
-    } for i, tids in enumerate(lookup.comps)]
+    } for i in range(k)]
 
 
 def path_edge_fraction(mesh, paths):

@@ -211,6 +211,7 @@ class SurfaceMesh:
         self._key_to_id = {}
         self._scale = None
         self._edges = None
+        self._labels = None
         self.version = 0
         self.removed_count = 0
         self.duplicates_skipped = 0
@@ -347,7 +348,7 @@ class SurfaceMesh:
 
     def _changed(self):
         self.version += 1
-        self._edges = None
+        self._edges = self._labels = None
 
     def edges(self):
         """(tids, verts, index): triangle_array() and the edge_index of
@@ -389,14 +390,23 @@ class SurfaceMesh:
             tids = np.sort(np.fromiter(tri_ids, dtype=np.int64))
         return tids, self.tri_verts[tids]
 
+    def component_labels(self):
+        """The edge-connected component of each row of edges(), read-only
+        and built once per version; components count up from 0 in the
+        order of their lowest tid."""
+        if self._labels is None:
+            tids, _, index = self.edges()
+            c1, c2 = index.corner_pairs()
+            self._labels = join_links(len(tids), c1 // 3, c2 // 3)
+            self._labels.flags.writeable = False
+        return self._labels
+
     def components(self):
         """Edge-connected components of the active triangles. Returns
         (comp_of: dict tid -> comp index, comps: list of tid lists);
         components are ordered by their lowest tid, and comp_of and
         every list hold their tids ascending."""
-        tids, _, index = self.edges()
-        c1, c2 = index.corner_pairs()
-        labels = join_links(len(tids), c1 // 3, c2 // 3)
+        tids, labels = self.edges()[0], self.component_labels()
         return (dict(zip(tids.tolist(), labels.tolist())),
                 split_by_label(tids, labels))
 

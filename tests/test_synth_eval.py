@@ -10,7 +10,8 @@ from scipy.spatial import cKDTree
 from strokesurf import geometry, synth_eval
 from strokesurf.mesh_ops import mesh_from_arrays
 from strokesurf.synth_eval import (GroundTruthSurface, SplitMix64,
-                                   SyntheticSpec, evaluate, generate,
+                                   SyntheticSpec, directed_hausdorff,
+                                   evaluate, generate,
                                    interpolated_fraction,
                                    points_to_mesh_distance,
                                    sample_mesh_surface)
@@ -368,6 +369,105 @@ def test_spread_classes_keep_every_closer_triangle():
     assert sum(map(len, balls)) < sum(map(len, single))
 
 
+def mixed_mesh(rng):
+    """random_mesh plus clusters of tiny triangles and a few huge ones,
+    so that several spread classes hold triangles."""
+    pos, faces = random_mesh(rng, 40, 60)
+    centres = rng.uniform(-1, 1, (8, 1, 3))
+    tiny = (centres + rng.uniform(-1e-3, 1e-3, (8, 3, 3))).reshape(-1, 3)
+    huge = rng.uniform(-8, 8, (6, 3))
+    n = len(pos)
+    faces += [(n + 3 * k, n + 3 * k + 1, n + 3 * k + 2) for k in range(10)]
+    return np.vstack([pos, tiny, huge]), faces
+
+
+def hausdorff_points(rng, pos, faces, n, outlier):
+    """n points mixing mesh vertices (distance 0), samples on the mesh,
+    points around it and repeats of those (tied bounds), with one far
+    outlier last when asked."""
+    used = pos[np.unique(np.array(faces))]
+    pool = np.vstack([used,
+                      sample_mesh_surface(pos, faces, 40, SplitMix64(n)),
+                      rng.uniform(-1.5, 1.5, (3 * n, 3))])
+    pool = pool[rng.permutation(len(pool))]
+    pool = np.vstack([pool[:n // 2], pool[:n - n // 2]])
+    if outlier:
+        pool[-1] = (60.0, -45.0, 30.0)
+    return pool[rng.permutation(n)]
+
+
+def assert_exact_hausdorff(points, pos, faces):
+    got, pairs = directed_hausdorff(points, pos, faces)
+    want = oracles.points_to_mesh_distance(points, pos, faces).max()
+    assert got == want
+    assert got == points_to_mesh_distance(points, pos, faces).max()
+    *_, balls = oracles.mesh_candidates(points, pos, faces)
+    assert 0 <= pairs <= sum(len(b) for b in balls)
+
+
+@pytest.mark.parametrize("outlier", [False, True])
+@pytest.mark.parametrize("n", [1, synth_eval.POINT_BLOCK - 1,
+                               synth_eval.POINT_BLOCK,
+                               synth_eval.POINT_BLOCK + 1])
+@pytest.mark.parametrize("seed", range(3))
+def test_directed_hausdorff_equals_the_full_maximum(seed, n, outlier):
+    rng = np.random.default_rng(700 + seed)
+    pos, faces = mixed_mesh(rng)
+    tris = np.array(faces)
+    a, b, c = pos[tris[:, 0]], pos[tris[:, 1]], pos[tris[:, 2]]
+    centroids = (a + b + c) / 3.0
+    spread = np.max([np.linalg.norm(x - centroids, axis=1)
+                     for x in (a, b, c)], axis=0)
+    assert len(set(np.frexp(spread)[1].tolist())) >= 4
+    assert_exact_hausdorff(hausdorff_points(rng, pos, faces, n, outlier),
+                           pos, faces)
+
+
+@pytest.mark.parametrize("n", [1, 4, 5, 6, 90])
+def test_directed_hausdorff_with_small_blocks(monkeypatch, n):
+    rng = np.random.default_rng(40 + n)
+    pos, faces = mixed_mesh(rng)
+    monkeypatch.setattr(synth_eval, "PAIR_ROWS", 7)
+    monkeypatch.setattr(synth_eval, "POINT_BLOCK", 5)
+    for outlier in (False, True):
+        assert_exact_hausdorff(hausdorff_points(rng, pos, faces, n, outlier),
+                               pos, faces)
+
+
+def test_directed_hausdorff_reaches_a_later_block(monkeypatch):
+    """Two points hover just over a large triangle whose centroid is far
+    away, so their bounds come from a tiny triangle above them and are
+    loose; the maximum lies in the second block, behind those bounds and
+    ahead of a point on a vertex."""
+    pos = np.array([[-10.0, -10, 0], [20.0, -10, 0], [-10.0, 20, 0],
+                    [5.0, 0, 1], [5.001, 0, 1], [5.0, 0.001, 1]])
+    faces = [(0, 1, 2), (3, 4, 5)]
+    points = np.array([[5.0, 0, 0.01], [5.0005, 0, 0.01], [0.0, 0, 0.5],
+                       [20.0, -10, 0]])
+    monkeypatch.setattr(synth_eval, "POINT_BLOCK", 2)
+    assert_exact_hausdorff(points, pos, faces)
+    assert directed_hausdorff(points, pos, faces)[0] == 0.5
+
+
+def test_directed_hausdorff_on_a_far_ray():
+    # the points of test_batched_distance_keeps_the_bound_without_candidates,
+    # some of which have no candidate triangle at all
+    pos = np.array([[0.0, 0, 0], [1.0, 0, 0], [0.0, 1.0, 0]])
+    ray = pos[1] - pos.mean(axis=0)
+    ray /= np.linalg.norm(ray)
+    points = pos[1] + np.logspace(0, 12, 200)[:, None] * ray
+    assert_exact_hausdorff(points, pos, [(0, 1, 2)])
+
+
+def test_directed_hausdorff_needs_points():
+    rng = np.random.default_rng(3)
+    pos, faces = random_mesh(rng, 10, 12)
+    with pytest.raises(ValueError):
+        directed_hausdorff(np.zeros((0, 3)), pos, faces)
+    with pytest.raises(ValueError):
+        directed_hausdorff(pos[:2], pos, [])
+
+
 def test_sample_mesh_surface_is_area_weighted():
     pos = np.array([[0.0, 0, 0], [10.0, 0, 0], [0.0, 10.0, 0],
                     [-1.0, 0, 0], [-1.1, 0, 0], [-1.0, 0.1, 0]])
@@ -415,6 +515,23 @@ def test_evaluate_against_self_is_zero():
     assert d["runtime_seconds"] >= 0
 
 
+def full_scan(mesh, truth, samples, seed):
+    """(mesh_to_truth, truth_to_mesh, pairs) of evaluate's samples, every
+    sample measured with points_to_mesh_distance or truth.distance."""
+    rng = SplitMix64(seed)
+    _, faces = mesh.triangle_array()
+    mesh_samples = sample_mesh_surface(mesh.positions, faces, samples, rng)
+    if truth.kind == "mesh":
+        d_mesh, pairs = points_to_mesh_distance(
+            mesh_samples, truth.positions, truth.faces, return_pairs=True)
+    else:
+        d_mesh, pairs = truth.distance(mesh_samples), 0
+    d_truth, more = points_to_mesh_distance(
+        truth.sample(samples, rng), mesh.positions, faces,
+        return_pairs=True)
+    return float(d_mesh.max()), float(d_truth.max()), pairs + more
+
+
 def test_evaluate_sphere_reference_mesh():
     truth = GroundTruthSurface(kind="sphere")
     pos, faces = truth.to_mesh(resolution=32)
@@ -424,6 +541,18 @@ def test_evaluate_sphere_reference_mesh():
                                    report.truth_to_mesh)
     assert report.hausdorff < 0.02
     assert report.components == 1
+    # the early break keeps both maxima bit for bit and tests at most a
+    # fifth of the full scan's pairs, with an analytic and a mesh truth:
+    # one bound pair per sample, where the full scan tests about 12,
+    # plus one block of candidates per side
+    fine = GroundTruthSurface.from_mesh(*truth.to_mesh(resolution=48))
+    for surface in (truth, fine):
+        report = evaluate(mesh, surface, samples=2000, seed=10)
+        d_mesh, d_truth, pairs = full_scan(mesh, surface, 2000, 10)
+        assert report.mesh_to_truth == d_mesh
+        assert report.truth_to_mesh == d_truth
+        assert report.hausdorff == max(d_mesh, d_truth)
+        assert 0 < report.distance_pairs * 5 <= pairs
 
 
 def test_evaluate_reports_distance_pairs_repeatably():
@@ -435,15 +564,18 @@ def test_evaluate_reports_distance_pairs_repeatably():
     assert runs[0].distance_pairs > 0
     assert runs[0].distance_pairs == runs[1].distance_pairs
     assert runs[0].to_dict()["distance_pairs"] == runs[0].distance_pairs
-    # an analytic truth tests pairs on the truth-to-mesh side only
+    # an analytic truth tests pairs on the truth-to-mesh side only, as
+    # many as the early break needs, fewer than the full scan's
     analytic = evaluate(mesh, truth, samples=300, seed=3)
     rng = SplitMix64(3)
     active = [mesh.tri_verts[t] for t in mesh.active_ids()]
     sample_mesh_surface(mesh.positions, active, 300, rng)
-    _, pairs = points_to_mesh_distance(truth.sample(300, rng),
-                                       mesh.positions, active,
-                                       return_pairs=True)
+    points = truth.sample(300, rng)
+    _, pairs = directed_hausdorff(points, mesh.positions, active)
+    _, full = points_to_mesh_distance(points, mesh.positions, active,
+                                      return_pairs=True)
     assert analytic.distance_pairs == pairs > 0
+    assert pairs < full
 
 
 def test_evaluate_requires_triangles():

@@ -42,13 +42,20 @@ before solving any component. Two invariants make that exact:
   a component and a solve decides only its own triangles.
 A ConsolidationStats passed to consolidate_mesh collects what a pass
 found and did, for the run report.
+
+The clustering solvers work on node indices, 0 for OUT_NODE and k for
+the component's k-th triangle: components are ascending tids and
+OUT_NODE is -1, so index order is id order and every smallest-id tie
+rule keeps its meaning. Float sums (the moves' gains, greedy_objective,
+greedy_bound) add in arc order one term at a time, as Python's sum over
+tolist() does; np.sum's pairwise summation could change the last bits.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass, field
-from itertools import compress
 from typing import NamedTuple
 
 import numpy as np
@@ -77,8 +84,8 @@ class ConsolidationStats:
     """Counts from consolidation passes; passes given the same instance
     add to it. `pairs_by_criterion[k - 1]` counts the incompatible pairs
     criterion k flagged. `greedy_objective` sums the clustering_objective
-    of the greedy solves and `greedy_bound` the positive soft arc weights
-    of their graphs, an upper bound on it. `component_histogram[k]`
+    of the greedy solves and `greedy_bound` the clustering_bound of their
+    graphs, an upper bound on it. `component_histogram[k]`
     counts the undecided components of 2**k to 2**(k + 1) - 1
     triangles. `edge_pairs_tested` counts the shared-edge pairs that
     criteria 1 and 3 scored, and `vertex_pairs_tested` the shared-vertex
@@ -373,22 +380,6 @@ def undecided_components(mesh, undecided):
     return split_by_label(tids, join_equal_keys(verts))
 
 
-@dataclass
-class ConflictGraph:
-    """Weighted arcs over undecided triangles plus the output node.
-    Arcs in `hard` must end up in different clusters."""
-
-    nodes: list
-    arcs: dict = field(default_factory=dict)
-    hard: set = field(default_factory=set)
-
-    def add_arc(self, u, v, w, hard=False):
-        key = (u, v) if u < v else (v, u)
-        self.arcs[key] = self.arcs.get(key, 0.0) + w
-        if hard:
-            self.hard.add(key)
-
-
 def _emission_scores(mesh, cs, config, tids):
     """M(t) per triangle of tids: vertex scores of the two edge endpoints
     against the apex, on the triangle's recorded side, in linear domain;
@@ -448,34 +439,56 @@ def _conflict_arcs(mesh, cs, config, pairs, components):
     return [(u[k], v[k], w[k], hard[k]) for k in np.split(order, cuts)]
 
 
+class ConflictGraph(NamedTuple):
+    """The conflict graph of one component: its nodes, ascending tids,
+    and its arcs, one per key (u[i], v[i]), u < v, where u is OUT_NODE
+    on output arcs, in key order: weight w[i], and hard[i] where the
+    ends must end up in different clusters."""
+
+    nodes: np.ndarray
+    u: np.ndarray
+    v: np.ndarray
+    w: np.ndarray
+    hard: np.ndarray
+
+    def ends(self):
+        """u and v as indices into [OUT_NODE] + nodes."""
+        ids = np.r_[OUT_NODE, self.nodes]
+        return np.searchsorted(ids, self.u), np.searchsorted(ids, self.v)
+
+
 def build_conflict_graph(component, u, v, w, hard):
-    """The ConflictGraph of one component from its _conflict_arcs slice,
-    arcs in key order. An incompatible pair inside the component is a
-    hard arc of incompatible_weight, a compatible pair sharing an edge a
-    soft arc of compatible_weight. Each node's output arc weighs M(t)
-    plus its count of edge neighbours already OUTPUT, and each conflict
-    with a frozen triangle adds incompatible_weight to it, in pair
-    order, and makes it hard. The slices of a pass are cut before any
-    component is solved; the module docstring's invariants make them
-    the graphs each component has when it is solved."""
-    keys = list(zip(u.tolist(), v.tolist()))
-    return ConflictGraph(nodes=list(component),
-                         arcs=dict(zip(keys, w.tolist())),
-                         hard=set(compress(keys, hard.tolist())))
+    """The ConflictGraph of one component from its _conflict_arcs slice.
+    An incompatible pair inside the component is a hard arc of
+    incompatible_weight, a compatible pair sharing an edge a soft arc of
+    compatible_weight. Each node's output arc weighs M(t) plus its count
+    of edge neighbours already OUTPUT, and each conflict with a frozen
+    triangle adds incompatible_weight to it, in pair order, and makes it
+    hard. The slices of a pass are cut before any component is solved;
+    the module docstring's invariants make them the graphs each
+    component has when it is solved."""
+    return ConflictGraph(np.asarray(component, dtype=np.int64), u, v, w, hard)
 
 
-def clustering_objective(graph, assign):
-    """Sum of arc weights whose endpoints share a cluster."""
-    total = 0.0
-    for (u, v), w in graph.arcs.items():
-        if assign[u] == assign[v]:
-            total += w
-    return total
+def clustering_objective(graph, labels):
+    """Sum of the weights of the arcs whose ends share a cluster, in arc
+    order, for a solve_clustering label array."""
+    a, b = graph.ends()
+    return sum(graph.w[labels[a] == labels[b]].tolist(), 0.0)
+
+
+def clustering_bound(graph):
+    """Sum of the positive soft arc weights, in arc order: an upper bound
+    on clustering_objective."""
+    return sum(graph.w[(graph.w > 0) & ~graph.hard].tolist(), 0.0)
 
 
 def solve_clustering(graph):
-    """Partition the conflict graph, maximizing the total weight of arcs
-    kept inside clusters while never merging across a hard arc.
+    """Partition the ConflictGraph `graph`, maximizing the total weight
+    of arcs kept inside clusters while never merging across a hard arc.
+    Returns an int array aligned with [OUT_NODE] + graph.nodes: each
+    node's label is the index there of its cluster's smallest member, so
+    the triangles labelled 0 stay with the output node.
 
     Small graphs are solved to optimality by branch and bound; larger
     ones by greedy additive edge contraction followed by single-node
@@ -484,8 +497,7 @@ def solve_clustering(graph):
     smallest node id. The greedy path contracts over soft arcs alone and
     re-sweeps only nodes whose neighbourhood changed; _contract and
     _solve_greedy say why that yields the clusters of contracting over
-    every arc and sweeping every node. Returns node -> cluster id; cluster ids are the
-    minimum node id of each cluster."""
+    every arc and sweeping every node."""
     if len(graph.nodes) <= EXACT_NODE_LIMIT:
         return _solve_exact(graph)
     return _solve_greedy(graph)
@@ -500,20 +512,16 @@ def _solve_exact(graph):
     its positive part. The first optimum found is kept, so ties resolve
     toward earlier branches, i.e. smaller ids grouped with the output
     node."""
-    nodes = sorted(graph.nodes)
-    n = len(nodes)
-    ids = [OUT_NODE] + nodes
-    idx = {v: i for i, v in enumerate(ids)}
+    n = len(graph.nodes)
     w = [[0.0] * (n + 1) for _ in range(n + 1)]
     hard = [0] * (n + 1)
-    for (u, v), arc_w in graph.arcs.items():
-        a, b = idx[u], idx[v]
+    for a, b, arc_w, h in zip(*(x.tolist() for x in graph.ends()),
+                              graph.w.tolist(), graph.hard.tolist()):
         w[a][b] += arc_w
         w[b][a] += arc_w
-    for (u, v) in graph.hard:
-        a, b = idx[u], idx[v]
-        hard[a] |= 1 << b
-        hard[b] |= 1 << a
+        if h:
+            hard[a] |= 1 << b
+            hard[b] |= 1 << a
 
     # optimistic remainder: arcs whose later endpoint is still open,
     # counted at their positive part
@@ -559,16 +567,21 @@ def _solve_exact(graph):
         sums.pop()
 
     dfs(1, 0.0)
+    first = {}
+    return np.array([first.setdefault(ci, i) for i, ci in enumerate(best)])
 
-    groups = {}
-    for i, ci in enumerate(best):
-        groups.setdefault(ci, []).append(ids[i])
-    cluster = {}
-    for mem in groups.values():
-        target = min(mem)
-        for node in mem:
-            cluster[node] = target
-    return cluster
+
+def _arc_lists(size, a, b, w=None):
+    """Per index 0..size-1, the other end of each arc (a[i], b[i]) on it,
+    paired with the arc's weight w[i] when weights are given, in arc
+    order."""
+    end = np.r_[a, b]
+    order = np.lexsort((np.tile(np.arange(len(a)), 2), end))
+    arcs = np.r_[b, a][order].tolist()
+    if w is not None:
+        arcs = list(zip(arcs, np.r_[w, w][order].tolist()))
+    stops = np.cumsum(np.bincount(end, minlength=size)).tolist()
+    return [arcs[i:j] for i, j in zip([0] + stops[:-1], stops)]
 
 
 def _solve_greedy(graph):
@@ -578,9 +591,10 @@ def _solve_greedy(graph):
     Moves sweep the nodes in ascending id to a fixed point (at most 100
     sweeps): a node joins the neighbouring cluster, or a fresh one, that
     raises the objective most, if any does, and never a cluster holding
-    a hard partner. Hard partners never share a cluster, so a hard arc
-    only ever weighs on a blocked target and the moves read soft arcs
-    alone.
+    a hard partner. Targets of equal gain fall to the one whose smallest
+    member is smallest, a fresh cluster first. Hard partners never share
+    a cluster, so a hard arc only ever weighs on a blocked target and the
+    moves read soft arcs alone.
 
     Each sweep after the first visits only dirty nodes, in ascending id:
     the soft and hard neighbours of the nodes that moved. A node's gains
@@ -591,19 +605,25 @@ def _solve_greedy(graph):
     its gains are unchanged and its move took the best. A node dirtied
     by an earlier node of the same sweep is visited later in that sweep,
     as a full sweep would, so the moves are those of full Gauss-Seidel
-    sweeps."""
-    cluster, members = _contract(graph)
-    arcs_of = {n: [] for n in cluster}
-    for (u, v), w in graph.arcs.items():
-        if (u, v) not in graph.hard:
-            arcs_of[u].append((v, w))
-            arcs_of[v].append((u, w))
-    hard_of = {n: [] for n in cluster}
-    for (u, v) in graph.hard:
-        hard_of[u].append(v)
-        hard_of[v].append(u)
+    sweeps.
 
-    dirty = set(graph.nodes)
+    Clusters keep the id they were made with; `low` holds each one's
+    smallest member, which is all their order needs, so a move costs a
+    min() over the cluster it leaves only when that member leaves."""
+    size = len(graph.nodes) + 1
+    a, b = graph.ends()
+    hard, soft = graph.hard, ~graph.hard
+    arcs_of = _arc_lists(size, a[soft], b[soft], graph.w[soft])
+    hard_of = _arc_lists(size, a[hard], b[hard])
+    pos = soft & (graph.w > 0)
+    cid = _contract(arcs_of, hard_of, list(zip(
+        (-graph.w[pos]).tolist(), a[pos].tolist(), b[pos].tolist())))
+    low = list(range(size))
+    members = [set() for _ in range(size)]
+    for k, c in enumerate(cid):
+        members[c].add(k)
+
+    dirty = set(range(1, size))
     for _ in range(100):
         if not dirty:
             break
@@ -612,135 +632,97 @@ def _solve_greedy(graph):
         dirty = set()
         while todo:
             n = heapq.heappop(todo)
-            cur = cluster[n]
-            gain_cur = sum(w for (m, w) in arcs_of[n]
-                           if cluster[m] == cur and m != n)
+            cur = cid[n]
+            gain_cur = sum(w for (m, w) in arcs_of[n] if cid[m] == cur)
             options = {}
             for (m, w) in arcs_of[n]:
-                tgt = cluster[m]
+                tgt = cid[m]
                 if tgt == cur:
                     continue
                 options[tgt] = options.get(tgt, 0.0) + w
-            fresh = -10 - n  # label no renormalized cluster can carry
-            options.setdefault(fresh, 0.0)
-            blocked = {cluster[h] for h in hard_of[n]}
             best_tgt, best_delta = None, 1e-12
-            for tgt in sorted(options):
-                if tgt in blocked:
-                    continue
-                delta = options[tgt] - gain_cur
-                if delta > best_delta:
-                    best_tgt, best_delta = tgt, delta
+            if 0.0 - gain_cur > best_delta:     # a fresh cluster
+                best_tgt, best_delta = len(low), 0.0 - gain_cur
+            better = [tgt for tgt, x in options.items()
+                      if x - gain_cur > best_delta]
+            if better:
+                blocked = {cid[h] for h in hard_of[n]}
+                for tgt in sorted(better, key=low.__getitem__):
+                    delta = options[tgt] - gain_cur
+                    if tgt not in blocked and delta > best_delta:
+                        best_tgt, best_delta = tgt, delta
             if best_tgt is None:
                 continue
-            _move_node(cluster, members, n, best_tgt)
+            rest = members[cur]
+            rest.discard(n)
+            if rest and low[cur] == n:
+                low[cur] = min(rest)
+            if best_tgt == len(low):
+                low.append(n)
+                members.append(set())
+            members[best_tgt].add(n)
+            low[best_tgt] = min(low[best_tgt], n)
+            cid[n] = best_tgt
             for m in hard_of[n] + [m for m, _ in arcs_of[n]]:
-                if m == OUT_NODE:       # never moves
+                if m == 0:              # the output node never moves
                     continue
                 if m < n:
                     dirty.add(m)
                 elif m not in queued:
                     queued.add(m)
                     heapq.heappush(todo, m)
-    return cluster
+    return np.array([low[c] for c in cid])
 
 
-def _contract(graph):
-    """Greedy additive edge contraction: merge the two clusters joined by
-    the largest positive summed weight, smallest key first on ties,
-    unless a hard arc runs between them, until no pair can merge.
-    Returns (node -> cluster id, cluster id -> member set).
+def _contract(arcs_of, hard_of, heap):
+    """Greedy additive edge contraction over node indices, given per
+    index its soft arcs as (other end, weight) and its hard partners
+    (_arc_lists), and the heap entries (-w, a, b), a < b, of the soft
+    arcs of positive weight w: merge the two clusters joined by the
+    largest positive summed weight, smallest key first on ties, unless a
+    hard arc runs between them, until no pair can merge. Returns each
+    index's cluster as the index of its smallest member.
 
-    Hard arcs only fill the forbidden sets: they never enter the
-    contraction weights. A cluster pair with a hard arc across it is
-    forbidden for good, since merges only grow forbidden sets, so its
-    summed weight could only ever be popped and skipped; every pair
+    A hard arc enters the summed weights as -inf, which every sum it
+    joins keeps: a cluster pair with a hard arc across it is never
+    pushed, and its earlier entries are skipped as stale. Every pair
     that can merge sums exactly the soft arcs across it, in the same
     merge order, so the merge sequence is the one contraction over all
     arcs gives. Keys holding a hard part and an output weight are hard
-    as a whole."""
-    nodes = [OUT_NODE] + list(graph.nodes)
-    cluster = {n: n for n in nodes}
-    members = {n: {n} for n in nodes}
-    weight = {k: w for k, w in graph.arcs.items() if k not in graph.hard}
-    adj = {n: set() for n in nodes}
-    for (u, v) in weight:
-        adj[u].add(v)
-        adj[v].add(u)
-    forbidden = {n: set() for n in nodes}
-    for (u, v) in graph.hard:
-        forbidden[u].add(v)
-        forbidden[v].add(u)
-
-    heap = [(-w, k) for k, w in weight.items() if w > 0]
+    as a whole. A merge names the cluster by the pair's smaller index."""
+    weight = [dict(arcs) for arcs in arcs_of]  # neighbour -> summed weight
+    for row, partners in zip(weight, hard_of):
+        row.update(dict.fromkeys(partners, -math.inf))
     heapq.heapify(heap)
+    parent = list(range(len(arcs_of)))
     while heap:
-        negw, (a, b) = heapq.heappop(heap)
-        if a not in members or b not in members:
+        negw, i, j = heapq.heappop(heap)
+        if parent[i] != i or parent[j] != j or weight[i].get(j) != -negw:
             continue
-        if weight.get((a, b)) != -negw or -negw <= 0:
-            continue
-        if b in forbidden[a]:
-            continue
-        # merge b into a (a < b by arc key construction)
-        joined = members.pop(b)
-        members[a] |= joined
-        for n in joined:
-            cluster[n] = a
-        # hard sets are symmetric, so only b's own partners name b
-        hard_b = forbidden.pop(b)
-        forbidden[a] |= hard_b
-        for c in hard_b:
-            forbidden[c].discard(b)
-            forbidden[c].add(a)
-        for c in adj.pop(b):
-            adj[c].discard(b)
-            if c == a:
+        parent[j] = i
+        row = weight[i]
+        for c, w_jc in weight[j].items():
+            del weight[c][j]
+            if c == i:
                 continue
-            w_bc = weight.pop((b, c) if b < c else (c, b), 0.0)
-            wkey_a = (a, c) if a < c else (c, a)
-            w_ac = weight[wkey_a] = weight.get(wkey_a, 0.0) + w_bc
-            adj[a].add(c)
-            adj[c].add(a)
-            if w_ac > 0:
-                heapq.heappush(heap, (-w_ac, wkey_a))
-    return cluster, members
+            w_ic = row[c] = weight[c][i] = row.get(c, 0.0) + w_jc
+            if w_ic > 0:
+                heapq.heappush(heap, (-w_ic, i, c) if i < c else
+                               (-w_ic, c, i))
+    # a merge names the smaller cluster, so parents come first
+    for k, p in enumerate(parent):
+        parent[k] = parent[p]
+    return parent
 
 
-def _move_node(cluster, members, n, tgt):
-    """Move node n into cluster tgt, a new cluster if no node carries
-    that id, re-labelling a cluster involved only where its minimum
-    member changes, so that every cluster id stays the minimum member
-    id."""
-    cur = cluster[n]
-    rest = members.pop(cur)
-    rest.discard(n)
-    if rest and cur == n:
-        cur = min(rest)
-        for node in rest:
-            cluster[node] = cur
-    if rest:
-        members[cur] = rest
-    group = members.pop(tgt, None)
-    if group is None:
-        group, tgt = set(), n
-    group.add(n)
-    if n < tgt:
-        for node in group:
-            cluster[node] = n
-        tgt = n
-    cluster[n] = tgt
-    members[tgt] = group
-
-
-def apply_consolidation(mesh, cluster, component):
-    """Keep undecided triangles clustered with the output node, remove
-    the rest of the component."""
-    out_cluster = cluster[OUT_NODE]
-    kept = [t for t in component if cluster[t] == out_cluster]
-    mesh.tri_state[kept] = OUTPUT
-    mesh.remove([t for t in component if cluster[t] != out_cluster])
-    return kept
+def apply_consolidation(mesh, labels, component):
+    """Keep the undecided triangles of the tid array `component` that a
+    solve_clustering label array puts with the output node, remove the
+    rest. Returns the kept tids."""
+    keep = labels[1:] == labels[0]
+    mesh.tri_state[component[keep]] = OUTPUT
+    mesh.remove(component[~keep])
+    return component[keep]
 
 
 class Repair(list):
@@ -822,16 +804,14 @@ def consolidate_mesh(mesh, cs, config, frozen=frozenset(), stats=None):
     removed = 0
     for component, comp_arcs in zip(components, arcs):
         graph = build_conflict_graph(component, *comp_arcs)
-        cluster = solve_clustering(graph)
+        labels = solve_clustering(graph)
         if len(component) <= EXACT_NODE_LIMIT:
             stats.exact_solves += 1
         else:
             stats.greedy_solves += 1
-            stats.greedy_objective += clustering_objective(graph, cluster)
-            stats.greedy_bound += sum(
-                w for key, w in graph.arcs.items()
-                if w > 0 and key not in graph.hard)
-        kept = apply_consolidation(mesh, cluster, component)
+            stats.greedy_objective += clustering_objective(graph, labels)
+            stats.greedy_bound += clustering_bound(graph)
+        kept = apply_consolidation(mesh, labels, graph.nodes)
         removed += len(component) - len(kept)
 
     # retained conflicts would be a solver bug

@@ -711,39 +711,91 @@ def export_obj(mesh, path):
     return len(used), sum(len(fs) for fs in comp_faces)
 
 
+# str.split()'s whitespace, a table over code points; False from its last
+# entry on
+_SPACE = np.zeros(0x3002, dtype=bool)
+_SPACE[[*range(9, 14), *range(28, 33), 0x85, 0xA0, 0x1680,
+        *range(0x2000, 0x200B), 0x2028, 0x2029, 0x202F, 0x205F, 0x3000]] = True
+
+
 def load_obj(path):
     """Read positions, faces, and optional normals from an OBJ file.
     Faces with more than three vertices are fanned from the first. A
     face index must name a vertex listed above it: 1 is the first, -1
-    the last so far; any other index raises ValueError, as does a
-    vertex line without 3 numbers."""
-    positions = []
-    normals = []
-    faces = []
+    the last so far; any other index raises ValueError naming the line,
+    as does a v or vn line without 3 numbers. The file is tokenized at
+    once, as str.split() splits each line; face indices (the part of a
+    token before any '/') are read a digit column at a time over all
+    corners, and by int() where not a sign and 1 to 15 ASCII digits."""
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            parts = line.split()
-            tag = parts[0] if parts else ""
-            if tag == "v":
-                positions.append(parts[1:4])
-            elif tag == "vn":
-                normals.append(parts[1:4])
-            elif tag == "f":
-                idx = []
-                for tok in parts[1:]:
-                    i = int(tok.partition("/")[0])
-                    g = i - 1 if i > 0 else len(positions) + i
-                    if not 0 <= g < len(positions):
-                        raise ValueError(f"{path}:{lineno}: face index {i} "
-                                         "names no vertex")
-                    idx.append(g)
-                faces.extend(zip(idx[:1] * (len(idx) - 2), idx[1:-1],
-                                 idx[2:]))
-    pos = np.array(positions, dtype=np.float64)
-    if positions and pos.shape[1] != 3:
-        raise ValueError(f"{path}: vertex lines need 3 coordinates")
-    nrm = np.array(normals, dtype=np.float64) if normals else None
-    return pos, faces, nrm
+        text = fh.read()
+    # code points, those past the table clipped to its last entry
+    codes = (np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+             if text.isascii() else np.minimum(np.frombuffer(
+                 text.encode("utf-32-le"), dtype=np.uint32), len(_SPACE) - 1))
+    # tokens: where whitespace stops and starts again
+    begin, end = np.flatnonzero(np.diff(_SPACE[codes], prepend=True,
+                                        append=True)).reshape(-1, 2).T
+    begin, end = begin.astype(np.int32), end.astype(np.int32)
+    lineno = 1 + np.searchsorted(np.flatnonzero(codes == ord("\n")), begin)
+    # rows: the lines holding tokens, by their first token
+    first = np.flatnonzero(np.diff(lineno, prepend=0))
+    lineno, size = lineno[first], np.diff(np.r_[first, len(begin)])
+
+    def tagged(tag):
+        at = begin[first]
+        hit = end[first] - at == len(tag)
+        for k, char in enumerate(tag):
+            hit &= codes[np.minimum(at + k, len(codes) - 1)] == ord(char)
+        return np.flatnonzero(hit)
+
+    def coords(tag):
+        rows = tagged(tag)
+        if (size[rows] < 4).any():
+            raise ValueError(f"{path}:{lineno[rows[size[rows] < 4][0]]}: "
+                             f"{tag} lines need 3 numbers")
+        spans = [text[i:j] for i, j in zip(begin[first[rows] + 1].tolist(),
+                                           end[first[rows] + 3].tolist())]
+        return rows, np.array(" ".join(spans).split(),
+                              dtype=np.float64).reshape(-1, 3)
+
+    (v_rows, positions), (vn_rows, normals) = coords("v"), coords("vn")
+    f_rows = tagged("f")
+    corners = size[f_rows] - 1
+    # per corner: its line's row and first corner, and its rank there
+    row = np.repeat(f_rows, corners)
+    start = np.repeat(np.cumsum(corners) - corners, corners)
+    rank = np.arange(len(start)) - start
+    tokens = first[row] + 1 + rank
+    at = begin[tokens]
+    slash = np.r_[np.flatnonzero(codes == ord("/")), len(codes)]
+    stop = np.minimum(end[tokens], slash[np.searchsorted(slash, at)])
+    lead = at + np.isin(codes[at], [ord("-"), ord("+")])
+    del begin, end, slash           # free before the corner arrays grow
+    index = np.zeros(len(at), dtype=np.int64)
+    odd = (stop <= lead) | (stop - lead > 15)
+    for k in range(min(15, int(np.max(stop - lead, initial=0)))):
+        more = lead + k < stop
+        digit = codes[np.where(more, lead + k, 0)] - np.int64(ord("0"))
+        odd |= more & ((digit < 0) | (digit > 9))
+        np.multiply(index, 10, out=index, where=more)
+        np.add(index, digit, out=index, where=more)
+    index[codes[at] == ord("-")] *= -1
+    for i in np.flatnonzero(odd).tolist():
+        index[i] = min(max(int(text[at[i]:stop[i]]), -2**62), 2**62)
+    del codes                       # free before the faces list is built
+    # the v lines above each corner's line
+    seen = np.searchsorted(v_rows, row)
+    g = np.where(index > 0, index - 1, seen + index)
+    bad = np.flatnonzero((g < 0) | (g >= seen))
+    if len(bad):
+        i = bad[0]
+        raise ValueError(f"{path}:{lineno[row[i]]}: face index "
+                         f"{int(text[at[i]:stop[i]])} names no vertex")
+    fan = np.flatnonzero(rank >= 2)
+    faces = list(zip(g[start[fan]].tolist(), g[fan - 1].tolist(),
+                     g[fan].tolist()))
+    return positions, faces, normals if len(vn_rows) else None
 
 
 def mesh_from_arrays(positions, faces, normals=None):

@@ -24,13 +24,15 @@ the neighbourhood references (both smoothers with their move guard,
 boundary chain frames, component stats, undecided classification) walk a
 vertex -> triangle dict one vertex at a time, and the conflict graph
 reference builds each component's graph arc by arc from the pair list
-and an edge map when the component is solved.
+and an edge map when the component is solved, into a dict keyed by node
+pair that the greedy clustering reference and the dict objective read.
 """
 
 import heapq
 import itertools
 import math
 from collections import deque
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -562,6 +564,63 @@ def partition_optimum(nodes, arcs, hard):
             t = (t - 1) & s
         best[s] = b
     return best[size - 1]
+
+
+@dataclass
+class ConflictGraph:
+    """Dict form of consolidate.ConflictGraph: arc key (u, v), u < v ->
+    summed weight, in insertion order, and the set of hard keys."""
+
+    nodes: list
+    arcs: dict = field(default_factory=dict)
+    hard: set = field(default_factory=set)
+
+    def add_arc(self, u, v, w, hard=False):
+        key = (u, v) if u < v else (v, u)
+        self.arcs[key] = self.arcs.get(key, 0.0) + w
+        if hard:
+            self.hard.add(key)
+
+    @classmethod
+    def of(cls, graph):
+        """The dict form of a consolidate.ConflictGraph."""
+        keys = list(zip(graph.u.tolist(), graph.v.tolist()))
+        return cls(graph.nodes.tolist(), dict(zip(keys, graph.w.tolist())),
+                   set(itertools.compress(keys, graph.hard.tolist())))
+
+    def record(self):
+        """The consolidate.ConflictGraph of these arcs, in dict order,
+        the order in which the dict solvers add their weights."""
+        from strokesurf.consolidate import ConflictGraph as Record
+
+        keys = np.array(list(self.arcs), dtype=np.int64).reshape(-1, 2)
+        return Record(np.array(sorted(self.nodes), dtype=np.int64),
+                      keys[:, 0], keys[:, 1],
+                      np.array(list(self.arcs.values()), dtype=np.float64),
+                      np.array([k in self.hard for k in self.arcs],
+                               dtype=bool))
+
+    def clusters(self, labels):
+        """node -> cluster id, its smallest member's id, from a
+        consolidate.solve_clustering label array."""
+        ids = [OUT_NODE] + sorted(self.nodes)
+        return {ids[i]: ids[k] for i, k in enumerate(labels.tolist())}
+
+
+def clustering_objective(graph, assign):
+    """Reference for consolidate.clustering_objective: the weights of
+    the arcs whose ends share a cluster, added one arc at a time."""
+    total = 0.0
+    for (u, v), w in graph.arcs.items():
+        if assign[u] == assign[v]:
+            total += w
+    return total
+
+
+def clustering_bound(graph):
+    """Reference for consolidate.clustering_bound."""
+    return sum(w for key, w in graph.arcs.items()
+               if w > 0 and key not in graph.hard)
 
 
 def solve_greedy(graph):
@@ -1812,7 +1871,7 @@ def build_conflict_graph(mesh, cs, config, component, pairs, incidence):
     with no triangle in the component are skipped. `incidence` is the
     mesh.edge_map() taken after classification: later removals are
     other components' triangles, which the state test skips."""
-    from strokesurf.consolidate import ConflictGraph, _emission_scores
+    from strokesurf.consolidate import _emission_scores
     from strokesurf.mesher import OUTPUT
 
     comp = set(component)

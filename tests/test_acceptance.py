@@ -14,10 +14,10 @@ import pytest
 
 import oracles
 from conftest import make_stroke
-from test_consolidate import random_conflict_graph
+from test_consolidate import random_conflict_graph, solved
 from test_matcher import candidate_rows, random_viterbi_instance
 
-from strokesurf import consolidate, geometry, matcher, mesh_ops, scoring
+from strokesurf import geometry, matcher, mesh_ops, scoring
 from strokesurf import stroke_model as sm
 from strokesurf.consolidate import OUT_NODE
 from strokesurf.pipeline import PipelineOptions, run_pipeline
@@ -210,22 +210,20 @@ def test_05_clustering_near_optimal(capsys, config):
     min_ratio = np.inf
     for _ in range(n):
         g = random_conflict_graph(rng)
-        assign = consolidate.solve_clustering(g)
+        assign, got = solved(g)
         for (u, v) in g.hard:
             if assign[u] == assign[v]:
                 violations += 1
-        got = consolidate.clustering_objective(g, assign)
         best = oracles.partition_optimum([OUT_NODE] + g.nodes,
                                          g.arcs, g.hard)
         ratio = 1.0 if best <= 0 else got / best
         min_ratio = min(min_ratio, ratio)
 
-    g = consolidate.ConflictGraph(nodes=[10, 20])
+    g = oracles.ConflictGraph(nodes=[10, 20])
     g.add_arc(10, 20, config.incompatible_weight, hard=True)
     g.add_arc(OUT_NODE, 10, 5.0)
     g.add_arc(OUT_NODE, 20, 2.0)
-    worked = consolidate.clustering_objective(g, consolidate
-                                              .solve_clustering(g))
+    worked = solved(g)[1]
 
     ok = (violations == 0 and min_ratio >= CLUSTER_RATIO_MIN - 1e-9
           and worked == pytest.approx(5.0, abs=1e-12))

@@ -317,47 +317,64 @@ def test_crit2_batch_temporaries_stay_small(monkeypatch):
 # clustering
 
 
+def solved(g):
+    """Clusters of the oracles.ConflictGraph `g` by solve_clustering, as
+    node -> cluster id, and their objective."""
+    graph = g.record()
+    labels = consolidate.solve_clustering(graph)
+    return g.clusters(labels), consolidate.clustering_objective(graph,
+                                                                labels)
+
+
 def test_clustering_worked_example(config):
-    g = consolidate.ConflictGraph(nodes=[10, 20])
+    g = oracles.ConflictGraph(nodes=[10, 20])
     g.add_arc(10, 20, config.incompatible_weight, hard=True)
     g.add_arc(OUT_NODE, 10, 5.0)
     g.add_arc(OUT_NODE, 20, 2.0)
-    assign = consolidate.solve_clustering(g)
+    assign, objective = solved(g)
     assert assign[10] == assign[OUT_NODE]
     assert assign[20] != assign[OUT_NODE]
-    assert consolidate.clustering_objective(g, assign) == pytest.approx(5.0)
+    assert objective == pytest.approx(5.0)
 
 
 def test_clustering_all_positive_single_cluster(config):
-    g = consolidate.ConflictGraph(nodes=[1, 2, 3])
+    g = oracles.ConflictGraph(nodes=[1, 2, 3])
     g.add_arc(OUT_NODE, 1, 1.0)
     g.add_arc(1, 2, 2.0)
     g.add_arc(2, 3, 1.0)
-    assign = consolidate.solve_clustering(g)
+    assign, objective = solved(g)
     assert len({assign[n] for n in [OUT_NODE, 1, 2, 3]}) == 1
-    assert consolidate.clustering_objective(g, assign) == pytest.approx(4.0)
+    assert objective == pytest.approx(4.0)
 
 
 def test_clustering_chain_keeps_nearer_node(config):
-    g = consolidate.ConflictGraph(nodes=[1, 2])
+    g = oracles.ConflictGraph(nodes=[1, 2])
     g.add_arc(OUT_NODE, 1, 3.0)
     g.add_arc(1, 2, 3.0)
     g.add_arc(1, 2, config.incompatible_weight, hard=True)
-    assign = consolidate.solve_clustering(g)
+    assign, objective = solved(g)
     assert assign[1] == assign[OUT_NODE]
     assert assign[2] != assign[OUT_NODE]
-    assert consolidate.clustering_objective(g, assign) == pytest.approx(3.0)
+    assert objective == pytest.approx(3.0)
 
 
 def test_arc_weights_accumulate():
-    g = consolidate.ConflictGraph(nodes=[1, 2])
+    g = oracles.ConflictGraph(nodes=[1, 2])
     g.add_arc(1, 2, 2.0)
     g.add_arc(2, 1, 0.5)
     assert g.arcs == {(1, 2): 2.5}
     assert not g.hard
     g.add_arc(1, 2, -30.0, hard=True)
-    assert g.arcs[(1, 2)] == -27.5
-    assert (1, 2) in g.hard
+    g.add_arc(2, OUT_NODE, 1.5)
+    assert g.arcs == {(1, 2): -27.5, (OUT_NODE, 2): 1.5}
+    assert g.hard == {(1, 2)}
+    graph = g.record()
+    assert graph.nodes.tolist() == [1, 2]
+    assert (graph.u.tolist(), graph.v.tolist()) == ([1, OUT_NODE], [2, 2])
+    assert graph.w.tolist() == [-27.5, 1.5]
+    assert graph.hard.tolist() == [True, False]
+    assert [x.tolist() for x in graph.ends()] == [[1, 0], [2, 2]]
+    assert oracles.ConflictGraph.of(graph) == g
 
 
 def random_conflict_graph(rng):
@@ -365,7 +382,7 @@ def random_conflict_graph(rng):
     hard incompatibility arcs, +1 compatible-edge arcs, and an output
     arc of M(t) + C per node, occasionally hard-blocked."""
     n = int(rng.integers(2, 13))
-    g = consolidate.ConflictGraph(nodes=list(range(n)))
+    g = oracles.ConflictGraph(nodes=list(range(n)))
     for i in range(n):
         for j in range(i + 1, n):
             r = rng.random()
@@ -385,10 +402,10 @@ def test_clustering_against_exact_optimum():
     rng = np.random.default_rng(2024)
     for _ in range(120):
         g = random_conflict_graph(rng)
-        assign = consolidate.solve_clustering(g)
+        assign, got = solved(g)
         for (u, v) in g.hard:
             assert assign[u] != assign[v]
-        got = consolidate.clustering_objective(g, assign)
+        assert got == oracles.clustering_objective(g, assign)
         best = oracles.partition_optimum([OUT_NODE] + g.nodes,
                                          g.arcs, g.hard)
         assert got <= best + 1e-9
@@ -400,24 +417,23 @@ def test_greedy_clustering_against_exact_optimum(monkeypatch):
     # send all of them down the greedy path
     monkeypatch.setattr(consolidate, "EXACT_NODE_LIMIT", 1)
     greedy = consolidate._solve_greedy
-    solved = []
+    graphs = []
     monkeypatch.setattr(consolidate, "_solve_greedy",
-                        lambda g: solved.append(g) or greedy(g))
+                        lambda graph: graphs.append(graph) or greedy(graph))
     worst = np.inf
     for seed in (2024, 505):
         rng = np.random.default_rng(seed)
         for _ in range(300):
             g = random_conflict_graph(rng)
-            assign = consolidate.solve_clustering(g)
+            assign, got = solved(g)
             for (u, v) in g.hard:
                 assert assign[u] != assign[v]
-            got = consolidate.clustering_objective(g, assign)
             best = oracles.partition_optimum([OUT_NODE] + g.nodes,
                                              g.arcs, g.hard)
             assert got <= best + 1e-9
             if best > 0:
                 worst = min(worst, got / best)
-    assert len(solved) == 600
+    assert len(graphs) == 600
     # greedy contraction plus single-node moves is not near-optimal:
     # the worst ratio on these graphs is 0.538
     assert worst >= 0.5
@@ -439,7 +455,7 @@ def large_conflict_graph(rng):
         np.sort(rng.choice(n, size=int(rng.integers(0, 5)))), np.arange(n),
         side="right")
     weak = rng.random(strip[-1] + 1) < 0.5
-    g = consolidate.ConflictGraph(nodes=nodes)
+    g = oracles.ConflictGraph(nodes=nodes)
     reach = int(rng.integers(2, 9))
     near = [(i, j) for i in range(n)
             for j in range(i + 1, min(n, i + reach + 1))]
@@ -462,18 +478,27 @@ def large_conflict_graph(rng):
 
 
 class _HeapLog:
-    """heapq as the solvers use it, logging every arc entry pushed."""
+    """heapq as the solvers use it, logging every arc entry pushed as
+    (-w, (u, v)) in node ids. The array solver's entries (-w, a, b) name
+    node indices, which `ids`, [OUT_NODE] + nodes, maps back."""
 
     def __init__(self):
         self.arcs = []
+        self.ids = None
+
+    def _log(self, item):
+        if isinstance(item, tuple):
+            if len(item) == 3:
+                item = (item[0], (self.ids[item[1]], self.ids[item[2]]))
+            self.arcs.append(item)
 
     def heapify(self, heap):
-        self.arcs += [x for x in heap if isinstance(x, tuple)]
+        for item in heap:
+            self._log(item)
         heapq.heapify(heap)
 
     def heappush(self, heap, item):
-        if isinstance(item, tuple):
-            self.arcs.append(item)
+        self._log(item)
         heapq.heappush(heap, item)
 
     heappop = staticmethod(heapq.heappop)
@@ -481,10 +506,11 @@ class _HeapLog:
 
 def test_greedy_solver_matches_reference(monkeypatch):
     """The soft-arc contraction and the dirty-node sweeps give the
-    reference's clusters exactly. The reference's heap also holds
-    cluster pairs whose summed weight is positive although a hard arc
-    runs across them, which the solver leaves out; some graph must have
-    one, or the comparison would not test that argument."""
+    reference's clusters exactly. Every entry the solver's heap holds is
+    one the reference's holds. The reference's heap also holds cluster
+    pairs whose summed weight is positive although a hard arc runs
+    across them, which the solver leaves out; some graph must have one,
+    or the comparison would not test that argument."""
     ref_log, new_log = _HeapLog(), _HeapLog()
     monkeypatch.setattr(oracles, "heapq", ref_log)
     monkeypatch.setattr(consolidate, "heapq", new_log)
@@ -496,9 +522,75 @@ def test_greedy_solver_matches_reference(monkeypatch):
         assert any(key[0] == OUT_NODE for key in g.hard)
         ref_log.arcs.clear()
         new_log.arcs.clear()
-        assert consolidate._solve_greedy(g) == oracles.solve_greedy(g)
+        new_log.ids = [OUT_NODE] + sorted(g.nodes)
+        labels = consolidate._solve_greedy(g.record())
+        assert g.clusters(labels) == oracles.solve_greedy(g)
+        assert not Counter(new_log.arcs) - Counter(ref_log.arcs)
         left_out += bool(Counter(ref_log.arcs) - Counter(new_log.arcs))
     assert left_out > 0
+
+
+def tied_conflict_graph(rng, repulsive):
+    """Random graphs of 13-300 nodes on which ties decide: sparse,
+    non-contiguous ids, soft inner arcs of exactly +1, or -1 on a
+    `repulsive` share of them, output arcs drawn from a few repeated
+    weights, some negative, hard -30 arcs between nearby nodes and on a
+    few output keys, all added in a random order."""
+    n = int(rng.integers(13, 301))
+    nodes = np.sort(rng.choice(10 * n, size=n, replace=False)).tolist()
+    arcs = []
+    for i in range(n):
+        for j in range(i + 1, min(n, i + 6)):
+            r = rng.random()
+            if r < 0.2:
+                arcs.append((nodes[i], nodes[j], -30.0, True))
+            elif r < 0.8:
+                w = -1.0 if rng.random() < repulsive else 1.0
+                arcs.append((nodes[i], nodes[j], w, False))
+    outs = rng.choice([-1.0, 0.0, 0.1, 0.7, 1.0, 1.3, 2.0], size=3)
+    arcs += [(OUT_NODE, t, float(rng.choice(outs)), False) for t in nodes]
+    arcs += [(OUT_NODE, nodes[i], -30.0, True)
+             for i in rng.choice(n, size=int(rng.integers(0, 4)))]
+    g = oracles.ConflictGraph(nodes=nodes)
+    for k in rng.permutation(len(arcs)):
+        g.add_arc(*arcs[k])
+    return g
+
+
+@pytest.mark.parametrize("repulsive", [0.0, 0.3])
+def test_greedy_solver_matches_reference_on_ties(monkeypatch, repulsive):
+    """With +1 soft arcs and repeated output weights most heap pops and
+    moves are decided by the smallest-id tie rules, on ids whose gaps
+    would expose an index taken for an id. The solver's clusters equal
+    the reference's, and its objective and bound are bit-identical to
+    the dict sums. Some graphs must move nodes after the contraction,
+    and with -1 arcs some node must leave for a fresh cluster."""
+    contract = consolidate._contract
+    contracted = []
+    monkeypatch.setattr(consolidate, "_contract", lambda *args: (
+        contracted.append(contract(*args)) or contracted[-1]))
+    move = oracles._move_node
+    fresh = []
+    monkeypatch.setattr(oracles, "_move_node", lambda cluster, members, n,
+                        tgt: fresh.append(tgt not in members)
+                        or move(cluster, members, n, tgt))
+    rng = np.random.default_rng(23)
+    moved = 0
+    for _ in range(150):
+        g = tied_conflict_graph(rng, repulsive)
+        graph = g.record()
+        labels = consolidate._solve_greedy(graph)
+        assign = g.clusters(labels)
+        assert assign == oracles.solve_greedy(g)
+        got = consolidate.clustering_objective(graph, labels)
+        want = oracles.clustering_objective(g, assign)
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+        got = consolidate.clustering_bound(graph)
+        want = oracles.clustering_bound(g)
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+        moved += labels.tolist() != contracted[-1]
+    assert moved > 0
+    assert any(fresh) == (repulsive > 0)
 
 
 def test_greedy_solver_matches_reference_on_a_noisy_run(monkeypatch):
@@ -507,10 +599,12 @@ def test_greedy_solver_matches_reference_on_a_noisy_run(monkeypatch):
     sizes = []
 
     def checked(graph):
-        cluster = greedy(graph)
-        assert cluster == oracles.solve_greedy(graph)
+        labels = greedy(graph)
+        g = oracles.ConflictGraph.of(graph)
+        assert len(g.arcs) == len(graph.w)
+        assert g.clusters(labels) == oracles.solve_greedy(g)
         sizes.append(len(graph.nodes))
-        return cluster
+        return labels
 
     monkeypatch.setattr(consolidate, "_solve_greedy", checked)
     drawing, _ = generate(FLIP_SPECS["dome_spiral"])
@@ -546,7 +640,7 @@ def test_consolidate_mesh_raises_when_a_conflict_survives(config,
     t2 = em.tri_on_edge(0, 1, 2, 4, 1)
     monkeypatch.setattr(
         consolidate, "solve_clustering",
-        lambda graph: dict.fromkeys([OUT_NODE] + graph.nodes, OUT_NODE))
+        lambda graph: np.zeros(len(graph.nodes) + 1, dtype=np.int64))
     with pytest.raises(consolidate.InvariantError,
                        match=rf"\({t1}, {t2}\) survived"):
         consolidate.consolidate_mesh(mesh, cs, config)
@@ -606,13 +700,16 @@ def test_conflict_graphs_equal_the_dict_built_reference(name, monkeypatch):
         return undecided
 
     def checked(component, *comp_arcs):
-        graph = build(component, *comp_arcs)
+        record = build(component, *comp_arcs)
+        graph = oracles.ConflictGraph.of(record)
         p = passes[-1]
         want = oracles.build_conflict_graph(
             p["mesh"], p["cs"], p["config"], component, p["pairs"],
             p["incidence"])
         assert graph.nodes == want.nodes
-        assert graph.arcs.keys() == want.arcs.keys()
+        # one arc per key, in key order
+        assert list(graph.arcs) == sorted(want.arcs) == sorted(graph.arcs)
+        assert len(graph.arcs) == len(record.w)
         assert graph.hard == want.hard
         keys = list(want.arcs)
         assert (np.array([graph.arcs[k] for k in keys]).tobytes()
@@ -621,7 +718,7 @@ def test_conflict_graphs_equal_the_dict_built_reference(name, monkeypatch):
         for u, v in keys:
             arcs[("hard " if (u, v) in graph.hard else "")
                  + ("output" if u == OUT_NODE else "inner")] += 1
-        return graph
+        return record
 
     monkeypatch.setattr(consolidate, "consolidate_mesh", traced_pass)
     monkeypatch.setattr(consolidate, "classify_undecided", traced_classify)

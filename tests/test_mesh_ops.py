@@ -514,15 +514,108 @@ def test_load_obj_equals_the_per_token_reference(tmp_path):
                for f in faces)
 
 
-@pytest.mark.parametrize("vertex", ["v 0 x 0", "v 1 2", "v"])
+@pytest.mark.parametrize("vertex", ["v 0 x 0", "v 1 2", "v", "vn 0 1"])
 def test_load_obj_rejects_a_bad_vertex_line(tmp_path, vertex):
     path = tmp_path / "bad.obj"
     path.write_text(f"{vertex}\n")
     with pytest.raises(ValueError):
         mesh_ops.load_obj(path)
     path.write_text(f"v 0 0 0\n{vertex}\nv 0 1 0\n")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=None if "x" in vertex else ":2: "):
         mesh_ops.load_obj(path)
+
+
+def test_load_obj_splits_at_the_whitespace_str_split_does():
+    spaces = [c for c in range(0x110000) if chr(c).isspace()]
+    assert np.flatnonzero(mesh_ops._SPACE).tolist() == spaces
+    assert not mesh_ops._SPACE[-1]
+
+
+ARABIC_INDIC = str.maketrans("0123456789", "\u0660\u0661\u0662\u0663"
+                             "\u0664\u0665\u0666\u0667\u0668\u0669")
+
+
+def random_obj(rng, bad):
+    """OBJ text of random v, vn, vt, comment, group, blank and face
+    lines, with leading, tab and non-ASCII whitespace, 3-5 corner faces
+    whose tokens are i, i/j, i//k or i/j/k with i positive, signed or
+    not, or negative, at times with an underscore or in Arabic-Indic
+    digits, and with `bad`, one face index that names no vertex or is no
+    integer."""
+    lines, above = [], [0]     # above[k]: the v lines above line k
+    gaps = [" ", "  ", "\t", " \t ", "\u3000", "\xa0"]
+
+    def gap():
+        return gaps[int(rng.integers(0, 4 if rng.random() < 0.9 else 6))]
+
+    def number():
+        x = float(rng.normal()) * 10.0 ** int(rng.integers(-3, 4))
+        return rng.choice([repr(x), f"{x:.3e}", str(int(x)), "-0"])
+
+    for _ in range(int(rng.integers(5, 60))):
+        r = rng.random()
+        nv = above[-1]
+        if r < 0.3 or nv < 3:
+            nums = [number() for _ in range(3 + (rng.random() < 0.2))]
+            lines.append(gap()[:rng.random() < 0.3] + "v" + "".join(
+                gap() + x for x in nums))
+            nv += 1
+        elif r < 0.4:
+            lines.append("vn" + "".join(gap() + number() for _ in range(3)))
+        elif r < 0.5:
+            lines.append(rng.choice(["# f 1 2 3", "", "   ", "vt 0.5 0.5",
+                                     "g part", "o thing", "s off"]))
+        else:
+            tokens = []
+            for _ in range(int(rng.integers(3, 6))):
+                i = int(rng.integers(1, nv + 1))
+                i = i if rng.random() < 0.5 else i - nv - 1
+                sign = "+" if i > 0 and rng.random() < 0.5 else ""
+                digits, r = str(i), rng.random()
+                if r < 0.05:        # int() reads digits of other scripts
+                    digits = digits.translate(ARABIC_INDIC)
+                elif r < 0.1 and abs(i) >= 10:
+                    digits = digits[:-1] + "_" + digits[-1]
+                tokens.append(sign + digits
+                              + rng.choice(["", "/1", "//2", "/3/4"]))
+            lines.append("f" + "".join(gap() + t for t in tokens))
+        above.append(nv)
+    if bad:
+        k = int(rng.integers(3, len(lines) + 1))
+        index = rng.choice([0, above[k] + 1, -above[k] - 1, 10 ** 20, "1x"])
+        lines.insert(k, f"f 1 1 {index}//1")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("bad", [False, True])
+def test_load_obj_equals_the_line_by_line_reference(tmp_path, bad):
+    """Random OBJ files read by the array parser and by the reference,
+    which splits and converts one line and one token at a time: equal
+    faces and bitwise-equal coordinates, or the same error."""
+    rng = np.random.default_rng(2301 + bad)
+    path = tmp_path / "random.obj"
+    errors = 0
+    for trial in range(200):
+        path.write_text(random_obj(rng, bad), encoding="utf-8",
+                        newline="\r\n" if trial % 3 == 0 else None)
+        try:
+            want = oracles.load_obj(path)
+        except ValueError as exc:
+            assert bad
+            with pytest.raises(ValueError) as got:
+                mesh_ops.load_obj(path)
+            assert str(got.value) == str(exc)
+            errors += 1
+            continue
+        pos, faces, normals = mesh_ops.load_obj(path)
+        assert faces == want[1]
+        assert np.array_equal(pos.view(np.int64), want[0].view(np.int64))
+        if want[2] is None:
+            assert normals is None
+        else:
+            assert np.array_equal(normals.view(np.int64),
+                                  want[2].view(np.int64))
+    assert errors == 200 * bad
 
 
 def test_mesh_from_arrays_defaults():

@@ -37,7 +37,7 @@ before solving any component. Two invariants make that exact:
 - a pair's partner outside a component is frozen and active, since a
   pair's unfrozen triangles are undecided and undecided triangles
   sharing a vertex share a component;
-- the triangles already OUTPUT on a node's edges are the active ones
+- the triangles already kept on a node's edges are the active ones
   there that are not undecided, since undecided edge neighbours share
   a component and a solve decides only its own triangles.
 A ConsolidationStats passed to consolidate_mesh collects what a pass
@@ -62,8 +62,8 @@ import numpy as np
 
 from . import geometry, mesh_ops, scoring
 from .matcher import pair_sigmas
-from .mesher import (OUTPUT, REMOVED, UNDECIDED, apex_sides, join_equal_keys,
-                     run_pairs, split_by_label)
+from .mesher import (REMOVED, apex_sides, join_equal_keys, run_pairs,
+                     split_by_label)
 
 OUT_NODE = -1
 
@@ -360,16 +360,16 @@ def find_incompatible_pairs(mesh, cs, config, frozen=frozenset(),
 
 
 def classify_undecided(mesh, pairs, frozen=frozenset()):
-    """Mark conflict participants and everything touching a conflict's
-    shared edge/vertex as undecided, returned as an ascending tid array;
-    the rest stays output. The pairs are a find_incompatible_pairs
-    table, whose triangles hold the vertices of its columns 2-3, so the
-    participants are among the triangles touching those."""
-    tids, verts = mesh.triangle_array()
+    """The undecided triangles, as an ascending tid array: the unfrozen
+    conflict participants and everything touching a conflict's shared
+    edge/vertex; the rest is kept. The pairs are a
+    find_incompatible_pairs table, whose triangles hold the vertices of
+    its columns 2-3, so the participants are among the triangles
+    touching those."""
+    tids, verts, _ = mesh.edges()
     hot = pairs[:, 2:4]
     touched = (np.isin(verts, hot[hot >= 0]).any(axis=1)
                & ~np.isin(tids, list(frozen)))
-    mesh.tri_state[tids] = np.where(touched, UNDECIDED, OUTPUT)
     return tids[touched]
 
 
@@ -462,7 +462,7 @@ def build_conflict_graph(component, u, v, w, hard):
     An incompatible pair inside the component is a hard arc of
     incompatible_weight, a compatible pair sharing an edge a soft arc of
     compatible_weight. Each node's output arc weighs M(t) plus its count
-    of edge neighbours already OUTPUT, and each conflict with a frozen
+    of edge neighbours already kept, and each conflict with a frozen
     triangle adds incompatible_weight to it, in pair order, and makes it
     hard. The slices of a pass are cut before any component is solved;
     the module docstring's invariants make them the graphs each
@@ -716,11 +716,10 @@ def _contract(arcs_of, hard_of, heap):
 
 
 def apply_consolidation(mesh, labels, component):
-    """Keep the undecided triangles of the tid array `component` that a
-    solve_clustering label array puts with the output node, remove the
-    rest. Returns the kept tids."""
+    """Remove the undecided triangles of the tid array `component` that a
+    solve_clustering label array does not put with the output node.
+    Returns the kept tids."""
     keep = labels[1:] == labels[0]
-    mesh.tri_state[component[keep]] = OUTPUT
     mesh.remove(component[~keep])
     return component[keep]
 

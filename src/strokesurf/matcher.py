@@ -145,7 +145,7 @@ def _query_radii(cs, config, radius_mode):
             raise ValueError("chainset has no dmax for gap-phase matching")
         return cs.dmax
     w_max = float(cs.w[cs.ok].max()) if cs.ok.any() else float(cs.w.max())
-    return config.width_factor * 0.5 * (cs.w + w_max)
+    return scoring.sigma_for(cs.w, w_max, config)
 
 
 def pair_sigmas(cs, p_flat, q_flats, config):
@@ -153,7 +153,7 @@ def pair_sigmas(cs, p_flat, q_flats, config):
     component radii, otherwise the width rule applies."""
     if cs.dmax is not None:
         return 0.5 * (cs.dmax[p_flat] + cs.dmax[q_flats])
-    return config.width_factor * 0.5 * (cs.w[p_flat] + cs.w[q_flats])
+    return scoring.sigma_for(cs.w[p_flat], cs.w[q_flats], config)
 
 
 def _build_candidates(cs, config, cone_deg, sides, radius_mode,
@@ -186,7 +186,7 @@ def _build_candidates(cs, config, cone_deg, sides, radius_mode,
     dist = np.linalg.norm(d, axis=1)
     keep = dist > eps_len
     if radius_mode != "dmax":
-        keep &= dist <= config.width_factor * 0.5 * (cs.w[a] + cs.w[b])
+        keep &= dist <= scoring.sigma_for(cs.w[a], cs.w[b], config)
     if color_cue:
         keep &= np.all(cs.col[a] == cs.col[b], axis=1)
 

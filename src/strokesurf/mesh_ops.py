@@ -3,8 +3,10 @@ hole filling, smoothing, and OBJ round-tripping.
 
 Everything here works on the active triangles of a SurfaceMesh and is
 deterministic: iteration orders are sorted, ties broken by ids. Every
-edge reader slices `mesh.edges()`, the mesh's one edge index per
-version (see mesher), but orient_parts on a subset indexes its rows.
+whole-mesh reader slices `mesh.edges()`, the mesh's active rows and
+their one edge index per version (see mesher), but orient_parts on a
+subset indexes its rows. OBJ export and import work on whole arrays:
+export formats each block of lines with one str.format call.
 
 Every orientation (orient_all, break_nonorientable, resolve_moebius)
 is one breadth-first walk, orient_parts, over a set of triangle rows.
@@ -33,6 +35,7 @@ from . import geometry
 from .matcher import ChainSet
 from .mesher import (edge_index, join_equal_keys, join_links,
                      split_by_label, split_quads)
+from .scoring import sigma_for
 
 # share of the way a smoothing step moves a vertex toward its target
 SMOOTH_STEP = 0.5
@@ -182,10 +185,10 @@ def orient_all(mesh, align=True):
     that does.
 
     With align (the default) an orientable component is then flipped to
-    face its source vertex normals. The pipeline orients without
-    alignment until its last step: the winding steers boundary walks,
-    the walk's own order and strip judgements in resolve_moebius, and
-    none of these may read the signs of the artist's normals."""
+    face its source vertex normals. The pipeline aligns only here, in
+    its last step: the winding steers boundary walks, the walk's own
+    order and strip judgements in resolve_moebius, and none of these
+    may read the signs of the artist's normals."""
     parts, conflicts = orient_parts(mesh, mesh.active_ids())
     bad = []
     for tids, conflict in zip(parts, conflicts):
@@ -397,10 +400,10 @@ def boundary_chain_set(mesh, config, with_dmax=False):
                          dtype=np.int64)
     dmax = None
     if with_dmax:
-        dmax = np.repeat([
-            dmax_comp.get(c, config.width_factor * float(
-                np.mean(mesh.widths[lp]))) for c, lp in zip(
-                    component.tolist(), loops)], lengths)
+        means = [float(np.mean(mesh.widths[lp])) for lp in loops]
+        dmax = np.repeat([dmax_comp.get(c, sigma_for(m, m, config))
+                          for c, m in zip(component.tolist(), means)],
+                         lengths)
     return ChainSet(
         offsets=np.concatenate([[0], np.cumsum(lengths)]), gid=g,
         pos=pos[g], tan=tan, nrm=nrm, bin=binorm, w=mesh.widths[g],
@@ -545,7 +548,7 @@ def _guarded_moves(mesh, g, prop, config):
     any move, and a later proposal for a vertex wins over an earlier
     one. Returns the number of proposals that passed."""
     cos_guard = float(np.cos(np.radians(config.smoothing_normal_guard_deg)))
-    _, verts = mesh.triangle_array()
+    verts = mesh.edges()[1]
     pos, n = mesh.positions, mesh.vertex_count()
     # one row per (proposal, active corner at its vertex)
     at = verts.ravel()
@@ -663,27 +666,21 @@ def path_edge_fraction(mesh, paths):
 # OBJ
 
 
-def _fmt(x):
-    x = float(x)
-    if x == 0.0:
-        x = 0.0
-    return format(x, ".9g")
-
-
-def _canonical_face(verts):
-    """Rotate so the smallest vertex leads, preserving winding."""
-    k = verts.index(min(verts))
-    return verts[k:] + verts[:k]
+def _lines(template, rows):
+    """template once per row of rows, filled from the row's entries."""
+    return (template * len(rows)).format(*rows.ravel().tolist())
 
 
 def export_obj(mesh, path):
-    """Write active triangles as a deterministic OBJ: vertices in
-    ascending id order, one group per connected component, faces rotated
-    to lead with their smallest vertex."""
-    _, verts = mesh.triangle_array()
-    _, comps = mesh.components()
-    used = np.unique(verts)
-    remap = dict(zip(used.tolist(), range(1, len(used) + 1)))
+    """Write active triangles as a deterministic OBJ: used vertices in
+    ascending id order with area-weighted normals, then one group per
+    edge-connected component, ordered by their smallest face, each with
+    its faces sorted, every face rotated to lead with its smallest
+    vertex. -0.0 is written as 0. Returns (vertices, faces)."""
+    _, verts, _ = mesh.edges()
+    labels = mesh.component_labels()
+    used, ids = np.unique(verts.ravel(), return_inverse=True)
+    ids = ids.reshape(-1, 3) + 1
 
     # area-weighted vertex normals over the oriented surface
     pos = mesh.positions
@@ -691,24 +688,25 @@ def export_obj(mesh, path):
         verts, geometry.triangle_normals(pos, verts), len(pos))[used])
     norms[~ok] = (0.0, 0.0, 1.0)
 
-    comp_faces = sorted((sorted(map(_canonical_face,
-                                    mesh.tri_verts[tids].tolist()))
-                         for tids in comps), key=lambda fs: fs[0])
+    lead = np.argmin(ids, axis=1)[:, None]
+    faces = np.take_along_axis(ids, (lead + np.arange(3)) % 3, axis=1)
+    order = np.lexsort(faces.T[::-1])
+    # a component's first face in that order is its smallest: name each
+    # face's component by that face's position, which orders them
+    comp = labels[order]
+    at = np.unique(comp, return_index=True)[1][comp]
+    order = order[np.argsort(at, kind="stable")]
+    sizes = np.unique(at, return_counts=True)[1].tolist()
 
-    lines = []
-    for p in pos[used]:
-        lines.append(f"v {_fmt(p[0])} {_fmt(p[1])} {_fmt(p[2])}")
-    for n in norms:
-        lines.append(f"vn {_fmt(n[0])} {_fmt(n[1])} {_fmt(n[2])}")
-    for ci, faces in enumerate(comp_faces):
-        lines.append(f"g component_{ci:03d}")
-        for f in faces:
-            ids = [remap[g] for g in f]
-            lines.append("f " + " ".join(f"{i}//{i}" for i in ids))
-    text = "\n".join(lines) + "\n"
+    groups = "".join(f"g component_{c:03d}\n" + "f {}//{} {}//{} {}//{}\n" * n
+                     for c, n in enumerate(sizes))
+    text = (_lines("v {:.9g} {:.9g} {:.9g}\n", pos[used] + 0.0)
+            + _lines("vn {:.9g} {:.9g} {:.9g}\n", norms + 0.0)
+            + groups.format(*np.repeat(faces[order], 2, axis=1)
+                            .ravel().tolist()))
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    return len(used), sum(len(fs) for fs in comp_faces)
+        fh.write(text or "\n")
+    return len(used), len(faces)
 
 
 # str.split()'s whitespace, a table over code points; False from its last

@@ -32,8 +32,7 @@ per mesh version, read-only, for every edge reader to slice. A version
 ends when `add_triangle` or `remove` change a row, at `flip`, which
 moves edges between the slots that boundary walks and orientation
 read, and at `add_vertices`, as the vertex count is in every key.
-`tri_state` writes only move rows between UNDECIDED and OUTPUT, which
-keeps the active set; no code but `flip` rewrites a `tri_verts` row.
+No code but `flip` rewrites a `tri_verts` row.
 
 A provenance row says what a strip triangle hangs on: (gid a, gid b,
 flat a, flat b, flat apex, side) holds its chain edge in chain order,
@@ -60,7 +59,6 @@ from .matcher import pair_sigmas
 
 # triangle states
 OUTPUT = 1
-UNDECIDED = 0
 REMOVED = 2
 
 # vertex origin kinds
@@ -189,7 +187,7 @@ class SurfaceMesh:
     """Growable triangle soup over a global vertex table.
 
     Triangle t is row t of tri_verts, (T, 3) int64, entry t of tri_state
-    (OUTPUT, UNDECIDED or REMOVED) and row t of tri_prov, (T, 6) int64,
+    (OUTPUT or REMOVED) and row t of tri_prov, (T, 6) int64,
     its provenance (module docstring): views of storage whose capacity
     doubles when full. Inserts leave the provenance row at NO_PROV and
     strip meshing writes it. An insert may move that storage, so take
@@ -373,7 +371,7 @@ class SurfaceMesh:
         """Vertex -> list of incident active triangle ids, ascending, for
         every vertex or only the given ones; vertices without active
         triangles are left out."""
-        tids, verts = self.triangle_array()
+        tids, verts, _ = self.edges()
         at, tid = verts.ravel(), np.repeat(tids, 3)
         if gids is not None:
             keep = np.isin(at, np.asarray(gids, dtype=np.int64))

@@ -141,13 +141,13 @@ def _stroke_paths(cs, drawing):
 def _stroke_triangle_presence(mesh, cs, drawing):
     """Which stroke chains own at least one active triangle vertex."""
     touched = np.zeros(mesh.vertex_count(), dtype=bool)
-    touched[mesh.triangle_array()[1]] = True
+    touched[mesh.edges()[1]] = True
     return [bool(touched[gids].any()) for gids in _stroke_paths(cs, drawing)]
 
 
 def _emit_ribbons(mesh, drawing, cs):
     """Strokes with no retained triangles contribute their original
-    triangulated ribbons."""
+    triangulated ribbons; a corner's origin is (stroke, vertex)."""
     present = _stroke_triangle_presence(mesh, cs, drawing)
     added = 0
     for si, stroke in enumerate(drawing.strokes):
@@ -156,10 +156,11 @@ def _emit_ribbons(mesh, drawing, cs):
         corners, tris = ribbon_geometry(stroke)
         if len(tris) == 0:
             continue
-        spine = np.repeat(np.arange(len(stroke)), 2)[:len(corners)]
-        origin = np.stack([np.full(len(corners), si, dtype=np.int64),
-                           np.arange(len(corners), dtype=np.int64)],
-                          axis=1)
+        # a left and a right corner per vertex on a segment it keeps
+        kept = stroke.frames_ok[:-1] & stroke.frames_ok[1:]
+        spine = np.repeat(np.flatnonzero(np.r_[kept, False]
+                                         | np.r_[False, kept]), 2)
+        origin = np.stack([np.full(len(corners), si), spine], axis=1)
         gids = mesh.add_vertices(
             corners, stroke.normals[spine], stroke.widths[spine],
             np.tile(stroke.color, (len(corners), 1)), origin, KIND_RIBBON)
@@ -346,7 +347,7 @@ def run_pipeline(drawing, options=None):
         "euler_characteristics": [s["euler"] for s in stats],
         "boundary_loops": [s["boundary_loops"] for s in stats],
         "triangles": mesh.active_count(),
-        "vertices": len(np.unique(mesh.triangle_array()[1])),
+        "vertices": len(np.unique(mesh.edges()[1])),
         "strokes_in": len(drawing.strokes),
         "strokes_trimmed_away": dropped,
         "duplicates_skipped": mesh.duplicates_skipped,

@@ -51,8 +51,8 @@ class ScoreBreakdown:
 
 
 def sigma_for(w_p, w_q, config):
-    """Acceptance radius (and Gaussian sigma) for a pair of widths."""
-    return config.width_factor * 0.5 * (float(w_p) + float(w_q))
+    """Acceptance radius (and Gaussian sigma) for pairs of widths."""
+    return config.width_factor * 0.5 * (w_p + w_q)
 
 
 def _gauss_log(d, sigma):

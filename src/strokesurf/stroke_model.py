@@ -84,8 +84,9 @@ class Config:
             raise ValidationError("dominant_freq must be in (0, 1]")
         if self.width_factor <= 0.0:
             raise ValidationError("width_factor must be positive")
-        if self.small_hole_max_sides < 3:
-            raise ValidationError("small_hole_max_sides must be >= 3")
+        if self.small_hole_max_sides not in (3, 4):   # triangles, quads
+            raise ValidationError("config key small_hole_max_sides must be "
+                                  f"3 or 4, got {self.small_hole_max_sides}")
 
     @classmethod
     def from_json(cls, path):

@@ -822,7 +822,7 @@ def interpolated_fraction(mesh, drawing, config=None):
     """Share of trimmed stroke polyline edges present as mesh edges,
     located by position (for meshes loaded back from OBJ)."""
     config = config or Config()
-    used = np.unique(mesh.triangle_array()[1])
+    used = np.unique(mesh.edges()[1])
     if not used.size:
         return 0.0
     tree = cKDTree(mesh.positions[used])
@@ -852,7 +852,7 @@ def evaluate(mesh, truth, drawing=None, samples=10000, seed=7,
     points_to_mesh_distance bit for bit."""
     t0 = time.perf_counter()
     rng = SplitMix64(seed)
-    _, faces = mesh.triangle_array()
+    faces = mesh.edges()[1]
     if not len(faces):
         raise ValueError("mesh has no active triangles")
     bad_edges, bad_vertices = mesh_ops.audit_manifold(mesh)

@@ -19,8 +19,9 @@ Moebius strips) walk vertex fans and components one at a time with
 hand-written union-finds, the angle references evaluate one triangle at
 a time in Python floats, the strip-meshing reference inserts every
 triangle the moment it is emitted, scoring each quad on its own, the
-triangle table reference keeps corners and states in Python lists, and
-the neighbourhood references (both smoothers with their move guard,
+triangle table reference keeps corners and states in Python lists, the
+OBJ writer reference formats one line and one number at a time, the
+neighbourhood references (both smoothers with their move guard,
 boundary chain frames, component stats, undecided classification) walk a
 vertex -> triangle dict one vertex at a time, and the conflict graph
 reference builds each component's graph arc by arc from the pair list
@@ -1843,9 +1844,6 @@ def classify_undecided(mesh, pairs, frozen=frozenset()):
     """Reference for consolidate.classify_undecided: the participants and
     every triangle at a conflict's shared vertices, through a vertex
     map."""
-    from strokesurf.mesher import OUTPUT, UNDECIDED
-
-    active = mesh.active_ids()
     vmap = mesh.vertex_tris()
     undecided = set()
     for t1, t2, a, b in pairs.tolist():
@@ -1856,23 +1854,20 @@ def classify_undecided(mesh, pairs, frozen=frozenset()):
             for t in vmap.get(v, ()):
                 if t not in frozen:
                     undecided.add(t)
-    for t in undecided:
-        mesh.tri_state[t] = UNDECIDED
-    for t in active:
-        if t not in undecided:
-            mesh.tri_state[t] = OUTPUT
     return np.array(sorted(undecided), dtype=np.int64)
 
 
-def build_conflict_graph(mesh, cs, config, component, pairs, incidence):
+def build_conflict_graph(mesh, cs, config, component, pairs, incidence,
+                         undecided):
     """Reference for consolidate.build_conflict_graph: one component's
     graph built arc by arc into a dict, reading the mesh as it stands
     when the component is solved. `pairs` is the pass's pair table; rows
     with no triangle in the component are skipped. `incidence` is the
-    mesh.edge_map() taken after classification: later removals are
-    other components' triangles, which the state test skips."""
+    mesh.edge_map() taken after classification and `undecided` the
+    classification's tids: a triangle is kept already when it is active
+    and not undecided, and later removals are other components'
+    triangles, which the activity test skips."""
     from strokesurf.consolidate import _emission_scores
-    from strokesurf.mesher import OUTPUT
 
     comp = set(component)
     graph = ConflictGraph(nodes=sorted(comp))
@@ -1897,16 +1892,17 @@ def build_conflict_graph(mesh, cs, config, component, pairs, incidence):
                 graph.add_arc(t1, t2, config.compatible_weight)
 
     m_scores = _emission_scores(mesh, cs, config, graph.nodes).tolist()
-    state = mesh.tri_state
+    undecided = set(undecided.tolist())
     for t, m_t, keys in zip(graph.nodes, m_scores, edges):
         graph.add_arc(OUT_NODE, t, m_t + sum(
             1 for key in keys for other in incidence[key]
-            if other != t and state[other] == OUTPUT))
+            if other != t and mesh.is_active(other)
+            and other not in undecided))
     return graph
 
 
 # ---------------------------------------------------------------------------
-# ground truth sampling and OBJ input
+# ground truth sampling and OBJ input and output
 
 
 def cube_samples(n, rng):
@@ -1954,3 +1950,53 @@ def load_obj(path):
     pos = np.asarray(positions, dtype=np.float64)
     nrm = np.asarray(normals, dtype=np.float64) if normals else None
     return pos, faces, nrm
+
+
+def _fmt(x):
+    x = float(x)
+    if x == 0.0:
+        x = 0.0
+    return format(x, ".9g")
+
+
+def _canonical_face(verts):
+    """Rotate so the smallest vertex leads, preserving winding."""
+    k = verts.index(min(verts))
+    return verts[k:] + verts[:k]
+
+
+def export_obj(mesh, path):
+    """Reference for mesh_ops.export_obj: one line at a time, one _fmt
+    call per number and one _canonical_face call per face, through a
+    remap dict and the component lists of SurfaceMesh.components()."""
+    from strokesurf import geometry
+    from strokesurf.mesh_ops import _vertex_sums
+
+    _, verts = mesh.triangle_array()
+    _, comps = mesh.components()
+    used = np.unique(verts)
+    remap = dict(zip(used.tolist(), range(1, len(used) + 1)))
+
+    pos = mesh.positions
+    norms, ok = geometry.unit_rows_pow(_vertex_sums(
+        verts, geometry.triangle_normals(pos, verts), len(pos))[used])
+    norms[~ok] = (0.0, 0.0, 1.0)
+
+    comp_faces = sorted((sorted(map(_canonical_face,
+                                    mesh.tri_verts[tids].tolist()))
+                         for tids in comps), key=lambda fs: fs[0])
+
+    lines = []
+    for p in pos[used]:
+        lines.append(f"v {_fmt(p[0])} {_fmt(p[1])} {_fmt(p[2])}")
+    for n in norms:
+        lines.append(f"vn {_fmt(n[0])} {_fmt(n[1])} {_fmt(n[2])}")
+    for ci, faces in enumerate(comp_faces):
+        lines.append(f"g component_{ci:03d}")
+        for f in faces:
+            ids = [remap[g] for g in f]
+            lines.append("f " + " ".join(f"{i}//{i}" for i in ids))
+    text = "\n".join(lines) + "\n"
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+    return len(used), sum(len(fs) for fs in comp_faces)

@@ -132,7 +132,8 @@ def test_bad_spec_field_exit_code(tmp_path, capsys):
 @pytest.mark.parametrize("doc", [
     {"width_factor": "x"}, [[1]], 3, None, {"small_hole_max_sides": 4.5},
     {"cone_angle_deg": True}, {"dihedral_min_deg": [45]},
-    {"width_factor": float("nan")}, {"width_factor": float("inf")}])
+    {"width_factor": float("nan")}, {"width_factor": float("inf")},
+    {"small_hole_max_sides": 5}])
 def test_bad_config_document_exit_code(tmp_path, capsys, doc):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(doc))

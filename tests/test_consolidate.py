@@ -12,7 +12,6 @@ import pytest
 
 from strokesurf import consolidate, matcher, mesher, mesh_ops
 from strokesurf.consolidate import OUT_NODE
-from strokesurf.mesher import UNDECIDED
 from strokesurf.pipeline import PipelineOptions, run_pipeline
 from strokesurf.synth_eval import generate
 
@@ -181,8 +180,7 @@ def test_classify_undecided_is_local(config):
     pairs = consolidate.find_incompatible_pairs(mesh, cs, config)
     undecided = consolidate.classify_undecided(mesh, pairs)
     assert undecided.tolist() == sorted([t1, t2, toucher])
-    assert mesh.tri_state[distant] == mesher.OUTPUT
-    assert mesh.tri_state[t1] == mesher.UNDECIDED
+    assert distant not in undecided
 
     comps = consolidate.undecided_components(mesh, undecided)
     assert comps == [sorted([t1, t2, toucher])]
@@ -696,7 +694,8 @@ def test_conflict_graphs_equal_the_dict_built_reference(name, monkeypatch):
 
     def traced_classify(mesh, pairs, frozen=frozenset()):
         undecided = classify(mesh, pairs, frozen)
-        passes[-1].update(pairs=pairs, incidence=mesh.edge_map())
+        passes[-1].update(pairs=pairs, incidence=mesh.edge_map(),
+                          undecided=undecided)
         return undecided
 
     def checked(component, *comp_arcs):
@@ -705,7 +704,7 @@ def test_conflict_graphs_equal_the_dict_built_reference(name, monkeypatch):
         p = passes[-1]
         want = oracles.build_conflict_graph(
             p["mesh"], p["cs"], p["config"], component, p["pairs"],
-            p["incidence"])
+            p["incidence"], p["undecided"])
         assert graph.nodes == want.nodes
         # one arc per key, in key order
         assert list(graph.arcs) == sorted(want.arcs) == sorted(graph.arcs)
@@ -745,15 +744,21 @@ def test_emission_scores_equal_the_per_triangle_reference(config, spec):
 
 @pytest.mark.parametrize("spec", FLIP_SPECS.values(), ids=FLIP_SPECS.keys())
 def test_scored_triangles_name_their_own_gids_by_flat_id(spec, monkeypatch):
-    """Every triangle consolidation scores is undecided, and the flat ids
-    of its provenance row name, in the chain set of the pass, its edge's
-    gids and its three corners."""
+    """Every triangle consolidation scores is active and undecided in
+    its pass, and the flat ids of its provenance row name, in the chain
+    set of the pass, its edge's gids and its three corners."""
     scores = consolidate._emission_scores
-    chainsets = []
+    classify = consolidate.classify_undecided
+    chainsets, undecided = [], []
+
+    def traced_classify(mesh, pairs, frozen=frozenset()):
+        undecided.append(classify(mesh, pairs, frozen))
+        return undecided[-1]
 
     def checked(mesh, cs, config, tids):
         tids = np.asarray(tids, dtype=np.int64)
-        assert (mesh.tri_state[tids] == UNDECIDED).all()
+        assert mesh.is_active(tids).all()
+        assert np.isin(tids, undecided[-1]).all()
         prov = mesh.tri_prov[tids]
         assert (prov[:, 2:5] >= 0).all()
         assert np.array_equal(cs.gid[prov[:, 2:4]], prov[:, :2])
@@ -763,6 +768,7 @@ def test_scored_triangles_name_their_own_gids_by_flat_id(spec, monkeypatch):
             chainsets.append(cs)
         return scores(mesh, cs, config, tids)
 
+    monkeypatch.setattr(consolidate, "classify_undecided", traced_classify)
     monkeypatch.setattr(consolidate, "_emission_scores", checked)
     drawing, _ = generate(spec)
     run_pipeline(drawing, PipelineOptions(preserve_creases=True))

@@ -299,6 +299,34 @@ def test_close_small_holes_counts_fills_earlier_in_the_round():
     assert sum(len(lp) == 4 for lp in mesh_ops.boundary_loops(mesh)) == 1
 
 
+def annulus(inner=5, outer=10):
+    """A flat ring between a regular inner polygon, its hole, and an
+    outer one with twice as many sides, wound consistently."""
+    t_in = 2 * np.pi * np.arange(inner) / inner
+    t_out = 2 * np.pi * np.arange(outer) / outer
+    pos = np.concatenate([
+        np.stack([np.cos(t_in), np.sin(t_in), np.zeros(inner)], 1),
+        np.stack([2 * np.cos(t_out), 2 * np.sin(t_out), np.zeros(outer)], 1)])
+    i = np.arange(inner)
+    o = inner + np.arange(outer)
+    faces = [(i[k // 2], o[k], o[(k + 1) % outer]) for k in range(outer)]
+    faces += [(i[j], o[(2 * j + 2) % outer], i[(j + 1) % inner])
+              for j in range(inner)]
+    mesh = mesh_from_arrays(pos, faces)
+    assert mesh_ops.orient_all(mesh, align=False) == []
+    return mesh
+
+
+def test_close_small_holes_fills_triangles_and_quads_only():
+    """A pentagonal hole is left to hole filling."""
+    mesh = annulus()
+    assert sorted(map(len, mesh_ops.boundary_loops(mesh))) == [5, 10]
+    assert mesh_ops.close_small_holes(mesh, _cfg()) == 0
+    assert mesh.active_count() == 15
+    assert mesh_ops.fill_all_holes(mesh, _cfg(), max_sides=5) == 3
+    assert mesh_ops.audit_manifold(mesh) == ([], [])
+
+
 def test_close_small_holes_pillow_guard():
     pos = np.array([[0.0, 0, 0], [1.0, 0, 0], [1.0, 1, 0], [0.0, 1, 0]])
     mesh = mesh_from_arrays(pos, [(0, 1, 2), (0, 2, 3)])
@@ -468,6 +496,59 @@ def test_export_faces_lead_with_smallest_vertex(tmp_path):
     assert faces == ["f 1//1 2//2 3//3", "f 1//1 3//3 4//4"]
 
 
+def bowtie(mesh, at=(0.0, 0.0, 0.0)):
+    """Two triangles sharing only their first vertex, wound against
+    each other, so that its area-weighted normal is exactly zero."""
+    base = mesh.vertex_count()
+    pos = np.array([[0.0, 0, 0], [1, 0, 0], [0, 1, 0], [-1, 0, 0],
+                    [0, -1, 0]]) + at
+    mesh.add_vertices(pos, np.tile([0.0, 0, 1], (5, 1)), np.ones(5),
+                      np.zeros((5, 3)), np.zeros((5, 2), dtype=np.int64), 0)
+    return [mesh.add_triangle(base, base + 1, base + 2),
+            mesh.add_triangle(base, base + 4, base + 3)]
+
+
+def random_export_mesh(seed):
+    """A triangle soup of several components over rounded coordinates
+    with -0.0 entries, some triangles removed and, on odd seeds, a
+    bowtie whose shared vertex has a degenerate normal."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(4, 40))
+    pos = rng.normal(size=(n, 3)).round(int(rng.integers(0, 4)))
+    pos[rng.random(pos.shape) < 0.2] = -0.0
+    mesh = mesh_from_arrays(pos, rng.integers(0, n, size=(
+        int(rng.integers(1, 3 * n)), 3)).tolist())
+    if seed % 2:
+        bowtie(mesh, at=rng.normal(size=3))
+    active = mesh.active_ids()
+    mesh.remove(rng.choice(active, size=len(active) // 4, replace=False))
+    return mesh
+
+
+@pytest.mark.parametrize("case", ["bowtie", "empty", "all_removed"]
+                         + list(range(40)))
+def test_export_obj_equals_the_line_by_line_reference(tmp_path, case):
+    if case == "bowtie":
+        mesh = octahedron()
+        bowtie(mesh, at=(0.0, 3.0, -0.0))
+    elif case == "empty":
+        mesh = mesh_from_arrays(np.zeros((3, 3)), [])
+    elif case == "all_removed":
+        mesh = octahedron()
+        mesh.remove(mesh.active_ids())
+    else:
+        mesh = random_export_mesh(case)
+    got, want = tmp_path / "got.obj", tmp_path / "want.obj"
+    assert mesh_ops.export_obj(mesh, got) == oracles.export_obj(mesh, want)
+    assert got.read_bytes() == want.read_bytes()
+    if case == "bowtie":
+        text = want.read_text()
+        assert "vn 0 0 1\n" in text and "g component_002\n" in text
+        assert " -0 " not in text
+    if case in ("empty", "all_removed"):
+        assert want.read_text() == "\n"
+
+
 def test_obj_round_trip(tmp_path):
     mesh = octahedron()
     mesh.remove(5)
@@ -478,9 +559,9 @@ def test_obj_round_trip(tmp_path):
     assert normals.shape == (6, 3)
     assert len(faces) == 7
     np.testing.assert_allclose(pos, mesh.positions[:6], atol=1e-8)
-    original = {tuple(mesh_ops._canonical_face(list(mesh.tri_verts[t])))
+    original = {tuple(oracles._canonical_face(list(mesh.tri_verts[t])))
                 for t in mesh.active_ids()}
-    assert {tuple(mesh_ops._canonical_face(list(f))) for f in faces} \
+    assert {tuple(oracles._canonical_face(list(f))) for f in faces} \
         == original
 
 

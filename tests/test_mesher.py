@@ -290,12 +290,6 @@ def test_triangle_table_grows_like_a_list_reference():
         assert tids.tolist() == [-1 if t is None else t for t in want]
         assert (mesh.edges() is not before) == (tids >= 0).any()
         assert_index_equals_reference(mesh, ref)
-        # state writes between UNDECIDED and OUTPUT keep the index
-        before = mesh.edges()
-        undecided = np.flatnonzero(mesh.tri_state == mesher.OUTPUT)[::3]
-        mesh.tri_state[undecided] = mesher.UNDECIDED
-        assert mesh.edges() is before
-        mesh.tri_state[undecided] = mesher.OUTPUT
         # rows for every other new triangle, as a flush writes them
         new = np.arange(len(ref_prov), len(ref.tri_verts))
         ref_prov += [mesher.NO_PROV] * len(new)

@@ -259,6 +259,31 @@ def test_isolated_stroke_falls_back_to_ribbon():
     assert report["nonmanifold_vertices"] == 0
 
 
+@pytest.mark.parametrize("bad, spine", [
+    (0, [1, 2, 3, 4]), (2, [0, 1, 3, 4]), (4, [0, 1, 2, 3])])
+def test_ribbon_corners_take_their_own_stroke_vertex(bad, spine):
+    """A vertex whose frame is degenerate (its normal along the stroke)
+    gets no corners; every other corner carries the width, normal and
+    index of the vertex it was offset from, half a width away."""
+    normals = np.tile([0.0, 0.0, 1.0], (5, 1))
+    normals[bad] = (1.0, 0.0, 0.0)
+    widths = np.array([0.1, 0.2, 0.3, 0.4, 0.5])
+    points = np.stack([np.linspace(0, 1, 5), np.zeros(5), np.zeros(5)], 1)
+    stroke = Stroke(points, normals, widths, (1, 1, 1))
+    assert np.flatnonzero(~stroke.frames_ok).tolist() == [bad]
+    drawing = Drawing(strokes=[stroke])
+    cs = matcher.stroke_chains(drawing)
+    mesh = pipeline.SurfaceMesh.from_chains(cs)
+    assert pipeline._emit_ribbons(mesh, drawing, cs) > 0
+    ribbon = np.flatnonzero(mesh.origin_kind == KIND_RIBBON)
+    at = np.repeat(spine, 2)
+    assert mesh.widths[ribbon].tolist() == widths[at].tolist()
+    assert np.array_equal(mesh.normals[ribbon], normals[at])
+    assert mesh.origin[ribbon].tolist() == [[0, v] for v in at.tolist()]
+    np.testing.assert_allclose(np.linalg.norm(
+        mesh.positions[ribbon] - points[at], axis=1), 0.5 * widths[at])
+
+
 def test_all_strokes_trimmed_away_raises():
     degenerate = make_stroke(np.array([[0.0, 0, 0], [0.0, 0, 0]]))
     with pytest.raises(ValidationError):

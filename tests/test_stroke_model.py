@@ -60,6 +60,15 @@ def test_config_validation():
         sm.Config(width_factor=-1.0)
 
 
+@pytest.mark.parametrize("sides", [-1, 0, 2, 5, 8])
+def test_config_small_holes_are_triangles_or_quads(sides):
+    """Small-hole closure fills triangles and quads only."""
+    with pytest.raises(sm.ValidationError, match="small_hole_max_sides"):
+        sm.Config(small_hole_max_sides=sides)
+    assert [sm.Config(small_hole_max_sides=k).small_hole_max_sides
+            for k in (3, 4)] == [3, 4]
+
+
 def test_config_json_round_trip(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"cone_angle_deg": 45.0, "width_factor": 2.0}))

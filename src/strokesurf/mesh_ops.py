@@ -33,17 +33,12 @@ import numpy as np
 
 from . import geometry
 from .matcher import ChainSet
-from .mesher import (edge_index, join_equal_keys, join_links,
+from .mesher import (edge_index, join_equal_keys, join_links, spans,
                      split_by_label, split_quads)
 from .scoring import sigma_for
 
 # share of the way a smoothing step moves a vertex toward its target
 SMOOTH_STEP = 0.5
-
-
-def _spans(lo, n):
-    """The ranges [lo[i], lo[i] + n[i]), concatenated."""
-    return np.repeat(lo - np.cumsum(n) + n, n) + np.arange(n.sum())
 
 
 # ---------------------------------------------------------------------------
@@ -140,7 +135,7 @@ def orient_parts(mesh, tids):
     done = len(level)
     while len(level):
         lo, n = start[level] + p * flip[level], count[level]
-        at = walk[_spans(lo, n)]
+        at = walk[spans(lo, n)]
         kid = child[at]
         offer = np.arange(done, done + len(kid))
         np.minimum.at(rank, kid, offer)
@@ -555,7 +550,7 @@ def _guarded_moves(mesh, g, prop, config):
     order = np.argsort(at, kind="stable")
     count = np.bincount(at, minlength=n)[g]
     owner = np.repeat(np.arange(len(g)), count)
-    corner = order[_spans(np.searchsorted(at, g, sorter=order), count)]
+    corner = order[spans(np.searchsorted(at, g, sorter=order), count)]
     before = verts[corner // 3]
     # the proposals follow the vertices as extra positions
     after = before.copy()

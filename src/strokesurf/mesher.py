@@ -8,12 +8,17 @@ no internal matches gives a fan polygon. Quads folding sharper than the
 dihedral threshold are discarded outright; everything else is cleaned up
 later by consolidation.
 
-Emission is queued: the strips of a whole match table become rows in
-emission order, every quad is scored in one pass of the row kernels in
-`geometry`, and the rows go into the mesh through one
-`SurfaceMesh.add_triangles` call, which keeps the first emission of each
-triangle; one assignment then writes the provenance of those inserted.
-The crease-preserving variant inserts what is queued before each ribbon
+Emission runs in array passes. `_emit_pairs` classifies every matched
+chain edge of a match table at once, as a triangle, a quad or a fan,
+and writes their triangle rows in emission order. `_Emitter.flush` then
+scores every quad in one pass of the row kernels in `geometry`, vetoes
+and splits every fan with one batch of vertex scores, and inserts the
+rows through one `SurfaceMesh.add_triangles` call, which keeps the
+first emission of each triangle; one assignment then writes the
+provenance of those inserted. The one loop left is add_triangles'
+insert of each winner through add_triangle, which waits for a bulk
+table (below). The crease-preserving variant queues each section's
+ribbon quads as one block and inserts what is queued before each ribbon
 it adds vertices for, so every row meets the area floor of the vertex
 table it was emitted under.
 
@@ -49,7 +54,6 @@ own chain set.
 from __future__ import annotations
 
 import math
-from array import array
 from typing import NamedTuple
 
 import numpy as np
@@ -162,16 +166,17 @@ def join_links(n, a, b):
     return np.unique(root, return_inverse=True)[1]
 
 
+def spans(lo, n):
+    """The ranges [lo[i], lo[i] + n[i]), concatenated."""
+    return np.repeat(lo - np.cumsum(n) + n, n) + np.arange(n.sum())
+
+
 def run_pairs(sizes):
     """Index pairs (i, j), i < j, of every run of a sequence cut into runs
     of the given sizes, in (run, i, j) order."""
-    starts = np.cumsum(sizes) - sizes
-    rank = np.arange(sizes.sum()) - np.repeat(starts, sizes)
-    later = np.repeat(sizes, sizes) - 1 - rank
-    first = np.repeat(np.arange(len(rank)), later)
-    second = (first + 1 + np.arange(len(first))
-              - np.repeat(np.cumsum(later) - later, later))
-    return first, second
+    later = np.repeat(sizes, sizes) - 1 - spans(0, sizes)
+    first = np.repeat(np.arange(len(later)), later)
+    return first, first + 1 + spans(0, later)
 
 
 def split_by_label(ids, labels):
@@ -214,6 +219,8 @@ class SurfaceMesh:
         self.removed_count = 0
         self.duplicates_skipped = 0
         self.quads_rejected = 0
+        self.fans = 0
+        self.fans_vetoed = 0
         self.emissions = 0
 
     tri_verts = property(lambda self: self._verts[:self._count])
@@ -454,59 +461,67 @@ def split_quads(pa, pb, qa, qb, gids):
 class _Emitter:
     """The emission queue of one meshing invocation.
 
-    tri_on_edge, quad and polygon append triangle rows in emission
-    order: a chain edge as flat ids (fa, fb), the apex under each quad
-    diagonal, the match side and the index of the row's quad, -1 for a
-    plain triangle. A quad queues both of its triangles. flush scores
-    every queued quad at once, keeps each quad's rows with the apexes of
-    its chosen diagonal or drops them with the quad, and inserts the
-    rows with one SurfaceMesh.add_triangles call; the queue is then
-    empty for more rows."""
+    strips and quads append triangle rows in emission order, one int64
+    block per call. A row is (fa, fb, apex 1, apex 2, side, steps,
+    rank): the edge it hangs on as flat ids, two candidate apexes, the
+    match side, and the target steps of the matched edge that queued it
+    with the row's rank among that edge's steps + 1 rows. steps 0 is a
+    plain triangle, steps 1 a quad (its two triangles, one row per
+    diagonal choice) and steps 2 or more a fan. flush scores every
+    queued quad and fan at once: a quad's rows take apex 1 under
+    diagonal 1 and apex 2 otherwise, or go with the quad when its fold
+    is too sharp; a fan's rows take apex 1 before its split and apex 2
+    from it on, its source-edge row takes the split vertex, and all go
+    when an internal match vetoes the fan. The rows left are inserted
+    with one SurfaceMesh.add_triangles call; the queue is then empty
+    for more rows."""
 
-    def __init__(self, mesh, cs, config):
+    def __init__(self, mesh, table, config):
         self.mesh = mesh
-        self.cs = cs
+        self.table = table
+        self.cs = table.chainset
         self.config = config
-        # flat int64 rows (fa, fb, apex if diagonal 1, else, side, quad)
-        # and (fa, fb, qa, qb) per quad
-        self.rows = array("q")
-        self.quads = array("q")
+        self.rows = []
 
-    def tri_on_edge(self, ci, ia, ib, apex_flat, match_side):
-        base = int(self.cs.offsets[ci])
-        self.rows.extend((base + ia, base + ib, apex_flat, apex_flat,
-                          int(match_side), -1))
+    def strips(self, jobs):
+        """Queue the strips of the jobs (chain, side, match) in order; see
+        _emit_pairs."""
+        if jobs:
+            self.rows.append(_emit_pairs(self.cs, jobs))
 
-    def quad(self, ci, ia, ib, qa_flat, qb_flat, match_side):
-        """Quad cycle (p_ia, p_ib, q_b, q_a), split in flush by
-        split_quads."""
-        base = int(self.cs.offsets[ci])
-        fa, fb = base + ia, base + ib
-        q = len(self.quads) // 4
-        self.quads.extend((fa, fb, qa_flat, qb_flat))
-        side = int(match_side)
-        self.rows.extend((fa, fb, qb_flat, qa_flat, side, q,
-                          qa_flat, qb_flat, fa, fb, side, q))
+    def quads(self, fa, fb, qa, qb, side):
+        """Queue the quads with cycle (fa[i], fb[i], qb[i], qa[i]), flat
+        id arrays, split in flush by split_quads."""
+        one = np.ones_like(fa)
+        src = np.stack([fa, fb, qb, qa, side * one, one, 0 * one], axis=1)
+        tgt = np.stack([qa, qb, fa, fb, side * one, one, one], axis=1)
+        self.rows.append(np.stack([src, tgt], axis=1).reshape(-1, 7))
 
     def flush(self):
-        """Insert the queued rows, quads split, and write the provenance
-        rows of the triangles inserted; an apex too close to its edge's
-        ribbon plane to have a side takes the match side. Returns the tid
-        of each row offered to the mesh, -1 where none."""
+        """Insert the queued rows, quads split and fans fanned, and write
+        the provenance rows of the triangles inserted; an apex too close
+        to its edge's ribbon plane to have a side takes the match side.
+        Returns the tid of each row offered to the mesh, -1 where none."""
         cs = self.cs
-        rows = np.array(self.rows, dtype=np.int64).reshape(-1, 6)
-        fa, fb, apex, apex2, side, quad = rows.T
-        if self.quads:
-            quads = np.array(self.quads, dtype=np.int64).reshape(-1, 4)
+        rows = np.concatenate(self.rows or [np.zeros((0, 7), np.int64)])
+        self.rows = []
+        fa, fb, apex, apex2, side, steps, rank = rows.T
+        keep = np.ones(len(rows), dtype=bool)
+        quad = np.flatnonzero(steps == 1)
+        if len(quad):
+            first = rank[quad] == 0
+            corners = rows[quad[first]][:, [0, 1, 3, 2]]    # fa, fb, qa, qb
             use1, dihedral = split_quads(
-                *(cs.pos[quads[:, k]] for k in range(4)), cs.gid[quads])
+                *(cs.pos[corners[:, k]] for k in range(4)), cs.gid[corners])
             rejected = dihedral < self.config.dihedral_min_deg
             self.mesh.quads_rejected += int(rejected.sum())
-            in_quad = quad >= 0
-            apex = np.where(in_quad & ~use1[quad], apex2, apex)
-            keep = ~(in_quad & rejected[quad])
-            fa, fb, apex, side = fa[keep], fb[keep], apex[keep], side[keep]
-        self.rows, self.quads = array("q"), array("q")
+            q = np.cumsum(first) - 1
+            apex[quad] = np.where(use1[q], apex[quad], apex2[quad])
+            keep[quad] = ~rejected[q]
+        fan = np.flatnonzero(steps >= 2)
+        if len(fan):
+            apex[fan], keep[fan] = self._fans(rows[fan])
+        fa, fb, apex, side = fa[keep], fb[keep], apex[keep], side[keep]
         verts = np.stack([cs.gid[fa], cs.gid[fb], cs.gid[apex]], axis=1)
         tids = self.mesh.add_triangles(verts)
         won = tids >= 0
@@ -517,96 +532,123 @@ class _Emitter:
              np.where(sides != 0, sides, side)], axis=1)
         return tids
 
-    def polygon(self, ci, ia, ib, qa_flat, qb_flat, table, match_side):
-        """Fan a section of the target chain between two non-consecutive
-        matched vertices, provided the section has no internal matches
-        in the table."""
+    def _fans(self, rows):
+        """(apex, keep) of the queued fan rows, in queue order: a fan's
+        rows run over its target section's edges, then its source edge. A
+        fan is vetoed when an inside vertex of its section is matched, on
+        either side of the table, to an inside vertex of the section.
+        Every fan vertex q of every other fan scores the source edge's
+        ends on the side of q facing them, 0 where q has a degenerate
+        frame, and the split maximizes the fa scores before it plus the
+        fb scores from it on."""
         cs = self.cs
-        tci = int(cs.chain_id[qa_flat])
-        nt, cyclic = int(cs.lengths[tci]), bool(cs.cyclic[tci])
-        ja, jb = int(cs.index[qa_flat]), int(cs.index[qb_flat])
-
-        delta = jb - ja
-        if cyclic:
-            fwd = delta % nt
-            bwd = (-delta) % nt
-            if fwd <= bwd:
-                steps, step = fwd, 1
-            else:
-                steps, step = bwd, -1
-        else:
-            steps, step = abs(delta), 1 if delta > 0 else -1
-        if steps < 2:
-            return
-
-        idxs = [(ja + step * k) % nt if cyclic else ja + step * k
-                for k in range(steps + 1)]
-        tbase = int(cs.offsets[tci])
-        inside = tbase + np.asarray(idxs[1:-1], dtype=np.int64)
-        for match in table.matches.values():
+        fa, fb, apex, apex2, _, steps, rank = rows.T
+        start = rank == 0
+        fan = np.cumsum(start) - 1
+        size = steps[start] + 1
+        source = np.cumsum(size) - 1          # each fan's source-edge row
+        last = rank == steps
+        # the fan vertex of each rank: the source-edge row's is the second
+        # end of the section's last edge
+        vert = np.where(last, np.roll(fb, 1), fa)
+        inner = ~start & ~last
+        n = len(cs)
+        held = np.sort(fan[inner] * n + vert[inner])
+        vetoed = np.zeros(len(size), dtype=bool)
+        for match in self.table.matches.values():
             # chains appended after matching have no matches
-            m = match[inside[inside < len(match)]]
-            if np.isin(m, inside).any():
-                return
+            at = inner & (vert < len(match))
+            m = match[vert[at]]
+            key = fan[at] * n + m
+            found = held[np.searchsorted(held, key).clip(max=len(held) - 1)]
+            vetoed[fan[at][(m >= 0) & (found == key)]] = True
+        self.mesh.fans += len(size)
+        self.mesh.fans_vetoed += int(vetoed.sum())
 
-        base = int(cs.offsets[ci])
-        fa = base + ia
-        fb = base + ib
-
-        # each fan vertex q scores fa and fb on the side of q facing
-        # them; q with a degenerate frame scores 0
-        fan = tbase + np.asarray(idxs, dtype=np.int64)
-        ok = cs.ok[fan]
-        q = np.concatenate([fan[ok], fan[ok]])
-        p = np.repeat([fa, fb], int(ok.sum()))
+        ok = ~vetoed[fan] & cs.ok[vert]
+        q = np.tile(vert[ok], 2)
+        p = np.concatenate([fa[source][fan[ok]], fb[source][fan[ok]]])
         facing = np.einsum("ij,ij->i", cs.pos[p] - cs.pos[q], cs.bin[q])
         logs = scoring.vertex_scores_log_arrays(
             cs.pos[q], cs.tan[q], cs.bin[q], cs.w[q],
             np.where(facing >= 0, 1, -1),
             cs.pos[p], cs.tan[p], cs.bin[p], cs.w[p],
             pair_sigmas(cs, q, p, self.config))
-        s_a, s_b = np.zeros((2, len(fan)))
-        s_a[ok], s_b[ok] = np.exp(logs).reshape(2, -1)
-        pre = np.cumsum(s_a)
-        suf = np.cumsum(s_b[::-1])[::-1]
-        totals = pre + suf
-        m_pos = int(np.argmax(totals))
+        score = np.zeros((2, len(fan)))
+        score[:, ok] = np.exp(logs).reshape(2, -1)
+        # each fan's cumsums on its own zero-padded row, as a global cumsum
+        # less offsets would round differently; rows are padded to the
+        # next power of two, so one long fan pads no short one
+        width = 2 ** np.ceil(np.log2(size)).astype(np.int64)
+        m_pos = np.empty(len(size), dtype=np.int64)
+        for w in np.unique(width).tolist():
+            group = width == w
+            at = group[fan]
+            grid = np.zeros((2, int(group.sum()), w))
+            grid[:, (np.cumsum(group) - 1)[fan[at]], rank[at]] = score[:, at]
+            totals = (np.cumsum(grid[0], axis=1)
+                      + np.cumsum(grid[1, :, ::-1], axis=1)[:, ::-1])
+            totals[np.arange(w) >= size[group, None]] = -np.inf
+            m_pos[group] = np.argmax(totals, axis=1)
+        m_pos = m_pos[fan]
+        apex = np.where(last, vert[source[fan] - steps + m_pos],
+                        np.where(rank < m_pos, apex, apex2))
+        return apex, ~vetoed[fan]
 
-        for k in range(len(idxs) - 1):
-            j0, j1 = idxs[k], idxs[k + 1]
-            apex = fa if k < m_pos else fb
-            self.tri_on_edge(tci, j0, j1, apex, match_side)
-        self.tri_on_edge(ci, ia, ib, tbase + idxs[m_pos], match_side)
 
+def _emit_pairs(cs, jobs):
+    """The queue rows (see _Emitter) of the jobs (chain ci, side,
+    match), match holding one flat target id per vertex of chain ci (-1
+    where unmatched): jobs in order, each along its chain's edges (p_i,
+    p_i+1) and then, on a cyclic chain of more than two vertices, (p_n-1,
+    p_0). An edge whose ends match one target vertex gives a triangle;
+    one whose ends match target vertices `steps` apart on one chain, the
+    shorter way round a cyclic chain and forward on a tie, gives a quad
+    (steps 1) or a fan over the target section between them; an edge
+    with an end unmatched, or its ends matched on two chains, gives
+    nothing."""
+    ci = np.array([job[0] for job in jobs], dtype=np.int64)
+    n = np.array([len(job[2]) for job in jobs], dtype=np.int64)
+    match = np.concatenate([job[2] for job in jobs])
+    edges = n - 1 + (cs.cyclic[ci] & (n > 2))
+    job = np.repeat(np.arange(len(jobs)), edges)
+    ia = spans(0, edges)
+    ib = np.where(ia == n[job] - 1, 0, ia + 1)
+    at = np.repeat(np.cumsum(n) - n, edges)
+    a, b = match[at + ia], match[at + ib]
+    ca = cs.chain_id[np.maximum(a, 0)]
+    live = (a >= 0) & (b >= 0) & (ca == cs.chain_id[np.maximum(b, 0)])
+    job, a, b, ca = job[live], a[live], b[live], ca[live]
+    base = cs.offsets[ci[job]]
+    fa, fb = base + ia[live], base + ib[live]
+    side = np.array([int(j[1]) for j in jobs], dtype=np.int64)[job]
 
-def _emit_pairs(emitter, table, ci, side, match):
-    """Queue the strips of chain ci's side, match holding one flat target
-    id per chain vertex (-1 where unmatched)."""
-    cs = emitter.cs
-    n = len(match)
-    pairs = [(i, i + 1) for i in range(n - 1)]
-    if cs.cyclic[ci] and n > 2:
-        pairs.append((n - 1, 0))
-    for ia, ib in pairs:
-        a = match[ia]
-        b = match[ib]
-        if a < 0 or b < 0:
-            continue
-        ca, cb = cs.chain_id[a], cs.chain_id[b]
-        if ca != cb:
-            continue
-        if a == b:
-            emitter.tri_on_edge(ci, ia, ib, a, side)
-            continue
-        ja, jb = int(cs.index[a]), int(cs.index[b])
-        nt = int(cs.lengths[ca])
-        dj = abs(jb - ja)
-        if cs.cyclic[ca] and nt > 2:
-            dj = min(dj, nt - dj)
-        if dj == 1:
-            emitter.quad(ci, ia, ib, a, b, side)
-        else:
-            emitter.polygon(ci, ia, ib, a, b, table, side)
+    ja = cs.index[a]
+    delta = cs.index[b] - ja
+    nt, cyclic = cs.lengths[ca], cs.cyclic[ca]
+    fwd, bwd = delta % nt, -delta % nt
+    steps = np.where(cyclic, np.minimum(fwd, bwd), np.abs(delta))
+    step = np.where(cyclic, np.where(fwd <= bwd, 1, -1),
+                    np.where(delta > 0, 1, -1))
+
+    # steps + 1 rows per edge: a quad's source edge comes first, a fan's
+    # last, after the section's edges
+    e = np.repeat(np.arange(len(steps)), steps + 1)
+    rank = spans(0, steps + 1)
+    s = steps[e]
+    src = rank == np.where(s == 1, 0, s)
+    k = rank - (s == 1)                 # the rank of a section edge
+    j0 = ja[e] + step[e] * k
+    j1 = j0 + step[e]
+    cyc, tbase = cyclic[e], cs.offsets[ca[e]]
+    t0 = tbase + np.where(cyc, j0 % nt[e], j0)
+    t1 = tbase + np.where(cyc, j1 % nt[e], j1)
+    fa, fb, a = fa[e], fb[e], a[e]
+    return np.stack([
+        np.where(src, fa, t0), np.where(src, fb, t1),
+        np.where(src, np.where(s == 0, a, np.where(s == 1, b[e], -1)), fa),
+        np.where(src, np.where(s <= 1, a, -1), fb),
+        side[e], s, rank], axis=1)
 
 
 def _emission_order(table):
@@ -636,9 +678,8 @@ def mesh_from_matches(table, config, mesh=None):
     provenance of their first emission."""
     cs = table.chainset
     mesh = SurfaceMesh.from_chains(cs) if mesh is None else mesh
-    emitter = _Emitter(mesh, cs, config)
-    for ci, side, match in _emission_order(table):
-        _emit_pairs(emitter, table, ci, side, match)
+    emitter = _Emitter(mesh, table, config)
+    emitter.strips(_emission_order(table))
     emitter.flush()
     return mesh
 
@@ -706,7 +747,7 @@ def mesh_with_creases(table, config, mesh=None):
     do not depend on normal signs either."""
     cs = table.chainset
     mesh = SurfaceMesh.from_chains(cs) if mesh is None else mesh
-    emitter = _Emitter(mesh, cs, config)
+    emitter = _Emitter(mesh, table, config)
     offset_cache = {}
 
     jobs = []      # (chain_id, side, working match array)
@@ -744,9 +785,9 @@ def mesh_with_creases(table, config, mesh=None):
                                     offset_cache)
             # ribbon quads spine -> offset polyline
             obase = int(cs.offsets[oc])
-            for k in range(len(ribbon) - 1):
-                emitter.quad(keeper, first + k, first + k + 1,
-                             obase + k, obase + k + 1, side)
+            k = np.arange(len(ribbon) - 1)
+            spine = int(cs.offsets[keeper]) + first + k
+            emitter.quads(spine, spine + 1, obase + k, obase + k + 1, side)
             if keeper == ci:
                 # a strip from the ribbon edge to the partner spine
                 # replaces the direct strip
@@ -757,9 +798,6 @@ def mesh_with_creases(table, config, mesh=None):
                 match[run] = obase + tidx - jmin
         jobs.append((ci, side, match))
 
-    for ci, side, match in jobs:
-        _emit_pairs(emitter, table, ci, side, match)
-    for ci, side, match in extra:
-        _emit_pairs(emitter, table, ci, side, match)
+    emitter.strips(jobs + extra)
     emitter.flush()
     return mesh

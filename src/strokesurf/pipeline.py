@@ -49,6 +49,10 @@ class PipelineOptions:
             raise ValidationError("smooth_iterations must be >= 0")
 
 
+# the SurfaceMesh counters whose growth a strip-emitting stage reports
+STRIP_COUNTS = ("emissions", "fans", "fans_vetoed")
+
+
 class _Tracker:
     """Collects per-stage triangle, duplicate and rejected-quad deltas,
     timings and consolidation counts; optionally dumps the mesh after
@@ -97,16 +101,18 @@ class _StageScope:
         self.removed_before = mesh.removed_count
         self.duplicates_before = mesh.duplicates_skipped
         self.rejected_before = mesh.quads_rejected
-        self.emissions_before = mesh.emissions
+        self.strips_before = {key: getattr(mesh, key) for key in STRIP_COUNTS}
         self.tracker._seq += 1
         return self
 
     def count_emissions(self):
-        """Report the triangle rows strip meshing offered the mesh in
-        this stage: every row of a kept quad, triangle or fan, whether
-        it was added, skipped as a duplicate or too thin."""
-        self.count("emissions",
-                   self.tracker.mesh.emissions - self.emissions_before)
+        """Report what strip meshing did in this stage: `emissions`, the
+        triangle rows it offered the mesh (every row of a kept quad,
+        triangle or fan, whether it was added, skipped as a duplicate or
+        too thin), `fans`, the fans it queued, and `fans_vetoed`, those
+        an internal match dropped."""
+        for key, before in self.strips_before.items():
+            self.count(key, getattr(self.tracker.mesh, key) - before)
 
     def __exit__(self, exc_type, exc, tb):
         mesh = self.tracker.mesh

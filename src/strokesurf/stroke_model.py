@@ -75,18 +75,20 @@ class Config:
         for name in ("trim_angle_deg", "cone_angle_deg",
                      "boundary_cone_angle_deg", "dihedral_min_deg",
                      "smoothing_normal_guard_deg", "crease_angle_deg"):
-            v = getattr(self, name)
-            if not (0.0 < v < 180.0):
-                raise ValidationError(f"{name} must be in (0, 180), got {v}")
+            if not (0.0 < getattr(self, name) < 180.0):
+                self._reject(name, "in (0, 180)")
         if not (0.0 < self.trim_fraction < 1.0):
-            raise ValidationError("trim_fraction must be in (0, 1)")
+            self._reject("trim_fraction", "in (0, 1)")
         if not (0.0 < self.dominant_freq <= 1.0):
-            raise ValidationError("dominant_freq must be in (0, 1]")
+            self._reject("dominant_freq", "in (0, 1]")
         if self.width_factor <= 0.0:
-            raise ValidationError("width_factor must be positive")
+            self._reject("width_factor", "positive")
         if self.small_hole_max_sides not in (3, 4):   # triangles, quads
-            raise ValidationError("config key small_hole_max_sides must be "
-                                  f"3 or 4, got {self.small_hole_max_sides}")
+            self._reject("small_hole_max_sides", "3 or 4")
+
+    def _reject(self, name, rule):
+        raise ValidationError(f"config key {name} must be {rule}, "
+                              f"got {getattr(self, name)}")
 
     @classmethod
     def from_json(cls, path):

@@ -32,7 +32,7 @@ pair that the greedy clustering reference and the dict objective read.
 import heapq
 import itertools
 import math
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -815,21 +815,73 @@ def _strip_apex_side(cs, fa, fb, apex_pos):
     return 1 if off > 0 else -1
 
 
-def scalar_emitter():
-    """The class of the strip-meshing reference: mesher._Emitter with
-    every triangle inserted through SurfaceMesh.add_triangle as it is
-    emitted, its provenance row written right after, and every quad
-    scored on its own with the scalar angle references. Its polygon
-    fans are mesher._Emitter's, which emit through tri_on_edge. Patch it
-    in for mesher._Emitter to run mesh_from_matches or mesh_with_creases
-    as the reference."""
-    from strokesurf import mesher
+def scalar_emitter(stats=None):
+    """The class of the strip-meshing reference, in mesher._Emitter's
+    place: the per-edge loop classifies one matched chain edge at a
+    time, every triangle goes into the mesh through
+    SurfaceMesh.add_triangle as it is emitted, its provenance row
+    written right after, every quad is scored on its own with the
+    scalar angle references and every fan is vetoed and split on its own
+    with fan_split. Patch it in for mesher._Emitter to run
+    mesh_from_matches or mesh_with_creases as the reference. stats, a
+    Counter, counts the cases the queued emitter must get right: fans
+    vetoed, cyclic fans whose two ways round tie, fans with an inside
+    vertex past a side's match array, and one-step jumps across the
+    seam of a cyclic target chain."""
 
-    class ScalarEmitter(mesher._Emitter):
-        def tri_on_edge(self, ci, ia, ib, apex_flat, match_side):
+    class ScalarEmitter:
+        def __init__(self, mesh, table, config):
+            self.mesh = mesh
+            self.table = table
+            self.cs = table.chainset
+            self.config = config
+            self.stats = Counter() if stats is None else stats
+
+        def strips(self, jobs):
+            for ci, side, match in jobs:
+                self.emit_pairs(ci, side, match)
+
+        def quads(self, fa, fb, qa, qb, side):
+            for corners in zip(fa.tolist(), fb.tolist(), qa.tolist(),
+                               qb.tolist()):
+                self.quad(*corners, side)
+
+        def flush(self):
+            """Nothing is queued."""
+
+        def emit_pairs(self, ci, side, match):
+            """The strips of chain ci's side, match holding one flat
+            target id per chain vertex (-1 where unmatched)."""
             cs = self.cs
             base = int(cs.offsets[ci])
-            fa, fb = base + ia, base + ib
+            n = len(match)
+            pairs = [(i, i + 1) for i in range(n - 1)]
+            if cs.cyclic[ci] and n > 2:
+                pairs.append((n - 1, 0))
+            for ia, ib in pairs:
+                a, b = int(match[ia]), int(match[ib])
+                if a < 0 or b < 0:
+                    continue
+                ca, cb = cs.chain_id[a], cs.chain_id[b]
+                if ca != cb:
+                    continue
+                fa, fb = base + ia, base + ib
+                if a == b:
+                    self.tri(fa, fb, a, side)
+                    continue
+                ja, jb = int(cs.index[a]), int(cs.index[b])
+                nt = int(cs.lengths[ca])
+                dj = abs(jb - ja)
+                if cs.cyclic[ca] and nt > 2:
+                    dj = min(dj, nt - dj)
+                if dj == 1:
+                    self.stats["seam_steps"] += abs(jb - ja) != 1
+                    self.quad(fa, fb, a, b, side)
+                else:
+                    self.polygon(fa, fb, a, b, side)
+
+        def tri(self, fa, fb, apex_flat, match_side):
+            cs = self.cs
             ga, gb = int(cs.gid[fa]), int(cs.gid[fb])
             tid = self.mesh.add_triangle(ga, gb, cs.gid[apex_flat])
             if tid is not None:
@@ -837,15 +889,11 @@ def scalar_emitter():
                 if side == 0:
                     side = int(match_side)
                 self.mesh.tri_prov[tid] = ga, gb, fa, fb, apex_flat, side
-            return tid
 
-        def quad(self, ci, ia, ib, qa_flat, qb_flat, match_side):
+        def quad(self, fa, fb, qa_flat, qb_flat, match_side):
             cs = self.cs
-            base = int(cs.offsets[ci])
-            pa = cs.pos[base + ia]
-            pb = cs.pos[base + ib]
-            qa = cs.pos[qa_flat]
-            qb = cs.pos[qb_flat]
+            pa, pb = cs.pos[fa], cs.pos[fb]
+            qa, qb = cs.pos[qa_flat], cs.pos[qb_flat]
 
             # diagonal 1: (p_ia, q_b) -> (pa, pb, qb) + (pa, qb, qa)
             min1 = min(min_interior_angle_deg(pa, pb, qb),
@@ -856,10 +904,8 @@ def scalar_emitter():
                        min_interior_angle_deg(pb, qb, qa))
             di2 = dihedral_deg(pb, qa, pa, qb)
 
-            key1 = tuple(sorted((int(cs.gid[base + ia]),
-                                 int(cs.gid[qb_flat]))))
-            key2 = tuple(sorted((int(cs.gid[base + ib]),
-                                 int(cs.gid[qa_flat]))))
+            key1 = tuple(sorted((int(cs.gid[fa]), int(cs.gid[qb_flat]))))
+            key2 = tuple(sorted((int(cs.gid[fb]), int(cs.gid[qa_flat]))))
             if abs(min1 - min2) > 1e-12:
                 use1 = min1 > min2
             elif abs(abs(180.0 - di1) - abs(180.0 - di2)) > 1e-12:
@@ -871,18 +917,51 @@ def scalar_emitter():
             if dihedral < self.config.dihedral_min_deg:
                 self.mesh.quads_rejected += 1
                 return
-
-            tci = int(cs.chain_id[qa_flat])
-            ja, jb = int(cs.index[qa_flat]), int(cs.index[qb_flat])
             if use1:
-                self.tri_on_edge(ci, ia, ib, qb_flat, match_side)
-                self.tri_on_edge(tci, ja, jb, base + ia, match_side)
+                self.tri(fa, fb, qb_flat, match_side)
+                self.tri(qa_flat, qb_flat, fa, match_side)
             else:
-                self.tri_on_edge(ci, ia, ib, qa_flat, match_side)
-                self.tri_on_edge(tci, ja, jb, base + ib, match_side)
+                self.tri(fa, fb, qa_flat, match_side)
+                self.tri(qa_flat, qb_flat, fb, match_side)
 
-        def flush(self):
-            """Nothing is queued."""
+        def polygon(self, fa, fb, qa_flat, qb_flat, match_side):
+            """Fan the section of the target chain between two
+            non-consecutive matched vertices, the shorter way round a
+            cyclic chain and forward on a tie, unless the section has an
+            internal match in the table."""
+            cs = self.cs
+            tci = int(cs.chain_id[qa_flat])
+            nt, cyclic = int(cs.lengths[tci]), bool(cs.cyclic[tci])
+            ja, jb = int(cs.index[qa_flat]), int(cs.index[qb_flat])
+            delta = jb - ja
+            if cyclic:
+                fwd, bwd = delta % nt, (-delta) % nt
+                self.stats["cyclic_ties"] += fwd == bwd
+                steps, step = (fwd, 1) if fwd <= bwd else (bwd, -1)
+            else:
+                steps, step = abs(delta), 1 if delta > 0 else -1
+            if steps < 2:
+                return
+            self.mesh.fans += 1
+            tbase = int(cs.offsets[tci])
+            fan = [tbase + ((ja + step * k) % nt if cyclic else ja + step * k)
+                   for k in range(steps + 1)]
+            inside = fan[1:-1]
+            matches = self.table.matches.values()
+            self.stats["inside_past_match"] += any(
+                max(inside) >= len(match) for match in matches)
+            for match in matches:
+                # chains appended after matching have no matches
+                if any(v < len(match) and match[v] in inside
+                       for v in inside):
+                    self.mesh.fans_vetoed += 1
+                    self.stats["fans_vetoed"] += 1
+                    return
+            m_pos = fan_split(cs, self.config, fa, fb, np.asarray(fan))
+            for k in range(steps):
+                self.tri(fan[k], fan[k + 1], fa if k < m_pos else fb,
+                         match_side)
+            self.tri(fa, fb, fan[m_pos], match_side)
 
     return ScalarEmitter
 

@@ -133,7 +133,8 @@ def test_bad_spec_field_exit_code(tmp_path, capsys):
     {"width_factor": "x"}, [[1]], 3, None, {"small_hole_max_sides": 4.5},
     {"cone_angle_deg": True}, {"dihedral_min_deg": [45]},
     {"width_factor": float("nan")}, {"width_factor": float("inf")},
-    {"small_hole_max_sides": 5}])
+    {"small_hole_max_sides": 5}, {"width_factor": -1.0},
+    {"crease_angle_deg": 180.0}])
 def test_bad_config_document_exit_code(tmp_path, capsys, doc):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(doc))

@@ -23,16 +23,19 @@ from test_pipeline import FLIP_SPECS
 
 def strip_fixture(config, apexes, bn=(0, -1, 0)):
     """One 3-vertex stroke chain plus an apex chain, with an emitter
-    whose tri_on_edge inserts its triangle at once and returns the
-    tid."""
+    whose tri_on_edge(ci, ia, ib, apex_flat, side) meshes a strip whose
+    edge (ia, ib) of chain ci matches the apex at both ends, inserting
+    that one triangle at once, and returns its tid."""
     chain0 = chain_from([[-1, 0, 0], [0, 0, 0], [1, 0, 0]], 0, (0, 1, 0))
     chain1 = chain_from(apexes, 3, bn)
     cs = chain_set([chain0, chain1])
     mesh = mesher.SurfaceMesh.from_chains(cs)
-    emitter = mesher._Emitter(mesh, cs, config)
+    emitter = mesher._Emitter(mesh, matcher.MatchTable(cs), config)
 
-    def tri_on_edge(*args):
-        emitter.tri_on_edge(*args)
+    def tri_on_edge(ci, ia, ib, apex_flat, side):
+        match = np.full(int(cs.lengths[ci]), -1, dtype=np.int64)
+        match[[ia, ib]] = apex_flat
+        emitter.strips([(ci, side, match)])
         return int(emitter.flush()[0])
     return cs, mesh, SimpleNamespace(tri_on_edge=tri_on_edge)
 

@@ -3,11 +3,13 @@
 import copy
 import dataclasses
 import sys
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from strokesurf import consolidate, matcher, mesher, mesh_ops, pipeline
+from strokesurf import (consolidate, matcher, mesher, mesh_ops, pipeline,
+                        scoring)
 from strokesurf import stroke_model as sm
 from strokesurf.pipeline import PipelineOptions, run_pipeline
 from strokesurf.scoring import Side
@@ -134,6 +136,34 @@ def test_surfacing_indexes_each_mesh_version_once(options, monkeypatch):
     run_pipeline(generate(FLIP_SPECS["cube_parallel"])[0], options)
     assert len(builds) > 10
     assert len(builds) == len(set(builds))
+
+
+@pytest.mark.parametrize("fn", [mesher.mesh_from_matches,
+                                mesher.mesh_with_creases],
+                         ids=["plain", "creases"])
+def test_strip_meshing_scores_the_fans_of_a_flush_at_once(config, fn,
+                                                          monkeypatch):
+    """Fans are scored in one batch per flush: meshing a drawing with
+    several fans calls scoring.vertex_scores_log_arrays at most once per
+    _Emitter.flush."""
+    cs = matcher.stroke_chains(generate(FLIP_SPECS["dome_spiral"])[0])
+    table = matcher.match_all(matcher.baseline_candidates(cs, config),
+                              config)
+    calls = Counter()
+    score, flush = scoring.vertex_scores_log_arrays, mesher._Emitter.flush
+
+    def counted_score(*args):
+        calls["score"] += 1
+        return score(*args)
+
+    def counted_flush(self):
+        calls["flush"] += 1
+        return flush(self)
+    monkeypatch.setattr(scoring, "vertex_scores_log_arrays", counted_score)
+    monkeypatch.setattr(mesher._Emitter, "flush", counted_flush)
+    mesh = fn(table, config)
+    assert mesh.fans > 10
+    assert 0 < calls["score"] <= calls["flush"]
 
 
 def test_remove_takes_arrays_with_duplicates_and_removed_tids():
@@ -586,6 +616,8 @@ def mesh_state(mesh):
         "tri_prov": mesh.tri_prov.tolist(),
         "duplicates_skipped": mesh.duplicates_skipped,
         "quads_rejected": mesh.quads_rejected,
+        "fans": mesh.fans,
+        "fans_vetoed": mesh.fans_vetoed,
         "removed_count": mesh.removed_count,
         "keys": dict(mesh._key_to_id),
         "edges": {k: list(v) for k, v in mesh.edge_map().items()},
@@ -595,13 +627,15 @@ def mesh_state(mesh):
     }
 
 
-def assert_meshing_equals_reference(fn, table, config, mesh=None):
+def assert_meshing_equals_reference(fn, table, config, mesh=None,
+                                    stats=None):
     """Run fn (mesh_from_matches or mesh_with_creases) on table and mesh,
     and the scalar reference on copies taken before; both must leave the
-    same mesh. Returns the mesh fn filled."""
+    same mesh. stats, a Counter, collects the reference's case counts
+    (oracles.scalar_emitter). Returns the mesh fn filled."""
     ref_table, ref_mesh = copy.deepcopy((table, mesh))
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(mesher, "_Emitter", oracles.scalar_emitter())
+        mp.setattr(mesher, "_Emitter", oracles.scalar_emitter(stats))
         want = fn(ref_table, config, mesh=ref_mesh)
     got = fn(table, config, mesh=mesh)
     assert mesh_state(got) == mesh_state(want)
@@ -660,7 +694,8 @@ def random_strip_table(rng):
     """A chain set with its match table: random chains (some cyclic,
     some with coincident or collinear vertices) whose matches step
     along other chains by 0 (a == b, one triangle), 1 (a quad), 2-3 (a
-    fan), or jump to another chain, plus the special quads."""
+    fan), or jump to another chain, a few inside vertices matched to
+    their neighbour on their own chain, plus the special quads."""
     chains, gid = [], 0
     for c in range(int(rng.integers(2, 6))):
         n = int(rng.integers(2, 9))
@@ -714,6 +749,14 @@ def random_strip_table(rng):
                     j = int(np.clip(j, 0, nt - 1))
                     continue
                 match[i] = flat(cs, tci, j)
+    # inside vertices matched along their own chain: a fan across them
+    # is vetoed
+    for _ in range(int(rng.integers(0, 3))):
+        tci = int(rng.integers(n_random))
+        if lengths[tci] > 2:
+            j = int(rng.integers(1, lengths[tci] - 1))
+            table.matches[int(rng.choice([1, -1]))][flat(cs, tci, j)] = \
+                flat(cs, tci, j + 1)
     for k in range(len(special)):
         ci = n_random + 2 * k
         side = int(rng.choice([1, -1]))
@@ -735,14 +778,21 @@ def stroke_mesh(cs):
                          ids=["plain", "creases"])
 def test_strip_meshing_equals_the_scalar_reference(config, fn):
     rng = np.random.default_rng(2024)
-    totals = np.zeros(3, dtype=np.int64)
+    totals = np.zeros(4, dtype=np.int64)
+    stats = Counter()
     for _ in range(120):
         mesh = assert_meshing_equals_reference(fn, random_strip_table(rng),
-                                               config)
+                                               config, stats=stats)
         totals += (mesh.active_count(), mesh.duplicates_skipped,
-                   mesh.quads_rejected)
-    # inserts, duplicates and rejected quads all occur
+                   mesh.quads_rejected, mesh.fans)
+    # inserts, duplicates, rejected quads and fans all occur
     assert (totals > 0).all()
+    # and so do the fan and step cases; a fan's inside vertex lies past
+    # a side's match array only on offset chains, appended after matching
+    cases = ["fans_vetoed", "cyclic_ties", "seam_steps"]
+    if fn is mesher.mesh_with_creases:
+        cases.append("inside_past_match")
+    assert all(stats[case] > 0 for case in cases), stats
 
 
 def test_strip_meshing_over_a_used_mesh_equals_the_scalar_reference(config):

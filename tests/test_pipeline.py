@@ -119,11 +119,11 @@ def test_noisy_spiral_reports_a_greedy_sized_component():
 REPAIR_COUNTS = {
     "baseline_match": {"candidates", "candidate_pairs", "matched"},
     "restricted_match": {"candidates", "candidate_pairs", "matched"},
-    "strip_meshing": {"emissions"},
+    "strip_meshing": {"emissions", "fans", "fans_vetoed"},
     "boundary_extension": {"candidates", "candidate_pairs", "matched",
-                           "emissions"},
+                           "emissions", "fans", "fans_vetoed"},
     "gap_spanning": {"candidates", "candidate_pairs", "matched",
-                     "emissions"},
+                     "emissions", "fans", "fans_vetoed"},
     "strip_consolidation": {"nonorientable_removed"},
     "extension_consolidation": {"nonorientable_removed"},
     "small_holes": {"holes_closed_added"},
@@ -195,6 +195,7 @@ def test_stage_counts_add_up_to_report_totals(name, options):
     for stage in ("strip_meshing", "boundary_extension", "gap_spanning"):
         s = by_name[stage]
         assert s["emissions"] >= s["triangles_added"] + s["duplicates_skipped"]
+        assert s["fans"] >= s["fans_vetoed"]
     if name == "flat_pair":
         # every vertex lists the partner vertex across and its diagonal
         # neighbours (two at a stroke end): 2 * (8 * 3 + 2 * 2); every
@@ -207,8 +208,10 @@ def test_stage_counts_add_up_to_report_totals(name, options):
         assert by_name["baseline_match"]["matched"] == 20
         assert by_name["strip_meshing"]["duplicates_skipped"] == 18
         assert by_name["strip_meshing"]["emissions"] == 36
+        assert by_name["strip_meshing"]["fans"] == 0
     else:
         assert report["quads_rejected"] > 0
+        assert by_name["strip_meshing"]["fans"] > 0
 
 
 def test_skip_extension_drops_stages():

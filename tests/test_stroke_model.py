@@ -52,12 +52,15 @@ def test_frame_orthogonality_random_walk():
 
 
 def test_config_validation():
-    with pytest.raises(sm.ValidationError):
-        sm.Config(cone_angle_deg=0.0)
-    with pytest.raises(sm.ValidationError):
-        sm.Config(trim_fraction=1.5)
-    with pytest.raises(sm.ValidationError):
-        sm.Config(width_factor=-1.0)
+    """Every range error names its config key, the rule and the value."""
+    for key, value, rule in [
+            ("cone_angle_deg", 0.0, r"in \(0, 180\)"),
+            ("trim_fraction", 1.5, r"in \(0, 1\)"),
+            ("dominant_freq", 0.0, r"in \(0, 1\]"),
+            ("width_factor", -1.0, "positive")]:
+        with pytest.raises(sm.ValidationError, match=(
+                f"^config key {key} must be {rule}, got {value}$")):
+            sm.Config(**{key: value})
 
 
 @pytest.mark.parametrize("sides", [-1, 0, 2, 5, 8])

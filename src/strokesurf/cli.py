@@ -71,8 +71,10 @@ def _cmd_surface(argv):
     mesh, report = run_pipeline(drawing, options)
     nverts, ntris = mesh_ops.export_obj(mesh, ns.output)
     if ns.report:
+        # compact: an indented dump runs json's pure-Python encoder,
+        # several times slower than the whole write on small drawings
         with open(ns.report, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(report, indent=1))
+            fh.write(json.dumps(report) + "\n")
     print(f"{ns.output}: {ntris} triangles, {nverts} vertices, "
           f"{report['components']} components, "
           f"{report['nonmanifold_edges']} bad edges")

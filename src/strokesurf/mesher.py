@@ -4,7 +4,13 @@ Every emitted triangle connects one polyline edge (p_i, p_i+1) of a
 chain to an apex vertex q: consecutive matches to the same target vertex
 give a single triangle, consecutive target vertices give a quad split
 along the better diagonal, and a jump across a short target section with
-no internal matches gives a fan polygon. Quads folding sharper than the
+no internal matches gives a fan polygon. Short means an arc length (the
+summed lengths of the section's edges) of at most FAN_SIGMAS times the
+source edge's acceptance radius `scoring.sigma_for`, about nine ribbon
+widths at the default width_factor: a longer section is no adjacent
+stroke run the edge could span, and its fan is dropped before it is
+queued. Being in drawing terms, the bound does not change under rigid
+motion, uniform scale or normal flips. Quads folding sharper than the
 dihedral threshold are discarded outright; everything else is cleaned up
 later by consolidation.
 
@@ -73,6 +79,10 @@ KIND_RIBBON = 2
 
 # provenance row of a triangle that hangs on no chain edge
 NO_PROV = (-1, -1, -1, -1, -1, 0)
+
+# the longest fan section, in sigma_for radii of its source edge (module
+# docstring)
+FAN_SIGMAS = 6.0
 
 
 class EdgeIndex(NamedTuple):
@@ -220,6 +230,7 @@ class SurfaceMesh:
         self.duplicates_skipped = 0
         self.quads_rejected = 0
         self.fans = 0
+        self.fans_capped = 0
         self.fans_vetoed = 0
         self.emissions = 0
 
@@ -485,9 +496,11 @@ class _Emitter:
 
     def strips(self, jobs):
         """Queue the strips of the jobs (chain, side, match) in order; see
-        _emit_pairs."""
+        _emit_pairs. Fans it drops as too long count in mesh.fans_capped."""
         if jobs:
-            self.rows.append(_emit_pairs(self.cs, jobs))
+            rows, capped = _emit_pairs(self.cs, jobs, self.config)
+            self.rows.append(rows)
+            self.mesh.fans_capped += capped
 
     def quads(self, fa, fb, qa, qb, side):
         """Queue the quads with cycle (fa[i], fb[i], qb[i], qa[i]), flat
@@ -596,17 +609,19 @@ class _Emitter:
         return apex, ~vetoed[fan]
 
 
-def _emit_pairs(cs, jobs):
-    """The queue rows (see _Emitter) of the jobs (chain ci, side,
-    match), match holding one flat target id per vertex of chain ci (-1
-    where unmatched): jobs in order, each along its chain's edges (p_i,
-    p_i+1) and then, on a cyclic chain of more than two vertices, (p_n-1,
-    p_0). An edge whose ends match one target vertex gives a triangle;
-    one whose ends match target vertices `steps` apart on one chain, the
+def _emit_pairs(cs, jobs, config):
+    """(rows, capped): the queue rows (see _Emitter) of the jobs (chain
+    ci, side, match), match holding one flat target id per vertex of
+    chain ci (-1 where unmatched), and the number of fans dropped as too
+    long. Jobs go in order, each along its chain's edges (p_i, p_i+1)
+    and then, on a cyclic chain of more than two vertices, (p_n-1, p_0).
+    An edge whose ends match one target vertex gives a triangle; one
+    whose ends match target vertices `steps` apart on one chain, the
     shorter way round a cyclic chain and forward on a tie, gives a quad
-    (steps 1) or a fan over the target section between them; an edge
-    with an end unmatched, or its ends matched on two chains, gives
-    nothing."""
+    (steps 1) or a fan over the target section between them, unless
+    that section's arc length exceeds FAN_SIGMAS sigma_for radii of the
+    edge; an edge with an end unmatched, or its ends matched on two
+    chains, gives nothing."""
     ci = np.array([job[0] for job in jobs], dtype=np.int64)
     n = np.array([len(job[2]) for job in jobs], dtype=np.int64)
     match = np.concatenate([job[2] for job in jobs])
@@ -643,12 +658,20 @@ def _emit_pairs(cs, jobs):
     cyc, tbase = cyclic[e], cs.offsets[ca[e]]
     t0 = tbase + np.where(cyc, j0 % nt[e], j0)
     t1 = tbase + np.where(cyc, j1 % nt[e], j1)
+    # each fan section's arc length, its edges summed in order
+    edge = (s >= 2) & ~src
+    arc = np.bincount(e[edge], np.linalg.norm(cs.pos[t1[edge]]
+                                              - cs.pos[t0[edge]], axis=1),
+                      minlength=len(steps))
+    capped = (steps >= 2) & (
+        arc > FAN_SIGMAS * scoring.sigma_for(cs.w[fa], cs.w[fb], config))
     fa, fb, a = fa[e], fb[e], a[e]
-    return np.stack([
+    rows = np.stack([
         np.where(src, fa, t0), np.where(src, fb, t1),
         np.where(src, np.where(s == 0, a, np.where(s == 1, b[e], -1)), fa),
         np.where(src, np.where(s <= 1, a, -1), fb),
         side[e], s, rank], axis=1)
+    return rows[~capped[e]], int(capped.sum())
 
 
 def _emission_order(table):

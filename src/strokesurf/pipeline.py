@@ -50,7 +50,7 @@ class PipelineOptions:
 
 
 # the SurfaceMesh counters whose growth a strip-emitting stage reports
-STRIP_COUNTS = ("emissions", "fans", "fans_vetoed")
+STRIP_COUNTS = ("emissions", "fans", "fans_capped", "fans_vetoed")
 
 
 class _Tracker:
@@ -109,8 +109,9 @@ class _StageScope:
         """Report what strip meshing did in this stage: `emissions`, the
         triangle rows it offered the mesh (every row of a kept quad,
         triangle or fan, whether it was added, skipped as a duplicate or
-        too thin), `fans`, the fans it queued, and `fans_vetoed`, those
-        an internal match dropped."""
+        too thin), `fans`, the fans it queued, `fans_capped`, those it
+        dropped unqueued for spanning too long a target section, and
+        `fans_vetoed`, those an internal match dropped."""
         for key, before in self.strips_before.items():
             self.count(key, getattr(self.tracker.mesh, key) - before)
 

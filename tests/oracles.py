@@ -825,9 +825,9 @@ def scalar_emitter(stats=None):
     with fan_split. Patch it in for mesher._Emitter to run
     mesh_from_matches or mesh_with_creases as the reference. stats, a
     Counter, counts the cases the queued emitter must get right: fans
-    vetoed, cyclic fans whose two ways round tie, fans with an inside
-    vertex past a side's match array, and one-step jumps across the
-    seam of a cyclic target chain."""
+    capped and vetoed, cyclic fans whose two ways round tie, fans with
+    an inside vertex past a side's match array, and one-step jumps
+    across the seam of a cyclic target chain."""
 
     class ScalarEmitter:
         def __init__(self, mesh, table, config):
@@ -927,7 +927,8 @@ def scalar_emitter(stats=None):
         def polygon(self, fa, fb, qa_flat, qb_flat, match_side):
             """Fan the section of the target chain between two
             non-consecutive matched vertices, the shorter way round a
-            cyclic chain and forward on a tie, unless the section has an
+            cyclic chain and forward on a tie, unless the section is
+            longer than 6 acceptance radii of the source edge or has an
             internal match in the table."""
             cs = self.cs
             tci = int(cs.chain_id[qa_flat])
@@ -942,10 +943,19 @@ def scalar_emitter(stats=None):
                 steps, step = abs(delta), 1 if delta > 0 else -1
             if steps < 2:
                 return
-            self.mesh.fans += 1
             tbase = int(cs.offsets[tci])
             fan = [tbase + ((ja + step * k) % nt if cyclic else ja + step * k)
                    for k in range(steps + 1)]
+            arc = 0.0
+            for k in range(steps):
+                dx, dy, dz = (cs.pos[fan[k + 1]] - cs.pos[fan[k]]).tolist()
+                arc += math.sqrt(dx * dx + dy * dy + dz * dz)
+            sigma = self.config.width_factor * 0.5 * (cs.w[fa] + cs.w[fb])
+            if arc > 6.0 * sigma:
+                self.mesh.fans_capped += 1
+                self.stats["fans_capped"] += 1
+                return
+            self.mesh.fans += 1
             inside = fan[1:-1]
             matches = self.table.matches.values()
             self.stats["inside_past_match"] += any(

@@ -1,7 +1,7 @@
 """End-to-end acceptance checks.
 
 Each test prints a one-line PASS/FAIL verdict straight to the terminal
-(bypassing capture) so a full run reads as a ten-line report. All
+(bypassing capture) so a full run reads as an eleven-line report. All
 thresholds are module constants. The drawing corpus is surfaced once
 per session and shared by every test that inspects it.
 """
@@ -37,6 +37,7 @@ LARGE_BENCH_BUDGET_S = 300.0
 CREASE_TARGET_DEG = 90.0
 CREASE_TOL_DEG = 10.0
 SMOOTH_FLOOR_DEG = 135.0
+CORPUS_HAUSDORFF_MAX = 0.30
 
 # stroke count, width, spacing per surface; three noise levels
 # (relative point noise, normal noise in degrees, flip probability)
@@ -390,3 +391,20 @@ def test_10_crease_option(capsys):
     assert abs(crease_min - CREASE_TARGET_DEG) <= CREASE_TOL_DEG
     assert rep_def["nonmanifold_edges"] == 0
     assert rep_cr["nonmanifold_edges"] == 0
+
+
+# ---------------------------------------------------------------------------
+# 11. no corpus cell strays far from its ground truth
+
+
+def test_11_corpus_hausdorff(corpus, capsys):
+    records, _ = corpus
+    dists = [(evaluate(r.mesh, r.truth).hausdorff, r.surface, r.pattern,
+              r.noise_frac) for r in records]
+    worst = max(dists)
+    ok = worst[0] <= CORPUS_HAUSDORFF_MAX
+    announce(capsys, 11, ok,
+             "worst corpus Hausdorff %.4f on %s-%s-%s (<= %.2f), mean "
+             "%.4f" % (*worst, CORPUS_HAUSDORFF_MAX,
+                       np.mean([d[0] for d in dists])))
+    assert worst[0] <= CORPUS_HAUSDORFF_MAX, worst

@@ -18,7 +18,7 @@ from strokesurf.synth_eval import generate
 import oracles
 from conftest import chain, chain_set
 from test_mesher import chain_from
-from test_pipeline import FLIP_SPECS
+from test_pipeline import CUBE_SPIRAL, FLIP_SPECS
 
 
 def strip_fixture(config, apexes, bn=(0, -1, 0)):
@@ -595,7 +595,8 @@ def test_greedy_solver_matches_reference_on_ties(monkeypatch, repulsive):
 
 
 def test_greedy_solver_matches_reference_on_a_noisy_run(monkeypatch):
-    """Every greedy solve of the noisy spiral, against the reference."""
+    """Every greedy solve of a noisy cube spiral, against the
+    reference."""
     greedy = consolidate._solve_greedy
     sizes = []
 
@@ -608,7 +609,7 @@ def test_greedy_solver_matches_reference_on_a_noisy_run(monkeypatch):
         return labels
 
     monkeypatch.setattr(consolidate, "_solve_greedy", checked)
-    drawing, _ = generate(FLIP_SPECS["dome_spiral"])
+    drawing, _ = generate(CUBE_SPIRAL)
     run_pipeline(drawing)
     assert max(sizes) > 100
 

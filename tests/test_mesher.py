@@ -557,6 +557,34 @@ def test_polygon_wraps_cyclic_chains(config):
     assert not any({5, 6} <= s for s in sets)
 
 
+@pytest.mark.parametrize("scale", [0.01, 1.0, 100.0])
+def test_fans_over_long_sections_are_capped(config, scale):
+    """A fan is emitted across a target section of arc length just under
+    FAN_SIGMAS sigma_for radii of its source edge and dropped across one
+    just over, at any uniform scale of the drawing."""
+    width = 0.3 * scale
+    bound = mesher.FAN_SIGMAS * scoring.sigma_for(width, width, config)
+    under, over = bound * (1 - 1e-6), bound * (1 + 1e-6)
+    xs = np.concatenate([np.linspace(0, under, 4),
+                         under + np.linspace(0, over, 4)[1:]])
+    src = chain_from([[0, 0, 0], [under, 0, 0], [under + over, 0, 0]], 0,
+                     (0, 1, 0), width=width)
+    tgt = chain_from([[x, 0.4 * scale, 0] for x in xs], 3, (0, -1, 0),
+                     width=0.2 * scale)
+    cs = chain_set([src, tgt])
+    table = table_for(cs, Side.LEFT, [(0, flat(cs, 1, 0)),
+                                      (1, flat(cs, 1, 3)),
+                                      (2, flat(cs, 1, 6))])
+    mesh = assert_meshing_equals_reference(mesher.mesh_from_matches, table,
+                                           config)
+    assert (mesh.fans, mesh.fans_capped, mesh.fans_vetoed) == (1, 1, 0)
+    # the first fan's three section triangles and its source triangle
+    assert mesh.emissions == 4
+    sets = active_gid_sets(mesh)
+    assert len(sets) == 4
+    assert all(s <= {0, 1, 3, 4, 5, 6} for s in sets)
+
+
 # ---------------------------------------------------------------------------
 # crease-preserving variant
 
@@ -617,6 +645,7 @@ def mesh_state(mesh):
         "duplicates_skipped": mesh.duplicates_skipped,
         "quads_rejected": mesh.quads_rejected,
         "fans": mesh.fans,
+        "fans_capped": mesh.fans_capped,
         "fans_vetoed": mesh.fans_vetoed,
         "removed_count": mesh.removed_count,
         "keys": dict(mesh._key_to_id),
@@ -694,7 +723,8 @@ def random_strip_table(rng):
     """A chain set with its match table: random chains (some cyclic,
     some with coincident or collinear vertices) whose matches step
     along other chains by 0 (a == b, one triangle), 1 (a quad), 2-3 (a
-    fan), or jump to another chain, a few inside vertices matched to
+    fan, or a capped one where the section outruns the bound on narrow
+    chains), or jump to another chain, a few inside vertices matched to
     their neighbour on their own chain, plus the special quads."""
     chains, gid = [], 0
     for c in range(int(rng.integers(2, 6))):
@@ -789,7 +819,7 @@ def test_strip_meshing_equals_the_scalar_reference(config, fn):
     assert (totals > 0).all()
     # and so do the fan and step cases; a fan's inside vertex lies past
     # a side's match array only on offset chains, appended after matching
-    cases = ["fans_vetoed", "cyclic_ties", "seam_steps"]
+    cases = ["fans_capped", "fans_vetoed", "cyclic_ties", "seam_steps"]
     if fn is mesher.mesh_with_creases:
         cases.append("inside_past_match")
     assert all(stats[case] > 0 for case in cases), stats

@@ -119,11 +119,12 @@ def test_noisy_spiral_reports_a_greedy_sized_component():
 REPAIR_COUNTS = {
     "baseline_match": {"candidates", "candidate_pairs", "matched"},
     "restricted_match": {"candidates", "candidate_pairs", "matched"},
-    "strip_meshing": {"emissions", "fans", "fans_vetoed"},
+    "strip_meshing": {"emissions", "fans", "fans_capped", "fans_vetoed"},
     "boundary_extension": {"candidates", "candidate_pairs", "matched",
-                           "emissions", "fans", "fans_vetoed"},
+                           "emissions", "fans", "fans_capped",
+                           "fans_vetoed"},
     "gap_spanning": {"candidates", "candidate_pairs", "matched",
-                     "emissions", "fans", "fans_vetoed"},
+                     "emissions", "fans", "fans_capped", "fans_vetoed"},
     "strip_consolidation": {"nonorientable_removed"},
     "extension_consolidation": {"nonorientable_removed"},
     "small_holes": {"holes_closed_added"},
@@ -155,6 +156,9 @@ def test_repair_counts_match_stage_deltas(name, options):
                 <= s["triangles_removed"])
     assert by_name["small_holes"]["holes_closed_added"] == \
         by_name["small_holes"]["triangles_added"]
+    # the noisy spiral's strokes run past long target sections
+    assert (by_name["strip_meshing"]["fans_capped"] > 0) == \
+        (name == "dome_spiral")
     orient = by_name["orientation"]
     assert orient["moebius_removed"] > 0
     assert (orient["moebius_removed"] + orient["nonorientable_removed"]
@@ -319,6 +323,14 @@ FLIP_SPECS = {
         surface="cube", pattern="parallel", strokes=6, width=0.18,
         spacing=0.07, noise=0.25 * 0.18, normal_noise_deg=6.0, seed=115),
 }
+
+# the acceptance corpus's cube-spiral-0.125 cell: a run of it solves a
+# conflict component of over 100 nodes greedily (193) and cuts at
+# orientation conflicts (18), where FLIP_SPECS runs meet none
+CUBE_SPIRAL = SyntheticSpec(
+    surface="cube", pattern="spiral", strokes=12, width=0.18, spacing=0.07,
+    noise=0.125 * 0.18, normal_noise_deg=4.0, flip_probability=1 / 3,
+    seed=117)
 
 
 @pytest.mark.parametrize("spec", FLIP_SPECS.values(), ids=FLIP_SPECS.keys())

@@ -19,8 +19,8 @@ from strokesurf import consolidate, mesh_ops, pipeline
 from strokesurf.mesh_ops import mesh_from_arrays
 from strokesurf.mesher import join_equal_keys
 from strokesurf.pipeline import PipelineOptions, run_pipeline
-from strokesurf.synth_eval import SyntheticSpec, generate
-from test_pipeline import FLIP_SPECS
+from strokesurf.synth_eval import generate
+from test_pipeline import CUBE_SPIRAL, FLIP_SPECS
 
 
 def _grid(rng, base):
@@ -322,12 +322,7 @@ RUN_OPTIONS = pytest.mark.parametrize(
     ids=["default", "creases_fill_smooth"])
 
 
-# the 30-cell acceptance corpus's noisy dome of parallel strokes: a run
-# of it cuts at orientation conflicts, where FLIP_SPECS runs meet none
-WALK_SPECS = dict(FLIP_SPECS, dome_parallel=SyntheticSpec(
-    surface="dome", pattern="parallel", strokes=14, width=0.15,
-    spacing=0.06, noise=0.25 * 0.15, normal_noise_deg=6.0,
-    flip_probability=1 / 3, seed=109))
+WALK_SPECS = dict(FLIP_SPECS, cube_spiral=CUBE_SPIRAL)
 
 
 @RUN_OPTIONS
@@ -349,7 +344,7 @@ def test_pipeline_walks_match_the_queue_walk(name, options, monkeypatch):
     run_pipeline(generate(WALK_SPECS[name])[0], options)
     assert callers == {"orient_all", "break_nonorientable",
                        "resolve_moebius"}
-    assert (conflicts > 0) == (name == "dome_parallel")
+    assert (conflicts > 0) == (name == "cube_spiral")
 
 
 # stages after which the pipeline once oriented again, or could have

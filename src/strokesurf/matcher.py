@@ -16,6 +16,16 @@ persistence scores along each segment, a run of consecutive chain
 vertices that all have candidates. One Viterbi pass per side scores
 every row in batches and advances every segment one step at a time.
 
+The restricted pass of stroke matching is a view of the baseline pass.
+Its search would be the baseline's search with one more target-chain
+mask, so its rows are the baseline rows that mask keeps, in their
+order. Its scores are the baseline's: each row and each transition is
+scored on its own, whatever batch it is in. And segments are solved
+independently, so a segment that lost no row to the restriction has
+the baseline's match. Only the segments that lost rows are walked
+again, on the baseline's scores. The result equals a fresh search and
+solve bit for bit.
+
 Ties are broken toward the lowest (chain, vertex) pair, which equals
 flat-id order.
 """
@@ -121,21 +131,33 @@ class CandidateSet:
     (source, target) flat ids, sorted by source and then target.
 
     pairs_tested counts the directed (source, target) pairs the pair
-    search tested, once per side built.
+    search tested, once per side built. A restricted set shares its
+    baseline's search, so its pairs_tested is that search's count.
+
+    passes is None except on baseline sets, where match_all keeps each
+    side's _Pass for a restricted set to reuse. A restricted set names
+    that baseline set in base and its rows there in kept, lists[side]
+    being base.lists[side][kept[side]], until match_all has solved it.
     """
 
     chainset: ChainSet
     pairs_tested: int = 0
     lists: dict = field(default_factory=dict)
+    passes: Optional[dict] = None
+    base: Optional["CandidateSet"] = None
+    kept: dict = field(default_factory=dict)
 
 
 @dataclass
 class MatchTable:
     """Chosen matches per side: matches[side] holds one flat target id
-    per vertex of the chain set, -1 where the vertex is unmatched."""
+    per vertex of the chain set, -1 where the vertex is unmatched.
+    rows_reused counts the candidate rows whose segment kept the
+    baseline pass's match (0 where no pass was reused)."""
 
     chainset: ChainSet
     matches: dict = field(default_factory=dict)
+    rows_reused: int = 0
 
 
 def _query_radii(cs, config, radius_mode):
@@ -231,22 +253,27 @@ def _build_candidates(cs, config, cone_deg, sides, radius_mode,
 def baseline_candidates(cs, config, color_cue=False):
     """First-pass candidates: every non-degenerate vertex of every stroke
     within the width-based radius and the probe cone."""
-    return _build_candidates(cs, config, config.cone_angle_deg,
-                             (Side.LEFT, Side.RIGHT), "width",
-                             color_cue=color_cue)
+    out = _build_candidates(cs, config, config.cone_angle_deg,
+                            (Side.LEFT, Side.RIGHT), "width",
+                            color_cue=color_cue)
+    out.passes = {}
+    return out
 
 
-def restricted_candidates(cs, config, dominant, color_cue=False):
-    """Second-pass candidates, limited per side to the stroke itself and
-    its dominant neighbor on that side; dominant[side] is
-    dominant_neighbors' array of them."""
-    def allowed(src_chain, tgt_chain, side):
-        return ((tgt_chain == src_chain)
-                | (tgt_chain == dominant[side][src_chain]))
-
-    return _build_candidates(cs, config, config.cone_angle_deg,
-                             (Side.LEFT, Side.RIGHT), "width",
-                             color_cue=color_cue, allowed=allowed)
+def restricted_candidates(cands, dominant):
+    """Second-pass candidates: the rows of the baseline set cands whose
+    target lies on the source's own stroke or on its dominant neighbor
+    on that side; dominant[side] is dominant_neighbors' array of them.
+    The rows keep their order."""
+    cs = cands.chainset
+    out = CandidateSet(cs, pairs_tested=cands.pairs_tested, base=cands)
+    for side, rows in cands.lists.items():
+        src_chain = cs.chain_id[rows[:, 0]]
+        tgt_chain = cs.chain_id[rows[:, 1]]
+        kept = np.flatnonzero((tgt_chain == src_chain)
+                              | (tgt_chain == dominant[side][src_chain]))
+        out.kept[side], out.lists[side] = kept, rows[kept]
+    return out
 
 
 def boundary_candidates(cs, config, phase, color_cue=False):
@@ -286,21 +313,49 @@ def _first_max(values, at, sizes):
     return best, np.minimum.reduceat(index, at)
 
 
-def viterbi_chain(cs, side, rows, config):
-    """Solve every chain of one side from its candidate rows,
-    CandidateSet.lists[side]: per flat vertex the match and its log
-    vertex score (-1 and NaN where unmatched), and per chain its
-    segments' log scores added in order from 0.0.
+class _Layout:
+    """The shape of a Viterbi pass over candidate rows with sources src,
+    sorted: per vertex its row count and first row (counts, starts),
+    whether it has rows and whether it is linked to the vertex before
+    it (has, linked).
 
     Vertex v is linked to v - 1 when both have candidates on one chain,
     never across a cyclic chain's ends; its level is its step in its
-    segment. Level by level, every segment's step takes dp[a] +
-    trans[a, b] over the rows a of v - 1 and b of v, the max over a
-    (lowest a on ties), then + emis[b].
-    """
-    n, src, tgt = len(cs), rows[:, 0], rows[:, 1]
-    counts = np.bincount(src, minlength=n)
-    starts = np.concatenate([[0], np.cumsum(counts)])
+    segment. lrows are the rows b of linked vertices by level, levels
+    the (first, end) positions of each level in lrows, pred the vertex
+    before each. Each row b has one group of transition rows, (a, b)
+    for every row a of its pred: group g holds the size[g] transitions
+    from cut[g], and ja, jb are their (a, b) rows."""
+
+    def __init__(self, cs, src):
+        n = len(cs)
+        self.counts = np.bincount(src, minlength=n)
+        self.starts = np.concatenate([[0], np.cumsum(self.counts)])
+        self.has = self.counts > 0
+        linked = np.zeros(n, dtype=bool)
+        linked[1:] = (self.has[1:] & self.has[:-1]
+                      & (cs.chain_id[1:] == cs.chain_id[:-1]))
+        self.linked = linked
+        step = np.arange(n)
+        level = step - np.maximum.accumulate(np.where(linked, 0, step))
+
+        lrows = np.flatnonzero(linked[src])
+        self.lrows = lrows[np.argsort(level[src[lrows]], kind="stable")]
+        self.pred = src[self.lrows] - 1
+        gcut = np.searchsorted(level[self.pred + 1],
+                               np.arange(1, level.max() + 2))
+        self.levels = list(zip(gcut[:-1].tolist(), gcut[1:].tolist()))
+        self.size = self.counts[self.pred]
+        self.cut = np.concatenate([[0], np.cumsum(self.size)])
+        self.ja = (np.repeat(self.starts[self.pred] - self.cut[:-1],
+                             self.size) + np.arange(self.cut[-1]))
+        self.jb = np.repeat(self.lrows, self.size)
+
+
+def _scores(cs, side, rows, lay, config):
+    """Log vertex score per row and log persistence score per transition
+    of lay, from the scoring kernels in ROW_CHUNK slices."""
+    src, tgt = rows[:, 0], rows[:, 1]
     sig = pair_sigmas(cs, src, tgt, config)
     emis = np.empty(len(rows))
     for lo in range(0, len(rows), ROW_CHUNK):
@@ -308,32 +363,26 @@ def viterbi_chain(cs, side, rows, config):
         emis[lo:lo + ROW_CHUNK] = scoring.vertex_scores_log_arrays(
             cs.pos[s], cs.tan[s], cs.bin[s], cs.w[s], int(side),
             cs.pos[t], cs.tan[t], cs.bin[t], cs.w[t], sig[lo:lo + ROW_CHUNK])
-    has = counts > 0
-    linked = np.zeros(n, dtype=bool)
-    linked[1:] = has[1:] & has[:-1] & (cs.chain_id[1:] == cs.chain_id[:-1])
-    step = np.arange(n)
-    level = step - np.maximum.accumulate(np.where(linked, 0, step))
-
-    # the rows b of linked vertices by level, and per row b one group of
-    # transition rows, (a, b) for every row a of v - 1
-    lrows = np.flatnonzero(linked[src])
-    lrows = lrows[np.argsort(level[src[lrows]], kind="stable")]
-    pred = src[lrows] - 1
-    gcut = np.searchsorted(level[pred + 1], np.arange(1, level.max() + 2))
-    levels = list(zip(gcut[:-1].tolist(), gcut[1:].tolist()))
-    size = counts[pred]
-    cut = np.concatenate([[0], np.cumsum(size)])
-    ja = np.repeat(starts[pred] - cut[:-1], size) + np.arange(cut[-1])
-    jb = np.repeat(lrows, size)
-    trans = np.empty(len(ja))
-    for lo in range(0, len(ja), ROW_CHUNK):
-        a, b = ja[lo:lo + ROW_CHUNK], jb[lo:lo + ROW_CHUNK]
+    trans = np.empty(len(lay.ja))
+    for lo in range(0, len(lay.ja), ROW_CHUNK):
+        a, b = lay.ja[lo:lo + ROW_CHUNK], lay.jb[lo:lo + ROW_CHUNK]
         trans[lo:lo + ROW_CHUNK] = scoring.persistence_log_rows(
             cs.pos[src[a]], cs.pos[src[b]], cs.pos[tgt[a]], cs.pos[tgt[b]],
             sig[a])
+    return emis, trans
 
-    dp, back = emis.copy(), np.zeros(len(rows), dtype=np.int64)
-    for g0, g1 in levels:
+
+def _walk(cs, lay, tgt, emis, trans):
+    """Viterbi over lay's segments: per flat vertex the match and its log
+    vertex score (-1 and NaN where unmatched), and per chain its
+    segments' log scores added in order from 0.0.
+
+    Level by level, every segment's step takes dp[a] + trans[a, b] over
+    the rows a of v - 1 and b of v, the max over a (lowest a on ties),
+    then + emis[b]."""
+    ja, cut, size, lrows = lay.ja, lay.cut, lay.size, lay.lrows
+    dp, back = emis.copy(), np.zeros(len(emis), dtype=np.int64)
+    for g0, g1 in lay.levels:
         t0, t1 = cut[g0], cut[g1]
         best, first = _first_max(dp[ja[t0:t1]] + trans[t0:t1],
                                  cut[g0:g1] - t0, size[g0:g1])
@@ -342,13 +391,14 @@ def viterbi_chain(cs, side, rows, config):
         back[b] = ja[t0 + first]
 
     # each segment ends at its best row; walk back level by level
-    hv = np.flatnonzero(has)
-    best, first = _first_max(dp, starts[hv], counts[hv])
-    ends = ~np.append(linked[1:], False)[hv]
-    choice = np.full(n, -1, dtype=np.int64)
+    hv = np.flatnonzero(lay.has)
+    best, first = _first_max(dp, lay.starts[hv], lay.counts[hv])
+    ends = ~np.append(lay.linked[1:], False)[hv]
+    choice = np.full(len(cs), -1, dtype=np.int64)
     choice[hv[ends]] = first[ends]
-    for g0, g1 in reversed(levels):
-        choice[pred[g0:g1]] = back[choice[pred[g0:g1] + 1]]
+    for g0, g1 in reversed(lay.levels):
+        pred = lay.pred[g0:g1]
+        choice[pred] = back[choice[pred + 1]]
     totals = np.bincount(cs.chain_id[hv[ends]], weights=best[ends],
                          minlength=cs.chain_count())
     # choice -1 takes the appended value
@@ -356,11 +406,95 @@ def viterbi_chain(cs, side, rows, config):
             totals)
 
 
+def viterbi_chain(cs, side, rows, config):
+    """Solve every chain of one side from its candidate rows,
+    CandidateSet.lists[side]: per flat vertex the match and its log
+    vertex score (-1 and NaN where unmatched), and per chain its
+    segments' log scores added in order from 0.0 (see _walk)."""
+    lay = _Layout(cs, rows[:, 0])
+    return _walk(cs, lay, rows[:, 1], *_scores(cs, side, rows, lay, config))
+
+
+@dataclass(eq=False)
+class _Pass:
+    """What a baseline side's Viterbi pass leaves for a restricted pass:
+    per row its log vertex score (emis) and the start of its transition
+    group in trans (group, -1 for rows of unlinked vertices); per vertex
+    its first row (starts), its segment (segment, -1 without rows) and
+    its match."""
+
+    emis: np.ndarray
+    trans: np.ndarray
+    group: np.ndarray
+    starts: np.ndarray
+    segment: np.ndarray
+    match: np.ndarray
+
+    @classmethod
+    def solve(cls, cs, side, rows, config):
+        """One side's pass over its candidate rows, as viterbi_chain
+        solves it."""
+        lay = _Layout(cs, rows[:, 0])
+        emis, trans = _scores(cs, side, rows, lay, config)
+        group = np.full(len(rows), -1, dtype=np.int64)
+        group[lay.lrows] = lay.cut[:-1]
+        segment = np.where(lay.has,
+                           np.cumsum(lay.has & ~lay.linked) - 1, -1)
+        return cls(emis, trans, group, lay.starts, segment,
+                   _walk(cs, lay, rows[:, 1], emis, trans)[0])
+
+
+def _rewalk(cs, rows, kept, base_src, done):
+    """Solve a restricted side from the baseline pass done, whose rows
+    have sources base_src and of which rows are the kept ones: a
+    segment that lost no row keeps done's match, and the others are
+    walked again on done's scores, taken in ROW_CHUNK slices. Returns
+    the match and the number of rows whose segment kept its match."""
+    lost = np.ones(len(base_src), dtype=bool)
+    lost[kept] = False
+    dirty = np.zeros(int(done.segment.max()) + 1, dtype=bool)
+    dirty[done.segment[base_src[lost]]] = True
+    same = done.segment >= 0
+    same[same] = ~dirty[done.segment[same]]
+    walk = np.flatnonzero(~same[rows[:, 0]])
+    reused = len(rows) - len(walk)
+    rows, kept = rows[walk], kept[walk]
+    src = rows[:, 0]
+
+    lay = _Layout(cs, src)
+    trans = np.empty(len(lay.ja))
+    for lo in range(0, len(lay.ja), ROW_CHUNK):
+        a, b = lay.ja[lo:lo + ROW_CHUNK], lay.jb[lo:lo + ROW_CHUNK]
+        # row a's offset among the baseline rows of b's pred
+        trans[lo:lo + ROW_CHUNK] = done.trans[
+            done.group[kept[b]] + kept[a] - done.starts[src[b] - 1]]
+    match = _walk(cs, lay, rows[:, 1], done.emis[kept], trans)[0]
+    match[same] = done.match[same]
+    return match, reused
+
+
 def match_all(cands, config):
-    """Solve every side the candidate set holds with viterbi_chain."""
-    cs = cands.chainset
-    return MatchTable(cs, {side: viterbi_chain(cs, side, rows, config)[0]
-                           for side, rows in sorted(cands.lists.items())})
+    """Solve every side the candidate set holds. A baseline set keeps
+    each side's pass. A restricted set whose baseline set holds the
+    side's pass reuses it (see _rewalk). Its link to the baseline set
+    is then dropped, so the passes live no longer than they are needed."""
+    cs, base = cands.chainset, cands.base
+    passes = {} if base is None else base.passes or {}
+    table = MatchTable(cs)
+    for side, rows in sorted(cands.lists.items()):
+        done = passes.get(side)
+        if done is not None:
+            match, reused = _rewalk(cs, rows, cands.kept[side],
+                                    base.lists[side][:, 0], done)
+            table.rows_reused += reused
+        else:
+            done = _Pass.solve(cs, side, rows, config)
+            match = done.match
+            if cands.passes is not None:
+                cands.passes[side] = done
+        table.matches[side] = match
+    cands.base, cands.kept = None, {}
+    return table
 
 
 # ---- neighbor statistics ----

@@ -329,9 +329,12 @@ class SurfaceMesh:
         first = np.ones(len(rows), dtype=bool)
         first[1:] = (keys[order[1:]] != keys[order[:-1]]).any(axis=1)
         first = np.sort(order[first])
-        held = [self._key_to_id.get(tuple(k)) for k in keys[first].tolist()]
-        free = [t is None or self._state[t] == REMOVED for t in held]
-        wins = rows[first][np.array(free, dtype=bool)]
+        held = np.array([self._key_to_id.get(tuple(k), -1)
+                         for k in keys[first].tolist()], dtype=np.int64)
+        hit = held >= 0
+        free = ~hit
+        free[hit] = self._state[held[hit]] == REMOVED
+        wins = rows[first][free]
         self.duplicates_skipped += len(rows) - len(wins)
         tids[wins] = [self.add_triangle(*tri) for tri in verts[wins].tolist()]
         return tids

@@ -240,10 +240,10 @@ def run_pipeline(drawing, options=None):
     tracker.dump_matches("baseline_match", baseline)
 
     with tracker.stage("restricted_match") as stage:
-        cands = matcher.restricted_candidates(cs, config, neighbors,
-                                              color_cue=options.use_color)
+        cands = matcher.restricted_candidates(cands, neighbors)
         table = matcher.match_all(cands, config)
         _count_matching(stage, cands, table)
+        stage.count("rows_reused", table.rows_reused)
     tracker.dump_matches("restricted_match", table)
 
     with tracker.stage("strip_meshing") as stage:

@@ -1,6 +1,7 @@
 """Candidate generation, Viterbi matching, and neighbor statistics."""
 
 import dataclasses
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -168,10 +169,10 @@ def test_candidates_equal_the_per_vertex_builder(config):
             for side in (1, -1):
                 if rng.random() < 0.6:
                     nm[side][ci] = rng.integers(0, cs.chain_count())
-        phases = [("baseline", matcher.baseline_candidates(
-                      cs, config, color_cue=color_cue)),
-                  ("restricted", matcher.restricted_candidates(
-                      cs, config, nm, color_cue=color_cue)),
+        base = matcher.baseline_candidates(cs, config, color_cue=color_cue)
+        restricted = matcher.restricted_candidates(base, nm)
+        assert restricted.pairs_tested == base.pairs_tested
+        phases = [("baseline", base), ("restricted", restricted),
                   ("extension", matcher.boundary_candidates(
                       cs, config, "extension", color_cue=color_cue))]
         if cs.dmax is not None:
@@ -278,7 +279,8 @@ def test_restricted_candidates_limit_targets(config):
     cs = matcher.stroke_chains(parallel_drawing([0.0, 0.1, 0.2]))
     dominant = {side: np.full(3, -1) for side in (1, -1)}
     dominant[int(Side.LEFT)][1] = 0
-    cands = matcher.restricted_candidates(cs, config, dominant)
+    cands = matcher.restricted_candidates(
+        matcher.baseline_candidates(cs, config), dominant)
     left = targets(cands, Side.LEFT, 1)
     assert len(left) and set(cs.chain_id[left]) == {0}
     # no dominant neighbor on the right leaves only the chain itself,
@@ -463,6 +465,100 @@ def test_match_all_solves_every_side(config):
     # chain 0 has nothing to its LEFT and chain 2 nothing to its RIGHT
     assert (table.matches[int(Side.LEFT)][:10] == -1).all()
     assert (table.matches[int(Side.RIGHT)][20:] == -1).all()
+
+
+def dominant_maps(rng, cands):
+    """Three dominant maps over the chains of a baseline set: none at all,
+    a random one, and each chain's first other target chain per side,
+    which keeps every row where a chain reaches one other chain."""
+    cs = cands.chainset
+    count = cs.chain_count()
+    none = {side: np.full(count, -1) for side in cands.lists}
+    drawn = {side: np.where(rng.random(count) < 0.6,
+                            rng.integers(0, count, size=count), -1)
+             for side in cands.lists}
+    first = {}
+    for side, rows in cands.lists.items():
+        src, tgt = cs.chain_id[rows[::-1]].T
+        first[side] = np.full(count, -1)
+        first[side][src[src != tgt]] = tgt[src != tgt]
+    return none, drawn, first
+
+
+def reused_rows(cs, base_rows, kept):
+    """The kept rows whose source's segment lost no row, with segments
+    found one vertex at a time: a run of consecutive vertices of one
+    chain that all have baseline rows."""
+    has = set(base_rows[:, 0].tolist())
+    segment, seg_of = -1, {}
+    for v in sorted(has):
+        if not (v - 1 in has and cs.chain_id[v - 1] == cs.chain_id[v]):
+            segment += 1
+        seg_of[v] = segment
+    dirty = {seg_of[v] for v in np.delete(base_rows[:, 0], kept).tolist()}
+    return sum(seg_of[v] not in dirty for v in base_rows[kept, 0].tolist())
+
+
+def test_restricted_match_reuses_the_baseline_pass(config):
+    """A restricted set solved from its solved baseline set has the table
+    of a fresh viterbi_chain over its rows, bit for bit, and counts as
+    reused the rows whose segment lost no row to the restriction. The
+    maps keep every row of some sets and some rows of others; some
+    passes reuse every kept row and others walk segments again."""
+    rng = np.random.default_rng(2727)
+    kinds = Counter()
+    for _ in range(100):
+        cs = random_chainset(rng, with_dmax=bool(rng.random() < 0.5))
+        base = matcher.baseline_candidates(
+            cs, config, color_cue=bool(rng.random() < 0.5))
+        maps = dominant_maps(rng, base)
+        # before the baseline is solved there is no pass to reuse
+        cold = matcher.match_all(
+            matcher.restricted_candidates(base, maps[1]), config)
+        assert cold.rows_reused == 0
+        matcher.match_all(base, config)
+        assert set(base.passes) == set(base.lists)
+        for dominant in maps:
+            cands = matcher.restricted_candidates(base, dominant)
+            kept_rows = dict(cands.kept)
+            table = matcher.match_all(cands, config)
+            assert cands.base is None and cands.kept == {}
+            kept = total = reused = 0
+            for side, rows in cands.lists.items():
+                fresh = matcher.viterbi_chain(cs, side, rows, config)[0]
+                assert np.array_equal(table.matches[side], fresh)
+                kept += len(rows)
+                total += len(base.lists[side])
+                reused += reused_rows(cs, base.lists[side], kept_rows[side])
+            assert 0 <= table.rows_reused == reused <= kept
+            if dominant is maps[1]:
+                for side, match in cold.matches.items():
+                    assert np.array_equal(table.matches[side], match)
+            if total:
+                kinds["every" if kept == total else "some"] += 1
+            if kept:
+                kinds["all reused" if reused == kept else "walked"] += 1
+    assert min(kinds.values()) >= 50 and len(kinds) == 4, kinds
+
+
+def test_restricted_match_walks_every_segment_that_lost_rows(config):
+    """Three parallel strokes closer than the radius: the outer ones keep
+    only their rows into the middle one, which names the wrong neighbor
+    on both sides. Every segment lost rows, so no row is reused, and the
+    table is still a fresh pass's."""
+    cs = matcher.stroke_chains(parallel_drawing([0.0, 0.08, 0.16]))
+    base = matcher.baseline_candidates(cs, config)
+    matcher.match_all(base, config)
+    dominant = {int(Side.LEFT): np.array([-1, 2, 1]),
+                int(Side.RIGHT): np.array([1, 0, -1])}
+    cands = matcher.restricted_candidates(base, dominant)
+    table = matcher.match_all(cands, config)
+    assert table.rows_reused == 0
+    for side, rows in cands.lists.items():
+        assert 0 < len(rows) < len(base.lists[side])
+        assert set(cs.chain_id[rows[:, 1]]) == {1}
+        fresh = matcher.viterbi_chain(cs, side, rows, config)[0]
+        assert np.array_equal(table.matches[side], fresh)
 
 
 # ---------------------------------------------------------------------------

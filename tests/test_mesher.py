@@ -304,6 +304,11 @@ def test_triangle_table_grows_like_a_list_reference():
     ref = oracles.ListTriangleTable(mesh.positions)
     ref_prov = []
     capacities = set()
+    # the first batch goes into a table that has no rows yet
+    rows = np.random.default_rng(13).integers(0, n, size=(20, 3))
+    rows = np.concatenate([rows, rows[:3]])
+    assert mesh.add_triangles(rows).tolist() == [
+        -1 if t is None else t for t in [ref.add(*row) for row in rows]]
     for step in range(14):
         before = mesh.edges()
         for a, b, c in rng.integers(0, n, size=(int(rng.integers(1, 40)), 3)):

@@ -2,11 +2,14 @@
 
 import json
 import os
+import sys
+from collections import Counter
 
 import numpy as np
 import pytest
+import scipy.spatial
 
-from strokesurf import consolidate, geometry, matcher, pipeline
+from strokesurf import consolidate, geometry, matcher, pipeline, scoring
 from strokesurf.mesher import KIND_OFFSET, KIND_RIBBON, KIND_STROKE
 from strokesurf.pipeline import PipelineOptions, run_pipeline
 from strokesurf.stroke_model import Drawing, Stroke, ValidationError
@@ -118,7 +121,8 @@ def test_noisy_spiral_reports_a_greedy_sized_component():
 # its deltas
 REPAIR_COUNTS = {
     "baseline_match": {"candidates", "candidate_pairs", "matched"},
-    "restricted_match": {"candidates", "candidate_pairs", "matched"},
+    "restricted_match": {"candidates", "candidate_pairs", "matched",
+                         "rows_reused"},
     "strip_meshing": {"emissions", "fans", "fans_capped", "fans_vetoed"},
     "boundary_extension": {"candidates", "candidate_pairs", "matched",
                            "emissions", "fans", "fans_capped",
@@ -156,6 +160,13 @@ def test_repair_counts_match_stage_deltas(name, options):
                 <= s["triangles_removed"])
     assert by_name["small_holes"]["holes_closed_added"] == \
         by_name["small_holes"]["triangles_added"]
+    # one stroke loses no row to the restriction, so every row keeps its
+    # baseline segment's match
+    restricted = by_name["restricted_match"]
+    if name == "dome_spiral":
+        assert restricted["rows_reused"] == restricted["candidates"] > 0
+    else:
+        assert 0 <= restricted["rows_reused"] <= restricted["candidates"]
     # the noisy spiral's strokes run past long target sections
     assert (by_name["strip_meshing"]["fans_capped"] > 0) == \
         (name == "dome_spiral")
@@ -352,19 +363,27 @@ def test_normal_flip_invariance(spec, options):
 def test_matching_equals_the_per_vertex_reference(spec, monkeypatch):
     """Every matching phase of a run lists the candidates, and chooses
     the matches, of the per-vertex references in oracles.py."""
-    phases = []
+    phases, built = [], []
 
     def checked(build, phase=None):
-        # the argument after config is the neighbor map or the phase
+        # the argument after config is the phase of boundary candidates
         def wrapper(cs, config, *args, color_cue=False):
             cands = build(cs, config, *args, color_cue=color_cue)
             name = phase or args[0]
-            neighbors = args[0] if name == "restricted" else None
             assert_same_lists(cands, oracles.phase_candidates(
-                cs, config, name, neighbors, color_cue))
+                cs, config, name, None, color_cue))
             phases.append(name)
+            built.append((config, color_cue))
             return cands
         return wrapper
+
+    def checked_restricted(cands, neighbors):
+        restricted = restrict(cands, neighbors)
+        config, color_cue = built[-1]
+        assert_same_lists(restricted, oracles.phase_candidates(
+            cands.chainset, config, "restricted", neighbors, color_cue))
+        phases.append("restricted")
+        return restricted
 
     def checked_match_all(cands, config):
         table = match_all(cands, config)
@@ -386,15 +405,54 @@ def test_matching_equals_the_per_vertex_reference(spec, monkeypatch):
         return table
 
     match_all = matcher.match_all
+    restrict = matcher.restricted_candidates
     monkeypatch.setattr(matcher, "baseline_candidates", checked(
         matcher.baseline_candidates, "baseline"))
-    monkeypatch.setattr(matcher, "restricted_candidates", checked(
-        matcher.restricted_candidates, "restricted"))
+    monkeypatch.setattr(matcher, "restricted_candidates", checked_restricted)
     monkeypatch.setattr(matcher, "boundary_candidates", checked(
         matcher.boundary_candidates))
     monkeypatch.setattr(matcher, "match_all", checked_match_all)
     run_pipeline(generate(spec)[0])
     assert phases == ["baseline", "restricted", "extension", "gap"]
+
+
+@pytest.mark.parametrize("spec", FLIP_SPECS.values(), ids=FLIP_SPECS.keys())
+def test_restricted_matching_searches_and_scores_nothing(spec, monkeypatch):
+    """The restricted stage is a view of the baseline pass: it builds no
+    cKDTree and calls neither scoring kernel, where the baseline stage
+    calls all three."""
+    calls, by_stage = Counter(), {}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    tree = scipy.spatial.cKDTree
+    for name, module in list(sys.modules.items()):
+        if (name.startswith("strokesurf")
+                and getattr(module, "cKDTree", None) is tree):
+            monkeypatch.setattr(module, "cKDTree", counted("cKDTree", tree))
+    for key in ("vertex_scores_log_arrays", "persistence_log_rows"):
+        monkeypatch.setattr(scoring, key, counted(key, getattr(scoring, key)))
+    enter, leave = pipeline._StageScope.__enter__, pipeline._StageScope.__exit__
+
+    def tracked_enter(self):
+        by_stage[self.name] = Counter(calls)
+        return enter(self)
+
+    def tracked_exit(self, *exc):
+        by_stage[self.name] = Counter(calls) - by_stage[self.name]
+        return leave(self, *exc)
+
+    monkeypatch.setattr(pipeline._StageScope, "__enter__", tracked_enter)
+    monkeypatch.setattr(pipeline._StageScope, "__exit__", tracked_exit)
+    run_pipeline(generate(spec)[0])
+    assert by_stage["baseline_match"]["cKDTree"] == 1
+    assert by_stage["baseline_match"]["vertex_scores_log_arrays"] > 0
+    assert by_stage["baseline_match"]["persistence_log_rows"] > 0
+    assert by_stage["restricted_match"] == Counter()
 
 
 def test_flipped_flat_pair_faces_its_normals():

@@ -20,11 +20,10 @@ The restricted pass of stroke matching is a view of the baseline pass.
 Its search would be the baseline's search with one more target-chain
 mask, so its rows are the baseline rows that mask keeps, in their
 order. Its scores are the baseline's: each row and each transition is
-scored on its own, whatever batch it is in. And segments are solved
-independently, so a segment that lost no row to the restriction has
-the baseline's match. Only the segments that lost rows are walked
-again, on the baseline's scores. The result equals a fresh search and
-solve bit for bit.
+scored on its own, whatever batch it is in. So a side that lost no row
+to the restriction has the baseline's match, and a side that lost rows
+is walked again on the baseline's scores. The result equals a fresh
+search and solve bit for bit.
 
 Ties are broken toward the lowest (chain, vertex) pair, which equals
 flat-id order.
@@ -152,8 +151,9 @@ class CandidateSet:
 class MatchTable:
     """Chosen matches per side: matches[side] holds one flat target id
     per vertex of the chain set, -1 where the vertex is unmatched.
-    rows_reused counts the candidate rows whose segment kept the
-    baseline pass's match (0 where no pass was reused)."""
+    rows_reused counts the candidate rows of the sides that lost no row
+    to the restriction and so kept the baseline pass's match (0 where
+    no pass was reused)."""
 
     chainset: ChainSet
     matches: dict = field(default_factory=dict)
@@ -420,14 +420,12 @@ class _Pass:
     """What a baseline side's Viterbi pass leaves for a restricted pass:
     per row its log vertex score (emis) and the start of its transition
     group in trans (group, -1 for rows of unlinked vertices); per vertex
-    its first row (starts), its segment (segment, -1 without rows) and
-    its match."""
+    its first row (starts) and its match."""
 
     emis: np.ndarray
     trans: np.ndarray
     group: np.ndarray
     starts: np.ndarray
-    segment: np.ndarray
     match: np.ndarray
 
     @classmethod
@@ -438,29 +436,19 @@ class _Pass:
         emis, trans = _scores(cs, side, rows, lay, config)
         group = np.full(len(rows), -1, dtype=np.int64)
         group[lay.lrows] = lay.cut[:-1]
-        segment = np.where(lay.has,
-                           np.cumsum(lay.has & ~lay.linked) - 1, -1)
-        return cls(emis, trans, group, lay.starts, segment,
+        return cls(emis, trans, group, lay.starts,
                    _walk(cs, lay, rows[:, 1], emis, trans)[0])
 
 
-def _rewalk(cs, rows, kept, base_src, done):
-    """Solve a restricted side from the baseline pass done, whose rows
-    have sources base_src and of which rows are the kept ones: a
-    segment that lost no row keeps done's match, and the others are
-    walked again on done's scores, taken in ROW_CHUNK slices. Returns
-    the match and the number of rows whose segment kept its match."""
-    lost = np.ones(len(base_src), dtype=bool)
-    lost[kept] = False
-    dirty = np.zeros(int(done.segment.max()) + 1, dtype=bool)
-    dirty[done.segment[base_src[lost]]] = True
-    same = done.segment >= 0
-    same[same] = ~dirty[done.segment[same]]
-    walk = np.flatnonzero(~same[rows[:, 0]])
-    reused = len(rows) - len(walk)
-    rows, kept = rows[walk], kept[walk]
+def _rewalk(cs, rows, kept, done):
+    """Solve a restricted side from the baseline pass done, of whose
+    rows rows are the kept ones: a side that lost no row keeps done's
+    match, and any other is walked again on done's scores, taken in
+    ROW_CHUNK slices. Returns the match and the number of rows reused,
+    all of them or none."""
+    if len(kept) == len(done.emis):
+        return done.match, len(rows)
     src = rows[:, 0]
-
     lay = _Layout(cs, src)
     trans = np.empty(len(lay.ja))
     for lo in range(0, len(lay.ja), ROW_CHUNK):
@@ -468,9 +456,7 @@ def _rewalk(cs, rows, kept, base_src, done):
         # row a's offset among the baseline rows of b's pred
         trans[lo:lo + ROW_CHUNK] = done.trans[
             done.group[kept[b]] + kept[a] - done.starts[src[b] - 1]]
-    match = _walk(cs, lay, rows[:, 1], done.emis[kept], trans)[0]
-    match[same] = done.match[same]
-    return match, reused
+    return _walk(cs, lay, rows[:, 1], done.emis[kept], trans)[0], 0
 
 
 def match_all(cands, config):
@@ -484,8 +470,7 @@ def match_all(cands, config):
     for side, rows in sorted(cands.lists.items()):
         done = passes.get(side)
         if done is not None:
-            match, reused = _rewalk(cs, rows, cands.kept[side],
-                                    base.lists[side][:, 0], done)
+            match, reused = _rewalk(cs, rows, cands.kept[side], done)
             table.rows_reused += reused
         else:
             done = _Pass.solve(cs, side, rows, config)

@@ -33,8 +33,8 @@ import numpy as np
 
 from . import geometry
 from .matcher import ChainSet
-from .mesher import (edge_index, join_equal_keys, join_links, spans,
-                     split_by_label, split_quads)
+from .mesher import (KIND_STROKE, SurfaceMesh, edge_index, join_equal_keys,
+                     join_links, spans, split_by_label, split_quads)
 from .scoring import sigma_for
 
 # share of the way a smoothing step moves a vertex toward its target
@@ -457,8 +457,9 @@ def close_small_holes(mesh, config):
             gain = Counter(e for r in rows for e in r)
             if any(count[e] + extra > 2 for e, extra in gain.items()):
                 continue
-            for tri, r in zip(tris, rows):
-                if mesh.add_triangle(*tri) is not None:
+            tids = mesh.add_triangles(tris)
+            for tid, r in zip(tids.tolist(), rows):
+                if tid >= 0:
                     added_now += 1
                     count.update(r)
         if not added_now:
@@ -503,18 +504,17 @@ def fill_hole(mesh, loop):
             pick[i][j] = best_k
     if not np.isfinite(cost[0][n - 1]):
         return 0
-    added = 0
+    tris = []
     stack = [(0, n - 1)]
     while stack:
         i, j = stack.pop()
         if j - i < 2:
             continue
         k = pick[i][j]
-        if mesh.add_triangle(loop[j], loop[k], loop[i]) is not None:
-            added += 1
+        tris.append((loop[j], loop[k], loop[i]))
         stack.append((i, k))
         stack.append((k, j))
-    return added
+    return int((mesh.add_triangles(tris) >= 0).sum())
 
 
 def fill_all_holes(mesh, config, max_sides=None):
@@ -793,8 +793,6 @@ def load_obj(path):
 
 def mesh_from_arrays(positions, faces, normals=None):
     """Wrap raw geometry in a SurfaceMesh (for evaluating OBJ files)."""
-    from .mesher import KIND_STROKE, SurfaceMesh
-
     mesh = SurfaceMesh()
     n = len(positions)
     if normals is None or len(normals) != n:
@@ -803,6 +801,5 @@ def mesh_from_arrays(positions, faces, normals=None):
                        np.arange(n, dtype=np.int64)], axis=1)
     mesh.add_vertices(np.asarray(positions, dtype=np.float64), normals,
                       np.ones(n), np.zeros((n, 3)), origin, KIND_STROKE)
-    for f in faces:
-        mesh.add_triangle(f[0], f[1], f[2])
+    mesh.add_triangles(faces)
     return mesh

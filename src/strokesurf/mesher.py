@@ -22,24 +22,27 @@ and splits every fan with one batch of vertex scores, and inserts the
 rows through one `SurfaceMesh.add_triangles` call, which keeps the
 first emission of each triangle; one assignment then writes the
 provenance of those inserted. The one loop left is add_triangles'
-insert of each winner through add_triangle, which waits for a bulk
-table (below). The crease-preserving variant queues each section's
-ribbon quads as one block and inserts what is queued before each ribbon
-it adds vertices for, so every row meets the area floor of the vertex
-table it was emitted under.
+append of each winner, which waits for a bulk table (below). The
+crease-preserving variant queues each section's ribbon quads as one
+block and inserts what is queued before each ribbon it adds vertices
+for, so every row meets the area floor of the vertex table it was
+emitted under.
 
 SurfaceMesh keeps one triangle table: corners as a (T, 3) int64 array,
 states as a (T,) array and provenance as a (T, 6) int64 array, in
 storage whose capacity doubles when an insert finds it full. Passes
 slice and write through the views `tri_verts`, `tri_state` and
 `tri_prov`, and take the rows they walk in Python once with `.tolist()`.
-An insert may move the storage, so no caller holds a view across
-`add_triangle` or `add_triangles`. `add_triangles` still inserts its
-winners one by one through `add_triangle`: the benchmark's traced runs
-count strip triangles by its returns, so a bulk append waits until
-those counts are redefined. The table is the only incidence store, and
-only `edge_index` keys edges: `edges()` indexes the active rows once
-per mesh version, read-only, for every edge reader to slice. A version
+Every insert goes through `add_triangles`, the one place the insert
+rule is applied: no repeated corner, no area under the floor, no vertex
+set of an active triangle. It decides all its rows at once, then
+appends the winners one by one through `add_triangle`, which tests
+nothing: the benchmark's traced runs count strip triangles by its
+returns, so a bulk append waits until those counts are redefined. An
+insert may move the storage, so no caller holds a view across
+`add_triangles`. The table is the only incidence store, and only
+`edge_index` keys edges: `edges()` indexes the active rows once per
+mesh version, read-only, for every edge reader to slice. A version
 ends when `add_triangle` or `remove` change a row, at `flip`, which
 moves edges between the slots that boundary walks and orientation
 read, and at `add_vertices`, as the vertex count is in every key.
@@ -204,10 +207,11 @@ class SurfaceMesh:
     Triangle t is row t of tri_verts, (T, 3) int64, entry t of tri_state
     (OUTPUT or REMOVED) and row t of tri_prov, (T, 6) int64,
     its provenance (module docstring): views of storage whose capacity
-    doubles when full. Inserts leave the provenance row at NO_PROV and
-    strip meshing writes it. An insert may move that storage, so take
-    the views afresh after add_triangle or add_triangles. `version`
-    counts the writes that end an edge index (module docstring)."""
+    doubles when full. add_triangles is the checked insert; it leaves
+    the provenance row at NO_PROV and strip meshing writes it. An insert
+    may move that storage, so take the views afresh after add_triangles.
+    `version` counts the writes that end an edge index (module
+    docstring)."""
 
     def __init__(self):
         self.positions = np.zeros((0, 3))
@@ -279,19 +283,8 @@ class SurfaceMesh:
     # ---- triangles ----
 
     def add_triangle(self, a, b, c):
-        a, b, c = int(a), int(b), int(c)
-        if a == b or b == c or a == c:
-            return None
-        pos = self.positions
-        area = geometry.triangle_area(pos[a].tolist(), pos[b].tolist(),
-                                      pos[c].tolist())
-        if area < (1e-12 * self.scale()) ** 2:
-            return None
-        key = tuple(sorted((a, b, c)))
-        old = self._key_to_id.get(key)
-        if old is not None and self._state[old] != REMOVED:
-            self.duplicates_skipped += 1
-            return None
+        """Append the row (a, b, c), which add_triangles has accepted, and
+        return its tid. It tests nothing: only add_triangles calls it."""
         tid = self._count
         if tid == len(self._state):     # double; new rows start NO_PROV
             cap = max(2 * tid, 16)
@@ -302,20 +295,20 @@ class SurfaceMesh:
         self._verts[tid] = a, b, c
         self._state[tid] = OUTPUT
         self._count = tid + 1
-        self._key_to_id[key] = tid
+        self._key_to_id[tuple(sorted((a, b, c)))] = tid
         self._changed()
         return tid
 
     def add_triangles(self, verts):
-        """Add the rows of an (R, 3) gid array as add_triangle would, one
-        after another: a row naming a vertex twice or under the area
+        """Insert the rows of an (R, 3) gid array, in row order, under the
+        one insert rule: a row naming a vertex twice or under the area
         floor is dropped, and a row whose vertex set an active triangle
         or an earlier row holds counts as a duplicate. Every row is
-        decided at once; the winners then go through add_triangle in row
-        order (see the module docstring for why one by one). Returns the
-        tid of each row, -1 where none."""
+        decided at once; the winners are then appended one by one through
+        add_triangle, as the benchmark's traced runs count strip
+        triangles by its returns. Returns the tid of each row, -1 where
+        none."""
         verts = np.asarray(verts, dtype=np.int64).reshape(-1, 3)
-        self.emissions += len(verts)
         tids = np.full(len(verts), -1, dtype=np.int64)
         a, b, c = verts.T
         area = geometry.triangle_areas(self.positions[a], self.positions[b],
@@ -539,6 +532,7 @@ class _Emitter:
             apex[fan], keep[fan] = self._fans(rows[fan])
         fa, fb, apex, side = fa[keep], fb[keep], apex[keep], side[keep]
         verts = np.stack([cs.gid[fa], cs.gid[fb], cs.gid[apex]], axis=1)
+        self.mesh.emissions += len(verts)
         tids = self.mesh.add_triangles(verts)
         won = tids >= 0
         fa, fb, apex, side = fa[won], fb[won], apex[won], side[won]

@@ -171,9 +171,7 @@ def _emit_ribbons(mesh, drawing, cs):
         gids = mesh.add_vertices(
             corners, stroke.normals[spine], stroke.widths[spine],
             np.tile(stroke.color, (len(corners), 1)), origin, KIND_RIBBON)
-        for a, b, c in tris:
-            if mesh.add_triangle(gids[a], gids[b], gids[c]) is not None:
-                added += 1
+        added += int((mesh.add_triangles(gids[tris]) >= 0).sum())
     return added
 
 

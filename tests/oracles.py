@@ -818,8 +818,8 @@ def _strip_apex_side(cs, fa, fb, apex_pos):
 def scalar_emitter(stats=None):
     """The class of the strip-meshing reference, in mesher._Emitter's
     place: the per-edge loop classifies one matched chain edge at a
-    time, every triangle goes into the mesh through
-    SurfaceMesh.add_triangle as it is emitted, its provenance row
+    time, every triangle goes into the mesh through its own
+    SurfaceMesh.add_triangles call as it is emitted, its provenance row
     written right after, every quad is scored on its own with the
     scalar angle references and every fan is vetoed and split on its own
     with fan_split. Patch it in for mesher._Emitter to run
@@ -883,8 +883,9 @@ def scalar_emitter(stats=None):
         def tri(self, fa, fb, apex_flat, match_side):
             cs = self.cs
             ga, gb = int(cs.gid[fa]), int(cs.gid[fb])
-            tid = self.mesh.add_triangle(ga, gb, cs.gid[apex_flat])
-            if tid is not None:
+            [tid] = self.mesh.add_triangles(
+                [(ga, gb, cs.gid[apex_flat])]).tolist()
+            if tid >= 0:
                 side = _strip_apex_side(cs, fa, fb, cs.pos[apex_flat])
                 if side == 0:
                     side = int(match_side)
@@ -1310,9 +1311,10 @@ class ListTriangleTable:
     corners as a list of tuples, states as a list, and the key and edge
     maps updated one triangle at a time. Triangles over positions
     (n, 3) are added, removed and flipped one at a time under
-    add_triangle's rules: three distinct corners, area at least
+    add_triangles' rules: three distinct corners, area at least
     (1e-12 * bounding-box diagonal) ** 2, and no active triangle on
-    the same vertex set."""
+    the same vertex set; duplicates_skipped counts the rows the last
+    rule drops."""
 
     OUTPUT, REMOVED = 1, 2
 
@@ -1325,6 +1327,7 @@ class ListTriangleTable:
         self.tri_state = []
         self.key_to_id = {}
         self.edges = {}
+        self.duplicates_skipped = 0
 
     def add(self, a, b, c):
         a, b, c = int(a), int(b), int(c)
@@ -1341,6 +1344,7 @@ class ListTriangleTable:
         key = tuple(sorted((a, b, c)))
         old = self.key_to_id.get(key)
         if old is not None and self.tri_state[old] != self.REMOVED:
+            self.duplicates_skipped += 1
             return None
         tid = len(self.tri_verts)
         self.tri_verts.append((a, b, c))

@@ -485,26 +485,18 @@ def dominant_maps(rng, cands):
     return none, drawn, first
 
 
-def reused_rows(cs, base_rows, kept):
-    """The kept rows whose source's segment lost no row, with segments
-    found one vertex at a time: a run of consecutive vertices of one
-    chain that all have baseline rows."""
-    has = set(base_rows[:, 0].tolist())
-    segment, seg_of = -1, {}
-    for v in sorted(has):
-        if not (v - 1 in has and cs.chain_id[v - 1] == cs.chain_id[v]):
-            segment += 1
-        seg_of[v] = segment
-    dirty = {seg_of[v] for v in np.delete(base_rows[:, 0], kept).tolist()}
-    return sum(seg_of[v] not in dirty for v in base_rows[kept, 0].tolist())
+def reused_rows(base_rows, kept):
+    """The kept rows of a side that lost no row to the restriction: all
+    of them, or none where some row is gone."""
+    return len(kept) if len(kept) == len(base_rows) else 0
 
 
 def test_restricted_match_reuses_the_baseline_pass(config):
     """A restricted set solved from its solved baseline set has the table
     of a fresh viterbi_chain over its rows, bit for bit, and counts as
-    reused the rows whose segment lost no row to the restriction. The
-    maps keep every row of some sets and some rows of others; some
-    passes reuse every kept row and others walk segments again."""
+    reused the rows of each side that lost no row to the restriction.
+    The maps keep every row of some sets and some rows of others; some
+    passes reuse every kept row and others walk sides again."""
     rng = np.random.default_rng(2727)
     kinds = Counter()
     for _ in range(100):
@@ -529,7 +521,7 @@ def test_restricted_match_reuses_the_baseline_pass(config):
                 assert np.array_equal(table.matches[side], fresh)
                 kept += len(rows)
                 total += len(base.lists[side])
-                reused += reused_rows(cs, base.lists[side], kept_rows[side])
+                reused += reused_rows(base.lists[side], kept_rows[side])
             assert 0 <= table.rows_reused == reused <= kept
             if dominant is maps[1]:
                 for side, match in cold.matches.items():
@@ -544,7 +536,7 @@ def test_restricted_match_reuses_the_baseline_pass(config):
 def test_restricted_match_walks_every_segment_that_lost_rows(config):
     """Three parallel strokes closer than the radius: the outer ones keep
     only their rows into the middle one, which names the wrong neighbor
-    on both sides. Every segment lost rows, so no row is reused, and the
+    on both sides. Both sides lost rows, so no row is reused, and the
     table is still a fresh pass's."""
     cs = matcher.stroke_chains(parallel_drawing([0.0, 0.08, 0.16]))
     base = matcher.baseline_candidates(cs, config)

@@ -549,6 +549,31 @@ def test_export_obj_equals_the_line_by_line_reference(tmp_path, case):
         assert want.read_text() == "\n"
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_mesh_from_arrays_equals_the_list_table(seed):
+    """The OBJ reload behind `strokesurf eval` builds the table that the
+    list reference builds from the faces one at a time: faces that
+    repeat, repeat reversed or rotated, name a vertex twice or lie on
+    one line are dropped alike, and the repeats count as duplicates."""
+    rng = np.random.default_rng(seed)
+    n = 12
+    pos = rng.normal(size=(n, 3))
+    pos[[0, 1, n - 1]] = [[0, 0, 0], [1, 0, 0], [2, 0, 0]]
+    faces = rng.integers(0, n, size=(40, 3))
+    faces = np.concatenate([
+        faces, faces[:8], faces[8:16, ::-1], np.roll(faces[16:24], 1, axis=1),
+        [[0, 1, n - 1], [n - 1, 1, 0], [3, 3, 5], [4, 6, 4]]])
+    faces = faces[rng.permutation(len(faces))]
+    mesh = mesh_from_arrays(pos, faces.tolist())
+    ref = oracles.ListTriangleTable(pos)
+    for face in faces.tolist():
+        ref.add(*face)
+    assert mesh.tri_verts.tolist() == [list(t) for t in ref.tri_verts]
+    assert mesh.tri_state.tolist() == ref.tri_state
+    assert mesh.duplicates_skipped == ref.duplicates_skipped > 0
+    assert len(ref.tri_verts) < len(faces) - ref.duplicates_skipped
+
+
 def test_obj_round_trip(tmp_path):
     mesh = octahedron()
     mesh.remove(5)

@@ -69,21 +69,21 @@ def triangle_mesh():
 
 def test_add_triangle_rejects_degenerate():
     mesh = triangle_mesh()
-    assert mesh.add_triangle(0, 0, 1) is None
+    assert mesh.add_triangles([(0, 0, 1)]).tolist() == [-1]
     mesh.positions[3] = [2, 0, 0]       # collinear with 0 and 1
-    assert mesh.add_triangle(0, 1, 3) is None
+    assert mesh.add_triangles([(0, 1, 3)]).tolist() == [-1]
     assert mesh.active_count() == 0
 
 
 def test_duplicate_triangles_inserted_once():
     mesh = triangle_mesh()
-    t0 = mesh.add_triangle(0, 1, 2)
-    assert t0 is not None
-    assert mesh.add_triangle(2, 0, 1) is None
+    [t0] = mesh.add_triangles([(0, 1, 2)]).tolist()
+    assert t0 >= 0
+    assert mesh.add_triangles([(2, 0, 1)]).tolist() == [-1]
     assert mesh.duplicates_skipped == 1
     mesh.remove(t0)
-    t1 = mesh.add_triangle(0, 1, 2)
-    assert t1 is not None and t1 != t0
+    [t1] = mesh.add_triangles([(0, 1, 2)]).tolist()
+    assert t1 >= 0 and t1 != t0
     assert mesh.active_count() == 1
 
 
@@ -311,11 +311,11 @@ def test_triangle_table_grows_like_a_list_reference():
         -1 if t is None else t for t in [ref.add(*row) for row in rows]]
     for step in range(14):
         before = mesh.edges()
-        for a, b, c in rng.integers(0, n, size=(int(rng.integers(1, 40)), 3)):
-            tid = mesh.add_triangle(a, b, c)
-            assert tid == ref.add(a, b, c)
-            assert tid is None or type(tid) is int
-            assert (mesh.edges() is not before) == (tid is not None)
+        for row in rng.integers(0, n, size=(int(rng.integers(1, 40)), 3)):
+            [tid] = mesh.add_triangles([row]).tolist()
+            want = ref.add(*row)
+            assert tid == (-1 if want is None else want)
+            assert (mesh.edges() is not before) == (tid >= 0)
             before = mesh.edges()
         # batches repeat rows and hold degenerate ones
         rows = rng.integers(0, n, size=(int(rng.integers(1, 50)), 3))
@@ -334,13 +334,14 @@ def test_triangle_table_grows_like_a_list_reference():
         # a duplicate of a triangle with a row keeps that row
         if len(new):
             t = int(new[0])
-            assert mesh.add_triangle(*mesh.tri_verts[t][::-1]) is None
+            assert mesh.add_triangles([mesh.tri_verts[t][::-1]]).tolist() \
+                == [-1]
             ref.add(*ref.tri_verts[t][::-1])
             # a re-insert over its removed key gets a new, none row
             mesh.remove(t)
             ref.remove(t)
-            assert mesh.add_triangle(*mesh.tri_verts[t]) == ref.add(
-                *ref.tri_verts[t])
+            assert mesh.add_triangles([mesh.tri_verts[t]]).tolist() == [
+                ref.add(*ref.tri_verts[t])]
             ref_prov.append(mesher.NO_PROV)
         active = mesh.active_ids()
         gone = rng.choice(active, size=min(len(active), 6),
@@ -833,7 +834,7 @@ def test_strip_meshing_equals_the_scalar_reference(config, fn):
 def test_strip_meshing_over_a_used_mesh_equals_the_scalar_reference(config):
     """Meshing into a mesh that already holds some of the strip
     triangles, some of them removed: active ones count as duplicates and
-    removed ones are inserted again, as add_triangle does."""
+    removed ones are inserted again, as add_triangles does."""
     rng = np.random.default_rng(77)
     reinserted = 0
     for _ in range(60):
@@ -842,10 +843,10 @@ def test_strip_meshing_over_a_used_mesh_equals_the_scalar_reference(config):
         mesh = stroke_mesh(table.chainset)
         for tri in strips.tri_verts.tolist():
             if rng.random() < 0.4:
-                # None on slivers whose area, taken from another corner,
+                # -1 on slivers whose area, taken from another corner,
                 # rounds below the floor
-                tid = mesh.add_triangle(*tri[::-1])
-                if tid is not None and rng.random() < 0.5:
+                [tid] = mesh.add_triangles([tri[::-1]]).tolist()
+                if tid >= 0 and rng.random() < 0.5:
                     mesh.remove(tid)
         removed = {tuple(mesh.tri_verts[t].tolist())
                    for t in range(len(mesh.tri_verts))

@@ -50,3 +50,42 @@ def test_the_check_sees_mesher_imports():
                      "m._private(1)\n")
     assert sorted(_mesher_names(tree)) == [
         (1, "edge_keys"), (1, "split_runs"), (3, "_private")]
+
+
+def _add_triangle_uses(tree):
+    """(line, where) of every add_triangle attribute in a module, where
+    being the dotted name of the class and function around it, or
+    "<module>" outside any."""
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef)):
+                yield from visit(child, where + [child.name])
+                continue
+            if (isinstance(child, ast.Attribute)
+                    and child.attr == "add_triangle"):
+                yield child.lineno, ".".join(where) or "<module>"
+            yield from visit(child, where)
+    yield from visit(tree, [])
+
+
+def test_only_add_triangles_calls_add_triangle():
+    """SurfaceMesh.add_triangles applies the insert rule (repeated
+    corner, area floor, duplicate) and add_triangle only appends what it
+    accepted, so no other code in the package may call add_triangle."""
+    uses = {(path.name, where) for path in SOURCES
+            for _, where in _add_triangle_uses(
+                ast.parse(path.read_text(encoding="utf-8")))}
+    assert uses == {("mesher.py", "SurfaceMesh.add_triangles")}
+
+
+def test_the_check_sees_add_triangle_uses():
+    tree = ast.parse("mesh.add_triangle(0, 1, 2)\n"
+                     "class Mesh:\n"
+                     "    def fill(self):\n"
+                     "        insert = self.add_triangle\n"
+                     "        return [insert(*t) for t in self.rows]\n"
+                     "def emit(mesh):\n"
+                     "    return mesh.add_triangles([(0, 1, 2)])\n")
+    assert list(_add_triangle_uses(tree)) == [
+        (1, "<module>"), (4, "Mesh.fill")]

@@ -160,8 +160,8 @@ def test_repair_counts_match_stage_deltas(name, options):
                 <= s["triangles_removed"])
     assert by_name["small_holes"]["holes_closed_added"] == \
         by_name["small_holes"]["triangles_added"]
-    # one stroke loses no row to the restriction, so every row keeps its
-    # baseline segment's match
+    # one stroke loses no row to the restriction, so both sides keep the
+    # baseline pass's match
     restricted = by_name["restricted_match"]
     if name == "dome_spiral":
         assert restricted["rows_reused"] == restricted["candidates"] > 0

@@ -742,7 +742,9 @@ def repair_nonmanifold(mesh, frozen=frozenset()):
     Overfull edges are cleared once, in sorted order, of their newest
     active triangles, unfrozen before frozen: removals only lower edge
     counts, so no edge can become overfull later. Pinched vertices are
-    then split until the audit finds none."""
+    then split until the audit finds none. Removals lower edge counts
+    and change fans only at the removed rows' corners, so after a first,
+    whole audit each round audits only the corners of the last cuts."""
     removed = Repair()
     tids, _, index = mesh.edges()
     stop = np.cumsum(index.count)
@@ -752,9 +754,10 @@ def repair_nonmanifold(mesh, frozen=frozenset()):
                     key=lambda t: (t not in frozen, t), reverse=True)
         mesh.remove(on[:-2])
         removed += on[:-2]
+    at = None
     for _ in range(64):
-        changed = False
-        audit = mesh_ops.audit_manifold(mesh)
+        before = len(removed)
+        audit = mesh_ops.audit_manifold(mesh, at=at)
         nm_vertices = audit[1]
         vmap = mesh.vertex_tris(nm_vertices) if nm_vertices else {}
         for v in nm_vertices:
@@ -775,10 +778,10 @@ def repair_nonmanifold(mesh, frozen=frozenset()):
                 # guarantee outranks keeping prior triangles
                 mesh.remove(g)
                 removed += g
-                changed = True
-        if not changed:
+        if len(removed) == before:
             removed.audit = audit
             break
+        at = mesh.tri_verts[removed[before:]]
     return removed
 
 

@@ -4,12 +4,13 @@ hole filling, smoothing, and OBJ round-tripping.
 Everything here works on the active triangles of a SurfaceMesh and is
 deterministic: iteration orders are sorted, ties broken by ids. Every
 whole-mesh reader slices `mesh.edges()`, the mesh's active rows and
-their one edge index per version (see mesher), but orient_parts on a
-subset indexes its rows. OBJ export and import work on whole arrays:
-export formats each block of lines with one str.format call.
+their one edge index per version (see mesher), but a walk or an audit
+of some triangles indexes its own rows. OBJ export and import work on
+whole arrays: export formats each block of lines with one str.format
+call.
 
 Every orientation (orient_all, break_nonorientable, resolve_moebius)
-is one breadth-first walk, orient_parts, over a set of triangle rows.
+is one breadth-first walk, _Walk, over a set of triangle rows.
 Each edge-connected part starts at its lowest tid, and the walk
 expands all parts one level at a time in numpy. The next level is
 ordered by the parent's rank, then the position of the shared edge in
@@ -23,6 +24,16 @@ three or more triangles always has such a pair). Its first conflict is
 the pair (t, other), t ranked earlier, with the smallest key (rank of
 t, position of the edge in t's winding, tid of other): the pair a
 queue-driven walk in that order meets first.
+
+break_nonorientable cuts a triangle of each broken part's first conflict
+(Gueziec et al., "Cutting and Stitching", IEEE TVCG 2001) and resumes
+the walk at the cut. A fresh walk without the cut row, of level L, is
+the same through level L minus that row, whose offers leave only gaps in
+ranks that are only compared: the part walks on from its other rows of
+level L in rank order. Flips count against the build-time winding, as a
+walk over rewound rows follows flip[child] = same ^ flip[parent] with
+the build-time same. Unreached rows start new parts from their lowest
+tids, which keep their flips as a fresh walk keeps their windings.
 """
 
 from __future__ import annotations
@@ -39,36 +50,49 @@ from .scoring import sigma_for
 
 # share of the way a smoothing step moves a vertex toward its target
 SMOOTH_STEP = 0.5
+# a walk's rank of a row it has not reached, and of a cut row
+UNRANKED, DEAD = np.iinfo(np.int64).max, -1
 
 
 # ---------------------------------------------------------------------------
 # audits
 
 
-def audit_manifold(mesh):
+def audit_manifold(mesh, at=None):
     """Return (bad_edges, bad_vertices), both sorted: edges with more
     than two incident triangles and vertices whose incident triangles
-    split into multiple edge-connected fans.
+    split into multiple edge-connected fans. With `at`, an array of
+    vertices, only the active rows at those vertices are read, and only
+    the edges with an end in at and the vertices in at are audited.
 
     Fans come from one labelling of every triangle corner: the corners
     of two triangles at v are joined when the triangles also share an
     opposite vertex u, that is the edge (v, u). A vertex is bad when its
     corners carry more than one label."""
-    _, verts, index = mesh.edges()
-    at = verts.ravel()
+    n = mesh.vertex_count()
+    near = np.zeros(n, dtype=bool)
+    near[slice(None) if at is None else at] = True
+    if at is None:
+        _, verts, index = mesh.edges()
+    else:
+        verts = mesh.triangle_array()[1]
+        verts = verts[near[verts].any(axis=1)]
+        index = edge_index(verts, n)
+    corner = verts.ravel()
     # two rows on an edge join their corners at each of its ends: corner
     # c's edge runs from c to the next corner of its row
     c1, c2 = index.corner_pairs()
     n1, n2 = (c + 1 - 3 * (c % 3 == 2) for c in (c1, c2))
-    same = at[c1] == at[c2]
-    labels = join_links(len(at), np.r_[c1, n1], np.r_[
+    same = corner[c1] == corner[c2]
+    labels = join_links(len(corner), np.r_[c1, n1], np.r_[
         np.where(same, c2, n2), np.where(same, n2, c2)])
     # each label lies at one vertex: count labels per vertex
     _, first = np.unique(labels, return_index=True)
-    fans = np.bincount(at[first], minlength=mesh.vertex_count())
+    fans = np.bincount(corner[first], minlength=n)
     lo, hi = index.ends(index.count > 2)
-    return (list(zip(lo.tolist(), hi.tolist())),
-            np.flatnonzero(fans > 1).tolist())
+    touch = near[lo] | near[hi]
+    return (list(zip(lo[touch].tolist(), hi[touch].tolist())),
+            np.flatnonzero((fans > 1) & near).tolist())
 
 
 def vertex_fan_groups(mesh, v, tids=None):
@@ -87,6 +111,106 @@ def vertex_fan_groups(mesh, v, tids=None):
 # orientation
 
 
+class _Walk:
+    """The walk of the module docstring over the active triangles tids,
+    row i being tids[i], which a cut can resume. Per row: flip against the
+    build-time winding; rank, UNRANKED until reached, DEAD (beating every
+    offer, clashing with no pair) once cut; depth, its level; root, its
+    part's lowest row. `ranked` counts all rows, then those cuts rerank."""
+
+    def __init__(self, mesh, tids):
+        self.tids, verts = mesh.triangle_array(tids)
+        r = len(self.tids)
+        whole = (r == mesh.active_count()
+                 and np.array_equal(self.tids, mesh.edges()[0]))
+        index = (mesh.edges()[2] if whole
+                 else edge_index(verts, mesh.vertex_count()))
+        up = (verts < np.roll(verts, -1, axis=1)).ravel()
+        # every ordered pair (src, dst) of corners, 3 row + slot, on one
+        # edge; the lower corner of each pair comes first as dst, so that
+        # a stable sort by src leaves each corner's others ascending
+        first, second = index.corner_pairs()
+        src = np.concatenate([second, first])
+        dst = np.concatenate([first, second])
+        by_src = np.argsort(src, kind="stable")
+        src, dst = src[by_src], dst[by_src]
+        self.same, self.slot = up[src] == up[dst], src % 3
+        self.parent, self.child = src // 3, dst // 3
+        # a row's pairs in the order its winding runs them: kept, slots 0,
+        # 1, 2 (order[:p]); flipped, 2, 1, 0 (order[p:])
+        self.order = np.concatenate([np.arange(len(src)), np.argsort(
+            src + 2 - 2 * self.slot, kind="stable")])
+        self.count = np.bincount(self.parent, minlength=r)
+        self.start = np.cumsum(self.count) - self.count
+        self.flip = np.zeros(r, dtype=bool)
+        self.rank = np.full(r, UNRANKED)
+        self.depth, self.root = np.zeros((2, r), dtype=np.int64)
+        self.done, self.ranked = 0, r
+        self._start(np.arange(r))
+
+    def _start(self, rows):
+        """Walk the parts of the unranked rows, each from its lowest."""
+        at = spans(self.start[rows], self.count[rows])
+        a, b = self.parent[at], self.child[at]
+        link = (self.rank[b] == UNRANKED) & (a < b)
+        labels = join_links(len(rows), *np.searchsorted(rows, [a[link],
+                                                               b[link]]))
+        roots = rows[np.unique(labels, return_index=True)[1]]
+        self.root[rows] = roots[labels]
+        self.rank[roots] = self.done + np.arange(len(roots))
+        self.depth[roots] = 0
+        self.done += len(roots)
+        self._grow(roots)
+
+    def _grow(self, level):
+        """Walk on level by level from the rows of level in rank order.
+        Each pair of a level offers its child the next rank; a row keeps
+        its lowest offer, its first discovery, and a ranked row holds a
+        lower rank already. Ranks leave gaps but keep the walk's order."""
+        rank, flip, p = self.rank, self.flip, len(self.parent)
+        while len(level):
+            at = self.order[spans(self.start[level] + p * flip[level],
+                                  self.count[level])]
+            kid = self.child[at]
+            offer = np.arange(self.done, self.done + len(kid))
+            np.minimum.at(rank, kid, offer)
+            won = rank[kid] == offer
+            at, level = at[won], kid[won]
+            flip[level] = self.same[at] ^ flip[self.parent[at]]
+            self.depth[level] = self.depth[self.parent[at]] + 1
+            self.done += len(kid)
+
+    def conflicts(self, rows):
+        """Root row -> first conflict (t, other), as tids, of each broken
+        part holding rows, in root order."""
+        at = spans(self.start[rows], self.count[rows])
+        parent, child, flip, rank = (self.parent[at], self.child[at],
+                                     self.flip, self.rank)
+        clash = ((self.same[at] ^ flip[parent] ^ flip[child])
+                 & (rank[parent] < rank[child]))
+        at, parent, child = at[clash], parent[clash], child[clash]
+        pos = np.where(flip[parent], 2 - self.slot[at], self.slot[at])
+        first = np.argsort((3 * rank[parent] + pos) * len(rank) + child)
+        roots, once = np.unique(self.root[parent[first]], return_index=True)
+        return dict(zip(roots.tolist(), zip(*(
+            self.tids[x[first[once]]].tolist() for x in (parent, child)))))
+
+    def cut(self, dead):
+        """Cut the rows dead, one a part, in root order, walk on from each
+        one's level (module docstring); return the rows the parts keep."""
+        roots, level = self.root[dead], self.depth[dead]
+        self.rank[dead] = DEAD
+        part = np.flatnonzero(np.isin(self.root, roots) & (self.rank != DEAD))
+        below = (self.depth[part]
+                 - level[np.searchsorted(roots, self.root[part])])
+        deeper, front = part[below > 0], part[below == 0]
+        self.rank[deeper] = UNRANKED
+        self.ranked += len(deeper)
+        self._grow(front[np.argsort(self.rank[front])])
+        self._start(part[self.rank[part] == UNRANKED])
+        return part
+
+
 def orient_parts(mesh, tids):
     """Wind the active triangles tids so that neighbours run their shared
     edge in opposite directions, with the walk of the module docstring,
@@ -94,71 +218,13 @@ def orient_parts(mesh, tids):
     the edge-connected parts of tids (joined through edges of tids only)
     as ascending tid lists ordered by their lowest tid, and for each the
     first conflicting pair (t, other) of its walk, or None when the part
-    is orientable. All the active triangles read the mesh's edge index,
-    a subset indexes its own rows."""
-    tids, verts = mesh.triangle_array(tids)
-    r = len(tids)
-    if not r:
-        return [], []
-    whole = (r == mesh.active_count()
-             and np.array_equal(tids, mesh.edges()[0]))
-    index = (mesh.edges()[2] if whole
-             else edge_index(verts, mesh.vertex_count()))
-    up = (verts < np.roll(verts, -1, axis=1)).ravel()
-    # every ordered pair (src, dst) of corners, 3 row + slot, on one edge;
-    # the lower corner of each pair comes first as dst, so that a stable
-    # sort by src leaves each corner's others ascending
-    first, second = index.corner_pairs()
-    labels = join_links(r, first // 3, second // 3)
-    src = np.concatenate([second, first])
-    dst = np.concatenate([first, second])
-    by_src = np.argsort(src, kind="stable")
-    src, dst = src[by_src], dst[by_src]
-    same = up[src] == up[dst]
-    parent, child = src // 3, dst // 3
-    # a row's pairs in the order its winding runs them: kept, slots 0, 1,
-    # 2 (walk[:p]); flipped, 2, 1, 0 (walk[p:])
-    p = len(src)
-    walk = np.concatenate([np.arange(p), np.argsort(src + 2 - 2 * (src % 3),
-                                                    kind="stable")])
-    count = np.bincount(parent, minlength=r)
-    start = np.cumsum(count) - count
-
-    # level by level from the lowest row of every part. Each pair of a
-    # level offers its child the next rank; a row keeps its lowest offer,
-    # its first discovery, and a visited row holds a lower rank already.
-    # Ranks leave gaps but keep the walk's order.
-    flip = np.zeros(r, dtype=bool)
-    rank = np.full(r, np.iinfo(np.int64).max)
-    level = np.unique(labels, return_index=True)[1]
-    rank[level] = np.arange(len(level))
-    done = len(level)
-    while len(level):
-        lo, n = start[level] + p * flip[level], count[level]
-        at = walk[spans(lo, n)]
-        kid = child[at]
-        offer = np.arange(done, done + len(kid))
-        np.minimum.at(rank, kid, offer)
-        won = rank[kid] == offer
-        at, level = at[won], kid[won]
-        flip[level] = same[at] ^ flip[parent[at]]
-        done += len(kid)
-    mesh.flip(tids[flip])
-
-    # the earliest pair of the walk, in each part, that runs its edge one
-    # way: (rank of t, position of the edge in t's winding, other's row)
-    clash = np.flatnonzero((same ^ flip[parent] ^ flip[child])
-                           & (rank[parent] < rank[child]))
-    pos = np.where(flip[parent[clash]], 2 - src[clash] % 3, src[clash] % 3)
-    clash = clash[np.argsort((3 * rank[parent[clash]] + pos) * r
-                             + child[clash])]
-    part, once = np.unique(labels[parent[clash]], return_index=True)
-    parts = split_by_label(tids, labels)
-    conflicts = [None] * len(parts)
-    for c, t, other in zip(part.tolist(), *(
-            tids[x[clash[once]]].tolist() for x in (parent, child))):
-        conflicts[c] = (t, other)
-    return parts, conflicts
+    is orientable."""
+    walk = _Walk(mesh, tids)
+    mesh.flip(walk.tids[walk.flip])
+    roots, labels = np.unique(walk.root, return_inverse=True)
+    found = walk.conflicts(np.arange(len(labels)))
+    return (split_by_label(walk.tids, labels),
+            [found.get(root) for root in roots.tolist()])
 
 
 def _align_with_source_normals(mesh, tids):
@@ -194,30 +260,31 @@ def orient_all(mesh, align=True):
     return bad
 
 
+class Cut(list):
+    """break_nonorientable's cuts in removal order; walk_rows: rows ranked."""
+
+    walk_rows = 0
+
+
 def break_nonorientable(mesh, frozen=frozenset()):
-    """Remove triangles until every component orients. Each round walks
-    the components the round before cut (at first every active
-    triangle) with orient_parts; the newer removable triangle of each
-    part's first conflicting pair goes (the newer of both when both are
-    frozen). A cut changes only its own part's edges, so the other
-    conflicts of the round still hold, and a part without conflict is
-    wound for good. Surviving components keep the winding of their
-    lowest triangle id; align them with orient_all afterwards if they
-    should face the source normals."""
-    removed = []
-    tids = mesh.active_ids()
-    while True:
-        parts, conflicts = orient_parts(mesh, tids)
-        cut = [(part, conflict) for part, conflict in zip(parts, conflicts)
-               if conflict is not None]
-        if not cut:
-            return removed
-        victims = [max([t for t in conflict if t not in frozen] or conflict)
-                   for _, conflict in cut]
-        mesh.remove(victims)
+    """Remove triangles until every component orients: the newer
+    removable triangle of each broken part's first conflict goes (the
+    newer of both when both are frozen), and the walk resumes at the cuts
+    (module docstring) until no part is broken; then the flips and
+    removals are written to the mesh. Surviving components keep the
+    winding of their lowest triangle id; align them with orient_all
+    afterwards if they should face the source normals. Returns a Cut."""
+    walk, removed = _Walk(mesh, mesh.active_ids()), Cut()
+    rows = np.arange(len(walk.tids))
+    while pairs := walk.conflicts(rows).values():
+        victims = [max([t for t in pair if t not in frozen] or pair)
+                   for pair in pairs]
         removed += victims
-        tids = np.concatenate([part for part, _ in cut])
-        tids = tids[mesh.is_active(tids)]
+        rows = walk.cut(np.searchsorted(walk.tids, victims))
+    mesh.flip(walk.tids[walk.flip])
+    mesh.remove(removed)
+    removed.walk_rows = walk.ranked
+    return removed
 
 
 def resolve_moebius(mesh, new_tids):

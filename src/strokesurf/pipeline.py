@@ -202,6 +202,14 @@ def _match_payload(table):
     return payload
 
 
+def _break_nonorientable(stage, mesh, frozen=frozenset()):
+    """mesh_ops.break_nonorientable, counted in the stage; its Cut."""
+    cut = mesh_ops.break_nonorientable(mesh, frozen=frozen)
+    stage.count("nonorientable_removed", len(cut))
+    stage.count("walk_rows", cut.walk_rows)
+    return cut
+
+
 def run_pipeline(drawing, options=None):
     """Surface a drawing. Returns (mesh, report dict)."""
     options = options or PipelineOptions()
@@ -254,9 +262,9 @@ def run_pipeline(drawing, options=None):
     stats = consolidate.ConsolidationStats()
     with tracker.stage("strip_consolidation", stats) as stage:
         consolidate.consolidate_mesh(mesh, cs, config, stats=stats)
-        stage.count("nonorientable_removed",
-                    len(mesh_ops.break_nonorientable(mesh)))
-        stats.repair_removed += len(consolidate.repair_nonmanifold(mesh))
+        # consolidate_mesh certified the mesh; flips change no edge or fan
+        if _break_nonorientable(stage, mesh):
+            stats.repair_removed += len(consolidate.repair_nonmanifold(mesh))
 
     if not options.skip_extension:
         frozen = set(mesh.active_ids())
@@ -277,10 +285,9 @@ def run_pipeline(drawing, options=None):
             if bcs is not None:
                 consolidate.consolidate_mesh(mesh, bcs, config,
                                              frozen=frozen, stats=stats)
-            stage.count("nonorientable_removed", len(
-                mesh_ops.break_nonorientable(mesh, frozen=frozen)))
-            stats.repair_removed += len(
-                consolidate.repair_nonmanifold(mesh, frozen=frozen))
+            if _break_nonorientable(stage, mesh, frozen) or bcs is None:
+                stats.repair_removed += len(
+                    consolidate.repair_nonmanifold(mesh, frozen=frozen))
 
     with tracker.stage("small_holes") as stage:
         stage.count("holes_closed_added",
@@ -313,8 +320,7 @@ def run_pipeline(drawing, options=None):
         new_tids = [t for t in mesh.active_ids() if t >= tris_before_gap]
         stage.count("moebius_removed",
                     len(mesh_ops.resolve_moebius(mesh, new_tids)))
-        stage.count("nonorientable_removed", len(
-            mesh_ops.break_nonorientable(mesh, frozen=frozen)))
+        _break_nonorientable(stage, mesh, frozen)
         # removals may leave pinched fans behind
         stage.count("repair_removed", len(
             consolidate.repair_nonmanifold(mesh, frozen=frozen)))

@@ -129,11 +129,11 @@ REPAIR_COUNTS = {
                            "fans_vetoed"},
     "gap_spanning": {"candidates", "candidate_pairs", "matched",
                      "emissions", "fans", "fans_capped", "fans_vetoed"},
-    "strip_consolidation": {"nonorientable_removed"},
-    "extension_consolidation": {"nonorientable_removed"},
+    "strip_consolidation": {"nonorientable_removed", "walk_rows"},
+    "extension_consolidation": {"nonorientable_removed", "walk_rows"},
     "small_holes": {"holes_closed_added"},
     "orientation": {"moebius_removed", "nonorientable_removed",
-                    "repair_removed", "holes_closed_added"},
+                    "walk_rows", "repair_removed", "holes_closed_added"},
     "hole_filling": {"holes_filled_added"},
 }
 ENTRY_KEYS = {"name", "triangles_added", "triangles_removed",

@@ -6,6 +6,7 @@ triangle after the call. The labelling helper they share is compared
 with scipy.sparse.csgraph.connected_components."""
 
 import copy
+import json
 import math
 import sys
 
@@ -19,7 +20,7 @@ from strokesurf import consolidate, mesh_ops, pipeline
 from strokesurf.mesh_ops import mesh_from_arrays
 from strokesurf.mesher import join_equal_keys
 from strokesurf.pipeline import PipelineOptions, run_pipeline
-from strokesurf.synth_eval import generate
+from strokesurf.synth_eval import SyntheticSpec, generate
 from test_pipeline import CUBE_SPIRAL, FLIP_SPECS
 
 
@@ -155,11 +156,23 @@ def _all_cases():
         for s in SEEDS]
 
 
+def _assert_local_audit_matches_reference(mesh, at):
+    """audit_manifold at the vertices at is the whole audit's part at
+    them: the bad edges with an end in at and the bad vertices in at."""
+    near = set(at)
+    edges, vertices = oracles.audit_manifold(mesh)
+    assert (mesh_ops.audit_manifold(mesh, at=np.array(at, dtype=np.int64))
+            == ([e for e in edges if near & set(e)],
+                [v for v in vertices if v in near]))
+
+
 @pytest.mark.parametrize("make", _all_cases())
 def test_components_audit_and_fans_match_reference(make):
     mesh, _ = make()
     assert mesh.components() == oracles.components(mesh)
     assert mesh_ops.audit_manifold(mesh) == oracles.audit_manifold(mesh)
+    for at in (range(0, mesh.vertex_count(), 2), [1], []):
+        _assert_local_audit_matches_reference(mesh, at)
     vmap = mesh.vertex_tris()
     for v in range(mesh.vertex_count()):
         assert (mesh_ops.vertex_fan_groups(mesh, v)
@@ -180,14 +193,21 @@ def test_orient_all_matches_reference(make, align):
     assert np.array_equal(mesh.tri_verts, ref.tri_verts)
 
 
-@pytest.mark.parametrize("make", _all_cases())
-def test_break_nonorientable_matches_reference(make):
-    mesh, frozen = make()
+def _assert_cuts_match_reference(mesh, frozen,
+                                 cut=mesh_ops.break_nonorientable):
+    """break_nonorientable removes the reference's triangles in its order
+    and leaves every triangle wound and removed as the reference does."""
     ref = copy.deepcopy(mesh)
-    removed = mesh_ops.break_nonorientable(mesh, frozen=frozen)
+    removed = cut(mesh, frozen=frozen)
     assert removed == oracles.break_nonorientable(ref, frozen=frozen)
     assert np.array_equal(mesh.tri_verts, ref.tri_verts)
     assert np.array_equal(mesh.tri_state, ref.tri_state)
+    return removed
+
+
+@pytest.mark.parametrize("make", _all_cases())
+def test_break_nonorientable_matches_reference(make):
+    _assert_cuts_match_reference(*make())
 
 
 def _assert_walk_matches_reference(mesh, tids,
@@ -228,8 +248,29 @@ def test_orient_component_skips_triangles_outside_the_strip(make):
     _assert_walk_matches_reference(mesh, subset)
 
 
+def _checked_local_audits(monkeypatch):
+    """Make every audit_manifold at some vertices assert that it finds
+    what the reference's whole audit finds; returns the list of their
+    results."""
+    audit, local = mesh_ops.audit_manifold, []
+
+    def checked(mesh, at=None):
+        found = audit(mesh, at=at)
+        if at is not None:
+            assert found == oracles.audit_manifold(mesh)
+            local.append(found)
+        return found
+
+    monkeypatch.setattr(mesh_ops, "audit_manifold", checked)
+    return local
+
+
 @pytest.mark.parametrize("make", _all_cases())
-def test_repair_net_matches_reference(make):
+def test_repair_net_matches_reference(make, monkeypatch):
+    """The repair net removes as the reference does, and each of its
+    audits after the first, at the corners of the rows it cut last,
+    finds all that a whole audit finds."""
+    _checked_local_audits(monkeypatch)
     mesh, frozen = make()
     ref = copy.deepcopy(mesh)
     removed = consolidate.repair_nonmanifold(mesh, frozen=frozen)
@@ -267,11 +308,7 @@ def test_deep_band_orients_like_the_queue_walk():
     walked from tid 0 both ways, and the two fronts meet in conflict
     about 240 levels out."""
     rungs = 241
-    pos = [[i, j, 0.01 * i * j] for i in range(rungs) for j in (0, 1)]
-    faces = []
-    for i in range(rungs - 1):
-        a, b, c, d = 2 * i, 2 * i + 1, 2 * i + 2, 2 * i + 3
-        faces += [(a, c, b), (b, c, d)]
+    pos, faces = _finned_strip(0, rungs, [], 0)
     mesh = _mesh(pos, faces)
     wound = mesh.tri_verts.copy()
     mesh.flip(len(faces) - 3)
@@ -328,9 +365,11 @@ WALK_SPECS = dict(FLIP_SPECS, cube_spiral=CUBE_SPIRAL)
 @RUN_OPTIONS
 @pytest.mark.parametrize("name", sorted(WALK_SPECS))
 def test_pipeline_walks_match_the_queue_walk(name, options, monkeypatch):
-    """Every walk of a run, from orient_all, break_nonorientable and
-    resolve_moebius, equals one queue walk per part."""
-    walk = mesh_ops.orient_parts
+    """Every walk of a run equals one queue walk per part: those of
+    orient_all and resolve_moebius through orient_parts, and every call
+    of break_nonorientable, whose walk resumes at each cut, removes and
+    winds as the reference does."""
+    walk, cut = mesh_ops.orient_parts, mesh_ops.break_nonorientable
     callers, conflicts = set(), 0
 
     def checked(mesh, tids):
@@ -340,11 +379,108 @@ def test_pipeline_walks_match_the_queue_walk(name, options, monkeypatch):
         conflicts += sum(c is not None for c in found)
         return parts, found
 
+    def checked_cut(mesh, frozen=frozenset()):
+        nonlocal conflicts
+        callers.add("break_nonorientable")
+        removed = _assert_cuts_match_reference(mesh, frozen, cut)
+        conflicts += len(removed)
+        return removed
+
     monkeypatch.setattr(mesh_ops, "orient_parts", checked)
+    monkeypatch.setattr(mesh_ops, "break_nonorientable", checked_cut)
     run_pipeline(generate(WALK_SPECS[name])[0], options)
     assert callers == {"orient_all", "break_nonorientable",
                        "resolve_moebius"}
     assert (conflicts > 0) == (name == "cube_spiral")
+
+
+def _finned_strip(base, rungs, fins, y):
+    """A strip of triangles following one another edge to edge from its
+    end at x = 0, rung i joining vertices base + 2 i and base + 2 i + 1,
+    then a fin on rung i for each interior rung i of fins: three
+    triangles on that edge. Returns (positions, faces)."""
+    pos = [[i, y + j, 0.01 * i * j] for i in range(rungs) for j in (0, 1)]
+    faces = []
+    for i in range(rungs - 1):
+        a, b, c, d = (base + 2 * i + k for k in range(4))
+        faces += [(a, c, b), (b, c, d)]
+    for i in fins:
+        pos.append([i + 0.5, y + 0.5, 1.0])
+        faces.append((base + 2 * i, base + 2 * i + 1, base + len(pos) - 1))
+    return pos, faces
+
+
+def resume_case():
+    """Three parts to cut. A long strip with twelve fins, the newest
+    triangles, from near its first triangle to near its far end: it
+    loses one fin a round. A short strip with one frozen fin: the pair
+    on the fin's edge is the fin and the strip triangle beyond it, so
+    that triangle goes and the strip splits in two. A triangle whose
+    edge two frozen triangles share: it is its part's root, and the cut
+    falls on a frozen one. Returns (mesh, frozen tids, root tid)."""
+    pos, faces = _finned_strip(0, 40, range(2, 38, 3), 0)
+    p, f = _finned_strip(len(pos), 12, [6], 5)
+    pos, faces = pos + p, faces + f
+    fin = len(faces) - 1
+    root = len(faces)
+    n = len(pos)
+    pos += [[0, 10, 0], [1, 10, 0], [0.5, 11, 0], [0.5, 9, 0.5],
+            [0.5, 9, -0.5]]
+    faces += [(n, n + 1, n + 2), (n, n + 1, n + 3), (n, n + 1, n + 4)]
+    return _mesh(pos, faces), {fin, root + 1, root + 2}, root
+
+
+def test_resumed_walk_cuts_like_the_reference(monkeypatch):
+    """break_nonorientable's walk, resumed at every cut, removes and
+    winds as a fresh walk per round does, over rounds that cut deep and
+    shallow, cuts that split their part and rounds that cut several
+    parts. A walk never clashes at its root, whose neighbours it reaches
+    first through their shared edges, so not even a frozen partner can
+    force a cut there."""
+    cut, rounds = mesh_ops._Walk.cut, []
+
+    def spied(walk, dead):
+        depth = walk.depth[dead].copy()
+        rows = cut(walk, dead)
+        rounds.append((depth, len(np.unique(walk.root[rows]))))
+        return rows
+
+    monkeypatch.setattr(mesh_ops._Walk, "cut", spied)
+    mesh, frozen, root = resume_case()
+    removed = _assert_cuts_match_reference(mesh, frozen)
+    depths = np.concatenate([depth for depth, _ in rounds])
+    assert len(removed) == len(depths) and len(rounds) >= 10
+    assert depths.min() <= 5 and depths.max() >= 60
+    assert any(len(depth) > 1 for depth, _ in rounds)
+    # a split leaves a cut part as more parts than it lost rows
+    assert any(parts > len(depth) for depth, parts in rounds)
+    assert root + 2 in removed and mesh.is_active(root)
+    assert 0 not in depths
+
+
+SPIRAL_NOISY = SyntheticSpec(
+    surface="dome", pattern="spiral", strokes=12, width=0.15, spacing=0.06,
+    noise=0.25 * 0.15, normal_noise_deg=6.0, flip_probability=1 / 3,
+    seed=112)
+
+
+def test_noisy_spiral_cuts_like_the_reference(monkeypatch):
+    """The benchmark's noisy spiral cuts 15 triangles over 16 walks in
+    extension consolidation; every call removes and winds as the
+    reference does, and the report, walk_rows included, stays JSON."""
+    cut, calls = mesh_ops.break_nonorientable, []
+
+    def checked_cut(mesh, frozen=frozenset()):
+        removed = _assert_cuts_match_reference(mesh, frozen, cut)
+        calls.append(len(removed))
+        return removed
+
+    monkeypatch.setattr(mesh_ops, "break_nonorientable", checked_cut)
+    _, report = run_pipeline(generate(SPIRAL_NOISY)[0])
+    stage = {s["name"]: s for s in report["stage_stats"]}
+    assert calls[1] == stage["extension_consolidation"][
+        "nonorientable_removed"] == 15
+    assert json.loads(json.dumps(report)) == report
 
 
 # stages after which the pipeline once oriented again, or could have
@@ -410,12 +546,10 @@ def test_hypothesis_soups_match_reference(n, data):
     assert (consolidate.repair_nonmanifold(a, frozen=frozen)
             == oracles.repair_nonmanifold(b, frozen=frozen))
     assert np.array_equal(a.tri_state, b.tri_state)
-    a, b = copy.deepcopy(mesh), copy.deepcopy(mesh)
-    assert (mesh_ops.break_nonorientable(a, frozen=frozen)
-            == oracles.break_nonorientable(b, frozen=frozen))
-    assert np.array_equal(a.tri_verts, b.tri_verts)
-    assert np.array_equal(a.tri_state, b.tri_state)
+    _assert_cuts_match_reference(copy.deepcopy(mesh), frozen)
     assert mesh_ops.boundary_loops(mesh) == oracles.boundary_loops(mesh)
+    at = data.draw(st.lists(st.integers(0, n - 1), max_size=n))
+    _assert_local_audit_matches_reference(mesh, at)
 
 
 @settings(max_examples=150, deadline=None)
@@ -463,13 +597,15 @@ def _conflicts(mesh, frozen):
     return out
 
 
-def test_soups_cover_the_hard_cases():
+def test_soups_cover_the_hard_cases(monkeypatch):
     """The random soups contain what the references are compared on:
     overfull edges of three and four triangles, pinched vertices,
     non-orientable components, removed and pre-flipped triangles,
     orientation conflicts between two frozen triangles and on an
-    overfull edge, and frozen strips whose edges also carry triangles
-    outside the strip."""
+    overfull edge, frozen strips whose edges also carry triangles
+    outside the strip, and repair nets that audit again at their
+    cuts."""
+    local = _checked_local_audits(monkeypatch)
     overfull, pinched, nonorientable, removed = set(), 0, 0, 0
     both_frozen = on_overfull = shared_strips = 0
     for seed in SEEDS:
@@ -481,6 +617,7 @@ def test_soups_cover_the_hard_cases():
         pinched += len(bad_v)
         nonorientable += len(oracles.orient_all(copy.deepcopy(mesh)))
         removed += mesh.removed_count
+        consolidate.repair_nonmanifold(copy.deepcopy(mesh), frozen)
         for t, other in _conflicts(copy.deepcopy(mesh), frozen):
             both_frozen += t in frozen and other in frozen
             edge = (set(mesh.tri_verts[t].tolist())
@@ -493,7 +630,7 @@ def test_soups_cover_the_hard_cases():
                                      mesh, strip))
     assert {3, 4} <= overfull
     assert pinched and nonorientable and removed
-    assert both_frozen and on_overfull and shared_strips
+    assert both_frozen and on_overfull and shared_strips and local
 
 
 @pytest.mark.parametrize("seed", range(40))

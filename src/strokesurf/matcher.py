@@ -179,20 +179,17 @@ def pair_sigmas(cs, p_flat, q_flats, config):
 
 
 def _build_candidates(cs, config, cone_deg, sides, radius_mode,
-                      color_cue=False, allowed=None):
+                      color_cue=False, same_component=False):
     """Shared candidate generation: one pair search per phase.
 
     One cKDTree.query_pairs call gathers every pair of non-degenerate
     vertices within the largest acceptance radius. The symmetric tests
     (minimum length, width-mode radius, color, polyline adjacency) run
-    on the undirected pairs; the pairs are then taken in both
-    directions, and the directed tests (dmax-mode radius, target chain,
-    probe cone per side, end cone) run on those arrays. Each side keeps
-    its rows sorted by (source, target).
-
-    allowed: optional function (source chains, target chains, side) ->
-    bool mask of the pairs whose target chain may be matched; None
-    allows every chain.
+    on the undirected pairs, with same_component keeping only pairs
+    whose chains lie in one mesh component (cs.component); the pairs are
+    then taken in both directions, and the directed tests (dmax-mode
+    radius, probe cone per side, end cone) run on those arrays. Each
+    side keeps its rows sorted by (source, target).
     """
     cos_cone = float(np.cos(np.radians(cone_deg)))
     radii = _query_radii(cs, config, radius_mode)
@@ -211,6 +208,9 @@ def _build_candidates(cs, config, cone_deg, sides, radius_mode,
         keep &= dist <= scoring.sigma_for(cs.w[a], cs.w[b], config)
     if color_cue:
         keep &= np.all(cs.col[a] == cs.col[b], axis=1)
+    if same_component:
+        keep &= (cs.component[cs.chain_id[a]]
+                 == cs.component[cs.chain_id[b]])
 
     # exclude the immediate polyline neighbors
     lengths, cyclic = cs.lengths, cs.cyclic
@@ -242,8 +242,6 @@ def _build_candidates(cs, config, cone_deg, sides, radius_mode,
     for side in sides:
         side = int(side)
         sel = keep & (side * along >= cos_cone * dist)
-        if allowed is not None:
-            sel &= allowed(cs.chain_id[src], cs.chain_id[tgt], side)
         s, t = src[sel], tgt[sel]
         order = np.lexsort((t, s))
         out.lists[side] = np.stack([s[order], t[order]], axis=1)
@@ -285,12 +283,9 @@ def boundary_candidates(cs, config, phase, color_cue=False):
     the per-component acceptance radius carried in cs.dmax.
     """
     if phase == "extension":
-        def allowed(src_chain, tgt_chain, side):
-            return cs.component[src_chain] == cs.component[tgt_chain]
-
         return _build_candidates(cs, config, config.cone_angle_deg,
-                                 (Side.LEFT,), "width",
-                                 color_cue=color_cue, allowed=allowed)
+                                 (Side.LEFT,), "width", color_cue=color_cue,
+                                 same_component=True)
     if phase == "gap":
         return _build_candidates(cs, config, config.boundary_cone_angle_deg,
                                  (Side.LEFT,), "dmax", color_cue=color_cue)

@@ -23,10 +23,8 @@ rows through one `SurfaceMesh.add_triangles` call, which keeps the
 first emission of each triangle; one assignment then writes the
 provenance of those inserted. The one loop left is add_triangles'
 append of each winner, which waits for a bulk table (below). The
-crease-preserving variant queues each section's ribbon quads as one
-block and inserts what is queued before each ribbon it adds vertices
-for, so every row meets the area floor of the vertex table it was
-emitted under.
+crease-preserving variant queues its sections' ribbon quads with the
+strips, so it too inserts once per call.
 
 SurfaceMesh keeps one triangle table: corners as a (T, 3) int64 array,
 states as a (T,) array and provenance as a (T, 6) int64 array, in
@@ -35,7 +33,12 @@ slice and write through the views `tri_verts`, `tri_state` and
 `tri_prov`, and take the rows they walk in Python once with `.tolist()`.
 Every insert goes through `add_triangles`, the one place the insert
 rule is applied: no repeated corner, no area under the floor, no vertex
-set of an active triangle. It decides all its rows at once, then
+set of an active triangle. The floor is (1e-12 * scale())^2, scale()
+being the bounding-box diagonal of the first vertex block the mesh is
+given: the trimmed strokes of a surfacing, the vertices of an OBJ. Crease
+offsets and ribbon corners come later and may reach far out, and a
+floor that followed them would drop a row or keep it depending on when
+it was inserted. It decides all its rows at once, then
 appends the winners one by one through `add_triangle`, which tests
 nothing: the benchmark's traced runs count strip triangles by its
 returns, so a bulk append waits until those counts are redefined. An
@@ -210,6 +213,9 @@ class SurfaceMesh:
     doubles when full. add_triangles is the checked insert; it leaves
     the provenance row at NO_PROV and strip meshing writes it. An insert
     may move that storage, so take the views afresh after add_triangles.
+    scale() is the bounding-box diagonal of the first vertex block and
+    fixes the insert rule's area floor; later blocks leave it, so a
+    row's fate does not hang on which vertices were added before it.
     `version` counts the writes that end an edge index (module
     docstring)."""
 
@@ -268,7 +274,8 @@ class SurfaceMesh:
                                       np.atleast_2d(np.asarray(origin))])
         self.origin_kind = np.concatenate(
             [self.origin_kind, np.full(n, kind, dtype=np.int64)])
-        self._scale = None
+        if self._scale is None:
+            self._scale = max(geometry.bbox_diagonal(pos), 1e-12)
         self._changed()
         return np.arange(base, base + n, dtype=np.int64)
 
@@ -276,8 +283,8 @@ class SurfaceMesh:
         return len(self.positions)
 
     def scale(self):
-        if self._scale is None:
-            self._scale = max(geometry.bbox_diagonal(self.positions), 1e-12)
+        """The bounding-box diagonal of the first vertex block, at least
+        1e-12 (class docstring); None before any."""
         return self._scale
 
     # ---- triangles ----
@@ -787,9 +794,6 @@ def mesh_with_creases(table, config, mesh=None):
             src_count, tgt_count = len(run), jmax - jmin + 1
             keeper = (ci if src_count > tgt_count else
                       tci if tgt_count > src_count else min(ci, tci))
-            # offset vertices move mesh.scale() and with it the area
-            # floor: insert the rows queued before them under the old one
-            emitter.flush()
             if keeper == ci:
                 # this stroke keeps its half ribbon toward the partner
                 first, ribbon = i0, fp

@@ -17,9 +17,11 @@ output faces the way the strokes were drawn.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import time
+from collections import Counter
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -49,7 +51,12 @@ class PipelineOptions:
             raise ValidationError("smooth_iterations must be >= 0")
 
 
-# the SurfaceMesh counters whose growth a strip-emitting stage reports
+# the SurfaceMesh counters whose growth a strip-emitting stage reports:
+# `emissions`, the triangle rows strip meshing offered the mesh (every row
+# of a kept quad, triangle or fan, whether it was added, skipped as a
+# duplicate or too thin), `fans`, the fans it queued, `fans_capped`, those
+# it dropped unqueued for spanning too long a target section, and
+# `fans_vetoed`, those an internal match dropped
 STRIP_COUNTS = ("emissions", "fans", "fans_capped", "fans_vetoed")
 
 
@@ -65,8 +72,38 @@ class _Tracker:
         self.stats = []
         self._seq = 0
 
-    def stage(self, name, consolidation=None):
-        return _StageScope(self, name, consolidation)
+    @contextlib.contextmanager
+    def stage(self, name, consolidation=None, strips=False):
+        """Scope one stage; yields the Counter of the counts reported in
+        its entry after the mesh deltas, followed, with strips, by the
+        growth of STRIP_COUNTS."""
+        mesh = self.mesh
+        t0 = time.perf_counter()
+        tris, removed = len(mesh.tri_verts), mesh.removed_count
+        duplicates, rejected = mesh.duplicates_skipped, mesh.quads_rejected
+        before = {key: getattr(mesh, key) for key in STRIP_COUNTS if strips}
+        self._seq += 1
+        counts = Counter()
+        failed = True
+        try:
+            yield counts
+            failed = False
+        finally:
+            for key, n in before.items():
+                counts[key] += getattr(mesh, key) - n
+            entry = {
+                "name": name,
+                "triangles_added": len(mesh.tri_verts) - tris,
+                "triangles_removed": mesh.removed_count - removed,
+                "duplicates_skipped": mesh.duplicates_skipped - duplicates,
+                "quads_rejected": mesh.quads_rejected - rejected,
+                "seconds": time.perf_counter() - t0,
+                **counts,
+            }
+            if consolidation is not None:
+                entry["consolidation"] = asdict(consolidation)
+            self.stats.append(entry)
+            self.dump_mesh(name + "_failed" if failed else name)
 
     def _path(self, name, suffix):
         return os.path.join(self.dump_dir, f"{self._seq:02d}_{name}_{suffix}")
@@ -81,60 +118,6 @@ class _Tracker:
             with open(self._path(name, "matches.json"), "w",
                       encoding="utf-8") as fh:
                 json.dump(_match_payload(table), fh, indent=1)
-
-
-class _StageScope:
-    def __init__(self, tracker, name, consolidation):
-        self.tracker = tracker
-        self.name = name
-        self.consolidation = consolidation
-        self.counts = {}
-
-    def count(self, key, n):
-        """Add n to a count reported in this stage's entry."""
-        self.counts[key] = self.counts.get(key, 0) + n
-
-    def __enter__(self):
-        mesh = self.tracker.mesh
-        self.t0 = time.perf_counter()
-        self.tris_before = len(mesh.tri_verts)
-        self.removed_before = mesh.removed_count
-        self.duplicates_before = mesh.duplicates_skipped
-        self.rejected_before = mesh.quads_rejected
-        self.strips_before = {key: getattr(mesh, key) for key in STRIP_COUNTS}
-        self.tracker._seq += 1
-        return self
-
-    def count_emissions(self):
-        """Report what strip meshing did in this stage: `emissions`, the
-        triangle rows it offered the mesh (every row of a kept quad,
-        triangle or fan, whether it was added, skipped as a duplicate or
-        too thin), `fans`, the fans it queued, `fans_capped`, those it
-        dropped unqueued for spanning too long a target section, and
-        `fans_vetoed`, those an internal match dropped."""
-        for key, before in self.strips_before.items():
-            self.count(key, getattr(self.tracker.mesh, key) - before)
-
-    def __exit__(self, exc_type, exc, tb):
-        mesh = self.tracker.mesh
-        entry = {
-            "name": self.name,
-            "triangles_added": len(mesh.tri_verts) - self.tris_before,
-            "triangles_removed": mesh.removed_count - self.removed_before,
-            "duplicates_skipped": mesh.duplicates_skipped
-            - self.duplicates_before,
-            "quads_rejected": mesh.quads_rejected - self.rejected_before,
-            "seconds": time.perf_counter() - self.t0,
-            **self.counts,
-        }
-        if self.consolidation is not None:
-            entry["consolidation"] = asdict(self.consolidation)
-        self.tracker.stats.append(entry)
-        if exc_type is None:
-            self.tracker.dump_mesh(self.name)
-        else:
-            self.tracker.dump_mesh(self.name + "_failed")
-        return False
 
 
 def _stroke_paths(cs, drawing):
@@ -154,37 +137,36 @@ def _stroke_triangle_presence(mesh, cs, drawing):
 
 def _emit_ribbons(mesh, drawing, cs):
     """Strokes with no retained triangles contribute their original
-    triangulated ribbons; a corner's origin is (stroke, vertex)."""
+    triangulated ribbons, all inserted with one add_vertices and one
+    add_triangles call; a corner's origin is (stroke, vertex)."""
     present = _stroke_triangle_presence(mesh, cs, drawing)
-    added = 0
+    blocks = []
+    base = 0
     for si, stroke in enumerate(drawing.strokes):
         if present[si]:
             continue
-        corners, tris = ribbon_geometry(stroke)
-        if len(tris) == 0:
-            continue
-        # a left and a right corner per vertex on a segment it keeps
-        kept = stroke.frames_ok[:-1] & stroke.frames_ok[1:]
-        spine = np.repeat(np.flatnonzero(np.r_[kept, False]
-                                         | np.r_[False, kept]), 2)
-        origin = np.stack([np.full(len(corners), si), spine], axis=1)
-        gids = mesh.add_vertices(
-            corners, stroke.normals[spine], stroke.widths[spine],
-            np.tile(stroke.color, (len(corners), 1)), origin, KIND_RIBBON)
-        added += int((mesh.add_triangles(gids[tris]) >= 0).sum())
-    return added
+        corners, tris, vertex = ribbon_geometry(stroke)
+        blocks.append((corners, stroke.normals[vertex], stroke.widths[vertex],
+                       np.tile(stroke.color, (len(vertex), 1)),
+                       np.stack([np.full(len(vertex), si), vertex], axis=1),
+                       tris + base))
+        base += len(corners)
+    if not base:
+        return 0
+    *columns, tris = (np.concatenate(c) for c in zip(*blocks))
+    gids = mesh.add_vertices(*columns, KIND_RIBBON)
+    return int((mesh.add_triangles(gids[tris]) >= 0).sum())
 
 
 def _count_matching(stage, cands=None, table=None):
     """Add a match stage's candidate rows, the pairs its search tested
     and its matched vertices to its entry; without a candidate set the
     stage matched nothing."""
-    stage.count("candidates", 0 if cands is None else sum(
-        len(rows) for rows in cands.lists.values()))
-    stage.count("candidate_pairs",
-                0 if cands is None else cands.pairs_tested)
-    stage.count("matched", 0 if table is None else sum(
-        int((m >= 0).sum()) for m in table.matches.values()))
+    stage["candidates"] += 0 if cands is None else sum(
+        len(rows) for rows in cands.lists.values())
+    stage["candidate_pairs"] += 0 if cands is None else cands.pairs_tested
+    stage["matched"] += 0 if table is None else sum(
+        int((m >= 0).sum()) for m in table.matches.values())
 
 
 def _match_payload(table):
@@ -205,9 +187,29 @@ def _match_payload(table):
 def _break_nonorientable(stage, mesh, frozen=frozenset()):
     """mesh_ops.break_nonorientable, counted in the stage; its Cut."""
     cut = mesh_ops.break_nonorientable(mesh, frozen=frozen)
-    stage.count("nonorientable_removed", len(cut))
-    stage.count("walk_rows", cut.walk_rows)
+    stage["nonorientable_removed"] += len(cut)
+    stage["walk_rows"] += cut.walk_rows
     return cut
+
+
+def _match_boundaries(tracker, name, phase, config, color_cue):
+    """The stage `name` that matches the mesh's boundary loops in a
+    boundary_candidates phase and meshes the matches; returns the
+    boundary ChainSet, None when the mesh has no boundary."""
+    mesh = tracker.mesh
+    with tracker.stage(name, strips=True) as stage:
+        bcs = mesh_ops.boundary_chain_set(mesh, config,
+                                          with_dmax=phase == "gap")
+        if bcs is None:
+            _count_matching(stage)
+        else:
+            cands = matcher.boundary_candidates(bcs, config, phase,
+                                                color_cue=color_cue)
+            table = matcher.match_all(cands, config)
+            _count_matching(stage, cands, table)
+            mesher.mesh_from_matches(table, config, mesh=mesh)
+            tracker.dump_matches(name, table)
+    return bcs
 
 
 def run_pipeline(drawing, options=None):
@@ -249,15 +251,14 @@ def run_pipeline(drawing, options=None):
         cands = matcher.restricted_candidates(cands, neighbors)
         table = matcher.match_all(cands, config)
         _count_matching(stage, cands, table)
-        stage.count("rows_reused", table.rows_reused)
+        stage["rows_reused"] += table.rows_reused
     tracker.dump_matches("restricted_match", table)
 
-    with tracker.stage("strip_meshing") as stage:
+    with tracker.stage("strip_meshing", strips=True):
         if options.preserve_creases:
             mesher.mesh_with_creases(table, config, mesh=mesh)
         else:
             mesher.mesh_from_matches(table, config, mesh=mesh)
-        stage.count_emissions()
 
     stats = consolidate.ConsolidationStats()
     with tracker.stage("strip_consolidation", stats) as stage:
@@ -268,18 +269,8 @@ def run_pipeline(drawing, options=None):
 
     if not options.skip_extension:
         frozen = set(mesh.active_ids())
-        with tracker.stage("boundary_extension") as stage:
-            bcs = mesh_ops.boundary_chain_set(mesh, config)
-            if bcs is None:
-                _count_matching(stage)
-            else:
-                bcands = matcher.boundary_candidates(
-                    bcs, config, "extension", color_cue=options.use_color)
-                btable = matcher.match_all(bcands, config)
-                _count_matching(stage, bcands, btable)
-                mesher.mesh_from_matches(btable, config, mesh=mesh)
-                tracker.dump_matches("boundary_extension", btable)
-            stage.count_emissions()
+        bcs = _match_boundaries(tracker, "boundary_extension", "extension",
+                                config, options.use_color)
         stats = consolidate.ConsolidationStats()
         with tracker.stage("extension_consolidation", stats) as stage:
             if bcs is not None:
@@ -290,26 +281,16 @@ def run_pipeline(drawing, options=None):
                     consolidate.repair_nonmanifold(mesh, frozen=frozen))
 
     with tracker.stage("small_holes") as stage:
-        stage.count("holes_closed_added",
-                    mesh_ops.close_small_holes(mesh, config))
+        stage["holes_closed_added"] += mesh_ops.close_small_holes(mesh,
+                                                                  config)
 
     with tracker.stage("boundary_smoothing"):
         mesh_ops.smooth_boundary(mesh, config)
 
     frozen = set(mesh.active_ids())
     tris_before_gap = len(mesh.tri_verts)
-    with tracker.stage("gap_spanning") as stage:
-        gcs = mesh_ops.boundary_chain_set(mesh, config, with_dmax=True)
-        if gcs is None:
-            _count_matching(stage)
-        else:
-            gcands = matcher.boundary_candidates(
-                gcs, config, "gap", color_cue=options.use_color)
-            gtable = matcher.match_all(gcands, config)
-            _count_matching(stage, gcands, gtable)
-            mesher.mesh_from_matches(gtable, config, mesh=mesh)
-            tracker.dump_matches("gap_spanning", gtable)
-        stage.count_emissions()
+    gcs = _match_boundaries(tracker, "gap_spanning", "gap", config,
+                            options.use_color)
     stats = consolidate.ConsolidationStats()
     with tracker.stage("gap_consolidation", stats):
         if gcs is not None:
@@ -318,24 +299,24 @@ def run_pipeline(drawing, options=None):
 
     with tracker.stage("orientation") as stage:
         new_tids = [t for t in mesh.active_ids() if t >= tris_before_gap]
-        stage.count("moebius_removed",
-                    len(mesh_ops.resolve_moebius(mesh, new_tids)))
+        stage["moebius_removed"] += len(
+            mesh_ops.resolve_moebius(mesh, new_tids))
         _break_nonorientable(stage, mesh, frozen)
         # removals may leave pinched fans behind
-        stage.count("repair_removed", len(
-            consolidate.repair_nonmanifold(mesh, frozen=frozen)))
-        stage.count("holes_closed_added",
-                    mesh_ops.close_small_holes(mesh, config))
-        stage.count("repair_removed", len(
-            consolidate.repair_nonmanifold(mesh, frozen=frozen)))
+        stage["repair_removed"] += len(
+            consolidate.repair_nonmanifold(mesh, frozen=frozen))
+        stage["holes_closed_added"] += mesh_ops.close_small_holes(mesh,
+                                                                  config)
+        stage["repair_removed"] += len(
+            consolidate.repair_nonmanifold(mesh, frozen=frozen))
 
     with tracker.stage("ribbons"):
         _emit_ribbons(mesh, work, cs)
 
     if options.close_holes_max_sides > 0:
         with tracker.stage("hole_filling") as stage:
-            stage.count("holes_filled_added", mesh_ops.fill_all_holes(
-                mesh, config, max_sides=options.close_holes_max_sides))
+            stage["holes_filled_added"] += mesh_ops.fill_all_holes(
+                mesh, config, max_sides=options.close_holes_max_sides)
 
     if options.smooth_iterations > 0:
         with tracker.stage("smoothing"):

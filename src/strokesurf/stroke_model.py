@@ -32,6 +32,18 @@ class ValidationError(ValueError):
 _JSON_TYPES = {"float": (int, float), "int": (int,), "str": (str,)}
 
 
+def read_json(path):
+    """The parsed JSON document at path; StrokeFormatError, naming the
+    path and the position, when it is no JSON."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise StrokeFormatError(
+                f"{path}: invalid JSON at line {exc.lineno}, "
+                f"column {exc.colno}: {exc.msg}") from exc
+
+
 def json_fields(cls, data, what):
     """The keyword arguments for dataclass cls that a parsed JSON
     document holds: an object whose keys name fields of cls, each with
@@ -92,14 +104,7 @@ class Config:
 
     @classmethod
     def from_json(cls, path):
-        with open(path, "r", encoding="utf-8") as fh:
-            try:
-                data = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise StrokeFormatError(
-                    f"{path}: invalid JSON at line {exc.lineno}, "
-                    f"column {exc.colno}: {exc.msg}") from exc
-        return cls(**json_fields(cls, data, "config"))
+        return cls(**json_fields(cls, read_json(path), "config"))
 
 
 @dataclass(frozen=True)
@@ -205,12 +210,6 @@ class Drawing:
     strokes: list = field(default_factory=list)
     dropped_strokes: int = 0
 
-    def bbox_diagonal(self):
-        if not self.strokes:
-            return 0.0
-        pts = np.concatenate([s.points for s in self.strokes], axis=0)
-        return geometry.bbox_diagonal(pts)
-
     def vertex_count(self):
         return sum(len(s) for s in self.strokes)
 
@@ -255,12 +254,16 @@ def _clean_stroke(raw, index):
     color = np.asarray(raw.get("color", [1.0, 1.0, 1.0]), dtype=np.float64)
     if color.shape != (3,):
         raise ValidationError(f"stroke {index}: color must be [r, g, b]")
+    if not np.all(np.isfinite(color)):
+        raise ValidationError(f"stroke {index}: non-finite color")
 
     timestamps = raw.get("timestamps")
     if timestamps is not None:
         timestamps = np.asarray(timestamps, dtype=np.float64)
         if timestamps.shape != (len(verts),):
             raise ValidationError(f"stroke {index}: timestamps length mismatch")
+        if not np.all(np.isfinite(timestamps)):
+            raise ValidationError(f"stroke {index}: non-finite timestamps")
 
     nn = np.linalg.norm(norms, axis=1)
     if np.any(nn < EPS_DEGENERATE):
@@ -290,16 +293,8 @@ def load_drawing(path_or_dict):
     Strokes with fewer than two distinct vertices are dropped and
     counted in Drawing.dropped_strokes.
     """
-    if isinstance(path_or_dict, dict):
-        data = path_or_dict
-    else:
-        with open(path_or_dict, "r", encoding="utf-8") as fh:
-            try:
-                data = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise StrokeFormatError(
-                    f"{path_or_dict}: invalid JSON at line {exc.lineno}, "
-                    f"column {exc.colno}: {exc.msg}") from exc
+    data = (path_or_dict if isinstance(path_or_dict, dict)
+            else read_json(path_or_dict))
     if not isinstance(data, dict) or "strokes" not in data:
         raise ValidationError("drawing JSON must be an object with 'strokes'")
     raw_strokes = data["strokes"]
@@ -412,43 +407,26 @@ def ribbon_geometry(stroke):
     binormal, one quad per polyline segment, each quad split along its
     shorter diagonal. Segments touching a degenerate frame are omitted.
 
-    Returns (corner_positions, triangles); triangles index into the
-    returned positions array.
+    Returns (corner_positions, triangles, vertex): a left and then a
+    right corner for each stroke vertex on a kept segment, in vertex
+    order; triangles indexing those corners, two per kept segment in
+    segment order; and the stroke vertex of each corner.
     """
-    pts = stroke.points
-    b = stroke.binormals
     ok = stroke.frames_ok
-    half = 0.5 * stroke.widths[:, None]
-    left = pts + half * b
-    right = pts - half * b
-
-    corners = []
-    corner_id = {}
-
-    def cid(side, i):
-        key = (side, i)
-        if key not in corner_id:
-            corner_id[key] = len(corners)
-            corners.append(left[i] if side == 0 else right[i])
-        return corner_id[key]
-
-    tris = []
-    for i in range(len(pts) - 1):
-        if not (ok[i] and ok[i + 1]):
-            continue
-        l0, r0 = cid(0, i), cid(1, i)
-        l1, r1 = cid(0, i + 1), cid(1, i + 1)
-        d_main = np.linalg.norm(left[i] - right[i + 1])
-        d_alt = np.linalg.norm(right[i] - left[i + 1])
-        if d_main <= d_alt:
-            tris.append((l0, r0, r1))
-            tris.append((l0, r1, l1))
-        else:
-            tris.append((r0, r1, l1))
-            tris.append((r0, l1, l0))
-    if not corners:
-        return np.zeros((0, 3)), np.zeros((0, 3), dtype=np.int64)
-    return np.asarray(corners), np.asarray(tris, dtype=np.int64)
+    seg = ok[:-1] & ok[1:]
+    spine = np.flatnonzero(np.r_[seg, False] | np.r_[False, seg])
+    half = 0.5 * stroke.widths[spine, None] * stroke.binormals[spine]
+    left, right = stroke.points[spine] + half, stroke.points[spine] - half
+    corners = np.stack([left, right], axis=1).reshape(-1, 3)
+    l0 = 2 * np.searchsorted(spine, np.flatnonzero(seg))
+    r0, l1, r1 = l0 + 1, l0 + 2, l0 + 3
+    main, alt = corners[l0] - corners[r1], corners[r0] - corners[l1]
+    # lengths as np.linalg.norm rounds them: sqrt of np.dot's rounding
+    use_main = (np.sqrt(geometry.dot_rows(main, main))
+                <= np.sqrt(geometry.dot_rows(alt, alt)))[:, None]
+    tris = np.where(use_main, np.stack([l0, r0, r1, l0, r1, l1], axis=1),
+                    np.stack([r0, r1, l1, r0, l1, l0], axis=1))
+    return corners, tris.reshape(-1, 3), np.repeat(spine, 2)
 
 
 def canonical_stroke_order(drawing):

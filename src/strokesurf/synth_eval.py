@@ -12,7 +12,6 @@ corpus is reproducible bit for bit.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 import time
 from dataclasses import dataclass, field
@@ -22,7 +21,8 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from . import geometry, mesh_ops
-from .stroke_model import Config, Drawing, Stroke, json_fields, trim_hooks
+from .stroke_model import (Config, Drawing, Stroke, json_fields, read_json,
+                           trim_hooks)
 
 _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -125,9 +125,7 @@ class SyntheticSpec:
 
     @classmethod
     def from_json(cls, path):
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-        return cls(**json_fields(cls, data, "spec"))
+        return cls(**json_fields(cls, read_json(path), "spec"))
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ Moebius strips) walk vertex fans and components one at a time with
 hand-written union-finds, the angle references evaluate one triangle at
 a time in Python floats, the strip-meshing reference inserts every
 triangle the moment it is emitted, scoring each quad on its own, the
+ribbon reference triangulates one stroke segment at a time, the
 triangle table reference keeps corners and states in Python lists, the
 OBJ writer reference formats one line and one number at a time, the
 neighbourhood references (both smoothers with their move guard,
@@ -975,6 +976,49 @@ def scalar_emitter(stats=None):
             self.tri(fa, fb, fan[m_pos], match_side)
 
     return ScalarEmitter
+
+
+def ribbon_geometry(stroke):
+    """Reference for stroke_model.ribbon_geometry, segment by segment:
+    each kept segment names its four corners, a corner getting its id
+    the first time a segment names it, and splits its quad on the
+    diagonal lengths np.linalg.norm gives."""
+    pts = stroke.points
+    b = stroke.binormals
+    ok = stroke.frames_ok
+    half = 0.5 * stroke.widths[:, None]
+    left = pts + half * b
+    right = pts - half * b
+
+    corners = []
+    vertex = []
+    corner_id = {}
+
+    def cid(side, i):
+        key = (side, i)
+        if key not in corner_id:
+            corner_id[key] = len(corners)
+            corners.append(left[i] if side == 0 else right[i])
+            vertex.append(i)
+        return corner_id[key]
+
+    tris = []
+    for i in range(len(pts) - 1):
+        if not (ok[i] and ok[i + 1]):
+            continue
+        l0, r0 = cid(0, i), cid(1, i)
+        l1, r1 = cid(0, i + 1), cid(1, i + 1)
+        d_main = np.linalg.norm(left[i] - right[i + 1])
+        d_alt = np.linalg.norm(right[i] - left[i + 1])
+        if d_main <= d_alt:
+            tris.append((l0, r0, r1))
+            tris.append((l0, r1, l1))
+        else:
+            tris.append((r0, r1, l1))
+            tris.append((r0, l1, l0))
+    return (np.asarray(corners).reshape(-1, 3),
+            np.asarray(tris, dtype=np.int64).reshape(-1, 3),
+            np.asarray(vertex, dtype=np.int64))
 
 
 # ---------------------------------------------------------------------------

@@ -129,6 +129,32 @@ def test_bad_spec_field_exit_code(tmp_path, capsys):
     assert "bogus" in capsys.readouterr().err
 
 
+def test_corrupt_spec_names_its_file(tmp_path, capsys):
+    spec = tmp_path / "spec.json"
+    spec.write_text('{"surface": "sphere", }')
+    assert cli_main(["synth", "--spec", str(spec),
+                     "--out", str(tmp_path / "d.json")]) == 2
+    err = capsys.readouterr().err
+    assert f"input error: {spec}: invalid JSON at line 1" in err
+
+
+@pytest.mark.parametrize("key, value, what", [
+    ("color", [float("nan"), 0.0, 0.0], "color"),
+    ("timestamps", [0.0, float("inf")], "timestamps")])
+def test_non_finite_stroke_field_exit_code(tmp_path, capsys, key, value,
+                                           what):
+    path = tmp_path / "d.json"
+    save_drawing(Drawing(strokes=[line_stroke(y=0.0, n=2),
+                                  line_stroke(y=0.1, n=2)]), path)
+    doc = json.loads(path.read_text())
+    doc["strokes"][1][key] = value
+    path.write_text(json.dumps(doc))
+    assert cli_main(["--input", str(path),
+                     "--output", str(tmp_path / "m.obj")]) == 2
+    assert (f"input error: stroke 1: non-finite {what}"
+            in capsys.readouterr().err)
+
+
 @pytest.mark.parametrize("doc", [
     {"width_factor": "x"}, [[1]], 3, None, {"small_hole_max_sides": 4.5},
     {"cone_angle_deg": True}, {"dihedral_min_deg": [45]},

@@ -8,8 +8,8 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from strokesurf import (consolidate, matcher, mesher, mesh_ops, pipeline,
-                        scoring)
+from strokesurf import (consolidate, geometry, matcher, mesher, mesh_ops,
+                        pipeline, scoring)
 from strokesurf import stroke_model as sm
 from strokesurf.pipeline import PipelineOptions, run_pipeline
 from strokesurf.scoring import Side
@@ -912,23 +912,86 @@ def test_pipeline_meshing_equals_the_scalar_reference(name, options,
 
 
 def test_crease_rows_meet_the_floor_of_their_vertex_table(config):
-    """The ribbon of a tiny crease section, emitted before a wide ribbon
-    grows the bounding box half a million-fold, is inserted: each row
-    meets the area floor of the vertex table it was emitted under."""
-    cs = chain_set([
-        chain_from([[0, 0, 0], [1e-7, 0, 0]], 0, (0, 1, 0), width=1e-7),
-        chain_from([[0, 1e-7, 1e-7], [1e-7, 1e-7, 1e-7]], 2, (0, 0, 1),
-                   width=1e-7),
-        chain_from([[1, 0, 0], [1.1, 0, 0]], 4, (0, 1, 0), width=1e6),
-        chain_from([[1, 0.1, 0.1], [1.1, 0.1, 0.1]], 6, (0, 0, 1)),
-    ])
-    table = matcher.MatchTable(cs)
-    table.matches[1] = np.full(len(cs), -1, dtype=np.int64)
-    table.matches[1][[0, 1]] = flat(cs, 1, 0), flat(cs, 1, 1)
-    table.matches[1][[4, 5]] = flat(cs, 3, 0), flat(cs, 3, 1)
-    mesh = assert_meshing_equals_reference(mesher.mesh_with_creases, table,
-                                           config)
-    assert mesh.scale() > 1e5
-    tiny = [t for t in mesh.active_ids()
-            if np.abs(mesh.positions[mesh.tri_verts[t]]).max() < 1e-6]
-    assert len(tiny) == 2
+    """A tiny crease section beside a wide one whose ribbon reaches half
+    a million times farther keeps all 4 of its triangles whichever is
+    meshed first: the area floor is fixed by the chain vertices, the
+    mesh's first vertex block, and the offsets added later leave it."""
+    tiny = [([[0, 0, 0], [1e-7, 0, 0]], (0, 1, 0), 1e-7),
+            ([[0, 1e-7, 1e-7], [1e-7, 1e-7, 1e-7]], (0, 0, 1), 1e-7)]
+    wide = [([[1, 0, 0], [1.1, 0, 0]], (0, 1, 0), 1e6),
+            ([[1, 0.1, 0.1], [1.1, 0.1, 0.1]], (0, 0, 1), 0.3)]
+    for chains in (tiny + wide, wide + tiny):
+        cs = chain_set([chain_from(pts, 2 * i, bno, width=width)
+                        for i, (pts, bno, width) in enumerate(chains)])
+        table = matcher.MatchTable(cs)
+        table.matches[1] = np.full(len(cs), -1, dtype=np.int64)
+        for ci in (0, 2):
+            table.matches[1][[flat(cs, ci, 0), flat(cs, ci, 1)]] = (
+                flat(cs, ci + 1, 0), flat(cs, ci + 1, 1))
+        chain_pos = cs.pos.copy()
+        mesh = assert_meshing_equals_reference(mesher.mesh_with_creases,
+                                               table, config)
+        assert np.abs(mesh.positions).max() > 1e5      # the wide offsets
+        assert mesh.scale() == geometry.bbox_diagonal(chain_pos)
+        small = [t for t in mesh.active_ids()
+                 if np.abs(mesh.positions[mesh.tri_verts[t]]).max() < 1e-6]
+        assert len(small) == 4
+
+
+def _count_calls(monkeypatch, cls, *names):
+    """A Counter of the calls of the named methods of cls, by name."""
+    calls = Counter()
+    for name in names:
+        def counted(*args, fn=getattr(cls, name), name=name, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(cls, name, counted)
+    return calls
+
+
+def test_crease_meshing_inserts_once_per_call(monkeypatch):
+    """mesh_with_creases adds offset vertices for several crease sections
+    and still inserts every row with one add_triangles call."""
+    calls = _count_calls(monkeypatch, mesher.SurfaceMesh, "add_triangles")
+    seen = []
+    fn = mesher.mesh_with_creases
+
+    def spied(table, config, mesh=None):
+        chains, before = len(table.chainset.lengths), Counter(calls)
+        out = fn(table, config, mesh=mesh)
+        seen.append((len(table.chainset.lengths) - chains,
+                     calls["add_triangles"] - before["add_triangles"]))
+        return out
+    monkeypatch.setattr(mesher, "mesh_with_creases", spied)
+    run_pipeline(generate(FLIP_SPECS["cube_parallel"])[0],
+                 PipelineOptions(preserve_creases=True))
+    [(offset_chains, inserts)] = seen
+    assert offset_chains > 1
+    assert inserts == 1
+
+
+def test_ribbons_insert_once_as_stroke_by_stroke(monkeypatch):
+    """_emit_ribbons adds every ribbon stroke with one add_vertices and
+    one add_triangles call, and leaves the mesh that adding them one
+    stroke at a time with the loop reference of ribbon_geometry leaves."""
+    strokes = [line_stroke(y=5.0 * i, n=4 + i) for i in range(4)]
+    strokes[2].normals[1] = strokes[2].points[2] - strokes[2].points[0]
+    drawing = sm.Drawing(strokes=strokes)
+    assert not strokes[2].frames_ok[1]
+    cs = matcher.stroke_chains(drawing)
+    want = mesher.SurfaceMesh.from_chains(cs)
+    for si, stroke in enumerate(drawing.strokes):
+        corners, tris, vertex = oracles.ribbon_geometry(stroke)
+        gids = want.add_vertices(
+            corners, stroke.normals[vertex], stroke.widths[vertex],
+            np.tile(stroke.color, (len(vertex), 1)),
+            np.stack([np.full(len(vertex), si), vertex], axis=1),
+            mesher.KIND_RIBBON)
+        want.add_triangles(gids[tris])
+    got = mesher.SurfaceMesh.from_chains(cs)
+    calls = _count_calls(monkeypatch, mesher.SurfaceMesh, "add_triangles",
+                         "add_vertices")
+    added = pipeline._emit_ribbons(got, drawing, cs)
+    assert calls == {"add_triangles": 1, "add_vertices": 1}
+    assert added == want.active_count() == 2 * (3 + 4 + 5 + 6) - 4
+    assert mesh_state(got) == mesh_state(want)

@@ -1,5 +1,6 @@
 """Full pipeline wiring: stages, options, reports, and fallbacks."""
 
+import contextlib
 import json
 import os
 import sys
@@ -51,6 +52,25 @@ def test_flat_pair_end_to_end():
     assert report["strokes_trimmed_away"] == 0
     assert set(report) == REPORT_KEYS
     assert [s["name"] for s in report["stage_stats"]] == STAGES
+
+
+def test_color_cue_keeps_differently_coloured_strokes_apart():
+    """With use_color, two strokes that would mesh into one strip but
+    differ in colour match nothing and fall back to their ribbons."""
+    a, b = flat_pair_drawing().strokes
+    drawing = Drawing(strokes=[a, Stroke(b.points, b.normals, b.widths,
+                                         (1.0, 0.0, 0.0))])
+    for use_color, components, triangles, candidates, ribbons in (
+            (False, 1, 18, 56, 0), (True, 2, 36, 0, 36)):
+        mesh, report = run_pipeline(drawing,
+                                    PipelineOptions(use_color=use_color))
+        by_name = {s["name"]: s for s in report["stage_stats"]}
+        assert report["components"] == components
+        assert report["triangles"] == triangles
+        assert by_name["baseline_match"]["candidates"] == candidates
+        assert by_name["ribbons"]["triangles_added"] == ribbons
+        assert (mesh.origin_kind[mesh.tri_verts] == KIND_RIBBON).all(
+            axis=1).sum() == ribbons
 
 
 def test_stage_stats_carry_deltas_and_timings():
@@ -436,18 +456,16 @@ def test_restricted_matching_searches_and_scores_nothing(spec, monkeypatch):
             monkeypatch.setattr(module, "cKDTree", counted("cKDTree", tree))
     for key in ("vertex_scores_log_arrays", "persistence_log_rows"):
         monkeypatch.setattr(scoring, key, counted(key, getattr(scoring, key)))
-    enter, leave = pipeline._StageScope.__enter__, pipeline._StageScope.__exit__
+    stage = pipeline._Tracker.stage
 
-    def tracked_enter(self):
-        by_stage[self.name] = Counter(calls)
-        return enter(self)
+    @contextlib.contextmanager
+    def tracked(self, name, *args, **kwargs):
+        before = Counter(calls)
+        with stage(self, name, *args, **kwargs) as counts:
+            yield counts
+        by_stage[name] = Counter(calls) - before
 
-    def tracked_exit(self, *exc):
-        by_stage[self.name] = Counter(calls) - by_stage[self.name]
-        return leave(self, *exc)
-
-    monkeypatch.setattr(pipeline._StageScope, "__enter__", tracked_enter)
-    monkeypatch.setattr(pipeline._StageScope, "__exit__", tracked_exit)
+    monkeypatch.setattr(pipeline._Tracker, "stage", tracked)
     run_pipeline(generate(spec)[0])
     assert by_stage["baseline_match"]["cKDTree"] == 1
     assert by_stage["baseline_match"]["vertex_scores_log_arrays"] > 0

@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from strokesurf import stroke_model as sm
 
+import oracles
 from conftest import line_stroke, make_stroke
 
 
@@ -152,6 +154,9 @@ def test_load_drawing_drops_degenerate_strokes():
     lambda d: d["strokes"][0].__setitem__(
         "vertices", [[0, 0, 0], [1, 0, float("nan")], [2, 0, 0]]),
     lambda d: d.__setitem__("strokes", []),
+    lambda d: d["strokes"][0].__setitem__("color", [float("nan"), 0, 0]),
+    lambda d: d["strokes"][0].__setitem__(
+        "timestamps", [0.0, float("inf"), 2.0]),
 ])
 def test_load_drawing_validation_errors(mutate):
     data = drawing_dict()
@@ -236,7 +241,7 @@ def test_trim_is_idempotent(config):
 
 def test_ribbon_geometry_offsets_half_width():
     s = line_stroke(n=4, width=0.2)
-    corners, tris = sm.ribbon_geometry(s)
+    corners, tris, _ = sm.ribbon_geometry(s)
     assert len(corners) == 8
     assert len(tris) == 6
     ys = np.unique(np.round(corners[:, 1], 12))
@@ -245,8 +250,41 @@ def test_ribbon_geometry_offsets_half_width():
 
 def test_ribbon_geometry_skips_degenerate_frames():
     s = line_stroke(n=4, normal=(1, 0, 0))
-    corners, tris = sm.ribbon_geometry(s)
+    corners, tris, _ = sm.ribbon_geometry(s)
     assert len(tris) == 0
+
+
+def test_ribbon_geometry_matches_the_segment_loop():
+    """The array ribbon equals the segment-by-segment reference bit for
+    bit: corners, triangles and corner vertices, on random strokes whose
+    frames are degenerate here and there, whose quads are often exact
+    rectangles (diagonals of equal length) and which can lose every
+    segment."""
+    rng = np.random.default_rng(3)
+    cases = Counter()
+    for _ in range(3000):
+        n = int(rng.integers(2, 9))
+        if rng.random() < 0.3:      # a straight ribbon of one width
+            pts = np.outer(np.arange(n), rng.normal(size=3))
+            normals = np.tile(rng.normal(size=3), (n, 1))
+            widths = np.full(n, rng.uniform(0.01, 1.0))
+        else:
+            pts = rng.normal(size=(n, 3)).cumsum(axis=0)
+            normals = rng.normal(size=(n, 3))
+            widths = rng.uniform(0.01, 1.0, n)
+        # a normal along the tangent leaves its vertex no frame
+        bad = rng.random(n) < 0.2
+        normals[bad] = np.gradient(pts, axis=0)[bad]
+        stroke = sm.Stroke(pts, normals, widths)
+        want = oracles.ribbon_geometry(stroke)
+        got = sm.ribbon_geometry(stroke)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert a.tobytes() == b.tobytes()
+        cases["no_frame"] += not stroke.frames_ok.all()
+        cases["empty"] += len(got[1]) == 0
+        cases["partial"] += 0 < len(got[1]) < 2 * (n - 1)
+    assert min(cases.values()) > 50, cases
 
 
 def test_canonical_order_ignores_input_order():

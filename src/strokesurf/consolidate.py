@@ -724,64 +724,45 @@ def apply_consolidation(mesh, labels, component):
     return component[keep]
 
 
-class Repair(list):
-    """The tids repair_nonmanifold removed, in removal order. `audit` is
-    the (bad_edges, bad_vertices) of the mesh as the net left it, or
-    None when the round cap stopped the net after a change."""
-
-    audit = None
-
-
 def repair_nonmanifold(mesh, frozen=frozenset()):
     """Deterministically remove the newest triangles at any residual
     non-manifold edge or pinched vertex. The pairwise criteria cover the
     overwhelming majority of conflicts; this net guarantees the audit,
     after consolidation and after the pipeline's orientation-driven
-    removals. Returns a Repair.
+    removals. Returns the removed tids, in removal order.
 
     Overfull edges are cleared once, in sorted order, of their newest
     active triangles, unfrozen before frozen: removals only lower edge
     counts, so no edge can become overfull later. Pinched vertices are
-    then split until the audit finds none. Removals lower edge counts
-    and change fans only at the removed rows' corners, so after a first,
-    whole audit each round audits only the corners of the last cuts."""
-    removed = Repair()
-    tids, _, index = mesh.edges()
-    stop = np.cumsum(index.count)
-    for e in np.flatnonzero(index.count > 2).tolist():
-        on = tids[index.corner[stop[e] - index.count[e]:stop[e]] // 3]
-        on = sorted(on[mesh.is_active(on)].tolist(),
-                    key=lambda t: (t not in frozen, t), reverse=True)
-        mesh.remove(on[:-2])
-        removed += on[:-2]
-    at = None
+    then split until the audit finds none."""
+    removed = []
+    if mesh_ops.audit_manifold(mesh)[0]:
+        tids, _, index = mesh.edges()
+        stop = np.cumsum(index.count)
+        for e in np.flatnonzero(index.count > 2).tolist():
+            on = tids[index.corner[stop[e] - index.count[e]:stop[e]] // 3]
+            on = sorted(on[mesh.is_active(on)].tolist(),
+                        key=lambda t: (t not in frozen, t), reverse=True)
+            mesh.remove(on[:-2])
+            removed += on[:-2]
     for _ in range(64):
-        before = len(removed)
-        audit = mesh_ops.audit_manifold(mesh, at=at)
-        nm_vertices = audit[1]
-        vmap = mesh.vertex_tris(nm_vertices) if nm_vertices else {}
+        nm_vertices = mesh_ops.audit_manifold(mesh)[1]
+        if not nm_vertices:
+            break
+        vmap = mesh.vertex_tris(nm_vertices)
         for v in nm_vertices:
             # removals at earlier vertices leave removed tids in vmap;
             # vertex_fan_groups skips them
             groups = mesh_ops.vertex_fan_groups(mesh, v, vmap[v])
-            if len(groups) <= 1:
-                continue
-
-            def group_key(g):
-                has_frozen = any(t in frozen for t in g)
-                return (not has_frozen, -len(g), min(g))
-            keep = sorted(groups, key=group_key)[0]
+            # keep a fan with a frozen triangle, then the largest, then
+            # the lowest; the others go whole, frozen or not: the audit
+            # guarantee outranks keeping prior triangles
+            keep = min(groups, default=None, key=lambda g: (
+                frozen.isdisjoint(g), -len(g), g[0]))
             for g in groups:
-                if g is keep:
-                    continue
-                # losing groups go entirely, frozen or not: the audit
-                # guarantee outranks keeping prior triangles
-                mesh.remove(g)
-                removed += g
-        if len(removed) == before:
-            removed.audit = audit
-            break
-        at = mesh.tri_verts[removed[before:]]
+                if g is not keep:
+                    mesh.remove(g)
+                    removed += g
     return removed
 
 
@@ -823,11 +804,10 @@ def consolidate_mesh(mesh, cs, config, frozen=frozenset(), stats=None):
         raise InvariantError(
             f"incompatible pair ({t1}, {t2}) survived consolidation")
 
-    repaired = repair_nonmanifold(mesh, frozen)
-    stats.repair_removed += len(repaired)
-    removed += len(repaired)
-    nm_edges, nm_vertices = (mesh_ops.audit_manifold(mesh)
-                             if repaired.audit is None else repaired.audit)
+    repaired = len(repair_nonmanifold(mesh, frozen))
+    stats.repair_removed += repaired
+    removed += repaired
+    nm_edges, nm_vertices = mesh_ops.audit_manifold(mesh)
     if nm_edges or nm_vertices:
         raise InvariantError(
             f"non-manifold after consolidation: {len(nm_edges)} edges, "

@@ -58,18 +58,21 @@ UNRANKED, DEAD = np.iinfo(np.int64).max, -1
 # audits
 
 
-def audit_manifold(mesh, at=None):
+def audit_manifold(mesh):
     """Return (bad_edges, bad_vertices), both sorted: edges with more
     than two incident triangles and vertices whose incident triangles
-    split into multiple edge-connected fans. With `at`, an array of
-    vertices, only the active rows at those vertices are read, and only
-    the edges with an end in at and the vertices in at are audited.
+    split into multiple edge-connected fans. Each audit records its proof
+    on the mesh (see mesher); given one, only the active rows at the
+    vertices it does not cover are read, none when it covers them all.
 
     Fans come from one labelling of every triangle corner: the corners
     of two triangles at v are joined when the triangles also share an
     opposite vertex u, that is the edge (v, u). A vertex is bad when its
     corners carry more than one label."""
     n = mesh.vertex_count()
+    at = mesh.unproved()
+    if at is not None and not len(at):
+        return [], []
     near = np.zeros(n, dtype=bool)
     near[slice(None) if at is None else at] = True
     if at is None:
@@ -91,8 +94,10 @@ def audit_manifold(mesh, at=None):
     fans = np.bincount(corner[first], minlength=n)
     lo, hi = index.ends(index.count > 2)
     touch = near[lo] | near[hi]
-    return (list(zip(lo[touch].tolist(), hi[touch].tolist())),
-            np.flatnonzero((fans > 1) & near).tolist())
+    lo, hi = lo[touch], hi[touch]
+    bad = np.flatnonzero((fans > 1) & near)
+    mesh.prove(np.r_[bad, lo, hi])
+    return list(zip(lo.tolist(), hi.tolist())), bad.tolist()
 
 
 def vertex_fan_groups(mesh, v, tids=None):
@@ -690,7 +695,7 @@ def laplacian_smooth(mesh, config, iterations=1):
 
 def component_stats(mesh):
     """Per-component counts plus Euler characteristic and boundary loop
-    tally, ordered like mesh.components()."""
+    tally, components in the order of their lowest tid."""
     lookup = _ComponentLookup(mesh)
     k = lookup.k
     triangles = np.bincount(lookup.labels, minlength=k).tolist()

@@ -21,10 +21,9 @@ scores every quad in one pass of the row kernels in `geometry`, vetoes
 and splits every fan with one batch of vertex scores, and inserts the
 rows through one `SurfaceMesh.add_triangles` call, which keeps the
 first emission of each triangle; one assignment then writes the
-provenance of those inserted. The one loop left is add_triangles'
-append of each winner, which waits for a bulk table (below). The
-crease-preserving variant queues its sections' ribbon quads with the
-strips, so it too inserts once per call.
+provenance of those inserted. The crease-preserving variant queues its
+sections' ribbon quads with the strips, so it too inserts once per
+call.
 
 SurfaceMesh keeps one triangle table: corners as a (T, 3) int64 array,
 states as a (T,) array and provenance as a (T, 6) int64 array, in
@@ -50,6 +49,13 @@ ends when `add_triangle` or `remove` change a row, at `flip`, which
 moves edges between the slots that boundary walks and orientation
 read, and at `add_vertices`, as the vertex count is in every key.
 No code but `flip` rewrites a `tri_verts` row.
+
+An audit's proof, which only `mesh_ops.audit_manifold` records, keeps
+the row count at the audit, the vertices it found at fault and the
+corners of every row `remove` takes out since. Rows added since are the
+table's tail, so `add_triangle` records nothing, and `flip` and
+`add_vertices` change no vertex's rows, so no fan or edge count. Every
+vertex none of these name has the fans and edge counts the audit found.
 
 A provenance row says what a strip triangle hangs on: (gid a, gid b,
 flat a, flat b, flat apex, side) holds its chain edge in chain order,
@@ -211,13 +217,10 @@ class SurfaceMesh:
     (OUTPUT or REMOVED) and row t of tri_prov, (T, 6) int64,
     its provenance (module docstring): views of storage whose capacity
     doubles when full. add_triangles is the checked insert; it leaves
-    the provenance row at NO_PROV and strip meshing writes it. An insert
-    may move that storage, so take the views afresh after add_triangles.
-    scale() is the bounding-box diagonal of the first vertex block and
-    fixes the insert rule's area floor; later blocks leave it, so a
-    row's fate does not hang on which vertices were added before it.
-    `version` counts the writes that end an edge index (module
-    docstring)."""
+    the provenance row at NO_PROV and strip meshing writes it. scale()
+    fixes the insert rule's area floor, `version` counts the writes that
+    end an edge index, and prove and unproved keep the last audit's
+    proof (module docstring)."""
 
     def __init__(self):
         self.positions = np.zeros((0, 3))
@@ -235,6 +238,7 @@ class SurfaceMesh:
         self._scale = None
         self._edges = None
         self._labels = None
+        self._proof = None
         self.version = 0
         self.removed_count = 0
         self.duplicates_skipped = 0
@@ -284,7 +288,7 @@ class SurfaceMesh:
 
     def scale(self):
         """The bounding-box diagonal of the first vertex block, at least
-        1e-12 (class docstring); None before any."""
+        1e-12 (module docstring); None before any."""
         return self._scale
 
     # ---- triangles ----
@@ -348,6 +352,8 @@ class SurfaceMesh:
         self.removed_count += len(tids)
         if len(tids):
             self._changed()
+            if self._proof is not None:
+                self._proof[2].append(self._verts[tids].ravel())
 
     def is_active(self, tid):
         return self._state[tid] != REMOVED
@@ -368,6 +374,18 @@ class SurfaceMesh:
     def _changed(self):
         self.version += 1
         self._edges = self._labels = None
+
+    def prove(self, bad):
+        """Record an audit that found fault only at the vertices bad."""
+        self._proof = self._count, np.asarray(bad, dtype=np.int64), []
+
+    def unproved(self):
+        """The vertices the last audit's proof does not cover, ascending;
+        None before any audit (module docstring)."""
+        if self._proof is not None:
+            count, bad, removed = self._proof
+            return np.unique(np.concatenate(
+                [bad, self._verts[count:self._count].ravel(), *removed]))
 
     def edges(self):
         """(tids, verts, index): triangle_array() and the edge_index of

@@ -128,23 +128,18 @@ def _stroke_paths(cs, drawing):
     return np.split(cs.gid[:cs.offsets[count]], cs.offsets[1:count])
 
 
-def _stroke_triangle_presence(mesh, cs, drawing):
-    """Which stroke chains own at least one active triangle vertex."""
+def _emit_ribbons(mesh, drawing, cs):
+    """Strokes with no chain vertex on an active triangle contribute their
+    original triangulated ribbons, all inserted with one add_vertices and
+    one add_triangles call; a corner's origin is (stroke, vertex)."""
     touched = np.zeros(mesh.vertex_count(), dtype=bool)
     touched[mesh.edges()[1]] = True
-    return [bool(touched[gids].any()) for gids in _stroke_paths(cs, drawing)]
-
-
-def _emit_ribbons(mesh, drawing, cs):
-    """Strokes with no retained triangles contribute their original
-    triangulated ribbons, all inserted with one add_vertices and one
-    add_triangles call; a corner's origin is (stroke, vertex)."""
-    present = _stroke_triangle_presence(mesh, cs, drawing)
     blocks = []
     base = 0
-    for si, stroke in enumerate(drawing.strokes):
-        if present[si]:
+    for si, gids in enumerate(_stroke_paths(cs, drawing)):
+        if touched[gids].any():
             continue
+        stroke = drawing.strokes[si]
         corners, tris, vertex = ribbon_geometry(stroke)
         blocks.append((corners, stroke.normals[vertex], stroke.widths[vertex],
                        np.tile(stroke.color, (len(vertex), 1)),
@@ -185,11 +180,10 @@ def _match_payload(table):
 
 
 def _break_nonorientable(stage, mesh, frozen=frozenset()):
-    """mesh_ops.break_nonorientable, counted in the stage; its Cut."""
+    """mesh_ops.break_nonorientable, counted in the stage."""
     cut = mesh_ops.break_nonorientable(mesh, frozen=frozen)
     stage["nonorientable_removed"] += len(cut)
     stage["walk_rows"] += cut.walk_rows
-    return cut
 
 
 def _match_boundaries(tracker, name, phase, config, color_cue):
@@ -263,9 +257,8 @@ def run_pipeline(drawing, options=None):
     stats = consolidate.ConsolidationStats()
     with tracker.stage("strip_consolidation", stats) as stage:
         consolidate.consolidate_mesh(mesh, cs, config, stats=stats)
-        # consolidate_mesh certified the mesh; flips change no edge or fan
-        if _break_nonorientable(stage, mesh):
-            stats.repair_removed += len(consolidate.repair_nonmanifold(mesh))
+        _break_nonorientable(stage, mesh)
+        stats.repair_removed += len(consolidate.repair_nonmanifold(mesh))
 
     if not options.skip_extension:
         frozen = set(mesh.active_ids())
@@ -276,9 +269,9 @@ def run_pipeline(drawing, options=None):
             if bcs is not None:
                 consolidate.consolidate_mesh(mesh, bcs, config,
                                              frozen=frozen, stats=stats)
-            if _break_nonorientable(stage, mesh, frozen) or bcs is None:
-                stats.repair_removed += len(
-                    consolidate.repair_nonmanifold(mesh, frozen=frozen))
+            _break_nonorientable(stage, mesh, frozen)
+            stats.repair_removed += len(
+                consolidate.repair_nonmanifold(mesh, frozen=frozen))
 
     with tracker.stage("small_holes") as stage:
         stage["holes_closed_added"] += mesh_ops.close_small_holes(mesh,

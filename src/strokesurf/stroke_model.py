@@ -224,46 +224,50 @@ def frame_at(stroke, i):
     )
 
 
+def _floats(raw, key, index):
+    """Stroke field raw[key] as a float64 array; one missing, null, not
+    floats or not finite is a ValidationError naming stroke and field."""
+    if raw.get(key) is None:
+        raise ValidationError(f"stroke {index}: missing {key}")
+    try:
+        values = np.asarray(raw[key], dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"stroke {index}: bad {key}: {exc}")
+    if not np.all(np.isfinite(values)):
+        raise ValidationError(f"stroke {index}: non-finite {key}")
+    return values
+
+
 def _clean_stroke(raw, index):
     """Validate and normalize one raw stroke dict. Returns Stroke or None."""
-    try:
-        verts = np.asarray(raw["vertices"], dtype=np.float64)
-        norms = np.asarray(raw["normals"], dtype=np.float64)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValidationError(f"stroke {index}: bad vertices/normals: {exc}")
+    if not isinstance(raw, dict):
+        raise ValidationError(f"stroke {index}: not an object")
+    verts = _floats(raw, "vertices", index)
+    norms = _floats(raw, "normals", index)
     if verts.ndim != 2 or verts.shape[1] != 3:
         raise ValidationError(f"stroke {index}: vertices must be (n, 3)")
     if norms.shape != verts.shape:
         raise ValidationError(
             f"stroke {index}: normals shape {norms.shape} does not match "
             f"vertices {verts.shape}")
-    if not np.all(np.isfinite(verts)) or not np.all(np.isfinite(norms)):
-        raise ValidationError(f"stroke {index}: non-finite coordinates")
 
-    width = raw.get("width")
-    if width is None:
-        raise ValidationError(f"stroke {index}: missing width")
-    widths = np.asarray(width, dtype=np.float64)
+    widths = _floats(raw, "width", index)
     if widths.ndim == 0:
         widths = np.full(len(verts), float(widths))
     if widths.shape != (len(verts),):
         raise ValidationError(f"stroke {index}: width must be scalar or (n,)")
-    if not np.all(np.isfinite(widths)) or np.any(widths <= 0):
+    if np.any(widths <= 0):
         raise ValidationError(f"stroke {index}: widths must be positive")
 
-    color = np.asarray(raw.get("color", [1.0, 1.0, 1.0]), dtype=np.float64)
+    color = _floats(raw, "color", index) if "color" in raw else np.ones(3)
     if color.shape != (3,):
         raise ValidationError(f"stroke {index}: color must be [r, g, b]")
-    if not np.all(np.isfinite(color)):
-        raise ValidationError(f"stroke {index}: non-finite color")
 
-    timestamps = raw.get("timestamps")
-    if timestamps is not None:
-        timestamps = np.asarray(timestamps, dtype=np.float64)
+    timestamps = None
+    if raw.get("timestamps") is not None:
+        timestamps = _floats(raw, "timestamps", index)
         if timestamps.shape != (len(verts),):
             raise ValidationError(f"stroke {index}: timestamps length mismatch")
-        if not np.all(np.isfinite(timestamps)):
-            raise ValidationError(f"stroke {index}: non-finite timestamps")
 
     nn = np.linalg.norm(norms, axis=1)
     if np.any(nn < EPS_DEGENERATE):

@@ -155,6 +155,24 @@ def test_non_finite_stroke_field_exit_code(tmp_path, capsys, key, value,
             in capsys.readouterr().err)
 
 
+@pytest.mark.parametrize("key, value", [
+    ("width", {}), ("color", "red"), ("color", {"r": 1}),
+    ("timestamps", ["0", "late"])])
+def test_unreadable_stroke_field_exit_code(tmp_path, capsys, key, value):
+    """A stroke field numpy cannot read as floats is an input error that
+    names the stroke and the field."""
+    path = tmp_path / "d.json"
+    save_drawing(Drawing(strokes=[line_stroke(y=0.0, n=2),
+                                  line_stroke(y=0.1, n=2)]), path)
+    doc = json.loads(path.read_text())
+    doc["strokes"][1][key] = value
+    path.write_text(json.dumps(doc))
+    assert cli_main(["--input", str(path),
+                     "--output", str(tmp_path / "m.obj")]) == 2
+    assert (f"input error: stroke 1: bad {key}: "
+            in capsys.readouterr().err)
+
+
 @pytest.mark.parametrize("doc", [
     {"width_factor": "x"}, [[1]], 3, None, {"small_hole_max_sides": 4.5},
     {"cone_angle_deg": True}, {"dihedral_min_deg": [45]},

@@ -648,34 +648,29 @@ def test_consolidate_mesh_raises_when_a_conflict_survives(config,
         consolidate.consolidate_mesh(mesh, cs, config)
 
 
-@pytest.mark.parametrize("audit", [None, ([], [7])])
-def test_consolidate_mesh_checks_the_repair_audit(config, monkeypatch,
-                                                  audit):
-    """The pass raises on the repair net's last audit when the net hands
-    one back, and audits the mesh itself only when it does not."""
+@pytest.mark.parametrize("found", [([], []), ([], [7])],
+                         ids=["clean", "pinched"])
+def test_consolidate_mesh_raises_when_its_final_audit_finds_a_bad_vertex(
+        config, monkeypatch, found):
+    """The pass ends with one audit of the mesh the repair net left, and
+    raises when that audit finds a bad vertex."""
     cs, mesh, _ = strip_fixture(config, [[0.4, 0.5, 0], [0.6, 0.8, 0]])
     audits = []
-    real_audit = mesh_ops.audit_manifold
 
-    def counted_audit(m):
+    def audit(m):
         audits.append(m)
-        return real_audit(m)
+        return found
 
-    def repair(m, frozen=frozenset()):
-        removed = consolidate.Repair()
-        removed.audit = audit
-        return removed
-
-    monkeypatch.setattr(mesh_ops, "audit_manifold", counted_audit)
-    monkeypatch.setattr(consolidate, "repair_nonmanifold", repair)
-    if audit is None:
-        consolidate.consolidate_mesh(mesh, cs, config)
-        assert audits == [mesh]
-    else:
+    monkeypatch.setattr(mesh_ops, "audit_manifold", audit)
+    monkeypatch.setattr(consolidate, "repair_nonmanifold",
+                        lambda m, frozen=frozenset(): [])
+    if found[1]:
         with pytest.raises(consolidate.InvariantError,
                            match="0 edges, 1 vertices"):
             consolidate.consolidate_mesh(mesh, cs, config)
-        assert audits == []
+    else:
+        consolidate.consolidate_mesh(mesh, cs, config)
+    assert audits == [mesh]
 
 
 @pytest.mark.parametrize("name", sorted(FLIP_SPECS))
@@ -831,9 +826,7 @@ def test_repair_separates_bowtie_fans():
     t2 = mesh.add_triangle(0, 3, 6)     # fan B, vertex only
     removed = consolidate.repair_nonmanifold(mesh)
     assert removed == [t2]                        # smaller fan goes whole
-    bad_e, bad_v = mesh_ops.audit_manifold(mesh)
-    assert not bad_e and not bad_v
-    assert removed.audit == (bad_e, bad_v)
+    assert mesh_ops.audit_manifold(mesh) == ([], [])
 
 
 def test_repair_reads_each_overfull_edge_from_live_rows():
@@ -851,7 +844,7 @@ def test_repair_reads_each_overfull_edge_from_live_rows():
     removed = consolidate.repair_nonmanifold(mesh)
     assert removed == [t2] == oracles.repair_nonmanifold(ref)
     assert mesh.active_ids() == [t0, t1, t3, t4]
-    assert removed.audit == mesh_ops.audit_manifold(mesh) == ([], [])
+    assert mesh_ops.audit_manifold(mesh) == ([], [])
 
 
 def test_repair_bowtie_prefers_frozen_fan():

@@ -52,8 +52,8 @@ def test_the_check_sees_mesher_imports():
         (1, "edge_keys"), (1, "split_runs"), (3, "_private")]
 
 
-def _add_triangle_uses(tree):
-    """(line, where) of every add_triangle attribute in a module, where
+def _attribute_uses(tree, attr):
+    """(line, where) of every attribute named attr in a module, where
     being the dotted name of the class and function around it, or
     "<module>" outside any."""
     def visit(node, where):
@@ -62,8 +62,7 @@ def _add_triangle_uses(tree):
                                   ast.ClassDef)):
                 yield from visit(child, where + [child.name])
                 continue
-            if (isinstance(child, ast.Attribute)
-                    and child.attr == "add_triangle"):
+            if isinstance(child, ast.Attribute) and child.attr == attr:
                 yield child.lineno, ".".join(where) or "<module>"
             yield from visit(child, where)
     yield from visit(tree, [])
@@ -74,8 +73,8 @@ def test_only_add_triangles_calls_add_triangle():
     corner, area floor, duplicate) and add_triangle only appends what it
     accepted, so no other code in the package may call add_triangle."""
     uses = {(path.name, where) for path in SOURCES
-            for _, where in _add_triangle_uses(
-                ast.parse(path.read_text(encoding="utf-8")))}
+            for _, where in _attribute_uses(
+                ast.parse(path.read_text(encoding="utf-8")), "add_triangle")}
     assert uses == {("mesher.py", "SurfaceMesh.add_triangles")}
 
 
@@ -87,5 +86,41 @@ def test_the_check_sees_add_triangle_uses():
                      "        return [insert(*t) for t in self.rows]\n"
                      "def emit(mesh):\n"
                      "    return mesh.add_triangles([(0, 1, 2)])\n")
-    assert list(_add_triangle_uses(tree)) == [
+    assert list(_attribute_uses(tree, "add_triangle")) == [
         (1, "<module>"), (4, "Mesh.fill")]
+
+
+def _proof_uses(path):
+    """(file, attr, where) of every prove and _proof attribute in a
+    module."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return {(path.name, attr, where) for attr in ("prove", "_proof")
+            for _, where in _attribute_uses(tree, attr)}
+
+
+def test_only_audit_manifold_records_a_proof():
+    """A SurfaceMesh's proof says what the last audit of its rows found
+    and what changed since (mesher docstring), and every later audit
+    trusts it. So mesh_ops.audit_manifold is the one caller of
+    SurfaceMesh.prove, and only SurfaceMesh's own methods touch
+    _proof."""
+    uses = set().union(*map(_proof_uses, SOURCES))
+    assert {u for u in uses if u[1] == "prove"} == {
+        ("mesh_ops.py", "prove", "audit_manifold")}
+    assert {(name, where.split(".")[0]) for name, attr, where in uses
+            if attr == "_proof"} == {("mesher.py", "SurfaceMesh")}
+
+
+def test_the_check_sees_proof_uses(tmp_path):
+    path = tmp_path / "fake.py"
+    path.write_text("class SurfaceMesh:\n"
+                    "    def remove(self, tids):\n"
+                    "        self._proof[2].append(tids)\n"
+                    "def audit(mesh):\n"
+                    "    mesh.prove([])\n"
+                    "mesh._proof = None\n"
+                    "record = mesh.prove\n")
+    assert _proof_uses(path) == {
+        ("fake.py", "_proof", "SurfaceMesh.remove"),
+        ("fake.py", "prove", "audit"), ("fake.py", "_proof", "<module>"),
+        ("fake.py", "prove", "<module>")}

@@ -156,23 +156,11 @@ def _all_cases():
         for s in SEEDS]
 
 
-def _assert_local_audit_matches_reference(mesh, at):
-    """audit_manifold at the vertices at is the whole audit's part at
-    them: the bad edges with an end in at and the bad vertices in at."""
-    near = set(at)
-    edges, vertices = oracles.audit_manifold(mesh)
-    assert (mesh_ops.audit_manifold(mesh, at=np.array(at, dtype=np.int64))
-            == ([e for e in edges if near & set(e)],
-                [v for v in vertices if v in near]))
-
-
 @pytest.mark.parametrize("make", _all_cases())
 def test_components_audit_and_fans_match_reference(make):
     mesh, _ = make()
     assert mesh.components() == oracles.components(mesh)
     assert mesh_ops.audit_manifold(mesh) == oracles.audit_manifold(mesh)
-    for at in (range(0, mesh.vertex_count(), 2), [1], []):
-        _assert_local_audit_matches_reference(mesh, at)
     vmap = mesh.vertex_tris()
     for v in range(mesh.vertex_count()):
         assert (mesh_ops.vertex_fan_groups(mesh, v)
@@ -249,15 +237,17 @@ def test_orient_component_skips_triangles_outside_the_strip(make):
 
 
 def _checked_local_audits(monkeypatch):
-    """Make every audit_manifold at some vertices assert that it finds
-    what the reference's whole audit finds; returns the list of their
-    results."""
+    """Make every audit_manifold assert that it finds what the
+    reference's whole audit finds; returns the list of the results of
+    those that ran on a mesh with a proof, and so read only the vertices
+    it does not cover."""
     audit, local = mesh_ops.audit_manifold, []
 
-    def checked(mesh, at=None):
-        found = audit(mesh, at=at)
-        if at is not None:
-            assert found == oracles.audit_manifold(mesh)
+    def checked(mesh):
+        proved = mesh.unproved() is not None
+        found = audit(mesh)
+        assert found == oracles.audit_manifold(mesh)
+        if proved:
             local.append(found)
         return found
 
@@ -268,7 +258,7 @@ def _checked_local_audits(monkeypatch):
 @pytest.mark.parametrize("make", _all_cases())
 def test_repair_net_matches_reference(make, monkeypatch):
     """The repair net removes as the reference does, and each of its
-    audits after the first, at the corners of the rows it cut last,
+    audits, those after the first reading only what the net cut since,
     finds all that a whole audit finds."""
     _checked_local_audits(monkeypatch)
     mesh, frozen = make()
@@ -276,8 +266,63 @@ def test_repair_net_matches_reference(make, monkeypatch):
     removed = consolidate.repair_nonmanifold(mesh, frozen=frozen)
     assert removed == oracles.repair_nonmanifold(ref, frozen=frozen)
     assert np.array_equal(mesh.tri_state, ref.tri_state)
-    assert removed.audit == mesh_ops.audit_manifold(mesh) == ([], [])
+    assert mesh_ops.audit_manifold(mesh) == ([], [])
     assert mesh.active_count() == len(mesh.active_ids())
+
+
+# the ops of _audit_through: "add" inserts triangles over its ints,
+# "revive" inserts again the rows of the tids they name (a removed row
+# comes back), "remove" and "flip" act on those tids, "vertices" adds one
+# vertex more than it has ints; "audit" and "repair" ignore their ints
+AUDIT_OPS = ("add", "revive", "remove", "flip", "vertices", "audit",
+             "repair")
+
+
+def _audit_through(mesh, ops):
+    """Apply ops, (name, ints) pairs, to mesh, ints taken modulo the
+    vertex or row count, and audit at every "audit" op and at the end.
+    Every audit finds what the reference's whole audit finds, whatever
+    the proof it reads. Returns how many audits read nothing."""
+    idle = 0
+    for name, ints in ops + [("audit", [])]:
+        ints = np.asarray(ints, dtype=np.int64)
+        count, n = len(mesh.tri_verts), mesh.vertex_count()
+        if name == "audit":
+            at = mesh.unproved()
+            idle += at is not None and not len(at)
+            assert mesh_ops.audit_manifold(mesh) == oracles.audit_manifold(
+                mesh)
+        elif name == "repair":
+            consolidate.repair_nonmanifold(mesh)
+        elif name == "add":
+            mesh.add_triangles(ints[:len(ints) // 3 * 3] % n)
+        elif name == "vertices":
+            k = len(ints) + 1
+            pos = np.random.default_rng(int(ints.sum())).normal(size=(k, 3))
+            mesh.add_vertices(pos, pos, np.ones(k), np.ones((k, 3)),
+                              np.zeros((k, 2), np.int64), 0)
+        elif count and name == "revive":
+            mesh.add_triangles(mesh.tri_verts[ints % count].copy())
+        elif count:
+            getattr(mesh, name)(ints % count)
+    return idle
+
+
+def _random_ops(rng, count=30):
+    """count ops for _audit_through, each of up to nine ints."""
+    return [(AUDIT_OPS[rng.integers(len(AUDIT_OPS))],
+             rng.integers(0, 64, size=rng.integers(0, 10)).tolist())
+            for _ in range(count)]
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_audits_on_a_proof_match_reference(seed):
+    """A mesh audited, then changed by inserts, removals, flips and new
+    vertices between audits, is audited as a whole audit would find it
+    each time, though every audit after the first reads only what its
+    proof does not cover."""
+    mesh, _ = random_soup(seed)
+    _audit_through(mesh, _random_ops(np.random.default_rng(seed)))
 
 
 @pytest.mark.parametrize("make", _all_cases())
@@ -392,6 +437,25 @@ def test_pipeline_walks_match_the_queue_walk(name, options, monkeypatch):
     assert callers == {"orient_all", "break_nonorientable",
                        "resolve_moebius"}
     assert (conflicts > 0) == (name == "cube_spiral")
+
+
+@RUN_OPTIONS
+@pytest.mark.parametrize("name", sorted(FLIP_SPECS))
+def test_pipeline_audits_the_whole_mesh_once(name, options, monkeypatch):
+    """A run audits its mesh without a proof once, in its first repair
+    net; every later audit reads only what changed since the one before,
+    and each finds what the reference's whole audit finds."""
+    audit, whole, proved = mesh_ops.audit_manifold, [], []
+
+    def checked(mesh):
+        (proved if mesh.unproved() is not None else whole).append(mesh)
+        found = audit(mesh)
+        assert found == oracles.audit_manifold(mesh)
+        return found
+
+    monkeypatch.setattr(mesh_ops, "audit_manifold", checked)
+    mesh, _ = run_pipeline(generate(FLIP_SPECS[name])[0], options)
+    assert whole == [mesh] and len(proved) > 5
 
 
 def _finned_strip(base, rungs, fins, y):
@@ -548,8 +612,15 @@ def test_hypothesis_soups_match_reference(n, data):
     assert np.array_equal(a.tri_state, b.tri_state)
     _assert_cuts_match_reference(copy.deepcopy(mesh), frozen)
     assert mesh_ops.boundary_loops(mesh) == oracles.boundary_loops(mesh)
-    at = data.draw(st.lists(st.integers(0, n - 1), max_size=n))
-    _assert_local_audit_matches_reference(mesh, at)
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(3, 9), data=st.data())
+def test_hypothesis_audits_on_a_proof_match_reference(n, data):
+    mesh, _ = draw_soup(n, data)
+    op = st.tuples(st.sampled_from(AUDIT_OPS),
+                   st.lists(st.integers(0, 63), max_size=9))
+    _audit_through(mesh, data.draw(st.lists(op, max_size=20)))
 
 
 @settings(max_examples=150, deadline=None)
@@ -603,11 +674,11 @@ def test_soups_cover_the_hard_cases(monkeypatch):
     non-orientable components, removed and pre-flipped triangles,
     orientation conflicts between two frozen triangles and on an
     overfull edge, frozen strips whose edges also carry triangles
-    outside the strip, and repair nets that audit again at their
-    cuts."""
+    outside the strip, repair nets that audit again on a mesh with a
+    proof, and audits with a proof that covers every vertex."""
     local = _checked_local_audits(monkeypatch)
     overfull, pinched, nonorientable, removed = set(), 0, 0, 0
-    both_frozen = on_overfull = shared_strips = 0
+    both_frozen = on_overfull = shared_strips = net_local = idle = 0
     for seed in SEEDS:
         mesh, frozen = random_soup(seed)
         em = mesh.edge_map()
@@ -617,7 +688,11 @@ def test_soups_cover_the_hard_cases(monkeypatch):
         pinched += len(bad_v)
         nonorientable += len(oracles.orient_all(copy.deepcopy(mesh)))
         removed += mesh.removed_count
+        audits = len(local)
         consolidate.repair_nonmanifold(copy.deepcopy(mesh), frozen)
+        net_local += len(local) - audits
+        idle += _audit_through(copy.deepcopy(mesh),
+                               _random_ops(np.random.default_rng(seed)))
         for t, other in _conflicts(copy.deepcopy(mesh), frozen):
             both_frozen += t in frozen and other in frozen
             edge = (set(mesh.tri_verts[t].tolist())
@@ -630,7 +705,8 @@ def test_soups_cover_the_hard_cases(monkeypatch):
                                      mesh, strip))
     assert {3, 4} <= overfull
     assert pinched and nonorientable and removed
-    assert both_frozen and on_overfull and shared_strips and local
+    assert both_frozen and on_overfull and shared_strips
+    assert net_local and idle
 
 
 @pytest.mark.parametrize("seed", range(40))

@@ -34,10 +34,24 @@ level L in rank order. Flips count against the build-time winding, as a
 walk over rewound rows follows flip[child] = same ^ flip[parent] with
 the build-time same. Unreached rows start new parts from their lowest
 tids, which keep their flips as a fresh walk keeps their windings.
+
+Hole filling (close_small_holes, fill_all_holes) is one pass: one
+boundary walk, one count of the triangles on every vertex pair of every
+loop, each fill taken in loop order unless it would put a third triangle
+on an edge, counting the fills taken before it, and one insert. The
+pipeline fills holes right after a repair net, on a manifold mesh, and
+there rounds of fills until one adds nothing would do the same: no
+vertex lies on two loops, so no two fills share an edge; a fill with an
+active duplicate triangle would overload an edge, so the check refuses
+it; and a triangle the area floor drops leaves itself as the hole. On a
+soup one pass can differ: a triangle the insert rule drops still counts
+in later checks, a fill partly inserted is not retried, and a loop that
+passes a vertex twice may fail the check with a minimum-area fill.
 """
 
 from __future__ import annotations
 
+import itertools
 from collections import Counter
 
 import numpy as np
@@ -482,16 +496,6 @@ def boundary_chain_set(mesh, config, with_dmax=False):
 # hole filling
 
 
-def _quad_fill(mesh, loop):
-    """Split a 4-loop (a, b, c, d) by mesher.split_quads, as the quad
-    (d, c, a, b) of strip meshing, into two triangles wound against the
-    loop."""
-    a, b, c, d = loop
-    quad = np.array([[d, c, a, b]], dtype=np.int64)
-    use1, _ = split_quads(*mesh.positions[quad.T], quad)
-    return ((d, c, b), (d, b, a)) if use1[0] else ((c, b, a), (c, a, d))
-
-
 def third_vertices(verts, edges):
     """The first corner of each triangle row of verts, (n, 3), that is
     not on its edge edges[i]; every row holds its edge."""
@@ -501,107 +505,86 @@ def third_vertices(verts, edges):
     return verts[np.arange(len(verts)), np.argmax(off, axis=1)]
 
 
-def close_small_holes(mesh, config):
-    """Fill boundary loops of up to small_hole_max_sides vertices,
-    skipping loops that are the entire boundary of a sheet-like
-    component (closing those would glue a pillow shut). A round counts
-    the triangles on its fills' edges once; each fill it adds counts."""
-    added = 0
-    for _ in range(len(mesh.tri_verts) + 1):
-        loops = [lp for lp in boundary_loops(mesh)
-                 if len(lp) <= config.small_hole_max_sides]
-        if not loops:
-            break
-        lookup = _ComponentLookup(mesh)
-        fills = [[tuple(loop[::-1])] if len(loop) == 3
-                 else _quad_fill(mesh, loop)
-                 for loop in loops if not lookup.loop_spans_component(loop)]
-        # the undirected edges (lo, hi) of each triangle of each fill
-        sides = [[[tuple(sorted(e)) for e in zip(t, t[1:] + t[:1])]
-                  for t in tris] for tris in fills]
-        flat = [e for rows in sides for r in rows for e in r]
-        lo, hi = np.array(flat, dtype=np.int64).reshape(-1, 2).T
-        count = Counter(dict(zip(flat, mesh.edges()[2].counts(lo, hi)
-                                 .tolist())))
-        added_now = 0
-        for tris, rows in zip(fills, sides):
-            # every edge may end up with at most two incident triangles
-            gain = Counter(e for r in rows for e in r)
-            if any(count[e] + extra > 2 for e, extra in gain.items()):
-                continue
-            tids = mesh.add_triangles(tris)
-            for tid, r in zip(tids.tolist(), rows):
-                if tid >= 0:
-                    added_now += 1
-                    count.update(r)
-        if not added_now:
-            break
-        added += added_now
-    return added
+def _small_fills(mesh, loops, count):
+    """The fill of each 3- or 4-loop, wound against it: a 3-loop is one
+    triangle, and every 4-loop (a, b, c, d) is split by one
+    mesher.split_quads call, as the quad (d, c, a, b) of strip meshing.
+    A small fill depends on its loop alone, so count is not read."""
+    quads = np.array([lp for lp in loops if len(lp) == 4],
+                     dtype=np.int64).reshape(-1, 4)[:, [3, 2, 0, 1]]
+    use1, _ = split_quads(*mesh.positions[quads.T], quads)
+    split = iter([[(d, c, b), (d, b, a)] if one else [(c, b, a), (c, a, d)]
+                  for (d, c, a, b), one in zip(quads.tolist(), use1.tolist())])
+    return [[tuple(lp[::-1])] if len(lp) == 3 else next(split)
+            for lp in loops]
 
 
-def fill_hole(mesh, loop):
-    """Minimum-area triangulation of one boundary loop (classic interval
-    DP). Triangles are wound against the loop so they join the surface
-    coherently. Chords that would overload an existing mesh edge are
-    infeasible; an unfillable loop is left open."""
-    n = len(loop)
-    if n < 3:
-        return 0
-    # the triangles on the chord between loop positions i < j
-    i, j = np.triu_indices(n, 1)
-    count = np.zeros((n, n), dtype=np.int64)
-    count[i, j] = mesh.edges()[2].counts(np.take(loop, i), np.take(loop, j))
-    inf = float("inf")
-
-    def chord_ok(i, j):
-        # loop edges gain one triangle, interior chords gain two
-        adjacent = (j - i == 1) or (i == 0 and j == n - 1)
-        return count[i, j] <= (1 if adjacent else 0)
-
-    pts = [mesh.positions[g] for g in loop]
-    cost = [[0.0] * n for _ in range(n)]
-    pick = [[-1] * n for _ in range(n)]
-    for span in range(2, n):
-        for i in range(0, n - span):
-            j = i + span
-            best, best_k = inf, -1
-            if chord_ok(i, j):
+def _min_area_fills(mesh, loops, count):
+    """Yield the minimum-area triangulation of each loop in turn (the
+    classic interval DP), wound against the loop, reading count as it
+    stands at the loop's turn: a loop edge may hold one triangle
+    already, a chord none. An unfillable loop yields no triangles."""
+    for loop in loops:
+        n, pts = len(loop), mesh.positions[loop].tolist()
+        cost = [[0.0] * n for _ in range(n)]
+        pick = [[-1] * n for _ in range(n)]
+        for span in range(2, n):
+            for i in range(n - span):
+                j = i + span
+                cost[i][j] = float("inf")
+                # (0, n - 1) is the one loop edge with a span of 2 or more
+                if count[tuple(sorted((loop[i], loop[j])))] > (span == n - 1):
+                    continue
                 for k in range(i + 1, j):
                     c = (cost[i][k] + cost[k][j]
                          + geometry.triangle_area(pts[i], pts[k], pts[j]))
-                    if c < best - 1e-15:
-                        best, best_k = c, k
-            cost[i][j] = best
-            pick[i][j] = best_k
-    if not np.isfinite(cost[0][n - 1]):
-        return 0
-    tris = []
-    stack = [(0, n - 1)]
-    while stack:
-        i, j = stack.pop()
-        if j - i < 2:
-            continue
-        k = pick[i][j]
-        tris.append((loop[j], loop[k], loop[i]))
-        stack.append((i, k))
-        stack.append((k, j))
-    return int((mesh.add_triangles(tris) >= 0).sum())
+                    if c < cost[i][j] - 1e-15:
+                        cost[i][j], pick[i][j] = c, k
+        tris, stack = [], [(0, n - 1)] if pick[0][n - 1] >= 0 else []
+        while stack:
+            i, j = stack.pop()
+            if j - i >= 2:
+                k = pick[i][j]
+                tris.append((loop[j], loop[k], loop[i]))
+                stack += [(i, k), (k, j)]
+        yield tris
 
 
-def fill_all_holes(mesh, config, max_sides=None):
-    """Triangulate remaining boundary loops (optionally only those with
-    at most max_sides vertices), skipping pillow cases."""
-    added = 0
-    loops = boundary_loops(mesh)
+def _fill_holes(mesh, max_sides, triangulate):
+    """Fill the boundary loops of at most max_sides vertices in one pass
+    (module docstring), each with the triangles triangulate(mesh, loops,
+    count) gives it in turn, and return the number added. count holds
+    the triangles on each vertex pair (lo, hi) of the loops, plus those
+    of the fills taken before. A loop that is the entire boundary of a
+    sheet-like component stays open: closing it would glue a pillow
+    shut."""
     lookup = _ComponentLookup(mesh)
-    for loop in loops:
-        if max_sides is not None and len(loop) > max_sides:
-            continue
-        if lookup.loop_spans_component(loop):
-            continue
-        added += fill_hole(mesh, loop)
-    return added
+    loops = [lp for lp in boundary_loops(mesh) if len(lp) <= max_sides
+             and not lookup.loop_spans_component(lp)]
+    pairs = sorted({tuple(sorted(e)) for lp in loops
+                    for e in itertools.combinations(lp, 2)})
+    lo, hi = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+    count = Counter(dict(zip(pairs, mesh.edges()[2].counts(lo, hi)
+                             .tolist())))
+    rows = []
+    for tris in triangulate(mesh, loops, count):
+        # every edge may end up with at most two incident triangles
+        gain = Counter(tuple(sorted(e)) for t in tris
+                       for e in zip(t, t[1:] + t[:1]))
+        if all(count[e] + extra <= 2 for e, extra in gain.items()):
+            count.update(gain)
+            rows += tris
+    return int((mesh.add_triangles(rows) >= 0).sum()) if rows else 0
+
+
+def close_small_holes(mesh, config):
+    """Fill the boundary loops of up to small_hole_max_sides vertices."""
+    return _fill_holes(mesh, config.small_hole_max_sides, _small_fills)
+
+
+def fill_all_holes(mesh, config, max_sides):
+    """Triangulate the boundary loops of up to max_sides vertices."""
+    return _fill_holes(mesh, max_sides, _min_area_fills)
 
 
 # ---------------------------------------------------------------------------

@@ -281,7 +281,6 @@ def run_pipeline(drawing, options=None):
         mesh_ops.smooth_boundary(mesh, config)
 
     frozen = set(mesh.active_ids())
-    tris_before_gap = len(mesh.tri_verts)
     gcs = _match_boundaries(tracker, "gap_spanning", "gap", config,
                             options.use_color)
     stats = consolidate.ConsolidationStats()
@@ -291,7 +290,7 @@ def run_pipeline(drawing, options=None):
                                          stats=stats)
 
     with tracker.stage("orientation") as stage:
-        new_tids = [t for t in mesh.active_ids() if t >= tris_before_gap]
+        new_tids = [t for t in mesh.active_ids() if t not in frozen]
         stage["moebius_removed"] += len(
             mesh_ops.resolve_moebius(mesh, new_tids))
         _break_nonorientable(stage, mesh, frozen)

@@ -20,6 +20,8 @@ hand-written union-finds, the angle references evaluate one triangle at
 a time in Python floats, the strip-meshing reference inserts every
 triangle the moment it is emitted, scoring each quad on its own, the
 ribbon reference triangulates one stroke segment at a time, the
+hole-filling references fill and insert one loop at a time, small holes
+in rounds until one adds nothing, the
 triangle table reference keeps corners and states in Python lists, the
 OBJ writer reference formats one line and one number at a time, the
 neighbourhood references (both smoothers with their move guard,
@@ -1765,6 +1767,103 @@ def boundary_loops(mesh):
             loops.append(loop[k:] + loop[:k])
     loops.sort(key=lambda lp: lp[0])
     return loops
+
+
+# ---------------------------------------------------------------------------
+# hole filling, one loop at a time
+
+
+def _loop_spans_component(mesh, loop):
+    """The pillow guard: whether every vertex of the component of the
+    lowest active triangle at loop[0] lies on the loop."""
+    comp_of, comps = components(mesh)
+    tids = comps[comp_of[mesh.vertex_tris([loop[0]])[loop[0]][0]]]
+    return set(mesh.tri_verts[tids].ravel().tolist()) <= set(loop)
+
+
+def _edge_counts(mesh):
+    return Counter({e: len(tids) for e, tids in mesh.edge_map().items()})
+
+
+def close_small_holes(mesh, config):
+    """Reference for mesh_ops.close_small_holes as it ran in rounds until
+    one added nothing. A round takes the loops of up to
+    small_hole_max_sides vertices that pass the pillow guard, splits
+    quads by the rule of quad_fill and inserts each fill on its own,
+    unless an edge would carry more than two triangles, counting those
+    that earlier fills of the round inserted."""
+    added = 0
+    while True:
+        loops = [lp for lp in boundary_loops(mesh)
+                 if len(lp) <= config.small_hole_max_sides
+                 and not _loop_spans_component(mesh, lp)]
+        count = _edge_counts(mesh)
+        added_now = 0
+        for loop in loops:
+            tris = ([tuple(loop[::-1])] if len(loop) == 3
+                    else list(quad_fill(mesh.positions, loop)))
+            sides = [[tuple(sorted(e)) for e in zip(t, t[1:] + t[:1])]
+                     for t in tris]
+            gain = Counter(e for r in sides for e in r)
+            if any(count[e] + extra > 2 for e, extra in gain.items()):
+                continue
+            for tid, r in zip(mesh.add_triangles(tris).tolist(), sides):
+                if tid >= 0:
+                    added_now += 1
+                    count.update(r)
+        if not added_now:
+            return added
+        added += added_now
+
+
+def fill_hole(mesh, loop):
+    """The minimum-area triangulation of one loop by the interval DP,
+    wound against the loop, against the live edge map: a loop edge may
+    carry one triangle already, a chord none. Inserted at once; returns
+    the number of triangles added."""
+    from strokesurf.geometry import triangle_area
+
+    n = len(loop)
+    count = _edge_counts(mesh)
+    pts = [mesh.positions[g] for g in loop]
+    cost, pick = {}, {}
+    for span in range(1, n):
+        for i in range(n - span):
+            j = i + span
+            if span == 1:
+                cost[i, j] = 0.0
+                continue
+            adjacent = i == 0 and j == n - 1
+            cost[i, j], pick[i, j] = float("inf"), -1
+            if count[tuple(sorted((loop[i], loop[j])))] > adjacent:
+                continue
+            for k in range(i + 1, j):
+                c = (cost[i, k] + cost[k, j]
+                     + triangle_area(pts[i], pts[k], pts[j]))
+                if c < cost[i, j] - 1e-15:
+                    cost[i, j], pick[i, j] = c, k
+    if not math.isfinite(cost[0, n - 1]):
+        return 0
+    tris = []
+
+    def emit(i, j):
+        if j - i >= 2:
+            k = pick[i, j]
+            tris.append((loop[j], loop[k], loop[i]))
+            emit(k, j)
+            emit(i, k)
+
+    emit(0, n - 1)
+    return int((mesh.add_triangles(tris) >= 0).sum())
+
+
+def fill_all_holes(mesh, config, max_sides):
+    """Reference for mesh_ops.fill_all_holes as it filled one loop at a
+    time: the loops of up to max_sides vertices that pass the pillow
+    guard, all judged before the first fill, each by fill_hole."""
+    loops = [lp for lp in boundary_loops(mesh) if len(lp) <= max_sides
+             and not _loop_spans_component(mesh, lp)]
+    return sum(fill_hole(mesh, loop) for loop in loops)
 
 
 # ---------------------------------------------------------------------------

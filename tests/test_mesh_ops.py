@@ -1,13 +1,14 @@
 """Mesh-level operations: audits, orientation, boundary loops, hole
 filling, smoothing, and the OBJ round trip."""
 
+import copy
 import math
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from strokesurf import mesh_ops
+from strokesurf import consolidate, mesh_ops, mesher
 from strokesurf.mesh_ops import mesh_from_arrays
 
 import oracles
@@ -253,10 +254,10 @@ def test_quad_fill_splits_as_its_old_rule():
     loops = [[0, 1, 2, 3], [1, 2, 3, 0], [2, 3, 0, 1], [3, 0, 1, 2]]
     loops += [lp[::-1] for lp in loops]
     for pts in quads:
-        mesh = SimpleNamespace(positions=pts)
-        for loop in loops:
-            assert (mesh_ops._quad_fill(mesh, loop)
-                    == oracles.quad_fill(pts, loop))
+        fills = mesh_ops._small_fills(SimpleNamespace(positions=pts), loops,
+                                      None)
+        assert fills == [list(oracles.quad_fill(pts, loop))
+                         for loop in loops]
 
 
 def twin_rhombus_holes():
@@ -289,9 +290,8 @@ def test_close_small_holes_counts_fills_earlier_in_the_round():
     mesh = twin_rhombus_holes()
     loops = [lp for lp in mesh_ops.boundary_loops(mesh) if len(lp) == 4]
     assert len(loops) == 2
-    for loop in loops:
-        assert all({0, 1} <= set(tri)
-                   for tri in mesh_ops._quad_fill(mesh, loop))
+    for fill in mesh_ops._small_fills(mesh, loops, None):
+        assert all({0, 1} <= set(tri) for tri in fill)
     assert mesh_ops.audit_manifold(mesh)[0] == []
     assert mesh_ops.close_small_holes(mesh, _cfg()) == 2
     assert mesh_ops.audit_manifold(mesh)[0] == []
@@ -340,8 +340,7 @@ def test_fill_hole_pentagon():
         mesh.remove(t)
     (loop,) = mesh_ops.boundary_loops(mesh)
     assert len(loop) == 5
-    added = mesh_ops.fill_hole(mesh, loop)
-    assert added == 3
+    assert mesh_ops.fill_all_holes(mesh, _cfg(), max_sides=5) == 3
     assert mesh_ops.boundary_loops(mesh) == []
     assert mesh_ops.audit_manifold(mesh) == ([], [])
     (stats,) = mesh_ops.component_stats(mesh)
@@ -371,8 +370,104 @@ def test_fill_all_holes_respects_max_sides():
     for t in (0, 1, 2):
         mesh.remove(t)
     assert mesh_ops.fill_all_holes(mesh, _cfg(), max_sides=4) == 0
-    assert mesh_ops.fill_all_holes(mesh, _cfg()) == 3
+    assert mesh_ops.fill_all_holes(mesh, _cfg(), max_sides=10**6) == 3
     assert mesh_ops.boundary_loops(mesh) == []
+
+
+def holed_manifolds(rng):
+    """A jittered grid, an annulus and an octahedron with random faces
+    removed, then passed through the repair net after which the pipeline
+    fills holes: manifold meshes with holes of every size."""
+    meshes = [grid_mesh(7, 6, jitter=rng.normal(scale=0.15, size=(42, 3))),
+              annulus(), octahedron()]
+    for mesh in meshes:
+        t = len(mesh.tri_verts)
+        mesh.remove(rng.choice(t, size=int(rng.integers(1, t // 3 + 1)),
+                               replace=False))
+        consolidate.repair_nonmanifold(mesh)
+        assert mesh_ops.audit_manifold(mesh) == ([], [])
+    return meshes
+
+
+def _same_table(mesh, ref):
+    return (np.array_equal(mesh.tri_verts, ref.tri_verts)
+            and np.array_equal(mesh.tri_state, ref.tri_state)
+            and mesh.duplicates_skipped == ref.duplicates_skipped)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_one_pass_fillers_match_round_based_references(seed):
+    """One pass and one insert leave the triangle table that filling one
+    loop at a time, small holes in rounds, leaves on manifold meshes
+    (module docstring): small holes then hole filling, and hole filling
+    alone. The twin rhombus soup, whose two loops share two vertices,
+    fills alike too."""
+    rng = np.random.default_rng(seed)
+    cfg = _cfg()
+    for mesh in holed_manifolds(rng) + [twin_rhombus_holes()]:
+        max_sides = int(rng.integers(3, 13))
+        alone, ref = copy.deepcopy(mesh), copy.deepcopy(mesh)
+        assert (mesh_ops.close_small_holes(mesh, cfg)
+                == oracles.close_small_holes(ref, cfg))
+        assert _same_table(mesh, ref)
+        assert (mesh_ops.fill_all_holes(mesh, cfg, max_sides)
+                == oracles.fill_all_holes(ref, cfg, max_sides))
+        assert _same_table(mesh, ref)
+        ref = copy.deepcopy(alone)
+        assert (mesh_ops.fill_all_holes(alone, cfg, max_sides)
+                == oracles.fill_all_holes(ref, cfg, max_sides))
+        assert _same_table(alone, ref)
+
+
+def test_holed_manifolds_have_holes_of_every_size():
+    sizes = {len(loop) for seed in range(10)
+             for mesh in holed_manifolds(np.random.default_rng(seed))
+             for loop in mesh_ops.boundary_loops(mesh)}
+    assert {3, 4} <= sizes and min(sizes - {3, 4}) <= 12
+
+
+FILLERS = {
+    "close_small_holes": lambda mesh: mesh_ops.close_small_holes(mesh,
+                                                                 _cfg()),
+    "fill_all_holes": lambda mesh: mesh_ops.fill_all_holes(mesh, _cfg(), 6),
+}
+
+
+@pytest.mark.parametrize("fill", FILLERS.values(), ids=FILLERS.keys())
+def test_hole_filling_walks_once_and_inserts_once(fill, monkeypatch):
+    """A call walks the boundary once, inserts with at most one
+    add_triangles call and builds no edge index after its walk: no fill
+    reads the mesh an earlier fill changed. Holes that round-based
+    filling closed in two rounds, or one loop at a time: two triangle
+    holes of an octahedron, the twin rhombus holes, a grid with a 4- and
+    a 6-hole, and a pillow with nothing to fill."""
+    events = []
+
+    def traced(name, func):
+        def call(*args, **kwargs):
+            out = func(*args, **kwargs)
+            events.append(name)
+            return out
+        return call
+
+    monkeypatch.setattr(mesh_ops, "boundary_loops",
+                        traced("walk", mesh_ops.boundary_loops))
+    monkeypatch.setattr(mesher, "edge_index",
+                        traced("index", mesher.edge_index))
+    monkeypatch.setattr(mesher.SurfaceMesh, "add_triangles",
+                        traced("insert", mesher.SurfaceMesh.add_triangles))
+    octa = octahedron()
+    octa.remove([0, 6])                 # two holes, no shared vertex
+    grid = grid_mesh(7, 4)
+    grid.remove([14, 15, 18, 19, 20, 21])
+    pillow = mesh_from_arrays(np.eye(3), [(0, 1, 2)])
+    for mesh in (octa, twin_rhombus_holes(), grid, pillow):
+        events.clear()
+        added = fill(mesh)
+        assert events.count("walk") == 1
+        assert events.count("insert") == (added > 0)
+        assert "index" not in events[events.index("walk"):]
+    assert added == 0 and mesh_ops.boundary_loops(octa) == []
 
 
 # ---------------------------------------------------------------------------

@@ -399,8 +399,7 @@ def test_inserts_outside_strip_meshing_keep_the_none_row(config):
     written = np.arange(6 * len(mesh.tri_verts)).reshape(-1, 6)
     mesh.tri_prov[:] = written
     assert mesh_ops.close_small_holes(mesh, config) == 2
-    (loop,) = [lp for lp in mesh_ops.boundary_loops(mesh) if len(lp) == 6]
-    mesh_ops.fill_hole(mesh, loop)
+    assert mesh_ops.fill_all_holes(mesh, config, max_sides=6) == 4
     assert len(mesh.tri_verts) == len(written) + 6
     assert np.array_equal(mesh.tri_prov[:len(written)], written)
     assert (mesh.tri_prov[len(written):] == mesher.NO_PROV).all()

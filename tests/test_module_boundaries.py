@@ -124,3 +124,50 @@ def test_the_check_sees_proof_uses(tmp_path):
         ("fake.py", "_proof", "SurfaceMesh.remove"),
         ("fake.py", "prove", "audit"), ("fake.py", "_proof", "<module>"),
         ("fake.py", "prove", "<module>")}
+
+
+LOOPS = (ast.For, ast.AsyncFor, ast.While, ast.ListComp, ast.SetComp,
+         ast.DictComp, ast.GeneratorExp)
+
+
+def _looped_inserts(tree):
+    """(line, where) of every add_triangles call inside a loop or a
+    comprehension of its function, where as in _attribute_uses."""
+    def visit(node, where, looped):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef, ast.Lambda)):
+                name = getattr(child, "name", "<lambda>")
+                yield from visit(child, where + [name], False)
+                continue
+            if (looped and isinstance(child, ast.Call)
+                    and isinstance(child.func, ast.Attribute)
+                    and child.func.attr == "add_triangles"):
+                yield child.lineno, ".".join(where) or "<module>"
+            yield from visit(child, where, looped or isinstance(child, LOOPS))
+    yield from visit(tree, [], False)
+
+
+def test_no_insert_in_a_loop():
+    """add_triangles decides every row of a call at once, so each pass
+    gathers its rows and inserts them with one call: no add_triangles
+    call in the package sits inside a loop or a comprehension."""
+    assert [(path.name, *use) for path in SOURCES
+            for use in _looped_inserts(ast.parse(
+                path.read_text(encoding="utf-8")))] == []
+
+
+def test_the_check_sees_looped_inserts():
+    tree = ast.parse("for fill in fills:\n"
+                     "    mesh.add_triangles(fill)\n"
+                     "def close(mesh, fills):\n"
+                     "    while fills:\n"
+                     "        mesh.add_triangles(fills.pop())\n"
+                     "    return [mesh.add_triangles(f) for f in fills]\n"
+                     "def fill(mesh, rows):\n"
+                     "    for _ in rows:\n"
+                     "        def insert():\n"
+                     "            return mesh.add_triangles(rows)\n"
+                     "    return mesh.add_triangles(rows)\n")
+    assert list(_looped_inserts(tree)) == [
+        (2, "<module>"), (5, "close"), (6, "close")]

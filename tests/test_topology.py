@@ -458,6 +458,33 @@ def test_pipeline_audits_the_whole_mesh_once(name, options, monkeypatch):
     assert whole == [mesh] and len(proved) > 5
 
 
+@RUN_OPTIONS
+def test_pipeline_fills_holes_as_the_round_based_references(options,
+                                                            monkeypatch):
+    """Every hole-filling call of a run leaves the triangle table that
+    filling one loop at a time, small holes in rounds, leaves: the run
+    fills holes only right after a repair net, on a manifold mesh
+    (mesh_ops docstring). CUBE_SPIRAL leaves holes of every size."""
+    added = []
+
+    def checked(fill, reference):
+        def call(mesh, *args, **kwargs):
+            ref = copy.deepcopy(mesh)
+            added.append(fill(mesh, *args, **kwargs))
+            assert added[-1] == reference(ref, *args, **kwargs)
+            assert np.array_equal(mesh.tri_verts, ref.tri_verts)
+            assert np.array_equal(mesh.tri_state, ref.tri_state)
+            return added[-1]
+        return call
+
+    for fill in ("close_small_holes", "fill_all_holes"):
+        monkeypatch.setattr(mesh_ops, fill, checked(getattr(mesh_ops, fill),
+                                                    getattr(oracles, fill)))
+    run_pipeline(generate(CUBE_SPIRAL)[0], options)
+    assert len(added) == 2 + (options.close_holes_max_sides > 0)
+    assert all(added)
+
+
 def _finned_strip(base, rungs, fins, y):
     """A strip of triangles following one another edge to edge from its
     end at x = 0, rung i joining vertices base + 2 i and base + 2 i + 1,

@@ -108,11 +108,11 @@ def _cmd_eval(argv):
     p.add_argument("--report", help="write the report JSON here")
     ns = p.parse_args(argv)
     pos, faces, _ = mesh_ops.load_obj(ns.mesh)
-    if not faces:
+    if not len(faces):
         raise ValidationError(f"{ns.mesh}: no faces")
     mesh = mesh_ops.mesh_from_arrays(pos, faces)
     tpos, tfaces, _ = mesh_ops.load_obj(ns.truth)
-    if not tfaces:
+    if not len(tfaces):
         raise ValidationError(f"{ns.truth}: no faces")
     truth = GroundTruthSurface.from_mesh(tpos, tfaces)
     drawing = load_drawing(ns.drawing) if ns.drawing else None

@@ -774,7 +774,8 @@ def load_obj(path):
     as does a v or vn line without 3 numbers. The file is tokenized at
     once, as str.split() splits each line; face indices (the part of a
     token before any '/') are read a digit column at a time over all
-    corners, and by int() where not a sign and 1 to 15 ASCII digits."""
+    corners, and by int() where not a sign and 1 to 15 ASCII digits.
+    Faces come back as one (F, 3) int64 array."""
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     # code points, those past the table clipped to its last entry
@@ -831,7 +832,7 @@ def load_obj(path):
     index[codes[at] == ord("-")] *= -1
     for i in np.flatnonzero(odd).tolist():
         index[i] = min(max(int(text[at[i]:stop[i]]), -2**62), 2**62)
-    del codes                       # free before the faces list is built
+    del codes                       # free before the faces are built
     # the v lines above each corner's line
     seen = np.searchsorted(v_rows, row)
     g = np.where(index > 0, index - 1, seen + index)
@@ -841,8 +842,7 @@ def load_obj(path):
         raise ValueError(f"{path}:{lineno[row[i]]}: face index "
                          f"{int(text[at[i]:stop[i]])} names no vertex")
     fan = np.flatnonzero(rank >= 2)
-    faces = list(zip(g[start[fan]].tolist(), g[fan - 1].tolist(),
-                     g[fan].tolist()))
+    faces = np.stack([g[start[fan]], g[fan - 1], g[fan]], axis=1)
     return positions, faces, normals if len(vn_rows) else None
 
 

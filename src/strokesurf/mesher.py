@@ -37,12 +37,16 @@ being the bounding-box diagonal of the first vertex block the mesh is
 given: the trimmed strokes of a surfacing, the vertices of an OBJ. Crease
 offsets and ribbon corners come later and may reach far out, and a
 floor that followed them would drop a row or keep it depending on when
-it was inserted. It decides all its rows at once, then
-appends the winners one by one through `add_triangle`, which tests
-nothing: the benchmark's traced runs count strip triangles by its
-returns, so a bulk append waits until those counts are redefined. An
-insert may move the storage, so no caller holds a view across
-`add_triangles`. The table is the only incidence store, and only
+it was inserted. It decides all its rows at once, duplicates by one
+lexsort joining the offered rows' sorted corners with each other and
+with the active rows'. The rule keeps at most one active row per vertex
+set, so a removed triangle's set is free again exactly when no active
+row holds it, and no key map is kept. The winners are appended one by
+one through `add_triangle`, which tests nothing, only because the
+benchmark's traced runs count strip triangles by its returns: a bulk
+append waits until those counts are redefined. An insert may move the
+storage, so no caller holds a view across `add_triangles`. The table
+is the only incidence store, and only
 `edge_index` keys edges: `edges()` indexes the active rows once per
 mesh version, read-only, for every edge reader to slice. A version
 ends when `add_triangle` or `remove` change a row, at `flip`, which
@@ -234,7 +238,6 @@ class SurfaceMesh:
         self._state = np.zeros(0, dtype=np.int8)
         self._prov = np.zeros((0, 6), dtype=np.int64)
         self._count = 0
-        self._key_to_id = {}
         self._scale = None
         self._edges = None
         self._labels = None
@@ -295,7 +298,8 @@ class SurfaceMesh:
 
     def add_triangle(self, a, b, c):
         """Append the row (a, b, c), which add_triangles has accepted, and
-        return its tid. It tests nothing: only add_triangles calls it."""
+        return its tid. It tests nothing: only add_triangles calls it, per
+        winner, for the benchmark's count (module docstring)."""
         tid = self._count
         if tid == len(self._state):     # double; new rows start NO_PROV
             cap = max(2 * tid, 16)
@@ -306,7 +310,6 @@ class SurfaceMesh:
         self._verts[tid] = a, b, c
         self._state[tid] = OUTPUT
         self._count = tid + 1
-        self._key_to_id[tuple(sorted((a, b, c)))] = tid
         self._changed()
         return tid
 
@@ -315,10 +318,10 @@ class SurfaceMesh:
         one insert rule: a row naming a vertex twice or under the area
         floor is dropped, and a row whose vertex set an active triangle
         or an earlier row holds counts as a duplicate. Every row is
-        decided at once; the winners are then appended one by one through
-        add_triangle, as the benchmark's traced runs count strip
-        triangles by its returns. Returns the tid of each row, -1 where
-        none."""
+        decided at once, duplicates by one join with the active rows; the
+        winners are then appended through add_triangle, one call each for
+        the benchmark's count (module docstring). Returns the tid of each
+        row, -1 where none."""
         verts = np.asarray(verts, dtype=np.int64).reshape(-1, 3)
         tids = np.full(len(verts), -1, dtype=np.int64)
         a, b, c = verts.T
@@ -327,18 +330,15 @@ class SurfaceMesh:
         valid = ((a != b) & (b != c) & (a != c)
                  & ~(area < (1e-12 * self.scale()) ** 2))
         rows = np.flatnonzero(valid)
-        # the first valid row of each vertex set, in row order
-        keys = np.sort(verts[rows], axis=1)
+        # the stable lexsort puts the active rows ahead of the offered
+        # ones: an offered row that is first of its vertex set wins
+        held = self.triangle_array()[1]
+        keys = np.sort(np.concatenate([held, verts[rows]]), axis=1)
         order = np.lexsort(keys.T[::-1])
-        first = np.ones(len(rows), dtype=bool)
+        first = np.ones(len(keys), dtype=bool)
         first[1:] = (keys[order[1:]] != keys[order[:-1]]).any(axis=1)
-        first = np.sort(order[first])
-        held = np.array([self._key_to_id.get(tuple(k), -1)
-                         for k in keys[first].tolist()], dtype=np.int64)
-        hit = held >= 0
-        free = ~hit
-        free[hit] = self._state[held[hit]] == REMOVED
-        wins = rows[first][free]
+        wins = order[first] - len(held)
+        wins = rows[np.sort(wins[wins >= 0])]
         self.duplicates_skipped += len(rows) - len(wins)
         tids[wins] = [self.add_triangle(*tri) for tri in verts[wins].tolist()]
         return tids
@@ -410,7 +410,7 @@ class SurfaceMesh:
         """Vertex -> list of incident active triangle ids, ascending, for
         every vertex or only the given ones; vertices without active
         triangles are left out."""
-        tids, verts, _ = self.edges()
+        tids, verts = self.triangle_array()
         at, tid = verts.ravel(), np.repeat(tids, 3)
         if gids is not None:
             keep = np.isin(at, np.asarray(gids, dtype=np.int64))

@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -141,7 +141,7 @@ class GroundTruthSurface:
 
     kind: str
     positions: np.ndarray = None    # only for kind == "mesh"
-    faces: list = field(default_factory=list)
+    faces: np.ndarray = None        # (F, 3) int64, only for kind == "mesh"
 
     # -- distance --
 
@@ -252,13 +252,13 @@ class GroundTruthSurface:
 
     def to_mesh(self, resolution=48):
         if self.kind == "mesh":
-            return self.positions, list(self.faces)
+            return self.positions, self.faces
         return _reference_mesh(self.kind, resolution)
 
     @classmethod
     def from_mesh(cls, positions, faces):
         return cls(kind="mesh", positions=np.asarray(positions, float),
-                   faces=list(faces))
+                   faces=np.asarray(faces, dtype=np.int64).reshape(-1, 3))
 
 
 def _grid_faces(nu, nv, wrap_u=False, wrap_v=False):
@@ -824,15 +824,15 @@ def interpolated_fraction(mesh, drawing, config=None):
     if not used.size:
         return 0.0
     tree = cKDTree(mesh.positions[used])
-    tol = POINT_TOL_REL * mesh.scale()
-    paths = []
-    for stroke in drawing.strokes:
-        trimmed = trim_hooks(stroke, config)
-        if trimmed is None:
-            continue
-        dists, idx = tree.query(trimmed.points)
-        paths.append(np.where(dists <= tol, used[idx], -1))
-    return mesh_ops.path_edge_fraction(mesh, paths)
+    points = [t.points for t in (trim_hooks(s, config)
+                                 for s in drawing.strokes) if t is not None]
+    if not points:
+        return 0.0
+    # one query for every stroke's points, split back per stroke
+    dists, idx = tree.query(np.concatenate(points))
+    ids = np.where(dists <= POINT_TOL_REL * mesh.scale(), used[idx], -1)
+    return mesh_ops.path_edge_fraction(
+        mesh, np.split(ids, np.cumsum([len(p) for p in points])[:-1]))
 
 
 def evaluate(mesh, truth, drawing=None, samples=10000, seed=7,

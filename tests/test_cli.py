@@ -241,4 +241,4 @@ def test_load_obj_resolves_negative_indices(tmp_path):
     path.write_text("v 0 0 0\nv 1 0 0\nv 0 1 0\nf -3 -2 -1\n"
                     "v 1 1 0\nf 2 4 -2\n")
     _, faces, _ = mesh_ops.load_obj(path)
-    assert faces == [(0, 1, 2), (1, 3, 2)]
+    assert faces.tolist() == [[0, 1, 2], [1, 3, 2]]

@@ -691,7 +691,8 @@ def test_load_obj_negative_indices_and_fans(tmp_path):
                     "f -4 -3 -2 -1\n")
     pos, faces, normals = mesh_ops.load_obj(path)
     assert normals is None
-    assert faces == [(0, 1, 2), (0, 2, 3)]
+    assert faces.dtype == np.int64
+    assert faces.tolist() == [[0, 1, 2], [0, 2, 3]]
     rebuilt = mesh_from_arrays(pos, faces)
     assert mesh_ops.audit_manifold(rebuilt) == ([], [])
 
@@ -710,9 +711,9 @@ def test_load_obj_equals_the_per_token_reference(tmp_path):
     assert np.array_equal(pos.view(np.int64), want_pos.view(np.int64))
     assert np.array_equal(normals.view(np.int64),
                           want_normals.view(np.int64))
-    assert faces == want_faces == [(0, 1, 2), (0, 1, 2), (0, 2, 3)]
-    assert all(type(f) is tuple and all(type(i) is int for i in f)
-               for f in faces)
+    assert faces.dtype == np.int64 and faces.shape == (3, 3)
+    assert faces.tolist() == [list(f) for f in want_faces] == [
+        [0, 1, 2], [0, 1, 2], [0, 2, 3]]
 
 
 @pytest.mark.parametrize("vertex", ["v 0 x 0", "v 1 2", "v", "vn 0 1"])
@@ -809,7 +810,8 @@ def test_load_obj_equals_the_line_by_line_reference(tmp_path, bad):
             errors += 1
             continue
         pos, faces, normals = mesh_ops.load_obj(path)
-        assert faces == want[1]
+        assert faces.tolist() == [list(f) for f in want[1]]
+        assert faces.shape == (len(want[1]), 3)
         assert np.array_equal(pos.view(np.int64), want[0].view(np.int64))
         if want[2] is None:
             assert normals is None

@@ -6,6 +6,9 @@ from pathlib import Path
 import pytest
 
 import strokesurf
+from strokesurf import mesh_ops
+from strokesurf.pipeline import PipelineOptions, run_pipeline
+from strokesurf.synth_eval import SyntheticSpec, generate
 
 SOURCES = sorted(Path(strokesurf.__file__).parent.glob("*.py"))
 
@@ -171,3 +174,34 @@ def test_the_check_sees_looped_inserts():
                      "    return mesh.add_triangles(rows)\n")
     assert list(_looped_inserts(tree)) == [
         (2, "<module>"), (5, "close"), (6, "close")]
+
+
+def _python_tables(mesh):
+    """The names of a mesh's attributes that are dicts or sets."""
+    return sorted(name for name, value in vars(mesh).items()
+                  if isinstance(value, (dict, set)))
+
+
+def test_the_mesh_keeps_no_python_table():
+    """The triangle table lives in arrays only: after a surfacing with
+    creases, hole filling and smoothing, and after an OBJ's arrays are
+    wrapped, no attribute of the SurfaceMesh is a dict or a set, so no
+    Python-side copy of the table comes back unnoticed."""
+    drawing, _ = generate(SyntheticSpec(
+        surface="cube", pattern="parallel", strokes=6, width=0.18,
+        spacing=0.07, noise=0.25 * 0.18, normal_noise_deg=6.0, seed=115))
+    mesh, _ = run_pipeline(drawing, PipelineOptions(
+        preserve_creases=True, close_holes_max_sides=8, smooth_iterations=1))
+    assert mesh.active_count() > 0
+    assert _python_tables(mesh) == []
+    wrapped = mesh_ops.mesh_from_arrays(mesh.positions,
+                                        mesh.triangle_array()[1])
+    assert wrapped.active_count() == mesh.active_count()
+    assert _python_tables(wrapped) == []
+
+
+def test_the_check_sees_python_tables():
+    mesh = mesh_ops.mesh_from_arrays([[0, 0, 0], [1, 0, 0], [0, 1, 0.0]],
+                                     [[0, 1, 2]])
+    mesh.keys, mesh.seen, mesh.rows = {(0, 1, 2): 0}, {0}, [0]
+    assert _python_tables(mesh) == ["keys", "seen"]

@@ -606,3 +606,6 @@ def test_interpolated_fraction_by_position():
     mesh.remove(0)            # drops rail-b edge (n, n+1)
     expect = (2 * (n - 1) - 1) / (2 * (n - 1))
     assert interpolated_fraction(mesh, drawing) == pytest.approx(expect)
+    # a drawing whose strokes all trim away, of zero length, has no edge
+    dot = make_stroke(np.zeros((3, 3)))
+    assert interpolated_fraction(mesh, Drawing(strokes=[dot])) == 0.0

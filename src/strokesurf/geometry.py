@@ -20,6 +20,16 @@ EPS_DEGENERATE = 1e-9
 # triangle's longest edge (and to the segment's parameter range)
 CROSS_EPS_REL = 1e-9
 
+# pairs_within: at most GRID_CELLS cells along an axis, so that a cell
+# key fits in int64. The runs of POINT_BATCH points are bounded at a
+# time and about PAIR_BATCH candidate pairs expanded at a time, which
+# keeps the search's temporaries to a few MB. _COLUMNS are the (dx, dy)
+# of the neighbouring 3-cell columns that follow a cell's own column
+GRID_CELLS = 1 << 20
+POINT_BATCH = 1 << 12
+PAIR_BATCH = 1 << 15
+_COLUMNS = np.array([(0, 1), (1, -1), (1, 0), (1, 1)], dtype=np.int64)
+
 
 def unit_rows_pow(arr, eps=EPS_DEGENERATE):
     """unit_rows with every square taken by libm pow, as Python's
@@ -165,6 +175,86 @@ def bbox_diagonal(points):
     if len(points) == 0:
         return 0.0
     return float(np.linalg.norm(points.max(axis=0) - points.min(axis=0)))
+
+
+def pairs_within(points, radius):
+    """Every pair of rows of points at most radius apart (d·d <= r*r,
+    the squares summed over x, y, z in order, the test of
+    cKDTree.query_pairs), as a (P, 2) int64 array of (i, j) rows with
+    i < j, sorted.
+
+    A sort-based uniform grid, the fixed-radius search of spatial
+    hashing (Teschner et al., "Optimized Spatial Hashing for Collision
+    Detection of Deformable Objects", VMV 2003). The cell edge is the
+    radius, one part in a million larger so that rounding cannot put a
+    pair two cells apart. Each cell has one int64 key, z fastest, and
+    the points are sorted by it. A point's candidates are the points
+    after it in its own cell and every point of the 13 neighbouring
+    cells that follow its cell. Cells that differ only in z are
+    adjacent in key order, so those 14 cells are 5 runs of the sorted
+    points: the own cell on to its +z neighbour, and the 3-cell
+    columns at (dx, dy) = (0, 1), (1, -1), (1, 0) and (1, 1).
+    Vectorised searchsorted calls on the sorted keys bound the runs of
+    a block of POINT_BATCH points' cells at once. The runs are expanded
+    about PAIR_BATCH candidates at a time and filtered exactly. The
+    pairs found are sorted as one int64 key i * n + j: sorted rows cost
+    less to gather and sort again downstream than rows in grid order.
+    A grid wider than GRID_CELLS along an axis gets larger cells: its
+    keys would overflow, and a coarser grid still gives a superset of
+    the pairs before the exact filter.
+    """
+    points = np.asarray(points, dtype=np.float64).reshape(-1, 3)
+    radius = float(radius)
+    n = len(points)
+    if n < 2 or not radius >= 0:
+        return np.empty((0, 2), dtype=np.int64)
+    rel = points - points.min(axis=0)
+    cell = max(radius * (1 + 1e-6),
+               float(rel.max()) / (GRID_CELLS - 2)) or 1.0
+    # one empty cell of padding on each side keeps every neighbour key
+    # inside the grid
+    coords = np.floor(rel / cell).astype(np.int64) + 1
+    dims = coords.max(axis=0) + 2
+    key = (coords[:, 0] * dims[1] + coords[:, 1]) * dims[2] + coords[:, 2]
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    x, y, z = points[order].T.copy()
+    start = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
+    cells = key[start]
+    cell_of = np.repeat(np.arange(len(cells)), np.diff(np.r_[start, n]))
+    # key of the middle cell of each column, relative to the own cell
+    column = (_COLUMNS[:, 0] * dims[1] + _COLUMNS[:, 1])[:, None] * dims[2]
+
+    r2 = radius * radius
+    out = [np.empty(0, dtype=np.int64)]
+    for s0 in range(0, n, POINT_BATCH):
+        own = np.arange(s0, min(s0 + POINT_BATCH, n))
+        u = cell_of[own]
+        block = cells[u[0]:u[-1] + 1]
+        u -= u[0]
+        lo = np.searchsorted(key, column + (block - 1))
+        hi = np.searchsorted(key, column + (block + 1), side="right")
+        # 5 runs per point, run-major
+        owner = np.tile(own, 5)
+        first = np.concatenate([own + 1, lo[:, u].ravel()])
+        runs = np.concatenate([
+            np.searchsorted(key, block + 1, side="right")[u],
+            hi[:, u].ravel()]) - first
+        ahead = np.cumsum(runs) - runs
+        cuts = np.unique(np.r_[np.searchsorted(
+            ahead, np.arange(0, ahead[-1] + runs[-1], PAIR_BATCH)),
+            len(runs)])
+        for r0, r1 in zip(cuts[:-1], cuts[1:]):
+            took = runs[r0:r1]
+            i = np.repeat(owner[r0:r1], took)
+            j = np.repeat(first[r0:r1] - (ahead[r0:r1] - ahead[r0]), took)
+            j += np.arange(len(j))
+            dx, dy, dz = x[j] - x[i], y[j] - y[i], z[j] - z[i]
+            keep = dx * dx + dy * dy + dz * dz <= r2
+            i, j = order[i[keep]], order[j[keep]]
+            out.append(np.minimum(i, j) * n + np.maximum(i, j))
+    pairs = np.sort(np.concatenate(out))
+    return np.stack([pairs // n, pairs % n], axis=1)
 
 
 def point_triangle_pair_distances(p, a, b, c):

@@ -6,15 +6,16 @@ of the partial mesh. One ChainSet holds every chain of a phase flat, and
 every vertex is named by its flat id there: candidates are (source,
 target) rows of flat ids, and a match is a flat target id per vertex.
 
-Candidates come from one pair search per phase: a cKDTree gathers every
-pair of vertices within the largest acceptance radius, the geometric
-conditions (distance, probe cone, non-adjacency, end cone, target
-chain) filter the pair arrays, and a sort by (source, target) leaves
-each side's rows with every chain's sources in one run. One match per
-vertex is then chosen by maximizing the product of vertex and
-persistence scores along each segment, a run of consecutive chain
-vertices that all have candidates. One Viterbi pass per side scores
-every row in batches and advances every segment one step at a time.
+Candidates come from one pair search per phase: the uniform grid of
+geometry.pairs_within gathers every pair of vertices within the largest
+acceptance radius, the geometric conditions (distance, probe cone,
+non-adjacency, end cone, target chain) filter the pair arrays, and a
+sort by (source, target) leaves each side's rows with every chain's
+sources in one run. One match per vertex is then chosen by maximizing
+the product of vertex and persistence scores along each segment, a run
+of consecutive chain vertices that all have candidates. One Viterbi
+pass per side scores every row in batches and advances every segment
+one step at a time.
 
 The restricted pass of stroke matching is a view of the baseline pass.
 Its search would be the baseline's search with one more target-chain
@@ -35,9 +36,8 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.spatial import cKDTree
 
-from . import scoring
+from . import geometry, scoring
 from .scoring import Side
 
 
@@ -182,22 +182,28 @@ def _build_candidates(cs, config, cone_deg, sides, radius_mode,
                       color_cue=False, same_component=False):
     """Shared candidate generation: one pair search per phase.
 
-    One cKDTree.query_pairs call gathers every pair of non-degenerate
-    vertices within the largest acceptance radius. The symmetric tests
-    (minimum length, width-mode radius, color, polyline adjacency) run
-    on the undirected pairs, with same_component keeping only pairs
-    whose chains lie in one mesh component (cs.component); the pairs are
-    then taken in both directions, and the directed tests (dmax-mode
-    radius, probe cone per side, end cone) run on those arrays. Each
-    side keeps its rows sorted by (source, target).
+    One geometry.pairs_within call gathers every pair of non-degenerate
+    vertices within the largest acceptance radius, widened by a slack of
+    one part in 10^9. Every later test is exact and elementwise, so any
+    superset of the pairs within the radius gives the same lists: the
+    grid's cells only propose candidates, and the slack keeps a pair
+    whose squared distance rounds above the radius's square. The
+    symmetric tests (minimum length, width-mode radius, color,
+    polyline adjacency) run on the undirected pairs, with
+    same_component keeping only pairs whose chains lie in one mesh
+    component (cs.component); the pairs are then taken in both
+    directions, and the directed tests (dmax-mode radius, probe cone per
+    side, end cone) run on those arrays. Each side keeps its rows sorted
+    by (source, target).
     """
     cos_cone = float(np.cos(np.radians(cone_deg)))
     radii = _query_radii(cs, config, radius_mode)
     ok_ids = np.nonzero(cs.ok)[0]
     eps_len = 1e-12 * max(1.0, float(np.abs(cs.pos).max()))
-    # the slack keeps pairs whose tree distance rounds above the radius
-    pairs = ok_ids[cKDTree(cs.pos[ok_ids]).query_pairs(
-        float(radii.max()) * (1 + 1e-9), output_type="ndarray")]
+    # the slack keeps pairs whose squared distance rounds above the
+    # square of the radius
+    pairs = ok_ids[geometry.pairs_within(cs.pos[ok_ids],
+                                         float(radii.max()) * (1 + 1e-9))]
     out = CandidateSet(cs, pairs_tested=2 * len(pairs) * len(sides))
 
     a, b = pairs[:, 0], pairs[:, 1]

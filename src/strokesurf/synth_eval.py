@@ -7,6 +7,13 @@ with three coverage patterns (parallel, boustrophedon, spiral), adds
 Gaussian position noise, angular normal noise, and per-stroke
 orientation flips, all driven by a fixed counter-based PRNG so the
 corpus is reproducible bit for bit.
+
+Evaluation needs nearest-neighbour and ball queries, which scipy's
+cKDTree answers; generation and surfacing need none. So scipy.spatial
+is imported only when evaluation first builds a tree (_kdtree), not
+with this module: the import takes longer than surfacing a benchmark
+drawing, and `import strokesurf`, `generate` and `strokesurf surface`
+load no scipy module.
 """
 
 from __future__ import annotations
@@ -18,7 +25,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from . import geometry, mesh_ops
 from .stroke_model import (Config, Drawing, Stroke, json_fields, read_json,
@@ -605,6 +611,13 @@ def generate(spec):
 # evaluation
 
 
+def _kdtree(points):
+    """A scipy cKDTree over points: the one place scipy is imported
+    (module docstring)."""
+    from scipy.spatial import cKDTree
+    return cKDTree(points)
+
+
 class _MeshIndex(NamedTuple):
     """A triangle list prepared for exact distance queries: corner
     arrays, centroids, the spread classes as (triangle ids, centroid
@@ -617,7 +630,7 @@ class _MeshIndex(NamedTuple):
     centroids: np.ndarray
     classes: list
     class_spread: np.ndarray
-    vert_tree: cKDTree
+    vert_tree: object
 
 
 def _mesh_index(positions, faces):
@@ -639,10 +652,10 @@ def _mesh_index(positions, faces):
     for e in np.unique(exponent):
         ids = np.flatnonzero(exponent == e)
         class_spread[ids] = spread[ids].max()
-        classes.append((ids, cKDTree(centroids[ids]),
+        classes.append((ids, _kdtree(centroids[ids]),
                         float(class_spread[ids[0]])))
     return _MeshIndex(a, b, c, centroids, classes, class_spread,
-                      cKDTree(positions[np.unique(tris)]))
+                      _kdtree(positions[np.unique(tris)]))
 
 
 def _candidates(index, points, upper):
@@ -743,7 +756,7 @@ def directed_hausdorff(points, positions, faces):
     if not len(points):
         raise ValueError("no points to measure")
     upper, _ = index.vert_tree.query(points)
-    to_centroid, near = cKDTree(index.centroids).query(points)
+    to_centroid, near = _kdtree(index.centroids).query(points)
     held = np.flatnonzero(to_centroid * (1.0 + 1e-9)
                           <= upper + index.class_spread[near])
     known = np.full(len(points), -1, dtype=np.int64)
@@ -823,7 +836,7 @@ def interpolated_fraction(mesh, drawing, config=None):
     used = np.unique(mesh.edges()[1])
     if not used.size:
         return 0.0
-    tree = cKDTree(mesh.positions[used])
+    tree = _kdtree(mesh.positions[used])
     points = [t.points for t in (trim_hooks(s, config)
                                  for s in drawing.strokes) if t is not None]
     if not points:

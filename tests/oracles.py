@@ -1,7 +1,8 @@
 """Brute-force reference implementations used by the tests.
 
-These avoid the package's algorithmic code paths on purpose: the chain
-matcher reference enumerates full assignment products from score tables
+These avoid the package's algorithmic code paths on purpose: the
+fixed-radius pair reference is scipy's k-d tree, the chain matcher
+reference enumerates full assignment products from score tables
 built with scalar arithmetic, the candidate and Viterbi-scoring
 references gather and score one source vertex at a time (a spatial hash
 lookup per vertex instead of one pair search per phase) and sweep one
@@ -175,6 +176,22 @@ def assignment_score(cs, chain_id, side, cand_lists, match, config):
                                       int(match[k + 1]), config)
         i = j + 1
     return total
+
+
+# ---------------------------------------------------------------------------
+# fixed-radius pairs
+
+
+def query_pairs_reference(points, radius):
+    """Reference for geometry.pairs_within: scipy's
+    cKDTree.query_pairs, as a sorted (P, 2) int64 array of (i, j) rows
+    with i < j."""
+    points = np.asarray(points, dtype=np.float64).reshape(-1, 3)
+    if len(points) == 0:
+        return np.empty((0, 2), dtype=np.int64)
+    pairs = cKDTree(points).query_pairs(radius, output_type="ndarray")
+    pairs = pairs.astype(np.int64).reshape(-1, 2)
+    return pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,13 @@
 """The batched segment-versus-triangle crossing test (its row-wise form
 and its split into per-triangle and per-row parts), the row-wise
-point-triangle distance and the row-wise angle kernels against their
-references."""
+point-triangle distance, the row-wise angle kernels and the
+fixed-radius pair search against their references."""
 
 import math
+import tracemalloc
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -325,3 +327,147 @@ def test_triangle_areas_equal_half_the_normal_norm():
     as_floats = [geometry.triangle_area(*(p.tolist() for p in row))
                  for row in zip(a, b, c)]
     assert as_floats == want.tolist()
+
+
+# ---------------------------------------------------------------------------
+# fixed-radius pairs
+
+
+def assert_pairs_equal_reference(points, radius):
+    """pairs_within gives the reference's pair set, each pair once as an
+    (i, j) row with i < j, the rows sorted; returns the pair count."""
+    got = geometry.pairs_within(points, radius)
+    want = oracles.query_pairs_reference(points, radius)
+    assert got.dtype == np.int64 and got.shape == (len(want), 2)
+    assert got.tolist() == want.tolist()
+    return len(want)
+
+
+def box_cloud(rng, n):
+    return rng.uniform(-1.0, 1.0, size=(n, 3))
+
+
+def shell_cloud(rng, n):
+    p = rng.normal(size=(n, 3))
+    return p / np.linalg.norm(p, axis=1)[:, None] * rng.uniform(
+        0.98, 1.02, size=(n, 1))
+
+
+def polyline_cloud(rng, n):
+    """Noisy polylines: random walks of steps near 0.05 with noise near
+    0.01, as stroke spines sit."""
+    lines = []
+    for k in np.array_split(np.arange(n), 6):
+        steps = rng.normal(size=(len(k), 3))
+        steps *= 0.05 / np.linalg.norm(steps, axis=1)[:, None]
+        lines.append(rng.uniform(-0.5, 0.5, size=3) + np.cumsum(steps, axis=0)
+                     + rng.normal(scale=0.01, size=(len(k), 3)))
+    return np.concatenate(lines)
+
+
+@pytest.mark.parametrize("cloud", [box_cloud, shell_cloud, polyline_cloud])
+@pytest.mark.parametrize("radius", [1e-3, 0.05, 0.2, 0.7, 5.0])
+def test_pairs_within_equals_reference_on_clouds(cloud, radius):
+    """Radii from below the point spacing (almost no pair) to above the
+    extent (every pair), on seeded clouds of 600 points, as given and
+    translated by 1e6."""
+    rng = np.random.default_rng(int(radius * 1000) + len(cloud.__name__))
+    points = cloud(rng, 600)
+    count = assert_pairs_equal_reference(points, radius)
+    assert_pairs_equal_reference(points + 1e6, radius)
+    if radius == 5.0:
+        assert count == 600 * 599 // 2
+
+
+def test_pairs_within_equals_reference_past_one_batch():
+    """More than one block of POINT_BATCH points and more pairs, so more
+    candidates, than one batch of PAIR_BATCH."""
+    rng = np.random.default_rng(7)
+    points = shell_cloud(rng, geometry.POINT_BATCH + 1500)
+    assert assert_pairs_equal_reference(points, 0.12) > geometry.PAIR_BATCH
+
+
+def test_pairs_within_expands_candidates_in_batches():
+    """3,000 points in a box at radius 0.3 are one block of POINT_BATCH
+    points with several batches of PAIR_BATCH candidates. Expanded at
+    once, the block's candidates take about 17 MB of temporaries;
+    batched, the whole search peaks near 5 MB with its 0.8 MB result."""
+    points = box_cloud(np.random.default_rng(5), 3000)
+    tracemalloc.start()
+    try:
+        pairs = geometry.pairs_within(points, 0.3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(pairs) > geometry.PAIR_BATCH
+    assert peak < 8e6
+
+
+@pytest.mark.parametrize("radius", [0.0, 0.25, 0.5])
+def test_pairs_within_keeps_duplicated_points(radius):
+    rng = np.random.default_rng(3)
+    points = np.repeat(rng.uniform(0.0, 2.0, size=(40, 3)), [1, 2, 3, 4] * 10,
+                       axis=0)
+    assert assert_pairs_equal_reference(points, radius) >= 10 * (1 + 3 + 6)
+    assert assert_pairs_equal_reference(np.zeros((7, 3)), radius) == 21
+
+
+@pytest.mark.parametrize("radius", [0.5, 0.5 * math.sqrt(2),
+                                    0.5 * math.sqrt(3), 1.0])
+def test_pairs_within_at_exactly_the_radius(radius):
+    """A lattice of step 0.5: pairs sit exactly at the radius along the
+    axes, on face diagonals and on cell diagonals, and on cell faces."""
+    axis = 0.5 * np.arange(-3, 4)
+    points = np.stack(np.meshgrid(axis, axis, axis), axis=-1).reshape(-1, 3)
+    assert assert_pairs_equal_reference(points, radius) > 0
+    assert assert_pairs_equal_reference(points + 1e6, radius) > 0
+
+
+def test_pairs_within_across_a_cell_boundary():
+    """Pairs about the radius apart along x whose first point sits within
+    a few parts in a million of the radius, so of a cell boundary: the
+    cell edge's slack keeps every such pair one cell apart."""
+    r = 0.1
+    x = r * np.linspace(1 - 4e-6, 1.0, 41)
+    points = np.zeros((2 * len(x) + 1, 3))
+    points[1:, 0] = np.r_[x, x + r]
+    assert assert_pairs_equal_reference(points, r) > 2 * 41 * 40 // 2
+
+
+@pytest.mark.parametrize("n", [0, 1, 2])
+def test_pairs_within_tiny_inputs(n):
+    points = np.arange(3 * n, dtype=np.float64).reshape(n, 3)
+    assert assert_pairs_equal_reference(points, 10.0) == n * (n - 1) // 2
+    assert assert_pairs_equal_reference(points, 1.0) == 0
+
+
+@pytest.mark.filterwarnings("error")
+def test_pairs_within_coarsens_a_grid_too_wide_for_int64_keys():
+    """Clusters of points 1 apart, spread over an extent 1e9 times the
+    radius or more: cell keys at the radius would overflow int64, and
+    cell coordinates at 1e-12 would not fit one, so the grid takes
+    larger cells, casts no coordinate out of range and still finds
+    every pair."""
+    rng = np.random.default_rng(11)
+    centres = rng.uniform(0.0, 1e9, size=(50, 3))
+    points = (np.repeat(centres, 4, axis=0)
+              + rng.uniform(-1.0, 1.0, size=(200, 3)))
+    assert assert_pairs_equal_reference(points, 1.0) > 0
+    assert assert_pairs_equal_reference(points, 1e-12) == 0
+    assert assert_pairs_equal_reference(points, 0.0) == 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(lattice, max_size=40),
+       st.lists(st.lists(st.floats(-3, 3), min_size=3, max_size=3),
+                max_size=40),
+       st.floats(0.0, 4.0))
+def test_pairs_within_equals_reference_on_drawn_points(on_lattice, anywhere,
+                                                       radius):
+    """Lattice points (duplicates, pairs at exact distances) with free
+    points, and any radius up to beyond the extent."""
+    points = np.asarray(on_lattice + anywhere,
+                        dtype=np.float64).reshape(-1, 3)
+    assert_pairs_equal_reference(points, radius)
+    for snapped in (0.5, 1.0, 0.5 * math.sqrt(2), 0.5 * math.sqrt(3)):
+        assert_pairs_equal_reference(points, snapped)

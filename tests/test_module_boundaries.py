@@ -1,6 +1,8 @@
 """Static checks on how the strokesurf modules use each other."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -205,3 +207,78 @@ def test_the_check_sees_python_tables():
                                      [[0, 1, 2]])
     mesh.keys, mesh.seen, mesh.rows = {(0, 1, 2): 0}, {0}, [0]
     assert _python_tables(mesh) == ["keys", "seen"]
+
+
+def _import_time_modules(tree):
+    """(line, module) of every import that runs when the module is
+    imported: any import outside a function body, class bodies and
+    module-level branches included."""
+    def visit(node):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.Lambda)):
+                continue
+            if isinstance(child, ast.Import):
+                yield from ((child.lineno, a.name) for a in child.names)
+            elif isinstance(child, ast.ImportFrom) and not child.level:
+                yield child.lineno, child.module
+            yield from visit(child)
+    yield from visit(tree)
+
+
+def test_no_module_imports_scipy_at_import_time():
+    """Surfacing needs no scipy (geometry.pairs_within is its one pair
+    search), and loading scipy.spatial costs more than a surfacing of a
+    benchmark drawing. Only code that evaluates a mesh imports it, inside
+    a function."""
+    assert [(path.name, *use) for path in SOURCES
+            for use in _import_time_modules(ast.parse(
+                path.read_text(encoding="utf-8")))
+            if use[1].split(".")[0] == "scipy"] == []
+
+
+def test_the_check_sees_scipy_imports():
+    tree = ast.parse("import scipy.spatial\n"
+                     "from scipy import sparse\n"
+                     "import scipyx, numpy as np\n"
+                     "from . import geometry\n"
+                     "try:\n"
+                     "    import scipy as sp\n"
+                     "except ImportError:\n"
+                     "    sp = None\n"
+                     "class Index:\n"
+                     "    from scipy.spatial import cKDTree\n"
+                     "    def tree(self, points):\n"
+                     "        from scipy.spatial import cKDTree\n"
+                     "        return cKDTree(points)\n")
+    assert list(_import_time_modules(tree)) == [
+        (1, "scipy.spatial"), (2, "scipy"), (3, "scipyx"), (3, "numpy"),
+        (6, "scipy"), (10, "scipy.spatial")]
+
+
+SURFACE_WITHOUT_SCIPY = """
+import sys
+import strokesurf
+from strokesurf.cli import cli_main
+drawing, _ = strokesurf.generate(strokesurf.SyntheticSpec(
+    surface="cube", pattern="parallel", strokes=6, width=0.18,
+    spacing=0.07, noise=0.25 * 0.18, normal_noise_deg=6.0, seed=115))
+strokesurf.save_drawing(drawing, sys.argv[1] + "/drawing.json")
+code = cli_main(["--input", sys.argv[1] + "/drawing.json",
+                 "--output", sys.argv[1] + "/out.obj",
+                 "--report", sys.argv[1] + "/report.json",
+                 "--preserve-creases", "--close-holes", "8", "--smooth", "3"])
+print(code, sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+
+
+def test_surfacing_loads_no_scipy(tmp_path):
+    """In a fresh interpreter, importing the package, generating a
+    drawing and surfacing it through the CLI with every optional stage
+    (creases, hole filling, smoothing) loads no scipy module."""
+    done = subprocess.run(
+        [sys.executable, "-c", SURFACE_WITHOUT_SCIPY, str(tmp_path)],
+        capture_output=True, text=True, check=True,
+        cwd=Path(strokesurf.__file__).parents[1])
+    assert done.stdout.splitlines()[-1] == "0 []"
+    assert (tmp_path / "out.obj").stat().st_size > 0

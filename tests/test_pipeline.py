@@ -8,7 +8,6 @@ from collections import Counter
 
 import numpy as np
 import pytest
-import scipy.spatial
 
 from strokesurf import consolidate, geometry, matcher, pipeline, scoring
 from strokesurf.mesher import KIND_OFFSET, KIND_RIBBON, KIND_STROKE
@@ -438,9 +437,9 @@ def test_matching_equals_the_per_vertex_reference(spec, monkeypatch):
 
 @pytest.mark.parametrize("spec", FLIP_SPECS.values(), ids=FLIP_SPECS.keys())
 def test_restricted_matching_searches_and_scores_nothing(spec, monkeypatch):
-    """The restricted stage is a view of the baseline pass: it builds no
-    cKDTree and calls neither scoring kernel, where the baseline stage
-    calls all three."""
+    """The restricted stage is a view of the baseline pass: it runs no
+    pair search and calls neither scoring kernel, where the baseline
+    stage runs one search and calls both kernels."""
     calls, by_stage = Counter(), {}
 
     def counted(key, fn):
@@ -449,11 +448,12 @@ def test_restricted_matching_searches_and_scores_nothing(spec, monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    tree = scipy.spatial.cKDTree
+    search = geometry.pairs_within
     for name, module in list(sys.modules.items()):
         if (name.startswith("strokesurf")
-                and getattr(module, "cKDTree", None) is tree):
-            monkeypatch.setattr(module, "cKDTree", counted("cKDTree", tree))
+                and getattr(module, "pairs_within", None) is search):
+            monkeypatch.setattr(module, "pairs_within",
+                                counted("pairs_within", search))
     for key in ("vertex_scores_log_arrays", "persistence_log_rows"):
         monkeypatch.setattr(scoring, key, counted(key, getattr(scoring, key)))
     stage = pipeline._Tracker.stage
@@ -467,7 +467,7 @@ def test_restricted_matching_searches_and_scores_nothing(spec, monkeypatch):
 
     monkeypatch.setattr(pipeline._Tracker, "stage", tracked)
     run_pipeline(generate(spec)[0])
-    assert by_stage["baseline_match"]["cKDTree"] == 1
+    assert by_stage["baseline_match"]["pairs_within"] == 1
     assert by_stage["baseline_match"]["vertex_scores_log_arrays"] > 0
     assert by_stage["baseline_match"]["persistence_log_rows"] > 0
     assert by_stage["restricted_match"] == Counter()

@@ -265,10 +265,11 @@ def _edge_pairs(mesh, skip):
 def _fan_pairs(verts, usable, frozen):
     """Batches (c1, c2) of every pair of corners, marked in the (T, 3)
     bool mask `usable`, on one vertex q of triangles t1 < t2 that share
-    only q and are not both frozen, in (q, t1, t2) order. Corners are
-    flat ids 3 t + k, corner k of triangle t. Each batch takes the next
-    PAIR_CHUNK pairs of usable corners on one vertex, counted before the
-    other filters, so a large fan's pairs may span batches."""
+    only q, with t2 >= frozen (not both frozen), in (q, t1, t2) order.
+    Corners are flat ids 3 t + k, corner k of triangle t. Each batch
+    takes the next PAIR_CHUNK pairs of usable corners on one vertex,
+    counted before the other filters, so a large fan's pairs may span
+    batches."""
     corner = np.flatnonzero(usable)
     gid = verts.ravel()[corner]
     # corners come in tid order, so a stable sort gives (gid, tid)
@@ -288,7 +289,7 @@ def _fan_pairs(verts, usable, frozen):
         first, second = (x[skip:skip + PAIR_CHUNK]
                          for x in run_pairs(sizes[f0:f1]))
         c1, c2 = corner[lo:hi][first], corner[lo:hi][second]
-        keep = ~(frozen[c1 // 3] & frozen[c2 // 3])
+        keep = c2 // 3 >= frozen
         c1, c2 = c1[keep], c2[keep]
         # two triangles on q share more when any of their spokes meet
         (a1, b1), (a2, b2) = _spoke_ends(verts, c1), _spoke_ends(verts, c2)
@@ -318,12 +319,12 @@ def incompatible(mesh, cs, config, t1, t2):
     return bool(flag), (tuple(shared + [-1])[:2] if flag else None)
 
 
-def find_incompatible_pairs(mesh, cs, config, frozen=frozenset(),
-                            stats=None):
-    """All incompatible pairs among active triangles, skipping pairs
-    fully inside the frozen (prior-phase) set, as the module docstring's
-    (P, 4) pair table: shared-edge rows by edge (a, b) and then tids,
-    then shared-vertex rows (t1, t2, g, -1) by (g, t1, t2). The order is
+def find_incompatible_pairs(mesh, cs, config, frozen=0, stats=None):
+    """All incompatible pairs among active triangles, skipping pairs of
+    two frozen (prior-phase) triangles, those below the phase's first
+    tid `frozen`, as the module docstring's (P, 4) pair table:
+    shared-edge rows by edge (a, b) and then tids, then shared-vertex
+    rows (t1, t2, g, -1) by (g, t1, t2). The order is
     part of the result: a triangle's hard output arc sums its conflicts
     with frozen triangles in it. With a ConsolidationStats as `stats`,
     pairs are counted per criterion, and so are the pairs tested."""
@@ -331,10 +332,8 @@ def find_incompatible_pairs(mesh, cs, config, frozen=frozenset(),
         stats = ConsolidationStats()
     gid2flat = _gid_flat_index(cs, mesh.vertex_count())
     edges = _provenance_edges(mesh)
-    frozen_mask = np.zeros(len(edges), dtype=bool)
-    frozen_mask[list(frozen)] = True
 
-    t1, t2, ab = _edge_pairs(mesh, frozen_mask)
+    t1, t2, ab = _edge_pairs(mesh, np.arange(len(edges)) < frozen)
     crit = _edge_criteria(mesh, cs, config, gid2flat, edges, t1, t2, ab)
     hit = np.flatnonzero(crit)
     rows = [np.column_stack([t1[hit], t2[hit], ab[hit]])]
@@ -348,7 +347,7 @@ def find_incompatible_pairs(mesh, cs, config, frozen=frozenset(),
                         np.flatnonzero(mesh.tri_state != REMOVED))
     verts = mesh.tri_verts
     for c1, c2 in _fan_pairs(verts, fans.side.reshape(-1, 3) != 0,
-                             frozen_mask):
+                             frozen):
         hit, tested = _crit2_overlapping_fans(mesh, fans, c1, c2)
         c1 = c1[hit]
         rows.append(np.column_stack([c1 // 3, c2[hit] // 3,
@@ -359,17 +358,16 @@ def find_incompatible_pairs(mesh, cs, config, frozen=frozenset(),
     return np.concatenate(rows)
 
 
-def classify_undecided(mesh, pairs, frozen=frozenset()):
-    """The undecided triangles, as an ascending tid array: the unfrozen
-    conflict participants and everything touching a conflict's shared
-    edge/vertex; the rest is kept. The pairs are a
+def classify_undecided(mesh, pairs, frozen=0):
+    """The undecided triangles, as an ascending tid array: those from tid
+    `frozen` on among the conflict participants and everything touching
+    a conflict's shared edge/vertex; the rest is kept. The pairs are a
     find_incompatible_pairs table, whose triangles hold the vertices of
     its columns 2-3, so the participants are among the triangles
     touching those."""
     tids, verts, _ = mesh.edges()
     hot = pairs[:, 2:4]
-    touched = (np.isin(verts, hot[hot >= 0]).any(axis=1)
-               & ~np.isin(tids, list(frozen)))
+    touched = np.isin(verts, hot[hot >= 0]).any(axis=1) & (tids >= frozen)
     return tids[touched]
 
 
@@ -724,7 +722,7 @@ def apply_consolidation(mesh, labels, component):
     return component[keep]
 
 
-def repair_nonmanifold(mesh, frozen=frozenset()):
+def repair_nonmanifold(mesh, frozen=0):
     """Deterministically remove the newest triangles at any residual
     non-manifold edge or pinched vertex. The pairwise criteria cover the
     overwhelming majority of conflicts; this net guarantees the audit,
@@ -732,17 +730,16 @@ def repair_nonmanifold(mesh, frozen=frozenset()):
     removals. Returns the removed tids, in removal order.
 
     Overfull edges are cleared once, in sorted order, of their newest
-    active triangles, unfrozen before frozen: removals only lower edge
-    counts, so no edge can become overfull later. Pinched vertices are
-    then split until the audit finds none."""
+    active triangles, unfrozen (tid `frozen` on) before frozen: removals
+    only lower edge counts, so no edge can become overfull later.
+    Pinched vertices are then split until the audit finds none."""
     removed = []
     if mesh_ops.audit_manifold(mesh)[0]:
         tids, _, index = mesh.edges()
         stop = np.cumsum(index.count)
         for e in np.flatnonzero(index.count > 2).tolist():
             on = tids[index.corner[stop[e] - index.count[e]:stop[e]] // 3]
-            on = sorted(on[mesh.is_active(on)].tolist(),
-                        key=lambda t: (t not in frozen, t), reverse=True)
+            on = sorted(on[mesh.is_active(on)].tolist(), reverse=True)
             mesh.remove(on[:-2])
             removed += on[:-2]
     for _ in range(64):
@@ -758,7 +755,7 @@ def repair_nonmanifold(mesh, frozen=frozenset()):
             # the lowest; the others go whole, frozen or not: the audit
             # guarantee outranks keeping prior triangles
             keep = min(groups, default=None, key=lambda g: (
-                frozen.isdisjoint(g), -len(g), g[0]))
+                g[0] >= frozen, -len(g), g[0]))
             for g in groups:
                 if g is not keep:
                     mesh.remove(g)
@@ -766,9 +763,10 @@ def repair_nonmanifold(mesh, frozen=frozenset()):
     return removed
 
 
-def consolidate_mesh(mesh, cs, config, frozen=frozenset(), stats=None):
-    """Full consolidation pass. Returns (removed_count, undecided_count);
-    with a ConsolidationStats as `stats`, adds this pass's counts to it."""
+def consolidate_mesh(mesh, cs, config, frozen=0, stats=None):
+    """Full consolidation pass, the triangles below tid `frozen` frozen.
+    Returns (removed_count, undecided_count); with a ConsolidationStats
+    as `stats`, adds this pass's counts to it."""
     if stats is None:
         stats = ConsolidationStats()
     pairs = find_incompatible_pairs(mesh, cs, config, frozen, stats)

@@ -48,7 +48,8 @@ class ChainSet:
     Vertex k of chain c has flat id offsets[c] + k. Per vertex: gid, its
     mesh vertex id; pos, tan, nrm and bin, its position and frame; w
     and col, its width and color; ok, whether its frame is usable; and
-    optionally dmax, an acceptance radius overriding the width rule. Per
+    optionally dmax, an acceptance radius overriding the width rule,
+    which only the gap phase's chain set carries (_build_candidates). Per
     chain: cyclic, and component, the mesh component a boundary chain
     bounds (-1 for strokes). chain_id, index and lengths are derived
     from offsets: each flat id's chain and position in it, and each
@@ -160,16 +161,6 @@ class MatchTable:
     rows_reused: int = 0
 
 
-def _query_radii(cs, config, radius_mode):
-    """Upper bound on the acceptance radius per source vertex."""
-    if radius_mode == "dmax":
-        if cs.dmax is None:
-            raise ValueError("chainset has no dmax for gap-phase matching")
-        return cs.dmax
-    w_max = float(cs.w[cs.ok].max()) if cs.ok.any() else float(cs.w.max())
-    return scoring.sigma_for(cs.w, w_max, config)
-
-
 def pair_sigmas(cs, p_flat, q_flats, config):
     """Gaussian sigma per (p, q) pair; the gap phase averages the two
     component radii, otherwise the width rule applies."""
@@ -178,9 +169,13 @@ def pair_sigmas(cs, p_flat, q_flats, config):
     return scoring.sigma_for(cs.w[p_flat], cs.w[q_flats], config)
 
 
-def _build_candidates(cs, config, cone_deg, sides, radius_mode,
-                      color_cue=False, same_component=False):
+def _build_candidates(cs, config, sides, color_cue=False):
     """Shared candidate generation: one pair search per phase.
+
+    Without dmax: the width rule's radius, config.cone_angle_deg, and
+    pairs within one mesh component (cs.component, -1 on strokes). With
+    dmax, the gap phase's: each source's dmax, the boundary cone, and
+    pairs across components.
 
     One geometry.pairs_within call gathers every pair of non-degenerate
     vertices within the largest acceptance radius, widened by a slack of
@@ -188,52 +183,50 @@ def _build_candidates(cs, config, cone_deg, sides, radius_mode,
     superset of the pairs within the radius gives the same lists: the
     grid's cells only propose candidates, and the slack keeps a pair
     whose squared distance rounds above the radius's square. The
-    symmetric tests (minimum length, width-mode radius, color,
-    polyline adjacency) run on the undirected pairs, with
-    same_component keeping only pairs whose chains lie in one mesh
-    component (cs.component); the pairs are then taken in both
-    directions, and the directed tests (dmax-mode radius, probe cone per
-    side, end cone) run on those arrays. Each side keeps its rows sorted
-    by (source, target).
+    symmetric tests (minimum length, width-rule radius, component, color,
+    polyline adjacency) run on the undirected pairs; the pairs are then
+    taken in both directions, and the directed tests (dmax radius, probe
+    cone per side, end cone) run on those arrays. Each side keeps its
+    rows sorted by (source, target).
     """
-    cos_cone = float(np.cos(np.radians(cone_deg)))
-    radii = _query_radii(cs, config, radius_mode)
+    gap = cs.dmax is not None
+    cos_cone = float(np.cos(np.radians(
+        config.boundary_cone_angle_deg if gap else config.cone_angle_deg)))
+    # the largest acceptance radius
+    w_max = float(cs.w[cs.ok].max()) if cs.ok.any() else float(cs.w.max())
+    radius = float(cs.dmax.max() if gap else
+                   scoring.sigma_for(cs.w, w_max, config).max())
     ok_ids = np.nonzero(cs.ok)[0]
     eps_len = 1e-12 * max(1.0, float(np.abs(cs.pos).max()))
     # the slack keeps pairs whose squared distance rounds above the
     # square of the radius
     pairs = ok_ids[geometry.pairs_within(cs.pos[ok_ids],
-                                         float(radii.max()) * (1 + 1e-9))]
+                                         radius * (1 + 1e-9))]
     out = CandidateSet(cs, pairs_tested=2 * len(pairs) * len(sides))
 
     a, b = pairs[:, 0], pairs[:, 1]
     d = cs.pos[b] - cs.pos[a]
     dist = np.linalg.norm(d, axis=1)
+    ca, cb = cs.chain_id[a], cs.chain_id[b]
     keep = dist > eps_len
-    if radius_mode != "dmax":
+    if not gap:
         keep &= dist <= scoring.sigma_for(cs.w[a], cs.w[b], config)
+        keep &= cs.component[ca] == cs.component[cb]
     if color_cue:
         keep &= np.all(cs.col[a] == cs.col[b], axis=1)
-    if same_component:
-        keep &= (cs.component[cs.chain_id[a]]
-                 == cs.component[cs.chain_id[b]])
 
     # exclude the immediate polyline neighbors
     lengths, cyclic = cs.lengths, cs.cyclic
-    ca = cs.chain_id[a]
     di = np.abs(cs.index[a] - cs.index[b])
     wrap = cyclic[ca] & (lengths[ca] > 2) & (di == lengths[ca] - 1)
-    keep &= ~((ca == cs.chain_id[b]) & ((di == 1) | wrap))
+    keep &= ~((ca == cb) & ((di == 1) | wrap))
 
     a, b, d, dist = a[keep], b[keep], d[keep], dist[keep]
     src = np.concatenate([a, b])
     tgt = np.concatenate([b, a])
     d = np.concatenate([d, -d])
     dist = np.concatenate([dist, dist])
-    if radius_mode == "dmax":
-        keep = dist <= cs.dmax[src]
-    else:
-        keep = np.ones(len(src), dtype=bool)
+    keep = dist <= cs.dmax[src] if gap else np.ones(len(src), dtype=bool)
 
     # near chain ends the cone must also hold seen from q (d points from
     # p to q; the absolute dot product does not see the direction)
@@ -257,9 +250,7 @@ def _build_candidates(cs, config, cone_deg, sides, radius_mode,
 def baseline_candidates(cs, config, color_cue=False):
     """First-pass candidates: every non-degenerate vertex of every stroke
     within the width-based radius and the probe cone."""
-    out = _build_candidates(cs, config, config.cone_angle_deg,
-                            (Side.LEFT, Side.RIGHT), "width",
-                            color_cue=color_cue)
+    out = _build_candidates(cs, config, (Side.LEFT, Side.RIGHT), color_cue)
     out.passes = {}
     return out
 
@@ -280,22 +271,15 @@ def restricted_candidates(cands, dominant):
     return out
 
 
-def boundary_candidates(cs, config, phase, color_cue=False):
+def boundary_candidates(cs, config, color_cue=False):
     """Candidates for boundary-loop chains. Matching runs on the side the
     binormal points to (away from the surface), so only LEFT is built.
 
-    phase "extension" keeps candidates within each chain's own mesh
-    component; phase "gap" searches all boundaries with a wider cone and
-    the per-component acceptance radius carried in cs.dmax.
+    Extension chains keep candidates within each chain's own mesh
+    component; gap chains, which carry dmax, search all boundaries with
+    a wider cone and the per-component acceptance radius in cs.dmax.
     """
-    if phase == "extension":
-        return _build_candidates(cs, config, config.cone_angle_deg,
-                                 (Side.LEFT,), "width", color_cue=color_cue,
-                                 same_component=True)
-    if phase == "gap":
-        return _build_candidates(cs, config, config.boundary_cone_angle_deg,
-                                 (Side.LEFT,), "dmax", color_cue=color_cue)
-    raise ValueError(f"unknown boundary phase {phase!r}")
+    return _build_candidates(cs, config, (Side.LEFT,), color_cue)
 
 
 # ---- Viterbi, one level-synchronous pass per side ----

@@ -285,19 +285,18 @@ class Cut(list):
     walk_rows = 0
 
 
-def break_nonorientable(mesh, frozen=frozenset()):
+def break_nonorientable(mesh):
     """Remove triangles until every component orients: the newer
-    removable triangle of each broken part's first conflict goes (the
-    newer of both when both are frozen), and the walk resumes at the cuts
-    (module docstring) until no part is broken; then the flips and
-    removals are written to the mesh. Surviving components keep the
+    triangle of each broken part's first conflict goes, so a phase's own
+    triangles go before those of earlier phases, and the walk resumes at
+    the cuts (module docstring) until no part is broken; then the flips
+    and removals are written to the mesh. Surviving components keep the
     winding of their lowest triangle id; align them with orient_all
     afterwards if they should face the source normals. Returns a Cut."""
     walk, removed = _Walk(mesh, mesh.active_ids()), Cut()
     rows = np.arange(len(walk.tids))
     while pairs := walk.conflicts(rows).values():
-        victims = [max([t for t in pair if t not in frozen] or pair)
-                   for pair in pairs]
+        victims = [max(pair) for pair in pairs]
         removed += victims
         rows = walk.cut(np.searchsorted(walk.tids, victims))
     mesh.flip(walk.tids[walk.flip])
@@ -699,6 +698,21 @@ def component_stats(mesh):
     } for i in range(k)]
 
 
+def topology_summary(mesh):
+    """The manifold audit's fault counts and the per-component topology
+    that the run report and the eval report both carry, in their key
+    order."""
+    bad_edges, bad_vertices = audit_manifold(mesh)
+    stats = component_stats(mesh)
+    return {
+        "nonmanifold_edges": len(bad_edges),
+        "nonmanifold_vertices": len(bad_vertices),
+        "components": len(stats),
+        "euler_characteristics": [s["euler"] for s in stats],
+        "boundary_loops": [s["boundary_loops"] for s in stats],
+    }
+
+
 def path_edge_fraction(mesh, paths):
     """Share of the consecutive vertex-id pairs along paths that are
     distinct and present as active mesh edges; 0.0 without pairs. An id
@@ -770,12 +784,13 @@ def load_obj(path):
     """Read positions, faces, and optional normals from an OBJ file.
     Faces with more than three vertices are fanned from the first. A
     face index must name a vertex listed above it: 1 is the first, -1
-    the last so far; any other index raises ValueError naming the line,
-    as does a v or vn line without 3 numbers. The file is tokenized at
-    once, as str.split() splits each line; face indices (the part of a
-    token before any '/') are read a digit column at a time over all
-    corners, and by int() where not a sign and 1 to 15 ASCII digits.
-    Faces come back as one (F, 3) int64 array."""
+    the last so far; any other index, or one int() cannot read, raises
+    ValueError naming the line, as does a v or vn line without 3
+    numbers. The file is tokenized at once, as str.split() splits each
+    line; face indices (the part of a token before any '/') are read a
+    digit column at a time over all corners, and by int() where not a
+    sign and 1 to 15 ASCII digits. Faces come back as one (F, 3) int64
+    array."""
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     # code points, those past the table clipped to its last entry
@@ -831,16 +846,22 @@ def load_obj(path):
         np.add(index, digit, out=index, where=more)
     index[codes[at] == ord("-")] *= -1
     for i in np.flatnonzero(odd).tolist():
-        index[i] = min(max(int(text[at[i]:stop[i]]), -2**62), 2**62)
+        try:
+            index[i] = min(max(int(text[at[i]:stop[i]]), -2**62), 2**62)
+        except ValueError:
+            index[i] = 0            # names no vertex, so reported below
     del codes                       # free before the faces are built
     # the v lines above each corner's line
     seen = np.searchsorted(v_rows, row)
     g = np.where(index > 0, index - 1, seen + index)
     bad = np.flatnonzero((g < 0) | (g >= seen))
     if len(bad):
-        i = bad[0]
-        raise ValueError(f"{path}:{lineno[row[i]]}: face index "
-                         f"{int(text[at[i]:stop[i]])} names no vertex")
+        token = text[at[bad[0]]:stop[bad[0]]]
+        try:
+            fault = f"{int(token)} names no vertex"
+        except ValueError:
+            fault = f"{token!r} is not an integer"
+        raise ValueError(f"{path}:{lineno[row[bad[0]]]}: face index {fault}")
     fan = np.flatnonzero(rank >= 2)
     faces = np.stack([g[start[fan]], g[fan - 1], g[fan]], axis=1)
     return positions, faces, normals if len(vn_rows) else None

@@ -69,8 +69,8 @@ insert keeps the none row NO_PROV: -1 in every id column, side 0. The
 flat ids serve the consolidation pass that follows the meshing: the
 crease variant appends its offset chains after every stroke chain, so
 the flat ids meshing wrote keep their meaning, and that pass scores
-only undecided triangles, which are never frozen and so come from its
-own chain set.
+only undecided triangles, whose tids are at or past the phase's first
+tid and so come from its own chain set.
 """
 
 from __future__ import annotations

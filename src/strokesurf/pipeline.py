@@ -4,9 +4,13 @@ Order of operations: trim hooks, canonicalize stroke order, baseline
 matching to find dominant neighbors, restricted matching, strip meshing
 (optionally crease-preserving), consolidation, boundary extension
 within components, small-hole closure, boundary smoothing, gap-spanning
-matching across components with prior triangles frozen, orientation
-repair, ribbons for strokes that contributed nothing, then optional
-hole filling and smoothing.
+matching across components, orientation repair, ribbons for strokes
+that contributed nothing, then optional hole filling and smoothing.
+
+Boundary extension and gap spanning each freeze the earlier phases'
+triangles. Tids only grow and never come back, so these are the active
+ones below the phase's first tid, `frozen`. Only the gap phase's
+boundary ChainSet carries dmax (matcher.boundary_candidates).
 
 Normal signs only name the two sides of a ribbon, so nothing before the
 last step reads them: strips are emitted in an order fixed by what was
@@ -179,31 +183,32 @@ def _match_payload(table):
     return payload
 
 
-def _break_nonorientable(stage, mesh, frozen=frozenset()):
+def _break_nonorientable(stage, mesh):
     """mesh_ops.break_nonorientable, counted in the stage."""
-    cut = mesh_ops.break_nonorientable(mesh, frozen=frozen)
+    cut = mesh_ops.break_nonorientable(mesh)
     stage["nonorientable_removed"] += len(cut)
     stage["walk_rows"] += cut.walk_rows
 
 
-def _match_boundaries(tracker, name, phase, config, color_cue):
-    """The stage `name` that matches the mesh's boundary loops in a
-    boundary_candidates phase and meshes the matches; returns the
-    boundary ChainSet, None when the mesh has no boundary."""
+def _match_boundaries(tracker, name, config, color_cue, with_dmax):
+    """The stage `name` that starts a boundary phase: it matches the
+    mesh's boundary loops, framed by boundary_chain_set with or without
+    dmax, and meshes the matches. Returns (frozen, bcs): the phase's
+    first tid and its boundary ChainSet, None when the mesh has no
+    boundary."""
     mesh = tracker.mesh
+    frozen = len(mesh.tri_verts)
     with tracker.stage(name, strips=True) as stage:
-        bcs = mesh_ops.boundary_chain_set(mesh, config,
-                                          with_dmax=phase == "gap")
+        bcs = mesh_ops.boundary_chain_set(mesh, config, with_dmax=with_dmax)
         if bcs is None:
             _count_matching(stage)
         else:
-            cands = matcher.boundary_candidates(bcs, config, phase,
-                                                color_cue=color_cue)
+            cands = matcher.boundary_candidates(bcs, config, color_cue)
             table = matcher.match_all(cands, config)
             _count_matching(stage, cands, table)
             mesher.mesh_from_matches(table, config, mesh=mesh)
             tracker.dump_matches(name, table)
-    return bcs
+    return frozen, bcs
 
 
 def run_pipeline(drawing, options=None):
@@ -261,15 +266,15 @@ def run_pipeline(drawing, options=None):
         stats.repair_removed += len(consolidate.repair_nonmanifold(mesh))
 
     if not options.skip_extension:
-        frozen = set(mesh.active_ids())
-        bcs = _match_boundaries(tracker, "boundary_extension", "extension",
-                                config, options.use_color)
+        frozen, bcs = _match_boundaries(tracker, "boundary_extension",
+                                        config, options.use_color,
+                                        with_dmax=False)
         stats = consolidate.ConsolidationStats()
         with tracker.stage("extension_consolidation", stats) as stage:
             if bcs is not None:
                 consolidate.consolidate_mesh(mesh, bcs, config,
                                              frozen=frozen, stats=stats)
-            _break_nonorientable(stage, mesh, frozen)
+            _break_nonorientable(stage, mesh)
             stats.repair_removed += len(
                 consolidate.repair_nonmanifold(mesh, frozen=frozen))
 
@@ -280,9 +285,8 @@ def run_pipeline(drawing, options=None):
     with tracker.stage("boundary_smoothing"):
         mesh_ops.smooth_boundary(mesh, config)
 
-    frozen = set(mesh.active_ids())
-    gcs = _match_boundaries(tracker, "gap_spanning", "gap", config,
-                            options.use_color)
+    frozen, gcs = _match_boundaries(tracker, "gap_spanning", config,
+                                    options.use_color, with_dmax=True)
     stats = consolidate.ConsolidationStats()
     with tracker.stage("gap_consolidation", stats):
         if gcs is not None:
@@ -290,10 +294,9 @@ def run_pipeline(drawing, options=None):
                                          stats=stats)
 
     with tracker.stage("orientation") as stage:
-        new_tids = [t for t in mesh.active_ids() if t not in frozen]
-        stage["moebius_removed"] += len(
-            mesh_ops.resolve_moebius(mesh, new_tids))
-        _break_nonorientable(stage, mesh, frozen)
+        stage["moebius_removed"] += len(mesh_ops.resolve_moebius(
+            mesh, np.arange(frozen, len(mesh.tri_verts))))
+        _break_nonorientable(stage, mesh)
         # removals may leave pinched fans behind
         stage["repair_removed"] += len(
             consolidate.repair_nonmanifold(mesh, frozen=frozen))
@@ -319,17 +322,11 @@ def run_pipeline(drawing, options=None):
     # are they flipped to face the way the strokes were drawn
     mesh_ops.orient_all(mesh)
 
-    bad_edges, bad_vertices = mesh_ops.audit_manifold(mesh)
-    stats = mesh_ops.component_stats(mesh)
     report = {
         "stage_stats": tracker.stats,
         "interpolated_edge_fraction": mesh_ops.path_edge_fraction(
             mesh, _stroke_paths(cs, work)),
-        "nonmanifold_edges": len(bad_edges),
-        "nonmanifold_vertices": len(bad_vertices),
-        "components": len(stats),
-        "euler_characteristics": [s["euler"] for s in stats],
-        "boundary_loops": [s["boundary_loops"] for s in stats],
+        **mesh_ops.topology_summary(mesh),
         "triangles": mesh.active_count(),
         "vertices": len(np.unique(mesh.edges()[1])),
         "strokes_in": len(drawing.strokes),

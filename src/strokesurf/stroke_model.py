@@ -259,7 +259,9 @@ def _clean_stroke(raw, index):
     if np.any(widths <= 0):
         raise ValidationError(f"stroke {index}: widths must be positive")
 
-    color = _floats(raw, "color", index) if "color" in raw else np.ones(3)
+    # a missing or null color is white
+    color = (np.ones(3) if raw.get("color") is None
+             else _floats(raw, "color", index))
     if color.shape != (3,):
         raise ValidationError(f"stroke {index}: color must be [r, g, b]")
 

@@ -866,8 +866,7 @@ def evaluate(mesh, truth, drawing=None, samples=10000, seed=7,
     faces = mesh.edges()[1]
     if not len(faces):
         raise ValueError("mesh has no active triangles")
-    bad_edges, bad_vertices = mesh_ops.audit_manifold(mesh)
-    stats = mesh_ops.component_stats(mesh)
+    topology = mesh_ops.topology_summary(mesh)
 
     mesh_samples = sample_mesh_surface(mesh.positions, faces, samples, rng)
     d_mesh, pairs_mesh = truth.max_distance(mesh_samples)
@@ -879,11 +878,7 @@ def evaluate(mesh, truth, drawing=None, samples=10000, seed=7,
         fraction = interpolated_fraction(mesh, drawing, config)
 
     return EvalReport(
-        nonmanifold_edges=len(bad_edges),
-        nonmanifold_vertices=len(bad_vertices),
-        components=len(stats),
-        euler_characteristics=[s["euler"] for s in stats],
-        boundary_loops=[s["boundary_loops"] for s in stats],
+        **topology,
         hausdorff=max(d_mesh, d_truth),
         mesh_to_truth=d_mesh,
         truth_to_mesh=d_truth,

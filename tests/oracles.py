@@ -45,6 +45,18 @@ from scipy.spatial import cKDTree
 OUT_NODE = -1
 
 
+def frozen_tids(mesh, frozen):
+    """The frozen set the references take for the package's int
+    `frozen`, a phase's first tid: the active tids below it."""
+    return {t for t in mesh.active_ids() if t < frozen}
+
+
+def boundary_phase(cs):
+    """The phase_candidates name of a boundary chain set: only the gap
+    phase's carries dmax."""
+    return "extension" if cs.dmax is None else "gap"
+
+
 # ---------------------------------------------------------------------------
 # chain matching
 
@@ -2192,7 +2204,13 @@ def load_obj(path):
             elif parts[0] == "f":
                 idx = []
                 for tok in parts[1:]:
-                    i = int(tok.split("/")[0])
+                    head = tok.split("/")[0]
+                    try:
+                        i = int(head)
+                    except ValueError:
+                        raise ValueError(f"{path}:{lineno}: face index "
+                                         f"{head!r} is not an integer"
+                                         ) from None
                     g = i - 1 if i > 0 else len(positions) + i
                     if not 0 <= g < len(positions):
                         raise ValueError(f"{path}:{lineno}: face index {i} "

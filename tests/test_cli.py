@@ -208,8 +208,10 @@ def test_eval_rejects_empty_mesh(tmp_path, capsys):
     assert "no faces" in capsys.readouterr().err
 
 
+# the last three name no vertex as they are no integer
 @pytest.mark.parametrize("face", ["f 1 2 0", "f 1 2 5", "f 1 2 -5",
-                                  "f 1 2 4"])
+                                  "f 1 2 4", "f 1 2 x", "f 1 2 /3",
+                                  "f 1 x 9"])
 @pytest.mark.parametrize("role", ["--mesh", "--truth"])
 def test_eval_rejects_face_index_out_of_range(tmp_path, capsys, face, role):
     good = tmp_path / "good.obj"

@@ -159,11 +159,12 @@ def test_find_pairs_skips_frozen_frozen(config):
     t1 = em.tri_on_edge(0, 1, 2, 3, 1)
     t2 = em.tri_on_edge(0, 1, 2, 4, 1)
     assert len(consolidate.find_incompatible_pairs(mesh, cs, config)) == 1
+    assert t1 < t2
     pairs = consolidate.find_incompatible_pairs(mesh, cs, config,
-                                                frozen={t1, t2})
+                                                frozen=t2 + 1)
     assert len(pairs) == 0
     pairs = consolidate.find_incompatible_pairs(mesh, cs, config,
-                                                frozen={t1})
+                                                frozen=t2)
     assert len(pairs) == 1
 
 
@@ -192,8 +193,8 @@ def test_classify_undecided_is_local(config):
 def test_pair_search_on_a_crowded_edge_matches_scalar_reference(config):
     """Six triangles on the stroke edge (1, 2), one of them removed: the
     shared-edge pairs of the five active ones, listed by edge and tids,
-    equal the scalar reference's under frozen sets that drop some of
-    them, a removed tid included."""
+    equal the scalar reference's whatever tid the phase begins at, the
+    removed one included."""
     cs, mesh, em = strip_fixture(config, [[0.4, 0.5, 0], [0.6, 0.8, 0],
                                           [0.5, 0.3, 0.1], [0.3, -0.6, 0],
                                           [0.7, -0.4, 0.1], [0.5, 1.2, 0]])
@@ -201,11 +202,10 @@ def test_pair_search_on_a_crowded_edge_matches_scalar_reference(config):
             for k in range(6)]
     mesh.remove(tids[2])
     assert len(mesh.edge_map()[(1, 2)]) == 5
-    for frozen in (set(), {tids[0], tids[1]}, {tids[2], tids[3], tids[4]},
-                   {tids[0], tids[3], tids[5]}):
+    for frozen in range(len(mesh.tri_verts) + 1):
         pairs = consolidate.find_incompatible_pairs(mesh, cs, config, frozen)
         assert pairs.tolist() == oracles.find_incompatible_pairs(
-            mesh, cs, config, frozen)
+            mesh, cs, config, oracles.frozen_tids(mesh, frozen))
         if not frozen:
             assert len(pairs) == 4
             assert tids[2] not in pairs[:, :2]
@@ -215,24 +215,25 @@ def test_pair_search_on_a_crowded_edge_matches_scalar_reference(config):
 def test_pair_search_matches_scalar_reference(name, monkeypatch):
     """At every consolidation pass of a noisy run, the batched search
     returns the scalar reference's pair rows, in the same order, under
-    the pass's own frozen set and under another one."""
+    the pass's own frozen triangles and under others."""
     search = consolidate.find_incompatible_pairs
     kinds = set()
     frozen_sizes = []
 
-    def checked(mesh, cs, config, frozen=frozenset(), stats=None):
+    def checked(mesh, cs, config, frozen=0, stats=None):
         pairs = search(mesh, cs, config, frozen, stats)
         assert pairs.dtype == np.int64 and pairs.shape[1] == 4
         assert pairs.tolist() == oracles.find_incompatible_pairs(
-            mesh, cs, config, frozen)
-        # unfrozen passes are checked with every other triangle frozen,
-        # frozen ones without freezing
-        other = frozenset() if frozen else frozenset(mesh.active_ids()[::2])
+            mesh, cs, config, oracles.frozen_tids(mesh, frozen))
+        # unfrozen passes are checked with the older half of the rows
+        # frozen, frozen ones without freezing
+        other = 0 if frozen else len(mesh.tri_verts) // 2
         assert (search(mesh, cs, config, other).tolist()
-                == oracles.find_incompatible_pairs(mesh, cs, config, other))
+                == oracles.find_incompatible_pairs(
+                    mesh, cs, config, oracles.frozen_tids(mesh, other)))
         kinds.update("vertex" if b < 0 else "edge"
                      for b in pairs[:, 3].tolist())
-        frozen_sizes.append(len(frozen))
+        frozen_sizes.append(len(oracles.frozen_tids(mesh, frozen)))
         return pairs
 
     monkeypatch.setattr(consolidate, "find_incompatible_pairs", checked)
@@ -276,13 +277,14 @@ def test_fan_pairs_cut_batches_at_pair_chunk(chunk, monkeypatch):
         # a fifth of the corners pruned, none on the fan's hub
         usable = ((mesh.tri_state != mesher.REMOVED)[:, None]
                   & ((rng.random(verts.shape) < 0.8) | (verts == 0)))
-        frozen = rng.random(len(verts)) < 0.3
+        frozen = int(rng.integers(0, len(verts) + 1))
         batches = list(consolidate._fan_pairs(verts, usable, frozen))
         assert all(len(c1) <= chunk for c1, _ in batches)
         got = [(c1 // 3, c2 // 3, int(verts.flat[c1]))
                for b1, b2 in batches
                for c1, c2 in zip(b1.tolist(), b2.tolist())]
-        assert got == fan_pairs_reference(verts, usable, frozen)
+        assert got == fan_pairs_reference(verts, usable,
+                                          np.arange(len(verts)) < frozen)
         counts.append(len(batches))
     assert counts[0] >= 7140 // chunk + 1
 
@@ -663,7 +665,7 @@ def test_consolidate_mesh_raises_when_its_final_audit_finds_a_bad_vertex(
 
     monkeypatch.setattr(mesh_ops, "audit_manifold", audit)
     monkeypatch.setattr(consolidate, "repair_nonmanifold",
-                        lambda m, frozen=frozenset(): [])
+                        lambda m, frozen=0: [])
     if found[1]:
         with pytest.raises(consolidate.InvariantError,
                            match="0 edges, 1 vertices"):
@@ -687,11 +689,11 @@ def test_conflict_graphs_equal_the_dict_built_reference(name, monkeypatch):
     passes = []
     arcs = Counter()
 
-    def traced_pass(mesh, cs, config, frozen=frozenset(), stats=None):
+    def traced_pass(mesh, cs, config, frozen=0, stats=None):
         passes.append(dict(mesh=mesh, cs=cs, config=config, graphs=0))
         return consolidate_mesh(mesh, cs, config, frozen, stats)
 
-    def traced_classify(mesh, pairs, frozen=frozenset()):
+    def traced_classify(mesh, pairs, frozen=0):
         undecided = classify(mesh, pairs, frozen)
         passes[-1].update(pairs=pairs, incidence=mesh.edge_map(),
                           undecided=undecided)
@@ -750,7 +752,7 @@ def test_scored_triangles_name_their_own_gids_by_flat_id(spec, monkeypatch):
     classify = consolidate.classify_undecided
     chainsets, undecided = [], []
 
-    def traced_classify(mesh, pairs, frozen=frozenset()):
+    def traced_classify(mesh, pairs, frozen=0):
         undecided.append(classify(mesh, pairs, frozen))
         return undecided[-1]
 
@@ -810,13 +812,19 @@ def test_repair_removes_newest_at_overfull_edge():
 
 
 def test_repair_overfull_edge_respects_frozen():
-    mesh = soup_mesh()
-    t0 = mesh.add_triangle(0, 1, 2)
-    t1 = mesh.add_triangle(0, 1, 3)
-    t2 = mesh.add_triangle(0, 1, 4)
-    removed = consolidate.repair_nonmanifold(mesh, frozen={t2})
-    assert removed == [t1]
-    assert mesh.is_active(t0) and mesh.is_active(t2)
+    """Three triangles on one edge: wherever the phase begins, the
+    newest goes, so the phase's own before any frozen one, as the
+    reference, given the frozen set, removes."""
+    for frozen in range(4):
+        mesh = soup_mesh()
+        t0 = mesh.add_triangle(0, 1, 2)
+        t1 = mesh.add_triangle(0, 1, 3)
+        t2 = mesh.add_triangle(0, 1, 4)
+        ref = copy.deepcopy(mesh)
+        removed = consolidate.repair_nonmanifold(mesh, frozen=frozen)
+        assert removed == [t2] == oracles.repair_nonmanifold(
+            ref, frozen=oracles.frozen_tids(ref, frozen))
+        assert mesh.is_active(t0) and mesh.is_active(t1)
 
 
 def test_repair_separates_bowtie_fans():
@@ -849,11 +857,13 @@ def test_repair_reads_each_overfull_edge_from_live_rows():
 
 def test_repair_bowtie_prefers_frozen_fan():
     mesh = soup_mesh()
-    t0 = mesh.add_triangle(0, 1, 2)
-    t1 = mesh.add_triangle(0, 2, 5)
-    t2 = mesh.add_triangle(0, 3, 6)
-    removed = consolidate.repair_nonmanifold(mesh, frozen={t2})
-    assert sorted(removed) == [t0, t1]            # frozen fan survives
-    assert mesh.is_active(t2)
+    t0 = mesh.add_triangle(0, 3, 6)     # fan B, of an earlier phase
+    t1 = mesh.add_triangle(0, 1, 2)     # fan A, larger
+    t2 = mesh.add_triangle(0, 2, 5)
+    ref = copy.deepcopy(mesh)
+    removed = consolidate.repair_nonmanifold(mesh, frozen=t1)
+    assert sorted(removed) == [t1, t2]            # frozen fan survives
+    assert removed == oracles.repair_nonmanifold(ref, frozen={t0})
+    assert mesh.is_active(t0)
     bad_e, bad_v = mesh_ops.audit_manifold(mesh)
     assert not bad_e and not bad_v

@@ -169,17 +169,24 @@ def test_candidates_equal_the_per_vertex_builder(config):
             for side in (1, -1):
                 if rng.random() < 0.6:
                     nm[side][ci] = rng.integers(0, cs.chain_count())
-        base = matcher.baseline_candidates(cs, config, color_cue=color_cue)
+        # the chain sets of the phases: strokes lie on no mesh component
+        # and boundaries carry dmax only in the gap phase
+        strokes = dataclasses.replace(cs, component=None, dmax=None)
+        extension = dataclasses.replace(cs, dmax=None)
+        base = matcher.baseline_candidates(strokes, config,
+                                           color_cue=color_cue)
         restricted = matcher.restricted_candidates(base, nm)
         assert restricted.pairs_tested == base.pairs_tested
-        phases = [("baseline", base), ("restricted", restricted),
-                  ("extension", matcher.boundary_candidates(
-                      cs, config, "extension", color_cue=color_cue))]
+        phases = [("baseline", strokes, base),
+                  ("restricted", strokes, restricted),
+                  ("extension", extension, matcher.boundary_candidates(
+                      extension, config, color_cue=color_cue))]
         if cs.dmax is not None:
-            phases.append(("gap", matcher.boundary_candidates(
-                cs, config, "gap", color_cue=color_cue)))
-        for phase, cands in phases:
-            ref = oracles.phase_candidates(cs, config, phase, nm, color_cue)
+            phases.append(("gap", cs, matcher.boundary_candidates(
+                cs, config, color_cue=color_cue)))
+        for phase, chains, cands in phases:
+            ref = oracles.phase_candidates(chains, config, phase, nm,
+                                           color_cue)
             assert_same_lists(cands, ref)
             listed = sum(len(rows) for rows in ref.values())
             assert listed <= cands.pairs_tested
@@ -221,7 +228,7 @@ def test_candidates_at_the_radius_and_cone_boundaries(config):
             assert list(targets(cands, Side.LEFT, 0)) == [1, 3]
         else:
             phase = "gap"
-            cands = matcher.boundary_candidates(cs, config, "gap")
+            cands = matcher.boundary_candidates(cs, config)
             assert 1 in targets(cands, Side.LEFT, 0)
             assert 2 not in targets(cands, Side.LEFT, 0)
         assert_same_lists(cands, oracles.phase_candidates(cs, config,
@@ -265,7 +272,7 @@ def test_candidates_next_to_the_cone_with_rotated_frames(config):
             dmax=np.array([r]) if gap else None)
             for p, (ft, fn, fb) in zip(points, frames)])
         if gap:
-            cands = matcher.boundary_candidates(cs, config, "gap")
+            cands = matcher.boundary_candidates(cs, config)
             ref = oracles.phase_candidates(cs, config, "gap")
         else:
             cands = matcher.baseline_candidates(cs, config)
@@ -303,29 +310,29 @@ def boundary_chain(y, component, n=10, dmax=None):
 
 def test_boundary_candidates_extension_stays_in_component(config):
     same = chain_set([boundary_chain(0.0, 0), boundary_chain(0.1, 0)])
-    cands = matcher.boundary_candidates(same, config, "extension")
+    cands = matcher.boundary_candidates(same, config)
     assert set(cands.lists) == {1}   # LEFT only
     assert len(targets(cands, Side.LEFT, 0)) > 0
 
     split = chain_set([boundary_chain(0.0, 0), boundary_chain(0.1, 1)])
-    cands = matcher.boundary_candidates(split, config, "extension")
+    cands = matcher.boundary_candidates(split, config)
     assert len(targets(cands, Side.LEFT, 0)) == 0
 
 
 def test_boundary_candidates_gap_uses_dmax(config):
     cs = chain_set([boundary_chain(0.0, 0, dmax=0.5),
                     boundary_chain(0.4, 1, dmax=0.5)])
-    cands = matcher.boundary_candidates(cs, config, "gap")
+    cands = matcher.boundary_candidates(cs, config)
     assert len(targets(cands, Side.LEFT, 0)) > 0
-    # the width rule alone reaches 0.18, not 0.4
-    width = matcher.baseline_candidates(cs, config)
-    assert len(targets(width, Side.LEFT, 0)) == 0
+    # the width rule alone reaches 0.18, not 0.4, even within one
+    # component
+    width = chain_set([boundary_chain(0.0, 0), boundary_chain(0.4, 0)])
+    assert len(targets(matcher.boundary_candidates(width, config),
+                       Side.LEFT, 0)) == 0
     tight = chain_set([boundary_chain(0.0, 0, dmax=0.2),
                        boundary_chain(0.4, 1, dmax=0.2)])
-    cands = matcher.boundary_candidates(tight, config, "gap")
+    cands = matcher.boundary_candidates(tight, config)
     assert len(targets(cands, Side.LEFT, 0)) == 0
-    with pytest.raises(ValueError):
-        matcher.boundary_candidates(cs, config, "nonsense")
 
 
 def test_pair_sigmas_width_and_dmax_modes(config):

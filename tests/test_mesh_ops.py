@@ -141,13 +141,16 @@ def test_break_nonorientable_removes_minimum():
 
 
 def test_break_nonorientable_with_frozen_still_repairs():
-    # the conflict surfaces wherever the traversal fronts collide;
-    # frozen only biases the pick at that edge, so repair must succeed
-    # even when the preference cannot be honored
+    # the conflict surfaces wherever the traversal fronts collide, here
+    # between two triangles older than the closing quad, which a phase
+    # that added the quad froze: the newer goes all the same, as in the
+    # reference given the frozen set, and the band orients
     mesh, closing = moebius_band()
-    frozen = frozenset(t for t in mesh.active_ids() if t not in closing)
-    removed = mesh_ops.break_nonorientable(mesh, frozen=frozen)
-    assert len(removed) == 1
+    ref = copy.deepcopy(mesh)
+    removed = mesh_ops.break_nonorientable(mesh)
+    assert len(removed) == 1 and removed[0] < min(closing)
+    assert removed == oracles.break_nonorientable(
+        ref, frozen=oracles.frozen_tids(ref, min(closing)))
     assert mesh_ops.orient_all(mesh) == []
 
 
@@ -784,7 +787,8 @@ def random_obj(rng, bad):
         above.append(nv)
     if bad:
         k = int(rng.integers(3, len(lines) + 1))
-        index = rng.choice([0, above[k] + 1, -above[k] - 1, 10 ** 20, "1x"])
+        index = rng.choice([0, above[k] + 1, -above[k] - 1, 10 ** 20, "1x",
+                            "1."])
         lines.insert(k, f"f 1 1 {index}//1")
     return "\n".join(lines) + "\n"
 

@@ -438,8 +438,10 @@ def test_topology_results_hold_python_ints():
         results = [
             mesh_ops.boundary_loops(mesh),
             mesh_ops.orient_all(copy.deepcopy(mesh)),
-            mesh_ops.break_nonorientable(copy.deepcopy(mesh), frozen),
-            mesh_ops.resolve_moebius(copy.deepcopy(mesh), sorted(frozen)),
+            mesh_ops.break_nonorientable(copy.deepcopy(mesh)),
+            # the phase's own triangles, as the pipeline passes them
+            mesh_ops.resolve_moebius(copy.deepcopy(mesh),
+                                     np.arange(frozen, len(mesh.tri_verts))),
             consolidate.repair_nonmanifold(copy.deepcopy(mesh), frozen)]
         assert_python_ints(results)
         found += [len(r) > 0 for r in results]

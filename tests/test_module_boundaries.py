@@ -57,6 +57,84 @@ def test_the_check_sees_mesher_imports():
         (1, "edge_keys"), (1, "split_runs"), (3, "_private")]
 
 
+def _set_defaults(tree, arg):
+    """(line, function) of every function whose parameter arg defaults
+    to a set: a set or frozenset call, a set display or comprehension."""
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.Lambda)):
+            continue
+        args = node.args
+        positional = args.posonlyargs + args.args
+        pairs = list(zip(positional[len(positional) - len(args.defaults):],
+                         args.defaults))
+        pairs += [(a, d) for a, d in zip(args.kwonlyargs, args.kw_defaults)
+                  if d is not None]
+        for a, default in pairs:
+            if a.arg == arg and (
+                    isinstance(default, (ast.Set, ast.SetComp))
+                    or isinstance(default, ast.Call)
+                    and isinstance(default.func, ast.Name)
+                    and default.func.id in ("set", "frozenset")):
+                yield node.lineno, getattr(node, "name", "<lambda>")
+
+
+# the names the matcher's phases and radius rules once went by
+PHASE_WORDS = {"baseline", "restricted", "extension", "gap", "width", "dmax"}
+
+
+def _compared_strings(tree):
+    """(line, value) of every string literal a comparison or a match
+    case tests against: an operand of a comparison, an element of a
+    tuple, list or set operand, or a case value."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Compare):
+            for operand in [node.left, *node.comparators]:
+                items = (operand.elts if isinstance(
+                    operand, (ast.Tuple, ast.List, ast.Set)) else [operand])
+                yield from ((item.lineno, item.value) for item in items
+                            if isinstance(item, ast.Constant)
+                            and isinstance(item.value, str))
+        elif (isinstance(node, ast.MatchValue)
+              and isinstance(node.value, ast.Constant)
+              and isinstance(node.value.value, str)):
+            yield node.lineno, node.value.value
+
+
+def test_a_phase_is_told_by_its_data():
+    """A phase is named by what the code already holds: its frozen
+    triangles are the active ones below its first tid, one int, and its
+    boundary ChainSet matches as the gap phase exactly when it carries
+    dmax. So no frozen parameter in the package defaults to a set, and
+    the matcher compares no phase or radius name."""
+    assert [(path.name, *use) for path in SOURCES
+            for use in _set_defaults(ast.parse(
+                path.read_text(encoding="utf-8")), "frozen")] == []
+    matcher = Path(strokesurf.__file__).parent / "matcher.py"
+    assert [use for use in _compared_strings(ast.parse(
+        matcher.read_text(encoding="utf-8"))) if use[1] in PHASE_WORDS] == []
+
+
+def test_the_check_sees_set_defaults_and_phase_names():
+    tree = ast.parse("def a(mesh, frozen=frozenset()): pass\n"
+                     "def b(mesh, *, frozen=set()): pass\n"
+                     "def c(mesh, frozen={0}, other=set()): pass\n"
+                     "def d(mesh, frozen=0, other=set()): pass\n"
+                     "e = lambda m, frozen={t for t in m}: m\n")
+    assert sorted(_set_defaults(tree, "frozen")) == [
+        (1, "a"), (2, "b"), (3, "c"), (5, "<lambda>")]
+    tree = ast.parse("if phase == 'gap':\n"
+                     "    pass\n"
+                     "elif 'width' != mode or mode in ('dmax', 'x'):\n"
+                     "    pass\n"
+                     "match phase:\n"
+                     "    case 'extension':\n"
+                     "        pass\n"
+                     "x = {'gap': 1}['gap']\n")
+    assert sorted(_compared_strings(tree)) == [
+        (1, "gap"), (3, "dmax"), (3, "width"), (3, "x"), (6, "extension")]
+
+
 def _attribute_uses(tree, attr):
     """(line, where) of every attribute named attr in a module, where
     being the dotted name of the class and function around it, or

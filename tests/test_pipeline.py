@@ -385,10 +385,10 @@ def test_matching_equals_the_per_vertex_reference(spec, monkeypatch):
     phases, built = [], []
 
     def checked(build, phase=None):
-        # the argument after config is the phase of boundary candidates
-        def wrapper(cs, config, *args, color_cue=False):
-            cands = build(cs, config, *args, color_cue=color_cue)
-            name = phase or args[0]
+        # a boundary chain set names its phase by carrying dmax or not
+        def wrapper(cs, config, color_cue=False):
+            cands = build(cs, config, color_cue=color_cue)
+            name = phase or oracles.boundary_phase(cs)
             assert_same_lists(cands, oracles.phase_candidates(
                 cs, config, name, None, color_cue))
             phases.append(name)

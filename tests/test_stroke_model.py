@@ -112,6 +112,18 @@ def test_load_drawing_from_dict():
     assert s.timestamps is not None
 
 
+@pytest.mark.parametrize("key", ["color", "timestamps"])
+def test_load_drawing_reads_a_null_optional_field_as_absent(key):
+    """color and timestamps are optional, and null reads as a missing
+    field: a white stroke, or one without timestamps."""
+    data = drawing_dict()
+    data["strokes"][0][key] = None
+    stroke = sm.load_drawing(data).strokes[0]
+    assert np.array_equal(stroke.color,
+                          [1.0] * 3 if key == "color" else [0.5] * 3)
+    assert (stroke.timestamps is None) == (key == "timestamps")
+
+
 def test_load_drawing_scalar_or_vector_width():
     data = drawing_dict()
     data["strokes"][0]["width"] = [0.1, 0.2, 0.3]

@@ -9,6 +9,7 @@ import copy
 import json
 import math
 import sys
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -16,11 +17,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from strokesurf import consolidate, mesh_ops, pipeline
+from strokesurf import consolidate, matcher, mesh_ops, pipeline
 from strokesurf.mesh_ops import mesh_from_arrays
 from strokesurf.mesher import join_equal_keys
 from strokesurf.pipeline import PipelineOptions, run_pipeline
 from strokesurf.synth_eval import SyntheticSpec, generate
+from test_matcher import assert_same_lists
 from test_pipeline import CUBE_SPIRAL, FLIP_SPECS
 
 
@@ -71,7 +73,9 @@ def _clutter(rng, base):
 def random_soup(seed):
     """Several pieces (grids, bands, clutter) added in shuffled face
     order, glued by a few random triangles, then partly pre-flipped and
-    partly removed. Returns (mesh, frozen tid set)."""
+    partly removed. Returns (mesh, frozen): frozen, a random cutoff, is
+    the first tid of a phase, whose frozen triangles are the active ones
+    below it. The faces are shuffled, so those are a random subset."""
     rng = np.random.default_rng(seed)
     pos, faces = [], []
     for _ in range(int(rng.integers(1, 5))):
@@ -91,8 +95,7 @@ def random_soup(seed):
             mesh.remove(t)
         elif rng.random() < 0.2:
             mesh.flip(t)
-    frozen = {t for t in mesh.active_ids() if rng.random() < 0.3}
-    return mesh, frozen
+    return mesh, int(rng.integers(0, len(mesh.tri_verts) + 1))
 
 
 def _mesh(pos, faces):
@@ -150,7 +153,7 @@ SEEDS = range(60)
 
 def _all_cases():
     return [pytest.param(lambda m=m: (copy.deepcopy(m),
-                                      set(m.active_ids()[::2])), id=name)
+                                      len(m.tri_verts) // 2), id=name)
             for name, m in CASES.items()] + [
         pytest.param(lambda s=s: random_soup(s), id=f"soup{s}")
         for s in SEEDS]
@@ -181,13 +184,33 @@ def test_orient_all_matches_reference(make, align):
     assert np.array_equal(mesh.tri_verts, ref.tri_verts)
 
 
+def track_phase_starts(monkeypatch):
+    """Record the first tid of each boundary phase of a run: the row
+    count when the phase frames its boundary, before it adds triangles,
+    which is the `frozen` the run passes on. Returns the list, [0] and
+    then one entry per phase started, so its last entry is the current
+    phase's."""
+    starts = [0]
+    frame = mesh_ops.boundary_chain_set
+
+    def framed(mesh, *args, **kwargs):
+        starts.append(len(mesh.tri_verts))
+        return frame(mesh, *args, **kwargs)
+
+    monkeypatch.setattr(mesh_ops, "boundary_chain_set", framed)
+    return starts
+
+
 def _assert_cuts_match_reference(mesh, frozen,
                                  cut=mesh_ops.break_nonorientable):
-    """break_nonorientable removes the reference's triangles in its order
-    and leaves every triangle wound and removed as the reference does."""
+    """break_nonorientable removes what the reference removes, in its
+    order, given as frozen the active triangles below frozen, the
+    phase's first tid, and leaves every triangle wound and removed as
+    the reference does."""
     ref = copy.deepcopy(mesh)
-    removed = cut(mesh, frozen=frozen)
-    assert removed == oracles.break_nonorientable(ref, frozen=frozen)
+    removed = cut(mesh)
+    assert removed == oracles.break_nonorientable(
+        ref, frozen=oracles.frozen_tids(ref, frozen))
     assert np.array_equal(mesh.tri_verts, ref.tri_verts)
     assert np.array_equal(mesh.tri_state, ref.tri_state)
     return removed
@@ -230,10 +253,10 @@ def test_second_walk_of_a_broken_component_repeats_the_first(make):
 
 @pytest.mark.parametrize("make", _all_cases())
 def test_orient_component_skips_triangles_outside_the_strip(make):
-    """Strips of the frozen draw, as resolve_moebius orients them: the
-    live edge lists also carry triangles outside the strip."""
-    mesh, subset = make()
-    _assert_walk_matches_reference(mesh, subset)
+    """Strips of the frozen triangles, as resolve_moebius orients them:
+    the live edge lists also carry triangles outside the strip."""
+    mesh, frozen = make()
+    _assert_walk_matches_reference(mesh, oracles.frozen_tids(mesh, frozen))
 
 
 def _checked_local_audits(monkeypatch):
@@ -264,7 +287,8 @@ def test_repair_net_matches_reference(make, monkeypatch):
     mesh, frozen = make()
     ref = copy.deepcopy(mesh)
     removed = consolidate.repair_nonmanifold(mesh, frozen=frozen)
-    assert removed == oracles.repair_nonmanifold(ref, frozen=frozen)
+    assert removed == oracles.repair_nonmanifold(
+        ref, frozen=oracles.frozen_tids(ref, frozen))
     assert np.array_equal(mesh.tri_state, ref.tri_state)
     assert mesh_ops.audit_manifold(mesh) == ([], [])
     assert mesh.active_count() == len(mesh.active_ids())
@@ -327,9 +351,11 @@ def test_audits_on_a_proof_match_reference(seed):
 
 @pytest.mark.parametrize("make", _all_cases())
 def test_groupings_match_reference(make):
-    mesh, subset = make()
-    # the frozen draw doubles as an undecided set and as new triangles;
-    # a few removed tids ride along as resolve_moebius may be given them
+    mesh, frozen = make()
+    subset = oracles.frozen_tids(mesh, frozen)
+    # the frozen triangles double as an undecided set and as new
+    # triangles; a few removed tids ride along as resolve_moebius may be
+    # given them
     removed = [t for t in range(len(mesh.tri_verts))
                if not mesh.is_active(t)][:3]
     assert (consolidate.undecided_components(mesh, subset)
@@ -416,6 +442,7 @@ def test_pipeline_walks_match_the_queue_walk(name, options, monkeypatch):
     winds as the reference does."""
     walk, cut = mesh_ops.orient_parts, mesh_ops.break_nonorientable
     callers, conflicts = set(), 0
+    starts = track_phase_starts(monkeypatch)
 
     def checked(mesh, tids):
         nonlocal conflicts
@@ -424,10 +451,10 @@ def test_pipeline_walks_match_the_queue_walk(name, options, monkeypatch):
         conflicts += sum(c is not None for c in found)
         return parts, found
 
-    def checked_cut(mesh, frozen=frozenset()):
+    def checked_cut(mesh):
         nonlocal conflicts
         callers.add("break_nonorientable")
-        removed = _assert_cuts_match_reference(mesh, frozen, cut)
+        removed = _assert_cuts_match_reference(mesh, starts[-1], cut)
         conflicts += len(removed)
         return removed
 
@@ -502,32 +529,33 @@ def _finned_strip(base, rungs, fins, y):
 
 
 def resume_case():
-    """Three parts to cut. A long strip with twelve fins, the newest
-    triangles, from near its first triangle to near its far end: it
-    loses one fin a round. A short strip with one frozen fin: the pair
-    on the fin's edge is the fin and the strip triangle beyond it, so
-    that triangle goes and the strip splits in two. A triangle whose
-    edge two frozen triangles share: it is its part's root, and the cut
-    falls on a frozen one. Returns (mesh, frozen tids, root tid)."""
-    pos, faces = _finned_strip(0, 40, range(2, 38, 3), 0)
-    p, f = _finned_strip(len(pos), 12, [6], 5)
+    """Three parts to cut, all frozen up to a fin. A triangle whose edge
+    two newer triangles share: it is its part's root, and the cut falls
+    on the newest, a frozen one. A long strip with twelve fins, its
+    newest triangles, from near its first triangle to near its far end:
+    it loses one fin a round. A short strip with one fin, older than the
+    strip triangles beyond it and the last frozen triangle: the pair on
+    the fin's edge is the fin and the strip triangle beyond it, so that
+    triangle goes and the strip splits in two. Returns (mesh, frozen,
+    root tid), frozen the tid just past the fin."""
+    pos = [[0, 10, 0], [1, 10, 0], [0.5, 11, 0], [0.5, 9, 0.5],
+           [0.5, 9, -0.5]]
+    faces = [(0, 1, 2), (0, 1, 3), (0, 1, 4)]
+    p, f = _finned_strip(len(pos), 40, range(2, 38, 3), 0)
     pos, faces = pos + p, faces + f
-    fin = len(faces) - 1
-    root = len(faces)
-    n = len(pos)
-    pos += [[0, 10, 0], [1, 10, 0], [0.5, 11, 0], [0.5, 9, 0.5],
-            [0.5, 9, -0.5]]
-    faces += [(n, n + 1, n + 2), (n, n + 1, n + 3), (n, n + 1, n + 4)]
-    return _mesh(pos, faces), {fin, root + 1, root + 2}, root
+    p, f = _finned_strip(len(pos), 12, [6], 5)
+    # steps 0-5 of the strip, then the fin on rung 6, then steps 6-10
+    pos, faces = pos + p, faces + f[:12] + f[-1:] + f[12:-1]
+    fin = len(faces) - 11
+    return _mesh(pos, faces), fin + 1, 0
 
 
 def test_resumed_walk_cuts_like_the_reference(monkeypatch):
     """break_nonorientable's walk, resumed at every cut, removes and
     winds as a fresh walk per round does, over rounds that cut deep and
     shallow, cuts that split their part and rounds that cut several
-    parts. A walk never clashes at its root, whose neighbours it reaches
-    first through their shared edges, so not even a frozen partner can
-    force a cut there."""
+    parts. No cut falls on a part's root, its lowest tid: the newer
+    triangle of a conflict goes."""
     cut, rounds = mesh_ops._Walk.cut, []
 
     def spied(walk, dead):
@@ -560,9 +588,10 @@ def test_noisy_spiral_cuts_like_the_reference(monkeypatch):
     extension consolidation; every call removes and winds as the
     reference does, and the report, walk_rows included, stays JSON."""
     cut, calls = mesh_ops.break_nonorientable, []
+    starts = track_phase_starts(monkeypatch)
 
-    def checked_cut(mesh, frozen=frozenset()):
-        removed = _assert_cuts_match_reference(mesh, frozen, cut)
+    def checked_cut(mesh):
+        removed = _assert_cuts_match_reference(mesh, starts[-1], cut)
         calls.append(len(removed))
         return removed
 
@@ -572,6 +601,91 @@ def test_noisy_spiral_cuts_like_the_reference(monkeypatch):
     assert calls[1] == stage["extension_consolidation"][
         "nonorientable_removed"] == 15
     assert json.loads(json.dumps(report)) == report
+
+
+# the benchmark's drawings at seed 0, with the options of their runs,
+# and three corpus cells of test_acceptance
+PHASE_RUNS = {
+    "sphere-dense": (SyntheticSpec(
+        surface="sphere", pattern="parallel", strokes=100, width=0.05,
+        spacing=0.078, noise=0.15 * 0.05, normal_noise_deg=4.0,
+        flip_probability=1 / 3, seed=42), PipelineOptions()),
+    "spiral-noisy": (SPIRAL_NOISY, PipelineOptions()),
+    "cube-crease": (SyntheticSpec(
+        surface="cube", pattern="parallel", strokes=12, width=0.18,
+        spacing=0.07, noise=0.125 * 0.18, normal_noise_deg=4.0,
+        flip_probability=1 / 3, seed=114), CREASE_OPTIONS),
+    "sphere-parallel-0.25": (SyntheticSpec(
+        surface="sphere", pattern="parallel", strokes=24, width=0.15,
+        spacing=0.06, noise=0.25 * 0.15, normal_noise_deg=6.0,
+        flip_probability=1 / 3, seed=103), PipelineOptions()),
+    "cube-spiral-0.125": (CUBE_SPIRAL, PipelineOptions()),
+    "cylinder-spiral-0.25": (SyntheticSpec(
+        surface="cylinder", pattern="spiral", strokes=14, width=0.15,
+        spacing=0.06, noise=0.25 * 0.15, normal_noise_deg=6.0,
+        flip_probability=1 / 3, seed=124), PipelineOptions()),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PHASE_RUNS))
+def test_phases_equal_the_set_form_references(name, monkeypatch):
+    """A run passes a phase on as its first tid, frozen, and its
+    boundary chain set. Every call that reads the phase does what the
+    references do given it as a set, the active tids below frozen, and
+    a name, "gap" for a chain set with dmax: each consolidation pass,
+    whose frozen is its phase's first tid (0 for the strips), finds the
+    reference's pairs and undecided triangles, and each repair net,
+    orientation cut and boundary candidate list equals the
+    reference's."""
+    spec, options = PHASE_RUNS[name]
+    starts = track_phase_starts(monkeypatch)
+    consolidate_mesh, repair = (consolidate.consolidate_mesh,
+                                consolidate.repair_nonmanifold)
+    cut, candidates = (mesh_ops.break_nonorientable,
+                       matcher.boundary_candidates)
+    calls, phases = Counter(), []
+
+    def checked_pass(mesh, cs, config, frozen=0, stats=None):
+        assert frozen == starts[-1]
+        prior = oracles.frozen_tids(mesh, frozen)
+        pairs = consolidate.find_incompatible_pairs(mesh, cs, config, frozen)
+        assert pairs.tolist() == oracles.find_incompatible_pairs(
+            mesh, cs, config, prior)
+        assert np.array_equal(
+            consolidate.classify_undecided(mesh, pairs, frozen),
+            oracles.classify_undecided(mesh, pairs, prior))
+        calls["consolidate_mesh"] += 1
+        return consolidate_mesh(mesh, cs, config, frozen, stats)
+
+    def checked_repair(mesh, frozen=0):
+        assert frozen == starts[-1]
+        ref = copy.deepcopy(mesh)
+        removed = repair(mesh, frozen)
+        assert removed == oracles.repair_nonmanifold(
+            ref, frozen=oracles.frozen_tids(ref, frozen))
+        assert np.array_equal(mesh.tri_state, ref.tri_state)
+        calls["repair_nonmanifold"] += 1
+        return removed
+
+    def checked_cut(mesh):
+        calls["break_nonorientable"] += 1
+        return _assert_cuts_match_reference(mesh, starts[-1], cut)
+
+    def checked_candidates(cs, config, color_cue=False):
+        cands = candidates(cs, config, color_cue=color_cue)
+        phases.append(oracles.boundary_phase(cs))
+        assert_same_lists(cands, oracles.phase_candidates(
+            cs, config, phases[-1], None, color_cue))
+        return cands
+
+    monkeypatch.setattr(consolidate, "consolidate_mesh", checked_pass)
+    monkeypatch.setattr(consolidate, "repair_nonmanifold", checked_repair)
+    monkeypatch.setattr(mesh_ops, "break_nonorientable", checked_cut)
+    monkeypatch.setattr(matcher, "boundary_candidates", checked_candidates)
+    run_pipeline(generate(spec)[0], options)
+    assert phases == ["extension", "gap"] and len(starts) == 3
+    assert calls == {"consolidate_mesh": 3, "repair_nonmanifold": 7,
+                     "break_nonorientable": 3}
 
 
 # stages after which the pipeline once oriented again, or could have
@@ -603,7 +717,7 @@ def test_stages_leave_every_component_wound(name, options, monkeypatch):
 
 def draw_soup(n, data):
     """Random triangles over n random points, some removed, some
-    flipped; returns (mesh, frozen tid set)."""
+    flipped; returns (mesh, frozen), frozen a phase's first tid."""
     rng = np.random.default_rng(n)
     pos = rng.normal(size=(n, 3))
     tri = st.lists(st.integers(0, n - 1), min_size=3, max_size=3,
@@ -612,13 +726,13 @@ def draw_soup(n, data):
     mesh = mesh_from_arrays(pos, faces)
     count = len(mesh.tri_verts)
     if not count:
-        return mesh, set()
+        return mesh, 0
     tid = st.lists(st.integers(0, count - 1), max_size=4)
     for t in data.draw(tid):
         mesh.remove(t)
     for t in data.draw(tid):
         mesh.flip(t)
-    return mesh, set(data.draw(tid))
+    return mesh, data.draw(st.integers(0, count))
 
 
 @settings(max_examples=150, deadline=None)
@@ -635,7 +749,8 @@ def test_hypothesis_soups_match_reference(n, data):
         assert np.array_equal(a.tri_verts, b.tri_verts)
     a, b = copy.deepcopy(mesh), copy.deepcopy(mesh)
     assert (consolidate.repair_nonmanifold(a, frozen=frozen)
-            == oracles.repair_nonmanifold(b, frozen=frozen))
+            == oracles.repair_nonmanifold(
+                b, frozen=oracles.frozen_tids(b, frozen)))
     assert np.array_equal(a.tri_state, b.tri_state)
     _assert_cuts_match_reference(copy.deepcopy(mesh), frozen)
     assert mesh_ops.boundary_loops(mesh) == oracles.boundary_loops(mesh)
@@ -676,22 +791,21 @@ def test_orientation_holds_through_the_repair_net(n, data):
     keep that: orienting again finds nothing broken and flips
     nothing."""
     mesh, frozen = draw_soup(n, data)
-    mesh_ops.break_nonorientable(mesh, frozen=frozen)
+    mesh_ops.break_nonorientable(mesh)
     consolidate.repair_nonmanifold(mesh, frozen=frozen)
     wound = mesh.tri_verts.copy()
     assert mesh_ops.orient_all(mesh, align=False) == []
     assert np.array_equal(mesh.tri_verts, wound)
 
 
-def _conflicts(mesh, frozen):
+def _conflicts(mesh):
     """The conflicts break_nonorientable cuts at, over every round."""
     out = []
     while bad := oracles.orient_all(mesh, align=False):
         for tids in bad:
             conflict = oracles.orient_component(mesh, tids)
             out.append(conflict)
-            mesh.remove(max([t for t in conflict if t not in frozen]
-                            or conflict))
+            mesh.remove(max(conflict))
     return out
 
 
@@ -720,12 +834,13 @@ def test_soups_cover_the_hard_cases(monkeypatch):
         net_local += len(local) - audits
         idle += _audit_through(copy.deepcopy(mesh),
                                _random_ops(np.random.default_rng(seed)))
-        for t, other in _conflicts(copy.deepcopy(mesh), frozen):
-            both_frozen += t in frozen and other in frozen
+        for t, other in _conflicts(copy.deepcopy(mesh)):
+            both_frozen += max(t, other) < frozen
             edge = (set(mesh.tri_verts[t].tolist())
                     & set(mesh.tri_verts[other].tolist()))
             on_overfull += len(em[tuple(sorted(edge))]) > 2
-        for strip in _components_of(mesh, frozen):
+        for strip in _components_of(mesh,
+                                    oracles.frozen_tids(mesh, frozen)):
             inside = set(strip)
             shared_strips += any(not inside.issuperset(em[key])
                                  for key in oracles.strip_edge_map(
